@@ -10,10 +10,36 @@ objects up to a size bound and produce full finite hom sets on demand;
 
 from __future__ import annotations
 
+import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
+
+
+def memo(fn: Callable) -> Callable:
+    """Memoize ``fn(owner, *args)`` in a dict kept on ``owner`` itself.
+
+    The table lives and dies with its owner (a model or a category), so
+    fresh instances share nothing and a dropped model drops its tables.
+    The remaining arguments must be hashable.  A call that raises stores
+    nothing, so it raises again when repeated.
+    """
+    slot = f"_memo_{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        try:
+            return owner.__dict__[slot][args]
+        except KeyError:
+            pass
+        table = owner.__dict__.get(slot)
+        if table is None:
+            table = owner.__dict__[slot] = {}
+        out = table[args] = fn(owner, *args)
+        return out
+
+    return cached
 
 
 class BoundedCategory(ABC):
@@ -371,9 +397,6 @@ class FinSliceOpposite(BoundedCategory):
 
     def __init__(self, index: Iterable[int]):
         self.index = tuple(sorted(set(index)))
-        self._hom_cache: dict[tuple[str, str], list[str]] = {}
-        self._fn_cache: dict[str, tuple[int, ...]] = {}
-        self._compose_cache: dict[tuple[str, str], str] = {}
 
     # -- key helpers ---------------------------------------------------
     @staticmethod
@@ -391,13 +414,10 @@ class FinSliceOpposite(BoundedCategory):
     def mor_key(src: str, dst: str, fn: tuple[int, ...]) -> str:
         return f"{src}=>{dst}:(" + ",".join(str(k) for k in fn) + ")"
 
+    @memo
     def mor_fn(self, m: str) -> tuple[int, ...]:
-        fn = self._fn_cache.get(m)
-        if fn is None:
-            inner = m.rsplit(":(", 1)[1][:-1]
-            fn = tuple(int(s) for s in inner.split(",")) if inner else ()
-            self._fn_cache[m] = fn
-        return fn
+        inner = m.rsplit(":(", 1)[1][:-1]
+        return tuple(int(s) for s in inner.split(",")) if inner else ()
 
     # -- BoundedCategory interface --------------------------------------
     @property
@@ -415,27 +435,19 @@ class FinSliceOpposite(BoundedCategory):
         return out
 
     def hom(self, a: str, b: str) -> list[str]:
-        key = (a, b)
-        cached = self._hom_cache.get(key)
-        if cached is not None:
-            return list(cached)
+        return list(self._homs(a, b))
+
+    @memo
+    def _homs(self, a: str, b: str) -> tuple[str, ...]:
         u = self.obj_labels(a)
-        v = self.obj_labels(b)
         # functions underlying(b) -> underlying(a) over I
         candidates_per_slot = []
-        ok = True
-        for lb in v:
+        for lb in self.obj_labels(b):
             slots = tuple(k for k, la in enumerate(u) if la == lb)
             if not slots:
-                ok = False
-                break
+                return ()
             candidates_per_slot.append(slots)
-        if not ok and v:
-            self._hom_cache[key] = []
-            return []
-        out = [self.mor_key(a, b, fn) for fn in itertools.product(*candidates_per_slot)]
-        self._hom_cache[key] = out
-        return list(out)
+        return tuple(self.mor_key(a, b, fn) for fn in itertools.product(*candidates_per_slot))
 
     def dom(self, m: str) -> str:
         return m.split("=>", 1)[0]
@@ -447,16 +459,12 @@ class FinSliceOpposite(BoundedCategory):
         n = len(self.obj_labels(a))
         return self.mor_key(a, a, tuple(range(n)))
 
+    @memo
     def compose(self, g: str, f: str) -> str:
         # f : X -> Y, g : Y -> Z; underlying functions fb : Y* -> X*, gb : Z* -> Y*
-        out = self._compose_cache.get((g, f))
-        if out is not None:
-            return out
         if self.dom(g) != self.cod(f):
             raise ValueError(f"not composable: {g} after {f}")
         fb = self.mor_fn(f)
         gb = self.mor_fn(g)
         fn = tuple(fb[k] for k in gb)
-        out = self.mor_key(self.dom(f), self.cod(g), fn)
-        self._compose_cache[(g, f)] = out
-        return out
+        return self.mor_key(self.dom(f), self.cod(g), fn)

@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
-from .fincat import BoundedCategory, FinSliceOpposite
+from .fincat import BoundedCategory, FinSliceOpposite, memo
 from .natmodel import (
     ExtensionData,
     NaturalModel,
@@ -52,17 +52,18 @@ def _fresh_key(base_keys: list[str], stem: str) -> str:
 class _WrappedCategory(BoundedCategory):
     """Base class for categories of formally extended contexts.
 
-    Objects are registered normal forms; morphisms wrap morphisms of the
-    inner category (possibly with extra payload) and are kept in a registry
-    so endpoints never have to be parsed back out of keys.
+    Objects are registered normal forms over an underlying context of the
+    inner model; morphisms wrap morphisms of the inner category (possibly
+    with extra payload) and are kept in a registry so endpoints never have
+    to be parsed back out of keys.
     """
 
-    def __init__(self, prefix: str):
-        self._prefix = prefix
+    def __init__(self, inner: NaturalModel):
+        self.inner = inner
+        self._under: dict[str, str] = {}
         self._obj_info: dict[str, tuple] = {}
         self._mor_info: dict[str, tuple] = {}
         self._obj_size: dict[str, int] = {}
-        self._compose_cache: dict[tuple[str, str], str] = {}
         self.model: Optional[NaturalModel] = None  # set by the owning model
 
     # object bookkeeping
@@ -74,6 +75,9 @@ class _WrappedCategory(BoundedCategory):
 
     def obj_info(self, key: str) -> tuple:
         return self._obj_info[key]
+
+    def under(self, key: str) -> str:
+        return self._under[key]
 
     def obj_size(self, key: str) -> int:
         return self._obj_size[key]
@@ -93,6 +97,29 @@ class _WrappedCategory(BoundedCategory):
 
     def cod(self, m: str) -> str:
         return self._mor_info[m][1]
+
+    def hom(self, a: str, b: str) -> list[str]:
+        return list(self._homs(a, b))
+
+    @memo
+    def _homs(self, a: str, b: str) -> tuple[str, ...]:
+        return tuple(self._wrap(a, b, payload) for payload in self._hom_payloads(a, b))
+
+    def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
+        """The payloads of the morphisms a -> b, in deterministic order."""
+        raise NotImplementedError
+
+    def identity(self, a: str) -> str:
+        return self._wrap(a, a, (self.inner.base.identity(self._under[a]),))
+
+    @memo
+    def compose(self, g: str, f: str) -> str:
+        """Composite of morphisms whose payload is one inner morphism."""
+        if self.dom(g) != self.cod(f):
+            raise ValueError("not composable")
+        (gs,) = self.mor_payload(g)
+        (fs,) = self.mor_payload(f)
+        return self._wrap(self.dom(f), self.cod(g), (self.inner.base.compose(gs, fs),))
 
     def objects(self, bound: int) -> list[str]:
         assert self.model is not None
@@ -324,11 +351,11 @@ class _ExtTermCategory(_WrappedCategory):
     """Contexts of the inner model formally extended by a term variable."""
 
     def __init__(self, inner: NaturalModel, o_ty: str):
-        super().__init__("xt")
-        self.inner = inner
+        super().__init__(inner)
         self.o_ty = o_ty
-        self._under: dict[str, str] = {}
-        self._align: dict[str, str] = {}  # extension key -> iso fixing the underlying context
+        # extension key -> (iso, inverse) under(key) -> under(parent)•A, where
+        # normal-form collapse changed the underlying context
+        self._align: dict[str, tuple[str, str]] = {}
 
     def obj_key_for(self, gamma: str, tys: tuple[str, ...]) -> str:
         return f"xt({gamma}|{';'.join(tys)})"
@@ -337,9 +364,6 @@ class _ExtTermCategory(_WrappedCategory):
         key = self.obj_key_for(gamma, tys)
         size = self.inner.base.obj_size(under)
         return self._register_obj(key, (gamma, tys), size)
-
-    def under(self, key: str) -> str:
-        return self._under[key]
 
     def anchor(self, key: str) -> str:
         """The structure map under(key) -> ⋄•O over which hom sets live."""
@@ -352,28 +376,10 @@ class _ExtTermCategory(_WrappedCategory):
     def terminal(self) -> Optional[str]:
         return self.model.i_obj(self.inner.terminal)  # type: ignore[attr-defined]
 
-    def hom(self, a: str, b: str) -> list[str]:
-        ua, ub = self._under[a], self._under[b]
-        out = []
-        for s in self.inner.base.hom(ua, ub):
+    def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
+        for s in self.inner.base.hom(self._under[a], self._under[b]):
             if self.inner.base.compose(self._anchor[b], s) == self._anchor[a]:
-                out.append(self._wrap(a, b, (s,)))
-        return out
-
-    def identity(self, a: str) -> str:
-        return self._wrap(a, a, (self.inner.base.identity(self._under[a]),))
-
-    def compose(self, g: str, f: str) -> str:
-        out = self._compose_cache.get((g, f))
-        if out is not None:
-            return out
-        if self.dom(g) != self.cod(f):
-            raise ValueError("not composable")
-        (gs,) = self.mor_payload(g)
-        (fs,) = self.mor_payload(f)
-        out = self._wrap(self.dom(f), self.cod(g), (self.inner.base.compose(gs, fs),))
-        self._compose_cache[(g, f)] = out
-        return out
+                yield (s,)
 
     def _seeds(self, bound: int) -> list[str]:
         return [
@@ -467,11 +473,11 @@ class ExtTermModel(NaturalModel):
                 a_prime = preimages[0]
                 inner_ext = inner.ext(gamma, a_prime)
                 new_key = self.i_obj(inner_ext.extended)
-                o_at_g = inner.subst_ty(inner.t(gamma), self.o_ty)
-                sw_inv = swap_iso(inner, gamma, a_prime, o_at_g)
-                proj = cat._wrap(new_key, ctx, (inner.base.compose(e_in.proj, sw_inv),))
-                var = inner.subst_tm(sw_inv, e_in.var)
-                cat._align[new_key] = sw_inv
+                if new_key not in cat._align:
+                    cat._align[new_key] = self._swap_pair(gamma, a_prime)
+                sw = cat._align[new_key][0]
+                proj = cat._wrap(new_key, ctx, (inner.base.compose(e_in.proj, sw),))
+                var = inner.subst_tm(sw, e_in.var)
                 return ExtensionData(new_key, proj, var)
         new_tys = tys + (ty,)
         new_key = cat.obj_key_for(gamma, new_tys)
@@ -479,13 +485,20 @@ class ExtTermModel(NaturalModel):
             cat.register(gamma, new_tys, e_in.extended)
             cat._under[new_key] = e_in.extended
             cat._anchor[new_key] = inner.base.compose(cat._anchor[ctx], e_in.proj)
-            cat._align[new_key] = inner.base.identity(e_in.extended)
         proj = cat._wrap(new_key, ctx, (e_in.proj,))
         return ExtensionData(new_key, proj, e_in.var)
 
-    def align_iso(self, ctx: str) -> str:
-        """under(ctx) -> under(parent)•A, identity unless normalization fired."""
-        return self.base._align[ctx]
+    def _swap_pair(self, gamma: str, a_prime: str) -> tuple[str, str]:
+        """The swap Γ•A'•O -> Γ•O•A'[p_O] and its inverse, checked once."""
+        inner = self.inner
+        o_at_g = inner.subst_ty(inner.t(gamma), self.o_ty)
+        sw = swap_iso(inner, gamma, a_prime, o_at_g)
+        sw_inv = swap_iso(inner, gamma, o_at_g, a_prime)
+        ib = inner.base
+        if ib.compose(sw_inv, sw) != ib.identity(ib.dom(sw)) or \
+                ib.compose(sw, sw_inv) != ib.identity(ib.cod(sw)):
+            raise ValueError("alignment isomorphism is not invertible")
+        return sw, sw_inv
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         gamma_ctx = self.base.cod(sigma)
@@ -494,10 +507,7 @@ class ExtTermModel(NaturalModel):
         tau = induced_sub(self.inner, s, term, ty)
         align = self.base._align.get(e.extended)
         if align is not None:
-            inv = self.inner.base.is_iso(align)
-            if inv is None:
-                raise ValueError("alignment isomorphism is not invertible")
-            tau = self.inner.base.compose(inv, tau)
+            tau = self.inner.base.compose(align[1], tau)
         return self.base._wrap(self.base.dom(sigma), e.extended, (tau,))
 
     def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
@@ -579,10 +589,8 @@ def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
             d.on_obj(ctx)
             w = canonical_pullback(inner, w_chain(d, pctx), pty)
             align = ext.base._align.get(ctx)
-            if align is not None and align != inner.base.identity(inner.base.dom(align)):
-                inv = inner.base.is_iso(align)
-                assert inv is not None
-                w = inner.base.compose(inv, w)
+            if align is not None:
+                w = inner.base.compose(align[1], w)
         chains[ctx] = w
         return w
 
@@ -601,8 +609,8 @@ def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
 
     def root_mor(d, m: str) -> str:
         # codomain is a root (Γ₀;): compose with the retraction of the section
-        a, b = ext.base.dom(m), ext.base.cod(m)
-        gamma_b, _ = ext.base.obj_info(b)
+        a = ext.base.dom(m)
+        gamma_b, _ = ext.base.obj_info(ext.base.cod(m))
         (s,) = ext.base.mor_payload(m)
         retract = ext._o_ext(gamma_b).proj
         return inner.base.compose(retract, inner.base.compose(s, w_chain(d, a)))
@@ -620,7 +628,7 @@ def term_functorial_extension(
     Normalization in the codomain may re-shuffle the underlying contexts;
     the comparison morphisms are tracked and used to transport types.
     """
-    src_m, dst_m = ext_src.inner, ext_dst.inner
+    dst_m = ext_dst.inner
     thetas: dict[str, str] = {}
 
     def theta(d, ctx: str) -> str:
@@ -628,7 +636,7 @@ def term_functorial_extension(
 
         Normal-form collapse may fire on either side; the recorded
         alignment isomorphisms are composed in on the codomain side and
-        their F-images inverted on the domain side.
+        the F-images of their recorded inverses on the domain side.
         """
         th = thetas.get(ctx)
         if th is not None:
@@ -641,17 +649,12 @@ def term_functorial_extension(
             th_p = theta(d, pctx)
             f_ty = f.on_ty(ext_src.base.under(pctx), pty)
             th = canonical_pullback(dst_m, th_p, f_ty)
-            img = d.on_obj(ctx)
-            align_dst = ext_dst.base._align.get(img)
-            if align_dst is not None and \
-                    align_dst != dst_m.base.identity(dst_m.base.dom(align_dst)):
-                th = dst_m.base.compose(th, align_dst)
+            align_dst = ext_dst.base._align.get(d.on_obj(ctx))
+            if align_dst is not None:
+                th = dst_m.base.compose(th, align_dst[0])
             align_src = ext_src.base._align.get(ctx)
-            if align_src is not None and \
-                    align_src != src_m.base.identity(src_m.base.dom(align_src)):
-                inv = src_m.base.is_iso(align_src)
-                assert inv is not None
-                th = dst_m.base.compose(f.on_mor(inv), th)
+            if align_src is not None:
+                th = dst_m.base.compose(f.on_mor(align_src[1]), th)
         thetas[ctx] = th
         return th
 
@@ -731,10 +734,8 @@ class _InterleavedCategory(_WrappedCategory):
     """
 
     def __init__(self, inner: NaturalModel, with_tally: bool):
-        super().__init__("ix")
-        self.inner = inner
+        super().__init__(inner)
         self.with_tally = with_tally
-        self._under: dict[str, str] = {}
         self._count: dict[str, int] = {}
 
     def obj_key_for(self, gamma: str, ks: tuple[int, ...], tys: tuple[str, ...]) -> str:
@@ -762,9 +763,6 @@ class _InterleavedCategory(_WrappedCategory):
             )
         return key
 
-    def under(self, key: str) -> str:
-        return self._under[key]
-
     def count(self, key: str) -> int:
         return self._count[key]
 
@@ -772,37 +770,28 @@ class _InterleavedCategory(_WrappedCategory):
     def terminal(self) -> Optional[str]:
         return self.register(self.inner.terminal, (0,), ())
 
-    def hom(self, a: str, b: str) -> list[str]:
-        ua, ub = self._under[a], self._under[b]
-        inner_homs = self.inner.base.hom(ua, ub)
+    def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
+        inner_homs = self.inner.base.hom(self._under[a], self._under[b])
         if not self.with_tally:
-            return [self._wrap(a, b, (s, ())) for s in inner_homs]
-        ka, kb = self._count[a], self._count[b]
-        out = []
-        for s in inner_homs:
-            # kb == 0 yields exactly the empty tally; ka == 0 < kb yields none
-            for tally in itertools.product(range(ka), repeat=kb):
-                out.append(self._wrap(a, b, (s, tally)))
-        return out
+            return [(s, ()) for s in inner_homs]
+        # kb == 0 yields exactly the empty tally; ka == 0 < kb yields none
+        tallies = list(itertools.product(range(self._count[a]), repeat=self._count[b]))
+        return [(s, tally) for s in inner_homs for tally in tallies]
 
     def identity(self, a: str) -> str:
         ident = self.inner.base.identity(self._under[a])
         tally = tuple(range(self._count[a])) if self.with_tally else ()
         return self._wrap(a, a, (ident, tally))
 
+    @memo
     def compose(self, g: str, f: str) -> str:
-        out = self._compose_cache.get((g, f))
-        if out is not None:
-            return out
         if self.dom(g) != self.cod(f):
             raise ValueError("not composable")
         gs, gt = self.mor_payload(g)
         fs, ft = self.mor_payload(f)
         s = self.inner.base.compose(gs, fs)
         tally = tuple(ft[j] for j in gt) if self.with_tally else ()
-        out = self._wrap(self.dom(f), self.cod(g), (s, tally))
-        self._compose_cache[(g, f)] = out
-        return out
+        return self._wrap(self.dom(f), self.cod(g), (s, tally))
 
     def _seeds(self, bound: int) -> list[str]:
         return [
@@ -1000,7 +989,6 @@ def _interleaved_collapse(
     the comparison morphism that forgets the slots.  With ``f`` the
     identity this is the insertion morphism; in general it is F♯.
     """
-    inner = ext.inner
     thetas: dict[str, str] = {}
     slot_vars: dict[str, list[str]] = {}
 
@@ -1063,9 +1051,8 @@ def _interleaved_collapse(
         return target.subst_tm(theta(d, ctx), img)
 
     def root_mor(d, m: str) -> str:
-        a, b = ext.base.dom(m), ext.base.cod(m)
         (s, _) = ext.base.mor_payload(m)
-        return target.base.compose(f.on_mor(s), theta(d, a))
+        return target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
 
     d = _DerivedMorphism(ext, target, root_obj, root_mor, ty_map, tm_map)
     return _as_nmorphism(d, name)
@@ -1136,12 +1123,12 @@ def interleaved_universal_pins(
 # Type trees and the free admission of dependent sum types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeTree:
     """Leaf-labelled finite rooted binary tree of types.
 
     The right subtree of a node lives over the context extended by the left
-    subtree.
+    subtree.  Like every cell, a tree is identified by its key.
     """
 
     leaf: Optional[str] = None
@@ -1158,6 +1145,12 @@ class TypeTree:
             return self.leaf  # type: ignore[return-value]
         return f"[{self.left.key},{self.right.key}]"
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
     def leaves(self) -> list[str]:
         if self.is_leaf:
             return [self.leaf]  # type: ignore[list-item]
@@ -1173,13 +1166,13 @@ class TypeTree:
         return self._size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermTree:
     """Term tree; a node carries the type tree indexing its second component.
 
     A node (t₁, B, t₂) is a term of the dependent sum [p(t₁), B]; the second
     component t₂ lives over the same context, of type B substituted along the
-    section of t₁.
+    section of t₁.  Like every cell, a tree is identified by its key.
     """
 
     leaf: Optional[str] = None
@@ -1197,40 +1190,39 @@ class TermTree:
             return self.leaf  # type: ignore[return-value]
         return f"[{self.left.key}:{self.rtype.key}:{self.right.key}]"
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, type(self)) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
     def size(self) -> int:
         if self.is_leaf:
             return 1
         return self.left.size() + self.right.size()
 
 
+@memo
 def tree_ext(m: NaturalModel, ctx: str, tree: TypeTree) -> tuple[str, str, TermTree]:
     """(Γ•T, p_T, q_T): extension data for a type tree, built from the leaves.
 
     p_T is the composite of the leaf projections; q_T pairs the weakened
     variables of the two subtrees.
     """
-    cache = m.__dict__.setdefault("_tree_ext_cache", {})
-    out = cache.get((ctx, tree.key))
-    if out is not None:
-        return out
     if tree.is_leaf:
         e = m.ext(ctx, tree.leaf)
-        out = (e.extended, e.proj, TermTree(leaf=e.var))
-    else:
-        c1, p1, q1 = tree_ext(m, ctx, tree.left)
-        c2, p2, q2 = tree_ext(m, c1, tree.right)
-        proj = m.base.compose(p1, p2)
-        left_tm = tmtree_subst(m, p2, q1)
-        rtype = tree_subst(m, canonical_pullback_tree(m, proj, tree.left), tree.right)
-        out = (c2, proj, TermTree(left=left_tm, rtype=rtype, right=q2))
-    cache[(ctx, tree.key)] = out
-    return out
+        return e.extended, e.proj, TermTree(leaf=e.var)
+    c1, p1, q1 = tree_ext(m, ctx, tree.left)
+    c2, p2, q2 = tree_ext(m, c1, tree.right)
+    proj = m.base.compose(p1, p2)
+    left_tm = tmtree_subst(m, p2, q1)
+    rtype = tree_subst(m, canonical_pullback_tree(m, proj, tree.left), tree.right)
+    return c2, proj, TermTree(left=left_tm, rtype=rtype, right=q2)
 
 
 def canonical_pullback_tree(m: NaturalModel, sigma: str, tree: TypeTree) -> str:
     """σ•T : iterated canonical pullback along the leaves of a type tree."""
     out = sigma
-    rest = tree
     for leaf_ty in _leaf_types_along(m, m.base.cod(sigma), tree):
         out = canonical_pullback(m, out, leaf_ty)
     return out
@@ -1244,40 +1236,26 @@ def _leaf_types_along(m: NaturalModel, ctx: str, tree: TypeTree) -> list[str]:
     return left + _leaf_types_along(m, mid, tree.right)
 
 
+@memo
 def tree_subst(m: NaturalModel, sigma: str, tree: TypeTree) -> TypeTree:
     """T[σ], substituting leaf-wise with the canonical pullbacks in between."""
-    cache = m.__dict__.setdefault("_tree_subst_cache", {})
-    out = cache.get((sigma, tree.key))
-    if out is not None:
-        return out
     if tree.is_leaf:
-        out = TypeTree(leaf=m.subst_ty(sigma, tree.leaf))
-    else:
-        left = tree_subst(m, sigma, tree.left)
-        sigma_ext = canonical_pullback_tree(m, sigma, tree.left)
-        right = tree_subst(m, sigma_ext, tree.right)
-        out = TypeTree(left=left, right=right)
-    cache[(sigma, tree.key)] = out
-    return out
+        return TypeTree(leaf=m.subst_ty(sigma, tree.leaf))
+    left = tree_subst(m, sigma, tree.left)
+    sigma_ext = canonical_pullback_tree(m, sigma, tree.left)
+    return TypeTree(left=left, right=tree_subst(m, sigma_ext, tree.right))
 
 
+@memo
 def tmtree_subst(m: NaturalModel, sigma: str, tree: TermTree) -> TermTree:
-    cache = m.__dict__.setdefault("_tmtree_subst_cache", {})
-    out = cache.get((sigma, tree.key))
-    if out is not None:
-        return out
     if tree.is_leaf:
-        out = TermTree(leaf=m.subst_tm(sigma, tree.leaf))
-    else:
-        left = tmtree_subst(m, sigma, tree.left)
-        sigma_ext = canonical_pullback_tree(
-            m, sigma, tmtree_type(m, m.base.cod(sigma), tree.left)
-        )
-        rtype = tree_subst(m, sigma_ext, tree.rtype)
-        right = tmtree_subst(m, sigma, tree.right)
-        out = TermTree(left=left, rtype=rtype, right=right)
-    cache[(sigma, tree.key)] = out
-    return out
+        return TermTree(leaf=m.subst_tm(sigma, tree.leaf))
+    left = tmtree_subst(m, sigma, tree.left)
+    sigma_ext = canonical_pullback_tree(
+        m, sigma, tmtree_type(m, m.base.cod(sigma), tree.left)
+    )
+    rtype = tree_subst(m, sigma_ext, tree.rtype)
+    return TermTree(left=left, rtype=rtype, right=tmtree_subst(m, sigma, tree.right))
 
 
 def tmtree_type(m: NaturalModel, ctx: str, tree: TermTree) -> TypeTree:
@@ -1305,9 +1283,7 @@ class _TreeCategory(_WrappedCategory):
     """Contexts formally extended by lists of type trees."""
 
     def __init__(self, inner: NaturalModel):
-        super().__init__("tr")
-        self.inner = inner
-        self._under: dict[str, str] = {}
+        super().__init__(inner)
 
     def obj_key_for(self, gamma: str, trees: tuple[TypeTree, ...]) -> str:
         return f"tr({gamma}|{';'.join(t.key for t in trees)})"
@@ -1325,33 +1301,12 @@ class _TreeCategory(_WrappedCategory):
             self._register_obj(key, (gamma, trees), self.inner.base.obj_size(under))
         return key
 
-    def under(self, key: str) -> str:
-        return self._under[key]
-
     @property
     def terminal(self) -> Optional[str]:
         return self.register(self.inner.terminal, ())
 
-    def hom(self, a: str, b: str) -> list[str]:
-        return [
-            self._wrap(a, b, (s,))
-            for s in self.inner.base.hom(self._under[a], self._under[b])
-        ]
-
-    def identity(self, a: str) -> str:
-        return self._wrap(a, a, (self.inner.base.identity(self._under[a]),))
-
-    def compose(self, g: str, f: str) -> str:
-        out = self._compose_cache.get((g, f))
-        if out is not None:
-            return out
-        if self.dom(g) != self.cod(f):
-            raise ValueError("not composable")
-        (gs,) = self.mor_payload(g)
-        (fs,) = self.mor_payload(f)
-        out = self._wrap(self.dom(f), self.cod(g), (self.inner.base.compose(gs, fs),))
-        self._compose_cache[(g, f)] = out
-        return out
+    def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
+        return [(s,) for s in self.inner.base.hom(self._under[a], self._under[b])]
 
     def _seeds(self, bound: int) -> list[str]:
         return [self.register(g, ()) for g in self.inner.base.objects(bound)]
@@ -1394,11 +1349,8 @@ class SigmaExtModel(NaturalModel):
         under = self.base.under(ctx)
         return [self.reg_ty(t) for t in self._gen_ty_trees(under, bound)]
 
+    @memo
     def _gen_ty_trees(self, m_ctx: str, bound: int) -> list[TypeTree]:
-        cache = self.__dict__.setdefault("_gen_ty_cache", {})
-        cached = cache.get((m_ctx, bound))
-        if cached is not None:
-            return cached
         out: list[TypeTree] = []
         if bound >= 1:
             for leaf in self.inner.types(m_ctx, bound):
@@ -1410,7 +1362,6 @@ class SigmaExtModel(NaturalModel):
                     mid = tree_ext(self.inner, m_ctx, l_tree)[0]
                     for r_tree in self._gen_ty_trees(mid, bound - lsize):
                         out.append(TypeTree(left=l_tree, right=r_tree))
-        cache[(m_ctx, bound)] = out
         return out
 
     def terms(self, ctx: str, bound: int) -> list[str]:
@@ -1420,34 +1371,25 @@ class SigmaExtModel(NaturalModel):
             out.extend(self.reg_tm(t) for t in self._gen_tm_trees(under, ty))
         return out
 
+    @memo
     def _gen_tm_trees(self, m_ctx: str, ty: TypeTree) -> list[TermTree]:
-        cache = self.__dict__.setdefault("_gen_tm_cache", {})
-        cached = cache.get((m_ctx, ty.key))
-        if cached is not None:
-            return cached
         if ty.is_leaf:
-            out = [
+            return [
                 TermTree(leaf=a)
                 for a in self.inner.terms_of(m_ctx, ty.leaf, max(ty.size(), 1))
             ]
-        else:
-            out = []
-            for t1 in self._gen_tm_trees(m_ctx, ty.left):
-                s_t1 = tmtree_section(self.inner, m_ctx, t1)
-                ty2 = tree_subst(self.inner, s_t1, ty.right)
-                for t2 in self._gen_tm_trees(m_ctx, ty2):
-                    out.append(TermTree(left=t1, rtype=ty.right, right=t2))
-        cache[(m_ctx, ty.key)] = out
+        out = []
+        for t1 in self._gen_tm_trees(m_ctx, ty.left):
+            s_t1 = tmtree_section(self.inner, m_ctx, t1)
+            ty2 = tree_subst(self.inner, s_t1, ty.right)
+            for t2 in self._gen_tm_trees(m_ctx, ty2):
+                out.append(TermTree(left=t1, rtype=ty.right, right=t2))
         return out
 
+    @memo
     def typeof(self, ctx: str, term: str) -> str:
-        cache = self.__dict__.setdefault("_typeof_cache", {})
-        out = cache.get((ctx, term))
-        if out is None:
-            under = self.base.under(ctx)
-            out = self.reg_ty(tmtree_type(self.inner, under, self.tm_tree(term)))
-            cache[(ctx, term)] = out
-        return out
+        under = self.base.under(ctx)
+        return self.reg_ty(tmtree_type(self.inner, under, self.tm_tree(term)))
 
     def ty_size(self, ctx: str, ty: str) -> int:
         return self.ty_tree(ty).size()
@@ -1455,23 +1397,15 @@ class SigmaExtModel(NaturalModel):
     def tm_size(self, ctx: str, term: str) -> int:
         return self.tm_tree(term).size()
 
+    @memo
     def subst_ty(self, sigma: str, ty: str) -> str:
-        cache = self.__dict__.setdefault("_subst_ty_cache", {})
-        out = cache.get((sigma, ty))
-        if out is None:
-            (s,) = self.base.mor_payload(sigma)
-            out = self.reg_ty(tree_subst(self.inner, s, self.ty_tree(ty)))
-            cache[(sigma, ty)] = out
-        return out
+        (s,) = self.base.mor_payload(sigma)
+        return self.reg_ty(tree_subst(self.inner, s, self.ty_tree(ty)))
 
+    @memo
     def subst_tm(self, sigma: str, term: str) -> str:
-        cache = self.__dict__.setdefault("_subst_tm_cache", {})
-        out = cache.get((sigma, term))
-        if out is None:
-            (s,) = self.base.mor_payload(sigma)
-            out = self.reg_tm(tmtree_subst(self.inner, s, self.tm_tree(term)))
-            cache[(sigma, term)] = out
-        return out
+        (s,) = self.base.mor_payload(sigma)
+        return self.reg_tm(tmtree_subst(self.inner, s, self.tm_tree(term)))
 
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
@@ -1542,31 +1476,29 @@ def sigma_inclusion(ext: SigmaExtModel) -> NMorphism:
     return _as_nmorphism(d, "I")
 
 
-def sigma_of_tree(
-    m: NaturalModel, ctx: str, tree: TypeTree, bound: int
-) -> tuple[str, str, str]:
+@memo
+def sigma_of_tree(m: NaturalModel, ctx: str, tree: TypeTree, bound: int) -> tuple[str, str]:
     """Collapse a type tree to a single type via the Σ structure of ``m``.
 
-    Returns (Σ-collapsed type over ctx, θ : ctx•collapsed -> ctx•T-chain,
-    θ⁻¹); θ is the canonical comparison isomorphism of the two extensions.
+    Returns (Σ-collapsed type over ctx, θ : ctx•collapsed -> ctx•T-chain);
+    θ is the canonical comparison isomorphism of the two extensions, and a
+    θ that is not invertible raises ``ValueError``.
     """
     s: SigmaStructure = m.sigma_structure  # type: ignore[attr-defined]
     if tree.is_leaf:
         e = m.ext(ctx, tree.leaf)
-        ident = m.base.identity(e.extended)
-        return tree.leaf, ident, ident
+        return tree.leaf, m.base.identity(e.extended)
     from .natmodel import sigma_split
 
-    s1, th1, th1i = sigma_of_tree(m, ctx, tree.left, bound)
+    s1, th1 = sigma_of_tree(m, ctx, tree.left, bound)
     mid = tree_ext(m, ctx, tree.left)[0]
-    s2, th2, th2i = sigma_of_tree(m, mid, tree.right, bound)
+    s2, th2 = sigma_of_tree(m, mid, tree.right, bound)
     # transport the collapsed right type along θ₁ to live over ctx•S₁
     b_ty = m.subst_ty(th1, s2)
     sig = s.sigma(ctx, s1, b_ty)
     e_sig = m.ext(ctx, sig)
     # θΣ : ctx•Σ(S₁,B) -> ctx•S₁•B via the projections of the generic pair
     q_sig = e_sig.var
-    sig_wk = m.typeof(e_sig.extended, q_sig)
     a1_wk = m.subst_ty(e_sig.proj, s1)
     b_wk = m.subst_ty(canonical_pullback(m, e_sig.proj, s1), b_ty)
     fst_tm, snd_tm = sigma_split(
@@ -1577,10 +1509,9 @@ def sigma_of_tree(
     theta_sig = induced_sub(m, into_s1, snd_tm, b_ty)
     th1_lift = canonical_pullback(m, th1, s2)
     theta = m.base.compose(th2, m.base.compose(th1_lift, theta_sig))
-    theta_inv = m.base.is_iso(theta)
-    if theta_inv is None:
+    if m.base.is_iso(theta) is None:
         raise ValueError(f"tree collapse comparison at {tree.key} is not invertible")
-    return sig, theta, theta_inv
+    return sig, theta
 
 
 def pair_of_tree(
@@ -1591,9 +1522,9 @@ def pair_of_tree(
     if tm.is_leaf:
         return tm.leaf
     t1_ty = tmtree_type(m, ctx, tm.left)
-    s1, th1, _ = sigma_of_tree(m, ctx, t1_ty, bound)
+    s1, th1 = sigma_of_tree(m, ctx, t1_ty, bound)
     mid = tree_ext(m, ctx, t1_ty)[0]
-    s2, _, _ = sigma_of_tree(m, mid, tm.rtype, bound)
+    s2 = sigma_of_tree(m, mid, tm.rtype, bound)[0]
     b_ty = m.subst_ty(th1, s2)
     a_tm = pair_of_tree(m, ctx, tm.left, bound)
     b_tm = pair_of_tree(m, ctx, tm.right, bound)
@@ -1608,50 +1539,6 @@ def tree_summation(ext: SigmaExtModel, bound: int = 4) -> NMorphism:
     from .morphism import identity_morphism
 
     return sigma_universal(ext, identity_morphism(ext.inner), bound)
-
-
-def sigma_functorial_extension(
-    ext_src: SigmaExtModel, ext_dst: SigmaExtModel, f: NMorphism
-) -> NMorphism:
-    """F_Σ : apply F to every leaf of every tree."""
-    src_m, dst_m = ext_src.inner, ext_dst.inner
-
-    def map_ty_tree(m_ctx: str, tree: TypeTree) -> TypeTree:
-        if tree.is_leaf:
-            return TypeTree(leaf=f.on_ty(m_ctx, tree.leaf))
-        left = map_ty_tree(m_ctx, tree.left)
-        mid = tree_ext(src_m, m_ctx, tree.left)[0]
-        return TypeTree(left=left, right=map_ty_tree(mid, tree.right))
-
-    def map_tm_tree(m_ctx: str, tree: TermTree) -> TermTree:
-        if tree.is_leaf:
-            return TermTree(leaf=f.on_tm(m_ctx, tree.leaf))
-        t1_ty = tmtree_type(src_m, m_ctx, tree.left)
-        mid = tree_ext(src_m, m_ctx, t1_ty)[0]
-        return TermTree(
-            left=map_tm_tree(m_ctx, tree.left),
-            rtype=map_ty_tree(mid, tree.rtype),
-            right=map_tm_tree(m_ctx, tree.right),
-        )
-
-    def root_obj(ctx: str) -> str:
-        gamma, trees = ext_src.base.obj_info(ctx)
-        assert not trees
-        return ext_dst.base.register(f.on_obj(gamma), ())
-
-    def ty_map(d, ctx: str, ty: str) -> str:
-        return ext_dst.reg_ty(map_ty_tree(ext_src.base.under(ctx), ext_src.ty_tree(ty)))
-
-    def tm_map(d, ctx: str, tm: str) -> str:
-        return ext_dst.reg_tm(map_tm_tree(ext_src.base.under(ctx), ext_src.tm_tree(tm)))
-
-    def root_mor(d, m: str) -> str:
-        (s,) = ext_src.base.mor_payload(m)
-        a, b = ext_src.base.dom(m), ext_src.base.cod(m)
-        return ext_dst.base._wrap(d.on_obj(a), d.on_obj(b), (f.on_mor(s),))
-
-    d = _DerivedMorphism(ext_src, ext_dst, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "F_sigma")
 
 
 def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphism:
@@ -1696,9 +1583,9 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
             th_p = theta(d, pctx)
             tree = map_ty_tree(ext.base.under(pctx), ext.ty_tree(pty))
             tree_over_img = tree_subst(target, th_p, tree)
-            _, th_here, _ = sigma_of_tree(
+            th_here = sigma_of_tree(
                 target, d.on_obj(pctx), tree_over_img, _collapse_bound(tree)
-            )
+            )[1]
             lift = canonical_pullback_tree(target, th_p, tree)
             th = target.base.compose(lift, th_here)
         thetas[ctx] = th
@@ -1777,6 +1664,8 @@ class CompositeModel(NaturalModel):
         self.p = inner_p
         self.q = outer_q
         self.base = inner_p.base
+        self._ty_reg: dict[str, tuple[str, str]] = {}
+        self._tm_reg: dict[str, tuple[str, str, str, str]] = {}
 
     @staticmethod
     def ty_key(a: str, b: str) -> str:
@@ -1792,9 +1681,6 @@ class CompositeModel(NaturalModel):
     def _tm_parts(self, key: str) -> tuple[str, str, str, str]:
         return self._tm_reg[key]
 
-    _ty_reg: dict[str, tuple[str, str]] = {}
-    _tm_reg: dict[str, tuple[str, str, str, str]] = {}
-
     def _reg_ty(self, a: str, b: str) -> str:
         key = self.ty_key(a, b)
         self._ty_reg.setdefault(key, (a, b))
@@ -1804,9 +1690,6 @@ class CompositeModel(NaturalModel):
         key = self.tm_key(a, b, x, y)
         self._tm_reg.setdefault(key, (a, b, x, y))
         return key
-
-    def __post_init__(self):  # dataclass-style guard, kept for clarity
-        pass
 
     def types(self, ctx: str, bound: int) -> list[str]:
         out = []
@@ -1839,7 +1722,6 @@ class CompositeModel(NaturalModel):
 
     def subst_ty(self, sigma: str, ty: str) -> str:
         a, b = self._ty_parts(ty)
-        gamma = self.base.cod(sigma)
         sigma_ext = canonical_pullback(self.q, sigma, a)
         return self._reg_ty(self.q.subst_ty(sigma, a), self.p.subst_ty(sigma_ext, b))
 
@@ -1876,7 +1758,4 @@ def poly_composite_models(inner_p: NaturalModel, outer_q: NaturalModel) -> Compo
     """The polynomial composite model (ℂ, q·p); both models must share a base."""
     if inner_p.base is not outer_q.base:
         raise ValueError("polynomial composite requires a shared base category")
-    m = CompositeModel(inner_p, outer_q)
-    m._ty_reg = {}
-    m._tm_reg = {}
-    return m
+    return CompositeModel(inner_p, outer_q)

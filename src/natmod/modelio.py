@@ -60,7 +60,9 @@ class TableCategory(FinCatPresentation):
     it, and ``objects(BOUNDARY_RANK)`` is the whole fragment.
     """
 
-    ranks: dict[str, int] = {}
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.ranks: dict[str, int] = {}
 
     def obj_size(self, a: str) -> int:
         return self.ranks.get(a, BOUNDARY_RANK)

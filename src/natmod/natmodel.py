@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .fincat import BoundedCategory, FinCatPresentation, truncate
+from .fincat import BoundedCategory, FinCatPresentation, memo, truncate
 from .presheaf import (
     NatTrans,
     Presheaf,
@@ -99,6 +99,7 @@ class NaturalModel(ABC):
         return [a for a in self.terms(ctx, bound) if self.typeof(ctx, a) == ty]
 
 
+@memo
 def induced_sub(model: NaturalModel, sigma: str, term: str, ty: str) -> str:
     """⟨σ, a⟩_A — closed form if the model has one, else exhaustive search.
 
@@ -106,30 +107,22 @@ def induced_sub(model: NaturalModel, sigma: str, term: str, ty: str) -> str:
     enumerates hom(dom σ, Γ•A) and asserts exactly one candidate satisfies
     the two projection equations.
     """
-    cache = model.__dict__.setdefault("_indsub_cache", {})
-    key = (sigma, term, ty)
-    out = cache.get(key)
+    out = model.indsub(sigma, term, ty)
     if out is not None:
         return out
-    out = model.indsub(sigma, term, ty)
-    if out is None:
-        base = model.base
-        gamma = base.cod(sigma)
-        delta = base.dom(sigma)
-        e = model.ext(gamma, ty)
-        hits = [
-            tau
-            for tau in base.hom(delta, e.extended)
-            if base.compose(e.proj, tau) == sigma and model.subst_tm(tau, e.var) == term
-        ]
-        if len(hits) != 1:
-            raise ValueError(
-                f"induced substitution not unique: {len(hits)} candidates for "
-                f"⟨{sigma}, {term}⟩ at type {ty}"
-            )
-        out = hits[0]
-    cache[key] = out
-    return out
+    base = model.base
+    e = model.ext(base.cod(sigma), ty)
+    hits = [
+        tau
+        for tau in base.hom(base.dom(sigma), e.extended)
+        if base.compose(e.proj, tau) == sigma and model.subst_tm(tau, e.var) == term
+    ]
+    if len(hits) != 1:
+        raise ValueError(
+            f"induced substitution not unique: {len(hits)} candidates for "
+            f"⟨{sigma}, {term}⟩ at type {ty}"
+        )
+    return hits[0]
 
 
 def section(model: NaturalModel, ctx: str, term: str) -> str:
@@ -137,26 +130,12 @@ def section(model: NaturalModel, ctx: str, term: str) -> str:
     return induced_sub(model, model.base.identity(ctx), term, model.typeof(ctx, term))
 
 
+@memo
 def canonical_pullback(model: NaturalModel, sigma: str, ty: str) -> str:
     """σ•A : Δ•A[σ] -> Γ•A, the top of the canonical pullback square."""
-    cache = model.__dict__.setdefault("_canon_cache", {})
-    out = cache.get((sigma, ty))
-    if out is not None:
-        return out
     base = model.base
-    ty_sub = model.subst_ty(sigma, ty)
-    e = model.ext(base.dom(sigma), ty_sub)
-    out = induced_sub(model, base.compose(sigma, e.proj), e.var, ty)
-    cache[(sigma, ty)] = out
-    return out
-
-
-def extend_morphism(model: NaturalModel, sigma: str, tys: list[str]) -> str:
-    """Iterated canonical pullback σ•A₁•...•Aₙ along a list of types over cod σ."""
-    out = sigma
-    for ty in tys:
-        out = canonical_pullback(model, out, ty)
-    return out
+    e = model.ext(base.dom(sigma), model.subst_ty(sigma, ty))
+    return induced_sub(model, base.compose(sigma, e.proj), e.var, ty)
 
 
 def swap_iso(model: NaturalModel, ctx: str, ty_o: str, ty_a: str) -> str:
@@ -180,22 +159,6 @@ def swap_iso(model: NaturalModel, ctx: str, ty_o: str, ty_a: str) -> str:
     o_term = model.subst_tm(e_ao.proj, e_o.var)
     o_over_a = model.subst_ty(model.ext(ctx, ty_a).proj, ty_o)
     return induced_sub(model, into_a, o_term, o_over_a)
-
-
-def into_extension(
-    model: NaturalModel, ctx: str, tys: list[str], base_mor: str, terms: list[str]
-) -> str:
-    """The morphism ⟨⟨…⟨σ₀, c₁⟩…⟩, cₙ⟩ into the iterated extension ctx•A₁•…•Aₙ.
-
-    ``base_mor`` : X -> ctx; ``terms[i]`` is a term over X whose type is
-    Aᵢ₊₁ substituted along the partial tuple.
-    """
-    out = base_mor
-    cur = ctx
-    for ty, term in zip(tys, terms):
-        out = induced_sub(model, out, term, ty)
-        cur = model.ext(cur, ty).extended
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +526,6 @@ def sigma_split(
     pair_tm: str, bound: int,
 ) -> tuple[str, str]:
     """Recover (fst, snd) of a term of Σ(A, B) by enumerating pairing inputs."""
-    e = model.ext(ctx, ty_a)
     hits = []
     for a in model.terms_of(ctx, ty_a, bound):
         s_a = section(model, ctx, a)
@@ -579,14 +541,20 @@ def sigma_split(
     return hits[0]
 
 
+def _type_pairs(model: NaturalModel, g: str, bound: int) -> list[tuple[str, str]]:
+    """The pairs (A, B) over Γ with B over Γ•A and combined size within bound."""
+    return [
+        (ty_a, ty_b)
+        for ty_a in model.types(g, bound)
+        for ty_b in model.types(model.ext(g, ty_a).extended, bound - model.ty_size(g, ty_a))
+    ]
+
+
 def _sigma_tuples(model: NaturalModel, bound: int):
     """In-bound (Γ, A, B) with B over Γ•A and combined size within bound."""
     for g in model.base.objects(bound):
-        for ty_a in model.types(g, bound):
-            za = model.ty_size(g, ty_a)
-            ext_a = model.ext(g, ty_a).extended
-            for ty_b in model.types(ext_a, bound - za):
-                yield g, ty_a, ty_b
+        for ty_a, ty_b in _type_pairs(model, g, bound):
+            yield g, ty_a, ty_b
 
 
 def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> StructureReport:
@@ -594,14 +562,12 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
     report = StructureReport(bound)
     base = model.base
     ctxs = base.objects(bound)
-    ctx_set = set(ctxs)
 
     for g, ty_a, ty_b in _sigma_tuples(model, bound):
         sig = s.sigma(g, ty_a, ty_b)
         if sig not in model.types(g, bound):
             report.add(f"(i) Σ({ty_a},{ty_b}) not a type over {g}")
             continue
-        ext_a = model.ext(g, ty_a)
         for d in ctxs:
             for m in base.hom(d, g):
                 m_ext = canonical_pullback(model, m, ty_a)
@@ -680,67 +646,83 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
 def _sigma_square_oracle(
     model: NaturalModel, s: SigmaStructure, ps: ModelPresheaves, bound: int
 ) -> bool:
-    """Build the (Σ̂, pair̂) square as presheaves over the truncation and test it."""
+    """The (Σ̂, pair̂) square: quadruples (A, B, a, b) over the (A, B)-pairs."""
+
+    def quads(g: str) -> list[tuple[str, ...]]:
+        return [
+            (ty_a, ty_b, a, b)
+            for ty_a, ty_b in _type_pairs(model, g, bound)
+            for a in model.terms_of(g, ty_a, bound)
+            for b in model.terms_of(g, model.subst_ty(section(model, g, a), ty_b), bound)
+        ]
+
+    def act(m: str, quad: tuple[str, ...]) -> tuple[str, ...]:
+        ty_a, ty_b, a, b = quad
+        m_ext = canonical_pullback(model, m, ty_a)
+        return (model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
+                model.subst_tm(m, a), model.subst_tm(m, b))
+
+    return _pairs_square_oracle(
+        model, ps, bound, quads, act,
+        leg=lambda g, quad: quad[:2],
+        former=s.sigma,
+        intro=lambda g, quad: s.pair(g, *quad),
+    )
+
+
+def _pairs_square_oracle(
+    model: NaturalModel,
+    ps: ModelPresheaves,
+    bound: int,
+    elements: Callable[[str], list[tuple[str, ...]]],
+    act: Callable[[str, tuple[str, ...]], tuple[str, ...]],
+    leg: Callable[[str, tuple[str, ...]], tuple[str, str]],
+    former: Callable[[str, str, str], str],
+    intro: Callable[[str, tuple[str, ...]], str],
+) -> bool:
+    """Test the pullback square of a type former over the truncation ``ps``.
+
+    ::
+
+        E --intro--> U̇
+        |            |
+       leg           p
+        v            v
+        P --former-> U
+
+    P(Γ) holds the pairs (A, B) with B over Γ•A, acted on by
+    (A, B)[σ] = (A[σ], B[σ•A]).  E(Γ) holds ``elements(Γ)``, acted on by
+    ``act``; ``leg`` sends an element to its pair.
+    """
     cat = ps.cat
-    key2 = lambda a, b: f"({a}|{b})"
-    key4 = lambda a, b, x, y: f"({a}|{b}|{x}|{y})"
-    psig_vals: dict[str, list[str]] = {}
-    psig_pairs: dict[str, list[tuple[str, str]]] = {}
-    ppair_vals: dict[str, list[str]] = {}
-    ppair_quads: dict[str, list[tuple[str, str, str, str]]] = {}
-    for g in cat.object_keys:
-        pairs = []
-        for ty_a in model.types(g, bound):
-            za = model.ty_size(g, ty_a)
-            ext_a = model.ext(g, ty_a).extended
-            for ty_b in model.types(ext_a, bound - za):
-                pairs.append((ty_a, ty_b))
-        psig_pairs[g] = pairs
-        psig_vals[g] = [key2(a, b) for a, b in pairs]
-        quads = []
-        for ty_a, ty_b in pairs:
-            for a in model.terms_of(g, ty_a, bound):
-                b_ty = model.subst_ty(section(model, g, a), ty_b)
-                for b in model.terms_of(g, b_ty, bound):
-                    quads.append((ty_a, ty_b, a, b))
-        ppair_quads[g] = quads
-        ppair_vals[g] = [key4(*q) for q in quads]
-    psig_act = {}
-    ppair_act = {}
-    for m in cat.all_morphisms():
-        dst = cat.cod(m)
-        amap = {}
-        for ty_a, ty_b in psig_pairs[dst]:
-            m_ext = canonical_pullback(model, m, ty_a)
-            amap[key2(ty_a, ty_b)] = key2(
-                model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b)
-            )
-        psig_act[m] = amap
-        qmap = {}
-        for ty_a, ty_b, a, b in ppair_quads[dst]:
-            m_ext = canonical_pullback(model, m, ty_a)
-            qmap[key4(ty_a, ty_b, a, b)] = key4(
-                model.subst_ty(m, ty_a),
-                model.subst_ty(m_ext, ty_b),
-                model.subst_tm(m, a),
-                model.subst_tm(m, b),
-            )
-        ppair_act[m] = qmap
-    psig = Presheaf(cat, psig_vals, psig_act)
-    ppair = Presheaf(cat, ppair_vals, ppair_act)
-    pi_nt = NatTrans(ppair, psig, {
-        g: {key4(a, b, x, y): key2(a, b) for a, b, x, y in ppair_quads[g]}
-        for g in cat.object_keys
+    key = lambda parts: "(" + "|".join(parts) + ")"
+
+    def tabulate(elems: dict[str, list[tuple[str, ...]]], action) -> Presheaf:
+        values = {g: [key(x) for x in elems[g]] for g in cat.object_keys}
+        table = {
+            m: {key(x): key(action(m, x)) for x in elems[cat.cod(m)]}
+            for m in cat.all_morphisms()
+        }
+        return Presheaf(cat, values, table)
+
+    def pair_act(m: str, pair: tuple[str, ...]) -> tuple[str, ...]:
+        ty_a, ty_b = pair
+        return model.subst_ty(m, ty_a), model.subst_ty(canonical_pullback(model, m, ty_a), ty_b)
+
+    pairs = {g: _type_pairs(model, g, bound) for g in cat.object_keys}
+    elems = {g: elements(g) for g in cat.object_keys}
+    p_ps = tabulate(pairs, pair_act)
+    e_ps = tabulate(elems, act)
+    leg_nt = NatTrans(e_ps, p_ps, {
+        g: {key(x): key(leg(g, x)) for x in elems[g]} for g in cat.object_keys
     })
-    sig_nt = NatTrans(psig, ps.ty, {
-        g: {key2(a, b): s.sigma(g, a, b) for a, b in psig_pairs[g]}
-        for g in cat.object_keys
+    former_nt = NatTrans(p_ps, ps.ty, {
+        g: {key(x): former(g, *x) for x in pairs[g]} for g in cat.object_keys
     })
-    pair_nt = NatTrans(ppair, ps.tm, {
-        g: {key4(a, b, x, y): s.pair(g, a, b, x, y) for a, b, x, y in ppair_quads[g]}
-        for g in cat.object_keys
+    intro_nt = NatTrans(e_ps, ps.tm, {
+        g: {key(x): intro(g, x) for x in elems[g]} for g in cat.object_keys
     })
-    return check_pullback_square(ps.p, sig_nt, pair_nt, pi_nt)
+    return check_pullback_square(ps.p, former_nt, intro_nt, leg_nt)
 
 
 def pi_apply(
@@ -851,58 +833,25 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
 def _pi_square_oracle(
     model: NaturalModel, s: PiStructure, ps: ModelPresheaves, bound: int
 ) -> bool:
-    cat = ps.cat
-    key2 = lambda a, b: f"({a}|{b})"
-    psig_vals: dict[str, list[str]] = {}
-    psig_pairs: dict[str, list[tuple[str, str]]] = {}
-    plam_vals: dict[str, list[str]] = {}
-    plam_pairs: dict[str, list[tuple[str, str]]] = {}
-    for g in cat.object_keys:
-        pairs = []
-        lams = []
-        for ty_a in model.types(g, bound):
-            za = model.ty_size(g, ty_a)
-            ext_a = model.ext(g, ty_a).extended
-            for ty_b in model.types(ext_a, bound - za):
-                pairs.append((ty_a, ty_b))
-            for b in model.terms(ext_a, bound - za):
-                lams.append((ty_a, b))
-        psig_pairs[g] = pairs
-        psig_vals[g] = [key2(a, b) for a, b in pairs]
-        plam_pairs[g] = lams
-        plam_vals[g] = [key2(a, b) for a, b in lams]
-    psig_act = {}
-    plam_act = {}
-    for m in cat.all_morphisms():
-        dst = cat.cod(m)
-        amap = {}
-        for ty_a, ty_b in psig_pairs[dst]:
-            m_ext = canonical_pullback(model, m, ty_a)
-            amap[key2(ty_a, ty_b)] = key2(
-                model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b)
-            )
-        psig_act[m] = amap
-        lmap = {}
-        for ty_a, b in plam_pairs[dst]:
-            m_ext = canonical_pullback(model, m, ty_a)
-            lmap[key2(ty_a, b)] = key2(model.subst_ty(m, ty_a), model.subst_tm(m_ext, b))
-        plam_act[m] = lmap
-    psig = Presheaf(cat, psig_vals, psig_act)
-    plam = Presheaf(cat, plam_vals, plam_act)
-    down = NatTrans(plam, psig, {
-        g: {
-            key2(a, b): key2(a, model.typeof(model.ext(g, a).extended, b))
-            for a, b in plam_pairs[g]
-        }
-        for g in cat.object_keys
-    })
-    pi_nt = NatTrans(psig, ps.ty, {
-        g: {key2(a, b): s.pi(g, a, b) for a, b in psig_pairs[g]}
-        for g in cat.object_keys
-    })
-    lam_nt = NatTrans(plam, ps.tm, {
-        g: {key2(a, b): s.lam(g, a, model.typeof(model.ext(g, a).extended, b), b)
-            for a, b in plam_pairs[g]}
-        for g in cat.object_keys
-    })
-    return check_pullback_square(ps.p, pi_nt, lam_nt, down)
+    """The (Π̂, λ̂) square: bodies (A, b), with b a term over Γ•A, over the (A, B)-pairs."""
+
+    def body_type(g: str, ty_a: str, b: str) -> str:
+        return model.typeof(model.ext(g, ty_a).extended, b)
+
+    def bodies(g: str) -> list[tuple[str, ...]]:
+        return [
+            (ty_a, b)
+            for ty_a in model.types(g, bound)
+            for b in model.terms(model.ext(g, ty_a).extended, bound - model.ty_size(g, ty_a))
+        ]
+
+    def act(m: str, body: tuple[str, ...]) -> tuple[str, ...]:
+        ty_a, b = body
+        return model.subst_ty(m, ty_a), model.subst_tm(canonical_pullback(model, m, ty_a), b)
+
+    return _pairs_square_oracle(
+        model, ps, bound, bodies, act,
+        leg=lambda g, body: (body[0], body_type(g, *body)),
+        former=s.pi,
+        intro=lambda g, body: s.lam(g, body[0], body_type(g, *body), body[1]),
+    )

@@ -40,12 +40,13 @@ class Presheaf:
                     report.append(f"identity action fails at {obj!r} on {x!r}")
         for m in self.base.all_morphisms():
             src, dst = self.base.dom(m), self.base.cod(m)
-            amap = self.action.get(m)
-            if amap is None:
-                report.append(f"no action for morphism {m!r}")
-                continue
             for x in self.at(dst):
-                if amap.get(x) not in self.at(src):
+                try:
+                    image = self.restrict(m, x)
+                except KeyError:
+                    report.append(f"no action of {m!r} on {x!r}")
+                    continue
+                if image not in self.at(src):
                     report.append(f"action of {m!r} does not send {x!r} into P({src})")
         for f in self.base.all_morphisms():
             for g in self.base.all_morphisms():
@@ -101,14 +102,23 @@ def compose_nat(g: NatTrans, f: NatTrans) -> NatTrans:
     return NatTrans(f.dom, g.cod, comps)
 
 
+class Representable(Presheaf):
+    """The representable presheaf hom(-, c).
+
+    Its values are the hom sets.  It keeps no action table: the action is
+    precomposition, computed by :meth:`restrict` when asked.
+    """
+
+    def __init__(self, base: FinCatPresentation, c: str):
+        super().__init__(base, {d: base.hom(d, c) for d in base.object_keys}, {})
+
+    def restrict(self, m: str, x: str) -> str:
+        return self.base.compose(x, m)
+
+
 def yoneda(base: FinCatPresentation, c: str) -> Presheaf:
     """The representable presheaf hom(-, c) with precomposition action."""
-    values = {d: base.hom(d, c) for d in base.object_keys}
-    action: dict[str, dict[str, str]] = {}
-    for m in base.all_morphisms():
-        dst = base.cod(m)
-        action[m] = {h: base.compose(h, m) for h in values.get(dst, [])}
-    return Presheaf(base, values, action)
+    return Representable(base, c)
 
 
 def yoneda_map(base: FinCatPresentation, g: str, src_ps: Presheaf, dst_ps: Presheaf) -> NatTrans:
@@ -385,17 +395,12 @@ def pullback_presheaves(f: NatTrans, g: NatTrans) -> tuple[Presheaf, NatTrans, N
         values[obj] = [pair(x, y) for x, y in ps]
     action: dict[str, dict[str, str]] = {}
     for m in base.all_morphisms():
-        src, dst = base.dom(m), base.cod(m)
         action[m] = {
             pair(x, y): pair(f.dom.restrict(m, x), g.dom.restrict(m, y))
-            for x, y in pairs[dst]
+            for x, y in pairs[base.cod(m)]
         }
     apex = Presheaf(base, values, action)
     proj1 = NatTrans(apex, f.dom, {o: {pair(x, y): x for x, y in pairs[o]} for o in base.object_keys})
     proj2 = NatTrans(apex, g.dom, {o: {pair(x, y): y for x, y in pairs[o]} for o in base.object_keys})
     return apex, proj1, proj2
 
-
-def compose_representables(p: NatTrans, q: NatTrans) -> NatTrans:
-    """Ordinary composite p ∘ q of natural transformations (for closure tests)."""
-    return compose_nat(p, q)

@@ -6,7 +6,9 @@ import pytest
 
 from natmod.cli import main
 from natmod.modelio import (
+    BOUNDARY_RANK,
     ParseError,
+    TableCategory,
     parse_model,
     parse_polynomial,
     reserialize_model,
@@ -44,6 +46,15 @@ class TestModelIO:
         # contexts whose extensions stay in the file rank 0; the checker
         # quantifies over them while operations remain total on the rest
         assert check_eat(model, 0, ty_bound=2).ok
+
+    def test_table_categories_share_no_ranks(self):
+        cats = [
+            TableCategory(object_keys=["*"], homs={("*", "*"): ["id"]},
+                          compose_table={("id", "id"): "id"}, identities={"*": "id"})
+            for _ in range(2)
+        ]
+        cats[0].ranks["*"] = 0
+        assert cats[1].obj_size("*") == BOUNDARY_RANK
 
     def test_unknown_fields_rejected(self, term_model_file):
         doc = json.loads(term_model_file.read_text())

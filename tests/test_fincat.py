@@ -6,6 +6,7 @@ from natmod.fincat import (
     FinSliceOpposite,
     check_category,
     is_pullback_square,
+    memo,
     product,
     pullback,
     truncate,
@@ -161,3 +162,41 @@ class TestProducedCategoriesSatisfyTheLaws:
         for model in models:
             cat = truncate(model.base, 2)
             assert check_category(cat) == [], type(model).__name__
+
+
+class _Doubler:
+    def __init__(self):
+        self.calls = 0
+
+    @memo
+    def double(self, x: int) -> int:
+        self.calls += 1
+        if x < 0:
+            raise ValueError("negative")
+        return 2 * x
+
+
+class TestMemo:
+    def test_repeated_calls_compute_once(self):
+        d = _Doubler()
+        assert [d.double(3), d.double(3), d.double(4)] == [6, 6, 8]
+        assert d.calls == 2
+
+    def test_instances_share_no_table(self):
+        first, second = _Doubler(), _Doubler()
+        first.double(3)
+        assert second.double(3) == 6
+        assert (first.calls, second.calls) == (1, 1)
+
+    def test_exceptions_are_not_cached(self):
+        d = _Doubler()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                d.double(-1)
+        assert d.calls == 2
+
+    def test_fin_slice_opposite_hom_returns_a_fresh_list(self):
+        gen = FinSliceOpposite({0})
+        a, b = gen.obj_key((0,)), gen.obj_key((0, 0))
+        gen.hom(a, b).append("junk")
+        assert gen.hom(a, b) == [gen.mor_key(a, b, (0, 0))]

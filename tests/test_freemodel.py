@@ -5,6 +5,7 @@ import pytest
 
 from natmod.fincat import is_pullback_square
 from natmod.freemodel import (
+    CompositeModel,
     TypeTree,
     extend_by_sigma,
     extend_by_term,
@@ -104,6 +105,16 @@ class TestExtendByTerm:
         lifted = incl.on_ty(g, a)
         e = self.ext.ext(incl.on_obj(g), lifted)
         assert e.extended == incl.on_obj(self.u.ext(g, a).extended)
+
+    def test_recorded_alignment_inverse_is_the_inverse(self):
+        incl = term_inclusion(self.ext)
+        g = self.u.terminal
+        for a in self.u.types(g, 1):
+            self.ext.ext(incl.on_obj(g), incl.on_ty(g, a))
+        aligns = self.ext.base._align
+        assert aligns
+        for iso, inv in aligns.values():
+            assert self.u.base.is_iso(iso) == inv
 
     def test_inclusion_preserves_extension_strictly(self):
         incl = term_inclusion(self.ext)
@@ -358,6 +369,30 @@ class TestPolyCompositeModels:
         assert x2 == m.subst_tm(e_p.proj, e_q.var)
         assert y2 == e_p.var
         assert a2 == m.subst_ty(e.proj, a)
+
+
+    def test_directly_constructed_composites_share_no_registry(self):
+        m = term_model(range(1))
+        first = CompositeModel(m, m)
+        ty = first.types(m.base.obj_key(()), 2)[0]
+        second = CompositeModel(m, m)
+        with pytest.raises(KeyError):
+            second._ty_parts(ty)
+
+
+def _memo_tables(model) -> list[dict]:
+    owners = [model, model.base, model.inner, model.inner.base]
+    return [t for o in owners for name, t in vars(o).items() if name.startswith("_memo_")]
+
+
+class TestPerInstanceMemo:
+    def test_fresh_models_share_no_memo_table(self):
+        first, second = (extend_by_sigma(term_model(range(1))) for _ in range(2))
+        for model in (first, second):
+            assert check_eat(model, 2).ok
+        tables = [_memo_tables(first), _memo_tables(second)]
+        assert tables[0] and len(tables[0]) == len(tables[1])
+        assert not {id(t) for t in tables[0]} & {id(t) for t in tables[1]}
 
 
 class TestFreeFunctorsPreserveInitiality:

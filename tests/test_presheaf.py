@@ -20,8 +20,13 @@ from natmod.presheaf import (
     yoneda_map,
 )
 from natmod.fincat import check_category
+from natmod.freemodel import term_model
 
 from helpers import chain_poset, diamond_lattice
+
+
+def representable_bases():
+    return [chain_poset(3), truncate(term_model(range(2)).base, 2)]
 
 
 def constant_presheaf(base, elems):
@@ -78,6 +83,26 @@ class TestYoneda:
                     seen[sig] = m
 
 
+class TestRepresentableAction:
+    @pytest.mark.parametrize("base", representable_bases(), ids=["chain3", "term-model"])
+    def test_action_is_precomposition(self, base):
+        for c in base.object_keys:
+            y = yoneda(base, c)
+            for m in base.all_morphisms():
+                for h in y.at(base.cod(m)):
+                    assert y.restrict(m, h) == base.compose(h, m)
+            assert y.check() == []
+
+    @pytest.mark.parametrize("base", representable_bases(), ids=["chain3", "term-model"])
+    def test_construction_composes_nothing(self, base):
+        calls = []
+        compose = base.compose
+        base.compose = lambda g, f: calls.append((g, f)) or compose(g, f)
+        for c in base.object_keys:
+            yoneda(base, c)
+        assert calls == []
+
+
 class TestElementsCat:
     def test_projection_is_a_functor(self):
         base = chain_poset(3)
@@ -111,7 +136,7 @@ class TestPullbackSquareOracle:
         padded_values["0"] = padded_values["0"] + ["ghost"]
         action = {}
         for m in base.all_morphisms():
-            amap = dict(y0.action[m])
+            amap = {h: y0.restrict(m, h) for h in y0.at(base.cod(m))}
             if base.cod(m) == "0":
                 amap["ghost"] = y0.at(base.dom(m))[0] if base.dom(m) != "0" else "ghost"
             action[m] = amap
