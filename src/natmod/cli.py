@@ -10,7 +10,9 @@ Three command families:
   composition with the extension-preservation check, Beck–Chevalley and
   distributivity witnesses on seeded random instances, pseudomonad data.
 
-Exit codes: 0 if all checks pass, 1 on a check failure, 2 on a parse error.
+Exit codes: 0 if all checks pass, 1 on a check failure, 2 on bad input: a
+file that fails to parse or is incomplete, a negative bound, or a ``--type``
+that is not a closed type of the base.
 ``NATMOD_BOUND`` overrides the default bound.
 """
 
@@ -24,7 +26,7 @@ import time
 from typing import Optional
 
 from . import freemodel, modelio, polyset
-from .fincat import check_category, truncate
+from .fincat import check_category
 from .morphism import check_morphism, count_morphisms
 from .natmodel import check_eat, check_sigma, check_unit, extension_square_oracle
 from .report import VerificationReport
@@ -41,6 +43,14 @@ def _default_bound() -> int:
         except ValueError:
             pass
     return DEFAULT_BOUND
+
+
+def non_negative_int(text: str) -> int:
+    """A ``--bound`` value; argparse exits 2 on a negative one."""
+    bound = int(text)
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"bound must be non-negative, got {bound}")
+    return bound
 
 
 def _emit(report: VerificationReport, args) -> int:
@@ -77,7 +87,7 @@ def cmd_check(args) -> int:
     from .modelio import BOUNDARY_RANK
 
     report = VerificationReport("check", args.bound, args.seed)
-    cat_violations = check_category(truncate(model.base, BOUNDARY_RANK))
+    cat_violations = check_category(model.base)
     report.add("category-laws", not cat_violations,
                "; ".join(cat_violations[:3]))
     # a file is a fragment: the theory's quantifiers range over the objects
@@ -118,8 +128,8 @@ def cmd_free(args) -> int:
         rivals = count_morphisms(model, model, min(bound, 2), pins)
         report.add("initiality-selfmap-unique", rivals == 1, f"count={rivals}")
     elif args.kind == "term":
-        if not args.type:
-            sys.stderr.write("parse error: --type is required for 'term'\n")
+        if args.type not in base.types(base.terminal, bound):
+            sys.stderr.write("parse error: --type must name a closed type of the base\n")
             return 2
         model = freemodel.extend_by_term(base, args.type)
         eat = check_eat(model, bound)
@@ -277,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--bound", type=int, default=_default_bound())
+        p.add_argument("--bound", type=non_negative_int, default=_default_bound())
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=["text", "machine"], default="text")
         p.add_argument("--out", default=None, help="write the report to a file")

@@ -14,7 +14,7 @@ import functools
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 def memo(fn: Callable) -> Callable:
@@ -160,68 +160,81 @@ class FinCatPresentation(BoundedCategory):
         return out
 
 
+def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tuple[str, str]]:
+    """The category laws on the full subcategory of ``objects``, by enumeration.
+
+    Yields (law, witness) pairs.  The laws are ``dom-id``/``cod-id`` (id_a
+    lies in hom(a, a)), ``dom-comp``/``cod-comp`` (g∘f exists and lies in
+    hom(dom f, cod g)), ``unit-right``, ``unit-left``, ``associativity``,
+    ``hom-sets`` (hom sets are disjoint) and ``terminal`` (exactly one map
+    into the distinguished terminal object).  Each composable pair is
+    composed once.
+    """
+    ends: dict[str, tuple[str, str]] = {}
+    by_src: dict[str, list[str]] = {a: [] for a in objects}
+    by_dst: dict[str, list[str]] = {a: [] for a in objects}
+    for a in objects:
+        for b in objects:
+            for m in c.hom(a, b):
+                if m in ends and ends[m] != (a, b):
+                    yield "hom-sets", f"morphism {m!r} appears in hom{ends[m]} and hom{(a, b)}"
+                ends[m] = (a, b)
+                by_src[a].append(m)
+                by_dst[b].append(m)
+
+    ids = {}
+    for a in objects:
+        try:
+            ids[a] = c.identity(a)
+        except KeyError:
+            yield "dom-id", f"object {a!r} has no identity"
+            continue
+        where = ends.get(ids[a])
+        if where != (a, a):
+            law = "cod-id" if where and where[0] == a else "dom-id"
+            yield law, f"identity of {a!r} is not in hom({a},{a})"
+
+    comp: dict[tuple[str, str], str] = {}
+    for f, (fs, ft) in ends.items():
+        for g in by_src[ft]:
+            gt = ends[g][1]
+            try:
+                gf = c.compose(g, f)
+            except KeyError:
+                yield "dom-comp", f"no composite recorded for ({g}, {f})"
+                continue
+            where = ends.get(gf)
+            if where != (fs, gt):
+                law = "cod-comp" if where and where[0] == fs else "dom-comp"
+                yield law, f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})"
+                continue
+            comp[(g, f)] = gf
+
+    for m, (src, dst) in ends.items():
+        if src in ids and comp.get((m, ids[src])) != m:
+            yield "unit-right", f"unit law: {m} ∘ id_{src} != {m}"
+        if dst in ids and comp.get((ids[dst], m)) != m:
+            yield "unit-left", f"unit law: id_{dst} ∘ {m} != {m}"
+
+    for g, (gs, gt) in ends.items():
+        into = [(f, comp[(g, f)]) for f in by_dst[gs] if (g, f) in comp]
+        for h in by_src[gt]:
+            hg = comp.get((h, g))
+            for f, gf in into:
+                if comp.get((h, gf)) != comp.get((hg, f)):
+                    yield "associativity", f"associativity fails on ({h}, {g}, {f})"
+
+    t = c.terminal
+    if t is not None:
+        for a in objects:
+            n = len(c.hom(a, t))
+            if n != 1:
+                yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
+
+
 def check_category(c: FinCatPresentation) -> list[str]:
     """Verify the category laws by enumeration; returns violations (empty = ok)."""
-    report: list[str] = []
-    seen: dict[str, tuple[str, str]] = {}
-    for (src, dst), ms in c.homs.items():
-        for m in ms:
-            if m in seen and seen[m] != (src, dst):
-                report.append(f"morphism {m!r} appears in hom{seen[m]} and hom{(src, dst)}")
-            seen[m] = (src, dst)
-
-    for a in c.object_keys:
-        i = c.identities.get(a)
-        if i is None:
-            report.append(f"object {a!r} has no identity")
-            continue
-        if i not in c.homs.get((a, a), []):
-            report.append(f"identity of {a!r} is not in hom({a},{a})")
-
-    morphisms = [(m, src, dst) for (src, dst), ms in c.homs.items() for m in ms]
-
-    def try_compose(g: str, f: str):
-        try:
-            return c.compose(g, f)
-        except KeyError:
-            report.append(f"no composite recorded for ({g}, {f})")
-            return None
-
-    for m, src, dst in morphisms:
-        if try_compose(m, c.identities[src]) != m:
-            report.append(f"unit law: {m} ∘ id_{src} != {m}")
-        if try_compose(c.identities[dst], m) != m:
-            report.append(f"unit law: id_{dst} ∘ {m} != {m}")
-
-    for f, fs, ft in morphisms:
-        for g, gs, gt in morphisms:
-            if gs != ft:
-                continue
-            gf = try_compose(g, f)
-            if gf is None:
-                continue
-            if gf not in c.homs.get((fs, gt), []):
-                report.append(f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})")
-                continue
-            for h, hs, ht in morphisms:
-                if hs != gt:
-                    continue
-                h_gf = try_compose(h, gf)
-                hg = try_compose(h, g)
-                hg_f = try_compose(hg, f) if hg is not None else None
-                if h_gf != hg_f:
-                    report.append(f"associativity fails on ({h}, {g}, {f})")
-
-    if c.terminal_key is not None:
-        t = c.terminal_key
-        if t not in c.object_keys:
-            report.append(f"terminal object {t!r} not among objects")
-        else:
-            for a in c.object_keys:
-                n = len(c.homs.get((a, t), []))
-                if n != 1:
-                    report.append(f"terminal: |hom({a},{t})| = {n}, expected 1")
-    return report
+    return [msg for _law, msg in category_violations(c, c.object_keys)]
 
 
 @dataclass

@@ -455,6 +455,7 @@ class ExtTermModel(NaturalModel):
         (s,) = self.base.mor_payload(sigma)
         return self.inner.subst_tm(s, term)
 
+    @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
         gamma, tys = cat.obj_info(ctx)
@@ -849,6 +850,7 @@ class _InterleavedModel(NaturalModel):
             return self.slot_term(tally[self._slot_index(term)])
         return self.inner.subst_tm(s, term)
 
+    @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
         gamma, ks, tys = cat.obj_info(ctx)
@@ -1123,6 +1125,16 @@ def interleaved_universal_pins(
 # Type trees and the free admission of dependent sum types
 # ---------------------------------------------------------------------------
 
+def _leaf_key(leaf: str) -> str:
+    """The key of a leaf tree: the leaf itself, unless it could read as a node.
+
+    Node keys start with "[", so a leaf that starts with "[" (a tree key of
+    an inner Σ model, say) or with the escape "\\" is escaped by a leading
+    "\\".  Every other leaf is its own key.
+    """
+    return "\\" + leaf if leaf.startswith(("[", "\\")) else leaf
+
+
 @dataclass(frozen=True, eq=False)
 class TypeTree:
     """Leaf-labelled finite rooted binary tree of types.
@@ -1142,7 +1154,7 @@ class TypeTree:
     @functools.cached_property
     def key(self) -> str:
         if self.is_leaf:
-            return self.leaf  # type: ignore[return-value]
+            return _leaf_key(self.leaf)  # type: ignore[arg-type]
         return f"[{self.left.key},{self.right.key}]"
 
     def __eq__(self, other: object) -> bool:
@@ -1187,7 +1199,7 @@ class TermTree:
     @functools.cached_property
     def key(self) -> str:
         if self.is_leaf:
-            return self.leaf  # type: ignore[return-value]
+            return _leaf_key(self.leaf)  # type: ignore[arg-type]
         return f"[{self.left.key}:{self.rtype.key}:{self.right.key}]"
 
     def __eq__(self, other: object) -> bool:
@@ -1407,6 +1419,7 @@ class SigmaExtModel(NaturalModel):
         (s,) = self.base.mor_payload(sigma)
         return self.reg_tm(tmtree_subst(self.inner, s, self.tm_tree(term)))
 
+    @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
         gamma, trees = cat.obj_info(ctx)
@@ -1477,22 +1490,27 @@ def sigma_inclusion(ext: SigmaExtModel) -> NMorphism:
 
 
 @memo
-def sigma_of_tree(m: NaturalModel, ctx: str, tree: TypeTree, bound: int) -> tuple[str, str]:
+def sigma_of_tree(
+    m: NaturalModel, ctx: str, tree: TypeTree, bound: int
+) -> tuple[str, str, str]:
     """Collapse a type tree to a single type via the Σ structure of ``m``.
 
-    Returns (Σ-collapsed type over ctx, θ : ctx•collapsed -> ctx•T-chain);
-    θ is the canonical comparison isomorphism of the two extensions, and a
-    θ that is not invertible raises ``ValueError``.
+    Returns (S, θ, θ⁻¹): the Σ-collapsed type S over ctx and the canonical
+    comparison isomorphism θ : ctx•S -> ctx•T-chain with its inverse.  θ⁻¹
+    is built from its parts, and a θ for which the two composites are not
+    identities raises ``ValueError``.
     """
     s: SigmaStructure = m.sigma_structure  # type: ignore[attr-defined]
+    base = m.base
     if tree.is_leaf:
         e = m.ext(ctx, tree.leaf)
-        return tree.leaf, m.base.identity(e.extended)
+        i = base.identity(e.extended)
+        return tree.leaf, i, i
     from .natmodel import sigma_split
 
-    s1, th1 = sigma_of_tree(m, ctx, tree.left, bound)
+    s1, th1, th1_inv = sigma_of_tree(m, ctx, tree.left, bound)
     mid = tree_ext(m, ctx, tree.left)[0]
-    s2, th2 = sigma_of_tree(m, mid, tree.right, bound)
+    s2, th2, th2_inv = sigma_of_tree(m, mid, tree.right, bound)
     # transport the collapsed right type along θ₁ to live over ctx•S₁
     b_ty = m.subst_ty(th1, s2)
     sig = s.sigma(ctx, s1, b_ty)
@@ -1507,11 +1525,23 @@ def sigma_of_tree(m: NaturalModel, ctx: str, tree: TypeTree, bound: int) -> tupl
     )
     into_s1 = induced_sub(m, e_sig.proj, fst_tm, s1)
     theta_sig = induced_sub(m, into_s1, snd_tm, b_ty)
-    th1_lift = canonical_pullback(m, th1, s2)
-    theta = m.base.compose(th2, m.base.compose(th1_lift, theta_sig))
-    if m.base.is_iso(theta) is None:
+    theta = base.compose(th2, base.compose(canonical_pullback(m, th1, s2), theta_sig))
+    # θΣ⁻¹ : ctx•S₁•B -> ctx•Σ(S₁,B) classifies the pair of the two variables
+    e1 = m.ext(ctx, s1)
+    e_b = m.ext(e1.extended, b_ty)
+    p = base.compose(e1.proj, e_b.proj)
+    pair = s.pair(
+        e_b.extended, m.subst_ty(p, s1), m.subst_ty(canonical_pullback(m, p, s1), b_ty),
+        m.subst_tm(e_b.proj, e1.var), e_b.var,
+    )
+    theta_sig_inv = induced_sub(m, p, pair, sig)
+    theta_inv = base.compose(
+        theta_sig_inv, base.compose(canonical_pullback(m, th1_inv, b_ty), th2_inv)
+    )
+    if base.compose(theta_inv, theta) != base.identity(e_sig.extended) or \
+            base.compose(theta, theta_inv) != base.identity(base.cod(theta)):
         raise ValueError(f"tree collapse comparison at {tree.key} is not invertible")
-    return sig, theta
+    return sig, theta, theta_inv
 
 
 def pair_of_tree(
@@ -1522,7 +1552,7 @@ def pair_of_tree(
     if tm.is_leaf:
         return tm.leaf
     t1_ty = tmtree_type(m, ctx, tm.left)
-    s1, th1 = sigma_of_tree(m, ctx, t1_ty, bound)
+    s1, th1, _ = sigma_of_tree(m, ctx, t1_ty, bound)
     mid = tree_ext(m, ctx, t1_ty)[0]
     s2 = sigma_of_tree(m, mid, tm.rtype, bound)[0]
     b_ty = m.subst_ty(th1, s2)
@@ -1735,6 +1765,7 @@ class CompositeModel(NaturalModel):
             self.p.subst_tm(sigma, y),
         )
 
+    @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         a, b = self._ty_parts(ty)
         e_q = self.q.ext(ctx, a)

@@ -19,7 +19,7 @@ import json
 from typing import Optional
 
 from .fincat import FinCatPresentation
-from .natmodel import ExtensionData, NaturalModel
+from .natmodel import ExtensionData, NaturalModel, model_presheaves
 from .polyset import FinMap, Polynomial, fin_map
 
 
@@ -27,7 +27,7 @@ MODEL_FIELDS = {
     "objects", "homs", "compose", "identities", "terminal",
     "ty", "tm", "typeof", "subst_ty", "subst_tm", "ext",
 }
-EXT_FIELDS = {"ctx", "type", "extended", "proj", "var"}
+EXT_FIELDS = ("ctx", "type", "extended", "proj", "var")
 POLY_FIELDS = {"I", "B", "A", "J", "s", "f", "t"}
 
 
@@ -35,16 +35,56 @@ class ParseError(ValueError):
     pass
 
 
-def _records(doc, name: str, fields: set[str]) -> list[dict]:
+def _strings(value, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{what} must be an array of strings")
+    return list(value)
+
+
+def _records(doc, name: str, fields: tuple[str, ...]) -> list[tuple]:
+    """A section of records, as tuples of their values in ``fields`` order.
+
+    Every value is a key string, except ``mors``, an array the caller checks.
+    """
     entries = doc[name]
     if not isinstance(entries, list):
         raise ParseError(f"{name} must be an array of records")
+    rows = []
     for entry in entries:
-        if not isinstance(entry, dict) or set(entry) != fields:
+        if not isinstance(entry, dict) or set(entry) != set(fields):
             raise ParseError(
                 f"each {name} record must have exactly fields {sorted(fields)}"
             )
-    return entries
+        row = tuple(entry[f] for f in fields)
+        if not all(isinstance(v, str) or f == "mors" for f, v in zip(fields, row)):
+            raise ParseError(f"{name} record values must be strings: {entry}")
+        rows.append(row)
+    return rows
+
+
+def _table(doc, name: str, fields: tuple[str, ...], cells: set[tuple]) -> dict:
+    """A function section: exactly one row for each cell the theory defines.
+
+    ``fields`` lists the key fields followed by the one value field.
+    """
+    table = {}
+    for *key, value in _records(doc, name, fields):
+        key = tuple(key)
+        if key not in cells:
+            raise ParseError(f"{name} row for an unknown cell {key}")
+        if key in table:
+            raise ParseError(f"{name} has two rows for {key}")
+        table[key] = value
+    if len(table) != len(cells):
+        raise ParseError(f"{name} has no row for {min(cells - table.keys())}")
+    return table
+
+
+def _families(doc, name: str, objects: set[str]) -> dict[str, list[str]]:
+    value = doc[name]
+    if not isinstance(value, dict) or not set(value) <= objects:
+        raise ParseError(f"{name} must map objects to arrays of keys")
+    return {o: _strings(v, f"{name}[{o!r}]") for o, v in value.items()}
 
 
 BOUNDARY_RANK = 1000
@@ -134,38 +174,55 @@ def parse_model(text: str) -> TableModel:
     if missing:
         raise ParseError(f"missing fields: {sorted(missing)}")
 
-    objects = list(doc["objects"])
+    objects = _strings(doc["objects"], "objects")
+    obj_set = set(objects)
+    if len(obj_set) != len(objects):
+        raise ParseError("objects must not repeat")
     homs: dict[tuple[str, str], list[str]] = {}
-    for entry in _records(doc, "homs", {"src", "dst", "mors"}):
-        homs[(entry["src"], entry["dst"])] = list(entry["mors"])
-    compose_table: dict[tuple[str, str], str] = {}
-    for entry in _records(doc, "compose", {"g", "f", "gf"}):
-        compose_table[(entry["g"], entry["f"])] = entry["gf"]
-    identities = dict(doc["identities"])
+    ends: dict[str, tuple[str, str]] = {}
+    out_of: dict[str, list[str]] = {o: [] for o in objects}
+    for src, dst, mors in _records(doc, "homs", ("src", "dst", "mors")):
+        if src not in obj_set or dst not in obj_set or (src, dst) in homs:
+            raise ParseError(f"homs record for an unknown or repeated pair ({src!r}, {dst!r})")
+        homs[(src, dst)] = _strings(mors, "homs mors")
+        for m in homs[(src, dst)]:
+            if m in ends:
+                raise ParseError(f"morphism {m!r} is in two hom sets")
+            ends[m] = (src, dst)
+            out_of[src].append(m)
+    composable = {(g, f) for f, (_, b) in ends.items() for g in out_of[b]}
+    compose_table = _table(doc, "compose", ("g", "f", "gf"), composable)
+    if not set(compose_table.values()) <= ends.keys():
+        raise ParseError("compose names an unknown morphism")
+    identities = doc["identities"]
+    if not isinstance(identities, dict) or set(identities) != obj_set or \
+            not all(isinstance(i, str) and i in ends for i in identities.values()):
+        raise ParseError("identities must map every object to a listed morphism")
     terminal = doc["terminal"]
+    if not isinstance(terminal, str) or terminal not in obj_set:
+        raise ParseError("terminal must be one of the objects")
     cat = TableCategory(
         object_keys=objects,
         homs=homs,
         compose_table=compose_table,
-        identities=identities,
+        identities=dict(identities),
         terminal_key=terminal,
     )
-    ty = {o: list(v) for o, v in doc["ty"].items()}
-    tm = {o: list(v) for o, v in doc["tm"].items()}
-    typeof_table = {}
-    for entry in _records(doc, "typeof", {"ctx", "term", "type"}):
-        typeof_table[(entry["ctx"], entry["term"])] = entry["type"]
-    subst_ty_table = {}
-    for entry in _records(doc, "subst_ty", {"mor", "type", "out"}):
-        subst_ty_table[(entry["mor"], entry["type"])] = entry["out"]
-    subst_tm_table = {}
-    for entry in _records(doc, "subst_tm", {"mor", "term", "out"}):
-        subst_tm_table[(entry["mor"], entry["term"])] = entry["out"]
+    ty = _families(doc, "ty", obj_set)
+    tm = _families(doc, "tm", obj_set)
+    typeof_table = _table(doc, "typeof", ("ctx", "term", "type"),
+                          {(o, t) for o, ts in tm.items() for t in ts})
+    subst_ty_table = _table(doc, "subst_ty", ("mor", "type", "out"),
+                            {(m, t) for m, (_, b) in ends.items() for t in ty.get(b, [])})
+    subst_tm_table = _table(doc, "subst_tm", ("mor", "term", "out"),
+                            {(m, t) for m, (_, b) in ends.items() for t in tm.get(b, [])})
     ext_table = {}
-    for entry in _records(doc, "ext", EXT_FIELDS):
-        ext_table[(entry["ctx"], entry["type"])] = ExtensionData(
-            entry["extended"], entry["proj"], entry["var"]
-        )
+    for ctx, t, extended, proj, var in _records(doc, "ext", EXT_FIELDS):
+        if t not in ty.get(ctx, []) or (ctx, t) in ext_table:
+            raise ParseError(f"ext row for an unknown or repeated cell ({ctx!r}, {t!r})")
+        if extended not in obj_set or proj not in ends:
+            raise ParseError(f"ext row at ({ctx!r}, {t!r}) names an unknown key")
+        ext_table[(ctx, t)] = ExtensionData(extended, proj, var)
     return TableModel(
         cat, ty, tm, typeof_table, subst_ty_table, subst_tm_table, ext_table
     )
@@ -176,67 +233,62 @@ def _canonical(doc) -> str:
 
 
 def serialize_model(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> str:
-    """Materialize a model at a bound and emit the canonical file format."""
-    if ty_bound is None:
-        ty_bound = bound
-    base = model.base
-    objects = base.objects(bound)
-    homs = []
-    mors = []
-    for a in objects:
-        for b in objects:
-            ms = base.hom(a, b)
-            if ms:
-                homs.append({"src": a, "dst": b, "mors": ms})
-                mors.extend((m, a, b) for m in ms)
-    compose = []
-    for f, fs, ft in mors:
-        for g, gs, gt in mors:
-            if gs != ft:
-                continue
-            compose.append({"g": g, "f": f, "gf": base.compose(g, f)})
-    identities = {a: base.identity(a) for a in objects}
-    ty = {a: model.types(a, ty_bound) for a in objects}
-    tm = {a: model.terms(a, ty_bound) for a in objects}
-    typeof = []
-    for a in objects:
-        for t in tm[a]:
-            typeof.append({"ctx": a, "term": t, "type": model.typeof(a, t)})
-    subst_ty = []
-    subst_tm = []
-    for m, a, b in mors:
-        for t in ty[b]:
-            subst_ty.append({"mor": m, "type": t, "out": model.subst_ty(m, t)})
-        for t in tm[b]:
-            subst_tm.append({"mor": m, "term": t, "out": model.subst_tm(m, t)})
+    """Emit a model's materialization at a bound in the canonical file format."""
+    doc = _model_doc(model, bound, bound if ty_bound is None else ty_bound)
+    for section in ("homs", "compose", "typeof", "subst_ty", "subst_tm", "ext"):
+        doc[section].sort(key=lambda d: json.dumps(d, sort_keys=True))
+    return _canonical(doc)
+
+
+def _model_doc(model: NaturalModel, bound: int, ty_bound: int) -> dict:
+    """The file's sections, read off the materialization, which is then dropped."""
+    ps = model_presheaves(model, bound, ty_bound)
+    cat = ps.cat
+    objects = cat.object_keys
+    homs = [{"src": a, "dst": b, "mors": ms} for (a, b), ms in cat.homs.items()]
+    compose = [
+        {"g": g, "f": f, "gf": cat.compose(g, f)}
+        for (_, b), fs in cat.homs.items() for f in fs
+        for c in objects for g in cat.homs.get((b, c), [])
+    ]
+    typeof = [
+        {"ctx": a, "term": t, "type": ty}
+        for a, row in ps.p.components.items() for t, ty in row.items()
+    ]
+    subst_ty = [
+        {"mor": m, "type": t, "out": out}
+        for m, row in ps.ty.action.items() for t, out in row.items()
+    ]
+    subst_tm = [
+        {"mor": m, "term": t, "out": out}
+        for m, row in ps.tm.action.items() for t, out in row.items()
+    ]
     # only self-contained extension data: entries whose extended context
     # escapes the materialized fragment are dropped, and the source context
     # is then a boundary object of the file
     obj_set = set(objects)
     ext_entries = []
     for a in objects:
-        for t in ty[a]:
+        for t in ps.ty.at(a):
             e = model.ext(a, t)
             if e.extended in obj_set:
                 ext_entries.append({
                     "ctx": a, "type": t,
                     "extended": e.extended, "proj": e.proj, "var": e.var,
                 })
-    for section in (homs, compose, typeof, subst_ty, subst_tm, ext_entries):
-        section.sort(key=lambda d: json.dumps(d, sort_keys=True))
-    return _canonical({
+    return {
         "objects": objects,
         "homs": homs,
         "compose": compose,
-        "identities": identities,
-        "terminal": base.terminal,
-        "ty": ty,
-        "tm": tm,
+        "identities": cat.identities,
+        "terminal": model.base.terminal,
+        "ty": ps.ty.values,
+        "tm": ps.tm.values,
         "typeof": typeof,
         "subst_ty": subst_ty,
         "subst_tm": subst_tm,
         "ext": ext_entries,
-    })
+    }
 
 
 def reserialize_model(text: str) -> str:

@@ -29,24 +29,25 @@ class FinMap:
     mapping: tuple  # tuple of (x, f(x)) pairs in dom order
 
     def __post_init__(self):
-        got = dict(self.mapping)
-        if set(got) != set(self.dom):
+        graph = dict(self.mapping)
+        if set(graph) != set(self.dom):
             raise ValueError("mapping does not cover the domain")
         cod_set = set(self.cod)
         for x, y in self.mapping:
             if y not in cod_set:
                 raise ValueError(f"value {y!r} outside the codomain")
+        object.__setattr__(self, "_graph", graph)
 
     def __call__(self, x):
-        return dict(self.mapping)[x]
+        return self._graph[x]
 
     @property
     def as_dict(self) -> dict:
-        return dict(self.mapping)
+        """The graph as a dict, built once; callers must not mutate it."""
+        return self._graph
 
     def fibre(self, y) -> tuple:
-        d = self.as_dict
-        return tuple(x for x in self.dom if d[x] == y)
+        return tuple(x for x in self.dom if self._graph[x] == y)
 
     def is_bijection(self) -> bool:
         return len(self.dom) == len(self.cod) and len(set(self.as_dict.values())) == len(self.cod)

@@ -10,7 +10,7 @@ in the package that claims "is a pullback" ultimately calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .fincat import FinCatPresentation, FinFunctor
 
@@ -30,33 +30,52 @@ class Presheaf:
         """x[m], the action of morphism m on element x of P(cod m)."""
         return self.action[m][x]
 
-    def check(self) -> list[str]:
-        """Functoriality violations, by enumeration; empty list means ok."""
-        report = []
-        for obj in self.base.object_keys:
-            i = self.base.identity(obj)
+    def violations(self) -> Iterator[tuple[str, str]]:
+        """Functoriality by enumeration, as (law, witness) pairs.
+
+        The laws are ``identity`` (x[id] = x), ``closure`` (x[m] lies in
+        P(dom m)) and ``composition`` (x[f][g] = x[f∘g]).
+        """
+        base = self.base
+        at = {obj: set(self.at(obj)) for obj in base.object_keys}
+        for obj in base.object_keys:
+            i = base.identity(obj)
             for x in self.at(obj):
-                if self.restrict(i, x) != x:
-                    report.append(f"identity action fails at {obj!r} on {x!r}")
-        for m in self.base.all_morphisms():
-            src, dst = self.base.dom(m), self.base.cod(m)
+                if _try(self.restrict, i, x) != x:
+                    yield "identity", f"identity action fails at {obj!r} on {x!r}"
+        into: dict[str, list[str]] = {obj: [] for obj in base.object_keys}
+        for m in base.all_morphisms():
+            src, dst = base.dom(m), base.cod(m)
+            into[dst].append(m)
             for x in self.at(dst):
                 try:
                     image = self.restrict(m, x)
                 except KeyError:
-                    report.append(f"no action of {m!r} on {x!r}")
+                    yield "closure", f"no action of {m!r} on {x!r}"
                     continue
-                if image not in self.at(src):
-                    report.append(f"action of {m!r} does not send {x!r} into P({src})")
-        for f in self.base.all_morphisms():
-            for g in self.base.all_morphisms():
-                if self.base.cod(g) != self.base.dom(f):
-                    continue
-                fg = self.base.compose(f, g)
-                for x in self.at(self.base.cod(f)):
-                    if self.restrict(g, self.restrict(f, x)) != self.restrict(fg, x):
-                        report.append(f"x[f][g] != x[f∘g] for f={f}, g={g}, x={x}")
-        return report
+                if image not in at[src]:
+                    yield "closure", f"action of {m!r} does not send {x!r} into P({src})"
+        for f in base.all_morphisms():
+            for g in into[base.dom(f)]:
+                fg = base.compose(f, g)
+                for x in self.at(base.cod(f)):
+                    x_f_g = _try(self.restrict, g, _try(self.restrict, f, x))
+                    if x_f_g != _try(self.restrict, fg, x):
+                        yield "composition", f"x[f][g] != x[f∘g] for f={f}, g={g}, x={x}"
+
+    def check(self) -> list[str]:
+        """Functoriality violations, by enumeration; empty list means ok."""
+        return [msg for _law, msg in self.violations()]
+
+
+def _try(fn: Callable[..., str], *args) -> Optional[str]:
+    """fn(*args), or None where a table has no such cell or an argument is None."""
+    if None in args:
+        return None
+    try:
+        return fn(*args)
+    except KeyError:
+        return None
 
 
 @dataclass
@@ -70,24 +89,32 @@ class NatTrans:
     def apply(self, obj: str, x: str) -> str:
         return self.components[obj][x]
 
-    def check(self) -> list[str]:
-        report = []
-        for obj in self.dom.base.object_keys:
+    def violations(self) -> Iterator[tuple[str, str]]:
+        """Naturality by enumeration, as (law, witness) pairs.
+
+        The laws are ``component`` (each component maps into the codomain)
+        and ``naturality`` (the naturality square commutes).
+        """
+        base = self.dom.base
+        for obj in base.object_keys:
             comp = self.components.get(obj)
             if comp is None:
-                report.append(f"no component at {obj!r}")
+                yield "component", f"no component at {obj!r}"
                 continue
+            cod = set(self.cod.at(obj))
             for x in self.dom.at(obj):
-                if comp.get(x) not in self.cod.at(obj):
-                    report.append(f"component at {obj!r} does not send {x!r} into codomain")
-        for m in self.dom.base.all_morphisms():
-            src, dst = self.dom.base.dom(m), self.dom.base.cod(m)
+                if comp.get(x) not in cod:
+                    yield "component", f"component at {obj!r} does not send {x!r} into codomain"
+        for m in base.all_morphisms():
+            src, dst = base.dom(m), base.cod(m)
             for x in self.dom.at(dst):
-                lhs = self.cod.restrict(m, self.apply(dst, x))
-                rhs = self.apply(src, self.dom.restrict(m, x))
-                if lhs != rhs:
-                    report.append(f"naturality fails for {m!r} on {x!r}")
-        return report
+                lhs = _try(self.cod.restrict, m, _try(self.apply, dst, x))
+                rhs = _try(self.apply, src, _try(self.dom.restrict, m, x))
+                if lhs is None or lhs != rhs:
+                    yield "naturality", f"naturality fails for {m!r} on {x!r}"
+
+    def check(self) -> list[str]:
+        return [msg for _law, msg in self.violations()]
 
 
 def identity_nat(p: Presheaf) -> NatTrans:

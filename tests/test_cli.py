@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +242,143 @@ class TestConstructionsOverFileModels:
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
+
+
+class TestBadInputExitsTwo:
+    @pytest.mark.parametrize("section", ["typeof", "subst_ty", "subst_tm", "compose"])
+    def test_a_missing_row_is_a_parse_error(self, section, term_model_file, capsys):
+        doc = json.loads(term_model_file.read_text())
+        del doc[section][0]
+        term_model_file.write_text(json.dumps(doc))
+        assert main(["check", str(term_model_file)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(objects=5),
+        lambda doc: doc.update(identities=list(doc["identities"].values())),
+        lambda doc: doc["subst_ty"].append({"mor": "nope", "type": "T0", "out": "T0"}),
+        lambda doc: doc["ext"][0].update(proj="nope"),
+        lambda doc: doc["homs"][0].update(mors="f"),
+    ], ids=["objects-not-an-array", "identities-not-a-map", "unknown-morphism",
+            "dangling-proj", "mors-not-an-array"])
+    def test_a_malformed_section_or_unknown_key_is_a_parse_error(
+        self, edit, term_model_file, capsys
+    ):
+        doc = json.loads(term_model_file.read_text())
+        edit(doc)
+        term_model_file.write_text(json.dumps(doc))
+        assert main(["check", str(term_model_file)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_negative_bound_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["free", "sigma", "--bound", "-1"])
+        assert exc.value.code == 2
+
+    def test_unknown_closed_type_is_rejected(self, capsys):
+        assert main(["free", "term", "--base", "term-model:1", "--type", "NOPE"]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_type_model_text():
+    # bound 3 gives a core (the contexts of size <= 2) with every kind of cell
+    return serialize_model(term_model(range(2)), 3)
+
+
+def _failing_checks(tmp_path, text: str) -> tuple[int, list[str]]:
+    """Run ``natmod check`` on a model text; its exit code and failing checks."""
+    path, report = tmp_path / "model.json", tmp_path / "report.jsonl"
+    path.write_text(text)
+    rc = main(["check", str(path), "--bound", "3", "--format", "machine",
+               "--out", str(report)])
+    records = [json.loads(line) for line in report.read_text().splitlines()]
+    return rc, [r["name"] for r in records
+                if r["record"] == "check" and r["status"] == "fail"]
+
+
+class TestOneCellMutationsNameTheirLaw:
+    @pytest.fixture(autouse=True)
+    def _doc(self, two_type_model_text):
+        self.doc = json.loads(two_type_model_text)
+        self.core = set(parse_model(two_type_model_text).base.objects(0))
+        self.ids = self.doc["identities"]
+        self.homs = {(h["src"], h["dst"]): h["mors"] for h in self.doc["homs"]}
+        self.ends = {m: key for key, ms in self.homs.items() for m in ms}
+
+    def _check(self, tmp_path):
+        return _failing_checks(tmp_path, json.dumps(self.doc))
+
+    def _identity_row(self, table: str, values: dict) -> tuple[dict, str]:
+        """A row of ``table`` at an identity of the core, and another value."""
+        for row in self.doc[table]:
+            g = self.ends[row["mor"]][0]
+            if g in self.core and row["mor"] == self.ids[g]:
+                others = [v for v in values.get(g, []) if v != row["out"]]
+                if others:
+                    return row, others[0]
+        raise AssertionError(f"no identity row with an alternative in {table}")
+
+    def test_compose_cell_breaking_a_unit_law(self, tmp_path):
+        for row in self.doc["compose"]:
+            src, dst = self.ends[row["f"]]
+            others = [m for m in self.homs[(src, dst)] if m != row["f"]]
+            if row["g"] == self.ids[dst] and {src, dst} <= self.core and others:
+                row["gf"] = others[0]
+                break
+        rc, fails = self._check(tmp_path)
+        assert rc == 1
+        assert "category-laws" in fails
+        assert {"eat-v", "eat-vi"} & set(fails)
+
+    def test_changed_type_substitution_along_an_identity(self, tmp_path):
+        row, other = self._identity_row("subst_ty", self.doc["ty"])
+        row["out"] = other
+        rc, fails = self._check(tmp_path)
+        assert rc == 1 and "eat-xi" in fails
+
+    def test_changed_term_substitution_along_an_identity(self, tmp_path):
+        row, other = self._identity_row("subst_tm", self.doc["tm"])
+        row["out"] = other
+        rc, fails = self._check(tmp_path)
+        assert rc == 1 and "eat-xiv" in fails
+
+    def test_broken_naturality_of_typing(self, tmp_path):
+        # retype a term over Γ that some non-identity map into Γ moves
+        targets = {dst for m, (src, dst) in self.ends.items()
+                   if {src, dst} <= self.core and m != self.ids[src]}
+        for row in self.doc["typeof"]:
+            if row["ctx"] in targets:
+                row["type"] = next(t for t in self.doc["ty"][row["ctx"]] if t != row["type"])
+                break
+        rc, fails = self._check(tmp_path)
+        assert rc == 1 and "eat-xviii" in fails
+
+
+@pytest.mark.parametrize("kind", ["compose", "identities", "subst_tm", "subst_ty", "typeof"])
+def test_benchmark_mutation_kind_fails_the_check_it_names(kind, two_type_model_text, tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import LAW, mutate, mutation_sites
+    finally:
+        sys.path.pop(0)
+    kinds = sorted(mutation_sites(json.loads(two_type_model_text)))
+    got, law, text = mutate(two_type_model_text, kinds.index(kind), random.Random(kind))
+    assert (got, law) == (kind, LAW[kind])
+    rc, fails = _failing_checks(tmp_path, text)
+    assert rc == 1 and law in fails
+
+
+@pytest.mark.parametrize("section,field", [
+    ("typeof", "type"), ("subst_ty", "out"), ("subst_tm", "out"), ("compose", "gf"),
+])
+def test_a_value_naming_no_element_fails_a_check_without_a_traceback(
+    section, field, term_model_file, capsys
+):
+    # every row of the section names a known key of the wrong sort or hom set
+    doc = json.loads(term_model_file.read_text())
+    for row in doc[section]:
+        row[field] = doc["identities"][doc["terminal"]]
+    term_model_file.write_text(json.dumps(doc))
+    assert main(["check", str(term_model_file), "--bound", "2"]) == 1
+    assert "FAIL" in capsys.readouterr().out

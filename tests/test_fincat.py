@@ -4,6 +4,7 @@ import pytest
 
 from natmod.fincat import (
     FinSliceOpposite,
+    category_violations,
     check_category,
     is_pullback_square,
     memo,
@@ -35,6 +36,24 @@ class TestCheckCategory:
     def test_poset_categories_are_clean(self):
         assert check_category(diamond_lattice()) == []
         assert check_category(chain_poset(4)) == []
+
+
+    def test_a_generator_is_checked_over_an_object_list_composing_each_pair_once(self):
+        calls = []
+
+        class Counting(FinSliceOpposite):
+            def compose(self, g, f):
+                calls.append((g, f))
+                return super().compose(g, f)
+
+        gen = Counting({0, 1})
+        assert list(category_violations(gen, gen.objects(2))) == []
+        assert calls and len(calls) == len(set(calls))
+
+    def test_a_broken_unit_law_is_named_by_its_law(self):
+        laws = {law for law, _ in category_violations(
+            broken_unit_category(), ["x", "y"])}
+        assert "unit-right" in laws
 
 
 class TestFinSliceOpposite:

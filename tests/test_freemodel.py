@@ -18,6 +18,7 @@ from natmod.freemodel import (
     interleaved_universal_pins,
     poly_composite_models,
     sigma_inclusion,
+    sigma_of_tree,
     sigma_universal,
     sigma_universal_pins,
     substitution_morphism,
@@ -326,6 +327,17 @@ class TestTypeTrees:
         summ = tree_summation(s2, bound=3)
         assert check_sigma_morphism(summ, 2)
 
+    def test_collapse_comparison_inverse_is_the_inverse(self):
+        s = self.s
+        g = s.terminal
+        leaf = TypeTree(leaf=s.types(g, 1)[0])
+        tree = TypeTree(left=TypeTree(left=leaf, right=leaf), right=leaf)
+        _, theta, theta_inv = sigma_of_tree(s, g, tree, 3)
+        b = s.base
+        assert b.compose(theta_inv, theta) == b.identity(b.dom(theta))
+        assert b.compose(theta, theta_inv) == b.identity(b.cod(theta))
+        assert b.is_iso(theta) == theta_inv
+
     def test_sigma_universal_property(self):
         s = self.s
         incl = sigma_inclusion(s)
@@ -470,6 +482,22 @@ class TestNestedConstructions:
         assert check_eat(outer, 2).ok
         tys = outer.types(outer.terminal, 2)
         assert inner.new_ty in tys and outer.new_ty in tys
+
+    def test_sigma_over_sigma_keeps_a_leaf_apart_from_a_node(self):
+        # the inner sum [T0,T0] is a leaf of the outer trees, and the outer
+        # sum of two T0 leaves is a node: they are two types of size 1 and 2
+        outer = extend_by_sigma(extend_by_sigma(term_model(range(1))))
+        tys = outer.types(outer.terminal, 2)
+        assert len(set(tys)) == 3
+        assert "T0" in tys and "[T0,T0]" in tys
+        sizes = {t: outer.ty_size(outer.terminal, t) for t in tys}
+        assert sizes["[T0,T0]"] == 2
+        assert sorted(sizes.values()) == [1, 1, 2]
+
+    def test_extension_data_is_computed_once(self):
+        m = extend_by_term(term_model(range(1)), "T0")
+        g = m.terminal
+        assert m.ext(g, "T0") is m.ext(g, "T0")
 
     def test_unit_over_sigma_keeps_the_sum_checker_green(self):
         s = extend_by_sigma(term_model(range(1)))

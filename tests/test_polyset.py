@@ -55,6 +55,16 @@ def small_poly(fibres, tag=""):
     return poly_from_map(f)
 
 
+class TestFinMap:
+    def test_the_graph_is_built_once_and_read_by_every_lookup(self):
+        f = fin_map((0, 1, 2), ("a", "b"), {0: "a", 1: "b", 2: "a"})
+        assert f.as_dict is f.as_dict
+        assert [f(x) for x in f.dom] == ["a", "b", "a"]
+        assert f.fibre("a") == (0, 2)
+        with pytest.raises(ValueError):
+            fin_map((0,), ("a",), {0: "z"})
+
+
 class TestExtend:
     def test_singleton_fibres_give_product_count(self):
         # all fibres singletons: |P_F(X)| = |A| * |X|

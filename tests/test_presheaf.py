@@ -103,6 +103,34 @@ class TestRepresentableAction:
         assert calls == []
 
 
+class TestLawNames:
+    def _chain_presheaf(self):
+        base = chain_poset(2)
+        values = {"0": ["a"], "1": ["b"]}
+        action = {"0<=0": {"a": "a"}, "1<=1": {"b": "b"}, "0<=1": {"b": "a"}}
+        return Presheaf(base, values, action)
+
+    def test_a_functor_violates_nothing(self):
+        assert list(self._chain_presheaf().violations()) == []
+
+    def test_each_broken_cell_is_named_by_its_law(self):
+        p = self._chain_presheaf()
+        p.action["1<=1"]["b"] = "a"
+        p.action["0<=1"]["b"] = "c"
+        assert {law for law, _ in p.violations()} == {"identity", "closure", "composition"}
+
+    def test_a_broken_component_breaks_naturality(self):
+        p = self._chain_presheaf()
+        q = Presheaf(p.base, {"0": ["u", "v"], "1": ["w"]},
+                     {"0<=0": {"u": "u", "v": "v"}, "1<=1": {"w": "w"}, "0<=1": {"w": "u"}})
+        nt = NatTrans(p, q, {"0": {"a": "u"}, "1": {"b": "w"}})
+        assert nt.check() == []
+        nt.components["0"]["a"] = "v"
+        assert [law for law, _ in nt.violations()] == ["naturality"]
+        nt.components["1"]["b"] = "z"
+        assert "component" in {law for law, _ in nt.violations()}
+
+
 class TestElementsCat:
     def test_projection_is_a_functor(self):
         base = chain_poset(3)
@@ -290,12 +318,13 @@ class TestOracleSoundness:
 
         m = term_model(range(1))
         ps = model_presheaves(m, 2, 1)
+        yon = {c: yoneda(ps.cat, c) for c in ps.cat.object_keys}
         for g in m.base.objects(1):
             for ty in m.types(g, 1):
                 e = m.ext(g, ty)
-                x_nt = element_nat(ps.cat, ps.ty, g, ty, ps.yon[g])
-                top = element_nat(ps.cat, ps.tm, e.extended, e.var, ps.yon[e.extended])
-                left = yoneda_map(ps.cat, e.proj, ps.yon[e.extended], ps.yon[g])
+                x_nt = element_nat(ps.cat, ps.ty, g, ty, yon[g])
+                top = element_nat(ps.cat, ps.tm, e.extended, e.var, yon[e.extended])
+                left = yoneda_map(ps.cat, e.proj, yon[e.extended], yon[g])
                 fast = check_pullback_square(ps.p, x_nt, top, left)
                 slow = check_pullback_square_by_cones(ps.p, x_nt, top, left)
                 assert fast and slow
