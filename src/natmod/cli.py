@@ -11,8 +11,9 @@ Three command families:
   distributivity witnesses on seeded random instances, pseudomonad data.
 
 Exit codes: 0 if all checks pass, 1 on a check failure, 2 on bad input: a
-file that fails to parse or is incomplete, a negative bound, or a ``--type``
-that is not a closed type of the base.
+file that fails to parse or is incomplete, a free construction whose bound
+reaches past the fragment a base file holds, a negative bound, or a
+``--type`` that is not a closed type of the base.
 ``NATMOD_BOUND`` overrides the default bound.
 """
 
@@ -112,10 +113,29 @@ def cmd_free(args) -> int:
     except (OSError, ValueError, modelio.ParseError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    bound = args.bound
-    report = VerificationReport(f"free-{args.kind}", bound, args.seed)
-    model = None
+    if args.kind == "term-model" and not isinstance(base, freemodel.TermModel):
+        sys.stderr.write("parse error: free term-model needs --base term-model:N\n")
+        return 2
+    if args.kind == "term" and args.type not in base.types(base.terminal, args.bound):
+        sys.stderr.write("parse error: --type must name a closed type of the base\n")
+        return 2
+    report = VerificationReport(f"free-{args.kind}", args.bound, args.seed)
+    try:
+        model = _free_checks(args, base, report)
+        if args.out_model:
+            with open(args.out_model, "w") as fh:
+                fh.write(modelio.serialize_model(model, min(args.bound, 2)))
+    except modelio.MissingCell as exc:
+        # the base is a file fragment and the bound reaches past it
+        sys.stderr.write(f"parse error: {exc}; try a smaller --bound\n")
+        return 2
+    report.timing_s = time.time() - t0
+    return _emit(report, args)
 
+
+def _free_checks(args, base, report: VerificationReport):
+    """Build the construction of ``args.kind`` over base, adding its checks."""
+    bound = args.bound
     if args.kind == "term-model":
         model = base
         eat = check_eat(model, bound)
@@ -128,9 +148,6 @@ def cmd_free(args) -> int:
         rivals = count_morphisms(model, model, min(bound, 2), pins)
         report.add("initiality-selfmap-unique", rivals == 1, f"count={rivals}")
     elif args.kind == "term":
-        if args.type not in base.types(base.terminal, bound):
-            sys.stderr.write("parse error: --type must name a closed type of the base\n")
-            return 2
         model = freemodel.extend_by_term(base, args.type)
         eat = check_eat(model, bound)
         report.add("eat", eat.ok)
@@ -181,22 +198,14 @@ def cmd_free(args) -> int:
         pins = freemodel.sigma_universal_pins(model, incl, ub, sharp)
         rivals = count_morphisms(model, model, ub, pins)
         report.add("universal-property-unique", rivals == 1, f"count={rivals}")
-    elif args.kind == "poly-compose":
+    else:
         model = freemodel.poly_composite_models(base, base)
         eat = check_eat(model, bound)
         report.add("eat", eat.ok)
         oracle = extension_square_oracle(model, bound, bound - 1, bound - 1)
         report.add("representability-oracle", oracle.ok,
                    f"{len(oracle.checked)} squares")
-    else:
-        sys.stderr.write(f"parse error: unknown construction {args.kind!r}\n")
-        return 2
-
-    if args.out_model and model is not None:
-        with open(args.out_model, "w") as fh:
-            fh.write(modelio.serialize_model(model, min(args.bound, 2)))
-    report.timing_s = time.time() - t0
-    return _emit(report, args)
+    return model
 
 
 def cmd_poly(args) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -327,23 +328,26 @@ def is_pullback_square(
           X --left_leg-> Z
 
     Requires ``left_leg ∘ to_left == top_leg ∘ to_top``.  Competing cones are
-    drawn from all objects of size <= bound.
+    drawn from all objects of size <= bound; each must have exactly one
+    mediating map.  Per cone vertex q, every leg is composed once: hom(q, Y)
+    is bucketed by its image in Z and hom(q, apex) by the cone it induces.
     """
     x, y = c.cod(to_left), c.cod(to_top)
     if c.compose(left_leg, to_left) != c.compose(top_leg, to_top):
         return False
     for q in c.objects(bound):
-        for q1 in c.hom(q, x):
-            lhs = c.compose(left_leg, q1)
-            for q2 in c.hom(q, y):
-                if lhs != c.compose(top_leg, q2):
-                    continue
-                mediating = [
-                    h for h in c.hom(q, apex)
-                    if c.compose(to_left, h) == q1 and c.compose(to_top, h) == q2
-                ]
-                if len(mediating) != 1:
-                    return False
+        q1s = c.hom(q, x)
+        if not q1s:
+            continue
+        over: dict[str, list[str]] = {}
+        for q2 in c.hom(q, y):
+            over.setdefault(c.compose(top_leg, q2), []).append(q2)
+        cones = [(q1, q2) for q1 in q1s for q2 in over.get(c.compose(left_leg, q1), ())]
+        if not cones:
+            continue
+        mediating = Counter((c.compose(to_left, h), c.compose(to_top, h)) for h in c.hom(q, apex))
+        if any(mediating[cone] != 1 for cone in cones):
+            return False
     return True
 
 

@@ -35,6 +35,19 @@ class ParseError(ValueError):
     pass
 
 
+class MissingCell(LookupError):
+    """An operation needs a cell that the file's fragment does not hold.
+
+    Not a ``ValueError``: callers that read a ``ValueError`` as "no such
+    value" (and prune it from a search) must not mistake a truncated file
+    for an answer.
+    """
+
+    def __str__(self) -> str:
+        name, key = self.args
+        return f"the model file holds no {name} cell for {key}"
+
+
 def _strings(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ParseError(f"{what} must be an array of strings")
@@ -157,7 +170,10 @@ class TableModel(NaturalModel):
         return self._subst_tm[(sigma, term)]
 
     def ext(self, ctx: str, ty: str) -> ExtensionData:
-        return self._ext[(ctx, ty)]
+        try:
+            return self._ext[(ctx, ty)]
+        except KeyError:
+            raise MissingCell("ext", (ctx, ty)) from None
 
 
 def parse_model(text: str) -> TableModel:

@@ -11,7 +11,10 @@ reported separately and never conflated with either.
 :func:`count_morphisms` enumerates all strict morphisms within a bound that
 agree with a given set of pinned values, by treating the unknown images as
 a finite constraint problem.  Every universal-property verification in the
-package reduces to a call of this function asserting a count of one.
+package reduces to a call of this function asserting a count of one.  The
+search assigns contexts in order and checks each constraint once, at the
+step of its last participant: the context of largest index among those the
+constraint reads.
 """
 
 from __future__ import annotations
@@ -121,10 +124,11 @@ def check_morphism(
         im = fm.on_mor(m)
         if dst.base.dom(im) != fm.on_obj(a) or dst.base.cod(im) != fm.on_obj(b):
             report.add("functor", f"image of {m} has wrong endpoints")
+    out_of: dict[str, list[str]] = {a: [] for a in ctxs}
+    for m, a, b in mors:
+        out_of[a].append(m)
     for f, fs, ft in mors:
-        for g, gs, gt in mors:
-            if gs != ft:
-                continue
+        for g in out_of[ft]:
             if fm.on_mor(src.base.compose(g, f)) != dst.base.compose(fm.on_mor(g), fm.on_mor(f)):
                 report.add("functor", f"composition not preserved on ({g}, {f})")
 
@@ -257,8 +261,6 @@ def classified_morphisms(model: NaturalModel, bound: int) -> ClassifiedReport:
             for m in base.hom(d, g):
                 e_sub = model.ext(d, model.subst_ty(m, ty))
                 top = canonical_pullback(model, m, ty)
-                h_inv = base.is_iso(h)
-                assert h_inv is not None
                 pasted_top = base.compose(h, top)
                 ok = is_pullback_square(
                     base, bound + 1,
@@ -370,11 +372,7 @@ class _Search:
         self.idx = {c: i for i, c in enumerate(self.ctxs)}
         self.tys = {c: src.types(c, ty_bound) for c in self.ctxs}
         self.tms = {c: src.terms(c, ty_bound) for c in self.ctxs}
-        self.mors = [
-            (m, a, b)
-            for a in self.ctxs for b in self.ctxs
-            for m in src.base.hom(a, b)
-        ]
+        self.hom = {(a, b): src.base.hom(a, b) for a in self.ctxs for b in self.ctxs}
 
     def run(self) -> int:
         cand = _Candidate(self)
@@ -386,67 +384,79 @@ class _Search:
         return self.count
 
     # -- constraint verification over assigned data ----------------------
-    def _consistent_upto(self, cand: _Candidate, i: int) -> bool:
-        """Check all constraints whose participants are within contexts 0..i."""
+    def _last_at(self, i: int):
+        """Context pairs (a, b) within 0..i whose later member is context i."""
+        c = self.ctxs[i]
+        for a in self.ctxs[:i]:
+            yield a, c
+        for b in self.ctxs[: i + 1]:
+            yield c, b
+
+    def _consistent_at(self, cand: _Candidate, i: int) -> bool:
+        """Check the constraints whose last participant is context i.
+
+        Those among contexts 0..i-1 passed at earlier steps and read no value
+        assigned since, so each constraint is checked exactly once.
+        """
         src, dst = self.src, self.dst
-        active = self.ctxs[: i + 1]
-        act_set = set(active)
-        for ctx in active:
-            f_ctx = cand.obj_image(ctx)
-            if f_ctx is None:
+        ctx = self.ctxs[i]
+        upto = self.ctxs[: i + 1]
+        f_ctx = cand.obj_image(ctx)
+        if f_ctx is None:
+            return False
+        for ty in self.tys[ctx]:
+            if (ctx, ty) not in cand.ty:
                 return False
-        # strictness of extension data for types at active contexts
-        for ctx in active:
-            for ty in self.tys[ctx]:
-                fty = cand.ty.get((ctx, ty))
-                if fty is None:
-                    return False
-                e = src.ext(ctx, ty)
-                e2 = dst.ext(cand.obj_image(ctx), fty)
-                if e.extended in act_set:
-                    if cand.obj_image(e.extended) != e2.extended:
-                        return False
-                    if cand.tm.get((e.extended, e.var)) != e2.var:
-                        return False
-                    fp = cand.mor_image(e.proj)
-                    if fp is None or fp != e2.proj:
-                        return False
-        # typing
-        for ctx in active:
-            for tm in self.tms[ctx]:
-                ftm = cand.tm.get((ctx, tm))
-                if ftm is None:
-                    return False
-                if dst.typeof(cand.obj_image(ctx), ftm) != cand.ty.get(
-                    (ctx, src.typeof(ctx, tm))
-                ):
-                    return False
-        # morphism endpoints, naturality, functoriality
-        act_mors = [
-            (m, a, b) for (m, a, b) in self.mors if a in act_set and b in act_set
-        ]
-        for m, a, b in act_mors:
-            im = cand.mor_image(m)
-            if im is None:
-                return False
-            if dst.base.dom(im) != cand.obj_image(a) or dst.base.cod(im) != cand.obj_image(b):
-                return False
-            for ty in self.tys[b]:
-                lhs = cand.ty.get((a, src.subst_ty(m, ty)))
-                if lhs is None or lhs != dst.subst_ty(im, cand.ty[(b, ty)]):
-                    return False
-            for tm in self.tms[b]:
-                lhs = cand.tm.get((a, src.subst_tm(m, tm)))
-                if lhs is None or lhs != dst.subst_tm(im, cand.tm[(b, tm)]):
-                    return False
-        for f, fs, ft in act_mors:
-            for g, gs, gt in act_mors:
-                if gs != ft:
+        # strictness of extension data: (c, A) with max(idx c, idx c•A) = i
+        for k, c in enumerate(upto):
+            for ty in self.tys[c]:
+                e = src.ext(c, ty)
+                if max(k, self.idx.get(e.extended, i + 1)) != i:
                     continue
-                lhs = cand.mor_image(src.base.compose(g, f))
-                rhs = dst.base.compose(cand.mor_image(g), cand.mor_image(f))
-                if lhs is None or lhs != rhs:
+                e2 = dst.ext(cand.obj_image(c), cand.ty[(c, ty)])
+                if cand.obj_image(e.extended) != e2.extended:
                     return False
+                if cand.tm.get((e.extended, e.var)) != e2.var:
+                    return False
+                fp = cand.mor_image(e.proj)
+                if fp is None or fp != e2.proj:
+                    return False
+        # typing
+        for tm in self.tms[ctx]:
+            ftm = cand.tm.get((ctx, tm))
+            if ftm is None:
+                return False
+            if dst.typeof(f_ctx, ftm) != cand.ty.get((ctx, src.typeof(ctx, tm))):
+                return False
+        # morphism endpoints and naturality: a -> b with max(idx a, idx b) = i
+        for a, b in self._last_at(i):
+            for m in self.hom[(a, b)]:
+                im = cand.mor_image(m)
+                if im is None:
+                    return False
+                if dst.base.dom(im) != cand.obj_image(a) or dst.base.cod(im) != cand.obj_image(b):
+                    return False
+                for ty in self.tys[b]:
+                    lhs = cand.ty.get((a, src.subst_ty(m, ty)))
+                    if lhs is None or lhs != dst.subst_ty(im, cand.ty[(b, ty)]):
+                        return False
+                for tm in self.tms[b]:
+                    lhs = cand.tm.get((a, src.subst_tm(m, tm)))
+                    if lhs is None or lhs != dst.subst_tm(im, cand.tm[(b, tm)]):
+                        return False
+        # functoriality: x -> y -> z with max(idx x, idx y, idx z) = i
+        for x in upto:
+            for y in upto:
+                fs = self.hom[(x, y)]
+                if not fs:
+                    continue
+                for z in upto if ctx in (x, y) else (ctx,):
+                    for g in self.hom[(y, z)]:
+                        fg = cand.mor_image(g)
+                        for f in fs:
+                            lhs = cand.mor_image(src.base.compose(g, f))
+                            if lhs is None or lhs != dst.base.compose(fg, cand.mor_image(f)):
+                                return False
         return True
 
     def _step(self, cand: _Candidate, i: int) -> None:
@@ -507,16 +517,15 @@ class _Search:
                 return
 
     def _pending_root_mors(self, cand: _Candidate, i: int) -> list[tuple[str, str, str]]:
-        """Root-codomain morphisms whose endpoints are both within step i."""
+        """Unassigned root-codomain morphisms whose later endpoint is context i."""
         out = []
-        for m, a, b in self.mors:
-            if max(self.idx[a], self.idx[b]) != i:
-                continue
+        for a, b in self._last_at(i):
             if self.src.ext_parent(b) is not None:
                 continue  # derived through the extension decomposition
-            if m in cand.mor or cand.mor_image(m) is not None:
-                continue
-            out.append((m, a, b))
+            for m in self.hom[(a, b)]:
+                if m in cand.mor or cand.mor_image(m) is not None:
+                    continue
+                out.append((m, a, b))
         return out
 
     def _assign_mors(self, cand, i, mor_vars) -> None:
@@ -524,7 +533,7 @@ class _Search:
             return
         if not mor_vars:
             snap = cand.snapshot()
-            if self._consistent_upto(cand, i):
+            if self._consistent_at(cand, i):
                 self._step(cand, i + 1)
             cand.restore(snap)
             return

@@ -9,6 +9,7 @@ import pytest
 from natmod.cli import main
 from natmod.modelio import (
     BOUNDARY_RANK,
+    MissingCell,
     ParseError,
     TableCategory,
     parse_model,
@@ -277,6 +278,29 @@ class TestBadInputExitsTwo:
 
     def test_unknown_closed_type_is_rejected(self, capsys):
         assert main(["free", "term", "--base", "term-model:1", "--type", "NOPE"]) == 2
+        assert "parse error" in capsys.readouterr().err
+
+    def test_a_construction_past_a_file_fragment_names_the_missing_cell(
+        self, tmp_path, capsys
+    ):
+        fragment = tmp_path / "s.json"
+        assert main(["free", "sigma", "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(fragment)]) == 0
+        capsys.readouterr()
+        assert main(["free", "sigma", "--base", str(fragment), "--bound", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "no ext cell for ('tr(fs[0,0]|)', 'T0')" in err
+        assert "Traceback" not in err
+
+    def test_a_missing_cell_is_not_a_value_error(self, term_model_file):
+        # rival searches prune on ValueError; a truncated file is no answer
+        model = parse_model(term_model_file.read_text())
+        with pytest.raises(MissingCell) as exc:
+            model.ext("no-such-context", "T0")
+        assert not isinstance(exc.value, ValueError)
+
+    def test_term_model_construction_needs_a_term_model_base(self, term_model_file, capsys):
+        assert main(["free", "term-model", "--base", str(term_model_file)]) == 2
         assert "parse error" in capsys.readouterr().err
 
 

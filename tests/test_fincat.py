@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -219,3 +220,70 @@ class TestMemo:
         a, b = gen.obj_key((0,)), gen.obj_key((0, 0))
         gen.hom(a, b).append("junk")
         assert gen.hom(a, b) == [gen.mor_key(a, b, (0, 0))]
+
+
+def _pullback_by_cone_enumeration(c, bound, apex, to_left, to_top, left_leg, top_leg):
+    """The definition, transcribed literally: for every commuting cone
+    (q1, q2) from an object of size <= bound, count the mediating maps."""
+    x, y = c.cod(to_left), c.cod(to_top)
+    if c.compose(left_leg, to_left) != c.compose(top_leg, to_top):
+        return False
+    for q in c.objects(bound):
+        for q1 in c.hom(q, x):
+            lhs = c.compose(left_leg, q1)
+            for q2 in c.hom(q, y):
+                if lhs != c.compose(top_leg, q2):
+                    continue
+                mediating = [
+                    h for h in c.hom(q, apex)
+                    if c.compose(to_left, h) == q1 and c.compose(to_top, h) == q2
+                ]
+                if len(mediating) != 1:
+                    return False
+    return True
+
+
+def _random_squares(c, objects, rng, n):
+    """n seeded squares (apex, to_left, to_top, left_leg, top_leg); to_top is
+    drawn from the choices that make the square commute, or from those that
+    do not, each half of the time, when such a choice exists."""
+    out = []
+    while len(out) < n:
+        apex, x, y, z = (rng.choice(objects) for _ in range(4))
+        homs = [c.hom(x, z), c.hom(y, z), c.hom(apex, x), c.hom(apex, y)]
+        if not all(homs):
+            continue
+        left_leg, top_leg, to_left = (rng.choice(h) for h in homs[:3])
+        commute = rng.random() < 0.5
+        target = c.compose(left_leg, to_left)
+        wanted = [t for t in homs[3] if (c.compose(top_leg, t) == target) == commute]
+        to_top = rng.choice(wanted or homs[3])
+        out.append((apex, to_left, to_top, left_leg, top_leg))
+    return out
+
+
+class TestPullbackSquareAgainstTheDefinition:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("build", [
+        lambda: (FinSliceOpposite({0, 1}), 3, 3),
+        lambda: (_sigma_tree_category(), 2, 2),
+    ], ids=["fin-slice-opposite", "sigma-tree-category"])
+    def test_one_pass_count_agrees_with_cone_enumeration(self, build, seed):
+        c, square_bound, cone_bound = build()
+        squares = _random_squares(c, c.objects(square_bound), random.Random(seed), 300)
+        kinds = {"not commuting": 0, "commuting, not a pullback": 0, "pullback": 0}
+        for square in squares:
+            expected = _pullback_by_cone_enumeration(c, cone_bound, *square)
+            assert is_pullback_square(c, cone_bound, *square) == expected, square
+            apex, to_left, to_top, left_leg, top_leg = square
+            if c.compose(left_leg, to_left) != c.compose(top_leg, to_top):
+                kinds["not commuting"] += 1
+            else:
+                kinds["pullback" if expected else "commuting, not a pullback"] += 1
+        assert min(kinds.values()) >= 5, kinds
+
+
+def _sigma_tree_category():
+    from natmod.freemodel import extend_by_sigma, term_model
+
+    return extend_by_sigma(term_model(range(1))).base

@@ -392,6 +392,123 @@ class TestInitiality:
         assert count_morphisms(m0, target, 2, initiality_pins(m0, target, {})) == 1
 
 
+def _two_object_table_model(endo=(), endo_compose=None, terms=None, bang=None):
+    """Objects ⋄ and X with hom(X, ⋄) = {!} and hom(X, X) = {idX, *endo}; one
+    type A at each, whose extensions lie outside the model.  ``terms`` lists
+    the terms of A at each object; ``bang`` gives t[!] (default t)."""
+    from natmod.fincat import FinCatPresentation
+    from natmod.modelio import TableModel
+
+    homs = {("⋄", "⋄"): ["id⋄"], ("X", "⋄"): ["!"], ("X", "X"): ["idX", *endo]}
+    comp = {("id⋄", "id⋄"): "id⋄", ("!", "idX"): "!", ("id⋄", "!"): "!",
+            ("idX", "idX"): "idX"}
+    for f in endo:
+        comp.update({(f, "idX"): f, ("idX", f): f, ("!", f): "!"})
+    comp.update(endo_compose or {})
+    cat = FinCatPresentation(["⋄", "X"], homs, comp, {"⋄": "id⋄", "X": "idX"},
+                             terminal_key="⋄")
+    tm = terms or {"⋄": [], "X": []}
+    return TableModel(
+        cat, {"⋄": ["A"], "X": ["A"]}, tm,
+        {(o, t): "A" for o in tm for t in tm[o]},
+        {(m, "A"): "A" for ms in homs.values() for m in ms},
+        {(m, t): (bang or {}).get(t, t) if m == "!" else t
+         for (a, b), ms in homs.items() for m in ms for t in tm[b]},
+        {(o, "A"): ExtensionData(f"{o}.A", f"p{o}", "q") for o in ("⋄", "X")},
+    )
+
+
+def _strict_ext_control():
+    # the extension variable of ⋄•T0 is sent to the weakened constant
+    src, dst = term_model(range(1)), extend_by_term(term_model(range(1)), "T0")
+    pins = initiality_pins(src, dst, {0: "T0"})
+    e = dst.ext(dst.terminal, "T0")
+    weakened = [t for t in dst.terms(e.extended, 2) if t != e.var]
+    pins.on_tm[(src.base.obj_key((0,)), "x0")] = weakened[0]
+    return src, dst, 2, pins, 1
+
+
+def _typing_control():
+    # types swapped at ⋄, the closed term of T0 kept: its image has type T0
+    m = extend_by_term(term_model(range(2)), "T0")
+    pins = MorphismPins(on_ty={(m.terminal, "T0"): "T1", (m.terminal, "T1"): "T0"},
+                        on_tm={(m.terminal, m.x_term): m.x_term})
+    return m, m, 2, pins, 0
+
+
+def _ty_naturality_control():
+    # F(T1) at fs[0] is T0, but T1[p] = T1 at fs[0] and F(T1) = T1 at ⋄
+    m = term_model(range(2))
+    pins = initiality_pins(m, m, {0: "T0", 1: "T1"})
+    pins.on_ty[(m.base.obj_key((0,)), "T1")] = "T0"
+    return m, m, 2, pins, 1
+
+
+def _tm_naturality_control():
+    # a ↦ a at ⋄ but a[!] = a' ↦ b' at X
+    m = _two_object_table_model(terms={"⋄": ["a", "b"], "X": ["a'", "b'"]},
+                                bang={"a": "a'", "b": "b'"})
+    pins = MorphismPins(on_obj={"X": "X"},
+                        on_tm={("⋄", "a"): "a", ("⋄", "b"): "b", ("X", "a'"): "b'"})
+    return m, m, 1, pins, 1
+
+
+def _functoriality_control():
+    # an involution e ∘ e = id sent to an idempotent f ∘ f = f
+    src = _two_object_table_model(["e"], {("e", "e"): "idX"})
+    dst = _two_object_table_model(["e"], {("e", "e"): "e"})
+    pins = MorphismPins(on_obj={"X": "X"}, on_mor={"e": "e"})
+    return src, dst, 1, pins, 1
+
+
+class TestRivalSearchCatchesEarlyViolations:
+    """Each control pins one value that breaks one constraint family whose
+    last participant is context k <= 1.  The search must reject every
+    candidate at step k, by the constraint check, and go no further."""
+
+    @pytest.mark.parametrize("control", [
+        _strict_ext_control, _typing_control, _ty_naturality_control,
+        _tm_naturality_control, _functoriality_control,
+    ], ids=["strict-ext", "typing", "ty-naturality", "tm-naturality", "functoriality"])
+    def test_a_broken_early_constraint_gives_count_zero_at_its_step(self, control):
+        from natmod.morphism import _Search
+
+        src, dst, bound, pins, k = control()
+        checks = []
+
+        class Recorded(_Search):
+            def _consistent_at(self, cand, i):
+                ok = super()._consistent_at(cand, i)
+                checks.append((i, ok))
+                return ok
+
+        assert count_morphisms(src, dst, bound, pins) == 0
+        assert Recorded(src, dst, bound, bound, pins, 2, collect=False).run() == 0
+        assert all(ok for i, ok in checks if i < k)
+        assert [ok for i, ok in checks if i == k] and not any(
+            ok for i, ok in checks if i == k
+        )
+        assert all(i <= k for i, _ in checks)
+
+    def test_each_control_without_its_broken_pin_has_a_morphism(self):
+        # the controls' models and remaining pins admit a strict morphism
+        src, dst, bound, pins, _ = _strict_ext_control()
+        del pins.on_tm[(src.base.obj_key((0,)), "x0")]
+        assert count_morphisms(src, dst, bound, pins) == 1
+        m, _, _, _, _ = _typing_control()
+        assert count_morphisms(m, m, 2, MorphismPins(
+            on_ty={(m.terminal, "T0"): "T0", (m.terminal, "T1"): "T1"})) == 1
+        m, _, _, pins, _ = _ty_naturality_control()
+        del pins.on_ty[(m.base.obj_key((0,)), "T1")]
+        assert count_morphisms(m, m, 2, pins) == 1
+        m, _, _, pins, _ = _tm_naturality_control()
+        del pins.on_tm[("X", "a'")]
+        assert count_morphisms(m, m, 1, pins) == 1
+        src, dst, _, pins, _ = _functoriality_control()
+        pins.on_mor["e"] = "idX"
+        assert count_morphisms(src, dst, 1, pins) == 1
+
+
 class TestSwapCoherence:
     def test_braid_relation_for_elementary_swaps(self):
         # the two decompositions of the full reversal of three independent
