@@ -12,8 +12,8 @@ Three command families:
 
 Exit codes: 0 if all checks pass, 1 on a check failure, 2 on bad input: a
 file that fails to parse or is incomplete, a free construction whose bound
-reaches past the fragment a base file holds, a negative bound, or a
-``--type`` that is not a closed type of the base.
+reaches past the fragment a base file holds, a negative bound, a ``--count``
+below 1, or a ``--type`` that is not a closed type of the base.
 ``NATMOD_BOUND`` overrides the default bound.
 """
 
@@ -54,6 +54,14 @@ def non_negative_int(text: str) -> int:
     return bound
 
 
+def positive_int(text: str) -> int:
+    """A ``--count`` value; argparse exits 2 on one below 1."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {count}")
+    return count
+
+
 def _emit(report: VerificationReport, args) -> int:
     text = (
         report.to_machine(with_timing=args.timing)
@@ -85,8 +93,6 @@ def cmd_check(args) -> int:
     except (OSError, modelio.ParseError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    from .modelio import BOUNDARY_RANK
-
     report = VerificationReport("check", args.bound, args.seed)
     cat_violations = check_category(model.base)
     report.add("category-laws", not cat_violations,
@@ -97,7 +103,7 @@ def cmd_check(args) -> int:
     for eq, msgs in sorted(eat.violations.items()):
         report.add(f"eat-{eq}", False, msgs[0])
     report.add("eat", eat.ok, f"{len(eat.violations)} violated equations" if not eat.ok else "")
-    oracle = extension_square_oracle(model, BOUNDARY_RANK, args.bound, 0)
+    oracle = extension_square_oracle(model, modelio.BOUNDARY_RANK, args.bound, 0)
     report.add(
         "representability-oracle", oracle.ok,
         f"{len(oracle.checked)} squares checked, {len(oracle.skipped)} outside the truncation",
@@ -330,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("files", nargs="*")
     p_poly.add_argument("--family", default=None,
                         help="comma-separated family sizes (for 'extend')")
-    p_poly.add_argument("--count", type=int, default=50)
+    p_poly.add_argument("--count", type=positive_int, default=50)
     common(p_poly)
     p_poly.set_defaults(fn=cmd_poly)
     return parser

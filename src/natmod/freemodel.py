@@ -31,9 +31,10 @@ from .natmodel import (
     canonical_pullback,
     induced_sub,
     section,
+    sigma_split,
     swap_iso,
 )
-from .morphism import MorphismPins, NMorphism, compose_morphisms
+from .morphism import MorphismPins, NMorphism, compose_morphisms, identity_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -247,20 +248,14 @@ class _DerivedMorphism:
         self._root_mor = root_mor
         self._ty_map = ty_map
         self._tm_map = tm_map
-        self._obj: dict[str, str] = {}
 
+    @memo
     def on_obj(self, ctx: str) -> str:
-        out = self._obj.get(ctx)
-        if out is not None:
-            return out
         parent = self.src.ext_parent(ctx)
         if parent is None:
-            out = self._root_obj(ctx)
-        else:
-            pctx, pty = parent
-            out = self.dst.ext(self.on_obj(pctx), self.on_ty(pctx, pty)).extended
-        self._obj[ctx] = out
-        return out
+            return self._root_obj(ctx)
+        pctx, pty = parent
+        return self.dst.ext(self.on_obj(pctx), self.on_ty(pctx, pty)).extended
 
     def on_ty(self, ctx: str, ty: str) -> str:
         return self._ty_map(self, ctx, ty)
@@ -299,11 +294,9 @@ def initial_morphism(tm: TermModel, target: NaturalModel, images: dict) -> NMorp
     variables and substitutions to tuples of slot projections.
     """
     o_tys = {i: images[i] for i in tm.index}
-    slot_vars: dict[str, list[str]] = {}
 
     def root_obj(ctx: str) -> str:
         assert ctx == tm.terminal
-        slot_vars[ctx] = []
         return target.terminal
 
     def ty_map(d: _DerivedMorphism, ctx: str, ty: str) -> str:
@@ -311,21 +304,19 @@ def initial_morphism(tm: TermModel, target: NaturalModel, images: dict) -> NMorp
         fctx = d.on_obj(ctx)
         return target.subst_ty(target.t(fctx), o_tys[i])
 
-    def tm_map(d: _DerivedMorphism, ctx: str, tm_key: str) -> str:
-        _slot_vars_for(d, ctx)
-        return slot_vars[ctx][int(tm_key[1:])]
-
-    def _slot_vars_for(d: _DerivedMorphism, ctx: str) -> None:
-        if ctx in slot_vars:
-            return
+    @memo
+    def var_images(d: _DerivedMorphism, ctx: str) -> list[str]:
+        """The images of the variables of ctx, weakened to d.on_obj(ctx)."""
         parent = tm.ext_parent(ctx)
-        assert parent is not None
+        if parent is None:
+            return []
         pctx, pty = parent
-        _slot_vars_for(d, pctx)
-        d.on_obj(ctx)
+        weakened = var_images(d, pctx)
         e = target.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
-        weakened = [target.subst_tm(e.proj, v) for v in slot_vars[pctx]]
-        slot_vars[ctx] = weakened + [e.var]
+        return [target.subst_tm(e.proj, v) for v in weakened] + [e.var]
+
+    def tm_map(d: _DerivedMorphism, ctx: str, tm_key: str) -> str:
+        return var_images(d, ctx)[int(tm_key[1:])]
 
     def root_mor(d: _DerivedMorphism, m: str) -> str:
         # the only root is the terminal context
@@ -333,6 +324,26 @@ def initial_morphism(tm: TermModel, target: NaturalModel, images: dict) -> NMorp
 
     d = _DerivedMorphism(tm, target, root_obj, root_mor, ty_map, tm_map)
     return _as_nmorphism(d, "initial")
+
+
+def _inclusion_pins(
+    inner: NaturalModel, incl: NMorphism, f: NMorphism, bound: int
+) -> MorphismPins:
+    """Pins expressing G ∘ I = F on every in-bound inner context, type, term
+    and morphism, where I is the inclusion ``incl`` of ``inner``."""
+    pins = MorphismPins()
+    ctxs = inner.base.objects(bound)
+    for gamma in ctxs:
+        key = incl.on_obj(gamma)
+        pins.on_obj[key] = f.on_obj(gamma)
+        for ty in inner.types(gamma, bound):
+            pins.on_ty[(key, incl.on_ty(gamma, ty))] = f.on_ty(gamma, ty)
+        for tm in inner.terms(gamma, bound):
+            pins.on_tm[(key, incl.on_tm(gamma, tm))] = f.on_tm(gamma, tm)
+        for delta in ctxs:
+            for m in inner.base.hom(delta, gamma):
+                pins.on_mor[incl.on_mor(m)] = f.on_mor(m)
+    return pins
 
 
 def initiality_pins(tm: TermModel, target: NaturalModel, images: dict) -> MorphismPins:
@@ -404,21 +415,17 @@ class ExtTermModel(NaturalModel):
         cat.model = self
         cat._anchor = {}
         self.base = cat
-        self._o_exts: dict[str, ExtensionData] = {}
         # the anchor object ⋄•O and its extension data
         self._diamond_ext = inner.ext(inner.terminal, o_ty)
         self.x_term = self._diamond_ext.var
         self.i_obj(inner.terminal)
 
     # -- context construction -------------------------------------------
+    @memo
     def _o_ext(self, gamma: str) -> ExtensionData:
         """Extension of an inner context by the weakened new-variable type."""
-        e = self._o_exts.get(gamma)
-        if e is None:
-            o_at = self.inner.subst_ty(self.inner.t(gamma), self.o_ty)
-            e = self.inner.ext(gamma, o_at)
-            self._o_exts[gamma] = e
-        return e
+        o_at = self.inner.subst_ty(self.inner.t(gamma), self.o_ty)
+        return self.inner.ext(gamma, o_at)
 
     def i_obj(self, gamma: str) -> str:
         """The image (Γ;) of an inner context under the inclusion."""
@@ -572,27 +579,22 @@ def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
     normal-form collapse changed the underlying context.
     """
     inner = ext.inner
-    chains: dict[str, str] = {}
 
+    @memo
     def w_chain(d, ctx: str) -> str:
-        w = chains.get(ctx)
-        if w is not None:
-            return w
         parent = ext.ext_parent(ctx)
         if parent is None:
             gamma, tys = ext.base.obj_info(ctx)
             assert not tys
             o_at = inner.subst_ty(inner.t(gamma), ext.o_ty)
             o_wk = inner.subst_tm(inner.t(gamma), o_term)
-            w = induced_sub(inner, inner.base.identity(gamma), o_wk, o_at)
-        else:
-            pctx, pty = parent
-            d.on_obj(ctx)
-            w = canonical_pullback(inner, w_chain(d, pctx), pty)
-            align = ext.base._align.get(ctx)
-            if align is not None:
-                w = inner.base.compose(align[1], w)
-        chains[ctx] = w
+            return induced_sub(inner, inner.base.identity(gamma), o_wk, o_at)
+        pctx, pty = parent
+        d.on_obj(ctx)
+        w = canonical_pullback(inner, w_chain(d, pctx), pty)
+        align = ext.base._align.get(ctx)
+        if align is not None:
+            w = inner.base.compose(align[1], w)
         return w
 
     def root_obj(ctx: str) -> str:
@@ -630,8 +632,8 @@ def term_functorial_extension(
     the comparison morphisms are tracked and used to transport types.
     """
     dst_m = ext_dst.inner
-    thetas: dict[str, str] = {}
 
+    @memo
     def theta(d, ctx: str) -> str:
         """under_dst(F_tm ctx) -> F(under_src ctx).
 
@@ -639,24 +641,19 @@ def term_functorial_extension(
         alignment isomorphisms are composed in on the codomain side and
         the F-images of their recorded inverses on the domain side.
         """
-        th = thetas.get(ctx)
-        if th is not None:
-            return th
         parent = ext_src.ext_parent(ctx)
         if parent is None:
-            th = dst_m.base.identity(ext_dst.base.under(d.on_obj(ctx)))
-        else:
-            pctx, pty = parent
-            th_p = theta(d, pctx)
-            f_ty = f.on_ty(ext_src.base.under(pctx), pty)
-            th = canonical_pullback(dst_m, th_p, f_ty)
-            align_dst = ext_dst.base._align.get(d.on_obj(ctx))
-            if align_dst is not None:
-                th = dst_m.base.compose(th, align_dst[0])
-            align_src = ext_src.base._align.get(ctx)
-            if align_src is not None:
-                th = dst_m.base.compose(f.on_mor(align_src[1]), th)
-        thetas[ctx] = th
+            return dst_m.base.identity(ext_dst.base.under(d.on_obj(ctx)))
+        pctx, pty = parent
+        th_p = theta(d, pctx)
+        f_ty = f.on_ty(ext_src.base.under(pctx), pty)
+        th = canonical_pullback(dst_m, th_p, f_ty)
+        align_dst = ext_dst.base._align.get(d.on_obj(ctx))
+        if align_dst is not None:
+            th = dst_m.base.compose(th, align_dst[0])
+        align_src = ext_src.base._align.get(ctx)
+        if align_src is not None:
+            th = dst_m.base.compose(f.on_mor(align_src[1]), th)
         return th
 
     def root_obj(ctx: str) -> str:
@@ -704,20 +701,8 @@ def term_universal_pins(
 ) -> MorphismPins:
     """Pins expressing G ∘ I = F and G(x) = o for the rival search."""
     inner = ext_src.inner
-    incl = term_inclusion(ext_src)
-    pins = MorphismPins()
-    for gamma in inner.base.objects(bound):
-        key = ext_src.i_obj(gamma)
-        pins.on_obj[key] = f.on_obj(gamma)
-        for ty in inner.types(gamma, bound):
-            pins.on_ty[(key, incl.on_ty(gamma, ty))] = f.on_ty(gamma, ty)
-        for tm in inner.terms(gamma, bound):
-            pins.on_tm[(key, incl.on_tm(gamma, tm))] = f.on_tm(gamma, tm)
-        for delta in inner.base.objects(bound):
-            for m in inner.base.hom(delta, gamma):
-                pins.on_mor[incl.on_mor(m)] = f.on_mor(m)
-    root = ext_src.i_obj(inner.terminal)
-    pins.on_tm[(root, ext_src.x_term)] = o_term
+    pins = _inclusion_pins(inner, term_inclusion(ext_src), f, bound)
+    pins.on_tm[(ext_src.i_obj(inner.terminal), ext_src.x_term)] = o_term
     return pins
 
 
@@ -729,15 +714,18 @@ class _InterleavedCategory(_WrappedCategory):
     """Contexts interleaved with formal slots (shared by the X and unit cases).
 
     Objects are (Γ, k₀, A₁, k₁, …, Aₙ, kₙ) in normal form (either the bare
-    pair (Γ, 0) or k₀ > 0); ``with_tally`` controls whether morphisms carry
-    a function between the slot counts (the basic-type case) or not (the
-    unit case).
+    pair (Γ, 0) or k₀ > 0).  Morphisms carry a function between the slot
+    counts (a tally) when the owning model's new terms are slots (the
+    basic-type case), and an empty tally otherwise (the unit case).
     """
 
-    def __init__(self, inner: NaturalModel, with_tally: bool):
+    def __init__(self, inner: NaturalModel):
         super().__init__(inner)
-        self.with_tally = with_tally
         self._count: dict[str, int] = {}
+
+    @property
+    def with_tally(self) -> bool:
+        return self.model.new_terms_are_slots  # type: ignore[union-attr]
 
     def obj_key_for(self, gamma: str, ks: tuple[int, ...], tys: tuple[str, ...]) -> str:
         body = ",".join(
@@ -807,9 +795,9 @@ class _InterleavedModel(NaturalModel):
     new_ty: str
     new_terms_are_slots: bool
 
-    def __init__(self, inner: NaturalModel, with_tally: bool):
+    def __init__(self, inner: NaturalModel):
         self.inner = inner
-        cat = _InterleavedCategory(inner, with_tally)
+        cat = _InterleavedCategory(inner)
         cat.model = self
         self.base = cat
 
@@ -859,13 +847,13 @@ class _InterleavedModel(NaturalModel):
         k = cat.count(ctx)
         if ty == self.new_ty:
             new_key = cat.register(gamma, ks[:-1] + (ks[-1] + 1,), tys)
-            tally = tuple(range(k)) if cat.with_tally else ()
+            tally = tuple(range(k)) if self.new_terms_are_slots else ()
             proj = cat._wrap(new_key, ctx, (inner.base.identity(under), tally))
             var = self.slot_term(k) if self.new_terms_are_slots else self._star
             return ExtensionData(new_key, proj, var)
         e_in = inner.ext(under, ty)
         new_key = cat.register(gamma, ks + (0,), tys + (ty,))
-        tally = tuple(range(k)) if cat.with_tally else ()
+        tally = tuple(range(k)) if self.new_terms_are_slots else ()
         proj = cat._wrap(new_key, ctx, (e_in.proj, tally))
         return ExtensionData(new_key, proj, e_in.var)
 
@@ -875,7 +863,7 @@ class _InterleavedModel(NaturalModel):
         s, tally = cat.mor_payload(sigma)
         e = self.ext(gamma_ctx, ty)
         if ty == self.new_ty:
-            if not cat.with_tally:
+            if not self.new_terms_are_slots:
                 return cat._wrap(cat.dom(sigma), e.extended, (s, ()))
             j = self._slot_index(term)
             return cat._wrap(cat.dom(sigma), e.extended, (s, tally + (j,)))
@@ -924,7 +912,7 @@ class TypeExtModel(_InterleavedModel):
     new_terms_are_slots = True
 
     def __init__(self, inner: NaturalModel):
-        super().__init__(inner, with_tally=True)
+        super().__init__(inner)
         self.new_ty = _fresh_key(inner.types(inner.terminal, 4), "X")
         self._slot_prefix = "v" + "'" * self.new_ty.count("'")
 
@@ -935,7 +923,7 @@ class UnitExtModel(_InterleavedModel):
     new_terms_are_slots = False
 
     def __init__(self, inner: NaturalModel):
-        super().__init__(inner, with_tally=False)
+        super().__init__(inner)
         self.new_ty = _fresh_key(inner.types(inner.terminal, 4), "unit")
         self._star = _fresh_key(
             inner.terms(inner.terminal, 4) + [self.new_ty], "star"
@@ -980,63 +968,55 @@ def _interleaved_collapse(
     ext: _InterleavedModel,
     target: NaturalModel,
     f: NMorphism,
-    slot_ty: Callable[[str], str],
-    slot_tm_is_var: bool,
-    name: str,
+    slot_ty: str,
 ) -> NMorphism:
     """The mediating morphism out of an interleaved extension.
 
-    Formal slots are sent to extensions by ``slot_ty`` of the image context
-    (weakened appropriately); inner types and terms are transported along
-    the comparison morphism that forgets the slots.  With ``f`` the
-    identity this is the insertion morphism; in general it is F♯.
+    Formal slots are sent to extensions by the closed type ``slot_ty`` of the
+    target (weakened to the image context); inner types and terms are
+    transported along the comparison morphism that forgets the slots.  A
+    slot term goes to its slot variable when the new terms are slots, and to
+    the weakened unit term of the target otherwise.  With ``f`` the identity
+    this is the insertion morphism; in general it is F♯.
     """
-    thetas: dict[str, str] = {}
-    slot_vars: dict[str, list[str]] = {}
 
+    @memo
     def theta(d, ctx: str) -> str:
         """F♯(ctx) -> F(under ctx), forgetting the formal slots."""
-        th = thetas.get(ctx)
-        if th is not None:
-            return th
         parent = ext.ext_parent(ctx)
         if parent is None:
-            th = target.base.identity(d.on_obj(ctx))
-            slot_vars.setdefault(ctx, [])
-        else:
-            pctx, pty = parent
-            th_p = theta(d, pctx)
-            d.on_obj(ctx)
+            return target.base.identity(d.on_obj(ctx))
+        pctx, pty = parent
+        th_p = theta(d, pctx)
+        d.on_obj(ctx)
+        if pty == ext.new_ty:
             e = target.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
-            if pty == ext.new_ty:
-                th = target.base.compose(th_p, e.proj)
-                slot_vars[ctx] = [
-                    target.subst_tm(e.proj, v) for v in _slots(d, pctx)
-                ] + [e.var]
-            else:
-                f_ty = f.on_ty(ext.base.under(pctx), pty)
-                th = canonical_pullback(target, th_p, f_ty)
-                slot_vars[ctx] = [
-                    target.subst_tm(e.proj, v) for v in _slots(d, pctx)
-                ]
-        thetas[ctx] = th
-        return th
+            return target.base.compose(th_p, e.proj)
+        f_ty = f.on_ty(ext.base.under(pctx), pty)
+        return canonical_pullback(target, th_p, f_ty)
 
-    def _slots(d, ctx: str) -> list[str]:
-        theta(d, ctx)
-        return slot_vars[ctx]
+    @memo
+    def slot_images(d, ctx: str) -> list[str]:
+        """The images of the slot variables of ctx, weakened to d.on_obj(ctx)."""
+        parent = ext.ext_parent(ctx)
+        if parent is None:
+            return []
+        pctx, pty = parent
+        weakened = slot_images(d, pctx)
+        e = target.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
+        new = [e.var] if pty == ext.new_ty else []
+        return [target.subst_tm(e.proj, v) for v in weakened] + new
 
     def root_obj(ctx: str) -> str:
         gamma, ks, tys = ext.base.obj_info(ctx)
         assert not tys and sum(ks) == 0
-        slot_vars.setdefault(ctx, [])
         return f.on_obj(gamma)
 
     def ty_map(d, ctx: str, ty: str) -> str:
         if ty == ext.new_ty:
             d.on_obj(ctx)
             theta(d, ctx)
-            return target.subst_ty(target.t(d.on_obj(ctx)), slot_ty(d.on_obj(ctx)))
+            return target.subst_ty(target.t(d.on_obj(ctx)), slot_ty)
         img = f.on_ty(ext.base.under(ctx), ty)
         d.on_obj(ctx)
         return target.subst_ty(theta(d, ctx), img)
@@ -1044,8 +1024,8 @@ def _interleaved_collapse(
     def tm_map(d, ctx: str, tm: str) -> str:
         if ext._is_new_term(tm):
             d.on_obj(ctx)
-            if slot_tm_is_var:
-                return _slots(d, ctx)[int(tm[1:])]
+            if ext.new_terms_are_slots:
+                return slot_images(d, ctx)[int(tm[1:])]
             u = target.unit_structure  # type: ignore[attr-defined]
             return target.subst_tm(target.t(d.on_obj(ctx)), u.star_tm)
         img = f.on_tm(ext.base.under(ctx), tm)
@@ -1057,20 +1037,16 @@ def _interleaved_collapse(
         return target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
 
     d = _DerivedMorphism(ext, target, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, name)
+    return _as_nmorphism(d, "F#")
 
 
 def type_universal(ext: TypeExtModel, f: NMorphism, o_ty: str) -> NMorphism:
     """F♯ out of the basic-type extension, sending X to the closed type o_ty."""
-    return _interleaved_collapse(
-        ext, f.dst, f, slot_ty=lambda _ctx: o_ty, slot_tm_is_var=True, name="F#",
-    )
+    return _interleaved_collapse(ext, f.dst, f, slot_ty=o_ty)
 
 
 def type_insertion(ext: TypeExtModel, o_ty: str) -> NMorphism:
     """S : send the formal basic type to an existing closed type of the inner model."""
-    from .morphism import identity_morphism
-
     return type_universal(ext, identity_morphism(ext.inner), o_ty)
 
 
@@ -1078,16 +1054,11 @@ def unit_universal(ext: UnitExtModel, f: NMorphism) -> NMorphism:
     """F♯ out of the unit extension into a model admitting a unit type."""
     target = f.dst
     u: UnitStructure = target.unit_structure  # type: ignore[attr-defined]
-    return _interleaved_collapse(
-        ext, target, f, slot_ty=lambda _ctx: u.unit_ty, slot_tm_is_var=False,
-        name="F#",
-    )
+    return _interleaved_collapse(ext, target, f, slot_ty=u.unit_ty)
 
 
 def unit_insertion(ext: UnitExtModel) -> NMorphism:
     """N : collapse the formal units into the unit structure of the inner model."""
-    from .morphism import identity_morphism
-
     return unit_universal(ext, identity_morphism(ext.inner))
 
 
@@ -1101,19 +1072,7 @@ def interleaved_universal_pins(
     forced to take — the weakened prescribed closed type resp. the weakened
     distinguished term — as computed by the constructed mediating morphism.
     """
-    inner = ext.inner
-    incl = interleaved_inclusion(ext)
-    pins = MorphismPins()
-    for gamma in inner.base.objects(bound):
-        key = incl.on_obj(gamma)
-        pins.on_obj[key] = f.on_obj(gamma)
-        for ty in inner.types(gamma, bound):
-            pins.on_ty[(key, ty)] = f.on_ty(gamma, ty)
-        for tm in inner.terms(gamma, bound):
-            pins.on_tm[(key, tm)] = f.on_tm(gamma, tm)
-        for delta in inner.base.objects(bound):
-            for m in inner.base.hom(delta, gamma):
-                pins.on_mor[incl.on_mor(m)] = f.on_mor(m)
+    pins = _inclusion_pins(ext.inner, interleaved_inclusion(ext), f, bound)
     for ctx in ext.base.objects(bound):
         pins.on_ty[(ctx, ext.new_ty)] = sharp.on_ty(ctx, ext.new_ty)
         if not ext.new_terms_are_slots:
@@ -1506,8 +1465,6 @@ def sigma_of_tree(
         e = m.ext(ctx, tree.leaf)
         i = base.identity(e.extended)
         return tree.leaf, i, i
-    from .natmodel import sigma_split
-
     s1, th1, th1_inv = sigma_of_tree(m, ctx, tree.left, bound)
     mid = tree_ext(m, ctx, tree.left)[0]
     s2, th2, th2_inv = sigma_of_tree(m, mid, tree.right, bound)
@@ -1566,8 +1523,6 @@ def tree_summation(ext: SigmaExtModel, bound: int = 4) -> NMorphism:
 
     Requires the inner model to admit dependent sum types.
     """
-    from .morphism import identity_morphism
-
     return sigma_universal(ext, identity_morphism(ext.inner), bound)
 
 
@@ -1580,7 +1535,6 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
     """
     target = f.dst
     src_m = ext.inner
-    thetas: dict[str, str] = {}
 
     def map_ty_tree(m_ctx: str, tree: TypeTree) -> TypeTree:
         if tree.is_leaf:
@@ -1600,26 +1554,21 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
             right=map_tm_tree(m_ctx, tree.right),
         )
 
+    @memo
     def theta(d, ctx: str) -> str:
         """F♯(ctx) -> "F(under ctx)" built leafwise; collapses tracked."""
-        th = thetas.get(ctx)
-        if th is not None:
-            return th
         parent = ext.ext_parent(ctx)
         if parent is None:
-            th = target.base.identity(d.on_obj(ctx))
-        else:
-            pctx, pty = parent
-            th_p = theta(d, pctx)
-            tree = map_ty_tree(ext.base.under(pctx), ext.ty_tree(pty))
-            tree_over_img = tree_subst(target, th_p, tree)
-            th_here = sigma_of_tree(
-                target, d.on_obj(pctx), tree_over_img, _collapse_bound(tree)
-            )[1]
-            lift = canonical_pullback_tree(target, th_p, tree)
-            th = target.base.compose(lift, th_here)
-        thetas[ctx] = th
-        return th
+            return target.base.identity(d.on_obj(ctx))
+        pctx, pty = parent
+        th_p = theta(d, pctx)
+        tree = map_ty_tree(ext.base.under(pctx), ext.ty_tree(pty))
+        tree_over_img = tree_subst(target, th_p, tree)
+        th_here = sigma_of_tree(
+            target, d.on_obj(pctx), tree_over_img, _collapse_bound(tree)
+        )[1]
+        lift = canonical_pullback_tree(target, th_p, tree)
+        return target.base.compose(lift, th_here)
 
     def _collapse_bound(tree: TypeTree) -> int:
         return max(bound, tree.size())
@@ -1660,16 +1609,7 @@ def sigma_universal_pins(
     value of the constructed F♯; uniqueness search then ranges only over the
     morphism images.
     """
-    inner = ext.inner
-    pins = MorphismPins()
-    for gamma in inner.base.objects(bound):
-        key = ext.base.register(gamma, ())
-        pins.on_obj[key] = f.on_obj(gamma)
-    incl = sigma_inclusion(ext)
-    for gamma in inner.base.objects(bound):
-        for delta in inner.base.objects(bound):
-            for m in inner.base.hom(delta, gamma):
-                pins.on_mor[incl.on_mor(m)] = f.on_mor(m)
+    pins = _inclusion_pins(ext.inner, sigma_inclusion(ext), f, bound)
     for ctx in ext.base.objects(bound):
         for ty in ext.types(ctx, bound):
             pins.on_ty[(ctx, ty)] = sharp.on_ty(ctx, ty)

@@ -12,22 +12,26 @@ reported separately and never conflated with either.
 agree with a given set of pinned values, by treating the unknown images as
 a finite constraint problem.  Every universal-property verification in the
 package reduces to a call of this function asserting a count of one.  The
-search assigns contexts in order and checks each constraint once, at the
-step of its last participant: the context of largest index among those the
-constraint reads.
+search visits contexts in order.  At context i it chooses the free values
+one at a time (the types, then the terms, then the root morphisms) and
+makes each choice on a fresh copy of the candidate, so backtracking undoes
+nothing.  It checks each constraint once, at the step of its last
+participant: the context of largest index among those the constraint reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .fincat import is_pullback_square
 from .natmodel import (
     NaturalModel,
     SigmaStructure,
+    _sigma_tuples,
     canonical_pullback,
     induced_sub,
+    section,
 )
 
 
@@ -197,8 +201,6 @@ def check_sigma_morphism(fm: NMorphism, bound: int) -> bool:
     src, dst = fm.src, fm.dst
     s_src: SigmaStructure = src.sigma_structure  # type: ignore[attr-defined]
     s_dst: SigmaStructure = dst.sigma_structure  # type: ignore[attr-defined]
-    from .natmodel import section, _sigma_tuples
-
     for g, ty_a, ty_b in _sigma_tuples(src, bound):
         fg = fm.on_obj(g)
         ext_a = src.ext(g, ty_a).extended
@@ -288,7 +290,13 @@ class MorphismPins:
 
 
 class _Candidate:
-    """Partial assignment of a strict morphism during the search."""
+    """Partial assignment of a strict morphism during the search.
+
+    ``obj`` and ``mor`` also cache the images derived from assigned values
+    (extension contexts, morphisms into extensions).  A candidate is never
+    assigned again once it has been copied for a choice, so every cached
+    image stays a function of its own assignment.
+    """
 
     def __init__(self, search: "_Search"):
         self.s = search
@@ -297,13 +305,15 @@ class _Candidate:
         self.tm: dict[tuple[str, str], str] = dict(search.pins.on_tm)
         self.mor: dict[str, str] = dict(search.pins.on_mor)
 
-    def snapshot(self):
-        return (dict(self.obj), dict(self.ty), dict(self.tm), dict(self.mor))
-
-    def restore(self, snap):
-        self.obj, self.ty, self.tm, self.mor = (
-            dict(snap[0]), dict(snap[1]), dict(snap[2]), dict(snap[3])
+    def assigned(self, table: str, key, value: str) -> "_Candidate":
+        """A copy of this candidate that also sends ``key`` to ``value`` in ``table``."""
+        out = object.__new__(_Candidate)
+        out.s = self.s
+        out.obj, out.ty, out.tm, out.mor = (
+            dict(self.obj), dict(self.ty), dict(self.tm), dict(self.mor)
         )
+        getattr(out, table)[key] = value
+        return out
 
     # image of a context: pinned or derived through the extension parent
     def obj_image(self, ctx: str) -> Optional[str]:
@@ -357,7 +367,6 @@ class _Search:
     def __init__(
         self, src: NaturalModel, dst: NaturalModel, bound: int,
         ty_bound: int, pins: MorphismPins, max_count: int,
-        collect: bool,
     ):
         self.src = src
         self.dst = dst
@@ -365,8 +374,6 @@ class _Search:
         self.ty_bound = ty_bound
         self.pins = pins
         self.max_count = max_count
-        self.collect = collect
-        self.found: list[tuple] = []
         self.count = 0
         self.ctxs = src.base.objects(bound)
         self.idx = {c: i for i, c in enumerate(self.ctxs)}
@@ -460,63 +467,50 @@ class _Search:
         return True
 
     def _step(self, cand: _Candidate, i: int) -> None:
+        """Visit the node at context i: choose its free values, then go on."""
         if self.count >= self.max_count:
             return
         if i == len(self.ctxs):
             self.count += 1
-            if self.collect:
-                self.found.append(cand.snapshot())
             return
         ctx = self.ctxs[i]
-        f_ctx = cand.obj_image(ctx)
-        if f_ctx is None:
+        if cand.obj_image(ctx) is None:
             return  # unpinned root context: no way to determine its image
-        ty_vars = [t for t in self.tys[ctx] if (ctx, t) not in cand.ty]
-        self._assign_tys(cand, i, ctx, f_ctx, ty_vars)
+        free = [("ty", (ctx, t)) for t in self.tys[ctx] if (ctx, t) not in cand.ty]
+        free += [("tm", (ctx, t)) for t in self.tms[ctx] if (ctx, t) not in cand.tm]
+        free += [("mor", m) for m in self._pending_root_mors(cand, i)]
+        self._assign(cand, i, free)
 
-    # Derived images (extension objects, decomposed morphisms) are cached
-    # inside the candidate as they are computed, so every choice point
-    # snapshots the whole assignment and restores it afterwards; a stale
-    # cache would otherwise survive backtracking.
-
-    def _assign_tys(self, cand, i, ctx, f_ctx, ty_vars) -> None:
-        if self.count >= self.max_count:
+    def _assign(self, cand: _Candidate, i: int, free: list[tuple[str, object]]) -> None:
+        """Choose the free values in order, each on a fresh copy of the candidate."""
+        if not free:
+            if self._consistent_at(cand, i):
+                self._step(cand, i + 1)
             return
-        if not ty_vars:
-            tm_vars = [t for t in self.tms[ctx] if (ctx, t) not in cand.tm]
-            self._assign_tms(cand, i, ctx, f_ctx, tm_vars)
-            return
-        ty = ty_vars[0]
-        for choice in self.dst.types(f_ctx, self.ty_bound):
-            snap = cand.snapshot()
-            cand.ty[(ctx, ty)] = choice
-            self._assign_tys(cand, i, ctx, f_ctx, ty_vars[1:])
-            cand.restore(snap)
+        (table, key), rest = free[0], free[1:]
+        for choice in self._choices(cand, table, key):
+            self._assign(cand.assigned(table, key, choice), i, rest)
             if self.count >= self.max_count:
                 return
 
-    def _assign_tms(self, cand, i, ctx, f_ctx, tm_vars) -> None:
-        if self.count >= self.max_count:
-            return
-        if not tm_vars:
-            snap = cand.snapshot()
-            mor_vars = self._pending_root_mors(cand, i)
-            self._assign_mors(cand, i, mor_vars)
-            cand.restore(snap)
-            return
-        tm = tm_vars[0]
-        want_ty = cand.ty.get((ctx, self.src.typeof(ctx, tm)))
-        for choice in self.dst.terms(f_ctx, self.ty_bound):
-            if want_ty is not None and self.dst.typeof(f_ctx, choice) != want_ty:
-                continue
-            snap = cand.snapshot()
-            cand.tm[(ctx, tm)] = choice
-            self._assign_tms(cand, i, ctx, f_ctx, tm_vars[1:])
-            cand.restore(snap)
-            if self.count >= self.max_count:
-                return
+    def _choices(self, cand: _Candidate, table: str, key) -> Iterable[str]:
+        """The values a free type, term or root morphism may take."""
+        dst = self.dst
+        if table == "mor":
+            fa = cand.obj_image(self.src.base.dom(key))
+            fb = cand.obj_image(self.src.base.cod(key))
+            return () if fa is None or fb is None else dst.base.hom(fa, fb)
+        ctx, cell = key
+        f_ctx = cand.obj_image(ctx)
+        if table == "ty":
+            return dst.types(f_ctx, self.ty_bound)
+        want_ty = cand.ty.get((ctx, self.src.typeof(ctx, cell)))
+        return (
+            c for c in dst.terms(f_ctx, self.ty_bound)
+            if want_ty is None or dst.typeof(f_ctx, c) == want_ty
+        )
 
-    def _pending_root_mors(self, cand: _Candidate, i: int) -> list[tuple[str, str, str]]:
+    def _pending_root_mors(self, cand: _Candidate, i: int) -> list[str]:
         """Unassigned root-codomain morphisms whose later endpoint is context i."""
         out = []
         for a, b in self._last_at(i):
@@ -525,29 +519,8 @@ class _Search:
             for m in self.hom[(a, b)]:
                 if m in cand.mor or cand.mor_image(m) is not None:
                     continue
-                out.append((m, a, b))
+                out.append(m)
         return out
-
-    def _assign_mors(self, cand, i, mor_vars) -> None:
-        if self.count >= self.max_count:
-            return
-        if not mor_vars:
-            snap = cand.snapshot()
-            if self._consistent_at(cand, i):
-                self._step(cand, i + 1)
-            cand.restore(snap)
-            return
-        m, a, b = mor_vars[0]
-        fa, fb = cand.obj_image(a), cand.obj_image(b)
-        if fa is None or fb is None:
-            return
-        for choice in self.dst.base.hom(fa, fb):
-            snap = cand.snapshot()
-            cand.mor[m] = choice
-            self._assign_mors(cand, i, mor_vars[1:])
-            cand.restore(snap)
-            if self.count >= self.max_count:
-                return
 
 
 def count_morphisms(
@@ -561,9 +534,11 @@ def count_morphisms(
     root-codomain morphisms; images of extension objects and of morphisms
     into extensions are forced by strictness and by the universal property
     of the induced substitutions, so the search ranges only over the free
-    data, pruning on every theory equation along the way.  Counting stops at
-    ``max_count``.
+    data, pruning on every theory equation along the way.  Each choice of a
+    free value is made on a copy of the partial candidate; the images a
+    candidate derives and caches depend only on values it already holds, so
+    no choice has to be undone.  Counting stops at ``max_count``.
     """
     if ty_bound is None:
         ty_bound = bound
-    return _Search(src, dst, bound, ty_bound, pins, max_count, collect=False).run()
+    return _Search(src, dst, bound, ty_bound, pins, max_count).run()

@@ -276,6 +276,15 @@ class TestBadInputExitsTwo:
             main(["free", "sigma", "--bound", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("subcmd", ["verify-bc", "verify-dist"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_a_count_below_one_is_rejected(self, subcmd, count, capsys):
+        # zero instances would pass vacuously
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", subcmd, "--count", count])
+        assert exc.value.code == 2
+        assert "count must be at least 1" in capsys.readouterr().err
+
     def test_unknown_closed_type_is_rejected(self, capsys):
         assert main(["free", "term", "--base", "term-model:1", "--type", "NOPE"]) == 2
         assert "parse error" in capsys.readouterr().err

@@ -391,6 +391,29 @@ class TestInitiality:
         assert check_morphism(fm, 2).ok
         assert count_morphisms(m0, target, 2, initiality_pins(m0, target, {})) == 1
 
+    @pytest.mark.parametrize("k, target, expected", [
+        (1, lambda: term_model(range(2)), 2),
+        (2, lambda: term_model(range(2)), 4),
+        (1, lambda: term_model(range(3)), 3),
+        (2, lambda: term_model(range(3)), 9),
+        (1, lambda: extend_by_unit(term_model(range(1))), 2),
+        (2, lambda: extend_by_unit(term_model(range(1))), 4),
+    ])
+    def test_unpinned_morphisms_are_counted_by_their_closed_type_images(
+        self, k, target, expected
+    ):
+        # initiality in counting form: one strict morphism per choice of a
+        # closed type of the target for each basic type, so the search
+        # backtracks across every solution
+        dst = target()
+        assert len(dst.types(dst.terminal, 2)) ** k == expected
+        assert count_morphisms(term_model(range(k)), dst, 2, MorphismPins(),
+                               max_count=100) == expected
+
+    def test_counting_stops_at_max_count(self):
+        src, dst = term_model(range(2)), term_model(range(3))
+        assert count_morphisms(src, dst, 2, MorphismPins(), max_count=4) == 4
+
 
 def _two_object_table_model(endo=(), endo_compose=None, terms=None, bang=None):
     """Objects ⋄ and X with hom(X, ⋄) = {!} and hom(X, X) = {idX, *endo}; one
@@ -483,7 +506,7 @@ class TestRivalSearchCatchesEarlyViolations:
                 return ok
 
         assert count_morphisms(src, dst, bound, pins) == 0
-        assert Recorded(src, dst, bound, bound, pins, 2, collect=False).run() == 0
+        assert Recorded(src, dst, bound, bound, pins, 2).run() == 0
         assert all(ok for i, ok in checks if i < k)
         assert [ok for i, ok in checks if i == k] and not any(
             ok for i, ok in checks if i == k
