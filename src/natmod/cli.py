@@ -10,10 +10,14 @@ Three command families:
   composition with the extension-preservation check, Beck–Chevalley and
   distributivity witnesses on seeded random instances, pseudomonad data.
 
-Exit codes: 0 if all checks pass, 1 on a check failure, 2 on bad input: a
-file that fails to parse or is incomplete, a free construction whose bound
-reaches past the fragment a base file holds, a negative bound, a ``--count``
-below 1, or a ``--type`` that is not a closed type of the base.
+A check that quantified over no instance (``natmod free sigma`` at a bound
+where no Σ(A, B) fits) is reported as VACUOUS, not PASS, and fails the run.
+
+Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
+2 on bad input: a file that fails to parse or is incomplete, a free
+construction whose bound reaches past the fragment a base file holds, a
+negative bound, a ``--count`` below 1, or a ``--type`` that is not a closed
+type of the base.
 ``NATMOD_BOUND`` overrides the default bound.
 """
 
@@ -193,10 +197,11 @@ def _free_checks(args, base, report: VerificationReport):
         model = freemodel.extend_by_sigma(base)
         eat = check_eat(model, min(bound, 2))
         report.add("eat", eat.ok)
-        report.add(
-            "sigma-structure",
-            check_sigma(model, model.sigma_structure, min(bound, 2)).ok,
-        )
+        sigma = check_sigma(model, model.sigma_structure, min(bound, 2))
+        if sigma.vacuous:
+            report.add_vacuous("sigma-structure", sigma.bound)
+        else:
+            report.add("sigma-structure", sigma.ok)
         incl = freemodel.sigma_inclusion(model)
         sharp = freemodel.sigma_universal(model, incl, bound)
         report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)

@@ -2,8 +2,9 @@
 
 Five constructions are provided: the term model on a family of basic types,
 and the free extensions of an arbitrary model by a term, a basic type, a
-unit type, and dependent sum types, together with the polynomial composite
-of two models over a shared base.  Each construction is paired with the
+unit type, and dependent sum types, together with
+:func:`poly_composite_models`, the polynomial composite of two models over a
+shared base (:class:`natmod.natmodel.CompositeModel`).  Each construction is paired with the
 morphisms appearing in its universal property (inclusion, substitution /
 insertion / summation, and the mediating extension of an arbitrary
 morphism); existence is verified by the checkers in :mod:`natmod.natmodel`
@@ -24,13 +25,13 @@ from typing import Callable, Iterable, Optional
 
 from .fincat import BoundedCategory, FinSliceOpposite, memo
 from .natmodel import (
+    CompositeModel,
     ExtensionData,
     NaturalModel,
     SigmaStructure,
     UnitStructure,
     canonical_pullback,
     induced_sub,
-    section,
     sigma_split,
     swap_iso,
 )
@@ -1621,109 +1622,6 @@ def sigma_universal_pins(
 # ---------------------------------------------------------------------------
 # Polynomial composite of two models over a shared base
 # ---------------------------------------------------------------------------
-
-class CompositeModel(NaturalModel):
-    """The polynomial composite (ℂ, q·p) of two models over one base category.
-
-    Types are pairs (A, B) with A a type of the outer model and B a type of
-    the inner model over the outer extension; terms are the matching
-    quadruples.  Extension composes the two chosen extensions.
-    """
-
-    def __init__(self, inner_p: NaturalModel, outer_q: NaturalModel):
-        self.p = inner_p
-        self.q = outer_q
-        self.base = inner_p.base
-        self._ty_reg: dict[str, tuple[str, str]] = {}
-        self._tm_reg: dict[str, tuple[str, str, str, str]] = {}
-
-    @staticmethod
-    def ty_key(a: str, b: str) -> str:
-        return f"({a}|{b})"
-
-    @staticmethod
-    def tm_key(a: str, b: str, x: str, y: str) -> str:
-        return f"({a}|{b}|{x}|{y})"
-
-    def _ty_parts(self, key: str) -> tuple[str, str]:
-        return self._ty_reg[key]
-
-    def _tm_parts(self, key: str) -> tuple[str, str, str, str]:
-        return self._tm_reg[key]
-
-    def _reg_ty(self, a: str, b: str) -> str:
-        key = self.ty_key(a, b)
-        self._ty_reg.setdefault(key, (a, b))
-        return key
-
-    def _reg_tm(self, a: str, b: str, x: str, y: str) -> str:
-        key = self.tm_key(a, b, x, y)
-        self._tm_reg.setdefault(key, (a, b, x, y))
-        return key
-
-    def types(self, ctx: str, bound: int) -> list[str]:
-        out = []
-        for a in self.q.types(ctx, bound):
-            za = self.q.ty_size(ctx, a)
-            mid = self.q.ext(ctx, a).extended
-            for b in self.p.types(mid, bound - za):
-                out.append(self._reg_ty(a, b))
-        return out
-
-    def terms(self, ctx: str, bound: int) -> list[str]:
-        out = []
-        for key in self.types(ctx, bound):
-            a, b = self._ty_parts(key)
-            for x in self.q.terms_of(ctx, a, bound):
-                s_x = section(self.q, ctx, x)
-                b_at = self.p.subst_ty(s_x, b)
-                for y in self.p.terms_of(ctx, b_at, bound):
-                    out.append(self._reg_tm(a, b, x, y))
-        return out
-
-    def typeof(self, ctx: str, term: str) -> str:
-        a, b, _, _ = self._tm_parts(term)
-        return self._reg_ty(a, b)
-
-    def ty_size(self, ctx: str, ty: str) -> int:
-        a, b = self._ty_parts(ty)
-        mid = self.q.ext(ctx, a).extended
-        return self.q.ty_size(ctx, a) + self.p.ty_size(mid, b)
-
-    def subst_ty(self, sigma: str, ty: str) -> str:
-        a, b = self._ty_parts(ty)
-        sigma_ext = canonical_pullback(self.q, sigma, a)
-        return self._reg_ty(self.q.subst_ty(sigma, a), self.p.subst_ty(sigma_ext, b))
-
-    def subst_tm(self, sigma: str, term: str) -> str:
-        a, b, x, y = self._tm_parts(term)
-        sigma_ext = canonical_pullback(self.q, sigma, a)
-        return self._reg_tm(
-            self.q.subst_ty(sigma, a),
-            self.p.subst_ty(sigma_ext, b),
-            self.q.subst_tm(sigma, x),
-            self.p.subst_tm(sigma, y),
-        )
-
-    @memo
-    def ext(self, ctx: str, ty: str) -> ExtensionData:
-        a, b = self._ty_parts(ty)
-        e_q = self.q.ext(ctx, a)
-        e_p = self.p.ext(e_q.extended, b)
-        proj = self.base.compose(e_q.proj, e_p.proj)
-        a_wk = self.q.subst_ty(proj, a)
-        b_wk = self.p.subst_ty(canonical_pullback(self.q, proj, a), b)
-        x_wk = self.q.subst_tm(e_p.proj, e_q.var)
-        return ExtensionData(
-            e_p.extended, proj, self._reg_tm(a_wk, b_wk, x_wk, e_p.var)
-        )
-
-    def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
-        a, b = self._ty_parts(ty)
-        _, _, x, y = self._tm_parts(term)
-        tau1 = induced_sub(self.q, sigma, x, a)
-        return induced_sub(self.p, tau1, y, b)
-
 
 def poly_composite_models(inner_p: NaturalModel, outer_q: NaturalModel) -> CompositeModel:
     """The polynomial composite model (ℂ, q·p); both models must share a base."""

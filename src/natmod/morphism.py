@@ -26,12 +26,11 @@ from typing import Callable, Iterable, Optional
 
 from .fincat import is_pullback_square
 from .natmodel import (
+    CompositeModel,
     NaturalModel,
     SigmaStructure,
-    _sigma_tuples,
     canonical_pullback,
     induced_sub,
-    section,
 )
 
 
@@ -197,24 +196,25 @@ def check_morphism(
 
 
 def check_sigma_morphism(fm: NMorphism, bound: int) -> bool:
-    """Does fm preserve dependent sum structure on all in-bound tuples?"""
+    """Does fm preserve dependent sum structure on all in-bound pairs and quadruples?"""
     src, dst = fm.src, fm.dst
     s_src: SigmaStructure = src.sigma_structure  # type: ignore[attr-defined]
     s_dst: SigmaStructure = dst.sigma_structure  # type: ignore[attr-defined]
-    for g, ty_a, ty_b in _sigma_tuples(src, bound):
+    comp = CompositeModel(src, src)
+    for g in src.base.objects(bound):
         fg = fm.on_obj(g)
-        ext_a = src.ext(g, ty_a).extended
-        f_a = fm.on_ty(g, ty_a)
-        f_b = fm.on_ty(ext_a, ty_b)
-        if fm.on_ty(g, s_src.sigma(g, ty_a, ty_b)) != s_dst.sigma(fg, f_a, f_b):
-            return False
-        for a in src.terms_of(g, ty_a, bound):
-            b_ty = src.subst_ty(section(src, g, a), ty_b)
-            for b in src.terms_of(g, b_ty, bound):
-                lhs = fm.on_tm(g, s_src.pair(g, ty_a, ty_b, a, b))
-                rhs = s_dst.pair(fg, f_a, f_b, fm.on_tm(g, a), fm.on_tm(g, b))
-                if lhs != rhs:
-                    return False
+        images = {}  # (A|B) -> (F A, F B)
+        for key in comp.types(g, bound):
+            ty_a, ty_b = comp._ty_parts(key)
+            f_a, f_b = images[key] = fm.on_ty(g, ty_a), fm.on_ty(src.ext(g, ty_a).extended, ty_b)
+            if fm.on_ty(g, s_src.sigma(g, ty_a, ty_b)) != s_dst.sigma(fg, f_a, f_b):
+                return False
+        for quad in comp.terms(g, bound):
+            ty_a, ty_b, a, b = comp._tm_parts(quad)
+            lhs = fm.on_tm(g, s_src.pair(g, ty_a, ty_b, a, b))
+            rhs = s_dst.pair(fg, *images[comp.typeof(g, quad)], fm.on_tm(g, a), fm.on_tm(g, b))
+            if lhs != rhs:
+                return False
     return True
 
 

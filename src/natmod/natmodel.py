@@ -9,6 +9,13 @@ size bound; the structure checkers (:func:`check_unit`, :func:`check_sigma`,
 dependent product structure together with the pullback property, delegating
 the latter to the presheaf oracle.
 
+Σ- and Π-types are squares over the polynomial composite p·p
+(:class:`CompositeModel`, the one enumeration of the pairs (A, B) and
+quadruples (A, B, a, b)): Σ is a cartesian map p·p ⇒ p and Π a cartesian
+map P_p(p) ⇒ p, after Awodey's natural models.  The former Σ̂ or Π̂ and the
+introduction map pair̂ or λ̂ are natural transformations whose laws are
+equations (i), (ii) and (iv) of the structure.
+
 All reports carry the bound they were computed at; nothing is claimed
 beyond it.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .fincat import BoundedCategory, FinCatPresentation, category_violations, memo, truncate
 from .presheaf import (
@@ -291,7 +298,9 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
                         back = induced_sub(model, m0, tm0, a_ty)
                         if back != sp:
                             report.add("xxvii", f"⟨p∘{sp}, q[{sp}]⟩ = {back} != {sp}")
-                    except (ValueError, KeyError, IndexError) as exc:
+                    except (ValueError, LookupError) as exc:
+                        # LookupError includes a cell a model file lacks: a
+                        # projection with the wrong codomain asks for one
                         report.add("xxvii", f"retraction at {sp}: {exc}")
     return report
 
@@ -388,6 +397,114 @@ def extension_square_oracle(
 
 
 # ---------------------------------------------------------------------------
+# The polynomial composite q·p, whose types and terms are the (A, B) pairs and
+# (A, B, a, b) quadruples
+# ---------------------------------------------------------------------------
+
+class CompositeModel(NaturalModel):
+    """The polynomial composite (ℂ, q·p) of two models over one base category.
+
+    Types are pairs (A, B) with A a type of the outer model and B a type of
+    the inner model over the outer extension; terms are the matching
+    quadruples.  Extension composes the two chosen extensions.
+    """
+
+    def __init__(self, inner_p: NaturalModel, outer_q: NaturalModel):
+        self.p = inner_p
+        self.q = outer_q
+        self.base = inner_p.base
+        self._ty_reg: dict[str, tuple[str, str]] = {}
+        self._tm_reg: dict[str, tuple[str, str, str, str]] = {}
+
+    @staticmethod
+    def ty_key(a: str, b: str) -> str:
+        return f"({a}|{b})"
+
+    @staticmethod
+    def tm_key(a: str, b: str, x: str, y: str) -> str:
+        return f"({a}|{b}|{x}|{y})"
+
+    def _ty_parts(self, key: str) -> tuple[str, str]:
+        return self._ty_reg[key]
+
+    def _tm_parts(self, key: str) -> tuple[str, str, str, str]:
+        return self._tm_reg[key]
+
+    def _reg_ty(self, a: str, b: str) -> str:
+        key = self.ty_key(a, b)
+        self._ty_reg.setdefault(key, (a, b))
+        return key
+
+    def _reg_tm(self, a: str, b: str, x: str, y: str) -> str:
+        key = self.tm_key(a, b, x, y)
+        self._tm_reg.setdefault(key, (a, b, x, y))
+        return key
+
+    def types(self, ctx: str, bound: int) -> list[str]:
+        out = []
+        for a in self.q.types(ctx, bound):
+            za = self.q.ty_size(ctx, a)
+            mid = self.q.ext(ctx, a).extended
+            for b in self.p.types(mid, bound - za):
+                out.append(self._reg_ty(a, b))
+        return out
+
+    def terms(self, ctx: str, bound: int) -> list[str]:
+        out = []
+        for key in self.types(ctx, bound):
+            a, b = self._ty_parts(key)
+            for x in self.q.terms_of(ctx, a, bound):
+                s_x = section(self.q, ctx, x)
+                b_at = self.p.subst_ty(s_x, b)
+                for y in self.p.terms_of(ctx, b_at, bound):
+                    out.append(self._reg_tm(a, b, x, y))
+        return out
+
+    def typeof(self, ctx: str, term: str) -> str:
+        a, b, _, _ = self._tm_parts(term)
+        return self._reg_ty(a, b)
+
+    def ty_size(self, ctx: str, ty: str) -> int:
+        a, b = self._ty_parts(ty)
+        mid = self.q.ext(ctx, a).extended
+        return self.q.ty_size(ctx, a) + self.p.ty_size(mid, b)
+
+    def subst_ty(self, sigma: str, ty: str) -> str:
+        a, b = self._ty_parts(ty)
+        sigma_ext = canonical_pullback(self.q, sigma, a)
+        return self._reg_ty(self.q.subst_ty(sigma, a), self.p.subst_ty(sigma_ext, b))
+
+    def subst_tm(self, sigma: str, term: str) -> str:
+        a, b, x, y = self._tm_parts(term)
+        sigma_ext = canonical_pullback(self.q, sigma, a)
+        return self._reg_tm(
+            self.q.subst_ty(sigma, a),
+            self.p.subst_ty(sigma_ext, b),
+            self.q.subst_tm(sigma, x),
+            self.p.subst_tm(sigma, y),
+        )
+
+    @memo
+    def ext(self, ctx: str, ty: str) -> ExtensionData:
+        a, b = self._ty_parts(ty)
+        e_q = self.q.ext(ctx, a)
+        e_p = self.p.ext(e_q.extended, b)
+        proj = self.base.compose(e_q.proj, e_p.proj)
+        a_wk = self.q.subst_ty(proj, a)
+        b_wk = self.p.subst_ty(canonical_pullback(self.q, proj, a), b)
+        x_wk = self.q.subst_tm(e_p.proj, e_q.var)
+        return ExtensionData(
+            e_p.extended, proj, self._reg_tm(a_wk, b_wk, x_wk, e_p.var)
+        )
+
+    def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
+        a, b = self._ty_parts(ty)
+        _, _, x, y = self._tm_parts(term)
+        tau1 = induced_sub(self.q, sigma, x, a)
+        return induced_sub(self.p, tau1, y, b)
+
+
+# ---------------------------------------------------------------------------
 # Type theoretic structure
 # ---------------------------------------------------------------------------
 
@@ -416,13 +533,20 @@ class PiStructure:
 class StructureReport:
     bound: int
     violations: list[str] = field(default_factory=list)
+    # the (Γ, A, B) a Σ or Π check quantified over; None where not counted
+    instances: Optional[int] = None
 
     def add(self, msg: str) -> None:
         self.violations.append(msg)
 
     @property
+    def vacuous(self) -> bool:
+        """True when the check quantified over no instance, so it shows nothing."""
+        return self.instances == 0
+
+    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.vacuous
 
 
 def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> StructureReport:
@@ -478,188 +602,170 @@ def sigma_split(
     return hits[0]
 
 
-def _type_pairs(model: NaturalModel, g: str, bound: int) -> list[tuple[str, str]]:
-    """The pairs (A, B) over Γ with B over Γ•A and combined size within bound."""
-    return [
-        (ty_a, ty_b)
-        for ty_a in model.types(g, bound)
-        for ty_b in model.types(model.ext(g, ty_a).extended, bound - model.ty_size(g, ty_a))
-    ]
+# The laws of a former square's two maps, as the equations they are: Σ̂ and
+# Π̂ send each pair (A, B) to a type (i) stably under substitution (ii); pair̂
+# and λ̂ send each element of E to a term (iii) stably under substitution (iv).
+FORMER_EQUATIONS = {"component": "i", "naturality": "ii"}
+INTRO_EQUATIONS = {"component": "iii", "naturality": "iv"}
 
 
-def _sigma_tuples(model: NaturalModel, bound: int):
-    """In-bound (Γ, A, B) with B over Γ•A and combined size within bound."""
-    for g in model.base.objects(bound):
-        for ty_a, ty_b in _type_pairs(model, g, bound):
-            yield g, ty_a, ty_b
+class _StructureMap(NatTrans):
+    """Σ̂, pair̂, Π̂ or λ̂: x ↦ fn(Γ, *parts[x]), its witnesses naming x as ``notation``."""
+
+    def __init__(self, dom: Presheaf, cod: Presheaf, parts: dict[str, tuple[str, ...]],
+                 fn: Callable[..., str], notation: str):
+        super().__init__(dom, cod, {
+            g: {x: fn(g, *parts[x]) for x in dom.at(g)} for g in dom.base.object_keys
+        })
+        self.parts, self.notation = parts, notation
+
+    def describe(self, x: str) -> str:
+        return self.notation.format(*self.parts[x])
+
+
+class FormerSquare(NamedTuple):
+    """The square of a type former, in :func:`check_pullback_square`'s order.
+
+    ::
+
+        E --intro--> Tm
+        |            |
+       leg           p
+        v            v
+        P --former-> Ty
+
+    P is the Ty of the composite p·p: the pairs (A, B) with B over Γ•A.
+    """
+
+    p: NatTrans
+    former: _StructureMap
+    intro: _StructureMap
+    leg: NatTrans
+
+
+def _square_report(sq: FormerSquare, bound: int, name: str) -> StructureReport:
+    """The laws of former and intro and the pullback verdict, over the pairs (A, B)."""
+    report = StructureReport(bound, instances=sum(map(len, sq.former.dom.values.values())))
+    for equations, nt in ((FORMER_EQUATIONS, sq.former), (INTRO_EQUATIONS, sq.intro)):
+        for law, msg in nt.violations():
+            report.add(f"({equations[law]}) {msg}")
+    if not check_pullback_square(*sq):
+        report.add(f"{name} square is not a pullback within the bound")
+    return report
+
+
+def sigma_square(model: NaturalModel, s: SigmaStructure, bound: int) -> FormerSquare:
+    """Σ̂ : p·p ⇒ p; E is the Tm of p·p, the quadruples (A, B, a, b)."""
+    comp = CompositeModel(model, model)
+    ps, pp = model_presheaves(model, bound, bound), model_presheaves(comp, bound, bound)
+    return FormerSquare(
+        ps.p,
+        _StructureMap(pp.ty, ps.ty, comp._ty_reg, s.sigma, "Σ({},{})"),
+        _StructureMap(pp.tm, ps.tm, comp._tm_reg, s.pair, "pair({2},{3})"),
+        pp.p,
+    )
+
+
+def pi_square(model: NaturalModel, s: PiStructure, bound: int) -> FormerSquare:
+    """Π̂ : P_p(p) ⇒ p; E is P_p(Tm), the bodies (A, b) with b a term over Γ•A.
+
+    A body is keyed (A|B|b), B being the type of b; (A, b)[σ] = (A[σ], b[σ•A])
+    and the leg sends (A, b) to (A, B).
+    """
+    comp = CompositeModel(model, model)
+    ps, pp = model_presheaves(model, bound, bound), model_presheaves(comp, bound, bound)
+    cat = ps.cat
+    parts: dict[str, tuple[str, ...]] = {}  # (A|B|b) -> (A, B, b)
+    bodies: dict[str, list[str]] = {g: [] for g in cat.object_keys}
+    for g in cat.object_keys:
+        for ty_a in ps.ty.at(g):
+            over = model.ext(g, ty_a).extended
+            for b in model.terms(over, bound - model.ty_size(g, ty_a)):
+                body = ty_a, model.typeof(over, b), b
+                key = "(" + "|".join(body) + ")"
+                parts[key] = body
+                bodies[g].append(key)
+
+    def restrict(m: str, key: str) -> str:
+        ty_a, ty_b, b = parts[key]
+        m_a = canonical_pullback(model, m, ty_a)
+        return f"({model.subst_ty(m, ty_a)}|{model.subst_ty(m_a, ty_b)}|{model.subst_tm(m_a, b)})"
+
+    body_ps = Presheaf(cat, bodies, {
+        m: {k: restrict(m, k) for k in bodies[cat.cod(m)]} for m in cat.all_morphisms()
+    })
+    return FormerSquare(
+        ps.p,
+        _StructureMap(pp.ty, ps.ty, comp._ty_reg, s.pi, "Π({},{})"),
+        _StructureMap(body_ps, ps.tm, parts, s.lam, "λ({2})"),
+        NatTrans(body_ps, pp.ty, {
+            g: {k: comp.ty_key(*parts[k][:2]) for k in bodies[g]} for g in cat.object_keys
+        }),
+    )
 
 
 def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> StructureReport:
-    """The eleven Σ equations (including β/η) plus the translated pullback square."""
-    report = StructureReport(bound)
-    base = model.base
-    ctxs = base.objects(bound)
+    """The eleven Σ equations (including β/η) and the square of :func:`sigma_square`.
 
-    for g, ty_a, ty_b in _sigma_tuples(model, bound):
-        sig = s.sigma(g, ty_a, ty_b)
-        if sig not in model.types(g, bound):
-            report.add(f"(i) Σ({ty_a},{ty_b}) not a type over {g}")
-            continue
-        for d in ctxs:
-            for m in base.hom(d, g):
-                m_ext = canonical_pullback(model, m, ty_a)
-                lhs = model.subst_ty(m, sig)
-                rhs = s.sigma(d, model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b))
-                if lhs != rhs:
-                    report.add(f"(ii) Σ({ty_a},{ty_b})[{m}]")
-        for a in model.terms_of(g, ty_a, bound):
-            s_a = section(model, g, a)
-            b_ty = model.subst_ty(s_a, ty_b)
-            for b in model.terms_of(g, b_ty, bound):
-                pr = s.pair(g, ty_a, ty_b, a, b)
-                if model.typeof(g, pr) != sig:
-                    report.add(f"(iii) typeof(pair({a},{b}))")
+    (i), (ii) and (iv) are the laws of Σ̂ and pair̂; (iii) and (v)-(xi) are
+    checked on every pair and quadruple of p·p, cross-checking the oracle.
+    """
+    sq = sigma_square(model, s, bound)
+    report = _square_report(sq, bound, "Σ")
+    base = model.base
+    ctxs = sq.p.dom.base.object_keys
+    for g in ctxs:
+        tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
+        splits = {}  # ((A|B), term of Σ(A, B)) -> (fst, snd)
+        # (v)-(viii), (xi): projections on arbitrary terms of the sum type
+        for key in sq.former.dom.at(g):
+            sig = sq.former.apply(g, key)
+            if sig not in tys:
+                continue  # reported as (i)
+            ty_a, ty_b = sq.former.parts[key]
+            for p_tm in model.terms_of(g, sig, bound):
+                try:
+                    fa, sb = splits[key, p_tm] = sigma_split(model, s, g, ty_a, ty_b, p_tm, bound)
+                except ValueError as exc:
+                    report.add(f"(xi) {exc}")
+                    continue
+                if model.typeof(g, fa) != ty_a:
+                    report.add(f"(v) typeof(fst({p_tm}))")
+                want = model.subst_ty(section(model, g, fa), ty_b)
+                if model.typeof(g, sb) != want:
+                    report.add(f"(vii) typeof(snd({p_tm}))")
+                if s.pair(g, ty_a, ty_b, fa, sb) != p_tm:
+                    report.add(f"(xi) pair(fst,snd)({p_tm})")
                 for d in ctxs:
                     for m in base.hom(d, g):
                         m_ext = canonical_pullback(model, m, ty_a)
-                        lhs = model.subst_tm(m, pr)
-                        rhs = s.pair(
-                            d,
-                            model.subst_ty(m, ty_a),
-                            model.subst_ty(m_ext, ty_b),
-                            model.subst_tm(m, a),
-                            model.subst_tm(m, b),
-                        )
-                        if lhs != rhs:
-                            report.add(f"(iv) pair({a},{b})[{m}]")
-                # (ix)/(x) computation rules
-                try:
-                    fa, sb = sigma_split(model, s, g, ty_a, ty_b, pr, bound)
-                except ValueError as exc:
-                    report.add(f"(ix/x) {exc}")
-                    continue
+                        a_s, b_s = model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b)
+                        try:
+                            fa2, sb2 = sigma_split(
+                                model, s, d, a_s, b_s, model.subst_tm(m, p_tm), bound
+                            )
+                        except ValueError as exc:
+                            report.add(f"(vi/viii) {exc}")
+                            continue
+                        if fa2 != model.subst_tm(m, fa):
+                            report.add(f"(vi) fst({p_tm})[{m}]")
+                        if sb2 != model.subst_tm(m, sb):
+                            report.add(f"(viii) snd({p_tm})[{m}]")
+        # (iii), (ix), (x): the typing and computation rules of pairs
+        for quad in sq.intro.dom.at(g):
+            key, pr = sq.leg.apply(g, quad), sq.intro.apply(g, quad)
+            if sq.former.apply(g, key) not in tys or pr not in tms:
+                continue  # reported as (i) or (iii)
+            ty_a, ty_b, a, b = sq.intro.parts[quad]
+            if sq.p.apply(g, pr) != sq.former.apply(g, key):
+                report.add(f"(iii) typeof(pair({a},{b}))")
+            elif (key, pr) in splits:  # else its split failed, reported as (xi)
+                fa, sb = splits[key, pr]
                 if fa != a:
                     report.add(f"(ix) fst(pair({a},{b})) = {fa}")
                 if sb != b:
                     report.add(f"(x) snd(pair({a},{b})) = {sb}")
-        # (v)-(viii), (xi): projections on arbitrary terms of the sum type
-        for p_tm in model.terms_of(g, sig, bound):
-            try:
-                fa, sb = sigma_split(model, s, g, ty_a, ty_b, p_tm, bound)
-            except ValueError as exc:
-                report.add(f"(xi) {exc}")
-                continue
-            if model.typeof(g, fa) != ty_a:
-                report.add(f"(v) typeof(fst({p_tm}))")
-            want = model.subst_ty(section(model, g, fa), ty_b)
-            if model.typeof(g, sb) != want:
-                report.add(f"(vii) typeof(snd({p_tm}))")
-            if s.pair(g, ty_a, ty_b, fa, sb) != p_tm:
-                report.add(f"(xi) pair(fst,snd)({p_tm})")
-            for d in ctxs:
-                for m in base.hom(d, g):
-                    m_ext = canonical_pullback(model, m, ty_a)
-                    a_s, b_s = model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b)
-                    try:
-                        fa2, sb2 = sigma_split(
-                            model, s, d, a_s, b_s, model.subst_tm(m, p_tm), bound
-                        )
-                    except ValueError as exc:
-                        report.add(f"(vi/viii) {exc}")
-                        continue
-                    if fa2 != model.subst_tm(m, fa):
-                        report.add(f"(vi) fst({p_tm})[{m}]")
-                    if sb2 != model.subst_tm(m, sb):
-                        report.add(f"(viii) snd({p_tm})[{m}]")
-
-    # translated pullback square, checked by the presheaf oracle
-    ps = model_presheaves(model, bound, bound)
-    ok = _sigma_square_oracle(model, s, ps, bound)
-    if not ok:
-        report.add("Σ square is not a pullback within the bound")
     return report
-
-
-def _sigma_square_oracle(
-    model: NaturalModel, s: SigmaStructure, ps: ModelPresheaves, bound: int
-) -> bool:
-    """The (Σ̂, pair̂) square: quadruples (A, B, a, b) over the (A, B)-pairs."""
-
-    def quads(g: str) -> list[tuple[str, ...]]:
-        return [
-            (ty_a, ty_b, a, b)
-            for ty_a, ty_b in _type_pairs(model, g, bound)
-            for a in model.terms_of(g, ty_a, bound)
-            for b in model.terms_of(g, model.subst_ty(section(model, g, a), ty_b), bound)
-        ]
-
-    def act(m: str, quad: tuple[str, ...]) -> tuple[str, ...]:
-        ty_a, ty_b, a, b = quad
-        m_ext = canonical_pullback(model, m, ty_a)
-        return (model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
-                model.subst_tm(m, a), model.subst_tm(m, b))
-
-    return _pairs_square_oracle(
-        model, ps, bound, quads, act,
-        leg=lambda g, quad: quad[:2],
-        former=s.sigma,
-        intro=lambda g, quad: s.pair(g, *quad),
-    )
-
-
-def _pairs_square_oracle(
-    model: NaturalModel,
-    ps: ModelPresheaves,
-    bound: int,
-    elements: Callable[[str], list[tuple[str, ...]]],
-    act: Callable[[str, tuple[str, ...]], tuple[str, ...]],
-    leg: Callable[[str, tuple[str, ...]], tuple[str, str]],
-    former: Callable[[str, str, str], str],
-    intro: Callable[[str, tuple[str, ...]], str],
-) -> bool:
-    """Test the pullback square of a type former over the truncation ``ps``.
-
-    ::
-
-        E --intro--> U̇
-        |            |
-       leg           p
-        v            v
-        P --former-> U
-
-    P(Γ) holds the pairs (A, B) with B over Γ•A, acted on by
-    (A, B)[σ] = (A[σ], B[σ•A]).  E(Γ) holds ``elements(Γ)``, acted on by
-    ``act``; ``leg`` sends an element to its pair.
-    """
-    cat = ps.cat
-    key = lambda parts: "(" + "|".join(parts) + ")"
-
-    def tabulate(elems: dict[str, list[tuple[str, ...]]], action) -> Presheaf:
-        values = {g: [key(x) for x in elems[g]] for g in cat.object_keys}
-        table = {
-            m: {key(x): key(action(m, x)) for x in elems[cat.cod(m)]}
-            for m in cat.all_morphisms()
-        }
-        return Presheaf(cat, values, table)
-
-    def pair_act(m: str, pair: tuple[str, ...]) -> tuple[str, ...]:
-        ty_a, ty_b = pair
-        return model.subst_ty(m, ty_a), model.subst_ty(canonical_pullback(model, m, ty_a), ty_b)
-
-    pairs = {g: _type_pairs(model, g, bound) for g in cat.object_keys}
-    elems = {g: elements(g) for g in cat.object_keys}
-    p_ps = tabulate(pairs, pair_act)
-    e_ps = tabulate(elems, act)
-    leg_nt = NatTrans(e_ps, p_ps, {
-        g: {key(x): key(leg(g, x)) for x in elems[g]} for g in cat.object_keys
-    })
-    former_nt = NatTrans(p_ps, ps.ty, {
-        g: {key(x): former(g, *x) for x in pairs[g]} for g in cat.object_keys
-    })
-    intro_nt = NatTrans(e_ps, ps.tm, {
-        g: {key(x): intro(g, x) for x in elems[g]} for g in cat.object_keys
-    })
-    return check_pullback_square(ps.p, former_nt, intro_nt, leg_nt)
 
 
 def pi_apply(
@@ -679,116 +785,79 @@ def pi_apply(
 
 
 def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport:
-    """The eight Π equations plus the translated pullback square."""
-    report = StructureReport(bound)
+    """The eight Π equations and the square of :func:`pi_square`.
+
+    (i), (ii) and (iv) are the laws of Π̂ and λ̂; (iii) and (v)-(viii) are
+    checked on every pair (A, B) of p·p, cross-checking the oracle.
+    """
+    sq = pi_square(model, s, bound)
+    report = _square_report(sq, bound, "Π")
     base = model.base
-    ctxs = base.objects(bound)
-    for g, ty_a, ty_b in _sigma_tuples(model, bound):
-        pi_ty = s.pi(g, ty_a, ty_b)
-        if pi_ty not in model.types(g, bound):
-            report.add(f"(i) Π({ty_a},{ty_b}) not a type over {g}")
-            continue
-        e = model.ext(g, ty_a)
-        for d in ctxs:
-            for m in base.hom(d, g):
-                m_ext = canonical_pullback(model, m, ty_a)
-                if model.subst_ty(m, pi_ty) != s.pi(
-                    d, model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b)
-                ):
-                    report.add(f"(ii) Π({ty_a},{ty_b})[{m}]")
-        for b in model.terms_of(e.extended, ty_b, bound):
-            lam = s.lam(g, ty_a, ty_b, b)
-            if model.typeof(g, lam) != pi_ty:
+    ctxs = sq.p.dom.base.object_keys
+    for g in ctxs:
+        tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
+        # (iii), (vii): the typing and computation rules of λ on every body
+        for body in sq.intro.dom.at(g):
+            pi_ty, lam = sq.former.apply(g, sq.leg.apply(g, body)), sq.intro.apply(g, body)
+            if pi_ty not in tys or lam not in tms:
+                continue  # reported as (i) or (iii)
+            ty_a, ty_b, b = sq.intro.parts[body]
+            if sq.p.apply(g, lam) != pi_ty:
                 report.add(f"(iii) typeof(λ({b}))")
-            for d in ctxs:
-                for m in base.hom(d, g):
-                    m_ext = canonical_pullback(model, m, ty_a)
-                    lhs = model.subst_tm(m, lam)
-                    rhs = s.lam(
-                        d, model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
-                        model.subst_tm(m_ext, b),
-                    )
-                    if lhs != rhs:
-                        report.add(f"(iv) λ({b})[{m}]")
             for a in model.terms_of(g, ty_a, bound):
                 try:
                     res = pi_apply(model, s, g, ty_a, ty_b, lam, a, bound)
                 except ValueError as exc:
                     report.add(f"(vii) {exc}")
                     continue
-                s_a = section(model, g, a)
-                if res != model.subst_tm(s_a, b):
+                if res != model.subst_tm(section(model, g, a), b):
                     report.add(f"(vii) app(λ({b}),{a})")
-        for f_tm in model.terms_of(g, pi_ty, bound):
-            for a in model.terms_of(g, ty_a, bound):
+        # (v), (vi), (viii): application and η on arbitrary terms of Π(A, B)
+        for key in sq.former.dom.at(g):
+            pi_ty = sq.former.apply(g, key)
+            if pi_ty not in tys:
+                continue  # reported as (i)
+            ty_a, ty_b = sq.former.parts[key]
+            e = model.ext(g, ty_a)
+            for f_tm in model.terms_of(g, pi_ty, bound):
+                for a in model.terms_of(g, ty_a, bound):
+                    try:
+                        res = pi_apply(model, s, g, ty_a, ty_b, f_tm, a, bound)
+                    except ValueError as exc:
+                        report.add(f"(v) {exc}")
+                        continue
+                    s_a = section(model, g, a)
+                    if model.typeof(g, res) != model.subst_ty(s_a, ty_b):
+                        report.add(f"(v) typeof(app({f_tm},{a}))")
+                    for d in ctxs:
+                        for m in base.hom(d, g):
+                            m_ext = canonical_pullback(model, m, ty_a)
+                            lhs = model.subst_tm(m, res)
+                            rhs = pi_apply(
+                                model, s, d,
+                                model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
+                                model.subst_tm(m, f_tm), model.subst_tm(m, a), bound,
+                            )
+                            if lhs != rhs:
+                                report.add(f"(vi) app({f_tm},{a})[{m}]")
+                # (viii) η: λ(app(f[p_A], q_A)) = f
+                f_wk = model.subst_tm(e.proj, f_tm)
                 try:
-                    res = pi_apply(model, s, g, ty_a, ty_b, f_tm, a, bound)
+                    body = pi_apply(
+                        model, s, e.extended,
+                        model.subst_ty(e.proj, ty_a),
+                        model.subst_ty(canonical_pullback(model, e.proj, ty_a), ty_b),
+                        f_wk, e.var, bound,
+                    )
                 except ValueError as exc:
-                    report.add(f"(v) {exc}")
+                    report.add(f"(viii) {exc}")
                     continue
-                s_a = section(model, g, a)
-                if model.typeof(g, res) != model.subst_ty(s_a, ty_b):
-                    report.add(f"(v) typeof(app({f_tm},{a}))")
-                for d in ctxs:
-                    for m in base.hom(d, g):
-                        m_ext = canonical_pullback(model, m, ty_a)
-                        lhs = model.subst_tm(m, res)
-                        rhs = pi_apply(
-                            model, s, d,
-                            model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
-                            model.subst_tm(m, f_tm), model.subst_tm(m, a), bound,
-                        )
-                        if lhs != rhs:
-                            report.add(f"(vi) app({f_tm},{a})[{m}]")
-            # (viii) η: λ(app(f[p_A], q_A)) = f
-            f_wk = model.subst_tm(e.proj, f_tm)
-            try:
-                body = pi_apply(
-                    model, s, e.extended,
+                # body lives over (Γ•A)•(A weakened); substitute the diagonal to
+                # land over Γ•A, then compare λ of it with f
+                diag = induced_sub(
+                    model, base.identity(e.extended), e.var,
                     model.subst_ty(e.proj, ty_a),
-                    model.subst_ty(canonical_pullback(model, e.proj, ty_a), ty_b),
-                    f_wk, e.var, bound,
                 )
-            except ValueError as exc:
-                report.add(f"(viii) {exc}")
-                continue
-            # body lives over (Γ•A)•(A weakened); substitute the diagonal to
-            # land over Γ•A, then compare λ of it with f
-            diag = induced_sub(
-                model, base.identity(e.extended), e.var,
-                model.subst_ty(e.proj, ty_a),
-            )
-            if s.lam(g, ty_a, ty_b, model.subst_tm(diag, body)) != f_tm:
-                report.add(f"(viii) λ(app({f_tm}[p], q)) != {f_tm}")
-
-    ps = model_presheaves(model, bound, bound)
-    if not _pi_square_oracle(model, s, ps, bound):
-        report.add("Π square is not a pullback within the bound")
+                if s.lam(g, ty_a, ty_b, model.subst_tm(diag, body)) != f_tm:
+                    report.add(f"(viii) λ(app({f_tm}[p], q)) != {f_tm}")
     return report
-
-
-def _pi_square_oracle(
-    model: NaturalModel, s: PiStructure, ps: ModelPresheaves, bound: int
-) -> bool:
-    """The (Π̂, λ̂) square: bodies (A, b), with b a term over Γ•A, over the (A, B)-pairs."""
-
-    def body_type(g: str, ty_a: str, b: str) -> str:
-        return model.typeof(model.ext(g, ty_a).extended, b)
-
-    def bodies(g: str) -> list[tuple[str, ...]]:
-        return [
-            (ty_a, b)
-            for ty_a in model.types(g, bound)
-            for b in model.terms(model.ext(g, ty_a).extended, bound - model.ty_size(g, ty_a))
-        ]
-
-    def act(m: str, body: tuple[str, ...]) -> tuple[str, ...]:
-        ty_a, b = body
-        return model.subst_ty(m, ty_a), model.subst_tm(canonical_pullback(model, m, ty_a), b)
-
-    return _pairs_square_oracle(
-        model, ps, bound, bodies, act,
-        leg=lambda g, body: (body[0], body_type(g, *body)),
-        former=s.pi,
-        intro=lambda g, body: s.lam(g, body[0], body_type(g, *body), body[1]),
-    )

@@ -89,6 +89,10 @@ class NatTrans:
     def apply(self, obj: str, x: str) -> str:
         return self.components[obj][x]
 
+    def describe(self, x: str) -> str:
+        """The element x as a witness names it."""
+        return repr(x)
+
     def violations(self) -> Iterator[tuple[str, str]]:
         """Naturality by enumeration, as (law, witness) pairs.
 
@@ -104,14 +108,16 @@ class NatTrans:
             cod = set(self.cod.at(obj))
             for x in self.dom.at(obj):
                 if comp.get(x) not in cod:
-                    yield "component", f"component at {obj!r} does not send {x!r} into codomain"
+                    yield "component", (
+                        f"component at {obj!r} does not send {self.describe(x)} into codomain"
+                    )
         for m in base.all_morphisms():
             src, dst = base.dom(m), base.cod(m)
             for x in self.dom.at(dst):
                 lhs = _try(self.cod.restrict, m, _try(self.apply, dst, x))
                 rhs = _try(self.apply, src, _try(self.dom.restrict, m, x))
                 if lhs is None or lhs != rhs:
-                    yield "naturality", f"naturality fails for {m!r} on {x!r}"
+                    yield "naturality", f"naturality fails for {m!r} on {self.describe(x)}"
 
     def check(self) -> list[str]:
         return [msg for _law, msg in self.violations()]

@@ -17,6 +17,11 @@ class CheckRecord:
     name: str
     passed: bool
     detail: str = ""
+    vacuous: bool = False  # quantified over no instance: shows nothing, so not a pass
+
+    @property
+    def status(self) -> str:
+        return "vacuous" if self.vacuous else "pass" if self.passed else "fail"
 
 
 @dataclass
@@ -30,6 +35,9 @@ class VerificationReport:
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckRecord(name, passed, detail))
 
+    def add_vacuous(self, name: str, bound: int) -> None:
+        self.checks.append(CheckRecord(name, False, f"0 instances at bound {bound}", True))
+
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -41,8 +49,7 @@ class VerificationReport:
         lines = [f"# {self.construction} (bound={self.bound}"
                  + (f", seed={self.seed}" if self.seed is not None else "") + ")"]
         for c in self.sorted_checks():
-            status = "PASS" if c.passed else "FAIL"
-            line = f"{status}  {c.name}"
+            line = f"{c.status.upper()}  {c.name}"
             if c.detail:
                 line += f"  -- {c.detail}"
             lines.append(line)
@@ -66,7 +73,7 @@ class VerificationReport:
             lines.append(json.dumps({
                 "record": "check",
                 "name": c.name,
-                "status": "pass" if c.passed else "fail",
+                "status": c.status,
                 "detail": c.detail,
             }, sort_keys=True))
         return "\n".join(lines) + "\n"

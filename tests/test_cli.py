@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from natmod.cli import main
 from natmod.modelio import (
@@ -415,3 +417,91 @@ def test_a_value_naming_no_element_fails_a_check_without_a_traceback(
     term_model_file.write_text(json.dumps(doc))
     assert main(["check", str(term_model_file), "--bound", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+class TestFileCellsTheDataPointsAt:
+    def test_a_projection_into_a_boundary_object_fails_xxvii_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "f.json"
+        assert main(["free", "term-model", "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        next(r for r in doc["ext"] if r["ctx"] == "fs[0]")["proj"] = "fs[0,0]=>fs[0,0]:(0,1)"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--bound", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  eat-xxvii" in out and "FAIL  eat-xx  -- cod(p) for (fs[0], T0)" in out
+        eat = check_eat(parse_model(path.read_text()), 0, ty_bound=2)
+        assert any("no ext cell for ('fs[0,0]', 'T0')" in v for v in eat.violations["xxvii"])
+
+
+class TestVacuousChecks:
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_sigma_structure_over_no_instance_is_vacuous_and_fails(self, bound, capsys):
+        assert main(["free", "sigma", "--bound", str(bound)]) == 1
+        out = capsys.readouterr().out
+        assert f"\nVACUOUS  sigma-structure  -- 0 instances at bound {bound}\n" in out
+        assert "PASS  sigma-structure" not in out
+        assert out.endswith("result: FAIL\n")
+
+    def test_the_machine_status_is_vacuous(self, capsys):
+        assert main(["free", "sigma", "--bound", "1", "--format", "machine"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        status = {r["name"]: r["status"] for r in records if r["record"] == "check"}
+        assert status["sigma-structure"] == "vacuous"
+        assert records[0]["result"] == "fail"
+
+    def test_sigma_structure_with_instances_passes_unchanged(self, capsys):
+        assert main(["free", "sigma", "--bound", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "\nPASS  sigma-structure\n" in out and "VACUOUS" not in out
+
+
+def _leaves(node, path=()):
+    """Paths to the string cells of a model file, in document order."""
+    if isinstance(node, str):
+        yield path
+    elif isinstance(node, (list, dict)):
+        for key, child in (enumerate(node) if isinstance(node, list) else node.items()):
+            yield from _leaves(child, path + (key,))
+
+
+def _fuzz_files():
+    from natmod.freemodel import extend_by_sigma, extend_by_term, extend_by_type, extend_by_unit
+
+    m = term_model(range(1))
+    models = [m, extend_by_term(m, "T0"), extend_by_type(m), extend_by_unit(m), extend_by_sigma(m)]
+    files = []
+    for model in models:
+        text = serialize_model(model, 2)
+        doc = json.loads(text)
+        paths = list(_leaves(doc))
+        strings = sorted({functools.reduce(lambda node, k: node[k], p, doc) for p in paths})
+        files.append((text, paths, strings))
+    return files
+
+
+FUZZ_FILES = []
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.data())
+def test_one_cell_mutations_keep_the_exit_code_contract(tmp_path_factory, data):
+    # term, basic-type, unit and Σ files at bound 2; one string cell is set to
+    # another string of the same file
+    if not FUZZ_FILES:
+        FUZZ_FILES.extend(_fuzz_files())
+    text, paths, strings = data.draw(st.sampled_from(FUZZ_FILES))
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(st.sampled_from(strings))
+    doc = json.loads(text)
+    functools.reduce(lambda node, k: node[k], path[:-1], doc)[path[-1]] = value
+    workdir = tmp_path_factory.mktemp("fuzz")
+    model, report = workdir / "m.json", workdir / "report.txt"
+    model.write_text(json.dumps(doc))
+    rc = main(["check", str(model), "--bound", "2", "--out", str(report)])
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        assert "\nFAIL  " in report.read_text()

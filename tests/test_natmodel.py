@@ -1,5 +1,7 @@
 import itertools
+import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,6 +30,7 @@ from natmod.morphism import (
     identity_morphism,
 )
 from natmod.natmodel import (
+    CompositeModel,
     ExtensionData,
     PiStructure,
     SigmaStructure,
@@ -38,9 +41,12 @@ from natmod.natmodel import (
     check_unit,
     extension_square_oracle,
     induced_sub,
+    pi_square,
     section,
+    sigma_square,
     swap_iso,
 )
+from natmod.presheaf import NatTrans, check_pullback_square, check_pullback_square_by_cones
 
 
 class BrokenSubstModel:
@@ -615,3 +621,112 @@ class TestFiniteSetsModel:
         sw = swap_iso(m, g, "fam(2,)", "fam(1,)")
         back = swap_iso(m, g, "fam(1,)", "fam(2,)")
         assert m.base.compose(back, sw) == m.base.identity(m.base.dom(sw))
+
+
+def _swapped_pairing(s):
+    """Σ-structure of s whose pair swaps the first two terms of A in each fibre."""
+    good = s.sigma_structure
+
+    def pair(ctx, ty_a, ty_b, tm_a, tm_b):
+        terms = s.terms_of(ctx, ty_a, 1)
+        if len(terms) >= 2 and tm_a in terms[:2]:
+            tm_a = terms[1] if tm_a == terms[0] else terms[0]
+        return good.pair(ctx, ty_a, ty_b, tm_a, tm_b)
+
+    return SigmaStructure(good.sigma, pair)
+
+
+class TestStructureInstances:
+    def test_sigma_at_bound_one_quantifies_over_nothing_and_does_not_pass(self):
+        s = extend_by_sigma(term_model(range(1)))
+        nope = SigmaStructure(lambda *a: "NOPE", s.sigma_structure.pair)
+        rep = check_sigma(s, nope, 1)
+        assert rep.instances == 0 and rep.vacuous
+        assert not rep.violations and not rep.ok
+
+    def test_sigma_at_bound_two_counts_its_pairs(self):
+        s = extend_by_sigma(term_model(range(1)))
+        rep = check_sigma(s, s.sigma_structure, 2)
+        assert rep.ok and not rep.vacuous
+        comp = CompositeModel(s, s)
+        assert rep.instances == sum(len(comp.types(g, 2)) for g in s.base.objects(2)) == 4
+
+    def test_the_constant_pi_structure_counts_its_pairs(self):
+        u = extend_by_unit(term_model(range(0)))
+        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda c, a, b, t: u._star), 2)
+        assert rep.ok and rep.instances > 0
+
+
+class TestFormerSquaresAsNaturalTransformations:
+    def test_the_swapped_pairing_breaks_the_naturality_of_pair(self):
+        s = extend_by_sigma(term_model(range(1)))
+        rep = check_sigma(s, _swapped_pairing(s), 2)
+        naturality = [v for v in rep.violations if v.startswith("(iv) naturality fails")]
+        assert len(naturality) == 36
+        assert all(" on pair(" in v for v in naturality)
+
+    def test_a_former_outside_ty_breaks_equation_i(self):
+        s = extend_by_sigma(term_model(range(1)))
+        rep = check_sigma(s, SigmaStructure(lambda *a: "NOPE", s.sigma_structure.pair), 2)
+        assert any(v.startswith("(i) component at") and "Σ(" in v for v in rep.violations)
+
+
+def _perturbed(sq, rng):
+    """sq with one component of its introduction map moved to another term."""
+    sites = [(g, x) for g in sq.p.dom.base.object_keys for x in sq.intro.dom.at(g)
+             if len(sq.intro.cod.at(g)) > 1]
+    g, x = rng.choice(sites)
+    comps = {obj: dict(comp) for obj, comp in sq.intro.components.items()}
+    comps[g][x] = rng.choice([t for t in sq.intro.cod.at(g) if t != comps[g][x]])
+    return sq._replace(intro=NatTrans(sq.intro.dom, sq.intro.cod, comps))
+
+
+def _square_kind(sq):
+    if check_pullback_square(*sq):
+        return "pullback"
+    base = sq.p.dom.base
+    commutes = all(
+        sq.former.apply(d, sq.leg.apply(d, z)) == sq.p.apply(d, sq.intro.apply(d, z))
+        for d in base.object_keys for z in sq.intro.dom.at(d)
+    )
+    return "commuting non-pullback" if commutes else "non-commuting"
+
+
+def _natural(sq):
+    return all(next(nt.violations(), None) is None for nt in sq)
+
+
+class TestFormerSquaresAgainstTheConeChaser:
+    def test_the_verifiers_agree_wherever_the_four_maps_are_natural(self):
+        sm = extend_by_sigma(term_model(range(1)))
+        su = extend_by_sigma(extend_by_unit(term_model(range(0))))
+        u0 = extend_by_unit(term_model(range(0)))
+        u1 = extend_by_unit(term_model(range(1)))
+        u0_pi = pi_square(u0, PiStructure(lambda c, a, b: u0.new_ty, lambda *a: u0._star), 2)
+        squares = [
+            sigma_square(sm, sm.sigma_structure, 2),
+            sigma_square(su, su.sigma_structure, 2),
+            pi_square(u1, PiStructure(lambda c, a, b: u1.new_ty, lambda *a: u1._star), 2),
+        ]
+        rng = random.Random(0)
+        # u0 has one term per context, so its λ̂ has no other value to take
+        perturbed = [_perturbed(sq, rng) for sq in squares for _ in range(10)]
+        squares += [u0_pi, sigma_square(sm, _swapped_pairing(sm), 2)]
+        kinds = Counter()
+        for sq in squares + perturbed:
+            # the cone chaser reads the definition, in which the four maps are
+            # natural transformations; the pointwise oracle presupposes it
+            assert check_pullback_square_by_cones(*sq) == (
+                check_pullback_square(*sq) and _natural(sq)
+            )
+            kinds[_square_kind(sq)] += 1
+        assert len(perturbed) >= 30
+        assert min(kinds[k] for k in
+                   ("pullback", "commuting non-pullback", "non-commuting")) >= 1, kinds
+
+    def test_the_swapped_pairing_is_a_pointwise_pullback_of_a_non_natural_pair(self):
+        sm = extend_by_sigma(term_model(range(1)))
+        sq = sigma_square(sm, _swapped_pairing(sm), 2)
+        assert check_pullback_square(*sq)
+        assert not check_pullback_square_by_cones(*sq)
+        assert [law for law, _ in sq.intro.violations()] == ["naturality"] * 36
