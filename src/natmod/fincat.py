@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -308,6 +307,28 @@ def truncate(cat: BoundedCategory, bound: int) -> FinCatPresentation:
     )
 
 
+def is_set_pullback(apex: Iterable, to_left: Callable, to_top: Callable, xs: Iterable,
+                    left_leg: Callable, ys: Iterable, top_leg: Callable) -> bool:
+    """Is z ↦ (to_left z, to_top z) a bijection from ``apex`` onto the pairs
+    (x, y) of xs × ys with left_leg x = top_leg y?
+
+    The pullback condition for a square of finite sets in the shape of
+    :func:`is_pullback_square`; a square that passes also commutes.  The ys
+    are bucketed by their image, so each map is applied once per element.
+    """
+    over: dict = {}
+    for y in ys:
+        over.setdefault(top_leg(y), []).append(y)
+    pairs = {(x, y) for x in xs for y in over.get(left_leg(x), ())}
+    seen = set()
+    for z in apex:
+        pair = (to_left(z), to_top(z))
+        if pair in seen or pair not in pairs:
+            return False
+        seen.add(pair)
+    return len(seen) == len(pairs)
+
+
 def is_pullback_square(
     c: BoundedCategory,
     bound: int,
@@ -329,24 +350,20 @@ def is_pullback_square(
 
     Requires ``left_leg ∘ to_left == top_leg ∘ to_top``.  Competing cones are
     drawn from all objects of size <= bound; each must have exactly one
-    mediating map.  Per cone vertex q, every leg is composed once: hom(q, Y)
-    is bucketed by its image in Z and hom(q, apex) by the cone it induces.
+    mediating map.  Per cone vertex q, this is :func:`is_set_pullback` of the
+    hom sets out of q, with the legs acting by composition.
     """
     x, y = c.cod(to_left), c.cod(to_top)
     if c.compose(left_leg, to_left) != c.compose(top_leg, to_top):
         return False
+
+    def after(g: str) -> Callable[[str], str]:
+        return lambda h: c.compose(g, h)
+
     for q in c.objects(bound):
         q1s = c.hom(q, x)
-        if not q1s:
-            continue
-        over: dict[str, list[str]] = {}
-        for q2 in c.hom(q, y):
-            over.setdefault(c.compose(top_leg, q2), []).append(q2)
-        cones = [(q1, q2) for q1 in q1s for q2 in over.get(c.compose(left_leg, q1), ())]
-        if not cones:
-            continue
-        mediating = Counter((c.compose(to_left, h), c.compose(to_top, h)) for h in c.hom(q, apex))
-        if any(mediating[cone] != 1 for cone in cones):
+        if q1s and not is_set_pullback(c.hom(q, apex), after(to_left), after(to_top),
+                                       q1s, after(left_leg), c.hom(q, y), after(top_leg)):
             return False
     return True
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .fincat import BoundedCategory, FinSliceOpposite, memo
 from .natmodel import (
@@ -35,7 +35,9 @@ from .natmodel import (
     sigma_split,
     swap_iso,
 )
-from .morphism import MorphismPins, NMorphism, compose_morphisms, identity_morphism
+from .morphism import (
+    ForcedImages, MorphismPins, NMorphism, compose_morphisms, identity_morphism,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,70 +222,18 @@ def term_model(index, bound: int = 3) -> TermModel:
     return m
 
 
-# ---------------------------------------------------------------------------
-# Strict morphisms presented by root data
-# ---------------------------------------------------------------------------
-
-class _DerivedMorphism:
-    """A strict morphism determined by root-context data.
-
-    Images of extension contexts are obtained by folding the codomain's
-    ``ext`` over the type images, so strict preservation of the chosen
-    representability data holds by construction; images of morphisms whose
-    codomain is an extension are forced by the universal property of the
-    induced substitutions and are derived by decomposition.
-    """
-
-    def __init__(
-        self,
-        src: NaturalModel,
-        dst: NaturalModel,
-        root_obj: Callable[[str], str],
-        root_mor: Callable[["_DerivedMorphism", str], str],
-        ty_map: Callable[["_DerivedMorphism", str, str], str],
-        tm_map: Callable[["_DerivedMorphism", str, str], str],
-    ):
-        self.src = src
-        self.dst = dst
-        self._root_obj = root_obj
-        self._root_mor = root_mor
-        self._ty_map = ty_map
-        self._tm_map = tm_map
-
-    @memo
-    def on_obj(self, ctx: str) -> str:
-        parent = self.src.ext_parent(ctx)
-        if parent is None:
-            return self._root_obj(ctx)
-        pctx, pty = parent
-        return self.dst.ext(self.on_obj(pctx), self.on_ty(pctx, pty)).extended
-
-    def on_ty(self, ctx: str, ty: str) -> str:
-        return self._ty_map(self, ctx, ty)
-
-    def on_tm(self, ctx: str, tm: str) -> str:
-        return self._tm_map(self, ctx, tm)
-
-    def on_mor(self, m: str) -> str:
-        src = self.src
-        a, b = src.base.dom(m), src.base.cod(m)
-        if a == b and m == src.base.identity(a):
-            return self.dst.base.identity(self.on_obj(a))
-        parent = src.ext_parent(b)
-        if parent is None:
-            return self._root_mor(self, m)
-        pctx, pty = parent
-        e = src.ext(pctx, pty)
-        base_part = src.base.compose(e.proj, m)
-        term_part = src.subst_tm(m, e.var)
-        return induced_sub(
-            self.dst, self.on_mor(base_part), self.on_tm(a, term_part),
-            self.on_ty(pctx, pty),
-        )
-
-
-def _as_nmorphism(d: _DerivedMorphism, name: str) -> NMorphism:
-    return NMorphism(d.src, d.dst, d.on_obj, d.on_mor, d.on_ty, d.on_tm, name)
+@memo
+def _variable_images(d: ForcedImages, ctx: str, var_ty: Optional[str]) -> list[str]:
+    """The images of the variables of ctx that extend by ``var_ty`` (all of
+    them if None), in order and weakened to d.on_obj(ctx)."""
+    parent = d.src.ext_parent(ctx)
+    if parent is None:
+        return []
+    pctx, pty = parent
+    weakened = _variable_images(d, pctx, var_ty)
+    e = d.dst.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
+    new = [e.var] if var_ty in (None, pty) else []
+    return [d.dst.subst_tm(e.proj, v) for v in weakened] + new
 
 
 def initial_morphism(tm: TermModel, target: NaturalModel, images: dict) -> NMorphism:
@@ -300,31 +250,19 @@ def initial_morphism(tm: TermModel, target: NaturalModel, images: dict) -> NMorp
         assert ctx == tm.terminal
         return target.terminal
 
-    def ty_map(d: _DerivedMorphism, ctx: str, ty: str) -> str:
+    def ty_map(d: ForcedImages, ctx: str, ty: str) -> str:
         i = int(ty[1:])
         fctx = d.on_obj(ctx)
         return target.subst_ty(target.t(fctx), o_tys[i])
 
-    @memo
-    def var_images(d: _DerivedMorphism, ctx: str) -> list[str]:
-        """The images of the variables of ctx, weakened to d.on_obj(ctx)."""
-        parent = tm.ext_parent(ctx)
-        if parent is None:
-            return []
-        pctx, pty = parent
-        weakened = var_images(d, pctx)
-        e = target.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
-        return [target.subst_tm(e.proj, v) for v in weakened] + [e.var]
+    def tm_map(d: ForcedImages, ctx: str, tm_key: str) -> str:
+        return _variable_images(d, ctx, None)[int(tm_key[1:])]
 
-    def tm_map(d: _DerivedMorphism, ctx: str, tm_key: str) -> str:
-        return var_images(d, ctx)[int(tm_key[1:])]
-
-    def root_mor(d: _DerivedMorphism, m: str) -> str:
+    def root_mor(d: ForcedImages, m: str) -> str:
         # the only root is the terminal context
         return target.t(d.on_obj(tm.base.dom(m)))
 
-    d = _DerivedMorphism(tm, target, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "initial")
+    return ForcedImages(tm, target, root_obj, root_mor, ty_map, tm_map).morphism("initial")
 
 
 def _inclusion_pins(
@@ -567,8 +505,7 @@ def term_inclusion(ext: ExtTermModel) -> NMorphism:
             (canonical_pullback(inner, m, o_at),),
         )
 
-    d = _DerivedMorphism(inner, ext, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "I")
+    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
 
 def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
@@ -619,8 +556,7 @@ def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
         retract = ext._o_ext(gamma_b).proj
         return inner.base.compose(retract, inner.base.compose(s, w_chain(d, a)))
 
-    d = _DerivedMorphism(ext, inner, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "S_o")
+    return ForcedImages(ext, inner, root_obj, root_mor, ty_map, tm_map).morphism("S_o")
 
 
 def term_functorial_extension(
@@ -676,8 +612,7 @@ def term_functorial_extension(
         out = dst_m.base.compose(f.on_mor(s), theta(d, a))
         return ext_dst.base._wrap(d.on_obj(a), d.on_obj(b), (out,))
 
-    d = _DerivedMorphism(ext_src, ext_dst, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "F_tm")
+    return ForcedImages(ext_src, ext_dst, root_obj, root_mor, ty_map, tm_map).morphism("F_tm")
 
 
 def extend_term_universal(
@@ -961,8 +896,7 @@ def interleaved_inclusion(ext: _InterleavedModel) -> NMorphism:
             d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m, ())
         )
 
-    d = _DerivedMorphism(inner, ext, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "I")
+    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
 
 def _interleaved_collapse(
@@ -996,18 +930,6 @@ def _interleaved_collapse(
         f_ty = f.on_ty(ext.base.under(pctx), pty)
         return canonical_pullback(target, th_p, f_ty)
 
-    @memo
-    def slot_images(d, ctx: str) -> list[str]:
-        """The images of the slot variables of ctx, weakened to d.on_obj(ctx)."""
-        parent = ext.ext_parent(ctx)
-        if parent is None:
-            return []
-        pctx, pty = parent
-        weakened = slot_images(d, pctx)
-        e = target.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
-        new = [e.var] if pty == ext.new_ty else []
-        return [target.subst_tm(e.proj, v) for v in weakened] + new
-
     def root_obj(ctx: str) -> str:
         gamma, ks, tys = ext.base.obj_info(ctx)
         assert not tys and sum(ks) == 0
@@ -1026,7 +948,7 @@ def _interleaved_collapse(
         if ext._is_new_term(tm):
             d.on_obj(ctx)
             if ext.new_terms_are_slots:
-                return slot_images(d, ctx)[int(tm[1:])]
+                return _variable_images(d, ctx, ext.new_ty)[int(tm[1:])]
             u = target.unit_structure  # type: ignore[attr-defined]
             return target.subst_tm(target.t(d.on_obj(ctx)), u.star_tm)
         img = f.on_tm(ext.base.under(ctx), tm)
@@ -1037,8 +959,7 @@ def _interleaved_collapse(
         (s, _) = ext.base.mor_payload(m)
         return target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
 
-    d = _DerivedMorphism(ext, target, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "F#")
+    return ForcedImages(ext, target, root_obj, root_mor, ty_map, tm_map).morphism("F#")
 
 
 def type_universal(ext: TypeExtModel, f: NMorphism, o_ty: str) -> NMorphism:
@@ -1244,8 +1165,9 @@ def tmtree_section(m: NaturalModel, ctx: str, tree: TermTree) -> str:
 
 def tree_indsub(m: NaturalModel, sigma: str, tm: TermTree, ty: TypeTree) -> str:
     """⟨σ, t⟩_T = ⟨⟨σ, t₁⟩_{T₁}, t₂⟩_{T₂}, recursively through the tree."""
+    if ty.is_leaf != tm.is_leaf:
+        raise ValueError(f"term tree {tm.key} does not have the shape of type tree {ty.key}")
     if ty.is_leaf:
-        assert tm.is_leaf
         return induced_sub(m, sigma, tm.leaf, ty.leaf)
     tau1 = tree_indsub(m, sigma, tm.left, ty.left)
     return tree_indsub(m, tau1, tm.right, ty.right)
@@ -1445,8 +1367,7 @@ def sigma_inclusion(ext: SigmaExtModel) -> NMorphism:
             d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m,)
         )
 
-    d = _DerivedMorphism(inner, ext, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "I")
+    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
 
 @memo
@@ -1596,8 +1517,7 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
         a = ext.base.dom(m)
         return target.base.compose(f.on_mor(s), theta(d, a))
 
-    d = _DerivedMorphism(ext, target, root_obj, root_mor, ty_map, tm_map)
-    return _as_nmorphism(d, "F#")
+    return ForcedImages(ext, target, root_obj, root_mor, ty_map, tm_map).morphism("F#")
 
 
 def sigma_universal_pins(

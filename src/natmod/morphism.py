@@ -8,6 +8,11 @@ preservation of the chosen representability data or invertibility of the
 mediating comparison maps; preservation of canonical pullback squares is
 reported separately and never conflated with either.
 
+A strict morphism is determined by its root data: :class:`ForcedImages`
+derives every other image, for the constructed morphisms of
+:mod:`natmod.freemodel` and for the search's candidates alike.  The
+checkers and the search read the source through ``model_presheaves``.
+
 :func:`count_morphisms` enumerates all strict morphisms within a bound that
 agree with a given set of pinned values, by treating the unknown images as
 a finite constraint problem.  Every universal-property verification in the
@@ -21,6 +26,7 @@ participant: the context of largest index among those the constraint reads.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -31,6 +37,7 @@ from .natmodel import (
     SigmaStructure,
     canonical_pullback,
     induced_sub,
+    model_presheaves,
 )
 
 
@@ -68,6 +75,86 @@ def compose_morphisms(g: NMorphism, f: NMorphism) -> NMorphism:
         on_tm=lambda c, a: g.on_tm(f.on_obj(c), f.on_tm(c, a)),
         name=f"{g.name}∘{f.name}",
     )
+
+
+class ForcedImages:
+    """A strict morphism's images, derived from its root data.
+
+    Strictness forces every image the extension decomposition reaches:
+    identities go to identities, an extension context Γ•A to the codomain's
+    ``ext`` of the images of Γ and A, and a morphism m into Γ•A to the
+    induced substitution ⟨F(p∘m), F(q[m])⟩ at F(A).  The root data give the
+    rest: ``root_obj(ctx)`` and ``root_mor(self, m)`` for contexts and
+    morphisms the decomposition does not reach, and ``ty_image(self, ctx,
+    ty)`` and ``tm_image(self, ctx, tm)``.  A root value of None means not
+    (yet) known; every image derived from it is then None.  Derived images
+    are cached in ``obj`` and ``mor``, which may be seeded with root values.
+    """
+
+    def __init__(self, src: NaturalModel, dst: NaturalModel, root_obj: Callable,
+                 root_mor: Callable, ty_image: Callable, tm_image: Callable):
+        self.src, self.dst = src, dst
+        self._root_obj, self._root_mor = root_obj, root_mor
+        self._ty_image, self._tm_image = ty_image, tm_image
+        self.obj: dict[str, str] = {}
+        self.mor: dict[str, str] = {}
+
+    def on_ty(self, ctx: str, ty: str) -> Optional[str]:
+        return self._ty_image(self, ctx, ty)
+
+    def on_tm(self, ctx: str, tm: str) -> Optional[str]:
+        return self._tm_image(self, ctx, tm)
+
+    def on_obj(self, ctx: str) -> Optional[str]:
+        if ctx not in self.obj:
+            out = self._forced_obj(ctx)
+            if out is None:
+                return None
+            self.obj[ctx] = out
+        return self.obj[ctx]
+
+    def on_mor(self, m: str) -> Optional[str]:
+        if m not in self.mor:
+            out = self._forced_mor(m)
+            if out is None:
+                return None
+            self.mor[m] = out
+        return self.mor[m]
+
+    def _forced_obj(self, ctx: str) -> Optional[str]:
+        parent = self.src.ext_parent(ctx)
+        if parent is None:
+            return self._root_obj(ctx)
+        pctx, pty = parent
+        fp, fty = self.on_obj(pctx), self.on_ty(pctx, pty)
+        if fp is None or fty is None:
+            return None
+        return self.dst.ext(fp, fty).extended
+
+    def _forced_mor(self, m: str) -> Optional[str]:
+        src = self.src
+        a, b = src.base.dom(m), src.base.cod(m)
+        if a == b and m == src.base.identity(a):
+            fa = self.on_obj(a)
+            return None if fa is None else self.dst.base.identity(fa)
+        parent = src.ext_parent(b)
+        if parent is None:
+            return self._root_mor(self, m)
+        pctx, pty = parent
+        e = src.ext(pctx, pty)
+        f_base = self.on_mor(src.base.compose(e.proj, m))
+        f_term = self.on_tm(a, src.subst_tm(m, e.var))
+        f_ty = self.on_ty(pctx, pty)
+        if f_base is None or f_term is None or f_ty is None:
+            return None
+        return self._induced(f_base, f_term, f_ty)
+
+    def _induced(self, sigma: str, term: str, ty: str) -> Optional[str]:
+        """⟨σ, a⟩_A in the codomain; a ValueError propagates."""
+        return induced_sub(self.dst, sigma, term, ty)
+
+    def morphism(self, name: str) -> NMorphism:
+        return NMorphism(self.src, self.dst, self.on_obj, self.on_mor, self.on_ty, self.on_tm, name)
 
 
 @dataclass
@@ -114,14 +201,15 @@ def check_morphism(
         ty_bound = bound
     src, dst = fm.src, fm.dst
     report = MorphismReport(bound, strict)
-    ctxs = src.base.objects(bound)
+    ps = model_presheaves(src, bound, ty_bound)
+    ctxs = ps.cat.object_keys
 
     if fm.on_obj(src.terminal) != dst.terminal:
         report.add("terminal", "distinguished terminal object not preserved")
 
-    mors = [(m, a, b) for a in ctxs for b in ctxs for m in src.base.hom(a, b)]
+    mors = [(m, a, b) for (a, b), ms in ps.cat.homs.items() for m in ms]
     for g in ctxs:
-        if fm.on_mor(src.base.identity(g)) != dst.base.identity(fm.on_obj(g)):
+        if fm.on_mor(ps.cat.identity(g)) != dst.base.identity(fm.on_obj(g)):
             report.add("functor", f"identity of {g} not preserved")
     for m, a, b in mors:
         im = fm.on_mor(m)
@@ -135,20 +223,19 @@ def check_morphism(
             if fm.on_mor(src.base.compose(g, f)) != dst.base.compose(fm.on_mor(g), fm.on_mor(f)):
                 report.add("functor", f"composition not preserved on ({g}, {f})")
 
-    tys = {g: src.types(g, ty_bound) for g in ctxs}
-    tms = {g: src.terms(g, ty_bound) for g in ctxs}
+    tys, tms = ps.ty.values, ps.tm.values
     for m, a, b in mors:
         im = fm.on_mor(m)
         for ty in tys[b]:
-            if fm.on_ty(a, src.subst_ty(m, ty)) != dst.subst_ty(im, fm.on_ty(b, ty)):
+            if fm.on_ty(a, ps.ty.restrict(m, ty)) != dst.subst_ty(im, fm.on_ty(b, ty)):
                 report.add("ty-natural", f"{ty}[{m}]")
         for tm in tms[b]:
-            if fm.on_tm(a, src.subst_tm(m, tm)) != dst.subst_tm(im, fm.on_tm(b, tm)):
+            if fm.on_tm(a, ps.tm.restrict(m, tm)) != dst.subst_tm(im, fm.on_tm(b, tm)):
                 report.add("tm-natural", f"{tm}[{m}]")
     for g in ctxs:
         for tm in tms[g]:
             lhs = dst.typeof(fm.on_obj(g), fm.on_tm(g, tm))
-            rhs = fm.on_ty(g, src.typeof(g, tm))
+            rhs = fm.on_ty(g, ps.p.apply(g, tm))
             if lhs != rhs:
                 report.add("typing", f"typeof({tm}) at {g}")
 
@@ -180,7 +267,7 @@ def check_morphism(
     for m, a, b in mors:
         for ty in tys[b]:
             top = canonical_pullback(src, m, ty)
-            e_sub = src.ext(a, src.subst_ty(m, ty))
+            e_sub = src.ext(a, ps.ty.restrict(m, ty))
             e = src.ext(b, ty)
             ok = is_pullback_square(
                 dst.base, bound + 1,
@@ -239,12 +326,13 @@ def classified_morphisms(model: NaturalModel, bound: int) -> ClassifiedReport:
     """
     base = model.base
     report = ClassifiedReport(bound)
-    ctxs = base.objects(bound)
+    ps = model_presheaves(model, bound, bound)
+    ctxs = ps.cat.object_keys
     for gp in ctxs:
         for g in ctxs:
-            for sigma in base.hom(gp, g):
+            for sigma in ps.cat.homs.get((gp, g), ()):
                 witness = None
-                for ty in model.types(g, bound):
+                for ty in ps.ty.values[g]:
                     e = model.ext(g, ty)
                     for h in base.hom(e.extended, gp):
                         if base.compose(sigma, h) != e.proj:
@@ -260,8 +348,8 @@ def classified_morphisms(model: NaturalModel, bound: int) -> ClassifiedReport:
     for sigma, (ty, h) in report.classified.items():
         g = base.cod(sigma)
         for d in ctxs:
-            for m in base.hom(d, g):
-                e_sub = model.ext(d, model.subst_ty(m, ty))
+            for m in ps.cat.homs.get((d, g), ()):
+                e_sub = model.ext(d, ps.ty.restrict(m, ty))
                 top = canonical_pullback(model, m, ty)
                 pasted_top = base.compose(h, top)
                 ok = is_pullback_square(
@@ -289,78 +377,41 @@ class MorphismPins:
     on_mor: dict[str, str] = field(default_factory=dict)
 
 
-class _Candidate:
+class _Candidate(ForcedImages):
     """Partial assignment of a strict morphism during the search.
 
-    ``obj`` and ``mor`` also cache the images derived from assigned values
-    (extension contexts, morphisms into extensions).  A candidate is never
-    assigned again once it has been copied for a choice, so every cached
-    image stays a function of its own assignment.
+    Its root data are the pinned and chosen values in ``obj``, ``ty``,
+    ``tm`` and ``mor``; ``obj`` and ``mor`` also cache the images derived
+    from them.  A candidate is never assigned again once it has been copied
+    for a choice, so every cached image stays a function of its own
+    assignment.
     """
 
     def __init__(self, search: "_Search"):
-        self.s = search
-        self.obj: dict[str, str] = dict(search.pins.on_obj)
+        super().__init__(
+            search.src, search.dst, lambda ctx: None, lambda cand, m: None,
+            lambda cand, ctx, ty: cand.ty.get((ctx, ty)),
+            lambda cand, ctx, tm: cand.tm.get((ctx, tm)),
+        )
+        self.obj.update(search.pins.on_obj)
         self.ty: dict[tuple[str, str], str] = dict(search.pins.on_ty)
         self.tm: dict[tuple[str, str], str] = dict(search.pins.on_tm)
-        self.mor: dict[str, str] = dict(search.pins.on_mor)
+        self.mor.update(search.pins.on_mor)
 
     def assigned(self, table: str, key, value: str) -> "_Candidate":
         """A copy of this candidate that also sends ``key`` to ``value`` in ``table``."""
-        out = object.__new__(_Candidate)
-        out.s = self.s
+        out = copy.copy(self)
         out.obj, out.ty, out.tm, out.mor = (
             dict(self.obj), dict(self.ty), dict(self.tm), dict(self.mor)
         )
         getattr(out, table)[key] = value
         return out
 
-    # image of a context: pinned or derived through the extension parent
-    def obj_image(self, ctx: str) -> Optional[str]:
-        if ctx in self.obj:
-            return self.obj[ctx]
-        parent = self.s.src.ext_parent(ctx)
-        if parent is None:
-            return None
-        pctx, pty = parent
-        fp = self.obj_image(pctx)
-        fty = self.ty.get((pctx, pty))
-        if fp is None or fty is None:
-            return None
-        out = self.s.dst.ext(fp, fty).extended
-        self.obj[ctx] = out
-        return out
-
-    def mor_image(self, m: str) -> Optional[str]:
-        if m in self.mor:
-            return self.mor[m]
-        src, dst_m = self.s.src, self.s.dst
-        a, b = src.base.dom(m), src.base.cod(m)
-        if m == src.base.identity(a) and a == b:
-            fa = self.obj_image(a)
-            if fa is None:
-                return None
-            out = dst_m.base.identity(fa)
-            self.mor[m] = out
-            return out
-        parent = src.ext_parent(b)
-        if parent is None:
-            return None  # a root morphism must be assigned explicitly
-        pctx, pty = parent
-        e = src.ext(pctx, pty)
-        base_part = src.base.compose(e.proj, m)
-        term_part = src.subst_tm(m, e.var)
-        f_base = self.mor_image(base_part)
-        f_term = self.tm.get((a, term_part))
-        f_ty = self.ty.get((pctx, pty))
-        if f_base is None or f_term is None or f_ty is None:
-            return None
+    def _induced(self, sigma: str, term: str, ty: str) -> Optional[str]:
         try:
-            out = induced_sub(dst_m, f_base, f_term, f_ty)
+            return induced_sub(self.dst, sigma, term, ty)
         except ValueError:
-            return None
-        self.mor[m] = out
-        return out
+            return None  # no induced substitution: no strict morphism extends this
 
 
 class _Search:
@@ -370,16 +421,15 @@ class _Search:
     ):
         self.src = src
         self.dst = dst
-        self.bound = bound
         self.ty_bound = ty_bound
         self.pins = pins
         self.max_count = max_count
         self.count = 0
-        self.ctxs = src.base.objects(bound)
+        self.ps = ps = model_presheaves(src, bound, ty_bound)
+        self.ctxs = ps.cat.object_keys
         self.idx = {c: i for i, c in enumerate(self.ctxs)}
-        self.tys = {c: src.types(c, ty_bound) for c in self.ctxs}
-        self.tms = {c: src.terms(c, ty_bound) for c in self.ctxs}
-        self.hom = {(a, b): src.base.hom(a, b) for a in self.ctxs for b in self.ctxs}
+        self.tys, self.tms = ps.ty.values, ps.tm.values
+        self.hom = ps.cat.homs
 
     def run(self) -> int:
         cand = _Candidate(self)
@@ -405,10 +455,10 @@ class _Search:
         Those among contexts 0..i-1 passed at earlier steps and read no value
         assigned since, so each constraint is checked exactly once.
         """
-        src, dst = self.src, self.dst
+        src, dst, ps = self.src, self.dst, self.ps
         ctx = self.ctxs[i]
         upto = self.ctxs[: i + 1]
-        f_ctx = cand.obj_image(ctx)
+        f_ctx = cand.on_obj(ctx)
         if f_ctx is None:
             return False
         for ty in self.tys[ctx]:
@@ -420,12 +470,12 @@ class _Search:
                 e = src.ext(c, ty)
                 if max(k, self.idx.get(e.extended, i + 1)) != i:
                     continue
-                e2 = dst.ext(cand.obj_image(c), cand.ty[(c, ty)])
-                if cand.obj_image(e.extended) != e2.extended:
+                e2 = dst.ext(cand.on_obj(c), cand.ty[(c, ty)])
+                if cand.on_obj(e.extended) != e2.extended:
                     return False
                 if cand.tm.get((e.extended, e.var)) != e2.var:
                     return False
-                fp = cand.mor_image(e.proj)
+                fp = cand.on_mor(e.proj)
                 if fp is None or fp != e2.proj:
                     return False
         # typing
@@ -433,36 +483,36 @@ class _Search:
             ftm = cand.tm.get((ctx, tm))
             if ftm is None:
                 return False
-            if dst.typeof(f_ctx, ftm) != cand.ty.get((ctx, src.typeof(ctx, tm))):
+            if dst.typeof(f_ctx, ftm) != cand.ty.get((ctx, ps.p.apply(ctx, tm))):
                 return False
         # morphism endpoints and naturality: a -> b with max(idx a, idx b) = i
         for a, b in self._last_at(i):
-            for m in self.hom[(a, b)]:
-                im = cand.mor_image(m)
+            for m in self.hom.get((a, b), ()):
+                im = cand.on_mor(m)
                 if im is None:
                     return False
-                if dst.base.dom(im) != cand.obj_image(a) or dst.base.cod(im) != cand.obj_image(b):
+                if dst.base.dom(im) != cand.on_obj(a) or dst.base.cod(im) != cand.on_obj(b):
                     return False
                 for ty in self.tys[b]:
-                    lhs = cand.ty.get((a, src.subst_ty(m, ty)))
+                    lhs = cand.ty.get((a, ps.ty.restrict(m, ty)))
                     if lhs is None or lhs != dst.subst_ty(im, cand.ty[(b, ty)]):
                         return False
                 for tm in self.tms[b]:
-                    lhs = cand.tm.get((a, src.subst_tm(m, tm)))
+                    lhs = cand.tm.get((a, ps.tm.restrict(m, tm)))
                     if lhs is None or lhs != dst.subst_tm(im, cand.tm[(b, tm)]):
                         return False
         # functoriality: x -> y -> z with max(idx x, idx y, idx z) = i
         for x in upto:
             for y in upto:
-                fs = self.hom[(x, y)]
+                fs = self.hom.get((x, y), ())
                 if not fs:
                     continue
                 for z in upto if ctx in (x, y) else (ctx,):
-                    for g in self.hom[(y, z)]:
-                        fg = cand.mor_image(g)
+                    for g in self.hom.get((y, z), ()):
+                        fg = cand.on_mor(g)
                         for f in fs:
-                            lhs = cand.mor_image(src.base.compose(g, f))
-                            if lhs is None or lhs != dst.base.compose(fg, cand.mor_image(f)):
+                            lhs = cand.on_mor(src.base.compose(g, f))
+                            if lhs is None or lhs != dst.base.compose(fg, cand.on_mor(f)):
                                 return False
         return True
 
@@ -474,7 +524,7 @@ class _Search:
             self.count += 1
             return
         ctx = self.ctxs[i]
-        if cand.obj_image(ctx) is None:
+        if cand.on_obj(ctx) is None:
             return  # unpinned root context: no way to determine its image
         free = [("ty", (ctx, t)) for t in self.tys[ctx] if (ctx, t) not in cand.ty]
         free += [("tm", (ctx, t)) for t in self.tms[ctx] if (ctx, t) not in cand.tm]
@@ -497,14 +547,14 @@ class _Search:
         """The values a free type, term or root morphism may take."""
         dst = self.dst
         if table == "mor":
-            fa = cand.obj_image(self.src.base.dom(key))
-            fb = cand.obj_image(self.src.base.cod(key))
+            fa = cand.on_obj(self.src.base.dom(key))
+            fb = cand.on_obj(self.src.base.cod(key))
             return () if fa is None or fb is None else dst.base.hom(fa, fb)
         ctx, cell = key
-        f_ctx = cand.obj_image(ctx)
+        f_ctx = cand.on_obj(ctx)
         if table == "ty":
             return dst.types(f_ctx, self.ty_bound)
-        want_ty = cand.ty.get((ctx, self.src.typeof(ctx, cell)))
+        want_ty = cand.ty.get((ctx, self.ps.p.apply(ctx, cell)))
         return (
             c for c in dst.terms(f_ctx, self.ty_bound)
             if want_ty is None or dst.typeof(f_ctx, c) == want_ty
@@ -516,8 +566,8 @@ class _Search:
         for a, b in self._last_at(i):
             if self.src.ext_parent(b) is not None:
                 continue  # derived through the extension decomposition
-            for m in self.hom[(a, b)]:
-                if m in cand.mor or cand.mor_image(m) is not None:
+            for m in self.hom.get((a, b), ()):
+                if cand.on_mor(m) is not None:
                     continue
                 out.append(m)
         return out

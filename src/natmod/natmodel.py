@@ -832,13 +832,16 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
                     for d in ctxs:
                         for m in base.hom(d, g):
                             m_ext = canonical_pullback(model, m, ty_a)
-                            lhs = model.subst_tm(m, res)
-                            rhs = pi_apply(
-                                model, s, d,
-                                model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
-                                model.subst_tm(m, f_tm), model.subst_tm(m, a), bound,
-                            )
-                            if lhs != rhs:
+                            try:
+                                rhs = pi_apply(
+                                    model, s, d,
+                                    model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
+                                    model.subst_tm(m, f_tm), model.subst_tm(m, a), bound,
+                                )
+                            except ValueError as exc:
+                                report.add(f"(vi) {exc}")
+                                continue
+                            if model.subst_tm(m, res) != rhs:
                                 report.add(f"(vi) app({f_tm},{a})[{m}]")
                 # (viii) η: λ(app(f[p_A], q_A)) = f
                 f_wk = model.subst_tm(e.proj, f_tm)

@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from .fincat import is_set_pullback
+
 
 @dataclass(frozen=True)
 class FinMap:
@@ -93,20 +95,10 @@ def is_pullback_square(top: FinMap, left: FinMap, right: FinMap, bottom: FinMap)
 
     Square shape: top : P -> Y, left : P -> X, right : Y -> Z, bottom : X -> Z.
     """
-    if compose_map(bottom, left).mapping != compose_map(right, top).mapping:
-        return False
-    want = {}
-    bd, rd = bottom.as_dict, right.as_dict
-    for x in bottom.dom:
-        for y in right.dom:
-            if bd[x] == rd[y]:
-                want[(x, y)] = 0
-    ld, td = left.as_dict, top.as_dict
-    got: dict = {}
-    for p in left.dom:
-        key = (ld[p], td[p])
-        got[key] = got.get(key, 0) + 1
-    return set(got) == set(want) and all(n == 1 for n in got.values())
+    return is_set_pullback(
+        left.dom, left.as_dict.__getitem__, top.as_dict.__getitem__,
+        bottom.dom, bottom.as_dict.__getitem__, right.dom, right.as_dict.__getitem__,
+    )
 
 
 @dataclass(frozen=True)

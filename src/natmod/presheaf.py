@@ -3,8 +3,9 @@
 A presheaf assigns a finite set of element keys to every object and a
 contravariant action to every morphism.  The central operation is
 :func:`check_pullback_square`, which decides by enumeration whether a
-commuting square of natural transformations is a pullback; everything else
-in the package that claims "is a pullback" ultimately calls it.
+square of natural transformations is a pullback.  It and the pullback
+checks in a base category and in finite sets apply one finite-set test,
+:func:`natmod.fincat.is_set_pullback`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .fincat import FinCatPresentation, FinFunctor
+from .fincat import FinCatPresentation, FinFunctor, is_set_pullback
 
 
 @dataclass
@@ -229,30 +230,27 @@ def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTran
 
     At every base object D, the canonical map
     P(D) -> {(u,v) in X(D) x Y(D) : x(u) = f(v)} must be a bijection.
+
+    The four maps must be natural: the verdict is pointwise, and for maps
+    that are not natural it can differ from the universal property
+    (:func:`check_pullback_square_by_cones`).  Who guarantees it: for p,
+    equation (xviii) of ``check_eat``; for the formers and introduction maps
+    of Σ and Π, (ii) and (iv), reported beside the verdict by
+    ``natmodel._square_report``; for the maps built by ``element_nat``,
+    ``yoneda_map`` and ``identity_nat``, their construction over functorial
+    presheaves.
     """
     if left.dom is not top.dom or x.dom is not left.cod or f.dom is not top.cod:
         raise ValueError("pullback square shape mismatch")
     if x.cod is not f.cod:
         raise ValueError("pullback square shape mismatch: different codomains")
-    base = x.dom.base
-    p = top.dom
-    for d in base.object_keys:
-        for z in p.at(d):
-            if x.apply(d, left.apply(d, z)) != f.apply(d, top.apply(d, z)):
-                return False
-        want = {}
-        for u in x.dom.at(d):
-            xu = x.apply(d, u)
-            for v in f.dom.at(d):
-                if xu == f.apply(d, v):
-                    want[(u, v)] = 0
-        got = {}
-        for z in p.at(d):
-            pair = (left.apply(d, z), top.apply(d, z))
-            got[pair] = got.get(pair, 0) + 1
-        if set(got) != set(want) or any(n != 1 for n in got.values()):
-            return False
-    return True
+    return all(
+        is_set_pullback(
+            top.dom.at(d), left.components[d].__getitem__, top.components[d].__getitem__,
+            x.dom.at(d), x.components[d].__getitem__, f.dom.at(d), f.components[d].__getitem__,
+        )
+        for d in x.dom.base.object_keys
+    )
 
 
 def check_pullback_square_by_cones(

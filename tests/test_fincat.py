@@ -8,6 +8,7 @@ from natmod.fincat import (
     category_violations,
     check_category,
     is_pullback_square,
+    is_set_pullback,
     memo,
     product,
     pullback,
@@ -125,6 +126,45 @@ class TestPullback:
         assert not is_pullback_square(
             c, 4, "0", "0<=a", "0<=1", "a<=1", "1<=1"
         )
+
+
+class TestSetPullback:
+    @staticmethod
+    def _by_definition(apex, to_left, to_top, xs, left_leg, ys, top_leg) -> bool:
+        """The square commutes and z ↦ (to_left z, to_top z) hits every
+        matching pair (x, y) exactly once."""
+        if any(left_leg(to_left(z)) != top_leg(to_top(z)) for z in apex):
+            return False
+        hits = [(to_left(z), to_top(z)) for z in apex]
+        pairs = [(x, y) for x in xs for y in ys if left_leg(x) == top_leg(y)]
+        return sorted(hits) == sorted(pairs)
+
+    def test_agrees_with_the_definition_on_random_squares(self):
+        rng = random.Random(11)
+        verdicts = set()
+        for _ in range(400):
+            xs, ys, zs = (range(rng.randint(0, 3)) for _ in range(3))
+            apex = range(rng.randint(0, 4))
+            maps = [
+                {a: rng.choice(cod) for a in dom}
+                for dom, cod in ((xs, zs), (ys, zs), (apex, xs), (apex, ys))
+                if cod or not dom
+            ]
+            if len(maps) < 4:
+                continue  # a map into an empty set from a non-empty one
+            left_leg, top_leg, to_left, to_top = (m.__getitem__ for m in maps)
+            args = (apex, to_left, to_top, xs, left_leg, ys, top_leg)
+            verdict = is_set_pullback(*args)
+            assert verdict == self._by_definition(*args)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_a_non_commuting_square_fails(self):
+        # z ↦ (0, 1) misses the only matching pair (0, 0)
+        assert not is_set_pullback([0], {0: 0}.get, {0: 1}.get, [0], {0: 0}.get,
+                                   [0, 1], {0: 0, 1: 1}.get)
+        assert is_set_pullback([0], {0: 0}.get, {0: 0}.get, [0], {0: 0}.get,
+                               [0, 1], {0: 0, 1: 1}.get)
 
 
 class TestProduct:

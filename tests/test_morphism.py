@@ -1,0 +1,186 @@
+"""Pinned behaviour of the strict-morphism checker and of the rival search.
+
+The rival search's tree (its ``_step`` calls and the ordered verdicts of
+``_consistent_at``) and the reports of ``check_morphism`` on failing
+morphisms were recorded once and are asserted here, so that a change in how
+either derives or reads its data cannot change what it visits or reports.
+"""
+
+import hashlib
+import itertools
+import json
+
+import pytest
+
+from natmod.freemodel import (
+    extend_by_sigma,
+    extend_by_term,
+    extend_by_type,
+    extend_by_unit,
+    initial_morphism,
+    initiality_pins,
+    interleaved_universal_pins,
+    poly_composite_models,
+    sigma_inclusion,
+    sigma_universal,
+    sigma_universal_pins,
+    term_model,
+    term_universal_pins,
+    tree_summation,
+    type_universal,
+    unit_universal,
+)
+from natmod.morphism import NMorphism, _Search, check_morphism
+
+
+# ---------------------------------------------------------------------------
+# The six rival searches of acceptance criteria 2 and 6
+# ---------------------------------------------------------------------------
+
+def _search(name: str, rb: int):
+    """(src, dst, pins) of the named search at rival bound ``rb``."""
+    if name.startswith("initiality"):
+        tm = term_model(range(2))
+        n = int(name[-1])
+        target = term_model(range(n))
+        images = {0: "T0", 1: "T1" if n == 2 else "T0"}
+        return tm, target, initiality_pins(tm, target, images)
+    if name == "term":
+        mt = term_model(range(1))
+        ext = extend_by_term(mt, "T0")
+        target = extend_by_term(extend_by_type(term_model(range(0))), "X")
+        fm = initial_morphism(mt, target, {0: "X"})
+        return ext, target, term_universal_pins(ext, fm, "v0", rb)
+    if name in ("type", "unit"):
+        m0 = term_model(range(0))
+        if name == "type":
+            ext, target = extend_by_type(m0), term_model(range(1))
+            f = initial_morphism(m0, target, {})
+            sharp = type_universal(ext, f, "T0")
+        else:
+            ext, target = extend_by_unit(m0), extend_by_unit(term_model(range(0)))
+            f = initial_morphism(m0, target, {})
+            sharp = unit_universal(ext, f)
+        return ext, target, interleaved_universal_pins(ext, f, rb, sharp)
+    sm = extend_by_sigma(term_model(range(1)))
+    incl = sigma_inclusion(sm)
+    sharp = sigma_universal(sm, incl, bound=3)
+    return sm, sm, sigma_universal_pins(sm, incl, rb, sharp)
+
+
+# (search, bound) -> (count, _step calls, run-length verdicts of _consistent_at):
+# "3-x5" is five rejections at context 3 in a row, "4+" one acceptance at 4.
+SEARCH_PINS = {
+    ("initiality tm2", 2): (1, 8, "0+ 1- 1+ 2+ 3-x5 3+ 4- 4+ 5- 5+ 6- 6+ 6-x6 5-x2 4-x2 3-x2 2-"),
+    ("initiality tm1", 2): (1, 8, "0+ 1+ 2+ 3- 3+ 4- 4+ 5- 5+ 6- 6+ 6-x2 5-x2 4-x2 3-x2"),
+    ("term", 2): (1, 3, "0+ 1- 1+"),
+    ("type", 2): (1, 4, "0+ 1+ 2- 2+ 2-x2"),
+    ("unit", 2): (1, 4, "0+ 1+ 2+"),
+    ("sigma", 2): (1, 5, "0+ 1+ 2+ 3+"),
+    ("initiality tm2", 3): (1, 16, (
+        "0+ 1- 1+ 2+ 3-x5 3+ 4- 4+ 5- 5+ 6- 6+ 7-x32 7+ 8-x9 8+ 9-x9 9+ 10-x2 10+ "
+        "11-x9 11+ 12-x2 12+ 13-x2 13+ 14-x5 14+ 14-x48 13-x12 12-x12 11-x5 10-x12 "
+        "9-x5 8-x5 7-x21 6-x6 5-x2 4-x2 3-x2 2-")),
+    ("initiality tm1", 3): (1, 16, (
+        "0+ 1+ 2+ 3- 3+ 4- 4+ 5- 5+ 6- 6+ 7-x5 7+ 8-x5 8+ 9-x5 9+ 10-x5 10+ 11-x5 11+ "
+        "12-x5 12+ 13-x5 13+ 14-x5 14+ 14-x21 13-x21 12-x21 11-x21 10-x21 9-x21 8-x21 "
+        "7-x21 6-x2 5-x2 4-x2 3-x2")),
+    ("term", 3): (1, 4, "0+ 1- 1+ 2-x2 2+"),
+    ("type", 3): (1, 5, "0+ 1+ 2- 2+ 3-x5 3+ 3-x21 2-x2"),
+    ("unit", 3): (1, 5, "0+ 1+ 2+ 3+"),
+    ("sigma", 3): (1, 10, "0+ 1+ 2+ 3+ 4+ 5+ 6+ 7+ 8+"),
+}
+
+
+def _run_length(verdicts: list[str]) -> str:
+    runs = ((v, len(list(g))) for v, g in itertools.groupby(verdicts))
+    return " ".join(v if n == 1 else f"{v}x{n}" for v, n in runs)
+
+
+@pytest.mark.parametrize("name,bound", list(SEARCH_PINS), ids=[
+    f"{name.replace(' ', '-')}@{bound}" for name, bound in SEARCH_PINS
+])
+def test_the_rival_search_visits_the_recorded_tree(name, bound):
+    src, dst, pins = _search(name, bound)
+    steps, verdicts = [], []
+
+    class Recorded(_Search):
+        def _step(self, cand, i):
+            steps.append(i)
+            super()._step(cand, i)
+
+        def _consistent_at(self, cand, i):
+            ok = super()._consistent_at(cand, i)
+            verdicts.append(f"{i}{'+' if ok else '-'}")
+            return ok
+
+    count = Recorded(src, dst, bound, bound, pins, 2).run()
+    assert (count, len(steps), _run_length(verdicts)) == SEARCH_PINS[(name, bound)]
+
+
+# ---------------------------------------------------------------------------
+# Failing check_morphism reports
+# ---------------------------------------------------------------------------
+
+def _perturbed_summation() -> NMorphism:
+    """Σ summation sending each non-leaf type tree to its left subtree's image."""
+    summ = tree_summation(extend_by_sigma(extend_by_sigma(term_model(range(1)))), bound=3)
+
+    def bad_ty(g, t):
+        if t.startswith("["):
+            tree = summ.src.ty_tree(t)
+            if not tree.is_leaf:
+                return summ.on_ty(g, tree.left.key)
+        return summ.on_ty(g, t)
+
+    return NMorphism(summ.src, summ.dst, summ.on_obj, summ.on_mor, bad_ty, summ.on_tm,
+                     "perturbed")
+
+
+def _swapped_type_image() -> NMorphism:
+    """The identity-like initial morphism of term_model(2), T0 and T1 swapped at fs[0]."""
+    tm = term_model(range(2))
+    fm = initial_morphism(tm, term_model(range(2)), {0: "T0", 1: "T1"})
+    g, swap = tm.base.obj_key((0,)), {"T0": "T1", "T1": "T0"}
+    return NMorphism(fm.src, fm.dst, fm.on_obj, fm.on_mor,
+                     lambda c, t: swap[fm.on_ty(c, t)] if c == g else fm.on_ty(c, t),
+                     fm.on_tm, "swapped")
+
+
+def _wrong_root_morphism() -> NMorphism:
+    """The identity of a composite model (no ext_parent: every context is a
+    root) with the two morphisms fs[0,0] -> fs[0] exchanged."""
+    tm = term_model(range(1))
+    comp = poly_composite_models(tm, tm)
+    m, other = tm.base.hom(tm.base.obj_key((0, 0)), tm.base.obj_key((0,)))
+    swap = {m: other, other: m}
+    return NMorphism(comp, comp, lambda g: g, lambda k: swap.get(k, k),
+                     lambda g, t: t, lambda g, t: t, "wrong-root")
+
+
+# name -> (strict, message counts per check, sha256 prefix of the ordered checks)
+REPORT_PINS = {
+    "summation": (_perturbed_summation, True, {
+        "typing": 13, "strict-ext": 5, "strict-proj": 5, "strict-var": 5, "weak-tau": 5,
+    }, "940aca428295f2c6"),
+    "swapped": (_swapped_type_image, True, {
+        "ty-natural": 12, "typing": 1, "strict-ext": 2, "strict-proj": 2, "weak-tau": 2,
+    }, "0e219688604df3f9"),
+    "wrong-root": (_wrong_root_morphism, True, {
+        "functor": 6, "tm-natural": 2, "canonical-pullbacks": 2,
+    }, "da9154480d2a0fcb"),
+    "wrong-root-weak": (_wrong_root_morphism, False, {
+        "functor": 6, "tm-natural": 2, "canonical-pullbacks": 2,
+    }, "da9154480d2a0fcb"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_PINS))
+def test_a_failing_morphism_report_is_the_recorded_one(name):
+    build, strict, counts, digest = REPORT_PINS[name]
+    rep = check_morphism(build(), 2, strict=strict)
+    assert not rep.ok
+    assert {check: len(msgs) for check, msgs in rep.checks.items()} == counts
+    assert list(rep.checks) == list(counts)  # the checks fail in this order
+    blob = json.dumps(list(rep.checks.items()), ensure_ascii=False)
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest

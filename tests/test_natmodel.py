@@ -239,6 +239,16 @@ class TestSigmaChecker:
         assert not rep.ok
         assert any("(ix" in v or "(iii" in v or "(x" in v for v in rep.violations)
 
+    def test_a_pairing_outside_the_terms_is_reported_not_raised(self):
+        # pair̂ lands outside Tm, so the square is not a pullback; the
+        # pointwise oracle must say so instead of looking the term up in p
+        s = extend_by_sigma(term_model(range(1)))
+        rep = check_sigma(s, SigmaStructure(s.sigma_structure.sigma, lambda *a: "NOPE"), 2)
+        assert "Σ square is not a pullback within the bound" in rep.violations
+        u = extend_by_unit(term_model(range(0)))
+        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: "NOPE"), 2)
+        assert "Π square is not a pullback within the bound" in rep.violations
+
 
 class TestPiChecker:
     def test_single_type_model_admits_products(self):
@@ -263,6 +273,14 @@ class TestPiChecker:
 
         rep = check_pi(u, PiStructure(pi, lambda *a: u._star), 2)
         assert not rep.ok
+
+    def test_an_application_that_fails_under_substitution_is_a_vi_violation(self):
+        # over term_model(1) the unit extension has two types, so λ onto the
+        # one unit term has two preimages; app(f, a)[σ] cannot be formed
+        u = extend_by_unit(term_model(range(1)))
+        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star), 2)
+        assert not rep.ok
+        assert "(vi) λ not bijective onto 'star': 2 preimages" in rep.violations
 
 
 class TestMorphismChecker:
