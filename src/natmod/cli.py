@@ -104,6 +104,9 @@ def cmd_check(args) -> int:
     # a file is a fragment: the theory's quantifiers range over the objects
     # whose extension data is complete; boundary objects only receive maps
     eat = check_eat(model, 0, ty_bound=args.bound)
+    # the sort of every substitution and typing cell, boundary rows included
+    for eq, msg in model.sort_violations():
+        eat.add(eq, msg)
     for eq, msgs in sorted(eat.violations.items()):
         report.add(f"eat-{eq}", False, msgs[0])
     report.add("eat", eat.ok, f"{len(eat.violations)} violated equations" if not eat.ok else "")

@@ -168,7 +168,14 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
     hom(dom f, cod g)), ``unit-right``, ``unit-left``, ``associativity``,
     ``hom-sets`` (hom sets are disjoint) and ``terminal`` (exactly one map
     into the distinguished terminal object).  Each composable pair is
-    composed once.
+    composed once, into the rows ``post[g] = {f: g∘f}``; a composite that is
+    missing or lies outside hom(dom f, cod g) is absent from its row and
+    reads as None.
+
+    Every composable triple is still compared, one row at a time: for each g
+    and each h after it, the row of h∘(g∘f) over the fs into dom g is
+    compared with the row of (h∘g)∘f, and only rows that differ are walked
+    to name their triples.
     """
     ends: dict[str, tuple[str, str]] = {}
     by_src: dict[str, list[str]] = {a: [] for a in objects}
@@ -194,7 +201,7 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
             law = "cod-id" if where and where[0] == a else "dom-id"
             yield law, f"identity of {a!r} is not in hom({a},{a})"
 
-    comp: dict[tuple[str, str], str] = {}
+    post: dict[str, dict[str, str]] = {g: {} for g in ends}
     for f, (fs, ft) in ends.items():
         for g in by_src[ft]:
             gt = ends[g][1]
@@ -208,21 +215,26 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
                 law = "cod-comp" if where and where[0] == fs else "dom-comp"
                 yield law, f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})"
                 continue
-            comp[(g, f)] = gf
+            post[g][f] = gf
 
+    empty: dict[str, str] = {}
     for m, (src, dst) in ends.items():
-        if src in ids and comp.get((m, ids[src])) != m:
+        if src in ids and post[m].get(ids[src]) != m:
             yield "unit-right", f"unit law: {m} ∘ id_{src} != {m}"
-        if dst in ids and comp.get((ids[dst], m)) != m:
+        if dst in ids and post.get(ids[dst], empty).get(m) != m:
             yield "unit-left", f"unit law: id_{dst} ∘ {m} != {m}"
 
     for g, (gs, gt) in ends.items():
-        into = [(f, comp[(g, f)]) for f in by_dst[gs] if (g, f) in comp]
+        row = post[g]
+        fs = [f for f in by_dst[gs] if f in row]
+        gfs = [row[f] for f in fs]
         for h in by_src[gt]:
-            hg = comp.get((h, g))
-            for f, gf in into:
-                if comp.get((h, gf)) != comp.get((hg, f)):
-                    yield "associativity", f"associativity fails on ({h}, {g}, {f})"
+            h_row = post[h]
+            hg_row = post.get(h_row.get(g), empty)
+            if list(map(h_row.get, gfs)) != list(map(hg_row.get, fs)):
+                for f, gf in zip(fs, gfs):
+                    if h_row.get(gf) != hg_row.get(f):
+                        yield "associativity", f"associativity fails on ({h}, {g}, {f})"
 
     t = c.terminal
     if t is not None:

@@ -16,7 +16,7 @@ is the identity.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterator, Optional
 
 from .fincat import FinCatPresentation
 from .natmodel import ExtensionData, NaturalModel, model_presheaves
@@ -174,6 +174,28 @@ class TableModel(NaturalModel):
             return self._ext[(ctx, ty)]
         except KeyError:
             raise MissingCell("ext", (ctx, ty)) from None
+
+    def sort_violations(self) -> Iterator[tuple[str, str]]:
+        """Rows whose value has the wrong sort, as (equation, witness) pairs.
+
+        Every row of ``subst_ty``, ``subst_tm`` and ``typeof``, boundary rows
+        included, is tested once: A[m] must be a type over dom m (xiii), a[m]
+        a term over dom m (xvi) and the type of a term over Γ a type over Γ
+        (xvii).
+        """
+        dom = self.base.dom
+        tys = {g: set(ts) for g, ts in self._ty.items()}
+        tms = {g: set(ts) for g, ts in self._tm.items()}
+        for eq, name, table, sort, what in (
+            ("xiii", "subst_ty", self._subst_ty, tys, "type"),
+            ("xvi", "subst_tm", self._subst_tm, tms, "term"),
+        ):
+            for (m, x), out in table.items():
+                if out not in sort.get(dom(m), ()):
+                    yield eq, f"{name} row ({m}, {x}) gives {out!r}, not a {what} over {dom(m)}"
+        for (g, a), ty in self._typeof.items():
+            if ty not in tys.get(g, ()):
+                yield "xvii", f"typeof row ({g}, {a}) gives {ty!r}, not a type over {g}"
 
 
 def parse_model(text: str) -> TableModel:

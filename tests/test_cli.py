@@ -437,6 +437,33 @@ class TestFileCellsTheDataPointsAt:
         assert any("no ext cell for ('fs[0,0]', 'T0')" in v for v in eat.violations["xxvii"])
 
 
+    @pytest.mark.parametrize("section,key,field,eq", [
+        ("subst_ty", "mor", "out", "xiii"),
+        ("subst_tm", "mor", "out", "xvi"),
+        ("typeof", "ctx", "type", "xvii"),
+    ])
+    def test_a_boundary_cell_of_the_wrong_sort_fails_its_equation(
+        self, section, key, field, eq, tmp_path, capsys
+    ):
+        # a row over a boundary object lies outside check_eat's core; its
+        # value is set to an object key, which is no type or term at all
+        path = tmp_path / "f.json"
+        assert main(["free", "term-model", "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        model = parse_model(path.read_text())
+        core = set(model.base.objects(0))
+        row = next(r for r in doc[section]
+                   if (model.base.dom(r[key]) if key == "mor" else r[key]) not in core)
+        row[field] = "fs[0]"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--bound", "2"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  eat-{eq}  -- {section} row ({row[key]}, " in out
+        assert "'fs[0]', not a " in out
+
+
 class TestVacuousChecks:
     @pytest.mark.parametrize("bound", [0, 1])
     def test_sigma_structure_over_no_instance_is_vacuous_and_fails(self, bound, capsys):

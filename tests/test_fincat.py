@@ -327,3 +327,119 @@ def _sigma_tree_category():
     from natmod.freemodel import extend_by_sigma, term_model
 
     return extend_by_sigma(term_model(range(1))).base
+
+
+def _category_violations_by_triples(c, objects):
+    """The category laws as checked one triple at a time, transcribed from
+    the per-triple loop that the row comparison replaced."""
+    ends, by_src, by_dst = {}, {a: [] for a in objects}, {a: [] for a in objects}
+    for a in objects:
+        for b in objects:
+            for m in c.hom(a, b):
+                if m in ends and ends[m] != (a, b):
+                    yield "hom-sets", f"morphism {m!r} appears in hom{ends[m]} and hom{(a, b)}"
+                ends[m] = (a, b)
+                by_src[a].append(m)
+                by_dst[b].append(m)
+    ids = {}
+    for a in objects:
+        try:
+            ids[a] = c.identity(a)
+        except KeyError:
+            yield "dom-id", f"object {a!r} has no identity"
+            continue
+        where = ends.get(ids[a])
+        if where != (a, a):
+            law = "cod-id" if where and where[0] == a else "dom-id"
+            yield law, f"identity of {a!r} is not in hom({a},{a})"
+    comp = {}
+    for f, (fs, ft) in ends.items():
+        for g in by_src[ft]:
+            gt = ends[g][1]
+            try:
+                gf = c.compose(g, f)
+            except KeyError:
+                yield "dom-comp", f"no composite recorded for ({g}, {f})"
+                continue
+            where = ends.get(gf)
+            if where != (fs, gt):
+                law = "cod-comp" if where and where[0] == fs else "dom-comp"
+                yield law, f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})"
+                continue
+            comp[(g, f)] = gf
+    for m, (src, dst) in ends.items():
+        if src in ids and comp.get((m, ids[src])) != m:
+            yield "unit-right", f"unit law: {m} ∘ id_{src} != {m}"
+        if dst in ids and comp.get((ids[dst], m)) != m:
+            yield "unit-left", f"unit law: id_{dst} ∘ {m} != {m}"
+    for g, (gs, gt) in ends.items():
+        into = [(f, comp[(g, f)]) for f in by_dst[gs] if (g, f) in comp]
+        for h in by_src[gt]:
+            hg = comp.get((h, g))
+            for f, gf in into:
+                if comp.get((h, gf)) != comp.get((hg, f)):
+                    yield "associativity", f"associativity fails on ({h}, {g}, {f})"
+    t = c.terminal
+    if t is not None:
+        for a in objects:
+            n = len(c.hom(a, t))
+            if n != 1:
+                yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
+
+
+def _table_category():
+    from natmod.freemodel import term_model
+    from natmod.modelio import parse_model, serialize_model
+
+    return parse_model(serialize_model(term_model(range(1)), 2)).base
+
+
+def _mutate_one_composite(cat, kind, rng):
+    """Change one composite g∘f of ``cat`` in place, by ``kind``:
+
+    * ``associativity``: neither g nor f is an identity, and g∘f becomes
+      another morphism of the same hom set, so no unit law can see it;
+    * ``unit``: g is an identity and id∘f becomes another morphism of its
+      hom set;
+    * ``hom``: g∘f becomes a morphism of another hom set;
+    * ``missing``: the table loses the cell (a category with a full table).
+    """
+    ends = {m: ab for ab, ms in cat.homs.items() for m in ms}
+    identities = set(cat.identities.values())
+    pairs = [(g, f) for f, (_, b) in ends.items()
+             for c in cat.object_keys for g in cat.homs.get((b, c), [])]
+    rng.shuffle(pairs)
+    for g, f in pairs:
+        same = cat.homs[(ends[f][0], ends[g][1])]
+        gf = cat.compose(g, f)
+        others = [m for m in same if m != gf]
+        if kind == "associativity" and others and not {g, f} & identities:
+            cat.compose_table[(g, f)] = rng.choice(others)
+            return
+        if kind == "unit" and others and g in identities and f not in identities:
+            cat.compose_table[(g, f)] = rng.choice(others)
+            return
+        if kind == "hom":
+            cat.compose_table[(g, f)] = rng.choice([m for m in ends if m not in same])
+            return
+        if kind == "missing":
+            del cat.compose_table[(g, f)]
+            return
+    raise AssertionError(f"no composite to mutate by {kind}")
+
+
+class TestAssociativityAgainstTheDefinition:
+    @pytest.mark.parametrize("build,kinds", [
+        (lambda: truncate(FinSliceOpposite((0, 1)), 2), ("associativity", "unit", "hom")),
+        (_table_category, ("associativity", "unit", "hom", "missing")),
+    ], ids=["truncated-fin-slice-opposite", "table-category"])
+    def test_row_comparison_yields_the_per_triple_witnesses(self, build, kinds):
+        associativity_only = 0
+        for seed in range(20):
+            cat = build()
+            _mutate_one_composite(cat, kinds[seed % len(kinds)], random.Random(seed))
+            got = list(category_violations(cat, cat.object_keys))
+            assert got == list(_category_violations_by_triples(cat, cat.object_keys))
+            assert got, seed
+            associativity_only += {law for law, _ in got} == {"associativity"}
+        assert associativity_only >= 5

@@ -158,6 +158,17 @@ def _wrong_root_morphism() -> NMorphism:
                      lambda g, t: t, lambda g, t: t, "wrong-root")
 
 
+def _wrong_endpoints() -> NMorphism:
+    """The initial morphism term_model(2) → term_model(1) with the image of
+    fs[1] → fs[] replaced by the identity of its image context, so that the
+    image has the wrong codomain and composes with nothing it should."""
+    fm = initial_morphism(term_model(range(2)), term_model(range(1)), {0: "T0", 1: "T0"})
+    m = "fs[1]=>fs[]:()"
+    bad = fm.dst.base.identity(fm.on_obj(fm.src.base.dom(m)))
+    return NMorphism(fm.src, fm.dst, fm.on_obj, lambda k: bad if k == m else fm.on_mor(k),
+                     fm.on_ty, fm.on_tm, "wrong-endpoints")
+
+
 # name -> (strict, message counts per check, sha256 prefix of the ordered checks)
 REPORT_PINS = {
     "summation": (_perturbed_summation, True, {
@@ -172,6 +183,11 @@ REPORT_PINS = {
     "wrong-root-weak": (_wrong_root_morphism, False, {
         "functor": 6, "tm-natural": 2, "canonical-pullbacks": 2,
     }, "da9154480d2a0fcb"),
+    # reported, not raised: the image's endpoints are named once, and the
+    # pairs and squares that would compose along it are skipped
+    "wrong-endpoints": (_wrong_endpoints, True, {
+        "functor": 2, "strict-proj": 1, "weak-tau": 1, "canonical-pullbacks": 6,
+    }, "87da86cf8b458852"),
 }
 
 

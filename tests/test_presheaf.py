@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from natmod.fincat import FinSliceOpposite, truncate
 from natmod.presheaf import (
     NatTrans,
     Presheaf,
+    Representable,
     check_pullback_square,
     check_pullback_square_by_cones,
     compose_nat,
@@ -328,3 +330,97 @@ class TestOracleSoundness:
                 fast = check_pullback_square(ps.p, x_nt, top, left)
                 slow = check_pullback_square_by_cones(ps.p, x_nt, top, left)
                 assert fast and slow
+
+
+def _functoriality_by_elements(p):
+    """Presheaf.violations as checked one element at a time, transcribed from
+    the element loop that the row comparison replaced."""
+    def attempt(m, x):
+        if x is None:
+            return None
+        try:
+            return p.restrict(m, x)
+        except KeyError:
+            return None
+
+    base = p.base
+    at = {obj: set(p.at(obj)) for obj in base.object_keys}
+    for obj in base.object_keys:
+        i = base.identity(obj)
+        for x in p.at(obj):
+            if attempt(i, x) != x:
+                yield "identity", f"identity action fails at {obj!r} on {x!r}"
+    into = {obj: [] for obj in base.object_keys}
+    for m in base.all_morphisms():
+        src, dst = base.dom(m), base.cod(m)
+        into[dst].append(m)
+        for x in p.at(dst):
+            try:
+                image = p.restrict(m, x)
+            except KeyError:
+                yield "closure", f"no action of {m!r} on {x!r}"
+                continue
+            if image not in at[src]:
+                yield "closure", f"action of {m!r} does not send {x!r} into P({src})"
+    for f in base.all_morphisms():
+        for g in into[base.dom(f)]:
+            fg = base.compose(f, g)
+            for x in p.at(base.cod(f)):
+                if attempt(g, attempt(f, x)) != attempt(fg, x):
+                    yield "composition", f"x[f][g] != x[f∘g] for f={f}, g={g}, x={x}"
+
+
+class TestFunctorialityAgainstTheDefinition:
+    @pytest.fixture(scope="class")
+    def presheaves(self):
+        from natmod.natmodel import model_presheaves
+
+        ps = model_presheaves(term_model(range(2)), 2, 2)
+        return ps.ty, ps.tm
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["ty", "tm"])
+    def test_one_cell_and_dropped_row_mutations(self, presheaves, which):
+        p = presheaves[which]
+        base = p.base
+        cells = [(m, x) for m, row in p.action.items() for x in row]
+        broken = set()
+        for seed in range(12):
+            rng = random.Random(seed)
+            action = {m: dict(row) for m, row in p.action.items()}
+            for _ in range(1 + seed % 3):
+                m, x = rng.choice(cells)
+                if seed % 4 == 3:
+                    action.pop(m, None)  # a dropped row: every cell of m is missing
+                elif seed % 4 == 2:
+                    action[m][x] = rng.choice(sorted(set(p.values[base.cod(m)]) | {"junk"}))
+                else:
+                    action[m][x] = rng.choice(p.values[base.dom(m)])
+            q = Presheaf(base, p.values, action)
+            got = list(q.violations())
+            assert got == list(_functoriality_by_elements(q)), seed
+            broken |= {law for law, _ in got}
+        assert broken == {"identity", "closure", "composition"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_representable_wrong_at_one_cell(self, seed):
+        base = truncate(FinSliceOpposite((0, 1)), 2)
+        c = base.object_keys[-1]
+        rng = random.Random(seed)
+        # odd seeds: x[m] is another element of hom(dom m, c); even: no cell
+        m, x = rng.choice([(m, x) for m in base.all_morphisms()
+                           for x in base.hom(base.cod(m), c)
+                           if len(base.hom(base.dom(m), c)) > seed % 2])
+        wrong = rng.choice([h for h in base.hom(base.dom(m), c) if h != base.compose(x, m)]
+                           or [None])
+
+        class WrongAtOneCell(Representable):
+            def restrict(self, m2, x2):
+                if (m2, x2) != (m, x):
+                    return super().restrict(m2, x2)
+                if seed % 2:
+                    return wrong
+                raise KeyError((m, x))
+
+        p = WrongAtOneCell(base, c)
+        got = list(p.violations())
+        assert got and got == list(_functoriality_by_elements(p))
