@@ -11,7 +11,8 @@ Three command families:
   distributivity witnesses on seeded random instances, pseudomonad data.
 
 A check that quantified over no instance (``natmod free sigma`` at a bound
-where no Σ(A, B) fits) is reported as VACUOUS, not PASS, and fails the run.
+where no Σ(A, B) fits, ``natmod check`` on a file with no complete context)
+is reported as VACUOUS, not PASS, and fails the run.
 
 Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
 2 on bad input: a file that fails to parse or is incomplete, a free
@@ -103,18 +104,25 @@ def cmd_check(args) -> int:
                "; ".join(cat_violations[:3]))
     # a file is a fragment: the theory's quantifiers range over the objects
     # whose extension data is complete; boundary objects only receive maps
+    core = model.base.objects(0)
     eat = check_eat(model, 0, ty_bound=args.bound)
     # the sort of every substitution and typing cell, boundary rows included
     for eq, msg in model.sort_violations():
         eat.add(eq, msg)
     for eq, msgs in sorted(eat.violations.items()):
         report.add(f"eat-{eq}", False, msgs[0])
-    report.add("eat", eat.ok, f"{len(eat.violations)} violated equations" if not eat.ok else "")
-    oracle = extension_square_oracle(model, modelio.BOUNDARY_RANK, args.bound, 0)
-    report.add(
-        "representability-oracle", oracle.ok,
-        f"{len(oracle.checked)} squares checked, {len(oracle.skipped)} outside the truncation",
-    )
+    if not core:
+        # no context to quantify over: the theory and the oracle show nothing
+        report.add_vacuous("eat", args.bound)
+        report.add_vacuous("representability-oracle", args.bound)
+    else:
+        report.add("eat", eat.ok,
+                   f"{len(eat.violations)} violated equations" if not eat.ok else "")
+        oracle = extension_square_oracle(model, modelio.BOUNDARY_RANK, args.bound, 0)
+        report.add(
+            "representability-oracle", oracle.ok,
+            f"{len(oracle.checked)} squares checked, {len(oracle.skipped)} outside the truncation",
+        )
     report.timing_s = time.time() - t0
     return _emit(report, args)
 

@@ -262,8 +262,10 @@ class TestBadInputExitsTwo:
         lambda doc: doc["subst_ty"].append({"mor": "nope", "type": "T0", "out": "T0"}),
         lambda doc: doc["ext"][0].update(proj="nope"),
         lambda doc: doc["homs"][0].update(mors="f"),
+        lambda doc: doc["ty"]["fs[0]"].append("T0"),
+        lambda doc: doc["tm"]["fs[0]"].append("x0"),
     ], ids=["objects-not-an-array", "identities-not-a-map", "unknown-morphism",
-            "dangling-proj", "mors-not-an-array"])
+            "dangling-proj", "mors-not-an-array", "repeated-type", "repeated-term"])
     def test_a_malformed_section_or_unknown_key_is_a_parse_error(
         self, edit, term_model_file, capsys
     ):
@@ -479,6 +481,40 @@ class TestVacuousChecks:
         status = {r["name"]: r["status"] for r in records if r["record"] == "check"}
         assert status["sigma-structure"] == "vacuous"
         assert records[0]["result"] == "fail"
+
+    @pytest.mark.parametrize("bound,edit", [
+        (0, lambda doc: None),
+        (2, lambda doc: doc.update(ext=[])),
+    ], ids=["bound-0-file", "file-without-ext"])
+    def test_a_file_with_no_complete_context_is_vacuous_and_fails(
+        self, bound, edit, tmp_path, capsys
+    ):
+        # every context has a type whose extension the file does not hold
+        path = tmp_path / "f.json"
+        assert main(["free", "term-model", "--base", "term-model:1", "--bound", str(bound),
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--bound", str(bound)]) == 1
+        out = capsys.readouterr().out
+        assert f"\nVACUOUS  eat  -- 0 instances at bound {bound}\n" in out
+        assert (f"\nVACUOUS  representability-oracle  -- 0 instances at bound {bound}\n"
+                in out)
+        assert "\nPASS  category-laws\n" in out and out.endswith("result: FAIL\n")
+
+    def test_a_vacuous_file_still_has_the_sort_of_its_cells_checked(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        assert main(["free", "term-model", "--base", "term-model:1", "--bound", "0",
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        doc["subst_ty"][0]["out"] = doc["objects"][0]
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--bound", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "\nFAIL  eat-xiii  -- subst_ty row " in out and "\nVACUOUS  eat  " in out
 
     def test_sigma_structure_with_instances_passes_unchanged(self, capsys):
         assert main(["free", "sigma", "--bound", "2"]) == 0
