@@ -110,7 +110,8 @@ def cmd_check(args) -> int:
     for eq, msg in model.sort_violations():
         eat.add(eq, msg)
     for eq, msgs in sorted(eat.violations.items()):
-        report.add(f"eat-{eq}", False, msgs[0])
+        more = f" (+{len(msgs) - 1} more)" if len(msgs) > 1 else ""
+        report.add(f"eat-{eq}", False, msgs[0] + more)
     if not core:
         # no context to quantify over: the theory and the oracle show nothing
         report.add_vacuous("eat", args.bound)

@@ -32,7 +32,6 @@ from .natmodel import (
     UnitStructure,
     canonical_pullback,
     induced_sub,
-    sigma_split,
     swap_iso,
 )
 from .morphism import (
@@ -1221,7 +1220,7 @@ class SigmaExtModel(NaturalModel):
         self.base = cat
         self._ty_trees: dict[str, TypeTree] = {}
         self._tm_trees: dict[str, TermTree] = {}
-        self.sigma_structure = SigmaStructure(self._sigma, self._pair)
+        self.sigma_structure = SigmaStructure(self._sigma, self._pair, self._split)
 
     # -- tree registries --------------------------------------------------
     def reg_ty(self, tree: TypeTree) -> str:
@@ -1343,6 +1342,18 @@ class SigmaExtModel(NaturalModel):
             left=self.tm_tree(tm_a), rtype=self.ty_tree(ty_b), right=self.tm_tree(tm_b),
         ))
 
+    def _split(self, ctx: str, ty_a: str, ty_b: str, tm: str) -> tuple[str, str]:
+        """(fst, snd): the children of a node (t₁, B, t₂) whose t₁ has type A."""
+        tree = self._tm_trees.get(tm)
+        try:
+            fits = (tree is not None and not tree.is_leaf and tree.rtype.key == ty_b
+                    and self.typeof(ctx, self.reg_tm(tree.left)) == ty_a)
+        except LookupError:  # a term of another context
+            fits = False
+        if not fits:
+            raise ValueError(f"{tm!r} is not a pair of Σ({ty_a}, {ty_b}) over {ctx}")
+        return self.reg_tm(tree.left), self.reg_tm(tree.right)
+
 
 def extend_by_sigma(inner: NaturalModel) -> SigmaExtModel:
     """Freely adjoin dependent sum types via type trees."""
@@ -1371,9 +1382,7 @@ def sigma_inclusion(ext: SigmaExtModel) -> NMorphism:
 
 
 @memo
-def sigma_of_tree(
-    m: NaturalModel, ctx: str, tree: TypeTree, bound: int
-) -> tuple[str, str, str]:
+def sigma_of_tree(m: NaturalModel, ctx: str, tree: TypeTree) -> tuple[str, str, str]:
     """Collapse a type tree to a single type via the Σ structure of ``m``.
 
     Returns (S, θ, θ⁻¹): the Σ-collapsed type S over ctx and the canonical
@@ -1387,21 +1396,17 @@ def sigma_of_tree(
         e = m.ext(ctx, tree.leaf)
         i = base.identity(e.extended)
         return tree.leaf, i, i
-    s1, th1, th1_inv = sigma_of_tree(m, ctx, tree.left, bound)
+    s1, th1, th1_inv = sigma_of_tree(m, ctx, tree.left)
     mid = tree_ext(m, ctx, tree.left)[0]
-    s2, th2, th2_inv = sigma_of_tree(m, mid, tree.right, bound)
+    s2, th2, th2_inv = sigma_of_tree(m, mid, tree.right)
     # transport the collapsed right type along θ₁ to live over ctx•S₁
     b_ty = m.subst_ty(th1, s2)
     sig = s.sigma(ctx, s1, b_ty)
     e_sig = m.ext(ctx, sig)
     # θΣ : ctx•Σ(S₁,B) -> ctx•S₁•B via the projections of the generic pair
-    q_sig = e_sig.var
     a1_wk = m.subst_ty(e_sig.proj, s1)
     b_wk = m.subst_ty(canonical_pullback(m, e_sig.proj, s1), b_ty)
-    fst_tm, snd_tm = sigma_split(
-        m, s, e_sig.extended, a1_wk, b_wk, q_sig,
-        max(bound, tree.size()),
-    )
+    fst_tm, snd_tm = s.split(e_sig.extended, a1_wk, b_wk, e_sig.var)
     into_s1 = induced_sub(m, e_sig.proj, fst_tm, s1)
     theta_sig = induced_sub(m, into_s1, snd_tm, b_ty)
     theta = base.compose(th2, base.compose(canonical_pullback(m, th1, s2), theta_sig))
@@ -1423,29 +1428,27 @@ def sigma_of_tree(
     return sig, theta, theta_inv
 
 
-def pair_of_tree(
-    m: NaturalModel, ctx: str, tm: TermTree, bound: int
-) -> str:
+def pair_of_tree(m: NaturalModel, ctx: str, tm: TermTree) -> str:
     """Collapse a term tree to a single term via the Σ structure of ``m``."""
     s: SigmaStructure = m.sigma_structure  # type: ignore[attr-defined]
     if tm.is_leaf:
         return tm.leaf
     t1_ty = tmtree_type(m, ctx, tm.left)
-    s1, th1, _ = sigma_of_tree(m, ctx, t1_ty, bound)
+    s1, th1, _ = sigma_of_tree(m, ctx, t1_ty)
     mid = tree_ext(m, ctx, t1_ty)[0]
-    s2 = sigma_of_tree(m, mid, tm.rtype, bound)[0]
+    s2 = sigma_of_tree(m, mid, tm.rtype)[0]
     b_ty = m.subst_ty(th1, s2)
-    a_tm = pair_of_tree(m, ctx, tm.left, bound)
-    b_tm = pair_of_tree(m, ctx, tm.right, bound)
+    a_tm = pair_of_tree(m, ctx, tm.left)
+    b_tm = pair_of_tree(m, ctx, tm.right)
     return s.pair(ctx, s1, b_ty, a_tm, b_tm)
 
 
-def tree_summation(ext: SigmaExtModel, bound: int = 4) -> NMorphism:
+def tree_summation(ext: SigmaExtModel) -> NMorphism:
     """S : collapse tree contexts using the Σ structure of the inner model.
 
     Requires the inner model to admit dependent sum types.
     """
-    return sigma_universal(ext, identity_morphism(ext.inner), bound)
+    return sigma_universal(ext, identity_morphism(ext.inner))
 
 
 def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphism:
@@ -1453,7 +1456,8 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
 
     Built directly: trees are collapsed with the target's Σ structure after
     applying F to their leaves, and the comparison isomorphisms are tracked
-    to transport types over formally extended contexts.
+    to transport types over formally extended contexts.  ``bound`` is
+    ignored: the collapse reads the target's split and searches nothing.
     """
     target = f.dst
     src_m = ext.inner
@@ -1486,14 +1490,9 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
         th_p = theta(d, pctx)
         tree = map_ty_tree(ext.base.under(pctx), ext.ty_tree(pty))
         tree_over_img = tree_subst(target, th_p, tree)
-        th_here = sigma_of_tree(
-            target, d.on_obj(pctx), tree_over_img, _collapse_bound(tree)
-        )[1]
+        th_here = sigma_of_tree(target, d.on_obj(pctx), tree_over_img)[1]
         lift = canonical_pullback_tree(target, th_p, tree)
         return target.base.compose(lift, th_here)
-
-    def _collapse_bound(tree: TypeTree) -> int:
-        return max(bound, tree.size())
 
     def root_obj(ctx: str) -> str:
         gamma, trees = ext.base.obj_info(ctx)
@@ -1504,13 +1503,13 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
         tree = map_ty_tree(ext.base.under(ctx), ext.ty_tree(ty))
         d.on_obj(ctx)
         tree_img = tree_subst(target, theta(d, ctx), tree)
-        return sigma_of_tree(target, d.on_obj(ctx), tree_img, _collapse_bound(tree))[0]
+        return sigma_of_tree(target, d.on_obj(ctx), tree_img)[0]
 
     def tm_map(d, ctx: str, tm: str) -> str:
         tree = map_tm_tree(ext.base.under(ctx), ext.tm_tree(tm))
         d.on_obj(ctx)
         tree_img = tmtree_subst(target, theta(d, ctx), tree)
-        return pair_of_tree(target, d.on_obj(ctx), tree_img, bound)
+        return pair_of_tree(target, d.on_obj(ctx), tree_img)
 
     def root_mor(d, m: str) -> str:
         (s,) = ext.base.mor_payload(m)

@@ -14,7 +14,9 @@ the latter to the presheaf oracle.
 quadruples (A, B, a, b)): Σ is a cartesian map p·p ⇒ p and Π a cartesian
 map P_p(p) ⇒ p, after Awodey's natural models.  The former Σ̂ or Π̂ and the
 introduction map pair̂ or λ̂ are natural transformations whose laws are
-equations (i), (ii) and (iv) of the structure.
+equations (i), (ii) and (iv) of the structure.  A Σ structure is formation,
+pairing and split (its elimination, fst and snd), and :func:`check_sigma`
+verifies the split it is given against the pairing.
 
 All reports carry the bound they were computed at; nothing is claimed
 beyond it.
@@ -516,10 +518,13 @@ class UnitStructure:
 
 @dataclass
 class SigmaStructure:
-    # sigma(ctx, A, B) with B over ctx•A; pair(ctx, A, B, a, b) with
-    # typeof(a) = A and typeof(b) = B[⟨id, a⟩]
+    # formation sigma(ctx, A, B) with B over ctx•A; pairing pair(ctx, A, B,
+    # a, b) with typeof(a) = A and typeof(b) = B[⟨id, a⟩]; elimination
+    # split(ctx, A, B, t) = (fst t, snd t) for a term t of Σ(A, B), raising
+    # ValueError when t is not one
     sigma: Callable[[str, str, str], str]
     pair: Callable[[str, str, str, str, str], str]
+    split: Callable[[str, str, str, str], tuple[str, str]]
 
 
 @dataclass
@@ -586,7 +591,11 @@ def sigma_split(
     model: NaturalModel, s: SigmaStructure, ctx: str, ty_a: str, ty_b: str,
     pair_tm: str, bound: int,
 ) -> tuple[str, str]:
-    """Recover (fst, snd) of a term of Σ(A, B) by enumerating pairing inputs."""
+    """(fst, snd) of a term of Σ(A, B), found by enumerating the pairing's inputs.
+
+    The reference for a structure's ``split``, and the way to derive one for
+    a structure that only knows its pairing.
+    """
     hits = []
     for a in model.terms_of(ctx, ty_a, bound):
         s_a = section(model, ctx, a)
@@ -709,6 +718,8 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
 
     (i), (ii) and (iv) are the laws of Σ̂ and pair̂; (iii) and (v)-(xi) are
     checked on every pair and quadruple of p·p, cross-checking the oracle.
+    (v)-(xi) are read off ``s.split``; a component it returns that is no
+    term of Γ in bound is reported under (v) or (vii).
     """
     sq = sigma_square(model, s, bound)
     report = _square_report(sq, bound, "Σ")
@@ -725,14 +736,19 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
             ty_a, ty_b = sq.former.parts[key]
             for p_tm in model.terms_of(g, sig, bound):
                 try:
-                    fa, sb = splits[key, p_tm] = sigma_split(model, s, g, ty_a, ty_b, p_tm, bound)
+                    fa, sb = splits[key, p_tm] = s.split(g, ty_a, ty_b, p_tm)
                 except ValueError as exc:
                     report.add(f"(xi) {exc}")
                     continue
+                if fa not in tms:
+                    report.add(f"(v) fst({p_tm}) = {fa!r} is not a term of {g} in bound")
+                if sb not in tms:
+                    report.add(f"(vii) snd({p_tm}) = {sb!r} is not a term of {g} in bound")
+                if fa not in tms or sb not in tms:
+                    continue
                 if model.typeof(g, fa) != ty_a:
                     report.add(f"(v) typeof(fst({p_tm}))")
-                want = model.subst_ty(section(model, g, fa), ty_b)
-                if model.typeof(g, sb) != want:
+                elif model.typeof(g, sb) != model.subst_ty(section(model, g, fa), ty_b):
                     report.add(f"(vii) typeof(snd({p_tm}))")
                 if s.pair(g, ty_a, ty_b, fa, sb) != p_tm:
                     report.add(f"(xi) pair(fst,snd)({p_tm})")
@@ -741,9 +757,7 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
                         m_ext = canonical_pullback(model, m, ty_a)
                         a_s, b_s = model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b)
                         try:
-                            fa2, sb2 = sigma_split(
-                                model, s, d, a_s, b_s, model.subst_tm(m, p_tm), bound
-                            )
+                            fa2, sb2 = s.split(d, a_s, b_s, model.subst_tm(m, p_tm))
                         except ValueError as exc:
                             report.add(f"(vi/viii) {exc}")
                             continue

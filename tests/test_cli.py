@@ -436,7 +436,13 @@ class TestFileCellsTheDataPointsAt:
         out = capsys.readouterr().out
         assert "FAIL  eat-xxvii" in out and "FAIL  eat-xx  -- cod(p) for (fs[0], T0)" in out
         eat = check_eat(parse_model(path.read_text()), 0, ty_bound=2)
-        assert any("no ext cell for ('fs[0,0]', 'T0')" in v for v in eat.violations["xxvii"])
+        xxvii = eat.violations["xxvii"]
+        assert any("no ext cell for ('fs[0,0]', 'T0')" in v for v in xxvii)
+        # a FAIL line prints the first witness and counts the others
+        lines = out.splitlines()
+        assert len(xxvii) > 1 and len(eat.violations["xx"]) == 1
+        assert f"FAIL  eat-xxvii  -- {xxvii[0]} (+{len(xxvii) - 1} more)" in lines
+        assert "FAIL  eat-xx  -- cod(p) for (fs[0], T0)" in lines
 
 
     @pytest.mark.parametrize("section,key,field,eq", [

@@ -45,6 +45,7 @@ from natmod.natmodel import (
     check_sigma,
     check_unit,
     extension_square_oracle,
+    sigma_split,
 )
 
 
@@ -324,7 +325,7 @@ class TestTypeTrees:
 
     def test_tree_summation_collapses_two_leaf_trees(self):
         s2 = extend_by_sigma(self.s)
-        summ = tree_summation(s2, bound=3)
+        summ = tree_summation(s2)
         assert check_sigma_morphism(summ, 2)
 
     def test_collapse_comparison_inverse_is_the_inverse(self):
@@ -332,7 +333,7 @@ class TestTypeTrees:
         g = s.terminal
         leaf = TypeTree(leaf=s.types(g, 1)[0])
         tree = TypeTree(left=TypeTree(left=leaf, right=leaf), right=leaf)
-        _, theta, theta_inv = sigma_of_tree(s, g, tree, 3)
+        _, theta, theta_inv = sigma_of_tree(s, g, tree)
         b = s.base
         assert b.compose(theta_inv, theta) == b.identity(b.dom(theta))
         assert b.compose(theta, theta_inv) == b.identity(b.cod(theta))
@@ -347,6 +348,43 @@ class TestTypeTrees:
             assert sharp.on_obj(c) == c
         pins = sigma_universal_pins(s, incl, 2, sharp)
         assert count_morphisms(s, s, 2, pins) == 1
+
+
+class TestSigmaSplit:
+    """The free Σ-model's split reads a pair's children off its term tree."""
+
+    @pytest.mark.parametrize("build,bound,n_terms", [
+        (lambda: extend_by_sigma(term_model(range(1))), 3, 358),
+        (lambda: extend_by_sigma(extend_by_unit(term_model(range(1)))), 2, 42),
+        (lambda: extend_by_sigma(term_model(range(2))), 2, 34),
+    ], ids=["sigma@3", "sigma-over-unit@2", "sigma-over-two-types@2"])
+    def test_the_split_is_the_pairing_inverted_by_search(self, build, bound, n_terms):
+        m = build()
+        s, comp = m.sigma_structure, CompositeModel(m, m)
+        seen = 0
+        for g in m.base.objects(bound):
+            for key in comp.types(g, bound):
+                ty_a, ty_b = comp._ty_parts(key)
+                for t in m.terms_of(g, s.sigma(g, ty_a, ty_b), bound):
+                    assert s.split(g, ty_a, ty_b, t) == sigma_split(m, s, g, ty_a, ty_b, t, bound)
+                    seen += 1
+        assert seen == n_terms
+
+    def test_a_term_that_is_no_pair_of_the_sum_raises_value_error(self):
+        m = extend_by_sigma(term_model(range(1)))
+        s, g = m.sigma_structure, m.base.register(m.inner.base.obj_key((0,)), ())
+        leaf = m.types(g, 1)[0]
+        pair_ty = s.sigma(g, leaf, m.types(m.ext(g, leaf).extended, 1)[0])
+        pair_tm = m.terms_of(g, pair_ty, 2)[0]
+        for ctx, ty_a, ty_b, t in [
+            (g, leaf, leaf, m.terms_of(g, leaf, 1)[0]),  # a variable, no pair
+            (g, leaf, leaf, "never registered"),
+            (g, leaf, pair_ty, pair_tm),  # the pair's B is not this B
+            (g, pair_ty, leaf, pair_tm),  # nor its A this A
+            (m.terminal, leaf, leaf, pair_tm),  # a pair over another context
+        ]:
+            with pytest.raises(ValueError, match="is not a pair of"):
+                s.split(ctx, ty_a, ty_b, t)
 
 
 class TestPolyCompositeModels:

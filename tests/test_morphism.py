@@ -124,7 +124,7 @@ def test_the_rival_search_visits_the_recorded_tree(name, bound):
 
 def _perturbed_summation() -> NMorphism:
     """Σ summation sending each non-leaf type tree to its left subtree's image."""
-    summ = tree_summation(extend_by_sigma(extend_by_sigma(term_model(range(1)))), bound=3)
+    summ = tree_summation(extend_by_sigma(extend_by_sigma(term_model(range(1)))))
 
     def bad_ty(g, t):
         if t.startswith("["):

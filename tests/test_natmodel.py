@@ -43,6 +43,7 @@ from natmod.natmodel import (
     induced_sub,
     pi_square,
     section,
+    sigma_split,
     sigma_square,
     swap_iso,
 )
@@ -214,6 +215,15 @@ class TestUnitChecker:
         assert not rep.ok
 
 
+def _searched_structure(model, sigma, pair, bound):
+    """A Σ-structure whose split inverts ``pair`` by search (:func:`sigma_split`)."""
+    def split(ctx, ty_a, ty_b, tm):
+        return sigma_split(model, st, ctx, ty_a, ty_b, tm, bound)
+
+    st = SigmaStructure(sigma, pair, split)
+    return st
+
+
 class TestSigmaChecker:
     def test_free_sigma_model_passes_with_beta_eta(self):
         s = extend_by_sigma(term_model(range(1)))
@@ -234,7 +244,7 @@ class TestSigmaChecker:
                 return good.pair(ctx, ty_a, ty_b, terms[0], tm_b)
             return good.pair(ctx, ty_a, ty_b, tm_a, tm_b)
 
-        bad = SigmaStructure(good.sigma, bad_pair)
+        bad = _searched_structure(s, good.sigma, bad_pair, 2)
         rep = check_sigma(s, bad, 2)
         assert not rep.ok
         assert any("(ix" in v or "(iii" in v or "(x" in v for v in rep.violations)
@@ -243,11 +253,33 @@ class TestSigmaChecker:
         # pair̂ lands outside Tm, so the square is not a pullback; the
         # pointwise oracle must say so instead of looking the term up in p
         s = extend_by_sigma(term_model(range(1)))
-        rep = check_sigma(s, SigmaStructure(s.sigma_structure.sigma, lambda *a: "NOPE"), 2)
+        nope = _searched_structure(s, s.sigma_structure.sigma, lambda *a: "NOPE", 2)
+        rep = check_sigma(s, nope, 2)
         assert "Σ square is not a pullback within the bound" in rep.violations
         u = extend_by_unit(term_model(range(0)))
         rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: "NOPE"), 2)
         assert "Π square is not a pullback within the bound" in rep.violations
+
+    def test_a_split_swapping_fst_and_snd_fails_the_computation_rules(self):
+        s = extend_by_sigma(term_model(range(1)))
+        good = s.sigma_structure
+        swapped = SigmaStructure(good.sigma, good.pair, lambda *a: good.split(*a)[::-1])
+        rep = check_sigma(s, swapped, 2)
+        assert rep.instances == 4 and not rep.ok
+        assert any(v.startswith("(ix) ") for v in rep.violations)
+        assert any(v.startswith("(x) ") for v in rep.violations)
+
+    def test_a_split_naming_no_term_fails_v_without_raising(self):
+        s = extend_by_sigma(term_model(range(1)))
+        good = s.sigma_structure
+        unknown = SigmaStructure(
+            good.sigma, good.pair, lambda *a: ("NOPE", good.split(*a)[1])
+        )
+        rep = check_sigma(s, unknown, 2)
+        assert not rep.ok
+        assert any(v.startswith("(v) fst(") and "'NOPE' is not a term of" in v
+                   for v in rep.violations)
+        assert not any(v.startswith("(vii)") for v in rep.violations)
 
 
 class TestPiChecker:
@@ -331,7 +363,7 @@ class TestMorphismChecker:
     def test_sigma_morphism_checker(self):
         s = extend_by_sigma(term_model(range(1)))
         s2 = extend_by_sigma(s)
-        summ = tree_summation(s2, bound=3)
+        summ = tree_summation(s2)
         assert check_sigma_morphism(summ, 2)
         assert check_sigma_morphism(identity_morphism(s), 2)
 
@@ -651,13 +683,14 @@ def _swapped_pairing(s):
             tm_a = terms[1] if tm_a == terms[0] else terms[0]
         return good.pair(ctx, ty_a, ty_b, tm_a, tm_b)
 
-    return SigmaStructure(good.sigma, pair)
+    return _searched_structure(s, good.sigma, pair, 2)
 
 
 class TestStructureInstances:
     def test_sigma_at_bound_one_quantifies_over_nothing_and_does_not_pass(self):
         s = extend_by_sigma(term_model(range(1)))
-        nope = SigmaStructure(lambda *a: "NOPE", s.sigma_structure.pair)
+        good = s.sigma_structure
+        nope = SigmaStructure(lambda *a: "NOPE", good.pair, good.split)
         rep = check_sigma(s, nope, 1)
         assert rep.instances == 0 and rep.vacuous
         assert not rep.violations and not rep.ok
@@ -685,7 +718,8 @@ class TestFormerSquaresAsNaturalTransformations:
 
     def test_a_former_outside_ty_breaks_equation_i(self):
         s = extend_by_sigma(term_model(range(1)))
-        rep = check_sigma(s, SigmaStructure(lambda *a: "NOPE", s.sigma_structure.pair), 2)
+        good = s.sigma_structure
+        rep = check_sigma(s, SigmaStructure(lambda *a: "NOPE", good.pair, good.split), 2)
         assert any(v.startswith("(i) component at") and "Σ(" in v for v in rep.violations)
 
 
