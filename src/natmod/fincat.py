@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
+
+
+_MISS = object()
 
 
 def memo(fn: Callable) -> Callable:
@@ -22,21 +26,21 @@ def memo(fn: Callable) -> Callable:
 
     The table lives and dies with its owner (a model or a category), so
     fresh instances share nothing and a dropped model drops its tables.
-    The remaining arguments must be hashable.  A call that raises stores
-    nothing, so it raises again when repeated.
+    The remaining arguments must be hashable.  A lookup reads the table
+    with a sentinel default, so a miss raises nothing and a memoized
+    ``None`` is a hit.  A call that raises stores nothing, so it raises
+    again when repeated.
     """
     slot = f"_memo_{fn.__qualname__}"
 
     @functools.wraps(fn)
     def cached(owner, *args):
-        try:
-            return owner.__dict__[slot][args]
-        except KeyError:
-            pass
         table = owner.__dict__.get(slot)
         if table is None:
             table = owner.__dict__[slot] = {}
-        out = table[args] = fn(owner, *args)
+        out = table.get(args, _MISS)
+        if out is _MISS:
+            out = table[args] = fn(owner, *args)
         return out
 
     return cached
@@ -439,6 +443,12 @@ class FinSliceOpposite(BoundedCategory):
     k |-> ik.  A morphism (A,u) -> (B,v) is a label-preserving function
     B -> A (direction reversed by the op).  Object size is the cardinality
     of the underlying set.
+
+    A morphism key ``src=>dst:(k0,k1,...)`` is parsed once, by the memoized
+    :meth:`_parts`, into (dom, cod, function); ``dom``, ``cod``, ``mor_fn``
+    and ``compose`` read those parts, so a composite parses nothing and
+    builds only its result key, once per pair.  Any well-formed key
+    composes, whether or not its hom set has been enumerated.
     """
 
     def __init__(self, index: Iterable[int]):
@@ -461,9 +471,19 @@ class FinSliceOpposite(BoundedCategory):
         return f"{src}=>{dst}:(" + ",".join(str(k) for k in fn) + ")"
 
     @memo
+    def _parts(self, m: str) -> tuple[str, str, tuple[int, ...]]:
+        """(dom, cod, underlying function) of a morphism key.
+
+        The object keys are interned, so the parts of all morphisms share
+        one string per object.
+        """
+        ends, inner = m.rsplit(":(", 1)
+        src, dst = map(sys.intern, ends.split("=>", 1))
+        inner = inner[:-1]
+        return src, dst, tuple(int(s) for s in inner.split(",")) if inner else ()
+
     def mor_fn(self, m: str) -> tuple[int, ...]:
-        inner = m.rsplit(":(", 1)[1][:-1]
-        return tuple(int(s) for s in inner.split(",")) if inner else ()
+        return self._parts(m)[2]
 
     # -- BoundedCategory interface --------------------------------------
     @property
@@ -496,10 +516,10 @@ class FinSliceOpposite(BoundedCategory):
         return tuple(self.mor_key(a, b, fn) for fn in itertools.product(*candidates_per_slot))
 
     def dom(self, m: str) -> str:
-        return m.split("=>", 1)[0]
+        return self._parts(m)[0]
 
     def cod(self, m: str) -> str:
-        return m.split("=>", 1)[1].rsplit(":(", 1)[0]
+        return self._parts(m)[1]
 
     def identity(self, a: str) -> str:
         n = len(self.obj_labels(a))
@@ -508,9 +528,8 @@ class FinSliceOpposite(BoundedCategory):
     @memo
     def compose(self, g: str, f: str) -> str:
         # f : X -> Y, g : Y -> Z; underlying functions fb : Y* -> X*, gb : Z* -> Y*
-        if self.dom(g) != self.cod(f):
+        y, z, gb = self._parts(g)
+        x, y_f, fb = self._parts(f)
+        if y != y_f:
             raise ValueError(f"not composable: {g} after {f}")
-        fb = self.mor_fn(f)
-        gb = self.mor_fn(g)
-        fn = tuple(fb[k] for k in gb)
-        return self.mor_key(self.dom(f), self.cod(g), fn)
+        return self.mor_key(x, z, tuple(fb[k] for k in gb))

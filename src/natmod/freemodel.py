@@ -57,8 +57,12 @@ class _WrappedCategory(BoundedCategory):
 
     Objects are registered normal forms over an underlying context of the
     inner model; morphisms wrap morphisms of the inner category (possibly
-    with extra payload) and are kept in a registry so endpoints never have
-    to be parsed back out of keys.
+    with extra payload) and are kept in a registry, both ways: ``_mor_info``
+    maps a key to its (dom, cod, payload), so endpoints never have to be
+    parsed back out of keys, and ``_keys`` maps (dom, cod, payload) back to
+    the key.  :meth:`_wrap` looks the key up there and builds the key string
+    only for a morphism it has never seen, so composing is one inner
+    composite and one lookup.
     """
 
     def __init__(self, inner: NaturalModel):
@@ -66,6 +70,7 @@ class _WrappedCategory(BoundedCategory):
         self._under: dict[str, str] = {}
         self._obj_info: dict[str, tuple] = {}
         self._mor_info: dict[str, tuple] = {}
+        self._keys: dict[tuple, str] = {}
         self._obj_size: dict[str, int] = {}
         self.model: Optional[NaturalModel] = None  # set by the owning model
 
@@ -87,9 +92,11 @@ class _WrappedCategory(BoundedCategory):
 
     # morphism bookkeeping
     def _wrap(self, src: str, dst: str, payload: tuple) -> str:
-        key = f"{src}=>{dst}${payload!r}"
-        if key not in self._mor_info:
-            self._mor_info[key] = (src, dst, payload)
+        info = (src, dst, payload)
+        key = self._keys.get(info)
+        if key is None:
+            key = self._keys[info] = f"{src}=>{dst}${payload!r}"
+            self._mor_info.setdefault(key, info)
         return key
 
     def mor_payload(self, m: str) -> tuple:
@@ -115,14 +122,13 @@ class _WrappedCategory(BoundedCategory):
     def identity(self, a: str) -> str:
         return self._wrap(a, a, (self.inner.base.identity(self._under[a]),))
 
-    @memo
     def compose(self, g: str, f: str) -> str:
         """Composite of morphisms whose payload is one inner morphism."""
-        if self.dom(g) != self.cod(f):
+        y, z, (gs,) = self._mor_info[g]
+        x, y_f, (fs,) = self._mor_info[f]
+        if y != y_f:
             raise ValueError("not composable")
-        (gs,) = self.mor_payload(g)
-        (fs,) = self.mor_payload(f)
-        return self._wrap(self.dom(f), self.cod(g), (self.inner.base.compose(gs, fs),))
+        return self._wrap(x, z, (self.inner.base.compose(gs, fs),))
 
     def objects(self, bound: int) -> list[str]:
         assert self.model is not None
@@ -707,15 +713,13 @@ class _InterleavedCategory(_WrappedCategory):
         tally = tuple(range(self._count[a])) if self.with_tally else ()
         return self._wrap(a, a, (ident, tally))
 
-    @memo
     def compose(self, g: str, f: str) -> str:
-        if self.dom(g) != self.cod(f):
+        y, z, (gs, gt) = self._mor_info[g]
+        x, y_f, (fs, ft) = self._mor_info[f]
+        if y != y_f:
             raise ValueError("not composable")
-        gs, gt = self.mor_payload(g)
-        fs, ft = self.mor_payload(f)
-        s = self.inner.base.compose(gs, fs)
         tally = tuple(ft[j] for j in gt) if self.with_tally else ()
-        return self._wrap(self.dom(f), self.cod(g), (s, tally))
+        return self._wrap(x, z, (self.inner.base.compose(gs, fs), tally))
 
     def _seeds(self, bound: int) -> list[str]:
         return [
@@ -1462,22 +1466,26 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
     target = f.dst
     src_m = ext.inner
 
-    def map_ty_tree(m_ctx: str, tree: TypeTree) -> TypeTree:
+    # F applied leafwise, once per (context, tree): shared subtrees are
+    # mapped once per morphism
+    @memo
+    def map_ty_tree(d, m_ctx: str, tree: TypeTree) -> TypeTree:
         if tree.is_leaf:
             return TypeTree(leaf=f.on_ty(m_ctx, tree.leaf))
-        left = map_ty_tree(m_ctx, tree.left)
+        left = map_ty_tree(d, m_ctx, tree.left)
         mid = tree_ext(src_m, m_ctx, tree.left)[0]
-        return TypeTree(left=left, right=map_ty_tree(mid, tree.right))
+        return TypeTree(left=left, right=map_ty_tree(d, mid, tree.right))
 
-    def map_tm_tree(m_ctx: str, tree: TermTree) -> TermTree:
+    @memo
+    def map_tm_tree(d, m_ctx: str, tree: TermTree) -> TermTree:
         if tree.is_leaf:
             return TermTree(leaf=f.on_tm(m_ctx, tree.leaf))
         t1_ty = tmtree_type(src_m, m_ctx, tree.left)
         mid = tree_ext(src_m, m_ctx, t1_ty)[0]
         return TermTree(
-            left=map_tm_tree(m_ctx, tree.left),
-            rtype=map_ty_tree(mid, tree.rtype),
-            right=map_tm_tree(m_ctx, tree.right),
+            left=map_tm_tree(d, m_ctx, tree.left),
+            rtype=map_ty_tree(d, mid, tree.rtype),
+            right=map_tm_tree(d, m_ctx, tree.right),
         )
 
     @memo
@@ -1488,7 +1496,7 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
             return target.base.identity(d.on_obj(ctx))
         pctx, pty = parent
         th_p = theta(d, pctx)
-        tree = map_ty_tree(ext.base.under(pctx), ext.ty_tree(pty))
+        tree = map_ty_tree(d, ext.base.under(pctx), ext.ty_tree(pty))
         tree_over_img = tree_subst(target, th_p, tree)
         th_here = sigma_of_tree(target, d.on_obj(pctx), tree_over_img)[1]
         lift = canonical_pullback_tree(target, th_p, tree)
@@ -1500,13 +1508,13 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
         return f.on_obj(gamma)
 
     def ty_map(d, ctx: str, ty: str) -> str:
-        tree = map_ty_tree(ext.base.under(ctx), ext.ty_tree(ty))
+        tree = map_ty_tree(d, ext.base.under(ctx), ext.ty_tree(ty))
         d.on_obj(ctx)
         tree_img = tree_subst(target, theta(d, ctx), tree)
         return sigma_of_tree(target, d.on_obj(ctx), tree_img)[0]
 
     def tm_map(d, ctx: str, tm: str) -> str:
-        tree = map_tm_tree(ext.base.under(ctx), ext.tm_tree(tm))
+        tree = map_tm_tree(d, ext.base.under(ctx), ext.tm_tree(tm))
         d.on_obj(ctx)
         tree_img = tmtree_subst(target, theta(d, ctx), tree)
         return pair_of_tree(target, d.on_obj(ctx), tree_img)

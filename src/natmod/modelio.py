@@ -379,10 +379,14 @@ def _model_doc(model: NaturalModel, bound: int, ty_bound: int) -> dict:
     cat = ps.cat
     objects = cat.object_keys
     homs = [{"src": a, "dst": b, "mors": ms} for (a, b), ms in cat.homs.items()]
+    # the morphisms out of each object, by codomain in object order, which
+    # is the order the truncation lists its hom sets in
+    out_of: dict[str, list[str]] = {a: [] for a in objects}
+    for (a, _), ms in cat.homs.items():
+        out_of[a].extend(ms)
     compose = [
         {"g": g, "f": f, "gf": cat.compose(g, f)}
-        for (_, b), fs in cat.homs.items() for f in fs
-        for c in objects for g in cat.homs.get((b, c), [])
+        for (_, b), fs in cat.homs.items() for f in fs for g in out_of[b]
     ]
     typeof = [
         {"ctx": a, "term": t, "type": ty}

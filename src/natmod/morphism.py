@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import partial
+from operator import ne
 from typing import Callable, Iterable, Optional
 
 from .fincat import is_pullback_square
@@ -516,19 +518,21 @@ class _Search:
                     lhs = cand.tm.get((a, ps.tm.restrict(m, tm)))
                     if lhs is None or lhs != dst.subst_tm(im, cand.tm[(b, tm)]):
                         return False
-        # functoriality: x -> y -> z with max(idx x, idx y, idx z) = i
+        # functoriality: x -> y -> z with max(idx x, idx y, idx z) = i.  Per
+        # g, the row of F(g∘f) over the fs in hom(x, y) is compared with the
+        # row of F(g)∘F(f), lazily, so the first f that differs ends the check.
         for x in upto:
             for y in upto:
                 fs = self.hom.get((x, y), ())
                 if not fs:
                     continue
+                f_fs = list(map(cand.on_mor, fs))
                 for z in upto if ctx in (x, y) else (ctx,):
                     for g in self.hom.get((y, z), ()):
-                        fg = cand.on_mor(g)
-                        for f in fs:
-                            lhs = cand.on_mor(src.base.compose(g, f))
-                            if lhs is None or lhs != dst.base.compose(fg, cand.on_mor(f)):
-                                return False
+                        lhs = map(cand.on_mor, map(partial(src.base.compose, g), fs))
+                        rhs = map(partial(dst.base.compose, cand.on_mor(g)), f_fs)
+                        if any(map(ne, lhs, rhs)):
+                            return False
         return True
 
     def _step(self, cand: _Candidate, i: int) -> None:

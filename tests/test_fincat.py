@@ -235,6 +235,12 @@ class _Doubler:
             raise ValueError("negative")
         return 2 * x
 
+    @memo
+    def halve(self, x: int):
+        """x // 2, or None for an odd x."""
+        self.calls += 1
+        return None if x % 2 else x // 2
+
 
 class TestMemo:
     def test_repeated_calls_compute_once(self):
@@ -253,6 +259,12 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(ValueError):
                 d.double(-1)
+        assert d.calls == 2
+        assert d.double(1) == 2 and d.calls == 3
+
+    def test_a_none_result_is_cached(self):
+        d = _Doubler()
+        assert [d.halve(3), d.halve(3), d.halve(4), d.halve(4)] == [None, None, 2, 2]
         assert d.calls == 2
 
     def test_fin_slice_opposite_hom_returns_a_fresh_list(self):

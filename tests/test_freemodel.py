@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from natmod.fincat import is_pullback_square
+from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
 from natmod.freemodel import (
     CompositeModel,
+    _InterleavedCategory,
+    _WrappedCategory,
     TypeTree,
     extend_by_sigma,
     extend_by_term,
@@ -428,6 +430,93 @@ class TestPolyCompositeModels:
         second = CompositeModel(m, m)
         with pytest.raises(KeyError):
             second._ty_parts(ty)
+
+
+def _slice_fn(m: str) -> tuple[int, ...]:
+    inner = m.rsplit(":(", 1)[1][:-1]
+    return tuple(int(s) for s in inner.split(",")) if inner else ()
+
+
+def _reference_composite(cat, g: str, f: str) -> str:
+    """g∘f computed from the key formulas: for (Fin/I)^op, the function read
+    back out of the keys; for a wrapped category, the key of the payload of
+    the inner composite, spelled out."""
+    if isinstance(cat, FinSliceOpposite):
+        fb, gb = _slice_fn(f), _slice_fn(g)
+        src, dst = f.split("=>", 1)[0], g.split("=>", 1)[1].rsplit(":(", 1)[0]
+        return cat.mor_key(src, dst, tuple(fb[k] for k in gb))
+    assert isinstance(cat, _WrappedCategory)
+    gp, fp = cat.mor_payload(g), cat.mor_payload(f)
+    inner = _reference_composite(cat.inner.base, gp[0], fp[0])
+    if not isinstance(cat, _InterleavedCategory):
+        payload = (inner,)
+    elif cat.with_tally:
+        payload = (inner, tuple(fp[1][j] for j in gp[1]))
+    else:
+        payload = (inner, ())
+    return f"{cat.dom(f)}=>{cat.cod(g)}${payload!r}"
+
+
+def _composition_cases():
+    tm = term_model(range(2))
+    return [
+        pytest.param(tm, 3, id="term"),
+        pytest.param(extend_by_term(tm, tm.ty_key(0)), 2, id="ext-term"),
+        pytest.param(extend_by_type(tm), 2, id="ext-type"),
+        pytest.param(extend_by_unit(tm), 2, id="ext-unit"),
+        pytest.param(extend_by_sigma(tm), 2, id="ext-sigma"),
+        pytest.param(poly_composite_models(tm, tm), 2, id="poly"),
+    ]
+
+
+class TestComposeIsALookup:
+    @pytest.mark.parametrize("model, bound", _composition_cases())
+    def test_every_composite_matches_the_key_formula(self, model, bound):
+        cat = model.base
+        homs = truncate(cat, bound).homs
+        pairs = 0
+        for (x, y), fs in homs.items():
+            for (y2, z), gs in homs.items():
+                if y2 != y:
+                    continue
+                for f in fs:
+                    for g in gs:
+                        gf = cat.compose(g, f)
+                        assert gf == _reference_composite(cat, g, f), (g, f)
+                        assert (cat.dom(gf), cat.cod(gf)) == (x, z)
+                        pairs += 1
+        assert pairs > len(homs)
+
+    @pytest.mark.parametrize("model, bound", _composition_cases())
+    def test_a_non_composable_pair_raises(self, model, bound):
+        cat = model.base
+        e = model.ext(model.terminal, model.types(model.terminal, bound)[0])
+        with pytest.raises(ValueError):
+            cat.compose(e.proj, e.proj)
+
+    def test_a_key_built_by_mor_key_composes_before_its_hom_set_is_listed(self):
+        tm = term_model(range(2))
+        cat = tm.base
+        e1 = tm.ext(tm.terminal, tm.ty_key(0))
+        e2 = tm.ext(e1.extended, tm.ty_key(1))
+        assert not [k for k in vars(cat) if "_homs" in k]
+        composite = cat.compose(e1.proj, e2.proj)
+        assert composite == _reference_composite(cat, e1.proj, e2.proj)
+        assert composite == cat.mor_key(e2.extended, tm.terminal, ())
+        assert cat.compose(e2.proj, cat.identity(e2.extended)) == e2.proj
+        assert cat.hom(e2.extended, tm.terminal) == [composite]
+
+    @pytest.mark.parametrize("make", [extend_by_sigma, extend_by_unit, extend_by_type],
+                             ids=lambda f: f.__name__)
+    def test_a_wrapped_projection_composes_before_its_hom_set_is_listed(self, make):
+        model = make(term_model(range(1)))
+        cat = model.base
+        e = model.ext(model.terminal, model.types(model.terminal, 1)[0])
+        assert not [k for k in vars(cat) if "_homs" in k]
+        ident = cat.identity(e.extended)
+        assert cat.compose(e.proj, ident) == e.proj
+        assert cat.compose(cat.identity(model.terminal), e.proj) == e.proj
+        assert e.proj in cat.hom(e.extended, model.terminal)
 
 
 def _memo_tables(model) -> list[dict]:

@@ -41,3 +41,29 @@ def test_the_rival_search_step_the_node_counter_wraps_exists():
     from natmod.morphism import _Search
 
     assert callable(getattr(_Search, "_step", None))
+
+
+
+def _categories():
+    from natmod import freemodel
+
+    tm = freemodel.term_model(range(1))
+    return [
+        pytest.param("fincat", "FinSliceOpposite", tm.base, id="FinSliceOpposite"),
+        pytest.param("freemodel", "_WrappedCategory", freemodel.extend_by_sigma(tm).base,
+                     id="_WrappedCategory"),
+        pytest.param("freemodel", "_InterleavedCategory", freemodel.extend_by_unit(tm).base,
+                     id="_InterleavedCategory"),
+    ]
+
+
+@pytest.mark.parametrize("module, cls_name, cat", _categories())
+def test_compose_stays_a_class_level_method(module, cls_name, cat):
+    """The tracer counts ``fincat.compose`` by patching classes, so compose
+    is looked up on the class and never set on an instance."""
+    cls = getattr(importlib.import_module(f"natmod.{module}"), cls_name)
+    assert callable(cls.__dict__.get("compose"))
+    assert type(cat).compose is cls.__dict__["compose"]
+    ident = cat.identity(cat.terminal)
+    assert cat.compose(ident, ident) == ident
+    assert "compose" not in vars(cat)

@@ -132,6 +132,24 @@ class TestCheckEat:
         oracle = extension_square_oracle(bad, 3, 1, 2)
         assert not oracle.ok
 
+    def test_maps_into_a_terminal_outside_the_checked_fragment_are_counted(self):
+        from natmod.modelio import TableCategory, TableModel
+
+        # X is the core; the terminal ⋄ is a boundary object (the extension
+        # by its type A lies outside the file) with two maps from X into it
+        homs = {("⋄", "⋄"): ["id⋄"], ("X", "⋄"): ["!", "!!"], ("X", "X"): ["idX"]}
+        comp = {("id⋄", "id⋄"): "id⋄", ("idX", "idX"): "idX"}
+        for m in ("!", "!!"):
+            comp.update({(m, "idX"): m, ("id⋄", m): m})
+        cat = TableCategory(["⋄", "X"], homs, comp, {"⋄": "id⋄", "X": "idX"},
+                            terminal_key="⋄")
+        model = TableModel(cat, {"⋄": ["A"], "X": []}, {"⋄": [], "X": []}, {},
+                           {("id⋄", "A"): "A", ("!", "A"): "A", ("!!", "A"): "A"}, {},
+                           {("⋄", "A"): ExtensionData("⋄.A", "p", "q")})
+        assert cat.objects(0) == ["X"]
+        rep = check_eat(model, 0)
+        assert rep.violations["x"] == ["terminal: |hom(X,⋄)| = 2, expected 1"]
+
 
 class TestCanonicalPullback:
     def test_identity_gives_identity(self):
