@@ -1432,6 +1432,7 @@ def sigma_of_tree(m: NaturalModel, ctx: str, tree: TypeTree) -> tuple[str, str, 
     return sig, theta, theta_inv
 
 
+@memo
 def pair_of_tree(m: NaturalModel, ctx: str, tm: TermTree) -> str:
     """Collapse a term tree to a single term via the Σ structure of ``m``."""
     s: SigmaStructure = m.sigma_structure  # type: ignore[attr-defined]

@@ -15,8 +15,8 @@ quadruples (A, B, a, b)): Σ is a cartesian map p·p ⇒ p and Π a cartesian
 map P_p(p) ⇒ p, after Awodey's natural models.  The former Σ̂ or Π̂ and the
 introduction map pair̂ or λ̂ are natural transformations whose laws are
 equations (i), (ii) and (iv) of the structure.  A Σ structure is formation,
-pairing and split (its elimination, fst and snd), and :func:`check_sigma`
-verifies the split it is given against the pairing.
+pairing and split (fst and snd), a Π structure formation, λ and app; each
+checker verifies the eliminator it is given against the introduction.
 
 All reports carry the bound they were computed at; nothing is claimed
 beyond it.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .fincat import BoundedCategory, FinCatPresentation, category_violations, memo, truncate
 from .presheaf import (
@@ -533,9 +533,12 @@ class SigmaStructure:
 
 @dataclass
 class PiStructure:
-    # pi(ctx, A, B) with B over ctx•A; lam(ctx, A, B, b) with b over ctx•A
+    # formation pi(ctx, A, B) with B over ctx•A; abstraction lam(ctx, A, B, b)
+    # with b over ctx•A; elimination app(ctx, A, B, f, a) = f(a) for a term f
+    # of Π(A, B) and a of A, raising ValueError when it has no value
     pi: Callable[[str, str, str], str]
     lam: Callable[[str, str, str, str], str]
+    app: Callable[[str, str, str, str, str], str]
 
 
 @dataclass
@@ -667,6 +670,15 @@ def _square_report(sq: FormerSquare, bound: int, name: str) -> StructureReport:
     return report
 
 
+def _restrictions(sq: FormerSquare, g: str, key: str, *tms: str) -> Iterator[tuple]:
+    """(m, Δ, A[m], B[m•A], *t[m]) for each m : Δ -> Γ = g of the truncation,
+    (A, B) = key, read off the square's tabulated pairs and terms."""
+    for d in sq.p.dom.base.object_keys:
+        for m in sq.p.dom.base.hom(d, g):
+            yield (m, d, *sq.former.parts[sq.former.dom.restrict(m, key)],
+                   *(sq.p.dom.restrict(m, t) for t in tms))
+
+
 def sigma_square(model: NaturalModel, s: SigmaStructure, bound: int) -> FormerSquare:
     """Σ̂ : p·p ⇒ p; E is the Tm of p·p, the quadruples (A, B, a, b)."""
     comp = CompositeModel(model, model)
@@ -727,9 +739,7 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
     """
     sq = sigma_square(model, s, bound)
     report = _square_report(sq, bound, "Σ")
-    base = model.base
-    ctxs = sq.p.dom.base.object_keys
-    for g in ctxs:
+    for g in sq.p.dom.base.object_keys:
         tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
         splits = {}  # ((A|B), term of Σ(A, B)) -> (fst, snd)
         # (v)-(viii), (xi): projections on arbitrary terms of the sum type
@@ -756,19 +766,16 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
                     report.add(f"(vii) typeof(snd({p_tm}))")
                 if s.pair(g, ty_a, ty_b, fa, sb) != p_tm:
                     report.add(f"(xi) pair(fst,snd)({p_tm})")
-                for d in ctxs:
-                    for m in base.hom(d, g):
-                        m_ext = canonical_pullback(model, m, ty_a)
-                        a_s, b_s = model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b)
-                        try:
-                            fa2, sb2 = s.split(d, a_s, b_s, model.subst_tm(m, p_tm))
-                        except ValueError as exc:
-                            report.add(f"(vi/viii) {exc}")
-                            continue
-                        if fa2 != model.subst_tm(m, fa):
-                            report.add(f"(vi) fst({p_tm})[{m}]")
-                        if sb2 != model.subst_tm(m, sb):
-                            report.add(f"(viii) snd({p_tm})[{m}]")
+                for m, d, a_m, b_m, t_m, fa_m, sb_m in _restrictions(sq, g, key, p_tm, fa, sb):
+                    try:
+                        fa2, sb2 = s.split(d, a_m, b_m, t_m)
+                    except ValueError as exc:
+                        report.add(f"(vi/viii) {exc}")
+                        continue
+                    if fa2 != fa_m:
+                        report.add(f"(vi) fst({p_tm})[{m}]")
+                    if sb2 != sb_m:
+                        report.add(f"(viii) snd({p_tm})[{m}]")
         # (iii), (ix), (x): the typing and computation rules of pairs
         for quad in sq.intro.dom.at(g):
             key, pr = sq.leg.apply(g, quad), sq.intro.apply(g, quad)
@@ -790,7 +797,11 @@ def pi_apply(
     model: NaturalModel, s: PiStructure, ctx: str, ty_a: str, ty_b: str,
     fn_tm: str, arg_tm: str, bound: int,
 ) -> str:
-    """app(f, a), derived from the Π pullback by inverting λ on its fibre."""
+    """app(f, a), found by inverting λ on the fibre over f.
+
+    The reference for a structure's ``app``, and the way to derive one for a
+    structure that only knows its λ.
+    """
     e = model.ext(ctx, ty_a)
     hits = [
         b for b in model.terms_of(e.extended, ty_b, bound)
@@ -807,12 +818,12 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
 
     (i), (ii) and (iv) are the laws of Π̂ and λ̂; (iii) and (v)-(viii) are
     checked on every pair (A, B) of p·p, cross-checking the oracle.
+    (v)-(viii) are read off ``s.app``; an app(f, a) that is no term of Γ in
+    bound is reported under (v).
     """
     sq = pi_square(model, s, bound)
     report = _square_report(sq, bound, "Π")
-    base = model.base
-    ctxs = sq.p.dom.base.object_keys
-    for g in ctxs:
+    for g in sq.p.dom.base.object_keys:
         tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
         # (iii), (vii): the typing and computation rules of λ on every body
         for body in sq.intro.dom.at(g):
@@ -824,7 +835,7 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
                 report.add(f"(iii) typeof(λ({b}))")
             for a in model.terms_of(g, ty_a, bound):
                 try:
-                    res = pi_apply(model, s, g, ty_a, ty_b, lam, a, bound)
+                    res = s.app(g, ty_a, ty_b, lam, a)
                 except ValueError as exc:
                     report.add(f"(vii) {exc}")
                     continue
@@ -840,45 +851,33 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
             for f_tm in model.terms_of(g, pi_ty, bound):
                 for a in model.terms_of(g, ty_a, bound):
                     try:
-                        res = pi_apply(model, s, g, ty_a, ty_b, f_tm, a, bound)
+                        res = s.app(g, ty_a, ty_b, f_tm, a)
                     except ValueError as exc:
                         report.add(f"(v) {exc}")
                         continue
-                    s_a = section(model, g, a)
-                    if model.typeof(g, res) != model.subst_ty(s_a, ty_b):
+                    if res not in tms:
+                        report.add(f"(v) app({f_tm},{a}) = {res!r} is not a term of {g} in bound")
+                        continue
+                    if model.typeof(g, res) != model.subst_ty(section(model, g, a), ty_b):
                         report.add(f"(v) typeof(app({f_tm},{a}))")
-                    for d in ctxs:
-                        for m in base.hom(d, g):
-                            m_ext = canonical_pullback(model, m, ty_a)
-                            try:
-                                rhs = pi_apply(
-                                    model, s, d,
-                                    model.subst_ty(m, ty_a), model.subst_ty(m_ext, ty_b),
-                                    model.subst_tm(m, f_tm), model.subst_tm(m, a), bound,
-                                )
-                            except ValueError as exc:
-                                report.add(f"(vi) {exc}")
-                                continue
-                            if model.subst_tm(m, res) != rhs:
-                                report.add(f"(vi) app({f_tm},{a})[{m}]")
-                # (viii) η: λ(app(f[p_A], q_A)) = f
-                f_wk = model.subst_tm(e.proj, f_tm)
+                    for m, d, a_m, b_m, f_m, x_m, res_m in _restrictions(sq, g, key, f_tm, a, res):
+                        try:
+                            res2 = s.app(d, a_m, b_m, f_m, x_m)
+                        except ValueError as exc:
+                            report.add(f"(vi) {exc}")
+                            continue
+                        if res2 != res_m:
+                            report.add(f"(vi) app({f_tm},{a})[{m}]")
+                # (viii) η: λ(app(f[p_A], q_A)) = f, the body a term of B over Γ•A
                 try:
-                    body = pi_apply(
-                        model, s, e.extended,
-                        model.subst_ty(e.proj, ty_a),
+                    body = s.app(
+                        e.extended, model.subst_ty(e.proj, ty_a),
                         model.subst_ty(canonical_pullback(model, e.proj, ty_a), ty_b),
-                        f_wk, e.var, bound,
+                        model.subst_tm(e.proj, f_tm), e.var,
                     )
                 except ValueError as exc:
                     report.add(f"(viii) {exc}")
                     continue
-                # body lives over (Γ•A)•(A weakened); substitute the diagonal to
-                # land over Γ•A, then compare λ of it with f
-                diag = induced_sub(
-                    model, base.identity(e.extended), e.var,
-                    model.subst_ty(e.proj, ty_a),
-                )
-                if s.lam(g, ty_a, ty_b, model.subst_tm(diag, body)) != f_tm:
+                if s.lam(g, ty_a, ty_b, body) != f_tm:
                     report.add(f"(viii) λ(app({f_tm}[p], q)) != {f_tm}")
     return report

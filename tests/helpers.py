@@ -227,3 +227,52 @@ def finite_sets_model(max_fibre: int = 2):
             return f"{self.base.dom(sigma)}=>{e.extended}:{out}"
 
     return FiniteSetsModel()
+
+
+def propositions_model():
+    """``finite_sets_model(1)``, the model of propositions in finite sets, with
+    unit, Σ and Π types.
+
+    Every fibre has size 0 or 1, so a type has at most one term.  With o_x
+    the offset of A's fibre x in Γ•A, Σ(A, B)_x is B at o_x if A_x = 1 and 0
+    otherwise, and Π(A, B)_x is B at o_x if A_x = 1 and 1 otherwise.  The
+    model carries ``unit_structure``, ``sigma_structure`` and
+    ``pi_structure``; pair, λ, split and app return the unique term of their
+    type, and split raises ValueError where A has no term.
+    """
+    from natmod.natmodel import PiStructure, SigmaStructure, UnitStructure, section
+
+    m = finite_sets_model(1)
+
+    def former(empty_fibre):
+        def fn(ctx, ty_a, ty_b):
+            fam_a, fam_b = m._fam(ty_a), m._fam(ty_b)
+            offsets = itertools.accumulate(fam_a, initial=0)
+            return f"fam{tuple(fam_b[o] if k else empty_fibre for k, o in zip(fam_a, offsets))}"
+        return fn
+
+    def the_term(ty):
+        fam = m._fam(ty)
+        return f"sec{fam}|{(0,) * len(fam)}"
+
+    def at_arg(ctx, ty_b, a):
+        return the_term(m.subst_ty(section(m, ctx, a), ty_b))  # B[⟨id, a⟩]
+
+    sigma, pi = former(0), former(1)
+
+    def split(ctx, ty_a, ty_b, t):
+        if m.typeof(ctx, t) != sigma(ctx, ty_a, ty_b) or 0 in m._fam(ty_a):
+            raise ValueError(f"{t!r} is no pair of ({ty_a}, {ty_b}) over {ctx}")
+        a = the_term(ty_a)
+        return a, at_arg(ctx, ty_b, a)
+
+    m.unit_structure = UnitStructure("fam(1,)", "sec(1,)|(0,)")
+    m.sigma_structure = SigmaStructure(
+        sigma, lambda ctx, ty_a, ty_b, a, b: the_term(sigma(ctx, ty_a, ty_b)), split
+    )
+    m.pi_structure = PiStructure(
+        pi,
+        lambda ctx, ty_a, ty_b, b: the_term(pi(ctx, ty_a, ty_b)),
+        lambda ctx, ty_a, ty_b, f, a: at_arg(ctx, ty_b, a),
+    )
+    return m

@@ -1,7 +1,10 @@
+import ast
+import dataclasses
 import itertools
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,7 @@ from natmod.natmodel import (
     check_unit,
     extension_square_oracle,
     induced_sub,
+    pi_apply,
     pi_square,
     section,
     sigma_split,
@@ -48,6 +52,8 @@ from natmod.natmodel import (
     swap_iso,
 )
 from natmod.presheaf import NatTrans, check_pullback_square, check_pullback_square_by_cones
+
+from helpers import propositions_model
 
 
 class BrokenSubstModel:
@@ -242,6 +248,15 @@ def _searched_structure(model, sigma, pair, bound):
     return st
 
 
+def _searched_pi(model, pi, lam, bound):
+    """A Π-structure whose app inverts ``lam`` by search (:func:`pi_apply`)."""
+    def app(ctx, ty_a, ty_b, f, a):
+        return pi_apply(model, st, ctx, ty_a, ty_b, f, a, bound)
+
+    st = PiStructure(pi, lam, app)
+    return st
+
+
 class TestSigmaChecker:
     def test_free_sigma_model_passes_with_beta_eta(self):
         s = extend_by_sigma(term_model(range(1)))
@@ -275,7 +290,7 @@ class TestSigmaChecker:
         rep = check_sigma(s, nope, 2)
         assert "Σ square is not a pullback within the bound" in rep.violations
         u = extend_by_unit(term_model(range(0)))
-        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: "NOPE"), 2)
+        rep = check_pi(u, _searched_pi(u, lambda c, a, b: u.new_ty, lambda *a: "NOPE", 2), 2)
         assert "Π square is not a pullback within the bound" in rep.violations
 
     def test_a_split_swapping_fst_and_snd_fails_the_computation_rules(self):
@@ -312,7 +327,7 @@ class TestPiChecker:
         def lam(ctx, ty_a, ty_b, b):
             return u._star
 
-        rep = check_pi(u, PiStructure(pi, lam), 2)
+        rep = check_pi(u, _searched_pi(u, pi, lam, 2), 2)
         assert rep.ok, rep.violations
 
     def test_sort_mismatch_reported(self):
@@ -321,16 +336,87 @@ class TestPiChecker:
         def pi(ctx, ty_a, ty_b):
             return "no-such-type"
 
-        rep = check_pi(u, PiStructure(pi, lambda *a: u._star), 2)
+        rep = check_pi(u, _searched_pi(u, pi, lambda *a: u._star, 2), 2)
         assert not rep.ok
 
     def test_an_application_that_fails_under_substitution_is_a_vi_violation(self):
         # over term_model(1) the unit extension has two types, so λ onto the
         # one unit term has two preimages; app(f, a)[σ] cannot be formed
         u = extend_by_unit(term_model(range(1)))
-        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star), 2)
+        rep = check_pi(u, _searched_pi(u, lambda c, a, b: u.new_ty, lambda *a: u._star, 2), 2)
         assert not rep.ok
         assert "(vi) λ not bijective onto 'star': 2 preimages" in rep.violations
+
+    def test_an_application_naming_no_term_fails_v_without_raising(self):
+        u = extend_by_unit(term_model(range(0)))
+        unknown = PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star, lambda *a: "NOPE")
+        rep = check_pi(u, unknown, 2)
+        assert not rep.ok
+        assert any(v.startswith("(v) app(") and "'NOPE' is not a term of" in v
+                   for v in rep.violations)
+        assert not any(v.startswith("(vi)") for v in rep.violations)
+
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_the_constant_and_propositions_apps_are_the_searched_ones(self, bound):
+        u = extend_by_unit(term_model(range(0)))
+        constant = PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star, lambda *a: u._star)
+        m = propositions_model()
+        checked = 0
+        for model, s in ((u, constant), (m, m.pi_structure)):
+            comp = CompositeModel(model, model)
+            for g in model.base.objects(bound):
+                for key in comp.types(g, bound):
+                    ty_a, ty_b = comp._ty_parts(key)
+                    for f in model.terms_of(g, s.pi(g, ty_a, ty_b), bound):
+                        for a in model.terms_of(g, ty_a, bound):
+                            assert s.app(g, ty_a, ty_b, f, a) == pi_apply(
+                                model, s, g, ty_a, ty_b, f, a, bound)
+                            checked += 1
+        assert checked > 0
+
+
+class TestPropositionsModel:
+    """finite_sets_model(1) with unit, Σ and Π: the suite's non-trivial Π."""
+
+    @pytest.mark.parametrize("bound, pairs", [(2, 13), (3, 40)])
+    def test_unit_sigma_and_pi_pass_every_checker(self, bound, pairs):
+        m = propositions_model()
+        assert check_eat(m, bound).ok
+        assert check_unit(m, m.unit_structure, bound).ok
+        for check, s in ((check_sigma, m.sigma_structure), (check_pi, m.pi_structure)):
+            rep = check(m, s, bound)
+            assert rep.ok and rep.instances == pairs, rep.violations
+
+    def test_sigmas_former_used_as_pi_fails_check_pi(self):
+        m = propositions_model()
+        swapped = dataclasses.replace(m.pi_structure, pi=m.sigma_structure.sigma)
+        rep = check_pi(m, swapped, 2)
+        assert len(rep.violations) == 5
+        assert "Π square is not a pullback within the bound" in rep.violations
+
+    def test_pis_former_used_as_sigma_fails_check_sigma_under_xi(self):
+        m = propositions_model()
+        swapped = dataclasses.replace(m.sigma_structure, sigma=m.pi_structure.pi)
+        rep = check_sigma(m, swapped, 2)
+        assert not rep.ok
+        assert "Σ square is not a pullback within the bound" in rep.violations
+        assert any(v.startswith("(xi) ") for v in rep.violations)
+
+
+class TestNoSearchOnTheCheckerPaths:
+    def test_the_searching_eliminators_are_defined_in_natmodel_and_called_nowhere_in_src(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "natmod"
+        searches = {"pi_apply", "sigma_split"}
+        natmodel = ast.parse((src / "natmodel.py").read_text(encoding="utf-8"))
+        assert searches <= {n.name for n in natmodel.body if isinstance(n, ast.FunctionDef)}
+        calls = [
+            (path.name, node.lineno)
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in searches
+        ]
+        assert calls == []
 
 
 class TestMorphismChecker:
@@ -722,7 +808,8 @@ class TestStructureInstances:
 
     def test_the_constant_pi_structure_counts_its_pairs(self):
         u = extend_by_unit(term_model(range(0)))
-        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda c, a, b, t: u._star), 2)
+        pi = _searched_pi(u, lambda c, a, b: u.new_ty, lambda c, a, b, t: u._star, 2)
+        rep = check_pi(u, pi, 2)
         assert rep.ok and rep.instances > 0
 
 
@@ -766,22 +853,33 @@ def _natural(sq):
     return all(next(nt.violations(), None) is None for nt in sq)
 
 
+def _swapped_former_pi_square(pm):
+    """The Π square of the propositions model with Σ's former in Π's place."""
+    return pi_square(pm, dataclasses.replace(pm.pi_structure, pi=pm.sigma_structure.sigma), 2)
+
+
 class TestFormerSquaresAgainstTheConeChaser:
     def test_the_verifiers_agree_wherever_the_four_maps_are_natural(self):
         sm = extend_by_sigma(term_model(range(1)))
         su = extend_by_sigma(extend_by_unit(term_model(range(0))))
         u0 = extend_by_unit(term_model(range(0)))
         u1 = extend_by_unit(term_model(range(1)))
-        u0_pi = pi_square(u0, PiStructure(lambda c, a, b: u0.new_ty, lambda *a: u0._star), 2)
+        u0_pi = pi_square(
+            u0, _searched_pi(u0, lambda c, a, b: u0.new_ty, lambda *a: u0._star, 2), 2)
         squares = [
             sigma_square(sm, sm.sigma_structure, 2),
             sigma_square(su, su.sigma_structure, 2),
-            pi_square(u1, PiStructure(lambda c, a, b: u1.new_ty, lambda *a: u1._star), 2),
+            pi_square(u1, _searched_pi(u1, lambda c, a, b: u1.new_ty, lambda *a: u1._star, 2), 2),
         ]
         rng = random.Random(0)
         # u0 has one term per context, so its λ̂ has no other value to take
         perturbed = [_perturbed(sq, rng) for sq in squares for _ in range(10)]
         squares += [u0_pi, sigma_square(sm, _swapped_pairing(sm), 2)]
+        # the propositions squares; like u0's, every context has one term, so
+        # their introduction maps have no other value to take
+        pm = propositions_model()
+        squares += [sigma_square(pm, pm.sigma_structure, 2), pi_square(pm, pm.pi_structure, 2),
+                    _swapped_former_pi_square(pm)]
         kinds = Counter()
         for sq in squares + perturbed:
             # the cone chaser reads the definition, in which the four maps are
@@ -793,6 +891,14 @@ class TestFormerSquaresAgainstTheConeChaser:
         assert len(perturbed) >= 30
         assert min(kinds[k] for k in
                    ("pullback", "commuting non-pullback", "non-commuting")) >= 1, kinds
+
+    def test_the_propositions_squares_are_pullbacks_and_the_swapped_former_is_not(self):
+        pm = propositions_model()
+        for sq in (sigma_square(pm, pm.sigma_structure, 2), pi_square(pm, pm.pi_structure, 2)):
+            assert check_pullback_square(*sq) and check_pullback_square_by_cones(*sq)
+        swapped = _swapped_former_pi_square(pm)
+        assert not check_pullback_square(*swapped)
+        assert not check_pullback_square_by_cones(*swapped)
 
     def test_the_swapped_pairing_is_a_pointwise_pullback_of_a_non_natural_pair(self):
         sm = extend_by_sigma(term_model(range(1)))

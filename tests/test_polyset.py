@@ -370,6 +370,26 @@ class TestPseudomonad:
         report = check_pseudomonad_data(*partiality_pseudomonad())
         assert report.ok, report.details
 
+    def test_partiality_p_is_the_propositions_classifier_at_the_terminal_context(self):
+        # the docstring's claim: p is the typing map Tm(⋄) -> Ty(⋄) of a model
+        # with an empty and a unit closed type, η picking the unit and its term
+        from helpers import propositions_model
+        from natmod.natmodel import model_presheaves
+        from natmod.polyset import partiality_pseudomonad
+
+        m = propositions_model()
+        typing = model_presheaves(m, 2, 2).p
+        tys, tms = typing.cod.at(m.terminal), typing.dom.at(m.terminal)
+        assert (tys, tms) == (["fam(0,)", "fam(1,)"], ["sec(1,)|(0,)"])
+        p, eta, _ = partiality_pseudomonad()
+        classifier = fin_map(tms, tys, lambda t: typing.apply(m.terminal, t))
+        iso = find_poly_iso(poly_from_map(classifier), p)
+        assert iso is not None
+        on_ty, on_tm = iso
+        (star,), (dstar,) = eta.phi0.dom, eta.phi1.dom
+        unit = m.unit_structure
+        assert (on_ty(unit.unit_ty), on_tm(unit.star_tm)) == (eta.phi0(star), eta.phi1(dstar))
+
     def test_permuted_multiplication_fails_and_names_the_cell(self):
         from natmod.polyset import _square_of, partiality_pseudomonad
 
