@@ -5,17 +5,21 @@ keys is equality of cells.  Categories with infinitely many objects are
 represented by bounded generators (:class:`BoundedCategory`) that enumerate
 objects up to a size bound and produce full finite hom sets on demand;
 :func:`truncate` materializes such a generator into a
-:class:`FinCatPresentation`.
+:class:`FinCatPresentation`.  The functor laws are checked in one place,
+:func:`functor_violations`, over the scope its caller passes: a whole
+presentation for :meth:`FinFunctor.check`, and for a morphism of natural
+models a truncation or one step of the rival search.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Generator, Iterable, Iterator, Optional
 
 
 _MISS = object()
@@ -253,6 +257,66 @@ def check_category(c: FinCatPresentation) -> list[str]:
     return [msg for _law, msg in category_violations(c, c.object_keys)]
 
 
+def functor_violations(
+    src: BoundedCategory, dst: BoundedCategory,
+    on_obj: Callable[[str], Optional[str]], on_mor: Callable[[str], Optional[str]],
+    objects: Iterable[str], morphisms: Iterable[tuple[str, str, str]],
+    blocks: Iterable[tuple[list[str], Iterable[str]]],
+) -> Generator[tuple[str, str], None, set[str]]:
+    """The functor laws of (on_obj, on_mor) : src -> dst over a scope.
+
+    Yields ("functor", witness) pairs, law by law: identity on ``objects``;
+    endpoints (F m in hom(F a, F b)) on the (m, a, b) of ``morphisms``; and
+    composition on each block (fs, gs) of ``blocks``, every f in fs ending
+    where every g in gs starts.  An image of None is a violation.  A morphism
+    whose image is None or has the wrong endpoints is reported once, skipped
+    by composition, and returned among the misplaced.  Per f, the row of
+    F(g∘f) over gs is compared lazily with that of F g ∘ F f, so a caller
+    that stops at the first witness composes no further.
+    """
+    for a in objects:
+        fa = on_obj(a)
+        if fa is None:
+            yield "functor", f"no image for object {a}"
+        elif on_mor(src.identity(a)) != dst.identity(fa):
+            yield "functor", f"identity of {a} not preserved"
+    misplaced = set()
+    for m, a, b in morphisms:
+        im = on_mor(m)
+        if im is None:
+            yield "functor", f"no image for morphism {m}"
+        elif dst.dom(im) != on_obj(a) or dst.cod(im) != on_obj(b):
+            yield "functor", f"image of {m} has wrong endpoints"
+        else:
+            continue
+        misplaced.add(m)
+    for fs, gs in blocks:
+        if misplaced:
+            gs = [g for g in gs if g not in misplaced]
+        f_gs = list(map(on_mor, gs))
+        for f in fs:
+            if f in misplaced:
+                continue
+            f_f = on_mor(f)
+            lhs = map(on_mor, map(src.compose, gs, itertools.repeat(f)))
+            rhs = map(dst.compose, f_gs, itertools.repeat(f_f))
+            for g in itertools.compress(gs, map(operator.ne, lhs, rhs)):
+                yield "functor", f"composition not preserved on ({g}, {f})"
+    return misplaced
+
+
+def composable_pairs(
+    morphisms: list[tuple[str, str, str]]
+) -> Iterator[tuple[list[str], list[str]]]:
+    """The composable pairs of ``morphisms`` as blocks ([f], gs) for
+    :func:`functor_violations`: f by f, the gs out of cod f in order."""
+    out_of: dict[str, list[str]] = {}
+    for m, a, _b in morphisms:
+        out_of.setdefault(a, []).append(m)
+    for f, _a, b in morphisms:
+        yield [f], out_of.get(b, [])
+
+
 @dataclass
 class FinFunctor:
     """A functor between finite category presentations, given by tables."""
@@ -261,40 +325,14 @@ class FinFunctor:
     target: FinCatPresentation
     obj_map: dict[str, str]
     mor_map: dict[str, str]
-    preserves_terminal: bool = False
 
     def check(self) -> list[str]:
-        report = []
-        for a in self.source.object_keys:
-            fa = self.obj_map.get(a)
-            if fa is None:
-                report.append(f"no image for object {a!r}")
-                continue
-            if self.mor_map.get(self.source.identity(a)) != self.target.identity(fa):
-                report.append(f"identity of {a!r} not preserved")
-        morphisms = self.source.all_morphisms()
-        for m in morphisms:
-            fm = self.mor_map.get(m)
-            if fm is None:
-                report.append(f"no image for morphism {m!r}")
-                continue
-            if self.target.dom(fm) != self.obj_map[self.source.dom(m)] or \
-               self.target.cod(fm) != self.obj_map[self.source.cod(m)]:
-                report.append(f"image of {m!r} has wrong endpoints")
-        for f in morphisms:
-            for g in morphisms:
-                if self.source.dom(g) != self.source.cod(f):
-                    continue
-                lhs = self.mor_map[self.source.compose(g, f)]
-                rhs = self.target.compose(self.mor_map[g], self.mor_map[f])
-                if lhs != rhs:
-                    report.append(f"composition not preserved on ({g}, {f})")
-        if self.preserves_terminal:
-            if self.source.terminal_key is None or self.target.terminal_key is None:
-                report.append("terminal preservation requested but a terminal object is missing")
-            elif self.obj_map[self.source.terminal_key] != self.target.terminal_key:
-                report.append("distinguished terminal object not preserved")
-        return report
+        """The functor laws over the whole source, by enumeration; empty = ok."""
+        mors = [(m, a, b) for (a, b), ms in self.source.homs.items() for m in ms]
+        return [msg for _check, msg in functor_violations(
+            self.source, self.target, self.obj_map.get, self.mor_map.get,
+            self.source.object_keys, mors, composable_pairs(mors),
+        )]
 
 
 def truncate(cat: BoundedCategory, bound: int) -> FinCatPresentation:

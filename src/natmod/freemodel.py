@@ -216,15 +216,10 @@ class TermModel(NaturalModel):
         return self.base.obj_key(labels[:-1]), self.ty_key(labels[-1])
 
 
-def term_model(index, bound: int = 3) -> TermModel:
-    """The free natural model on an index-set of basic types.
-
-    ``bound`` is recorded as the suggested verification bound; the model
-    itself is lazily generated and not truncated.
-    """
-    m = TermModel(index)
-    m.suggested_bound = bound
-    return m
+def term_model(index) -> TermModel:
+    """The free natural model on an index-set of basic types, lazily
+    generated and not truncated."""
+    return TermModel(index)
 
 
 @memo
@@ -394,9 +389,6 @@ class ExtTermModel(NaturalModel):
 
     def ty_size(self, ctx: str, ty: str) -> int:
         return self.inner.ty_size(self.base.under(ctx), ty)
-
-    def tm_size(self, ctx: str, term: str) -> int:
-        return self.inner.tm_size(self.base.under(ctx), term)
 
     def subst_ty(self, sigma: str, ty: str) -> str:
         (s,) = self.base.mor_payload(sigma)
@@ -1047,11 +1039,6 @@ class TypeTree:
     def __hash__(self) -> int:
         return hash(self.key)
 
-    def leaves(self) -> list[str]:
-        if self.is_leaf:
-            return [self.leaf]  # type: ignore[list-item]
-        return self.left.leaves() + self.right.leaves()
-
     @functools.cached_property
     def _size(self) -> int:
         if self.is_leaf:
@@ -1091,11 +1078,6 @@ class TermTree:
 
     def __hash__(self) -> int:
         return hash(self.key)
-
-    def size(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.size() + self.right.size()
 
 
 @memo
@@ -1290,9 +1272,6 @@ class SigmaExtModel(NaturalModel):
 
     def ty_size(self, ctx: str, ty: str) -> int:
         return self.ty_tree(ty).size()
-
-    def tm_size(self, ctx: str, term: str) -> int:
-        return self.tm_tree(term).size()
 
     @memo
     def subst_ty(self, sigma: str, ty: str) -> str:

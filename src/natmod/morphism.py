@@ -8,6 +8,11 @@ preservation of the chosen representability data or invertibility of the
 mediating comparison maps; preservation of canonical pullback squares is
 reported separately and never conflated with either.
 
+Each law has one body, a generator of (check, witness) pairs over a scope
+its caller passes: :func:`natmod.fincat.functor_violations`, and here
+``_naturality``, ``_typing`` and ``_strictness``.  :func:`check_morphism`
+passes the whole truncation, the rival search the constraints of a step.
+
 A strict morphism is determined by its root data: :class:`ForcedImages`
 derives every other image, for the constructed morphisms of
 :mod:`natmod.freemodel` and for the search's candidates alike.  The
@@ -27,14 +32,14 @@ participant: the context of largest index among those the constraint reads.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, field
-from functools import partial
-from operator import ne
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .fincat import is_pullback_square
+from .fincat import composable_pairs, functor_violations, is_pullback_square, memo
 from .natmodel import (
     CompositeModel,
+    ModelPresheaves,
     NaturalModel,
     SigmaStructure,
     canonical_pullback,
@@ -201,84 +206,45 @@ def check_morphism(
     """
     if ty_bound is None:
         ty_bound = bound
-    src, dst = fm.src, fm.dst
     report = MorphismReport(bound, strict)
-    ps = model_presheaves(src, bound, ty_bound)
-    ctxs = ps.cat.object_keys
+    for check, msg in _checks(fm, model_presheaves(fm.src, bound, ty_bound), bound):
+        report.add(check, msg)
+    return report
 
+
+def _checks(fm: NMorphism, ps: ModelPresheaves, bound: int) -> Iterator[tuple[str, str]]:
+    """check_morphism's checks over the whole truncation, law by law."""
+    src, dst = fm.src, fm.dst
     if fm.on_obj(src.terminal) != dst.terminal:
-        report.add("terminal", "distinguished terminal object not preserved")
-
+        yield "terminal", "distinguished terminal object not preserved"
+    ctxs = ps.cat.object_keys
     mors = [(m, a, b) for (a, b), ms in ps.cat.homs.items() for m in ms]
+    # a morphism whose image has the wrong endpoints is reported once, by the
+    # functor laws; the laws that compose or substitute along its image skip it
+    misplaced = yield from functor_violations(
+        src.base, dst.base, fm.on_obj, fm.on_mor, ctxs, mors, composable_pairs(mors))
+    placed = [mor for mor in mors if mor[0] not in misplaced]
+    yield from _naturality(fm, ps, placed)
+    yield from _typing(fm, ps, ctxs)
     for g in ctxs:
-        if fm.on_mor(ps.cat.identity(g)) != dst.base.identity(fm.on_obj(g)):
-            report.add("functor", f"identity of {g} not preserved")
-    # a morphism whose image has the wrong endpoints is reported once here;
-    # the laws that compose or substitute along its image skip it
-    misplaced = set()
-    for m, a, b in mors:
-        im = fm.on_mor(m)
-        if dst.base.dom(im) != fm.on_obj(a) or dst.base.cod(im) != fm.on_obj(b):
-            report.add("functor", f"image of {m} has wrong endpoints")
-            misplaced.add(m)
-    out_of: dict[str, list[str]] = {a: [] for a in ctxs}
-    for m, a, b in mors:
-        out_of[a].append(m)
-    for f, fs, ft in mors:
-        for g in out_of[ft]:
-            if f in misplaced or g in misplaced:
-                continue
-            if fm.on_mor(src.base.compose(g, f)) != dst.base.compose(fm.on_mor(g), fm.on_mor(f)):
-                report.add("functor", f"composition not preserved on ({g}, {f})")
-
-    tys, tms = ps.ty.values, ps.tm.values
-    for m, a, b in mors:
-        if m in misplaced:
-            continue
-        im = fm.on_mor(m)
-        for ty in tys[b]:
-            if fm.on_ty(a, ps.ty.restrict(m, ty)) != dst.subst_ty(im, fm.on_ty(b, ty)):
-                report.add("ty-natural", f"{ty}[{m}]")
-        for tm in tms[b]:
-            if fm.on_tm(a, ps.tm.restrict(m, tm)) != dst.subst_tm(im, fm.on_tm(b, tm)):
-                report.add("tm-natural", f"{tm}[{m}]")
-    for g in ctxs:
-        for tm in tms[g]:
-            lhs = dst.typeof(fm.on_obj(g), fm.on_tm(g, tm))
-            rhs = fm.on_ty(g, ps.p.apply(g, tm))
-            if lhs != rhs:
-                report.add("typing", f"typeof({tm}) at {g}")
-
-    # representability data
-    for g in ctxs:
-        fg = fm.on_obj(g)
-        for ty in tys[g]:
-            e = src.ext(g, ty)
-            fty = fm.on_ty(g, ty)
-            e2 = dst.ext(fg, fty)
-            if fm.on_obj(e.extended) != e2.extended:
-                report.add("strict-ext", f"F({g}•{ty})")
-            if fm.on_mor(e.proj) != e2.proj:
-                report.add("strict-proj", f"F(p) at ({g}, {ty})")
-            if fm.on_tm(e.extended, e.var) != e2.var:
-                report.add("strict-var", f"F(q) at ({g}, {ty})")
+        for ty in ps.ty.values[g]:
+            yield from _strictness(fm, ((g, ty),))
             # weak condition: the mediating map ⟨F p, F q⟩ is invertible
+            e = src.ext(g, ty)
             try:
                 tau = induced_sub(
-                    dst, fm.on_mor(e.proj), fm.on_tm(e.extended, e.var), fty
+                    dst, fm.on_mor(e.proj), fm.on_tm(e.extended, e.var), fm.on_ty(g, ty)
                 )
             except ValueError as exc:
-                report.add("weak-tau", f"({g}, {ty}): {exc}")
+                yield "weak-tau", f"({g}, {ty}): {exc}"
                 continue
             if dst.base.is_iso(tau) is None:
-                report.add("weak-tau", f"mediating map at ({g}, {ty}) is not invertible")
+                yield "weak-tau", f"mediating map at ({g}, {ty}) is not invertible"
 
     # preservation of canonical pullback squares, via the in-category oracle;
     # an image square whose legs do not compose is not preserved
-    for m, a, b in mors:
-        if m in misplaced:
-            continue
-        for ty in tys[b]:
+    for m, a, b in placed:
+        for ty in ps.ty.values[b]:
             top = canonical_pullback(src, m, ty)
             e_sub = src.ext(a, ps.ty.restrict(m, ty))
             e = src.ext(b, ty)
@@ -292,11 +258,59 @@ def check_morphism(
                     fm.on_mor(e.proj),
                 )
             except (ValueError, KeyError) as exc:
-                report.add("canonical-pullbacks", f"image square of ({m}, {ty}): {exc}")
+                yield "canonical-pullbacks", f"image square of ({m}, {ty}): {exc}"
                 continue
             if not ok:
-                report.add("canonical-pullbacks", f"image square of ({m}, {ty})")
-    return report
+                yield "canonical-pullbacks", f"image square of ({m}, {ty})"
+
+
+# The laws of a strict morphism over a scope, as (check, witness) pairs; an
+# image of None is a violation.  ``fm`` is an NMorphism or a search candidate:
+# anything with src, dst and the four on_* actions.
+
+def _naturality(
+    fm, ps: ModelPresheaves, mors: Iterable[tuple[str, str, str]]
+) -> Iterator[tuple[str, str]]:
+    """ty-natural and tm-natural: F(x[m]) = F(x)[F m] for each (m, a, b) of
+    ``mors`` and each type, then each term, x over b.  The image of m must
+    lie in hom(F a, F b)."""
+    dst = fm.dst
+    laws = ((ps.ty, fm.on_ty, dst.subst_ty, "ty-natural"),
+            (ps.tm, fm.on_tm, dst.subst_tm, "tm-natural"))
+    for m, a, b in mors:
+        im = fm.on_mor(m)
+        for sort, image, subst, check in laws:
+            row = sort.row(m)
+            for x in sort.values[b]:
+                lhs, fx = image(a, row[x]), image(b, x)
+                if lhs is None or fx is None or lhs != subst(im, fx):
+                    yield check, f"{x}[{m}]"
+
+
+def _typing(fm, ps: ModelPresheaves, ctxs: Iterable[str]) -> Iterator[tuple[str, str]]:
+    """typing: typeof(F t) = F(p t) at F Γ, for each Γ of ``ctxs`` and term t over it."""
+    for g in ctxs:
+        fg, p_g = fm.on_obj(g), ps.p.components[g]
+        for tm in ps.tm.values[g]:
+            ftm = fm.on_tm(g, tm)
+            if fg is None or ftm is None or fm.dst.typeof(fg, ftm) != fm.on_ty(g, p_g[tm]):
+                yield "typing", f"typeof({tm}) at {g}"
+
+
+def _strictness(fm, cells: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
+    """strict-ext, strict-proj and strict-var: F sends Γ•A, p_A and q_A to
+    FΓ•FA, p_FA and q_FA, for each extension cell (Γ, A) of ``cells``."""
+    src, dst = fm.src, fm.dst
+    for g, ty in cells:
+        e = src.ext(g, ty)
+        fg, fty = fm.on_obj(g), fm.on_ty(g, ty)
+        e2 = None if fg is None or fty is None else dst.ext(fg, fty)
+        if e2 is None or fm.on_obj(e.extended) != e2.extended:
+            yield "strict-ext", f"F({g}•{ty})"
+        if e2 is None or fm.on_mor(e.proj) != e2.proj:
+            yield "strict-proj", f"F(p) at ({g}, {ty})"
+        if e2 is None or fm.on_tm(e.extended, e.var) != e2.var:
+            yield "strict-var", f"F(q) at ({g}, {ty})"
 
 
 def check_sigma_morphism(fm: NMorphism, bound: int) -> bool:
@@ -405,15 +419,20 @@ class _Candidate(ForcedImages):
     """
 
     def __init__(self, search: "_Search"):
+        # on_ty and on_tm read the tables themselves
         super().__init__(
-            search.src, search.dst, lambda ctx: None, lambda cand, m: None,
-            lambda cand, ctx, ty: cand.ty.get((ctx, ty)),
-            lambda cand, ctx, tm: cand.tm.get((ctx, tm)),
+            search.src, search.dst, lambda ctx: None, lambda cand, m: None, None, None
         )
         self.obj.update(search.pins.on_obj)
         self.ty: dict[tuple[str, str], str] = dict(search.pins.on_ty)
         self.tm: dict[tuple[str, str], str] = dict(search.pins.on_tm)
         self.mor.update(search.pins.on_mor)
+
+    def on_ty(self, ctx: str, ty: str) -> Optional[str]:
+        return self.ty.get((ctx, ty))
+
+    def on_tm(self, ctx: str, tm: str) -> Optional[str]:
+        return self.tm.get((ctx, tm))
 
     def assigned(self, table: str, key, value: str) -> "_Candidate":
         """A copy of this candidate that also sends ``key`` to ``value`` in ``table``."""
@@ -432,6 +451,9 @@ class _Candidate(ForcedImages):
 
 
 class _Search:
+    """The rival search of :func:`count_morphisms`.  Its constraints are
+    check_morphism's laws over each step's scope (:meth:`_scope`)."""
+
     def __init__(
         self, src: NaturalModel, dst: NaturalModel, bound: int,
         ty_bound: int, pins: MorphismPins, max_count: int,
@@ -458,82 +480,51 @@ class _Search:
         return self.count
 
     # -- constraint verification over assigned data ----------------------
-    def _last_at(self, i: int):
-        """Context pairs (a, b) within 0..i whose later member is context i."""
-        c = self.ctxs[i]
-        for a in self.ctxs[:i]:
-            yield a, c
-        for b in self.ctxs[: i + 1]:
-            yield c, b
+    @memo
+    def _scope(self, i: int) -> tuple[list, list, list, list]:
+        """The constraints whose last participant is context i, as scopes of
+        the law generators: the extension cells (Γ, A), Γ and Γ•A within
+        0..i and one of them context i (so a cell whose Γ•A lies outside the
+        truncation is never checked); the morphisms a -> b, a and b within
+        0..i and one of them context i; and the composable blocks (hom(x, y),
+        hom(y, z) over the zs), one of x, y, z context i.  Last, the root
+        morphisms among those a -> b: the ones whose b is not an extension.
+        """
+        ctx, upto, n = self.ctxs[i], self.ctxs[: i + 1], len(self.ctxs)
+        cells = [(c, ty) for k, c in enumerate(upto) for ty in self.tys[c]
+                 if max(k, self.idx.get(self.src.ext(c, ty).extended, n)) == i]
+        pairs = [(a, ctx) for a in upto[:-1]] + [(ctx, b) for b in upto]
+        mors = [(m, a, b) for a, b in pairs for m in self.hom.get((a, b), ())]
+        roots = [m for m, _a, b in mors if self.src.ext_parent(b) is None]
+        out_of = {y: [g for z in upto for g in self.hom.get((y, z), ())] for y in upto}
+        blocks = []
+        for x in upto:
+            for y in upto:
+                fs = self.hom.get((x, y))
+                gs = out_of[y] if ctx in (x, y) else self.hom.get((y, ctx))
+                if fs and gs:
+                    blocks.append((fs, gs))
+        return cells, mors, blocks, roots
 
     def _consistent_at(self, cand: _Candidate, i: int) -> bool:
         """Check the constraints whose last participant is context i.
 
-        Those among contexts 0..i-1 passed at earlier steps and read no value
-        assigned since, so each constraint is checked exactly once.
+        They are check_morphism's laws over the scope of step i, cheap first:
+        strictness, typing, endpoints and naturality, then functoriality; the
+        first witness rejects.  Those among contexts 0..i-1 passed at earlier
+        steps and read no value assigned since, so each constraint is checked
+        exactly once.  The identity law is not checked: candidates force it.
         """
-        src, dst, ps = self.src, self.dst, self.ps
-        ctx = self.ctxs[i]
-        upto = self.ctxs[: i + 1]
-        f_ctx = cand.on_obj(ctx)
-        if f_ctx is None:
-            return False
-        for ty in self.tys[ctx]:
-            if (ctx, ty) not in cand.ty:
-                return False
-        # strictness of extension data: (c, A) with max(idx c, idx c•A) = i
-        for k, c in enumerate(upto):
-            for ty in self.tys[c]:
-                e = src.ext(c, ty)
-                if max(k, self.idx.get(e.extended, i + 1)) != i:
-                    continue
-                e2 = dst.ext(cand.on_obj(c), cand.ty[(c, ty)])
-                if cand.on_obj(e.extended) != e2.extended:
-                    return False
-                if cand.tm.get((e.extended, e.var)) != e2.var:
-                    return False
-                fp = cand.on_mor(e.proj)
-                if fp is None or fp != e2.proj:
-                    return False
-        # typing
-        for tm in self.tms[ctx]:
-            ftm = cand.tm.get((ctx, tm))
-            if ftm is None:
-                return False
-            if dst.typeof(f_ctx, ftm) != cand.ty.get((ctx, ps.p.apply(ctx, tm))):
-                return False
-        # morphism endpoints and naturality: a -> b with max(idx a, idx b) = i
-        for a, b in self._last_at(i):
-            for m in self.hom.get((a, b), ()):
-                im = cand.on_mor(m)
-                if im is None:
-                    return False
-                if dst.base.dom(im) != cand.on_obj(a) or dst.base.cod(im) != cand.on_obj(b):
-                    return False
-                for ty in self.tys[b]:
-                    lhs = cand.ty.get((a, ps.ty.restrict(m, ty)))
-                    if lhs is None or lhs != dst.subst_ty(im, cand.ty[(b, ty)]):
-                        return False
-                for tm in self.tms[b]:
-                    lhs = cand.tm.get((a, ps.tm.restrict(m, tm)))
-                    if lhs is None or lhs != dst.subst_tm(im, cand.tm[(b, tm)]):
-                        return False
-        # functoriality: x -> y -> z with max(idx x, idx y, idx z) = i.  Per
-        # g, the row of F(g∘f) over the fs in hom(x, y) is compared with the
-        # row of F(g)∘F(f), lazily, so the first f that differs ends the check.
-        for x in upto:
-            for y in upto:
-                fs = self.hom.get((x, y), ())
-                if not fs:
-                    continue
-                f_fs = list(map(cand.on_mor, fs))
-                for z in upto if ctx in (x, y) else (ctx,):
-                    for g in self.hom.get((y, z), ()):
-                        lhs = map(cand.on_mor, map(partial(src.base.compose, g), fs))
-                        rhs = map(partial(dst.base.compose, cand.on_mor(g)), f_fs)
-                        if any(map(ne, lhs, rhs)):
-                            return False
-        return True
+        cells, mors, blocks, _roots = self._scope(i)
+        src, dst = self.src.base, self.dst.base
+        witnesses = itertools.chain(
+            _strictness(cand, cells),
+            _typing(cand, self.ps, (self.ctxs[i],)),
+            functor_violations(src, dst, cand.on_obj, cand.on_mor, (), mors, ()),
+            _naturality(cand, self.ps, mors),
+            functor_violations(src, dst, cand.on_obj, cand.on_mor, (), (), blocks),
+        )
+        return next(witnesses, None) is None
 
     def _step(self, cand: _Candidate, i: int) -> None:
         """Visit the node at context i: choose its free values, then go on."""
@@ -547,7 +538,8 @@ class _Search:
             return  # unpinned root context: no way to determine its image
         free = [("ty", (ctx, t)) for t in self.tys[ctx] if (ctx, t) not in cand.ty]
         free += [("tm", (ctx, t)) for t in self.tms[ctx] if (ctx, t) not in cand.tm]
-        free += [("mor", m) for m in self._pending_root_mors(cand, i)]
+        # the root morphisms still free; the rest are derived by strictness
+        free += [("mor", m) for m in self._scope(i)[3] if cand.on_mor(m) is None]
         self._assign(cand, i, free)
 
     def _assign(self, cand: _Candidate, i: int, free: list[tuple[str, object]]) -> None:
@@ -578,18 +570,6 @@ class _Search:
             c for c in dst.terms(f_ctx, self.ty_bound)
             if want_ty is None or dst.typeof(f_ctx, c) == want_ty
         )
-
-    def _pending_root_mors(self, cand: _Candidate, i: int) -> list[str]:
-        """Unassigned root-codomain morphisms whose later endpoint is context i."""
-        out = []
-        for a, b in self._last_at(i):
-            if self.src.ext_parent(b) is not None:
-                continue  # derived through the extension decomposition
-            for m in self.hom.get((a, b), ()):
-                if cand.on_mor(m) is not None:
-                    continue
-                out.append(m)
-        return out
 
 
 def count_morphisms(

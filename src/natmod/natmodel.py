@@ -96,9 +96,6 @@ class NaturalModel(ABC):
     def ty_size(self, ctx: str, ty: str) -> int:
         return 1
 
-    def tm_size(self, ctx: str, term: str) -> int:
-        return 1
-
     # -- derived helpers -------------------------------------------------
     def t(self, ctx: str) -> str:
         """The unique substitution into the empty context."""

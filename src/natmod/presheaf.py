@@ -225,17 +225,14 @@ def elements_cat(p: Presheaf) -> tuple[FinCatPresentation, FinFunctor]:
             identities[el] = el_mor(base.identity(c), el, el)
 
     def rule(g: str, f: str) -> str:
-        gm = g.rsplit(":", 1)[1]
-        fm = f.rsplit(":", 1)[1]
-        src_el = f.split("=>", 1)[0]
-        dst_el = g.split("=>", 1)[1].rsplit(":", 1)[0]
-        return el_mor(base.compose(gm, fm), src_el, dst_el)
+        return el_mor(base.compose(mor_map[g], mor_map[f]), cat.dom(f), cat.cod(g))
 
     cat = FinCatPresentation(
         object_keys=objs, homs=homs, compose_table={}, identities=identities,
         terminal_key=None, compose_rule=rule,
     )
-    proj = FinFunctor(cat, base, obj_map, mor_map)
+    # the rule reads mor_map, so the functor gets a table of its own
+    proj = FinFunctor(cat, base, obj_map, dict(mor_map))
     return cat, proj
 
 
@@ -255,7 +252,8 @@ def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTran
 
     The four maps must be natural: the verdict is pointwise, and for maps
     that are not natural it can differ from the universal property
-    (:func:`check_pullback_square_by_cones`).  Who guarantees it: for p,
+    (:func:`check_pullback_square_by_cones`, which rejects such a square).
+    Who guarantees it: for p,
     equation (xviii) of ``check_eat``; for the formers and introduction maps
     of Σ and Π, (ii) and (iv), reported beside the verdict by
     ``natmodel._square_report``; for the maps built by ``element_nat``,
@@ -285,8 +283,12 @@ def check_pullback_square_by_cones(
     with x∘a = f∘b, built from elements via Yoneda — and demands exactly
     one mediating natural transformation into the candidate apex.  This
     re-derives the answer of :func:`check_pullback_square` from the
-    definition rather than from the fibrewise-bijection shortcut.
+    definition rather than from the fibrewise-bijection shortcut.  The
+    definition is about natural transformations, so a square one of whose
+    four maps is not natural is no pullback.
     """
+    if any(next(nt.violations(), None) is not None for nt in (f, x, top, left)):
+        return False
     base = x.dom.base
     p = top.dom
     yons = {d: yoneda(base, d) for d in base.object_keys}
@@ -349,7 +351,7 @@ class RepresentabilityReport:
         return [e for e in self.entries if not e.found]
 
 
-def is_representable(p: NatTrans, witness_search_bound: Optional[int] = None) -> RepresentabilityReport:
+def is_representable(p: NatTrans) -> RepresentabilityReport:
     """Search representability data for every fibre of p, in deterministic order.
 
     For each object Γ and each A in cod(p)(Γ), candidate witnesses
@@ -360,9 +362,6 @@ def is_representable(p: NatTrans, witness_search_bound: Optional[int] = None) ->
     base only.
     """
     base = p.dom.base
-    candidates = base.object_keys
-    if witness_search_bound is not None:
-        candidates = candidates[:witness_search_bound]
     yons = {d: yoneda(base, d) for d in base.object_keys}
     report = RepresentabilityReport(
         bound_note=f"verified up to the materialized base of {len(base.object_keys)} objects",
@@ -371,7 +370,7 @@ def is_representable(p: NatTrans, witness_search_bound: Optional[int] = None) ->
         for a in p.cod.at(gamma):
             entry = RepresentabilityWitness(gamma, a)
             x_nt = element_nat(base, p.cod, gamma, a, yons[gamma])
-            for b_obj in candidates:
+            for b_obj in base.object_keys:
                 if entry.found:
                     break
                 for g in base.hom(b_obj, gamma):

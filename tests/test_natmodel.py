@@ -828,14 +828,16 @@ class TestFormerSquaresAsNaturalTransformations:
         assert any(v.startswith("(i) component at") and "Σ(" in v for v in rep.violations)
 
 
-def _perturbed(sq, rng):
-    """sq with one component of its introduction map moved to another term."""
-    sites = [(g, x) for g in sq.p.dom.base.object_keys for x in sq.intro.dom.at(g)
-             if len(sq.intro.cod.at(g)) > 1]
+def _perturbed(sq, rng, name="intro"):
+    """sq with one component of its introduction map (or of the map ``name``)
+    moved to another value."""
+    nt = getattr(sq, name)
+    sites = [(g, x) for g in sq.p.dom.base.object_keys for x in nt.dom.at(g)
+             if len(nt.cod.at(g)) > 1]
     g, x = rng.choice(sites)
-    comps = {obj: dict(comp) for obj, comp in sq.intro.components.items()}
-    comps[g][x] = rng.choice([t for t in sq.intro.cod.at(g) if t != comps[g][x]])
-    return sq._replace(intro=NatTrans(sq.intro.dom, sq.intro.cod, comps))
+    comps = {obj: dict(comp) for obj, comp in nt.components.items()}
+    comps[g][x] = rng.choice([t for t in nt.cod.at(g) if t != comps[g][x]])
+    return sq._replace(**{name: NatTrans(nt.dom, nt.cod, comps)})
 
 
 def _square_kind(sq):
@@ -876,10 +878,14 @@ class TestFormerSquaresAgainstTheConeChaser:
         perturbed = [_perturbed(sq, rng) for sq in squares for _ in range(10)]
         squares += [u0_pi, sigma_square(sm, _swapped_pairing(sm), 2)]
         # the propositions squares; like u0's, every context has one term, so
-        # their introduction maps have no other value to take
+        # their introduction maps have no other value to take, but their
+        # formers do: moving one of Σ̂'s or Π̂'s components gives squares that
+        # are not natural, some of them commuting non-pullbacks
         pm = propositions_model()
-        squares += [sigma_square(pm, pm.sigma_structure, 2), pi_square(pm, pm.pi_structure, 2),
-                    _swapped_former_pi_square(pm)]
+        pm_squares = [sigma_square(pm, pm.sigma_structure, 2), pi_square(pm, pm.pi_structure, 2)]
+        squares += pm_squares + [_swapped_former_pi_square(pm)]
+        former_rng = random.Random(5)
+        perturbed += [_perturbed(sq, former_rng, "former") for sq in pm_squares for _ in range(10)]
         kinds = Counter()
         for sq in squares + perturbed:
             # the cone chaser reads the definition, in which the four maps are

@@ -22,7 +22,8 @@ from natmod.presheaf import (
     yoneda_map,
 )
 from natmod.fincat import check_category
-from natmod.freemodel import term_model
+from natmod.freemodel import extend_by_unit, term_model
+from natmod.natmodel import model_presheaves
 
 from helpers import chain_poset, diamond_lattice
 
@@ -146,6 +147,45 @@ class TestElementsCat:
         base = diamond_lattice()
         cat, _ = elements_cat(yoneda(base, "a"))
         assert len(cat.object_keys) == 2  # 0 and a
+
+    @pytest.mark.parametrize("sort", ["ty", "tm"])
+    @pytest.mark.parametrize("build", [
+        lambda: term_model(range(1)),
+        lambda: term_model(range(2)),
+        lambda: extend_by_unit(term_model(range(1))),
+    ], ids=["term-model-1", "term-model-2", "unit-over-term-model-1"])
+    def test_the_elements_of_a_model_presheaf_form_a_category(self, build, sort):
+        # the element and morphism keys of a term model contain ":" and "=>",
+        # which the element category's own keys use as separators
+        cat, proj = elements_cat(getattr(model_presheaves(build(), 2, 2), sort))
+        assert check_category(cat) == []
+        assert proj.check() == []
+
+    @pytest.mark.parametrize("move", ["parallel", "identity"])
+    def test_a_broken_projection_is_reported_not_raised(self, move):
+        base = truncate(term_model(range(1)).base, 2)
+        cat, proj = elements_cat(yoneda(base, "fs[0]"))
+        ids = set(cat.identities.values())
+        # the first non-identity element morphism whose base hom set has
+        # another member: moved to that member, or to an identity
+        moved = next(k for k in cat.all_morphisms() if k not in ids
+                     and len(base.hom(base.dom(proj.mor_map[k]), base.cod(proj.mor_map[k]))) > 1)
+        m = proj.mor_map[moved]
+        proj.mor_map[moved] = (
+            next(h for h in base.hom(base.dom(m), base.cod(m)) if h != m) if move == "parallel"
+            else base.identity(base.dom(m))
+        )
+        dropped = cat.all_morphisms()[-1]
+        assert dropped != moved
+        del proj.mor_map[dropped]
+        out = proj.check()
+        assert check_category(cat) == []  # the category keeps its own tables
+        assert f"no image for morphism {dropped}" in out
+        if move == "parallel":
+            assert any(msg.startswith("composition not preserved on (") and moved in msg
+                       for msg in out)
+        else:
+            assert f"image of {moved} has wrong endpoints" in out
 
 
 class TestPullbackSquareOracle:
