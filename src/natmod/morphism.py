@@ -27,6 +27,8 @@ one at a time (the types, then the terms, then the root morphisms) and
 makes each choice on a fresh copy of the candidate, so backtracking undoes
 nothing.  It checks each constraint once, at the step of its last
 participant: the context of largest index among those the constraint reads.
+Composition it checks only along generators; η for extensions in the
+codomain gives the other composable pairs.
 """
 
 from __future__ import annotations
@@ -452,7 +454,31 @@ class _Candidate(ForcedImages):
 
 class _Search:
     """The rival search of :func:`count_morphisms`.  Its constraints are
-    check_morphism's laws over each step's scope (:meth:`_scope`)."""
+    check_morphism's laws over each step's scope (:meth:`_scope`).
+
+    Functoriality is checked along generators only.  A generator is a
+    morphism whose codomain is a root context (no ``ext_parent``) or a
+    canonical projection p_A : Γ•A → Γ; the extension contexts whose
+    composites need no check are classified once, in ``reduced``.  Checking
+    the pairs (f, g) with g a generator suffices.  Let g : y → Γ•A and f :
+    x → y, and suppose the pairs whose g ends at a context before Γ•A are
+    preserved.  After p' = F(p_A) (strict-proj), F(g∘f) is F(p∘g∘f) by the
+    block (g∘f, p), and F g ∘ F f is F(p∘g) ∘ F f = F(p∘g∘f) by the blocks
+    (g, p) and (f, p∘g), the latter by induction, as p∘g ends at Γ.  After
+    q' = F(q_A) (strict-var), q'[F(g∘f)] is F(q[g∘f]), and q'[F g ∘ F f] is
+    q'[F g][F f] = F(q[g][f]) by tm-naturality along g and along f.  Both
+    are maps F x → FΓ•FA (strict-ext), so by η they are equal.
+
+    This presupposes that the codomain model is associative, that its Tm is
+    a functor, and that it has η for extensions: h = ⟨p∘h, q[h]⟩.  Every
+    caller's codomain is a free model; a parsed ``TableModel`` has no
+    extension parents, so every morphism of it is a generator.  The
+    argument also needs its own constraints in the truncation: Γ earlier
+    than Γ•A, A a type of Γ and q_A a term of Γ•A within the bounds.  A
+    context on the truncation boundary that misses one of these is not
+    reduced, and a g into it keeps every block.  Naturality, typing and
+    strictness stay exhaustive, and so does :func:`check_morphism`.
+    """
 
     def __init__(
         self, src: NaturalModel, dst: NaturalModel, bound: int,
@@ -469,6 +495,19 @@ class _Search:
         self.idx = {c: i for i, c in enumerate(self.ctxs)}
         self.tys, self.tms = ps.ty.values, ps.tm.values
         self.hom = ps.cat.homs
+        # Γ•A -> (Γ, p_A) for the extension contexts, and those of them
+        # whose composites follow from the generators' (see above)
+        self.proj: dict[str, tuple[str, str]] = {}
+        self.reduced: set[str] = set()
+        for k, z in enumerate(self.ctxs):
+            parent = src.ext_parent(z)
+            if parent is None:
+                continue
+            g, ty = parent
+            e = src.ext(g, ty)
+            self.proj[z] = (g, e.proj)
+            if self.idx.get(g, k) < k and ty in self.tys[g] and e.var in self.tms[z]:
+                self.reduced.add(z)
 
     def run(self) -> int:
         cand = _Candidate(self)
@@ -487,24 +526,34 @@ class _Search:
         0..i and one of them context i (so a cell whose Γ•A lies outside the
         truncation is never checked); the morphisms a -> b, a and b within
         0..i and one of them context i; and the composable blocks (hom(x, y),
-        hom(y, z) over the zs), one of x, y, z context i.  Last, the root
-        morphisms among those a -> b: the ones whose b is not an extension.
+        the generators out of y over the zs), one of x, y, z context i.  The
+        other composable pairs follow from these (see :class:`_Search`).
+        Last, the root morphisms among those a -> b: the ones whose b is not
+        an extension.
         """
         ctx, upto, n = self.ctxs[i], self.ctxs[: i + 1], len(self.ctxs)
         cells = [(c, ty) for k, c in enumerate(upto) for ty in self.tys[c]
                  if max(k, self.idx.get(self.src.ext(c, ty).extended, n)) == i]
         pairs = [(a, ctx) for a in upto[:-1]] + [(ctx, b) for b in upto]
         mors = [(m, a, b) for a, b in pairs for m in self.hom.get((a, b), ())]
-        roots = [m for m, _a, b in mors if self.src.ext_parent(b) is None]
-        out_of = {y: [g for z in upto for g in self.hom.get((y, z), ())] for y in upto}
+        roots = [m for m, _a, b in mors if b not in self.proj]
+        out_of = {y: [g for z in upto for g in self._generators(y, z)] for y in upto}
         blocks = []
         for x in upto:
             for y in upto:
                 fs = self.hom.get((x, y))
-                gs = out_of[y] if ctx in (x, y) else self.hom.get((y, ctx))
+                gs = out_of[y] if ctx in (x, y) else self._generators(y, ctx)
                 if fs and gs:
                     blocks.append((fs, gs))
         return cells, mors, blocks, roots
+
+    def _generators(self, y: str, z: str) -> list[str]:
+        """The generators y -> z: all of hom(y, z) unless z is reduced, else
+        the projection p_A when y is z•A."""
+        if z not in self.reduced:
+            return self.hom.get((y, z), [])
+        parent, p = self.proj.get(y, (None, None))
+        return [p] if parent == z else []
 
     def _consistent_at(self, cand: _Candidate, i: int) -> bool:
         """Check the constraints whose last participant is context i.
@@ -587,6 +636,11 @@ def count_morphisms(
     free value is made on a copy of the partial candidate; the images a
     candidate derives and caches depend only on values it already holds, so
     no choice has to be undone.  Counting stops at ``max_count``.
+
+    Functoriality is checked only along generators (see :class:`_Search`),
+    which presupposes that ``dst`` is associative, that its Tm is a functor
+    and that it has η for extensions, h = ⟨p∘h, q[h]⟩: true of every free
+    model, and vacuous for a source without extension contexts.
     """
     if ty_bound is None:
         ty_bound = bound

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .fincat import is_set_pullback
+from .fincat import is_set_pullback, memo
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,15 @@ class FinMap:
         return self._graph
 
     def fibre(self, y) -> tuple:
-        return tuple(x for x in self.dom if self._graph[x] == y)
+        return self._fibres().get(y, ())
+
+    @memo
+    def _fibres(self) -> dict:
+        """Each value's fibre, in dom order, built in one pass over dom."""
+        out: dict = {}
+        for x in self.dom:
+            out.setdefault(self._graph[x], []).append(x)
+        return {y: tuple(xs) for y, xs in out.items()}
 
     def is_bijection(self) -> bool:
         return len(self.dom) == len(self.cod) and len(set(self.as_dict.values())) == len(self.cod)

@@ -9,6 +9,7 @@ either derives or reads its data cannot change what it visits or reports.
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -30,7 +31,8 @@ from natmod.freemodel import (
     type_universal,
     unit_universal,
 )
-from natmod.morphism import NMorphism, _Search, check_morphism
+from natmod.fincat import memo
+from natmod.morphism import MorphismPins, NMorphism, _Search, check_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +202,163 @@ def test_a_failing_morphism_report_is_the_recorded_one(name):
     assert list(rep.checks) == list(counts)  # the checks fail in this order
     blob = json.dumps(list(rep.checks.items()), ensure_ascii=False)
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# Functoriality along generators visits the same tree as along every pair
+# ---------------------------------------------------------------------------
+
+class _FullBlocks(_Search):
+    """The rival search checking functoriality on every composable pair."""
+
+    @memo
+    def _scope(self, i):
+        cells, mors, _generator_blocks, roots = super()._scope(i)
+        ctx, upto = self.ctxs[i], self.ctxs[: i + 1]
+        out_of = {y: [g for z in upto for g in self.hom.get((y, z), ())] for y in upto}
+        blocks = []
+        for x in upto:
+            for y in upto:
+                fs = self.hom.get((x, y))
+                gs = out_of[y] if ctx in (x, y) else self.hom.get((y, ctx))
+                if fs and gs:
+                    blocks.append((fs, gs))
+        return cells, mors, blocks, roots
+
+
+def _tree(search, src, dst, bound, pins, max_count=2, ty_bound=None):
+    """(count, _step calls, ordered verdicts of _consistent_at) of a search."""
+    steps, verdicts = [], []
+
+    class Recorded(search):
+        def _step(self, cand, i):
+            steps.append(i)
+            super()._step(cand, i)
+
+        def _consistent_at(self, cand, i):
+            ok = super()._consistent_at(cand, i)
+            verdicts.append((i, ok))
+            return ok
+
+    count = Recorded(src, dst, bound, bound if ty_bound is None else ty_bound, pins, max_count).run()
+    return count, len(steps), verdicts
+
+
+def _assert_same_tree(src, dst, bound, pins, max_count=2, ty_bound=None):
+    tree = _tree(_Search, src, dst, bound, pins, max_count, ty_bound)
+    assert tree == _tree(_FullBlocks, src, dst, bound, pins, max_count, ty_bound)
+    return tree
+
+
+def _pairs(search) -> int:
+    """Composable pairs the search's scopes check, over all its steps."""
+    return sum(len(fs) * len(gs) for i in range(len(search.ctxs))
+               for fs, gs in search._scope(i)[2])
+
+
+@pytest.mark.parametrize("name,bound", list(SEARCH_PINS), ids=[
+    f"{name.replace(' ', '-')}@{bound}" for name, bound in SEARCH_PINS
+])
+def test_generator_blocks_visit_the_tree_of_all_blocks_on_the_pinned_searches(name, bound):
+    src, dst, pins = _search(name, bound)
+    assert _assert_same_tree(src, dst, bound, pins)[0] == SEARCH_PINS[(name, bound)][0]
+
+
+@pytest.mark.parametrize("name", ["initiality tm2", "sigma"])
+def test_generator_blocks_are_fewer_pairs(name):
+    src, dst, pins = _search(name, 3)
+    generators, full = (cls(src, dst, 3, 3, pins, 2) for cls in (_Search, _FullBlocks))
+    assert generators.reduced
+    assert 0 < _pairs(generators) < _pairs(full)
+
+
+@pytest.mark.parametrize("ty_bound", [1, 2])
+def test_generator_blocks_keep_every_block_on_the_truncation_boundary(ty_bound):
+    # below the type bound, some Γ•A of the truncation has its A outside
+    # Γ's types, so its cell is unchecked and its composites are checked
+    src, dst, pins = _search("sigma", 3)
+    search = _Search(src, dst, 3, ty_bound, pins, 2)
+    assert set(search.proj) - search.reduced
+    _assert_same_tree(src, dst, 3, pins, ty_bound=ty_bound)
+
+
+def _early_violation_controls():
+    from test_natmodel import (
+        _functoriality_control,
+        _strict_ext_control,
+        _tm_naturality_control,
+        _ty_naturality_control,
+        _typing_control,
+    )
+    return [_strict_ext_control, _typing_control, _ty_naturality_control,
+            _tm_naturality_control, _functoriality_control]
+
+
+@pytest.mark.parametrize("index", range(5), ids=[
+    "strict-ext", "typing", "ty-naturality", "tm-naturality", "functoriality"])
+def test_generator_blocks_visit_the_tree_of_all_blocks_on_the_controls(index):
+    src, dst, bound, pins, _k = _early_violation_controls()[index]()
+    assert _assert_same_tree(src, dst, bound, pins)[0] == 0
+
+
+@pytest.mark.parametrize("k, target, expected", [
+    (1, lambda: term_model(range(2)), 2),
+    (2, lambda: term_model(range(2)), 4),
+    (1, lambda: term_model(range(3)), 3),
+    (2, lambda: term_model(range(3)), 9),
+    (1, lambda: extend_by_unit(term_model(range(1))), 2),
+    (2, lambda: extend_by_unit(term_model(range(1))), 4),
+])
+def test_generator_blocks_visit_the_tree_of_all_blocks_when_counting(k, target, expected):
+    src = term_model(range(k))
+    assert _assert_same_tree(src, target(), 2, MorphismPins(), max_count=100)[0] == expected
+
+
+def _perturbed(pins: MorphismPins, dst, bound: int, rng: random.Random) -> MorphismPins:
+    """``pins`` with one pinned value dropped or moved to another of its kind:
+    an object of dst, a morphism with the same endpoints, or a value pinned
+    elsewhere in the same table at the same context."""
+    out = MorphismPins(*(dict(getattr(pins, t)) for t in _PIN_TABLES))
+    table, key = rng.choice([(t, k) for t in _PIN_TABLES for k in getattr(pins, t)])
+    pinned = getattr(out, table)
+    if rng.random() < 0.3:
+        del pinned[key]
+        return out
+    value = pinned[key]
+    if table == "on_obj":
+        pool = dst.base.objects(bound)
+    elif table == "on_mor":
+        pool = dst.base.hom(dst.base.dom(value), dst.base.cod(value))
+    else:
+        pool = [v for k, v in pinned.items() if k[0] == key[0]]
+    others = sorted(set(pool) - {value})
+    if others:
+        pinned[key] = rng.choice(others)
+    else:
+        del pinned[key]
+    return out
+
+
+_PIN_TABLES = ("on_obj", "on_ty", "on_tm", "on_mor")
+_PERTURBED = [(name, rb) for name, rb in SEARCH_PINS if rb == 2 or name in ("term", "unit")]
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_generator_blocks_visit_the_tree_of_all_blocks_under_perturbed_pins(seed):
+    rng = random.Random(seed)
+    name, bound = rng.choice(_PERTURBED)
+    src, dst, pins = _search(name, bound)
+    _assert_same_tree(src, dst, bound, _perturbed(pins, dst, bound, rng))
+
+
+def test_a_wrongly_pinned_identity_or_endomorphism_has_no_morphism():
+    m = term_model(range(1))
+    c = m.base.obj_key((0, 0))
+    ident = m.base.identity(c)
+    others = [e for e in m.base.hom(c, c) if e != ident]
+    assert others
+    for pinned, image in [(ident, e) for e in others] + [(others[0], ident)]:
+        pins = initiality_pins(m, m, {0: "T0"})
+        pins.on_mor[pinned] = image
+        assert _tree(_Search, m, m, 2, pins)[0] == 0
+        assert _tree(_FullBlocks, m, m, 2, pins)[0] == 0
