@@ -405,21 +405,40 @@ def is_pullback_square(
     Requires ``left_leg ∘ to_left == top_leg ∘ to_top``.  Competing cones are
     drawn from all objects of size <= bound; each must have exactly one
     mediating map.  Per cone vertex q, this is :func:`is_set_pullback` of the
-    hom sets out of q, with the legs acting by composition.
+    hom sets out of q, with the legs acting by composition: each leg reads
+    its row :func:`_post_row` at q, which the squares sharing that leg share.
     """
     x, y = c.cod(to_left), c.cod(to_top)
     if c.compose(left_leg, to_left) != c.compose(top_leg, to_top):
         return False
-
-    def after(g: str) -> Callable[[str], str]:
-        return lambda h: c.compose(g, h)
-
     for q in c.objects(bound):
         q1s = c.hom(q, x)
-        if q1s and not is_set_pullback(c.hom(q, apex), after(to_left), after(to_top),
-                                       q1s, after(left_leg), c.hom(q, y), after(top_leg)):
+        if q1s and not is_set_pullback(
+            c.hom(q, apex), _post_row(c, q, to_left).__getitem__,
+            _post_row(c, q, to_top).__getitem__, q1s, _post_row(c, q, left_leg).__getitem__,
+            c.hom(q, y), _post_row(c, q, top_leg).__getitem__,
+        ):
             return False
     return True
+
+
+class _PostRow(dict):
+    """The composites g∘h of one g keyed by h; an h the row does not hold is
+    composed by the category, which refuses it as a direct composite would."""
+
+    __slots__ = ("compose",)
+
+    def __missing__(self, h: str) -> str:
+        return self.compose(h)
+
+
+@memo
+def _post_row(c: BoundedCategory, q: str, g: str) -> _PostRow:
+    """{h: g∘h for h in hom(q, dom g)}: how the leg g acts on the cone
+    vertex q, shared by every square with leg g."""
+    row = _PostRow((h, c.compose(g, h)) for h in c.hom(q, c.dom(g)))
+    row.compose = functools.partial(c.compose, g)
+    return row
 
 
 def pullback(

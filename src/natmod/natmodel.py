@@ -85,6 +85,9 @@ class NaturalModel(ABC):
     def ext(self, ctx: str, ty: str) -> ExtensionData: ...
 
     # -- optional hooks --------------------------------------------------
+    # Closed forms and tabulations a model may supply; the defaults search
+    # or go cell by cell.  ``model_presheaves`` reads the action of each
+    # morphism through the two row hooks.
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         """Closed form for ⟨σ, a⟩_A, if the model has one."""
         return None
@@ -95,6 +98,14 @@ class NaturalModel(ABC):
 
     def ty_size(self, ctx: str, ty: str) -> int:
         return 1
+
+    def subst_ty_row(self, sigma: str, tys: list[str]) -> dict[str, str]:
+        """{A: A[σ]} over types A of cod σ; a fresh dict the caller may keep."""
+        return {a: self.subst_ty(sigma, a) for a in tys}
+
+    def subst_tm_row(self, sigma: str, tms: list[str]) -> dict[str, str]:
+        """{a: a[σ]} over terms a of cod σ; a fresh dict the caller may keep."""
+        return {a: self.subst_tm(sigma, a) for a in tms}
 
     # -- derived helpers -------------------------------------------------
     def t(self, ctx: str) -> str:
@@ -324,7 +335,9 @@ def model_presheaves(model: NaturalModel, ctx_bound: int, ty_bound: int) -> Mode
     """Materialize the classifier p : U̇ -> U of a model over a base truncation.
 
     This is the one tabulation of a bounded model: every type, term, typing
-    and substitution cell over the truncated base.
+    and substitution cell over the truncated base.  The action of each
+    morphism on types and on terms is one row from the model's
+    ``subst_ty_row``/``subst_tm_row`` hooks.
     """
     cat = truncate(model.base, ctx_bound)
     ty_vals = {g: model.types(g, ty_bound) for g in cat.object_keys}
@@ -333,8 +346,8 @@ def model_presheaves(model: NaturalModel, ctx_bound: int, ty_bound: int) -> Mode
     tm_act = {}
     for m in cat.all_morphisms():
         dst = cat.cod(m)
-        ty_act[m] = {a: model.subst_ty(m, a) for a in ty_vals[dst]}
-        tm_act[m] = {a: model.subst_tm(m, a) for a in tm_vals[dst]}
+        ty_act[m] = model.subst_ty_row(m, ty_vals[dst])
+        tm_act[m] = model.subst_tm_row(m, tm_vals[dst])
     ty_ps = Presheaf(cat, ty_vals, ty_act)
     tm_ps = Presheaf(cat, tm_vals, tm_act)
     p_nt = NatTrans(

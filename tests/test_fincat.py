@@ -341,6 +341,89 @@ def _sigma_tree_category():
     return extend_by_sigma(term_model(range(1))).base
 
 
+def _pullback_with_composing_legs(c, bound, apex, to_left, to_top, left_leg, top_leg):
+    """``is_pullback_square`` as it was when each leg acted by a fresh
+    composite per element, before the legs read memoized rows."""
+    x, y = c.cod(to_left), c.cod(to_top)
+    if c.compose(left_leg, to_left) != c.compose(top_leg, to_top):
+        return False
+
+    def after(g):
+        return lambda h: c.compose(g, h)
+
+    for q in c.objects(bound):
+        q1s = c.hom(q, x)
+        if q1s and not is_set_pullback(c.hom(q, apex), after(to_left), after(to_top),
+                                       q1s, after(left_leg), c.hom(q, y), after(top_leg)):
+            return False
+    return True
+
+
+def _canonical_squares(model, bound):
+    """The squares (Δ•A[m], p, m•A, m, p_A) of every m : Δ → Γ and type A
+    of Γ in the truncation, as ``check_morphism`` sends their images."""
+    from natmod.natmodel import canonical_pullback, model_presheaves
+
+    ps = model_presheaves(model, bound, bound)
+    for m in ps.cat.all_morphisms():
+        a, b = ps.cat.dom(m), ps.cat.cod(m)
+        for ty in ps.ty.values[b]:
+            e_sub, e = model.ext(a, ps.ty.restrict(m, ty)), model.ext(b, ty)
+            yield e_sub.extended, e_sub.proj, canonical_pullback(model, m, ty), m, e.proj
+
+
+class TestPullbackSquareAgainstComposingLegs:
+    """The legs' memoized rows give the verdicts, and the errors, of
+    composing each leg per element."""
+
+    @staticmethod
+    def _squares():
+        from natmod.freemodel import term_model
+
+        tm = term_model(range(2))
+        return tm.base, list(_canonical_squares(tm, 2))
+
+    def test_canonical_squares(self):
+        c, squares = self._squares()
+        assert len(squares) > 20
+        for square in squares:
+            assert _pullback_with_composing_legs(c, 3, *square)
+            assert is_pullback_square(c, 3, *square), square
+
+    def test_one_leg_moved_to_a_parallel_morphism(self):
+        c, squares = self._squares()
+        verdicts = {True: 0, False: 0}
+        for square in squares:
+            for k in range(1, 5):
+                leg = square[k]
+                for other in c.hom(c.dom(leg), c.cod(leg)):
+                    if other == leg:
+                        continue
+                    moved = square[:k] + (other,) + square[k + 1:]
+                    expected = _pullback_with_composing_legs(c, 3, *moved)
+                    assert is_pullback_square(c, 3, *moved) == expected, moved
+                    verdicts[expected] += 1
+        assert min(verdicts.values()) >= 5, verdicts
+
+    @pytest.mark.parametrize("position", [0, 3], ids=["apex", "left-leg"])
+    def test_a_leg_that_does_not_compose_raises_the_same_error(self, position):
+        c, squares = self._squares()
+        apex, to_left, to_top, left_leg, top_leg = square = squares[-1]
+        if position == 0:  # the apex is not the domain of to_left and to_top
+            wrong = c.terminal
+        else:  # left_leg does not start where to_left ends
+            wrong = c.identity(apex)
+        assert wrong not in (apex, left_leg)
+        square = square[:position] + (wrong,) + square[position + 1:]
+        with pytest.raises(Exception) as reference:
+            _pullback_with_composing_legs(c, 3, *square)
+        with pytest.raises(Exception) as got:
+            is_pullback_square(c, 3, *square)
+        assert (type(got.value), str(got.value)) == (type(reference.value),
+                                                      str(reference.value))
+        assert "not composable" in str(got.value)
+
+
 def _category_violations_by_triples(c, objects):
     """The category laws as checked one triple at a time, transcribed from
     the per-triple loop that the row comparison replaced."""

@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import itertools
 import random
@@ -10,6 +11,7 @@ import pytest
 
 from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
 from natmod.freemodel import (
+    SigmaExtModel,
     extend_by_sigma,
     extend_by_term,
     extend_by_type,
@@ -17,9 +19,12 @@ from natmod.freemodel import (
     initial_morphism,
     initiality_pins,
     interleaved_inclusion,
+    poly_composite_models,
     sigma_inclusion,
     term_inclusion,
     term_model,
+    tmtree_subst,
+    tree_subst,
     tree_summation,
 )
 from natmod.morphism import (
@@ -44,6 +49,7 @@ from natmod.natmodel import (
     check_unit,
     extension_square_oracle,
     induced_sub,
+    model_presheaves,
     pi_apply,
     pi_square,
     section,
@@ -912,3 +918,78 @@ class TestFormerSquaresAgainstTheConeChaser:
         assert check_pullback_square(*sq)
         assert not check_pullback_square_by_cones(*sq)
         assert [law for law, _ in sq.intro.violations()] == ["naturality"] * 36
+
+
+# term_model(range(2)), its four free extensions and its composite, fresh per call
+_ROW_MODELS = {
+    "term-model": lambda: term_model(range(2)),
+    "term": lambda: extend_by_term(term_model(range(2)), "T0"),
+    "type": lambda: extend_by_type(term_model(range(2))),
+    "unit": lambda: extend_by_unit(term_model(range(2))),
+    "sigma": lambda: extend_by_sigma(term_model(range(2))),
+    "poly-compose": lambda: poly_composite_models(*[term_model(range(2))] * 2),
+}
+
+
+def _rows_cell_by_cell(model, bound):
+    """The ty and tm rows of every morphism of the truncation, one cell at a
+    time and in reverse morphism order.  A Σ cell is substituted along the
+    morphism's inner payload directly, bypassing the model's memos."""
+    cat = truncate(model.base, bound)
+    tys = {g: model.types(g, bound) for g in cat.object_keys}
+    tms = {g: model.terms(g, bound) for g in cat.object_keys}
+    if isinstance(model, SigmaExtModel):
+        def ty_cell(m, a):
+            (s,) = model.base.mor_payload(m)
+            return model.reg_ty(tree_subst(model.inner, s, model.ty_tree(a)))
+
+        def tm_cell(m, a):
+            (s,) = model.base.mor_payload(m)
+            return model.reg_tm(tmtree_subst(model.inner, s, model.tm_tree(a)))
+    else:
+        ty_cell, tm_cell = model.subst_ty, model.subst_tm
+    ty_rows, tm_rows = {}, {}
+    for m in reversed(cat.all_morphisms()):
+        b = cat.cod(m)
+        ty_rows[m] = {a: ty_cell(m, a) for a in reversed(tys[b])}
+        tm_rows[m] = {a: tm_cell(m, a) for a in reversed(tms[b])}
+    return ty_rows, tm_rows
+
+
+class TestSubstitutionRows:
+    """``model_presheaves`` reads each morphism's action as one row from the
+    model's row hooks; the Σ model computes a row once per inner payload."""
+
+    @pytest.mark.parametrize("bound", [2, 3])
+    @pytest.mark.parametrize("name", list(_ROW_MODELS))
+    def test_every_row_is_the_cell_by_cell_substitution(self, name, bound):
+        build = _ROW_MODELS[name]
+        model = build()
+        smaller = model_presheaves(model, bound, bound - 1)  # same morphisms, fewer cells
+        ps = model_presheaves(model, bound, bound)
+        assert smaller.cat.all_morphisms() == ps.cat.all_morphisms()
+        ty_rows, tm_rows = _rows_cell_by_cell(build(), bound)
+        assert ps.ty.action == ty_rows
+        assert ps.tm.action == tm_rows
+        assert sum(map(len, tm_rows.values())) > 0
+
+    @pytest.mark.parametrize("name", list(_ROW_MODELS))
+    def test_a_returned_row_belongs_to_its_caller(self, name):
+        model = _ROW_MODELS[name]()
+        first = model_presheaves(model, 2, 2)
+        saved = copy.deepcopy((first.ty.action, first.tm.action))
+        for rows in (first.ty.action, first.tm.action):
+            for row in rows.values():
+                for a in row:
+                    row[a] = "NOPE"
+                row["NOPE"] = "NOPE"
+        second = model_presheaves(model, 2, 2)
+        assert (second.ty.action, second.tm.action) == saved
+
+    def test_a_sigma_row_agrees_with_its_single_cells(self):
+        sm = extend_by_sigma(term_model(range(1)))
+        ps = model_presheaves(sm, 3, 3)
+        for m, row in ps.tm.action.items():
+            assert row == {a: sm.subst_tm(m, a) for a in row}
+        for m, row in ps.ty.action.items():
+            assert row == {a: sm.subst_ty(m, a) for a in row}
