@@ -21,7 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .fincat import BoundedCategory, FinSliceOpposite, memo
 from .natmodel import (
@@ -1276,19 +1277,19 @@ class SigmaExtModel(NaturalModel):
     # Substitution reads only the inner payload s of σ, and many σ share one
     # (over term_model(range(1)) at bound 3, 897 morphisms share 60
     # payloads), so cells and rows are memoized on s.  The row memo is keyed
-    # by the codomain's list too, and a row is copied out so no caller
-    # aliases the memo.
+    # by the list too.  A row is returned as the memo holds it, read-only,
+    # and shared by every σ with the same payload and list.
     def subst_ty(self, sigma: str, ty: str) -> str:
         return self._subst_ty(self.base.mor_payload(sigma)[0], ty)
 
     def subst_tm(self, sigma: str, term: str) -> str:
         return self._subst_tm(self.base.mor_payload(sigma)[0], term)
 
-    def subst_ty_row(self, sigma: str, tys: list[str]) -> dict[str, str]:
-        return dict(self._ty_row(self.base.mor_payload(sigma)[0], tuple(tys)))
+    def subst_ty_row(self, sigma: str, tys: list[str]) -> Mapping[str, str]:
+        return self._ty_row(self.base.mor_payload(sigma)[0], tuple(tys))
 
-    def subst_tm_row(self, sigma: str, tms: list[str]) -> dict[str, str]:
-        return dict(self._tm_row(self.base.mor_payload(sigma)[0], tuple(tms)))
+    def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
+        return self._tm_row(self.base.mor_payload(sigma)[0], tuple(tms))
 
     @memo
     def _subst_ty(self, s: str, ty: str) -> str:
@@ -1299,12 +1300,12 @@ class SigmaExtModel(NaturalModel):
         return self.reg_tm(tmtree_subst(self.inner, s, self.tm_tree(term)))
 
     @memo
-    def _ty_row(self, s: str, tys: tuple[str, ...]) -> dict[str, str]:
-        return {a: self._subst_ty(s, a) for a in tys}
+    def _ty_row(self, s: str, tys: tuple[str, ...]) -> Mapping[str, str]:
+        return MappingProxyType({a: self._subst_ty(s, a) for a in tys})
 
     @memo
-    def _tm_row(self, s: str, tms: tuple[str, ...]) -> dict[str, str]:
-        return {a: self._subst_tm(s, a) for a in tms}
+    def _tm_row(self, s: str, tms: tuple[str, ...]) -> Mapping[str, str]:
+        return MappingProxyType({a: self._subst_tm(s, a) for a in tms})
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:

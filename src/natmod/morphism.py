@@ -12,6 +12,9 @@ Each law has one body, a generator of (check, witness) pairs over a scope
 its caller passes: :func:`natmod.fincat.functor_violations`, and here
 ``_naturality``, ``_typing`` and ``_strictness``.  :func:`check_morphism`
 passes the whole truncation, the rival search the constraints of a step.
+Naturality compares whole rows: along each morphism it reads the source's
+row and the images per context, and asks the codomain for one row per sort
+through its ``subst_ty_row``/``subst_tm_row`` hooks, never for a single cell.
 
 A strict morphism is determined by its root data: :class:`ForcedImages`
 derives every other image, for the constructed morphisms of
@@ -36,7 +39,8 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .fincat import composable_pairs, functor_violations, is_pullback_square, memo
 from .natmodel import (
@@ -48,6 +52,8 @@ from .natmodel import (
     induced_sub,
     model_presheaves,
 )
+
+_NO_IMAGES: Mapping[str, str] = MappingProxyType({})  # a context without images
 
 
 @dataclass
@@ -226,7 +232,9 @@ def _checks(fm: NMorphism, ps: ModelPresheaves, bound: int) -> Iterator[tuple[st
     misplaced = yield from functor_violations(
         src.base, dst.base, fm.on_obj, fm.on_mor, ctxs, mors, composable_pairs(mors))
     placed = [mor for mor in mors if mor[0] not in misplaced]
-    yield from _naturality(fm, ps, placed)
+    ty_images = {g: {x: fm.on_ty(g, x) for x in ps.ty.values[g]} for g in ctxs}
+    tm_images = {g: {x: fm.on_tm(g, x) for x in ps.tm.values[g]} for g in ctxs}
+    yield from _naturality(fm, ps, placed, ty_images, tm_images)
     yield from _typing(fm, ps, ctxs)
     for g in ctxs:
         for ty in ps.ty.values[g]:
@@ -271,22 +279,48 @@ def _checks(fm: NMorphism, ps: ModelPresheaves, bound: int) -> Iterator[tuple[st
 # anything with src, dst and the four on_* actions.
 
 def _naturality(
-    fm, ps: ModelPresheaves, mors: Iterable[tuple[str, str, str]]
+    fm, ps: ModelPresheaves, mors: Iterable[tuple[str, str, str]],
+    ty: Mapping[str, Mapping[str, str]], tm: Mapping[str, Mapping[str, str]],
 ) -> Iterator[tuple[str, str]]:
     """ty-natural and tm-natural: F(x[m]) = F(x)[F m] for each (m, a, b) of
     ``mors`` and each type, then each term, x over b.  The image of m must
-    lie in hom(F a, F b)."""
+    lie in hom(F a, F b).
+
+    ``ty`` and ``tm`` hold the images per context, ctx -> {x: F x}; a
+    missing or None image is a violation.  Each (m, sort) is one comparison
+    of rows: the images at a of the source row of m against the codomain's
+    row along F m of the images at b, one ``subst_ty_row``/``subst_tm_row``
+    call; the images at b are listed once per context.  Only a row that
+    differs is walked, to name its cells in order.
+    """
     dst = fm.dst
-    laws = ((ps.ty, fm.on_ty, dst.subst_ty, "ty-natural"),
-            (ps.tm, fm.on_tm, dst.subst_tm, "tm-natural"))
+    laws = ((ps.ty, ty, dst.subst_ty_row, "ty-natural"),
+            (ps.tm, tm, dst.subst_tm_row, "tm-natural"))
+    at_b: dict[tuple[str, str], tuple[list, bool]] = {}  # (check, b) -> images at b, all there
     for m, a, b in mors:
         im = fm.on_mor(m)
-        for sort, image, subst, check in laws:
-            row = sort.row(m)
-            for x in sort.values[b]:
-                lhs, fx = image(a, row[x]), image(b, x)
-                if lhs is None or fx is None or lhs != subst(im, fx):
-                    yield check, f"{x}[{m}]"
+        for sort, images, subst_row, check in laws:
+            xs = sort.values[b]
+            if not xs:
+                continue
+            if (check, b) not in at_b:
+                fxs = list(map(images.get(b, _NO_IMAGES).get, xs))
+                at_b[check, b] = fxs, None not in fxs
+            fxs, complete = at_b[check, b]
+            lhs = list(map(images.get(a, _NO_IMAGES).get, map(sort.row(m).__getitem__, xs)))
+            row = None
+            if complete:  # a substitution is never None, so equal rows hold no None
+                row = subst_row(im, fxs)
+                if lhs == list(map(row.__getitem__, fxs)):
+                    continue
+            for x, fmx, fx in zip(xs, lhs, fxs):
+                if fmx is not None and fx is not None:
+                    if row is None:  # the row of the cells that have both images
+                        row = subst_row(im, [fy for fy, fmy in zip(fxs, lhs)
+                                             if fy is not None and fmy is not None])
+                    if fmx == row[fx]:
+                        continue
+                yield check, f"{x}[{m}]"
 
 
 def _typing(fm, ps: ModelPresheaves, ctxs: Iterable[str]) -> Iterator[tuple[str, str]]:
@@ -410,14 +444,24 @@ class MorphismPins:
     on_mor: dict[str, str] = field(default_factory=dict)
 
 
+def _per_context(pins: dict[tuple[str, str], str]) -> dict[str, dict[str, str]]:
+    """Pinned images {(ctx, x): v} as {ctx: {x: v}}."""
+    out: dict[str, dict[str, str]] = {}
+    for (ctx, x), value in pins.items():
+        out.setdefault(ctx, {})[x] = value
+    return out
+
+
 class _Candidate(ForcedImages):
     """Partial assignment of a strict morphism during the search.
 
     Its root data are the pinned and chosen values in ``obj``, ``ty``,
     ``tm`` and ``mor``; ``obj`` and ``mor`` also cache the images derived
-    from them.  A candidate is never assigned again once it has been copied
-    for a choice, so every cached image stays a function of its own
-    assignment.
+    from them.  ``ty`` and ``tm`` keep the images per context, ctx -> {x:
+    F x}, the tables ``_naturality`` reads.  A candidate is never assigned
+    again once it has been copied for a choice, so every cached image stays
+    a function of its own assignment; a choice of a type or term copies the
+    outer table and the one inner table it writes, and shares the others.
     """
 
     def __init__(self, search: "_Search"):
@@ -426,23 +470,28 @@ class _Candidate(ForcedImages):
             search.src, search.dst, lambda ctx: None, lambda cand, m: None, None, None
         )
         self.obj.update(search.pins.on_obj)
-        self.ty: dict[tuple[str, str], str] = dict(search.pins.on_ty)
-        self.tm: dict[tuple[str, str], str] = dict(search.pins.on_tm)
+        self.ty: dict[str, dict[str, str]] = _per_context(search.pins.on_ty)
+        self.tm: dict[str, dict[str, str]] = _per_context(search.pins.on_tm)
         self.mor.update(search.pins.on_mor)
 
     def on_ty(self, ctx: str, ty: str) -> Optional[str]:
-        return self.ty.get((ctx, ty))
+        return self.ty.get(ctx, _NO_IMAGES).get(ty)
 
     def on_tm(self, ctx: str, tm: str) -> Optional[str]:
-        return self.tm.get((ctx, tm))
+        return self.tm.get(ctx, _NO_IMAGES).get(tm)
 
     def assigned(self, table: str, key, value: str) -> "_Candidate":
-        """A copy of this candidate that also sends ``key`` to ``value`` in ``table``."""
+        """A copy of this candidate that also sends ``key`` to ``value`` in
+        ``table``; a type or term key is a pair (ctx, x)."""
         out = copy.copy(self)
-        out.obj, out.ty, out.tm, out.mor = (
-            dict(self.obj), dict(self.ty), dict(self.tm), dict(self.mor)
-        )
-        getattr(out, table)[key] = value
+        out.obj, out.mor = dict(self.obj), dict(self.mor)
+        if table in ("obj", "mor"):
+            getattr(out, table)[key] = value
+        else:
+            ctx, x = key
+            images = dict(getattr(self, table))
+            images[ctx] = {**images.get(ctx, _NO_IMAGES), x: value}
+            setattr(out, table, images)
         return out
 
     def _induced(self, sigma: str, term: str, ty: str) -> Optional[str]:
@@ -570,7 +619,7 @@ class _Search:
             _strictness(cand, cells),
             _typing(cand, self.ps, (self.ctxs[i],)),
             functor_violations(src, dst, cand.on_obj, cand.on_mor, (), mors, ()),
-            _naturality(cand, self.ps, mors),
+            _naturality(cand, self.ps, mors, cand.ty, cand.tm),
             functor_violations(src, dst, cand.on_obj, cand.on_mor, (), (), blocks),
         )
         return next(witnesses, None) is None
@@ -585,8 +634,9 @@ class _Search:
         ctx = self.ctxs[i]
         if cand.on_obj(ctx) is None:
             return  # unpinned root context: no way to determine its image
-        free = [("ty", (ctx, t)) for t in self.tys[ctx] if (ctx, t) not in cand.ty]
-        free += [("tm", (ctx, t)) for t in self.tms[ctx] if (ctx, t) not in cand.tm]
+        have_ty, have_tm = cand.ty.get(ctx, _NO_IMAGES), cand.tm.get(ctx, _NO_IMAGES)
+        free = [("ty", (ctx, t)) for t in self.tys[ctx] if t not in have_ty]
+        free += [("tm", (ctx, t)) for t in self.tms[ctx] if t not in have_tm]
         # the root morphisms still free; the rest are derived by strictness
         free += [("mor", m) for m in self._scope(i)[3] if cand.on_mor(m) is None]
         self._assign(cand, i, free)
@@ -614,7 +664,7 @@ class _Search:
         f_ctx = cand.on_obj(ctx)
         if table == "ty":
             return dst.types(f_ctx, self.ty_bound)
-        want_ty = cand.ty.get((ctx, self.ps.p.apply(ctx, cell)))
+        want_ty = cand.on_ty(ctx, self.ps.p.apply(ctx, cell))
         return (
             c for c in dst.terms(f_ctx, self.ty_bound)
             if want_ty is None or dst.typeof(f_ctx, c) == want_ty

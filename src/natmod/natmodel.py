@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .fincat import BoundedCategory, FinCatPresentation, category_violations, memo, truncate
 from .presheaf import (
@@ -87,7 +87,9 @@ class NaturalModel(ABC):
     # -- optional hooks --------------------------------------------------
     # Closed forms and tabulations a model may supply; the defaults search
     # or go cell by cell.  ``model_presheaves`` reads the action of each
-    # morphism through the two row hooks.
+    # morphism through the two row hooks, and the morphism checkers compare
+    # naturality through them.  A returned row is read-only: a model may
+    # share one row between callers and between morphisms.
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         """Closed form for ⟨σ, a⟩_A, if the model has one."""
         return None
@@ -99,12 +101,14 @@ class NaturalModel(ABC):
     def ty_size(self, ctx: str, ty: str) -> int:
         return 1
 
-    def subst_ty_row(self, sigma: str, tys: list[str]) -> dict[str, str]:
-        """{A: A[σ]} over types A of cod σ; a fresh dict the caller may keep."""
+    def subst_ty_row(self, sigma: str, tys: list[str]) -> Mapping[str, str]:
+        """{A: A[σ]} over types A of cod σ; a mapping the caller must not
+        write, as the model may share it."""
         return {a: self.subst_ty(sigma, a) for a in tys}
 
-    def subst_tm_row(self, sigma: str, tms: list[str]) -> dict[str, str]:
-        """{a: a[σ]} over terms a of cod σ; a fresh dict the caller may keep."""
+    def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
+        """{a: a[σ]} over terms a of cod σ; a mapping the caller must not
+        write, as the model may share it."""
         return {a: self.subst_tm(sigma, a) for a in tms}
 
     # -- derived helpers -------------------------------------------------

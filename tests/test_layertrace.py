@@ -57,6 +57,37 @@ def test_sigma_substitution_is_memoized_per_inner_morphism():
     assert "_memo_SigmaExtModel.subst_tm" not in vars(sm)  # no per-morphism table
 
 
+def test_sigma_rival_naturality_reads_rows_not_cells(monkeypatch):
+    """The bound-3 Σ rival count checks naturality with one codomain row per
+    morphism and sort: few single-cell substitutions (827, where one per
+    naturality cell made 53,443), one ``subst_tm_row`` call per morphism for
+    the tabulation and one for naturality, and no row memoized beyond the
+    presheaf's own 60, as the identity's image lists are the Tm lists."""
+    from natmod.freemodel import (
+        SigmaExtModel,
+        extend_by_sigma,
+        sigma_inclusion,
+        sigma_universal,
+        sigma_universal_pins,
+        term_model,
+    )
+    from natmod.morphism import count_morphisms
+
+    sm = extend_by_sigma(term_model(range(1)))
+    incl = sigma_inclusion(sm)
+    pins = sigma_universal_pins(sm, incl, 3, sigma_universal(sm, incl))
+    calls = {"subst_tm": 0, "subst_tm_row": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(SigmaExtModel, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(SigmaExtModel, name, counted)
+    assert count_morphisms(sm, sm, 3, pins, ty_bound=3) == 1
+    assert calls["subst_tm"] <= 1_000
+    assert calls["subst_tm_row"] <= 2 * 897
+    assert len(vars(sm)["_memo_SigmaExtModel._tm_row"]) <= 60
+
+
 
 def _categories():
     from natmod import freemodel

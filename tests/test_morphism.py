@@ -6,10 +6,12 @@ morphisms were recorded once and are asserted here, so that a change in how
 either derives or reads its data cannot change what it visits or reports.
 """
 
+import ast
 import hashlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,15 @@ from natmod.freemodel import (
     unit_universal,
 )
 from natmod.fincat import memo
-from natmod.morphism import MorphismPins, NMorphism, _Search, check_morphism
+from natmod.morphism import (
+    MorphismPins,
+    NMorphism,
+    _Candidate,
+    _naturality,
+    _Search,
+    check_morphism,
+)
+from natmod.natmodel import model_presheaves
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +372,137 @@ def test_a_wrongly_pinned_identity_or_endomorphism_has_no_morphism():
         pins.on_mor[pinned] = image
         assert _tree(_Search, m, m, 2, pins)[0] == 0
         assert _tree(_FullBlocks, m, m, 2, pins)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# Naturality by rows yields what naturality cell by cell yields
+# ---------------------------------------------------------------------------
+
+def _naturality_by_cells(fm, ps, mors):
+    """The reference: one codomain substitution per cell, in order."""
+    dst = fm.dst
+    laws = ((ps.ty, fm.on_ty, dst.subst_ty, "ty-natural"),
+            (ps.tm, fm.on_tm, dst.subst_tm, "tm-natural"))
+    for m, a, b in mors:
+        im = fm.on_mor(m)
+        for sort, image, subst, check in laws:
+            row = sort.row(m)
+            for x in sort.values[b]:
+                lhs, fx = image(a, row[x]), image(b, x)
+                if lhs is None or fx is None or lhs != subst(im, fx):
+                    yield check, f"{x}[{m}]"
+
+
+def _outcome(witnesses):
+    """The pairs a law generator yields, and the type of what it raises."""
+    out = []
+    try:
+        for w in witnesses:
+            out.append(w)
+    except Exception as exc:  # noqa: BLE001 -- the type is compared
+        return out, type(exc)
+    return out, None
+
+
+def _assert_rows_match_cells(fm, ps, mors, tables=None):
+    """Both naturality bodies over ``mors``, the row body reading ``tables``
+    (ty, tm) or, by default, tables built as check_morphism builds them;
+    returns the shared outcome."""
+    if tables is None:
+        ctxs = ps.cat.object_keys
+        tables = ({g: {x: fm.on_ty(g, x) for x in ps.ty.values[g]} for g in ctxs},
+                  {g: {x: fm.on_tm(g, x) for x in ps.tm.values[g]} for g in ctxs})
+    reference = _outcome(_naturality_by_cells(fm, ps, mors))
+    assert _outcome(_naturality(fm, ps, mors, *tables)) == reference
+    return reference
+
+
+def _all_mors(ps):
+    return [(m, a, b) for (a, b), ms in ps.cat.homs.items() for m in ms]
+
+
+@pytest.mark.parametrize("name", list(REPORT_PINS))
+def test_naturality_by_rows_matches_cells_on_the_recorded_reports(name):
+    build, _strict, counts, _digest = REPORT_PINS[name]
+    fm = build()
+    ps = model_presheaves(fm.src, 2, 2)
+    witnesses, raised = _assert_rows_match_cells(fm, ps, _all_mors(ps))
+    natural = sum(counts.get(c, 0) for c in ("ty-natural", "tm-natural"))
+    assert (len(witnesses), raised) == (natural, None)
+
+
+def _universal_strict_morphisms():
+    tm = term_model(range(2))
+    sm = extend_by_sigma(term_model(range(1)))
+    return [initial_morphism(tm, tm, {0: "T0", 1: "T1"}),
+            sigma_universal(sm, sigma_inclusion(sm), bound=3)]
+
+
+def _moved_image(fm, ps, rng: random.Random) -> NMorphism:
+    """``fm`` with one type or term image moved to another value of its
+    image context, or to None."""
+    sort, on, values = rng.choice([("ty", fm.on_ty, fm.dst.types),
+                                   ("tm", fm.on_tm, fm.dst.terms)])
+    cells = [(g, x) for g in ps.cat.object_keys for x in getattr(ps, sort).values[g]]
+    g, x = rng.choice(cells)
+    was = on(g, x)
+    value = rng.choice(sorted(set(values(fm.on_obj(g), 2)) - {was}) + [None])
+
+    def moved(c, y):
+        return value if (c, y) == (g, x) else on(c, y)
+
+    images = {"on_ty": fm.on_ty, "on_tm": fm.on_tm, f"on_{sort}": moved}
+    return NMorphism(fm.src, fm.dst, fm.on_obj, fm.on_mor, name="moved", **images)
+
+
+def test_naturality_by_rows_matches_cells_under_moved_images():
+    strict = [(fm, model_presheaves(fm.src, 2, 2)) for fm in _universal_strict_morphisms()]
+    for fm, ps in strict:
+        assert _assert_rows_match_cells(fm, ps, _all_mors(ps)) == ([], None)
+    for seed in range(48):
+        rng = random.Random(seed)
+        fm, ps = rng.choice(strict)
+        witnesses, _raised = _assert_rows_match_cells(_moved_image(fm, ps, rng), ps, _all_mors(ps))
+        assert witnesses  # each of these moves breaks naturality somewhere
+
+
+@pytest.mark.parametrize("name,bound", list(SEARCH_PINS), ids=[
+    f"{name.replace(' ', '-')}@{bound}" for name, bound in SEARCH_PINS
+])
+def test_naturality_by_rows_matches_cells_at_every_node_of_the_pinned_searches(name, bound):
+    src, dst, pins = _search(name, bound)
+    nodes = []
+
+    class BothBodies(_Search):
+        def _consistent_at(self, cand, i):
+            mors = self._scope(i)[1]
+            nodes.append(_assert_rows_match_cells(cand, self.ps, mors, (cand.ty, cand.tm)))
+            return super()._consistent_at(cand, i)
+
+    count, steps, verdicts = _tree(BothBodies, src, dst, bound, pins)
+    assert len(nodes) == len(verdicts)
+    assert (count, steps, _run_length([f"{i}{'+' if ok else '-'}" for i, ok in verdicts])) == (
+        SEARCH_PINS[(name, bound)])
+
+
+def test_a_choice_copies_only_the_table_of_its_context():
+    src, dst, pins = _search("sigma", 2)
+    search = _Search(src, dst, 2, 2, pins, 2)
+    cand = _Candidate(search)
+    ctx, other = [g for g in search.ctxs if search.tms[g]][:2]
+    x, y = search.tms[ctx][:2]
+    before = {g: dict(table) for g, table in cand.tm.items()}
+    out = cand.assigned("tm", (ctx, x), cand.on_tm(ctx, y))
+    assert out.on_tm(ctx, x) == cand.on_tm(ctx, y) != cand.on_tm(ctx, x)
+    assert cand.tm == before  # the candidate it was copied from is unchanged
+    assert out.tm[other] is cand.tm[other] and out.ty is cand.ty  # the rest is shared
+
+
+def test_naturality_substitutes_no_single_cell():
+    # naturality compares rows: its body calls the codomain's row hooks only
+    path = Path(__file__).resolve().parent.parent / "src" / "natmod" / "morphism.py"
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    (body,) = [n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "_naturality"]
+    names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(body)}
+    assert {"subst_ty_row", "subst_tm_row"} <= names
+    assert not names & {"subst_ty", "subst_tm"}
