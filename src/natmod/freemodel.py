@@ -14,6 +14,10 @@ Quotient identifications in the underlying categories of contexts are
 implemented as key normalization at construction time: every context is
 registered under the key of its normal form, so equality of contexts is
 equality of keys.
+
+The four free extensions share one base, :class:`_WrappedModel`: a context
+morphism wraps a morphism of the inner model, its payload, and every one of
+them substitutes along the payload and shares its rows per payload.
 """
 
 from __future__ import annotations
@@ -76,11 +80,10 @@ class _WrappedCategory(BoundedCategory):
         self.model: Optional[NaturalModel] = None  # set by the owning model
 
     # object bookkeeping
-    def _register_obj(self, key: str, info: tuple, size: int) -> str:
-        if key not in self._obj_info:
-            self._obj_info[key] = info
-            self._obj_size[key] = size
-        return key
+    def _register_obj(self, key: str, info: tuple, under: str, size: int) -> None:
+        self._obj_info[key] = info
+        self._under[key] = under
+        self._obj_size[key] = size
 
     def obj_info(self, key: str) -> tuple:
         return self._obj_info[key]
@@ -151,6 +154,66 @@ class _WrappedCategory(BoundedCategory):
         return sorted(seen, key=lambda c: (self.obj_size(c), c))
 
     def _seeds(self, bound: int) -> list[str]:
+        raise NotImplementedError
+
+
+class _WrappedModel(NaturalModel):
+    """Base class of the free extensions: normal-form contexts over ``inner``.
+
+    A context morphism wraps a morphism of the inner model, its payload
+    (with a tally of slots in the basic-type case), and substituting along
+    it is substituting along the payload: a subclass substitutes a single
+    cell with ``_subst_ty``/``_subst_tm`` on the payload.  Many morphisms
+    share one payload (over term_model(range(1)) at bound 3, the Σ model's
+    897 morphisms share 60), so a row is memoized per payload and list and
+    returned as the memo holds it, read-only and shared by every morphism
+    with that payload.
+
+    A subclass also names the one candidate parent of a context; it is the
+    parent when extending it gives the context back.
+    """
+
+    base: _WrappedCategory
+
+    def __init__(self, inner: NaturalModel, cat: _WrappedCategory):
+        self.inner = inner
+        cat.model = self
+        self.base = cat
+
+    def subst_ty(self, sigma: str, ty: str) -> str:
+        return self._subst_ty(self.base.mor_payload(sigma), ty)
+
+    def subst_tm(self, sigma: str, term: str) -> str:
+        return self._subst_tm(self.base.mor_payload(sigma), term)
+
+    def subst_ty_row(self, sigma: str, tys: list[str]) -> Mapping[str, str]:
+        return self._ty_row(self.base.mor_payload(sigma), tuple(tys))
+
+    def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
+        return self._tm_row(self.base.mor_payload(sigma), tuple(tms))
+
+    @memo
+    def _ty_row(self, payload: tuple, tys: tuple[str, ...]) -> Mapping[str, str]:
+        return MappingProxyType({a: self._subst_ty(payload, a) for a in tys})
+
+    @memo
+    def _tm_row(self, payload: tuple, tms: tuple[str, ...]) -> Mapping[str, str]:
+        return MappingProxyType({a: self._subst_tm(payload, a) for a in tms})
+
+    def _subst_ty(self, payload: tuple, ty: str) -> str:
+        raise NotImplementedError
+
+    def _subst_tm(self, payload: tuple, term: str) -> str:
+        raise NotImplementedError
+
+    def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
+        cand = self._parent_candidate(ctx)
+        if cand is not None and self.ext(*cand).extended == ctx:
+            return cand
+        return None
+
+    def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
+        """The (parent, A) that ctx can only be the extension of, if any."""
         raise NotImplementedError
 
 
@@ -304,6 +367,8 @@ class _ExtTermCategory(_WrappedCategory):
     def __init__(self, inner: NaturalModel, o_ty: str):
         super().__init__(inner)
         self.o_ty = o_ty
+        # key -> the structure map under(key) -> ⋄•O over which hom sets live
+        self._anchor: dict[str, str] = {}
         # extension key -> (iso, inverse) under(key) -> under(parent)•A, where
         # normal-form collapse changed the underlying context
         self._align: dict[str, tuple[str, str]] = {}
@@ -311,17 +376,27 @@ class _ExtTermCategory(_WrappedCategory):
     def obj_key_for(self, gamma: str, tys: tuple[str, ...]) -> str:
         return f"xt({gamma}|{';'.join(tys)})"
 
-    def register(self, gamma: str, tys: tuple[str, ...], under: str) -> str:
+    def register(self, gamma: str, tys: tuple[str, ...], under: str, anchor: str) -> str:
         key = self.obj_key_for(gamma, tys)
-        size = self.inner.base.obj_size(under)
-        return self._register_obj(key, (gamma, tys), size)
+        if key not in self._obj_info:
+            self._anchor[key] = anchor
+            self._register_obj(key, (gamma, tys), under, self.inner.base.obj_size(under))
+        return key
 
-    def anchor(self, key: str) -> str:
-        """The structure map under(key) -> ⋄•O over which hom sets live."""
-        return self._anchor[key]
-
-    # populated by the owning model
-    _anchor: dict[str, str]
+    def align(self, key: str, gamma: str, a_prime: str) -> str:
+        """The swap Γ•A'•O -> Γ•O•A'[p_O] recorded, with its inverse, for the
+        collapsed context ``key``; checked once."""
+        if key not in self._align:
+            inner = self.inner
+            o_at_g = inner.subst_ty(inner.t(gamma), self.o_ty)
+            sw = swap_iso(inner, gamma, a_prime, o_at_g)
+            sw_inv = swap_iso(inner, gamma, o_at_g, a_prime)
+            ib = inner.base
+            if ib.compose(sw_inv, sw) != ib.identity(ib.dom(sw)) or \
+                    ib.compose(sw, sw_inv) != ib.identity(ib.cod(sw)):
+                raise ValueError("alignment isomorphism is not invertible")
+            self._align[key] = sw, sw_inv
+        return self._align[key][0]
 
     @property
     def terminal(self) -> Optional[str]:
@@ -339,7 +414,7 @@ class _ExtTermCategory(_WrappedCategory):
         ]
 
 
-class ExtTermModel(NaturalModel):
+class ExtTermModel(_WrappedModel):
     """The free natural model on ``inner`` extended by a term x of type O.
 
     Contexts are pairs of an inner context and a list of formal extensions
@@ -348,16 +423,13 @@ class ExtTermModel(NaturalModel):
     isomorphism recorded so that types and terms can be transported.
     """
 
+    base: _ExtTermCategory
+
     def __init__(self, inner: NaturalModel, o_ty: str):
-        self.inner = inner
+        super().__init__(inner, _ExtTermCategory(inner, o_ty))
         self.o_ty = o_ty
-        cat = _ExtTermCategory(inner, o_ty)
-        cat.model = self
-        cat._anchor = {}
-        self.base = cat
-        # the anchor object ⋄•O and its extension data
-        self._diamond_ext = inner.ext(inner.terminal, o_ty)
-        self.x_term = self._diamond_ext.var
+        # the variable of the anchor object ⋄•O
+        self.x_term = inner.ext(inner.terminal, o_ty).var
         self.i_obj(inner.terminal)
 
     # -- context construction -------------------------------------------
@@ -367,17 +439,13 @@ class ExtTermModel(NaturalModel):
         o_at = self.inner.subst_ty(self.inner.t(gamma), self.o_ty)
         return self.inner.ext(gamma, o_at)
 
+    @memo
     def i_obj(self, gamma: str) -> str:
         """The image (Γ;) of an inner context under the inclusion."""
-        cat = self.base
-        key = cat.obj_key_for(gamma, ())
-        if key in cat._obj_info:
-            return key
-        e = self._o_ext(gamma)
-        cat.register(gamma, (), e.extended)
-        cat._under[key] = e.extended
-        cat._anchor[key] = canonical_pullback(self.inner, self.inner.t(gamma), self.o_ty)
-        return key
+        return self.base.register(
+            gamma, (), self._o_ext(gamma).extended,
+            canonical_pullback(self.inner, self.inner.t(gamma), self.o_ty),
+        )
 
     def types(self, ctx: str, bound: int) -> list[str]:
         return self.inner.types(self.base.under(ctx), bound)
@@ -391,21 +459,18 @@ class ExtTermModel(NaturalModel):
     def ty_size(self, ctx: str, ty: str) -> int:
         return self.inner.ty_size(self.base.under(ctx), ty)
 
-    def subst_ty(self, sigma: str, ty: str) -> str:
-        (s,) = self.base.mor_payload(sigma)
-        return self.inner.subst_ty(s, ty)
+    def _subst_ty(self, payload: tuple, ty: str) -> str:
+        return self.inner.subst_ty(payload[0], ty)
 
-    def subst_tm(self, sigma: str, term: str) -> str:
-        (s,) = self.base.mor_payload(sigma)
-        return self.inner.subst_tm(s, term)
+    def _subst_tm(self, payload: tuple, term: str) -> str:
+        return self.inner.subst_tm(payload[0], term)
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
         gamma, tys = cat.obj_info(ctx)
-        under = cat.under(ctx)
         inner = self.inner
-        e_in = inner.ext(under, ty)
+        e_in = inner.ext(cat.under(ctx), ty)
         if not tys:
             # normal-form collapse: a type not depending on the new variable
             # is absorbed into the inner context
@@ -416,34 +481,15 @@ class ExtTermModel(NaturalModel):
             ]
             if preimages:
                 a_prime = preimages[0]
-                inner_ext = inner.ext(gamma, a_prime)
-                new_key = self.i_obj(inner_ext.extended)
-                if new_key not in cat._align:
-                    cat._align[new_key] = self._swap_pair(gamma, a_prime)
-                sw = cat._align[new_key][0]
+                new_key = self.i_obj(inner.ext(gamma, a_prime).extended)
+                sw = cat.align(new_key, gamma, a_prime)
                 proj = cat._wrap(new_key, ctx, (inner.base.compose(e_in.proj, sw),))
-                var = inner.subst_tm(sw, e_in.var)
-                return ExtensionData(new_key, proj, var)
-        new_tys = tys + (ty,)
-        new_key = cat.obj_key_for(gamma, new_tys)
-        if new_key not in cat._obj_info:
-            cat.register(gamma, new_tys, e_in.extended)
-            cat._under[new_key] = e_in.extended
-            cat._anchor[new_key] = inner.base.compose(cat._anchor[ctx], e_in.proj)
-        proj = cat._wrap(new_key, ctx, (e_in.proj,))
-        return ExtensionData(new_key, proj, e_in.var)
-
-    def _swap_pair(self, gamma: str, a_prime: str) -> tuple[str, str]:
-        """The swap Γ•A'•O -> Γ•O•A'[p_O] and its inverse, checked once."""
-        inner = self.inner
-        o_at_g = inner.subst_ty(inner.t(gamma), self.o_ty)
-        sw = swap_iso(inner, gamma, a_prime, o_at_g)
-        sw_inv = swap_iso(inner, gamma, o_at_g, a_prime)
-        ib = inner.base
-        if ib.compose(sw_inv, sw) != ib.identity(ib.dom(sw)) or \
-                ib.compose(sw, sw_inv) != ib.identity(ib.cod(sw)):
-            raise ValueError("alignment isomorphism is not invertible")
-        return sw, sw_inv
+                return ExtensionData(new_key, proj, inner.subst_tm(sw, e_in.var))
+        new_key = cat.register(
+            gamma, tys + (ty,), e_in.extended,
+            inner.base.compose(cat._anchor[ctx], e_in.proj),
+        )
+        return ExtensionData(new_key, cat._wrap(new_key, ctx, (e_in.proj,)), e_in.var)
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         gamma_ctx = self.base.cod(sigma)
@@ -455,23 +501,15 @@ class ExtTermModel(NaturalModel):
             tau = self.inner.base.compose(align[1], tau)
         return self.base._wrap(self.base.dom(sigma), e.extended, (tau,))
 
-    def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
+    def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
         gamma, tys = self.base.obj_info(ctx)
         if tys:
-            parent = self.base.obj_key_for(gamma, tys[:-1])
-            if parent in self.base._obj_info:
-                if self.ext(parent, tys[-1]).extended == ctx:
-                    return parent, tys[-1]
-            return None
+            return self.base.obj_key_for(gamma, tys[:-1]), tys[-1]
         inner_parent = self.inner.ext_parent(gamma)
         if inner_parent is None:
             return None
         pctx, pty = inner_parent
-        parent = self.i_obj(pctx)
-        cand = self.inner.subst_ty(self._o_ext(pctx).proj, pty)
-        if self.ext(parent, cand).extended == ctx:
-            return parent, cand
-        return None
+        return self.i_obj(pctx), self.inner.subst_ty(self._o_ext(pctx).proj, pty)
 
 
 def extend_by_term(inner: NaturalModel, o_ty: str) -> ExtTermModel:
@@ -526,7 +564,6 @@ def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
             o_wk = inner.subst_tm(inner.t(gamma), o_term)
             return induced_sub(inner, inner.base.identity(gamma), o_wk, o_at)
         pctx, pty = parent
-        d.on_obj(ctx)
         w = canonical_pullback(inner, w_chain(d, pctx), pty)
         align = ext.base._align.get(ctx)
         if align is not None:
@@ -539,11 +576,9 @@ def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
         return gamma
 
     def ty_map(d, ctx: str, ty: str) -> str:
-        d.on_obj(ctx)
         return inner.subst_ty(w_chain(d, ctx), ty)
 
     def tm_map(d, ctx: str, tm: str) -> str:
-        d.on_obj(ctx)
         return inner.subst_tm(w_chain(d, ctx), tm)
 
     def root_mor(d, m: str) -> str:
@@ -679,10 +714,9 @@ class _InterleavedCategory(_WrappedCategory):
             under = gamma
             for t in tys:
                 under = self.inner.ext(under, t).extended
-            self._under[key] = under
             self._count[key] = sum(ks)
             self._register_obj(
-                key, (gamma, ks, tys), self.inner.base.obj_size(under) + sum(ks)
+                key, (gamma, ks, tys), under, self.inner.base.obj_size(under) + sum(ks)
             )
         return key
 
@@ -721,17 +755,15 @@ class _InterleavedCategory(_WrappedCategory):
         ]
 
 
-class _InterleavedModel(NaturalModel):
+class _InterleavedModel(_WrappedModel):
     """Shared behaviour of the basic-type and unit-type free extensions."""
 
+    base: _InterleavedCategory
     new_ty: str
     new_terms_are_slots: bool
 
     def __init__(self, inner: NaturalModel):
-        self.inner = inner
-        cat = _InterleavedCategory(inner)
-        cat.model = self
-        self.base = cat
+        super().__init__(inner, _InterleavedCategory(inner))
 
     def slot_term(self, j: int) -> str:
         return f"{self._slot_prefix}{j}" if self.new_terms_are_slots else self._star
@@ -756,14 +788,13 @@ class _InterleavedModel(NaturalModel):
             return 1
         return self.inner.ty_size(self.base.under(ctx), ty)
 
-    def subst_ty(self, sigma: str, ty: str) -> str:
+    def _subst_ty(self, payload: tuple, ty: str) -> str:
         if ty == self.new_ty:
             return ty
-        (s, _) = self.base.mor_payload(sigma)
-        return self.inner.subst_ty(s, ty)
+        return self.inner.subst_ty(payload[0], ty)
 
-    def subst_tm(self, sigma: str, term: str) -> str:
-        s, tally = self.base.mor_payload(sigma)
+    def _subst_tm(self, payload: tuple, term: str) -> str:
+        s, tally = payload
         if self._is_new_term(term):
             if not self.new_terms_are_slots:
                 return term
@@ -802,27 +833,18 @@ class _InterleavedModel(NaturalModel):
         tau = induced_sub(self.inner, s, term, ty)
         return cat._wrap(cat.dom(sigma), e.extended, (tau, tally))
 
-    def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
+    def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
         cat = self.base
         gamma, ks, tys = cat.obj_info(ctx)
         if ks[-1] > 0:
-            parent = cat.register(gamma, ks[:-1] + (ks[-1] - 1,), tys)
-            if self.ext(parent, self.new_ty).extended == ctx:
-                return parent, self.new_ty
-            return None
+            return cat.register(gamma, ks[:-1] + (ks[-1] - 1,), tys), self.new_ty
         if tys:
-            parent = cat.register(gamma, ks[:-1], tys[:-1])
-            if self.ext(parent, tys[-1]).extended == ctx:
-                return parent, tys[-1]
-            return None
+            return cat.register(gamma, ks[:-1], tys[:-1]), tys[-1]
         inner_parent = self.inner.ext_parent(gamma)
         if inner_parent is None:
             return None
         pctx, pty = inner_parent
-        parent = cat.register(pctx, (0,), ())
-        if self.ext(parent, pty).extended == ctx:
-            return parent, pty
-        return None
+        return cat.register(pctx, (0,), ()), pty
 
     def _is_new_term(self, term: str) -> bool:
         if self.new_terms_are_slots:
@@ -919,7 +941,6 @@ def _interleaved_collapse(
             return target.base.identity(d.on_obj(ctx))
         pctx, pty = parent
         th_p = theta(d, pctx)
-        d.on_obj(ctx)
         if pty == ext.new_ty:
             e = target.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
             return target.base.compose(th_p, e.proj)
@@ -933,22 +954,17 @@ def _interleaved_collapse(
 
     def ty_map(d, ctx: str, ty: str) -> str:
         if ty == ext.new_ty:
-            d.on_obj(ctx)
-            theta(d, ctx)
             return target.subst_ty(target.t(d.on_obj(ctx)), slot_ty)
         img = f.on_ty(ext.base.under(ctx), ty)
-        d.on_obj(ctx)
         return target.subst_ty(theta(d, ctx), img)
 
     def tm_map(d, ctx: str, tm: str) -> str:
         if ext._is_new_term(tm):
-            d.on_obj(ctx)
             if ext.new_terms_are_slots:
                 return _variable_images(d, ctx, ext.new_ty)[int(tm[1:])]
             u = target.unit_structure  # type: ignore[attr-defined]
             return target.subst_tm(target.t(d.on_obj(ctx)), u.star_tm)
         img = f.on_tm(ext.base.under(ctx), tm)
-        d.on_obj(ctx)
         return target.subst_tm(theta(d, ctx), img)
 
     def root_mor(d, m: str) -> str:
@@ -1099,20 +1115,15 @@ def tree_ext(m: NaturalModel, ctx: str, tree: TypeTree) -> tuple[str, str, TermT
     return c2, proj, TermTree(left=left_tm, rtype=rtype, right=q2)
 
 
+@memo
 def canonical_pullback_tree(m: NaturalModel, sigma: str, tree: TypeTree) -> str:
-    """σ•T : iterated canonical pullback along the leaves of a type tree."""
-    out = sigma
-    for leaf_ty in _leaf_types_along(m, m.base.cod(sigma), tree):
-        out = canonical_pullback(m, out, leaf_ty)
-    return out
-
-
-def _leaf_types_along(m: NaturalModel, ctx: str, tree: TypeTree) -> list[str]:
+    """σ•T : iterated canonical pullback along the leaves of a type tree,
+    σ•[L, R] = (σ•L)•R."""
     if tree.is_leaf:
-        return [tree.leaf]
-    left = _leaf_types_along(m, ctx, tree.left)
-    mid = tree_ext(m, ctx, tree.left)[0]
-    return left + _leaf_types_along(m, mid, tree.right)
+        return canonical_pullback(m, sigma, tree.leaf)
+    return canonical_pullback_tree(
+        m, canonical_pullback_tree(m, sigma, tree.left), tree.right
+    )
 
 
 @memo
@@ -1162,9 +1173,6 @@ def tree_indsub(m: NaturalModel, sigma: str, tm: TermTree, ty: TypeTree) -> str:
 class _TreeCategory(_WrappedCategory):
     """Contexts formally extended by lists of type trees."""
 
-    def __init__(self, inner: NaturalModel):
-        super().__init__(inner)
-
     def obj_key_for(self, gamma: str, trees: tuple[TypeTree, ...]) -> str:
         return f"tr({gamma}|{';'.join(t.key for t in trees)})"
 
@@ -1177,8 +1185,7 @@ class _TreeCategory(_WrappedCategory):
             under = gamma
             for t in trees:
                 under = tree_ext(self.inner, under, t)[0]
-            self._under[key] = under
-            self._register_obj(key, (gamma, trees), self.inner.base.obj_size(under))
+            self._register_obj(key, (gamma, trees), under, self.inner.base.obj_size(under))
         return key
 
     @property
@@ -1192,7 +1199,7 @@ class _TreeCategory(_WrappedCategory):
         return [self.register(g, ()) for g in self.inner.base.objects(bound)]
 
 
-class SigmaExtModel(NaturalModel):
+class SigmaExtModel(_WrappedModel):
     """The free natural model on ``inner`` admitting dependent sum types.
 
     Types are type trees over the underlying context, terms are term trees,
@@ -1200,11 +1207,10 @@ class SigmaExtModel(NaturalModel):
     registered so they never need to be parsed.
     """
 
+    base: _TreeCategory
+
     def __init__(self, inner: NaturalModel):
-        self.inner = inner
-        cat = _TreeCategory(inner)
-        cat.model = self
-        self.base = cat
+        super().__init__(inner, _TreeCategory(inner))
         self._ty_trees: dict[str, TypeTree] = {}
         self._tm_trees: dict[str, TermTree] = {}
         self.sigma_structure = SigmaStructure(self._sigma, self._pair, self._split)
@@ -1274,38 +1280,14 @@ class SigmaExtModel(NaturalModel):
     def ty_size(self, ctx: str, ty: str) -> int:
         return self.ty_tree(ty).size()
 
-    # Substitution reads only the inner payload s of σ, and many σ share one
-    # (over term_model(range(1)) at bound 3, 897 morphisms share 60
-    # payloads), so cells and rows are memoized on s.  The row memo is keyed
-    # by the list too.  A row is returned as the memo holds it, read-only,
-    # and shared by every σ with the same payload and list.
-    def subst_ty(self, sigma: str, ty: str) -> str:
-        return self._subst_ty(self.base.mor_payload(sigma)[0], ty)
-
-    def subst_tm(self, sigma: str, term: str) -> str:
-        return self._subst_tm(self.base.mor_payload(sigma)[0], term)
-
-    def subst_ty_row(self, sigma: str, tys: list[str]) -> Mapping[str, str]:
-        return self._ty_row(self.base.mor_payload(sigma)[0], tuple(tys))
-
-    def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
-        return self._tm_row(self.base.mor_payload(sigma)[0], tuple(tms))
+    # a tree substitution walks the whole tree, so cells are memoized too
+    @memo
+    def _subst_ty(self, payload: tuple, ty: str) -> str:
+        return self.reg_ty(tree_subst(self.inner, payload[0], self.ty_tree(ty)))
 
     @memo
-    def _subst_ty(self, s: str, ty: str) -> str:
-        return self.reg_ty(tree_subst(self.inner, s, self.ty_tree(ty)))
-
-    @memo
-    def _subst_tm(self, s: str, term: str) -> str:
-        return self.reg_tm(tmtree_subst(self.inner, s, self.tm_tree(term)))
-
-    @memo
-    def _ty_row(self, s: str, tys: tuple[str, ...]) -> Mapping[str, str]:
-        return MappingProxyType({a: self._subst_ty(s, a) for a in tys})
-
-    @memo
-    def _tm_row(self, s: str, tms: tuple[str, ...]) -> Mapping[str, str]:
-        return MappingProxyType({a: self._subst_tm(s, a) for a in tms})
+    def _subst_tm(self, payload: tuple, term: str) -> str:
+        return self.reg_tm(tmtree_subst(self.inner, payload[0], self.tm_tree(term)))
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
@@ -1322,23 +1304,15 @@ class SigmaExtModel(NaturalModel):
         tau = tree_indsub(self.inner, s, self.tm_tree(term), self.ty_tree(ty))
         return self.base._wrap(self.base.dom(sigma), e.extended, (tau,))
 
-    def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
+    def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
         gamma, trees = self.base.obj_info(ctx)
         if trees:
-            parent = self.base.register(gamma, trees[:-1])
-            ty = self.reg_ty(trees[-1])
-            if self.ext(parent, ty).extended == ctx:
-                return parent, ty
-            return None
+            return self.base.register(gamma, trees[:-1]), self.reg_ty(trees[-1])
         inner_parent = self.inner.ext_parent(gamma)
         if inner_parent is None:
             return None
         pctx, pty = inner_parent
-        parent = self.base.register(pctx, ())
-        ty = self.reg_ty(TypeTree(leaf=pty))
-        if self.ext(parent, ty).extended == ctx:
-            return parent, ty
-        return None
+        return self.base.register(pctx, ()), self.reg_ty(TypeTree(leaf=pty))
 
     # -- dependent sum structure -------------------------------------------
     def _sigma(self, ctx: str, ty_a: str, ty_b: str) -> str:
@@ -1513,13 +1487,11 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
 
     def ty_map(d, ctx: str, ty: str) -> str:
         tree = map_ty_tree(d, ext.base.under(ctx), ext.ty_tree(ty))
-        d.on_obj(ctx)
         tree_img = tree_subst(target, theta(d, ctx), tree)
         return sigma_of_tree(target, d.on_obj(ctx), tree_img)[0]
 
     def tm_map(d, ctx: str, tm: str) -> str:
         tree = map_tm_tree(d, ext.base.under(ctx), ext.tm_tree(tm))
-        d.on_obj(ctx)
         tree_img = tmtree_subst(target, theta(d, ctx), tree)
         return pair_of_tree(target, d.on_obj(ctx), tree_img)
 

@@ -89,7 +89,8 @@ class NaturalModel(ABC):
     # or go cell by cell.  ``model_presheaves`` reads the action of each
     # morphism through the two row hooks, and the morphism checkers compare
     # naturality through them.  A returned row is read-only: a model may
-    # share one row between callers and between morphisms.
+    # share one row between callers and between morphisms, as every free
+    # extension in ``freemodel`` does per wrapped inner morphism.
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         """Closed form for ⟨σ, a⟩_A, if the model has one."""
         return None

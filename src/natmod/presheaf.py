@@ -11,18 +11,23 @@ checks in a base category and in finite sets apply one finite-set test,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .fincat import FinCatPresentation, FinFunctor, is_set_pullback
 
 
 @dataclass
 class Presheaf:
-    """Contravariant finite-set-valued functor on a FinCatPresentation."""
+    """Contravariant finite-set-valued functor on a FinCatPresentation.
+
+    A row of ``action`` may be a read-only mapping that the model shares
+    between morphisms (see ``NaturalModel.subst_ty_row``), so rows are read,
+    never written.
+    """
 
     base: FinCatPresentation
     values: dict[str, list[str]]
-    action: dict[str, dict[str, str]]  # morphism -> (element of P(cod) -> element of P(dom))
+    action: dict[str, Mapping[str, str]]  # morphism -> (element of P(cod) -> element of P(dom))
 
     def at(self, obj: str) -> list[str]:
         return self.values.get(obj, [])
@@ -31,8 +36,9 @@ class Presheaf:
         """x[m], the action of morphism m on element x of P(cod m)."""
         return self.action[m][x]
 
-    def row(self, m: str) -> dict[str, str]:
-        """The action of m as a dict x ↦ x[m]; an element with no cell is absent."""
+    def row(self, m: str) -> Mapping[str, str]:
+        """The action of m as a mapping x ↦ x[m]; an element with no cell is
+        absent.  It may be a read-only mapping the model shares."""
         return self.action.get(m, {})
 
     def violations(self) -> Iterator[tuple[str, str]]:

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +153,42 @@ class TestExtendByTerm:
         )
         for g in self.ext.base.objects(2):
             assert sharp.on_obj(g) == g
+
+    def test_a_type_depending_on_the_variable_extends_formally(self):
+        # over finite sets, fam(0, 1) over ⋄•O = set2 depends on the new
+        # variable, so it is kept as a formal extension; fam(1, 1) does not
+        # and collapses.  Called directly: objects(bound) does not terminate
+        # here, as these extensions can keep a context's size.
+        from helpers import finite_sets_model
+
+        ext = extend_by_term(finite_sets_model(2), "fam(2,)")
+        root = ext.i_obj("set1")
+        assert root == "xt(set1|)"
+        e = ext.ext(root, "fam(0, 1)")
+        assert e.extended == "xt(set1|fam(0, 1))"
+        assert ext.ext_parent(e.extended) == (root, "fam(0, 1)")
+        assert ext.base.mor_payload(e.proj) == ("set1=>set2:(1,)",)
+        assert ext.base._anchor[e.extended] == "set1=>set2:(1,)"
+        e2 = ext.ext(e.extended, "fam(0,)")
+        assert ext.ext_parent(e2.extended) == (e.extended, "fam(0,)")
+        assert ext.ext(root, "fam(1, 1)").extended == root
+
+    def test_a_candidate_parent_that_extends_elsewhere_is_no_parent(self):
+        # over finite sets with set n = set1•fam(n,), the empty O weakens every
+        # type to fam(), which collapses to the first preimage fam(0,): so
+        # (set1;)•fam() is (set0;), and (set2;) has no parent
+        from helpers import finite_sets_model
+
+        class WithParents(type(finite_sets_model(2))):
+            def ext_parent(self, ctx):
+                n = int(ctx[3:])
+                return None if n == 1 else ("set1", f"fam({n},)")
+
+        ext = extend_by_term(WithParents(), "fam(0,)")
+        one = ext.i_obj("set1")
+        assert ext.ext(one, "fam()").extended == ext.i_obj("set0")
+        assert ext.ext_parent(ext.i_obj("set0")) == (one, "fam()")
+        assert ext.ext_parent(ext.i_obj("set2")) is None
 
 
 class TestExtendByType:
@@ -517,6 +555,51 @@ class TestComposeIsALookup:
         assert cat.compose(e.proj, ident) == e.proj
         assert cat.compose(cat.identity(model.terminal), e.proj) == e.proj
         assert e.proj in cat.hom(e.extended, model.terminal)
+
+
+_FREEMODEL = Path(__file__).resolve().parent.parent / "src" / "natmod" / "freemodel.py"
+
+
+class TestOneWrappedModelBase:
+    hooks = {"subst_ty", "subst_tm", "subst_ty_row", "subst_tm_row", "ext_parent"}
+    registries = {"_under", "_anchor", "_obj_info", "_align"}
+    mutators = {"setdefault", "update", "pop", "popitem", "clear"}
+
+    def test_substitution_and_ext_parent_are_defined_once_on_the_base(self):
+        module = ast.parse(_FREEMODEL.read_text(encoding="utf-8"))
+        classes = {n.name: n for n in module.body if isinstance(n, ast.ClassDef)}
+        wrapped = {"_WrappedModel"}
+        for name, node in classes.items():  # a class follows its bases
+            if {getattr(b, "id", None) for b in node.bases} & wrapped:
+                wrapped.add(name)
+
+        def methods(name):
+            return {n.name for n in classes[name].body if isinstance(n, ast.FunctionDef)}
+
+        assert self.hooks <= methods("_WrappedModel")
+        subclasses = wrapped - {"_WrappedModel"}
+        assert subclasses == {
+            "ExtTermModel", "_InterleavedModel", "TypeExtModel", "UnitExtModel", "SigmaExtModel",
+        }
+        assert {c: methods(c) & self.hooks for c in subclasses} == {c: set() for c in subclasses}
+
+    def test_only_the_categories_write_their_registries(self):
+        module = ast.parse(_FREEMODEL.read_text(encoding="utf-8"))
+        writes = []
+        for top in module.body:
+            if isinstance(top, ast.ClassDef) and top.name.startswith("_") \
+                    and top.name.endswith("Category"):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                    node = node.value  # x._under[k] = ... writes into x._under
+                elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in self.mutators:
+                    node = node.func.value  # x._align.setdefault(...)
+                elif not (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)):
+                    continue
+                if isinstance(node, ast.Attribute) and node.attr in self.registries:
+                    writes.append((getattr(top, "name", None), node.lineno))
+        assert writes == []
 
 
 def _memo_tables(model) -> list[dict]:

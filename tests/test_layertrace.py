@@ -85,7 +85,7 @@ def test_sigma_rival_naturality_reads_rows_not_cells(monkeypatch):
     assert count_morphisms(sm, sm, 3, pins, ty_bound=3) == 1
     assert calls["subst_tm"] <= 1_000
     assert calls["subst_tm_row"] <= 2 * 897
-    assert len(vars(sm)["_memo_SigmaExtModel._tm_row"]) <= 60
+    assert len(vars(sm)["_memo__WrappedModel._tm_row"]) <= 60
 
 
 

@@ -11,6 +11,7 @@ import pytest
 from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
 from natmod.freemodel import (
     SigmaExtModel,
+    _WrappedModel,
     extend_by_sigma,
     extend_by_term,
     extend_by_type,
@@ -974,8 +975,8 @@ class TestSubstitutionRows:
 
     @pytest.mark.parametrize("name", list(_ROW_MODELS))
     def test_a_returned_row_belongs_to_its_caller(self, name):
-        # a Σ row is shared with the model's memo, so writing into it fails;
-        # the other models return fresh rows, which a write leaves unshared
+        # a wrapped model's row is shared with its memo, so writing into it
+        # fails; the other models return fresh rows, which a write leaves unshared
         model = _ROW_MODELS[name]()
         first = model_presheaves(model, 2, 2)
         saved = [{m: dict(row) for m, row in rows.items()}
@@ -983,7 +984,7 @@ class TestSubstitutionRows:
         for rows in (first.ty.action, first.tm.action):
             for row in rows.values():
                 for a in [*row, "NOPE"]:
-                    if isinstance(model, SigmaExtModel):
+                    if isinstance(model, _WrappedModel):
                         with pytest.raises(TypeError):
                             row[a] = "NOPE"
                     else:

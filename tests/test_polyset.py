@@ -390,6 +390,36 @@ class TestPseudomonad:
         unit = m.unit_structure
         assert (on_ty(unit.unit_ty), on_tm(unit.star_tm)) == (eta.phi0(star), eta.phi1(dstar))
 
+    def test_the_unit_law_key_reads_the_unit_composites(self):
+        # p has positions a0, a1 with one direction each; η picks a0 and μ
+        # sends every position of p·p to a0, so both unit composites send
+        # A to a0.  The unit laws alone are checked: the associativity
+        # enumeration over this p tries 8^8 carrier maps.
+        from natmod.polyset import (
+            PseudomonadReport,
+            _check_unit_laws,
+            partiality_pseudomonad,
+            trivial_pseudomonad,
+        )
+
+        a, b = ("a0", "a1"), ("b0", "b1")
+        p = poly_from_map(fin_map(b, a, {"b0": "a0", "b1": "a1"}))
+        eta = cell_from_square(
+            identity_poly(("*",)), p,
+            fin_map(("*",), a, lambda _: "a0"), fin_map(("*",), b, lambda _: "b0"),
+        )
+        pp = compose(p, p)
+        mu = cell_from_square(
+            pp, p, fin_map(pp.A, a, lambda _: "a0"), fin_map(pp.B, b, lambda _: "b0"),
+        )
+        assert eta.cartesian and mu.cartesian
+        for data, holds in ((trivial_pseudomonad(), True),
+                            (partiality_pseudomonad(), True),
+                            ((p, eta, mu), False)):
+            report = PseudomonadReport()
+            _check_unit_laws(report, *data)
+            assert report.checks["unit-law-bijections"] is holds
+
     def test_permuted_multiplication_fails_and_names_the_cell(self):
         from natmod.polyset import _square_of, partiality_pseudomonad
 
