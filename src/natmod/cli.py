@@ -215,7 +215,7 @@ def _free_checks(args, base, report: VerificationReport):
         else:
             report.add("sigma-structure", sigma.ok)
         incl = freemodel.sigma_inclusion(model)
-        sharp = freemodel.sigma_universal(model, incl, bound)
+        sharp = freemodel.sigma_universal(model, incl)
         report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
         ub = min(bound, 2)
         pins = freemodel.sigma_universal_pins(model, incl, ub, sharp)

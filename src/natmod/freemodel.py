@@ -17,12 +17,15 @@ equality of keys.
 
 The four free extensions share one base, :class:`_WrappedModel`: a context
 morphism wraps a morphism of the inner model, its payload, and every one of
-them substitutes along the payload and shares its rows per payload.
+them substitutes along the payload and shares its rows per payload.  Their
+mediating morphisms share one shape too: F♯ is a single
+:class:`~natmod.morphism.ForcedImages` over a comparison map
+θ : F♯(ctx) -> F(under ctx) built along ``ext_parent``, and substitution,
+insertion and summation are each F♯ of the identity.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -40,7 +43,7 @@ from .natmodel import (
     swap_iso,
 )
 from .morphism import (
-    ForcedImages, MorphismPins, NMorphism, compose_morphisms, identity_morphism,
+    ForcedImages, MorphismPins, NMorphism, identity_morphism,
 )
 
 
@@ -135,6 +138,11 @@ class _WrappedCategory(BoundedCategory):
         return self._wrap(x, z, (self.inner.base.compose(gs, fs),))
 
     def objects(self, bound: int) -> list[str]:
+        """The contexts of size at most ``bound``, closed under extension.
+
+        Precondition: every extension adds to the size, as it does over term
+        models; otherwise the frontier need not empty and this never returns.
+        """
         assert self.model is not None
         seeds = [s for s in self._seeds(bound) if self.obj_size(s) <= bound]
         seen = dict.fromkeys(seeds)
@@ -544,125 +552,67 @@ def term_inclusion(ext: ExtTermModel) -> NMorphism:
     return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
 
-def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
-    """S_o : substitute the closed term o for the formal variable x.
+def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorphism:
+    """F♯ : the unique morphism out of the term extension with F♯(x) = o.
 
-    Satisfies S_o(x) = o and S_o ∘ I = id.  The comparison morphisms
-    w : S_o(ctx) -> under(ctx) are the iterated canonical pullbacks of the
-    section of o, composed with the recorded alignment isomorphisms where
-    normal-form collapse changed the underlying context.
+    Built directly into F's codomain, like the other free extensions: the
+    comparison map θ : F♯(ctx) -> F(under ctx) is the section ⟨id, o[t]⟩ at
+    a root (Γ;), and the canonical pullback of the parent's θ along F(A) at
+    Γ•A, composed with the F-image of the recorded alignment inverse where
+    normal-form collapse changed the underlying context.  With F the
+    identity this is the substitution morphism S_o.
     """
-    inner = ext.inner
+    target = f.dst
+    fo = f.on_ty(ext.inner.terminal, ext.o_ty)
 
     @memo
-    def w_chain(d, ctx: str) -> str:
+    def theta(d, ctx: str) -> str:
         parent = ext.ext_parent(ctx)
         if parent is None:
-            gamma, tys = ext.base.obj_info(ctx)
-            assert not tys
-            o_at = inner.subst_ty(inner.t(gamma), ext.o_ty)
-            o_wk = inner.subst_tm(inner.t(gamma), o_term)
-            return induced_sub(inner, inner.base.identity(gamma), o_wk, o_at)
+            f_gamma = d.on_obj(ctx)
+            t = target.t(f_gamma)
+            return induced_sub(
+                target, target.base.identity(f_gamma),
+                target.subst_tm(t, o_term), target.subst_ty(t, fo),
+            )
         pctx, pty = parent
-        w = canonical_pullback(inner, w_chain(d, pctx), pty)
+        th = canonical_pullback(target, theta(d, pctx), f.on_ty(ext.base.under(pctx), pty))
         align = ext.base._align.get(ctx)
         if align is not None:
-            w = inner.base.compose(align[1], w)
-        return w
+            th = target.base.compose(f.on_mor(align[1]), th)
+        return th
 
     def root_obj(ctx: str) -> str:
         gamma, tys = ext.base.obj_info(ctx)
         assert not tys
-        return gamma
+        return f.on_obj(gamma)
 
     def ty_map(d, ctx: str, ty: str) -> str:
-        return inner.subst_ty(w_chain(d, ctx), ty)
+        return target.subst_ty(theta(d, ctx), f.on_ty(ext.base.under(ctx), ty))
 
     def tm_map(d, ctx: str, tm: str) -> str:
-        return inner.subst_tm(w_chain(d, ctx), tm)
+        return target.subst_tm(theta(d, ctx), f.on_tm(ext.base.under(ctx), tm))
 
     def root_mor(d, m: str) -> str:
-        # codomain is a root (Γ₀;): compose with the retraction of the section
-        a = ext.base.dom(m)
+        # the codomain is a root (Γ₀;): F(p_O) retracts the section
         gamma_b, _ = ext.base.obj_info(ext.base.cod(m))
         (s,) = ext.base.mor_payload(m)
-        retract = ext._o_ext(gamma_b).proj
-        return inner.base.compose(retract, inner.base.compose(s, w_chain(d, a)))
+        retract = f.on_mor(ext._o_ext(gamma_b).proj)
+        return target.base.compose(
+            retract, target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
+        )
 
-    return ForcedImages(ext, inner, root_obj, root_mor, ty_map, tm_map).morphism("S_o")
+    return ForcedImages(ext, target, root_obj, root_mor, ty_map, tm_map).morphism("F#")
 
 
-def term_functorial_extension(
-    ext_src: ExtTermModel, ext_dst: ExtTermModel, f: NMorphism
-) -> NMorphism:
-    """F_tm : the extension of F to the term-extended models, over F.
+def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
+    """S_o : substitute the closed term o for the formal variable x.
 
-    Requires ``ext_dst`` to be the term extension of F's codomain by F(O).
-    Normalization in the codomain may re-shuffle the underlying contexts;
-    the comparison morphisms are tracked and used to transport types.
+    F♯ of the identity, so S_o(x) = o and S_o ∘ I = id.
     """
-    dst_m = ext_dst.inner
-
-    @memo
-    def theta(d, ctx: str) -> str:
-        """under_dst(F_tm ctx) -> F(under_src ctx).
-
-        Normal-form collapse may fire on either side; the recorded
-        alignment isomorphisms are composed in on the codomain side and
-        the F-images of their recorded inverses on the domain side.
-        """
-        parent = ext_src.ext_parent(ctx)
-        if parent is None:
-            return dst_m.base.identity(ext_dst.base.under(d.on_obj(ctx)))
-        pctx, pty = parent
-        th_p = theta(d, pctx)
-        f_ty = f.on_ty(ext_src.base.under(pctx), pty)
-        th = canonical_pullback(dst_m, th_p, f_ty)
-        align_dst = ext_dst.base._align.get(d.on_obj(ctx))
-        if align_dst is not None:
-            th = dst_m.base.compose(th, align_dst[0])
-        align_src = ext_src.base._align.get(ctx)
-        if align_src is not None:
-            th = dst_m.base.compose(f.on_mor(align_src[1]), th)
-        return th
-
-    def root_obj(ctx: str) -> str:
-        gamma, tys = ext_src.base.obj_info(ctx)
-        assert not tys
-        return ext_dst.i_obj(f.on_obj(gamma))
-
-    def ty_map(d, ctx: str, ty: str) -> str:
-        img = f.on_ty(ext_src.base.under(ctx), ty)
-        return dst_m.subst_ty(theta(d, ctx), img)
-
-    def tm_map(d, ctx: str, tm: str) -> str:
-        img = f.on_tm(ext_src.base.under(ctx), tm)
-        return dst_m.subst_tm(theta(d, ctx), img)
-
-    def root_mor(d, m: str) -> str:
-        a, b = ext_src.base.dom(m), ext_src.base.cod(m)
-        (s,) = ext_src.base.mor_payload(m)
-        out = dst_m.base.compose(f.on_mor(s), theta(d, a))
-        return ext_dst.base._wrap(d.on_obj(a), d.on_obj(b), (out,))
-
-    return ForcedImages(ext_src, ext_dst, root_obj, root_mor, ty_map, tm_map).morphism("F_tm")
-
-
-def extend_term_universal(
-    ext_src: ExtTermModel, f: NMorphism, o_term: str
-) -> NMorphism:
-    """F♯ : the unique morphism out of the term extension with F♯(x) = o.
-
-    Computed as the substitution morphism after the functorial extension.
-    """
-    target = f.dst
-    fo = f.on_ty(ext_src.inner.terminal, ext_src.o_ty)
-    ext_dst = extend_by_term(target, fo)
-    f_tm = term_functorial_extension(ext_src, ext_dst, f)
-    s_o = substitution_morphism(ext_dst, o_term)
-    out = compose_morphisms(s_o, f_tm)
-    out.name = "F#"
-    return out
+    s_o = extend_term_universal(ext, identity_morphism(ext.inner), o_term)
+    s_o.name = "S_o"
+    return s_o
 
 
 def term_universal_pins(
@@ -1040,27 +990,25 @@ class TypeTree:
     left: Optional["TypeTree"] = None
     right: Optional["TypeTree"] = None
 
+    def __post_init__(self):
+        # the key and the size are computed once, when the tree is built
+        if self.is_leaf:
+            key, size = _leaf_key(self.leaf), 1  # type: ignore[arg-type]
+        else:
+            key = f"[{self.left.key},{self.right.key}]"
+            size = self.left.size() + self.right.size()
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_size", size)
+
     @property
     def is_leaf(self) -> bool:
         return self.leaf is not None
-
-    @functools.cached_property
-    def key(self) -> str:
-        if self.is_leaf:
-            return _leaf_key(self.leaf)  # type: ignore[arg-type]
-        return f"[{self.left.key},{self.right.key}]"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, type(self)) and self.key == other.key
 
     def __hash__(self) -> int:
         return hash(self.key)
-
-    @functools.cached_property
-    def _size(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left._size + self.right._size
 
     def size(self) -> int:
         return self._size
@@ -1080,15 +1028,16 @@ class TermTree:
     rtype: Optional[TypeTree] = None
     right: Optional["TermTree"] = None
 
+    def __post_init__(self):
+        if self.is_leaf:
+            key = _leaf_key(self.leaf)  # type: ignore[arg-type]
+        else:
+            key = f"[{self.left.key}:{self.rtype.key}:{self.right.key}]"
+        object.__setattr__(self, "key", key)
+
     @property
     def is_leaf(self) -> bool:
         return self.leaf is not None
-
-    @functools.cached_property
-    def key(self) -> str:
-        if self.is_leaf:
-            return _leaf_key(self.leaf)  # type: ignore[arg-type]
-        return f"[{self.left.key}:{self.rtype.key}:{self.right.key}]"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, type(self)) and self.key == other.key

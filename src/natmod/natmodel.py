@@ -187,13 +187,6 @@ def swap_iso(model: NaturalModel, ctx: str, ty_o: str, ty_a: str) -> str:
 # The essentially algebraic theory checker
 # ---------------------------------------------------------------------------
 
-ROMAN = [
-    "i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x",
-    "xi", "xii", "xiii", "xiv", "xv", "xvi", "xvii", "xviii", "xix", "xx",
-    "xxi", "xxii", "xxiii", "xxiv", "xxv", "xxvi", "xxvii",
-]
-
-
 @dataclass
 class EatReport:
     bound: int

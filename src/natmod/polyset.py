@@ -35,7 +35,7 @@ class FinMap:
         if set(graph) != set(self.dom):
             raise ValueError("mapping does not cover the domain")
         cod_set = set(self.cod)
-        for x, y in self.mapping:
+        for _, y in self.mapping:
             if y not in cod_set:
                 raise ValueError(f"value {y!r} outside the codomain")
         object.__setattr__(self, "_graph", graph)
@@ -210,7 +210,6 @@ def compose(g: Polynomial, f: Polynomial) -> Polynomial:
     ud = g.s.as_dict
     td = f.t.as_dict
     sd = f.s.as_dict
-    fd = f.f.as_dict
     m_set = []
     for c in g.A:
         fib = g.fibre(c)
@@ -242,7 +241,6 @@ def compose_extension_iso(g: Polynomial, f: Polynomial, family: dict) -> dict:
     lhs = extend(gf, family)
     mid = extend(f, family)
     rhs = extend(g, mid)
-    sd = f.s.as_dict
 
     out = {}
     for k in g.J:
@@ -288,7 +286,7 @@ def find_poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[FinMap, FinMap
         return None
     td_p, td_q = p.t.as_dict, q.t.as_dict
     sd_p, sd_q = p.s.as_dict, q.s.as_dict
-    fd_p, fd_q = p.f.as_dict, q.f.as_dict
+    fd_p = p.f.as_dict
     for a_perm in itertools.permutations(q.A):
         a_map = dict(zip(p.A, a_perm))
         if any(td_p[a] != td_q[a_map[a]] for a in p.A):
@@ -421,7 +419,6 @@ def horizontal_compose(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
     psi_sq = _square_of(psi)       # D -> D'
     phi0d, phi1d = phi.phi0.as_dict, phi_sq.as_dict
     psi0d, psi1d = psi.phi0.as_dict, psi_sq.as_dict
-    f2 = phi.dst
     g2 = psi.dst
 
     def on_m(el):
@@ -654,7 +651,6 @@ def lemma_pair_into_extension(
     f: FinMap, family_x: tuple, g1: FinMap, g2: FinMap
 ) -> FinMap:
     """Inverse direction: reassemble g : Y -> P_f(X) from (g1, g2)."""
-    fd = f.as_dict
     p_f_x = tuple(
         (a, sec)
         for a in f.cod
@@ -760,7 +756,6 @@ def associator(p: Polynomial, q: Polynomial, r: Polynomial) -> PolyMorphism:
     """The cartesian cell (r·q)·p => r·(q·p) re-bracketing the composite."""
     lhs = compose(compose(r, q), p)
     rhs = compose(r, compose(q, p))
-    qp = compose(q, p)
 
     def on_m(el):
         # element of M_lhs: ((e, n), sec) with n a section of r's fibre in C_q
@@ -976,7 +971,7 @@ def random_pullback_square(rng: random.Random, max_size: int = 3):
     d_set = tuple(f"d{k}" for k in range(rng.randint(1, max_size)))
     u = random_fin_map(rng, a_set, c_set)
     g = random_fin_map(rng, d_set, c_set)
-    apex, f, v = chosen_pullback(u, g)
+    _, f, v = chosen_pullback(u, g)
     return v, f, u, g
 
 
@@ -992,7 +987,7 @@ def random_cartesian_pair(rng: random.Random, max_size: int = 3):
     g = random_fin_map(rng, d_set, c_set)
     dst = poly_from_map(g)
 
-    def random_cartesian(tag: str) -> Optional[PolyMorphism]:
+    def random_cartesian() -> Optional[PolyMorphism]:
         for _ in range(40):
             phi0 = random_fin_map(rng, f.cod, g.cod)
             # need fibrewise bijections B_a ≅ D_{phi0(a)}
@@ -1010,8 +1005,8 @@ def random_cartesian_pair(rng: random.Random, max_size: int = 3):
                 return cell_from_square(src, dst, phi0, phi1)
         return None
 
-    first = random_cartesian("u")
-    second = random_cartesian("v")
+    first = random_cartesian()
+    second = random_cartesian()
     if first is None or second is None:
         return None
     return first, second

@@ -421,8 +421,8 @@ def sum_presheaves(ps: list[Presheaf]) -> tuple[Presheaf, list[NatTrans]]:
 
 def sum_nat_trans(fs: list[NatTrans]) -> NatTrans:
     """The coproduct of parallel families of natural transformations."""
-    dom, dom_inj = sum_presheaves([f.dom for f in fs])
-    cod, cod_inj = sum_presheaves([f.cod for f in fs])
+    dom = sum_presheaves([f.dom for f in fs])[0]
+    cod = sum_presheaves([f.cod for f in fs])[0]
     base = dom.base
     comps: dict[str, dict[str, str]] = {}
     for obj in base.object_keys:

@@ -8,6 +8,7 @@ import pytest
 from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
 from natmod.freemodel import (
     CompositeModel,
+    ExtTermModel,
     _InterleavedCategory,
     _WrappedCategory,
     TypeTree,
@@ -145,14 +146,31 @@ class TestExtendByTerm:
         pins = term_universal_pins(ext, fm, "v0", 2)
         assert count_morphisms(ext, target, 2, pins) == 1
 
-    def test_functorial_extension_and_substitution_recover_sharp(self):
-        # with the identity morphism and o = x, the mediating morphism is
-        # the identity (uniqueness forces it)
+    def test_sharp_of_the_inclusion_at_the_variable_is_the_identity_on_contexts(self):
+        # with the inclusion and o = x, the mediating morphism is the
+        # identity (uniqueness forces it)
         sharp = extend_term_universal(
             self.ext, term_inclusion(self.ext), self.ext.x_term
         )
         for g in self.ext.base.objects(2):
             assert sharp.on_obj(g) == g
+
+    def test_sharp_builds_no_second_free_model(self, monkeypatch):
+        # F♯ maps straight into F's codomain: extend_term_universal builds
+        # no term extension of the target, and neither do its images
+        built = []
+        init = ExtTermModel.__init__
+        monkeypatch.setattr(
+            ExtTermModel, "__init__", lambda m, *args: built.append(m) or init(m, *args)
+        )
+        mt = term_model(range(1))
+        ext = extend_by_term(mt, "T0")
+        target = extend_by_term(extend_by_type(term_model(range(0))), "X")
+        fm = initial_morphism(mt, target, {0: "X"})
+        built.clear()
+        sharp = extend_term_universal(ext, fm, "v0")
+        assert check_morphism(sharp, 2).ok
+        assert built == []
 
     def test_a_type_depending_on_the_variable_extends_formally(self):
         # over finite sets, fam(0, 1) over ⋄•O = set2 depends on the new

@@ -425,6 +425,69 @@ class TestNoSearchOnTheCheckerPaths:
         assert calls == []
 
 
+_SRC = Path(__file__).resolve().parent.parent / "src" / "natmod"
+
+
+def _unread_locals(module: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every function-local name assigned and never read.
+
+    A name counts as read anywhere in the function, nested scopes included;
+    names declared global or nonlocal and underscore names are exempt.
+    """
+    out = []
+    for fn in ast.walk(module):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stores: dict[str, int] = {}
+        loads, declared = set(), set()
+        pending = list(fn.body)
+        while pending:  # the function's own scope; nested bodies are read below
+            node = pending.pop()
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stores.setdefault(node.id, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                     ast.ClassDef, ast.comprehension)):
+                pending.extend(ast.iter_child_nodes(node))
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                loads.add(node.id)
+        out += [(name, line) for name, line in stores.items()
+                if name not in loads | declared and not name.startswith("_")]
+    return out
+
+
+def _unreferenced_constants(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
+    """Module-level names of src assigned and referenced by nothing in ``readers``."""
+    used = {getattr(n, "id", getattr(n, "attr", None))
+            for tree in readers for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and not isinstance(n.ctx, ast.Store)}
+    used |= {alias.name for tree in readers for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) for alias in n.names}
+    return [
+        f"{path}:{target.id}"
+        for path, module in modules.items() for node in module.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not target.id.startswith("_")
+        and target.id not in used
+    ]
+
+
+class TestNoDeadCode:
+    def test_src_assigns_no_name_that_nothing_reads(self):
+        root = _SRC.parent.parent
+        modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_SRC.glob("*.py"))}
+        readers = list(modules.values()) + [
+            ast.parse(p.read_text(encoding="utf-8"))
+            for d in ("tests", "bench") for p in sorted((root / d).glob("*.py"))
+        ]
+        dead = [f"{path}:{line}:{name}"
+                for path, module in modules.items() for name, line in _unread_locals(module)]
+        assert dead + _unreferenced_constants(modules, readers) == []
+
+
 class TestMorphismChecker:
     def test_identity_is_strict(self):
         m = term_model(range(1))
