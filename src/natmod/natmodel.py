@@ -398,8 +398,8 @@ def extension_square_oracle(
                 if d not in yons:
                     yons[d] = yoneda(ps.cat, d)
             try:
-                x_nt = element_nat(ps.cat, ps.ty, g, a_ty, yons[g])
-                top = element_nat(ps.cat, ps.tm, e.extended, e.var, yons[e.extended])
+                x_nt = element_nat(ps.cat, ps.ty, a_ty, yons[g])
+                top = element_nat(ps.cat, ps.tm, e.var, yons[e.extended])
                 left = yoneda_map(ps.cat, e.proj, yons[e.extended], yons[g])
                 is_pullback = check_pullback_square(ps.p, x_nt, top, left)
             except KeyError:
@@ -594,8 +594,8 @@ def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> StructureRe
 
     ps = model_presheaves(model, bound, bound)
     y_d = yoneda(ps.cat, diamond)
-    x_nt = element_nat(ps.cat, ps.ty, diamond, u.unit_ty, y_d)
-    top = element_nat(ps.cat, ps.tm, diamond, u.star_tm, y_d)
+    x_nt = element_nat(ps.cat, ps.ty, u.unit_ty, y_d)
+    top = element_nat(ps.cat, ps.tm, u.star_tm, y_d)
     left = identity_nat(y_d)
     if not check_pullback_square(ps.p, x_nt, top, left):
         report.add("unit square is not a pullback within the bound")

@@ -10,6 +10,11 @@ makes horizontal composition of cartesian cells a pure square chase.
 
 Elements of derived sets are nested tuples; sections are represented as
 tuples of (index, value) pairs in index order.
+
+Block order: the component at j of an extension lists the positions a over
+j in A order, and each position's elements as one contiguous block, its
+sections in the lexicographic order of the product over the fibre B_a.  The
+maps between extensions are built a block at a time on this invariant.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .fincat import is_set_pullback, memo
 
@@ -64,18 +69,25 @@ class FinMap:
 
     def inverse(self) -> "FinMap":
         if not self.is_bijection():
-            raise ValueError("not a bijection")
+            raise ValueError(f"not a bijection: {self._bijection_witness()}")
         return fin_map(self.cod, self.dom, {y: x for x, y in self.mapping})
+
+    def _bijection_witness(self) -> str:
+        """Two elements with one image, else an element of cod with none."""
+        first: dict = {}
+        for x, y in self.mapping:
+            if y in first:
+                return f"{first[y]!r} and {x!r} both go to {y!r}"
+            first[y] = x
+        return f"nothing goes to {next((y for y in self.cod if y not in first), None)!r}"
 
 
 def fin_map(dom: Iterable, cod: Iterable, mapping: dict | Callable) -> FinMap:
     dom = tuple(dom)
     cod = tuple(cod)
-    if callable(mapping):
-        pairs = tuple((x, mapping(x)) for x in dom)
-    else:
-        pairs = tuple((x, mapping[x]) for x in dom)
-    return FinMap(dom, cod, pairs)
+    if not callable(mapping):
+        mapping = mapping.__getitem__
+    return FinMap(dom, cod, tuple(zip(dom, map(mapping, dom))))
 
 
 def identity_map(xs: Iterable) -> FinMap:
@@ -165,6 +177,23 @@ def _sections(index: tuple, values_at: Callable[[object], tuple]) -> list[tuple]
     return [tuple(choice) for choice in itertools.product(*pools)]
 
 
+def _block(p: Polynomial, a, values_at: Callable[[object], Iterable]) -> Iterator:
+    """Position a's block: the pairs (a, section), one per choice of a value
+    from ``values_at(b)`` for each b in the fibre B_a, in lexicographic order."""
+    pools = [[(b, v) for v in values_at(b)] for b in p.fibre(a)]
+    return zip(itertools.repeat(a), itertools.product(*pools))
+
+
+def _by_index(p: Polynomial, block: Callable[[object], Iterable]) -> dict:
+    """The J-indexed family whose component at j is the blocks of the
+    positions over j, concatenated in A order."""
+    td = p.t.as_dict
+    out = {j: [] for j in p.J}
+    for a in p.A:
+        out[td[a]] += block(a)
+    return {j: tuple(v) for j, v in out.items()}
+
+
 def extend(p: Polynomial, family: dict) -> dict:
     """The extension of a polynomial applied to an I-indexed family of sets.
 
@@ -175,27 +204,22 @@ def extend(p: Polynomial, family: dict) -> dict:
     if set(family) != set(p.I):
         raise ValueError("family must be indexed exactly by I")
     sd = p.s.as_dict
-    out = {j: [] for j in p.J}
-    td = p.t.as_dict
-    for a in p.A:
-        fib = p.fibre(a)
-        for sec in _sections(fib, lambda b: tuple(family[sd[b]])):
-            out[td[a]].append((a, sec))
-    return {j: tuple(v) for j, v in out.items()}
+    return _by_index(p, lambda a: _block(p, a, lambda b: family[sd[b]]))
 
 
 def extend_map(p: Polynomial, family: dict, family2: dict, maps: dict) -> dict:
-    """Functorial action of the extension on a family of maps X -> X'."""
+    """Functorial action of the extension on a family of maps X -> X'.
+
+    Mapping every value of position a's block of P(X) gives, element for
+    element, a's block over the pools of images φ_{s(b)}(X_{s(b)}), so the
+    images are built as those blocks.
+    """
     ext1 = extend(p, family)
     ext2 = extend(p, family2)
     sd = p.s.as_dict
-    out = {}
-    for j in p.J:
-        def act(el, _j=j):
-            a, sec = el
-            return (a, tuple((b, maps[sd[b]](v)) for b, v in sec))
-        out[j] = fin_map(ext1[j], ext2[j], act)
-    return out
+    images = _by_index(p, lambda a: _block(
+        p, a, lambda b: map(maps[sd[b]].as_dict.__getitem__, family[sd[b]])))
+    return {j: FinMap(ext1[j], ext2[j], tuple(zip(ext1[j], images[j]))) for j in p.J}
 
 
 def compose(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -236,41 +260,33 @@ def compose_extension_iso(g: Polynomial, f: Polynomial, family: dict) -> dict:
     Returns, for each k, a pair (forward, backward) of maps realising the
     canonical isomorphism; naturality amounts to these maps commuting with
     the functorial action on family maps.
+
+    The forward map is built a block at a time.  The directions of g·f at a
+    position (c, m) are the (c, m, d, b) for d in D_c, b in B_{m(d)}, grouped
+    by d in m's order, so the block of (c, m) is the lexicographic product
+    over that flat list.  A lexicographic product over a concatenation is
+    the nested lexicographic product: over d in D_c, of the products over
+    B_{m(d)}.  Those inner products are the blocks of P_f(X) at the m(d),
+    so element for element the block of (c, m) goes to the pairs (c, section)
+    choosing, for each d, an element of the block of m(d).  The backward map
+    is the forward map's inverse, which exists only if it is a bijection.
     """
     gf = compose(g, f)
     lhs = extend(gf, family)
-    mid = extend(f, family)
-    rhs = extend(g, mid)
+    sd = f.s.as_dict
+    mid_block = {a: tuple(_block(f, a, lambda b: family[sd[b]])) for a in f.A}
+    rhs = extend(g, _by_index(f, mid_block.__getitem__))
 
+    def image_block(position):
+        c, m = position
+        md = dict(m)
+        return _block(g, c, lambda d: mid_block[md[d]])
+
+    images = _by_index(gf, image_block)
     out = {}
     for k in g.J:
-        def fwd(el, _k=k):
-            (c, m), sec = el
-            md = dict(m)
-            secd = dict(sec)
-            outer = tuple(
-                (d, (md[d], tuple(
-                    (b, secd[(c, m, d, b)]) for b in f.fibre(md[d])
-                )))
-                for d in g.fibre(c)
-            )
-            return (c, outer)
-
-        def bwd(el, _k=k):
-            c, outer = el
-            m = tuple((d, pair[0]) for d, pair in outer)
-            outer_d = dict(outer)
-            sec = []
-            for d, a in m:
-                inner = dict(outer_d[d][1])
-                for b in f.fibre(a):
-                    sec.append(((c, m, d, b), inner[b]))
-            return ((c, m), tuple(sec))
-
-        out[k] = (
-            fin_map(lhs[k], rhs[k], fwd),
-            fin_map(rhs[k], lhs[k], bwd),
-        )
+        fwd = FinMap(lhs[k], rhs[k], tuple(zip(lhs[k], images[k])))
+        out[k] = (fwd, fwd.inverse())
     return out
 
 

@@ -189,8 +189,8 @@ def yoneda_map(base: FinCatPresentation, g: str, src_ps: Presheaf, dst_ps: Presh
     return NatTrans(src_ps, dst_ps, comps)
 
 
-def element_nat(base: FinCatPresentation, ps: Presheaf, obj: str, x: str, yon: Presheaf) -> NatTrans:
-    """The natural transformation y(obj) -> ps classifying x in ps(obj)."""
+def element_nat(base: FinCatPresentation, ps: Presheaf, x: str, yon: Presheaf) -> NatTrans:
+    """The natural transformation yon -> ps classifying x, with yon = y(c) for x in ps(c)."""
     comps = {d: {h: ps.restrict(h, x) for h in yon.at(d)} for d in base.object_keys}
     return NatTrans(yon, ps, comps)
 
@@ -301,9 +301,9 @@ def check_pullback_square_by_cones(
     for d in base.object_keys:
         yd = yons[d]
         for u in x.dom.at(d):
-            a = element_nat(base, x.dom, d, u, yd)
+            a = element_nat(base, x.dom, u, yd)
             for v in f.dom.at(d):
-                b = element_nat(base, f.dom, d, v, yd)
+                b = element_nat(base, f.dom, v, yd)
                 lhs = compose_nat(x, a)
                 rhs = compose_nat(f, b)
                 if any(
@@ -313,7 +313,7 @@ def check_pullback_square_by_cones(
                     continue
                 mediating = 0
                 for z in p.at(d):
-                    med = element_nat(base, p, d, z, yd)
+                    med = element_nat(base, p, z, yd)
                     la = compose_nat(left, med)
                     tb = compose_nat(top, med)
                     if all(
@@ -375,7 +375,7 @@ def is_representable(p: NatTrans) -> RepresentabilityReport:
     for gamma in base.object_keys:
         for a in p.cod.at(gamma):
             entry = RepresentabilityWitness(gamma, a)
-            x_nt = element_nat(base, p.cod, gamma, a, yons[gamma])
+            x_nt = element_nat(base, p.cod, a, yons[gamma])
             for b_obj in base.object_keys:
                 if entry.found:
                     break
@@ -384,7 +384,7 @@ def is_representable(p: NatTrans) -> RepresentabilityReport:
                         break
                     left = yoneda_map(base, g, yons[b_obj], yons[gamma])
                     for y in p.dom.at(b_obj):
-                        top = element_nat(base, p.dom, b_obj, y, yons[b_obj])
+                        top = element_nat(base, p.dom, y, yons[b_obj])
                         if check_pullback_square(p, x_nt, top, left):
                             entry.witness_obj = b_obj
                             entry.witness_mor = g

@@ -1,10 +1,12 @@
-"""Shared builders for small hand-made categories used across the test suite."""
+"""Shared builders for small hand-made categories used across the test suite,
+and element-by-element reference forms of the polynomial maps."""
 
 from __future__ import annotations
 
 import itertools
 
 from natmod.fincat import FinCatPresentation
+from natmod.polyset import compose, extend, fin_map
 
 
 def poset_category(elements, leq) -> FinCatPresentation:
@@ -276,3 +278,50 @@ def propositions_model():
         lambda ctx, ty_a, ty_b, f, a: at_arg(ctx, ty_b, a),
     )
     return m
+
+
+# ---------------------------------------------------------------------------
+# Reference polynomial maps, built one element at a time
+# ---------------------------------------------------------------------------
+
+def reference_extend_map(p, family, family2, maps) -> dict:
+    """P_p(φ) per index, mapping each value of each section on its own."""
+    ext1 = extend(p, family)
+    ext2 = extend(p, family2)
+    sd = p.s.as_dict
+
+    def act(el):
+        a, sec = el
+        return (a, tuple((b, maps[sd[b]](v)) for b, v in sec))
+
+    return {j: fin_map(ext1[j], ext2[j], act) for j in p.J}
+
+
+def reference_composition_iso(g, f, family) -> dict:
+    """P_{g·f}(X) ≅ P_g(P_f(X)) per index, as a (forward, backward) pair of
+    maps that regroup each element's section by lookups in the fibres."""
+    lhs = extend(compose(g, f), family)
+    rhs = extend(g, extend(f, family))
+
+    def fwd(el):
+        (c, m), sec = el
+        md = dict(m)
+        secd = dict(sec)
+        outer = tuple(
+            (d, (md[d], tuple((b, secd[(c, m, d, b)]) for b in f.fibre(md[d]))))
+            for d in g.fibre(c)
+        )
+        return (c, outer)
+
+    def bwd(el):
+        c, outer = el
+        m = tuple((d, pair[0]) for d, pair in outer)
+        outer_d = dict(outer)
+        sec = []
+        for d, a in m:
+            inner = dict(outer_d[d][1])
+            for b in f.fibre(a):
+                sec.append(((c, m, d, b), inner[b]))
+        return ((c, m), tuple(sec))
+
+    return {k: (fin_map(lhs[k], rhs[k], fwd), fin_map(rhs[k], lhs[k], bwd)) for k in g.J}

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from natmod import polyset
 from natmod.cli import main
 from natmod.modelio import (
     BOUNDARY_RANK,
@@ -178,7 +179,61 @@ class TestPolyCommand:
         rc = main(["poly", "compose", str(ident), str(poly_file)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "extension-preserves-composition" in out
+        assert "PASS  extension-preserves-composition" in out
+        assert "elements at index 0" in out
+
+    def test_compose_fails_on_a_non_natural_iso(self, poly_file, monkeypatch, capsys):
+        # the iso at X' sends every block's elements in reverse order: still a
+        # bijection per index, but no longer natural along X -> X'
+        real = polyset.compose_extension_iso
+        calls = []
+
+        def reversed_at_the_second_family(g, f, family):
+            calls.append(family)
+            isos = real(g, f, family)
+            if len(calls) == 1:
+                return isos
+            out = {}
+            for k, (fwd, _) in isos.items():
+                bad = polyset.FinMap(fwd.dom, fwd.cod, tuple(zip(fwd.dom, reversed(fwd.cod))))
+                out[k] = (bad, bad.inverse())
+            return out
+
+        monkeypatch.setattr(polyset, "compose_extension_iso", reversed_at_the_second_family)
+        rc = main(["poly", "compose", str(poly_file), str(poly_file), "--bound", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL  extension-preserves-composition  -- at 0: not natural at ((" in out
+
+    def test_compose_fails_when_the_iso_does_not_build(self, poly_file, monkeypatch, capsys):
+        def constant(g, f, family):
+            lhs = polyset.extend(polyset.compose(g, f), family)
+            rhs = polyset.extend(g, polyset.extend(f, family))
+            return {k: (polyset.fin_map(lhs[k], rhs[k], lambda _, k=k: rhs[k][0]).inverse(), None)
+                    for k in g.J}
+
+        monkeypatch.setattr(polyset, "compose_extension_iso", constant)
+        rc = main(["poly", "compose", str(poly_file), str(poly_file), "--bound", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL  extension-preserves-composition  -- a map does not build: " \
+               "not a bijection: ((" in out
+        assert "both go to" in out
+
+    def test_compose_over_an_empty_extension_is_vacuous(self, poly_file, capsys):
+        # seed 2 draws the empty family, so P_{g·f}(X) has no element to check
+        rc = main(["poly", "compose", str(poly_file), str(poly_file), "--seed", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "VACUOUS  extension-preserves-composition  -- 0 instances at bound 3" in out
+
+    def test_compose_of_mismatched_files_is_a_parse_error(self, poly_file, tmp_path, capsys):
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({
+            "I": 2, "B": 1, "A": 1, "J": 1, "s": [0], "f": [0], "t": [0],
+        }))
+        assert main(["poly", "compose", str(two), str(poly_file)]) == 2
+        assert "middle index sets do not match" in capsys.readouterr().err
 
     def test_verify_bc_and_dist(self, capsys):
         assert main(["poly", "verify-bc", "--count", "10", "--seed", "1"]) == 0

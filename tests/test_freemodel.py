@@ -667,23 +667,30 @@ class TestMutualUniqueness:
 
 class TestSubstitutionAsMediator:
     def test_sharp_of_the_identity_is_the_substitution_morphism(self):
-        # the mediating morphism for the identity with an arbitrary closed
-        # term agrees with the substitution morphism on all four sorts
+        # F♯ of the identity with an arbitrary closed term o satisfies the
+        # equations that define S_o: it retracts the inclusion, sends x to o,
+        # and is a morphism of natural models
         base = extend_by_term(extend_by_type(term_model(range(0))), "X")
         ext = extend_by_term(base, "X")
         o = base.terms(base.terminal, 1)[0]
-        s_o = substitution_morphism(ext, o)
         sharp = extend_term_universal(ext, identity_morphism(base), o)
-        for g in ext.base.objects(2):
-            assert sharp.on_obj(g) == s_o.on_obj(g)
-            for t in ext.types(g, 1):
-                assert sharp.on_ty(g, t) == s_o.on_ty(g, t)
-            for t in ext.terms(g, 1):
-                assert sharp.on_tm(g, t) == s_o.on_tm(g, t)
-        for a in ext.base.objects(2):
-            for b in ext.base.objects(2):
-                for mm in ext.base.hom(a, b):
-                    assert sharp.on_mor(mm) == s_o.on_mor(mm)
+        si = compose_morphisms(sharp, term_inclusion(ext))
+        for g in base.base.objects(2):
+            assert si.on_obj(g) == g
+            for t in base.types(g, 2):
+                assert si.on_ty(g, t) == t
+            for t in base.terms(g, 2):
+                assert si.on_tm(g, t) == t
+        for a in base.base.objects(2):
+            for b in base.base.objects(2):
+                for mm in base.base.hom(a, b):
+                    assert si.on_mor(mm) == mm
+        # x and o are both named v0, each the variable of its own extension:
+        # the equation also places x's image at the terminal context
+        root = ext.i_obj(base.terminal)
+        assert sharp.on_obj(root) == base.terminal
+        assert sharp.on_tm(root, ext.x_term) == o
+        assert check_morphism(sharp, 2).ok
 
     def test_substitution_retracts_inclusion_on_all_four_sorts(self):
         u = extend_by_unit(term_model(range(0)))

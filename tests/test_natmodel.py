@@ -475,7 +475,34 @@ def _unreferenced_constants(modules: dict[str, ast.Module], readers: list[ast.AS
     ]
 
 
+def _unread_parameters(module: ast.Module) -> list[tuple[str, str]]:
+    """(function, parameter) of every parameter of a module-level function
+    that the function's body, nested scopes included, never reads."""
+    out = []
+    for fn in module.body:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        loads = {node.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        out += [(fn.name, a.arg) for a in params if a.arg not in loads]
+    return out
+
+
+# the benchmark's universal workload still passes sigma_universal a bound; the
+# parameter goes when that workload next changes
+_UNREAD_PARAMETERS_KEPT = [("freemodel.py", "sigma_universal", "bound")]
+
+
 class TestNoDeadCode:
+    def test_module_level_functions_read_every_parameter(self):
+        unread = [(path, fn, name) for path in sorted(p.name for p in _SRC.glob("*.py"))
+                  for fn, name in _unread_parameters(
+                      ast.parse((_SRC / path).read_text(encoding="utf-8")))]
+        assert unread == _UNREAD_PARAMETERS_KEPT
+
     def test_src_assigns_no_name_that_nothing_reads(self):
         root = _SRC.parent.parent
         modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_SRC.glob("*.py"))}

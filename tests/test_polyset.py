@@ -34,6 +34,7 @@ from natmod.polyset import (
     quadruple_object,
     random_cartesian_pair,
     random_family,
+    random_fin_map,
     random_polynomial,
     random_pullback_square,
     right_unitor,
@@ -43,6 +44,8 @@ from natmod.polyset import (
     whisker_right,
     Polynomial,
 )
+
+from helpers import reference_composition_iso, reference_extend_map
 
 
 def small_poly(fibres, tag=""):
@@ -132,20 +135,109 @@ class TestCompose:
                 assert len(lhs[k]) == len(rhs[k])
 
     def test_composition_iso_roundtrips(self):
+        # the forward map against the element-by-element backward map: the
+        # backward map of compose_extension_iso is the forward map's inverse
         rng = random.Random(3)
-        f = random_polynomial(rng, 2, tag="f")
-        g = random_polynomial(rng, 2, tag="g")
-        g = Polynomial(
-            fin_map(g.B, f.J, {b: rng.choice(f.J) for b in g.B}),
-            g.f, g.t,
-        )
-        xs = random_family(rng, f.I, 2)
-        isos = compose_extension_iso(g, f, xs)
-        for k, (fwd, bwd) in isos.items():
-            for x in fwd.dom:
-                assert bwd(fwd(x)) == x
-            for y in bwd.dom:
-                assert fwd(bwd(y)) == y
+        covered = 0
+        for _ in range(20):
+            f = random_polynomial(rng, 2, tag="f")
+            g = random_polynomial(rng, 2, tag="g")
+            g = Polynomial(
+                fin_map(g.B, f.J, {b: rng.choice(f.J) for b in g.B}),
+                g.f, g.t,
+            )
+            xs = random_family(rng, f.I, 2)
+            isos = compose_extension_iso(g, f, xs)
+            reference = reference_composition_iso(g, f, xs)
+            for k, (fwd, _) in isos.items():
+                bwd = reference[k][1]
+                for x in fwd.dom:
+                    assert bwd(fwd(x)) == x
+                for y in bwd.dom:
+                    assert fwd(bwd(y)) == y
+                covered += len(fwd.dom)
+        assert covered >= 50
+
+
+def _poly(s: dict, f: dict, t: dict, index: tuple, target: tuple) -> Polynomial:
+    """The polynomial index <-s- B -f-> A -t-> target from its three graphs."""
+    return Polynomial(fin_map(s, index, s), fin_map(f, t, f), fin_map(t, target, t))
+
+
+def _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi):
+    """The iso at X and at X', and P_{g·f}(φ), P_f(φ), P_g(P_f(φ)), have the
+    same graphs, in the same order, as their element-by-element forms."""
+    for family in (xs, ys):
+        built = compose_extension_iso(g, f, family)
+        reference = reference_composition_iso(g, f, family)
+        for k in g.J:
+            assert built[k][0].mapping == reference[k][0].mapping
+            assert built[k][1].mapping == reference[k][1].mapping
+    pf_phi = extend_map(f, xs, ys, phi)
+    for p, dom, cod, maps in (
+        (compose(g, f), xs, ys, phi),
+        (f, xs, ys, phi),
+        (g, extend(f, xs), extend(f, ys), pf_phi),
+    ):
+        built = extend_map(p, dom, cod, maps)
+        reference = reference_extend_map(p, dom, cod, maps)
+        assert all(built[j].mapping == reference[j].mapping for j in p.J)
+
+
+class TestBlockwiseMaps:
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_criterion_3_draws(self, size):
+        rng = random.Random(size)
+        checked = 0
+        while checked < 30:
+            f = random_polynomial(rng, size, tag="f")
+            g0 = random_polynomial(rng, size, tag="g")
+            g = Polynomial(fin_map(g0.B, f.J, {b: rng.choice(f.J) for b in g0.B}), g0.f, g0.t)
+            xs = random_family(rng, f.I, size)
+            ys = random_family(rng, f.I, size, tag="y")
+            try:
+                phi = {i: random_fin_map(rng, xs[i], ys[i]) for i in f.I}
+            except ValueError:
+                continue  # a map into an empty component does not exist
+            _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
+            checked += 1
+
+    def test_empty_fibres(self):
+        f = small_poly([0, 2, 1], tag="f")
+        g = small_poly([2, 1], tag="g")
+        xs, ys = {"*": ("x0", "x1")}, {"*": ("y0", "y1", "y2")}
+        phi = {"*": fin_map(xs["*"], ys["*"], {"x0": "y2", "x1": "y0"})}
+        _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
+
+    def test_an_empty_family_component(self):
+        f = _poly({"b0": "i0", "b1": "i1"}, {"b0": "a0", "b1": "a1"},
+                  {"a0": "*", "a1": "*", "a2": "*"}, ("i0", "i1"), ("*",))
+        g = small_poly([2, 1], tag="g")
+        xs, ys = {"i0": ("x0", "x1"), "i1": ()}, {"i0": ("y0",), "i1": ("y1",)}
+        phi = {"i0": fin_map(xs["i0"], ys["i0"], lambda _: "y0"),
+               "i1": fin_map((), ys["i1"], {})}
+        assert len(extend(compose(g, f), xs)["*"]) > 0
+        _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
+
+    def test_a_g_position_with_an_empty_fibre(self):
+        f = small_poly([1, 2], tag="f")
+        g = small_poly([0, 1, 2], tag="g")
+        xs, ys = {"*": ("x0", "x1")}, {"*": ("y0",)}
+        phi = {"*": fin_map(xs["*"], ys["*"], lambda _: "y0")}
+        assert ("ag0", ()) in extend(g, extend(f, xs))["*"]
+        _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
+
+    def test_indices_with_no_positions(self):
+        # j1 carries no position of f, so g's c0 (whose one direction lies
+        # over j1) has no section m; k1 carries no position of g
+        f = _poly({"b0": "*", "b1": "*"}, {"b0": "a0", "b1": "a1"},
+                  {"a0": "j0", "a1": "j0"}, ("*",), ("j0", "j1"))
+        g = _poly({"d0": "j1", "d1": "j0", "d2": "j0"}, {"d0": "c0", "d1": "c1", "d2": "c1"},
+                  {"c0": "k0", "c1": "k0", "c2": "k0"}, ("j0", "j1"), ("k0", "k1"))
+        xs, ys = {"*": ("x0", "x1")}, {"*": ("y0", "y1")}
+        phi = {"*": fin_map(xs["*"], ys["*"], {"x0": "y1", "x1": "y0"})}
+        assert extend(compose(g, f), xs)["k1"] == ()
+        _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
 
 
 class TestBeckChevalley:

@@ -364,8 +364,8 @@ class TestOracleSoundness:
         for g in m.base.objects(1):
             for ty in m.types(g, 1):
                 e = m.ext(g, ty)
-                x_nt = element_nat(ps.cat, ps.ty, g, ty, yon[g])
-                top = element_nat(ps.cat, ps.tm, e.extended, e.var, yon[e.extended])
+                x_nt = element_nat(ps.cat, ps.ty, ty, yon[g])
+                top = element_nat(ps.cat, ps.tm, e.var, yon[e.extended])
                 left = yoneda_map(ps.cat, e.proj, yon[e.extended], yon[g])
                 fast = check_pullback_square(ps.p, x_nt, top, left)
                 slow = check_pullback_square_by_cones(ps.p, x_nt, top, left)
