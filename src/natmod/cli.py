@@ -173,7 +173,7 @@ def _free_checks(args, base, report: VerificationReport):
         model = freemodel.extend_by_term(base, args.type)
         eat = check_eat(model, bound)
         report.add("eat", eat.ok)
-        incl = freemodel.term_inclusion(model)
+        incl = freemodel.inclusion(model)
         report.add("inclusion-strict", check_morphism(incl, min(bound, 2)).ok)
         sharp = freemodel.extend_term_universal(model, incl, model.x_term)
         report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
@@ -185,7 +185,7 @@ def _free_checks(args, base, report: VerificationReport):
         model = freemodel.extend_by_type(base)
         eat = check_eat(model, bound)
         report.add("eat", eat.ok)
-        incl = freemodel.interleaved_inclusion(model)
+        incl = freemodel.inclusion(model)
         report.add("inclusion-strict", check_morphism(incl, min(bound, 2)).ok)
         sharp = freemodel.type_universal(model, incl, model.new_ty)
         report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
@@ -198,7 +198,7 @@ def _free_checks(args, base, report: VerificationReport):
         eat = check_eat(model, bound)
         report.add("eat", eat.ok)
         report.add("unit-structure", check_unit(model, model.unit_structure, bound).ok)
-        incl = freemodel.interleaved_inclusion(model)
+        incl = freemodel.inclusion(model)
         sharp = freemodel.unit_universal(model, incl)
         report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
         ub = min(bound, 2)
@@ -214,7 +214,7 @@ def _free_checks(args, base, report: VerificationReport):
             report.add_vacuous("sigma-structure", sigma.bound)
         else:
             report.add("sigma-structure", sigma.ok)
-        incl = freemodel.sigma_inclusion(model)
+        incl = freemodel.inclusion(model)
         sharp = freemodel.sigma_universal(model, incl)
         report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
         ub = min(bound, 2)

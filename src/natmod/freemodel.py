@@ -17,11 +17,16 @@ equality of keys.
 
 The four free extensions share one base, :class:`_WrappedModel`: a context
 morphism wraps a morphism of the inner model, its payload, and every one of
-them substitutes along the payload and shares its rows per payload.  Their
+them substitutes along the payload and shares its rows per payload.  The
+inclusion I of the inner model is one map, :func:`inclusion`, given by four
+hooks of the base: ``i_obj`` (the root context (Γ;)), ``i_ty``, ``i_tm`` and
+``i_payload``.  The terminal context, the seeds of ``objects``, the root case
+of ``ext_parent`` and the pins of G ∘ I = F all read those hooks.  The
 mediating morphisms share one shape too: F♯ is a single
 :class:`~natmod.morphism.ForcedImages` over a comparison map
-θ : F♯(ctx) -> F(under ctx) built along ``ext_parent``, and substitution,
-insertion and summation are each F♯ of the identity.
+θ : F♯(ctx) -> F(under ctx) built along ``ext_parent``, its roots are the
+contexts I(Γ), and substitution, insertion and summation are each F♯ of the
+identity.
 """
 
 from __future__ import annotations
@@ -161,8 +166,12 @@ class _WrappedCategory(BoundedCategory):
             frontier = nxt
         return sorted(seen, key=lambda c: (self.obj_size(c), c))
 
+    @property
+    def terminal(self) -> Optional[str]:
+        return self.model.i_obj(self.inner.terminal)  # type: ignore[union-attr]
+
     def _seeds(self, bound: int) -> list[str]:
-        raise NotImplementedError
+        return [self.model.i_obj(g) for g in self.inner.base.objects(bound)]  # type: ignore[union-attr]
 
 
 class _WrappedModel(NaturalModel):
@@ -177,8 +186,14 @@ class _WrappedModel(NaturalModel):
     returned as the memo holds it, read-only and shared by every morphism
     with that payload.
 
-    A subclass also names the one candidate parent of a context; it is the
-    parent when extending it gives the context back.
+    The inclusion I of the inner model is given by four hooks: ``i_obj``,
+    the root context (Γ;) over an inner context, ``i_ty`` and ``i_tm``, the
+    image of an inner type or term over Γ, and ``i_payload``, the payload of
+    the image of an inner morphism.  A context is either a root or the
+    extension of its one candidate parent: a subclass names the parent of a
+    formal part with ``_formal_parent``, and a root's candidate is the
+    inclusion of its inner parent.  The candidate is the parent when
+    extending it gives the context back.
     """
 
     base: _WrappedCategory
@@ -222,7 +237,63 @@ class _WrappedModel(NaturalModel):
 
     def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
         """The (parent, A) that ctx can only be the extension of, if any."""
+        info = self.base.obj_info(ctx)
+        cand = self._formal_parent(info)
+        if cand is not None:
+            return cand
+        inner_parent = self.inner.ext_parent(info[0])
+        if inner_parent is None:
+            return None
+        pctx, pty = inner_parent
+        return self.i_obj(pctx), self.i_ty(pctx, pty)
+
+    def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
+        """The candidate parent of the context with ``info``, None at a root."""
         raise NotImplementedError
+
+    # -- the inclusion I ---------------------------------------------------
+    def i_obj(self, gamma: str) -> str:
+        raise NotImplementedError
+
+    def i_ty(self, gamma: str, ty: str) -> str:
+        raise NotImplementedError
+
+    def i_tm(self, gamma: str, tm: str) -> str:
+        raise NotImplementedError
+
+    def i_payload(self, m: str) -> tuple:
+        raise NotImplementedError
+
+
+def inclusion(ext: _WrappedModel) -> NMorphism:
+    """The strict inclusion I of the inner model into a free extension."""
+    inner = ext.inner
+
+    def root_mor(d, m: str) -> str:
+        return ext.base._wrap(
+            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), ext.i_payload(m)
+        )
+
+    return ForcedImages(
+        inner, ext, ext.i_obj, root_mor,
+        lambda d, ctx, ty: ext.i_ty(ctx, ty), lambda d, ctx, tm: ext.i_tm(ctx, tm),
+    ).morphism("I")
+
+
+# the name the benchmark's universal workload calls
+sigma_inclusion = inclusion
+
+
+def _sharp(ext: _WrappedModel, f: NMorphism, root_mor, ty_map, tm_map) -> NMorphism:
+    """F♯ out of a free extension: a root I(Γ) goes to F(Γ), and the rest
+    is the construction's own root morphisms and images."""
+
+    def root_obj(ctx: str) -> str:
+        gamma = ext.base.obj_info(ctx)[0]
+        assert ctx == ext.i_obj(gamma), f"{ctx} is not a root context"
+        return f.on_obj(gamma)
+
+    return ForcedImages(ext, f.dst, root_obj, root_mor, ty_map, tm_map).morphism("F#")
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +408,10 @@ def initial_morphism(tm: TermModel, target: NaturalModel, images: dict) -> NMorp
     return ForcedImages(tm, target, root_obj, root_mor, ty_map, tm_map).morphism("initial")
 
 
-def _inclusion_pins(
-    inner: NaturalModel, incl: NMorphism, f: NMorphism, bound: int
-) -> MorphismPins:
+def _inclusion_pins(ext: _WrappedModel, f: NMorphism, bound: int) -> MorphismPins:
     """Pins expressing G ∘ I = F on every in-bound inner context, type, term
-    and morphism, where I is the inclusion ``incl`` of ``inner``."""
+    and morphism, where I is the inclusion of the inner model into ``ext``."""
+    inner, incl = ext.inner, inclusion(ext)
     pins = MorphismPins()
     ctxs = inner.base.objects(bound)
     for gamma in ctxs:
@@ -406,20 +476,14 @@ class _ExtTermCategory(_WrappedCategory):
             self._align[key] = sw, sw_inv
         return self._align[key][0]
 
-    @property
-    def terminal(self) -> Optional[str]:
-        return self.model.i_obj(self.inner.terminal)  # type: ignore[attr-defined]
-
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
         for s in self.inner.base.hom(self._under[a], self._under[b]):
             if self.inner.base.compose(self._anchor[b], s) == self._anchor[a]:
                 yield (s,)
 
     def _seeds(self, bound: int) -> list[str]:
-        return [
-            self.model.i_obj(g)  # type: ignore[attr-defined]
-            for g in self.inner.base.objects(max(bound - 1, 0))
-        ]
+        # a root (Γ;) lies over Γ•O, one larger than Γ
+        return super()._seeds(max(bound - 1, 0))
 
 
 class ExtTermModel(_WrappedModel):
@@ -449,11 +513,21 @@ class ExtTermModel(_WrappedModel):
 
     @memo
     def i_obj(self, gamma: str) -> str:
-        """The image (Γ;) of an inner context under the inclusion."""
         return self.base.register(
             gamma, (), self._o_ext(gamma).extended,
             canonical_pullback(self.inner, self.inner.t(gamma), self.o_ty),
         )
+
+    def i_ty(self, gamma: str, ty: str) -> str:
+        return self.inner.subst_ty(self._o_ext(gamma).proj, ty)
+
+    def i_tm(self, gamma: str, tm: str) -> str:
+        return self.inner.subst_tm(self._o_ext(gamma).proj, tm)
+
+    def i_payload(self, m: str) -> tuple:
+        inner = self.inner
+        o_at = inner.subst_ty(inner.t(inner.base.cod(m)), self.o_ty)
+        return (canonical_pullback(inner, m, o_at),)
 
     def types(self, ctx: str, bound: int) -> list[str]:
         return self.inner.types(self.base.under(ctx), bound)
@@ -509,15 +583,9 @@ class ExtTermModel(_WrappedModel):
             tau = self.inner.base.compose(align[1], tau)
         return self.base._wrap(self.base.dom(sigma), e.extended, (tau,))
 
-    def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
-        gamma, tys = self.base.obj_info(ctx)
-        if tys:
-            return self.base.obj_key_for(gamma, tys[:-1]), tys[-1]
-        inner_parent = self.inner.ext_parent(gamma)
-        if inner_parent is None:
-            return None
-        pctx, pty = inner_parent
-        return self.i_obj(pctx), self.inner.subst_ty(self._o_ext(pctx).proj, pty)
+    def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
+        gamma, tys = info
+        return (self.base.obj_key_for(gamma, tys[:-1]), tys[-1]) if tys else None
 
 
 def extend_by_term(inner: NaturalModel, o_ty: str) -> ExtTermModel:
@@ -527,29 +595,6 @@ def extend_by_term(inner: NaturalModel, o_ty: str) -> ExtTermModel:
     over the new terminal context.
     """
     return ExtTermModel(inner, o_ty)
-
-
-def term_inclusion(ext: ExtTermModel) -> NMorphism:
-    """The strict inclusion of the inner model into its term extension."""
-    inner = ext.inner
-
-    def root_obj(ctx: str) -> str:
-        return ext.i_obj(ctx)
-
-    def ty_map(d, ctx: str, ty: str) -> str:
-        return inner.subst_ty(ext._o_ext(ctx).proj, ty)
-
-    def tm_map(d, ctx: str, tm: str) -> str:
-        return inner.subst_tm(ext._o_ext(ctx).proj, tm)
-
-    def root_mor(d, m: str) -> str:
-        o_at = inner.subst_ty(inner.t(inner.base.cod(m)), ext.o_ty)
-        return ext.base._wrap(
-            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)),
-            (canonical_pullback(inner, m, o_at),),
-        )
-
-    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
 
 def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorphism:
@@ -582,11 +627,6 @@ def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorp
             th = target.base.compose(f.on_mor(align[1]), th)
         return th
 
-    def root_obj(ctx: str) -> str:
-        gamma, tys = ext.base.obj_info(ctx)
-        assert not tys
-        return f.on_obj(gamma)
-
     def ty_map(d, ctx: str, ty: str) -> str:
         return target.subst_ty(theta(d, ctx), f.on_ty(ext.base.under(ctx), ty))
 
@@ -602,7 +642,7 @@ def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorp
             retract, target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
         )
 
-    return ForcedImages(ext, target, root_obj, root_mor, ty_map, tm_map).morphism("F#")
+    return _sharp(ext, f, root_mor, ty_map, tm_map)
 
 
 def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
@@ -619,9 +659,8 @@ def term_universal_pins(
     ext_src: ExtTermModel, f: NMorphism, o_term: str, bound: int
 ) -> MorphismPins:
     """Pins expressing G ∘ I = F and G(x) = o for the rival search."""
-    inner = ext_src.inner
-    pins = _inclusion_pins(inner, term_inclusion(ext_src), f, bound)
-    pins.on_tm[(ext_src.i_obj(inner.terminal), ext_src.x_term)] = o_term
+    pins = _inclusion_pins(ext_src, f, bound)
+    pins.on_tm[(ext_src.i_obj(ext_src.inner.terminal), ext_src.x_term)] = o_term
     return pins
 
 
@@ -673,10 +712,6 @@ class _InterleavedCategory(_WrappedCategory):
     def count(self, key: str) -> int:
         return self._count[key]
 
-    @property
-    def terminal(self) -> Optional[str]:
-        return self.register(self.inner.terminal, (0,), ())
-
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
         inner_homs = self.inner.base.hom(self._under[a], self._under[b])
         if not self.with_tally:
@@ -697,12 +732,6 @@ class _InterleavedCategory(_WrappedCategory):
             raise ValueError("not composable")
         tally = tuple(ft[j] for j in gt) if self.with_tally else ()
         return self._wrap(x, z, (self.inner.base.compose(gs, fs), tally))
-
-    def _seeds(self, bound: int) -> list[str]:
-        return [
-            self.register(g, (0,), ())
-            for g in self.inner.base.objects(bound)
-        ]
 
 
 class _InterleavedModel(_WrappedModel):
@@ -783,18 +812,25 @@ class _InterleavedModel(_WrappedModel):
         tau = induced_sub(self.inner, s, term, ty)
         return cat._wrap(cat.dom(sigma), e.extended, (tau, tally))
 
-    def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
-        cat = self.base
-        gamma, ks, tys = cat.obj_info(ctx)
+    def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
+        gamma, ks, tys = info
         if ks[-1] > 0:
-            return cat.register(gamma, ks[:-1] + (ks[-1] - 1,), tys), self.new_ty
+            return self.base.register(gamma, ks[:-1] + (ks[-1] - 1,), tys), self.new_ty
         if tys:
-            return cat.register(gamma, ks[:-1], tys[:-1]), tys[-1]
-        inner_parent = self.inner.ext_parent(gamma)
-        if inner_parent is None:
-            return None
-        pctx, pty = inner_parent
-        return cat.register(pctx, (0,), ()), pty
+            return self.base.register(gamma, ks[:-1], tys[:-1]), tys[-1]
+        return None
+
+    def i_obj(self, gamma: str) -> str:
+        return self.base.register(gamma, (0,), ())
+
+    def i_ty(self, gamma: str, ty: str) -> str:
+        return ty
+
+    def i_tm(self, gamma: str, tm: str) -> str:
+        return tm
+
+    def i_payload(self, m: str) -> tuple:
+        return (m, ())
 
     def _is_new_term(self, term: str) -> bool:
         if self.new_terms_are_slots:
@@ -845,34 +881,7 @@ def extend_by_unit(inner: NaturalModel) -> UnitExtModel:
     return UnitExtModel(inner)
 
 
-def interleaved_inclusion(ext: _InterleavedModel) -> NMorphism:
-    """The strict inclusion of the inner model into an interleaved extension."""
-    inner = ext.inner
-    cat = ext.base
-
-    def root_obj(ctx: str) -> str:
-        return cat.register(ctx, (0,), ())
-
-    def ty_map(d, ctx: str, ty: str) -> str:
-        return ty
-
-    def tm_map(d, ctx: str, tm: str) -> str:
-        return tm
-
-    def root_mor(d, m: str) -> str:
-        return cat._wrap(
-            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m, ())
-        )
-
-    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
-
-
-def _interleaved_collapse(
-    ext: _InterleavedModel,
-    target: NaturalModel,
-    f: NMorphism,
-    slot_ty: str,
-) -> NMorphism:
+def _interleaved_collapse(ext: _InterleavedModel, f: NMorphism, slot_ty: str) -> NMorphism:
     """The mediating morphism out of an interleaved extension.
 
     Formal slots are sent to extensions by the closed type ``slot_ty`` of the
@@ -882,6 +891,7 @@ def _interleaved_collapse(
     the weakened unit term of the target otherwise.  With ``f`` the identity
     this is the insertion morphism; in general it is F♯.
     """
+    target = f.dst
 
     @memo
     def theta(d, ctx: str) -> str:
@@ -896,11 +906,6 @@ def _interleaved_collapse(
             return target.base.compose(th_p, e.proj)
         f_ty = f.on_ty(ext.base.under(pctx), pty)
         return canonical_pullback(target, th_p, f_ty)
-
-    def root_obj(ctx: str) -> str:
-        gamma, ks, tys = ext.base.obj_info(ctx)
-        assert not tys and sum(ks) == 0
-        return f.on_obj(gamma)
 
     def ty_map(d, ctx: str, ty: str) -> str:
         if ty == ext.new_ty:
@@ -921,12 +926,12 @@ def _interleaved_collapse(
         (s, _) = ext.base.mor_payload(m)
         return target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
 
-    return ForcedImages(ext, target, root_obj, root_mor, ty_map, tm_map).morphism("F#")
+    return _sharp(ext, f, root_mor, ty_map, tm_map)
 
 
 def type_universal(ext: TypeExtModel, f: NMorphism, o_ty: str) -> NMorphism:
     """F♯ out of the basic-type extension, sending X to the closed type o_ty."""
-    return _interleaved_collapse(ext, f.dst, f, slot_ty=o_ty)
+    return _interleaved_collapse(ext, f, slot_ty=o_ty)
 
 
 def type_insertion(ext: TypeExtModel, o_ty: str) -> NMorphism:
@@ -936,9 +941,8 @@ def type_insertion(ext: TypeExtModel, o_ty: str) -> NMorphism:
 
 def unit_universal(ext: UnitExtModel, f: NMorphism) -> NMorphism:
     """F♯ out of the unit extension into a model admitting a unit type."""
-    target = f.dst
-    u: UnitStructure = target.unit_structure  # type: ignore[attr-defined]
-    return _interleaved_collapse(ext, target, f, slot_ty=u.unit_ty)
+    u: UnitStructure = f.dst.unit_structure  # type: ignore[attr-defined]
+    return _interleaved_collapse(ext, f, slot_ty=u.unit_ty)
 
 
 def unit_insertion(ext: UnitExtModel) -> NMorphism:
@@ -956,7 +960,7 @@ def interleaved_universal_pins(
     forced to take — the weakened prescribed closed type resp. the weakened
     distinguished term — as computed by the constructed mediating morphism.
     """
-    pins = _inclusion_pins(ext.inner, interleaved_inclusion(ext), f, bound)
+    pins = _inclusion_pins(ext, f, bound)
     for ctx in ext.base.objects(bound):
         pins.on_ty[(ctx, ext.new_ty)] = sharp.on_ty(ctx, ext.new_ty)
         if not ext.new_terms_are_slots:
@@ -1137,15 +1141,8 @@ class _TreeCategory(_WrappedCategory):
             self._register_obj(key, (gamma, trees), under, self.inner.base.obj_size(under))
         return key
 
-    @property
-    def terminal(self) -> Optional[str]:
-        return self.register(self.inner.terminal, ())
-
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
         return [(s,) for s in self.inner.base.hom(self._under[a], self._under[b])]
-
-    def _seeds(self, bound: int) -> list[str]:
-        return [self.register(g, ()) for g in self.inner.base.objects(bound)]
 
 
 class SigmaExtModel(_WrappedModel):
@@ -1253,15 +1250,23 @@ class SigmaExtModel(_WrappedModel):
         tau = tree_indsub(self.inner, s, self.tm_tree(term), self.ty_tree(ty))
         return self.base._wrap(self.base.dom(sigma), e.extended, (tau,))
 
-    def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
-        gamma, trees = self.base.obj_info(ctx)
+    def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
+        gamma, trees = info
         if trees:
             return self.base.register(gamma, trees[:-1]), self.reg_ty(trees[-1])
-        inner_parent = self.inner.ext_parent(gamma)
-        if inner_parent is None:
-            return None
-        pctx, pty = inner_parent
-        return self.base.register(pctx, ()), self.reg_ty(TypeTree(leaf=pty))
+        return None
+
+    def i_obj(self, gamma: str) -> str:
+        return self.base.register(gamma, ())
+
+    def i_ty(self, gamma: str, ty: str) -> str:
+        return self.reg_ty(TypeTree(leaf=ty))
+
+    def i_tm(self, gamma: str, tm: str) -> str:
+        return self.reg_tm(TermTree(leaf=tm))
+
+    def i_payload(self, m: str) -> tuple:
+        return (m,)
 
     # -- dependent sum structure -------------------------------------------
     def _sigma(self, ctx: str, ty_a: str, ty_b: str) -> str:
@@ -1288,27 +1293,6 @@ class SigmaExtModel(_WrappedModel):
 def extend_by_sigma(inner: NaturalModel) -> SigmaExtModel:
     """Freely adjoin dependent sum types via type trees."""
     return SigmaExtModel(inner)
-
-
-def sigma_inclusion(ext: SigmaExtModel) -> NMorphism:
-    """The strict inclusion of the inner model into its tree extension."""
-    inner = ext.inner
-
-    def root_obj(ctx: str) -> str:
-        return ext.base.register(ctx, ())
-
-    def ty_map(d, ctx: str, ty: str) -> str:
-        return ext.reg_ty(TypeTree(leaf=ty))
-
-    def tm_map(d, ctx: str, tm: str) -> str:
-        return ext.reg_tm(TermTree(leaf=tm))
-
-    def root_mor(d, m: str) -> str:
-        return ext.base._wrap(
-            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m,)
-        )
-
-    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
 
 @memo
@@ -1429,11 +1413,6 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
         lift = canonical_pullback_tree(target, th_p, tree)
         return target.base.compose(lift, th_here)
 
-    def root_obj(ctx: str) -> str:
-        gamma, trees = ext.base.obj_info(ctx)
-        assert not trees
-        return f.on_obj(gamma)
-
     def ty_map(d, ctx: str, ty: str) -> str:
         tree = map_ty_tree(d, ext.base.under(ctx), ext.ty_tree(ty))
         tree_img = tree_subst(target, theta(d, ctx), tree)
@@ -1449,7 +1428,7 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
         a = ext.base.dom(m)
         return target.base.compose(f.on_mor(s), theta(d, a))
 
-    return ForcedImages(ext, target, root_obj, root_mor, ty_map, tm_map).morphism("F#")
+    return _sharp(ext, f, root_mor, ty_map, tm_map)
 
 
 def sigma_universal_pins(
@@ -1462,7 +1441,7 @@ def sigma_universal_pins(
     value of the constructed F♯; uniqueness search then ranges only over the
     morphism images.
     """
-    pins = _inclusion_pins(ext.inner, sigma_inclusion(ext), f, bound)
+    pins = _inclusion_pins(ext, f, bound)
     for ctx in ext.base.objects(bound):
         for ty in ext.types(ctx, bound):
             pins.on_ty[(ctx, ty)] = sharp.on_ty(ctx, ty)

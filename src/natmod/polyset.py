@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .fincat import is_set_pullback, memo
@@ -40,9 +41,9 @@ class FinMap:
         if set(graph) != set(self.dom):
             raise ValueError("mapping does not cover the domain")
         cod_set = set(self.cod)
-        for _, y in self.mapping:
-            if y not in cod_set:
-                raise ValueError(f"value {y!r} outside the codomain")
+        if not cod_set.issuperset(map(itemgetter(1), self.mapping)):
+            y = next(y for _, y in self.mapping if y not in cod_set)
+            raise ValueError(f"value {y!r} outside the codomain")
         object.__setattr__(self, "_graph", graph)
 
     def __call__(self, x):
@@ -667,11 +668,7 @@ def lemma_pair_into_extension(
     f: FinMap, family_x: tuple, g1: FinMap, g2: FinMap
 ) -> FinMap:
     """Inverse direction: reassemble g : Y -> P_f(X) from (g1, g2)."""
-    p_f_x = tuple(
-        (a, sec)
-        for a in f.cod
-        for sec in _sections(f.fibre(a), lambda _b: family_x)
-    )
+    p_f_x = extend(poly_from_map(f), {"*": family_x})["*"]
     g2d = g2.as_dict
 
     def rebuild(y):
@@ -683,16 +680,10 @@ def lemma_pair_into_extension(
 
 
 def quadruple_object(f: FinMap) -> tuple:
-    """Σ_{a in A} Σ_{m in A^{B_a}} Σ_{b in B_a} B_{m(b)}, as nested tuples."""
-    out = []
-    for a in f.cod:
-        fib = f.fibre(a)
-        for m in _sections(fib, lambda _b: f.cod):
-            md = dict(m)
-            for b in fib:
-                for b2 in f.fibre(md[b]):
-                    out.append((a, m, b, b2))
-    return tuple(out)
+    """Σ_{a in A} Σ_{m in A^{B_a}} Σ_{b in B_a} B_{m(b)}, as nested tuples:
+    the directions of the composite p·p for p = poly_from_map(f)."""
+    p = poly_from_map(f)
+    return compose(p, p).B
 
 
 def lemma_split_quadruple(
@@ -705,10 +696,7 @@ def lemma_split_quadruple(
     correspondence bijective, as the round-trip test demands.
     """
     gd = g.as_dict
-    g1 = fin_map(g.dom, f.cod, lambda y: gd[y][0])
-    fd = f.as_dict
-    carrier = tuple((y, b) for y in g.dom for b in f.dom if fd[b] == g1(y))
-    g2 = fin_map(carrier, f.cod, lambda p: dict(gd[p[0]][1])[p[1]])
+    g1, g2 = lemma_map_into_extension(f, f.cod, g)
     g3 = fin_map(g.dom, f.dom, lambda y: gd[y][2])
     g4 = fin_map(g.dom, f.dom, lambda y: gd[y][3])
     return g1, g2, g3, g4

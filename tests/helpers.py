@@ -1,11 +1,15 @@
 """Shared builders for small hand-made categories used across the test suite,
-and element-by-element reference forms of the polynomial maps."""
+element-by-element reference forms of the polynomial maps, and the
+per-construction forms of the free extensions' inclusions."""
 
 from __future__ import annotations
 
 import itertools
 
 from natmod.fincat import FinCatPresentation
+from natmod.freemodel import TermTree, TypeTree
+from natmod.morphism import ForcedImages
+from natmod.natmodel import canonical_pullback
 from natmod.polyset import compose, extend, fin_map
 
 
@@ -325,3 +329,73 @@ def reference_composition_iso(g, f, family) -> dict:
         return ((c, m), tuple(sec))
 
     return {k: (fin_map(lhs[k], rhs[k], fwd), fin_map(rhs[k], lhs[k], bwd)) for k in g.J}
+
+
+# The inclusions of the inner model, one per construction, as they were
+# written before the free extensions gave them one form over the hooks
+# i_obj, i_ty, i_tm and i_payload.
+
+def reference_term_inclusion(ext):
+    """The strict inclusion of the inner model into its term extension."""
+    inner = ext.inner
+
+    def root_obj(ctx: str) -> str:
+        return ext.i_obj(ctx)
+
+    def ty_map(d, ctx: str, ty: str) -> str:
+        return inner.subst_ty(ext._o_ext(ctx).proj, ty)
+
+    def tm_map(d, ctx: str, tm: str) -> str:
+        return inner.subst_tm(ext._o_ext(ctx).proj, tm)
+
+    def root_mor(d, m: str) -> str:
+        o_at = inner.subst_ty(inner.t(inner.base.cod(m)), ext.o_ty)
+        return ext.base._wrap(
+            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)),
+            (canonical_pullback(inner, m, o_at),),
+        )
+
+    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
+
+
+def reference_interleaved_inclusion(ext):
+    """The strict inclusion of the inner model into an interleaved extension."""
+    inner = ext.inner
+    cat = ext.base
+
+    def root_obj(ctx: str) -> str:
+        return cat.register(ctx, (0,), ())
+
+    def ty_map(d, ctx: str, ty: str) -> str:
+        return ty
+
+    def tm_map(d, ctx: str, tm: str) -> str:
+        return tm
+
+    def root_mor(d, m: str) -> str:
+        return cat._wrap(
+            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m, ())
+        )
+
+    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
+
+
+def reference_sigma_inclusion(ext):
+    """The strict inclusion of the inner model into its tree extension."""
+    inner = ext.inner
+
+    def root_obj(ctx: str) -> str:
+        return ext.base.register(ctx, ())
+
+    def ty_map(d, ctx: str, ty: str) -> str:
+        return ext.reg_ty(TypeTree(leaf=ty))
+
+    def tm_map(d, ctx: str, tm: str) -> str:
+        return ext.reg_tm(TermTree(leaf=tm))
+
+    def root_mor(d, m: str) -> str:
+        return ext.base._wrap(
+            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m,)
+        )
+
+    return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")

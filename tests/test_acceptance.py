@@ -18,14 +18,12 @@ from natmod.freemodel import (
     extend_by_type,
     extend_by_unit,
     extend_term_universal,
+    inclusion,
     initial_morphism,
     initiality_pins,
-    interleaved_inclusion,
     interleaved_universal_pins,
-    sigma_inclusion,
     sigma_universal,
     sigma_universal_pins,
-    term_inclusion,
     term_model,
     term_universal_pins,
     type_universal,
@@ -268,7 +266,7 @@ def test_criterion_6_universal_properties_at_bound_3():
 
     # dependent sum extension
     sm = extend_by_sigma(term_model(range(1)))
-    incl = sigma_inclusion(sm)
+    incl = inclusion(sm)
     sharp4 = sigma_universal(sm, incl, bound=3)
     eqs4 = check_morphism(sharp4, 2).ok and all(
         sharp4.on_obj(c) == c for c in sm.base.objects(2)

@@ -17,9 +17,9 @@ from natmod.freemodel import (
     extend_by_type,
     extend_by_unit,
     extend_term_universal,
+    inclusion,
     initial_morphism,
     initiality_pins,
-    interleaved_inclusion,
     interleaved_universal_pins,
     poly_composite_models,
     sigma_inclusion,
@@ -27,7 +27,6 @@ from natmod.freemodel import (
     sigma_universal,
     sigma_universal_pins,
     substitution_morphism,
-    term_inclusion,
     term_model,
     term_universal_pins,
     tree_ext,
@@ -50,7 +49,14 @@ from natmod.natmodel import (
     check_sigma,
     check_unit,
     extension_square_oracle,
+    model_presheaves,
     sigma_split,
+)
+
+from helpers import (
+    reference_interleaved_inclusion,
+    reference_sigma_inclusion,
+    reference_term_inclusion,
 )
 
 
@@ -106,7 +112,7 @@ class TestExtendByTerm:
     def test_normal_form_collapse_identifies_weakened_extensions(self):
         # extending (Γ;) by a type that does not mention the variable lands
         # on the inclusion image of the inner extension
-        incl = term_inclusion(self.ext)
+        incl = inclusion(self.ext)
         g = self.u.terminal
         a = self.u.types(g, 1)[0]
         lifted = incl.on_ty(g, a)
@@ -114,7 +120,7 @@ class TestExtendByTerm:
         assert e.extended == incl.on_obj(self.u.ext(g, a).extended)
 
     def test_recorded_alignment_inverse_is_the_inverse(self):
-        incl = term_inclusion(self.ext)
+        incl = inclusion(self.ext)
         g = self.u.terminal
         for a in self.u.types(g, 1):
             self.ext.ext(incl.on_obj(g), incl.on_ty(g, a))
@@ -124,14 +130,14 @@ class TestExtendByTerm:
             assert self.u.base.is_iso(iso) == inv
 
     def test_inclusion_preserves_extension_strictly(self):
-        incl = term_inclusion(self.ext)
+        incl = inclusion(self.ext)
         rep = check_morphism(incl, 2, strict=True)
         assert rep.ok, rep.checks
 
     def test_distinguished_term_and_substitution(self):
         s = substitution_morphism(self.ext, self.u._star)
         assert s.on_tm(self.ext.terminal, self.ext.x_term) == self.u._star
-        si = compose_morphisms(s, term_inclusion(self.ext))
+        si = compose_morphisms(s, inclusion(self.ext))
         for g in self.u.base.objects(2):
             assert si.on_obj(g) == g
 
@@ -150,7 +156,7 @@ class TestExtendByTerm:
         # with the inclusion and o = x, the mediating morphism is the
         # identity (uniqueness forces it)
         sharp = extend_term_universal(
-            self.ext, term_inclusion(self.ext), self.ext.x_term
+            self.ext, inclusion(self.ext), self.ext.x_term
         )
         for g in self.ext.base.objects(2):
             assert sharp.on_obj(g) == g
@@ -233,7 +239,7 @@ class TestExtendByType:
         xm = extend_by_type(m)
         s = type_insertion(xm, "T0")
         assert s.on_ty(xm.terminal, xm.new_ty) == "T0"
-        si = compose_morphisms(s, interleaved_inclusion(xm))
+        si = compose_morphisms(s, inclusion(xm))
         for g in m.base.objects(2):
             assert si.on_obj(g) == g
             for t in m.types(g, 2):
@@ -281,7 +287,7 @@ class TestExtendByUnit:
         u2 = extend_by_unit(inner)
         n = unit_insertion(u2)
         assert check_morphism(n, 2).ok
-        ni = compose_morphisms(n, interleaved_inclusion(u2))
+        ni = compose_morphisms(n, inclusion(u2))
         for g in inner.base.objects(2):
             assert ni.on_obj(g) == g
             for t in inner.terms(g, 2):
@@ -399,7 +405,7 @@ class TestTypeTrees:
 
     def test_sigma_universal_property(self):
         s = self.s
-        incl = sigma_inclusion(s)
+        incl = inclusion(s)
         sharp = sigma_universal(s, incl, bound=3)
         assert check_morphism(sharp, 2).ok
         for c in s.base.objects(2):
@@ -584,22 +590,19 @@ class TestOneWrappedModelBase:
     mutators = {"setdefault", "update", "pop", "popitem", "clear"}
 
     def test_substitution_and_ext_parent_are_defined_once_on_the_base(self):
-        module = ast.parse(_FREEMODEL.read_text(encoding="utf-8"))
-        classes = {n.name: n for n in module.body if isinstance(n, ast.ClassDef)}
+        classes = _classes(_FREEMODEL)
         wrapped = {"_WrappedModel"}
         for name, node in classes.items():  # a class follows its bases
             if {getattr(b, "id", None) for b in node.bases} & wrapped:
                 wrapped.add(name)
 
-        def methods(name):
-            return {n.name for n in classes[name].body if isinstance(n, ast.FunctionDef)}
-
-        assert self.hooks <= methods("_WrappedModel")
+        assert self.hooks <= _methods(classes["_WrappedModel"])
         subclasses = wrapped - {"_WrappedModel"}
         assert subclasses == {
             "ExtTermModel", "_InterleavedModel", "TypeExtModel", "UnitExtModel", "SigmaExtModel",
         }
-        assert {c: methods(c) & self.hooks for c in subclasses} == {c: set() for c in subclasses}
+        assert {c: _methods(classes[c]) & self.hooks for c in subclasses} \
+            == {c: set() for c in subclasses}
 
     def test_only_the_categories_write_their_registries(self):
         module = ast.parse(_FREEMODEL.read_text(encoding="utf-8"))
@@ -618,6 +621,72 @@ class TestOneWrappedModelBase:
                 if isinstance(node, ast.Attribute) and node.attr in self.registries:
                     writes.append((getattr(top, "name", None), node.lineno))
         assert writes == []
+
+    def test_only_the_base_defines_the_parent_candidate(self):
+        classes = _classes(_FREEMODEL)
+        assert [c for c, node in classes.items() if "_parent_candidate" in _methods(node)] \
+            == ["_WrappedModel"]
+
+    def test_the_categories_take_their_terminal_from_the_inclusion(self):
+        classes = _classes(_FREEMODEL)
+        assert [c for c, node in classes.items()
+                if c.startswith("_") and c.endswith("Category") and "terminal" in _methods(node)] \
+            == ["_WrappedCategory"]
+
+    def test_the_inclusion_is_built_once(self):
+        module = ast.parse(_FREEMODEL.read_text(encoding="utf-8"))
+        built = [n for n in ast.walk(module) if isinstance(n, ast.Call)
+                 and getattr(n.func, "attr", None) == "morphism"
+                 and [getattr(a, "value", None) for a in n.args] == ["I"]]
+        assert len(built) == 1
+
+
+def _classes(path: Path) -> dict[str, ast.ClassDef]:
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    return {n.name: n for n in module.body if isinstance(n, ast.ClassDef)}
+
+
+def _methods(node: ast.ClassDef) -> set[str]:
+    return {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+
+
+_INCLUSION_CASES = [
+    ("term", lambda: extend_by_term(term_model(range(1)), "T0"), reference_term_inclusion, 3),
+    ("term-over-unit", lambda: extend_by_term(extend_by_unit(term_model(range(0))), "unit"),
+     reference_term_inclusion, 3),
+    ("type", lambda: extend_by_type(term_model(range(2))), reference_interleaved_inclusion, 3),
+    ("unit", lambda: extend_by_unit(term_model(range(1))), reference_interleaved_inclusion, 3),
+    ("sigma", lambda: extend_by_sigma(term_model(range(1))), reference_sigma_inclusion, 2),
+]
+
+
+class TestOneInclusion:
+    @pytest.mark.parametrize("make,reference,bound",
+                             [c[1:] for c in _INCLUSION_CASES], ids=[c[0] for c in _INCLUSION_CASES])
+    def test_the_inclusion_agrees_with_the_per_construction_form(self, make, reference, bound):
+        ext = make()
+        inner, incl, ref = ext.inner, inclusion(ext), reference(ext)
+        ctxs = inner.base.objects(bound)
+        assert [incl.on_obj(g) for g in ctxs] == [ref.on_obj(g) for g in ctxs]
+        for g in ctxs:
+            tys, tms = inner.types(g, bound), inner.terms(g, bound)
+            assert [incl.on_ty(g, a) for a in tys] == [ref.on_ty(g, a) for a in tys]
+            assert [incl.on_tm(g, a) for a in tms] == [ref.on_tm(g, a) for a in tms]
+            mors = [m for d in ctxs for m in inner.base.hom(d, g)]
+            assert mors and [incl.on_mor(m) for m in mors] == [ref.on_mor(m) for m in mors]
+
+    def test_the_benchmark_name_is_the_inclusion(self):
+        assert sigma_inclusion is inclusion
+
+    @pytest.mark.parametrize("make,bound,sizes", [
+        (lambda: extend_by_type(term_model(range(2))), 3, (40, 1228)),
+        (lambda: extend_by_unit(term_model(range(2))), 3, (40, 1516)),
+        (lambda: extend_by_sigma(term_model(range(1))), 3, (9, 897)),
+    ], ids=["type", "unit", "sigma"])
+    def test_the_presheaves_register_as_many_contexts_and_morphisms(self, make, bound, sizes):
+        ext = make()
+        model_presheaves(ext, bound, bound)
+        assert (len(ext.base._obj_info), len(ext.base._mor_info)) == sizes
 
 
 def _memo_tables(model) -> list[dict]:
@@ -643,7 +712,7 @@ class TestFreeFunctorsPreserveInitiality:
         mt = term_model(range(1))
         free = extend_by_term(mt, "T0")
         pins = term_universal_pins(
-            free, term_inclusion(free), free.x_term, 2
+            free, inclusion(free), free.x_term, 2
         )
         assert count_morphisms(free, free, 2, pins) == 1
 
@@ -674,7 +743,7 @@ class TestSubstitutionAsMediator:
         ext = extend_by_term(base, "X")
         o = base.terms(base.terminal, 1)[0]
         sharp = extend_term_universal(ext, identity_morphism(base), o)
-        si = compose_morphisms(sharp, term_inclusion(ext))
+        si = compose_morphisms(sharp, inclusion(ext))
         for g in base.base.objects(2):
             assert si.on_obj(g) == g
             for t in base.types(g, 2):
@@ -696,7 +765,7 @@ class TestSubstitutionAsMediator:
         u = extend_by_unit(term_model(range(0)))
         ext = extend_by_term(u, u.new_ty)
         s = substitution_morphism(ext, u._star)
-        si = compose_morphisms(s, term_inclusion(ext))
+        si = compose_morphisms(s, inclusion(ext))
         for g in u.base.objects(2):
             assert si.on_obj(g) == g
             for t in u.types(g, 2):

@@ -66,7 +66,7 @@ def test_sigma_rival_naturality_reads_rows_not_cells(monkeypatch):
     from natmod.freemodel import (
         SigmaExtModel,
         extend_by_sigma,
-        sigma_inclusion,
+        inclusion,
         sigma_universal,
         sigma_universal_pins,
         term_model,
@@ -74,7 +74,7 @@ def test_sigma_rival_naturality_reads_rows_not_cells(monkeypatch):
     from natmod.morphism import count_morphisms
 
     sm = extend_by_sigma(term_model(range(1)))
-    incl = sigma_inclusion(sm)
+    incl = inclusion(sm)
     pins = sigma_universal_pins(sm, incl, 3, sigma_universal(sm, incl))
     calls = {"subst_tm": 0, "subst_tm_row": 0}
     for name in calls:

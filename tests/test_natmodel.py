@@ -16,12 +16,10 @@ from natmod.freemodel import (
     extend_by_term,
     extend_by_type,
     extend_by_unit,
+    inclusion,
     initial_morphism,
     initiality_pins,
-    interleaved_inclusion,
     poly_composite_models,
-    sigma_inclusion,
-    term_inclusion,
     term_model,
     tmtree_subst,
     tree_subst,
@@ -475,6 +473,27 @@ def _unreferenced_constants(modules: dict[str, ast.Module], readers: list[ast.AS
     ]
 
 
+def _names_read(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _unnamed_methods(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
+    """Non-dunder methods of src classes that nothing in ``readers`` names
+    outside the method's own def (a method that only calls itself is dead)."""
+    reads = sum((_names_read(tree) for tree in readers), Counter())
+    return [
+        f"{path}:{cls.name}.{fn.name}"
+        for path, module in modules.items() for cls in ast.walk(module)
+        if isinstance(cls, ast.ClassDef) for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and reads[fn.name] <= _names_read(fn)[fn.name]
+    ]
+
+
 def _unread_parameters(module: ast.Module) -> list[tuple[str, str]]:
     """(function, parameter) of every parameter of a module-level function
     that the function's body, nested scopes included, never reads."""
@@ -514,6 +533,15 @@ class TestNoDeadCode:
                 for path, module in modules.items() for name, line in _unread_locals(module)]
         assert dead + _unreferenced_constants(modules, readers) == []
 
+    def test_every_method_is_named_outside_its_own_def(self):
+        root = _SRC.parent.parent
+        modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_SRC.glob("*.py"))}
+        readers = list(modules.values()) + [
+            ast.parse(p.read_text(encoding="utf-8"))
+            for d in ("tests", "bench") for p in sorted((root / d).glob("*.py"))
+        ]
+        assert _unnamed_methods(modules, readers) == []
+
 
 class TestMorphismChecker:
     def test_identity_is_strict(self):
@@ -523,9 +551,9 @@ class TestMorphismChecker:
 
     def test_inclusions_are_strict(self):
         xm = extend_by_type(term_model(range(0)))
-        assert check_morphism(interleaved_inclusion(xm), 2).ok
+        assert check_morphism(inclusion(xm), 2).ok
         tm = extend_by_term(extend_by_unit(term_model(range(0))), "unit")
-        assert check_morphism(term_inclusion(tm), 2).ok
+        assert check_morphism(inclusion(tm), 2).ok
 
     def test_iso_composed_morphism_is_weak_but_not_strict(self):
         # postcompose the identity's extension choice with a swap: contexts

@@ -67,6 +67,14 @@ class TestFinMap:
         with pytest.raises(ValueError):
             fin_map((0,), ("a",), {0: "z"})
 
+    def test_the_first_value_outside_the_codomain_is_named(self):
+        # a repeated key's earlier value is checked too, in mapping order
+        with pytest.raises(ValueError, match=r"^value 'y' outside the codomain$"):
+            FinMap((0, 1), ("a",), ((0, "y"), (1, "a"), (0, "a"), (1, "z")))
+        with pytest.raises(ValueError, match=r"^value 'z' outside the codomain$"):
+            FinMap((0, 1), ("a",), ((0, "a"), (1, "z"), (1, "y")))
+        assert FinMap((0, 1), ("a",), ((0, "a"), (1, "a"))).as_dict == {0: "a", 1: "a"}
+
 
 class TestExtend:
     def test_singleton_fibres_give_product_count(self):
@@ -362,6 +370,22 @@ class TestCorrespondenceLemmas:
                 md = dict(zip(fib, m))
                 total += sum(len(self.f.fibre(md[b])) for b in fib)
         assert len(quadruple_object(self.f)) == total
+
+
+class TestLemmasReuseTheConstructions:
+    @pytest.mark.parametrize("fibres", [[2, 1], [0, 3], [1, 1, 1], []])
+    def test_the_quadruple_object_is_the_directions_of_the_composite(self, fibres):
+        f = small_poly(fibres).f
+        nested = []
+        for a in f.cod:
+            fib = f.fibre(a)
+            for m in itertools.product(*[[(b, a2) for a2 in f.cod] for b in fib]):
+                md = dict(m)
+                for b in fib:
+                    for b2 in f.fibre(md[b]):
+                        nested.append((a, m, b, b2))
+        p = poly_from_map(f)
+        assert quadruple_object(f) == tuple(nested) == compose(p, p).B
 
 
 class TestCells:
