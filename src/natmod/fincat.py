@@ -469,27 +469,23 @@ def product(c: FinCatPresentation, x: str, y: str) -> Optional[tuple[str, str, s
     """A product of x and y, found by exhaustive cone search.
 
     Returns (object, projection to x, projection to y) for the first span
-    satisfying the universal property, or None.
+    satisfying the universal property, or None.  A span is a product when at
+    every cone vertex q, h ↦ (p1∘h, p2∘h) is a bijection from hom(q, apex)
+    onto hom(q, x) × hom(q, y): :func:`is_set_pullback` with both legs over
+    one point.
     """
+    def point(_):
+        return None
+
     for apex in c.object_keys:
         for p1 in c.hom(apex, x):
             for p2 in c.hom(apex, y):
-                if _is_product_cone(c, apex, p1, p2, x, y):
+                if all(is_set_pullback(
+                    c.hom(q, apex), functools.partial(c.compose, p1),
+                    functools.partial(c.compose, p2), c.hom(q, x), point, c.hom(q, y), point,
+                ) for q in c.object_keys):
                     return (apex, p1, p2)
     return None
-
-
-def _is_product_cone(c: FinCatPresentation, apex: str, p1: str, p2: str, x: str, y: str) -> bool:
-    for q in c.object_keys:
-        for q1 in c.hom(q, x):
-            for q2 in c.hom(q, y):
-                mediating = [
-                    h for h in c.hom(q, apex)
-                    if c.compose(p1, h) == q1 and c.compose(p2, h) == q2
-                ]
-                if len(mediating) != 1:
-                    return False
-    return True
 
 
 class FinSliceOpposite(BoundedCategory):

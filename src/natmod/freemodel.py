@@ -168,6 +168,11 @@ class _WrappedCategory(BoundedCategory):
 
     @property
     def terminal(self) -> Optional[str]:
+        return self._terminal()
+
+    @memo
+    def _terminal(self) -> str:
+        """The root context over the inner terminal, built on the first read."""
         return self.model.i_obj(self.inner.terminal)  # type: ignore[union-attr]
 
     def _seeds(self, bound: int) -> list[str]:

@@ -801,26 +801,6 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
     return report
 
 
-def pi_apply(
-    model: NaturalModel, s: PiStructure, ctx: str, ty_a: str, ty_b: str,
-    fn_tm: str, arg_tm: str, bound: int,
-) -> str:
-    """app(f, a), found by inverting λ on the fibre over f.
-
-    The reference for a structure's ``app``, and the way to derive one for a
-    structure that only knows its λ.
-    """
-    e = model.ext(ctx, ty_a)
-    hits = [
-        b for b in model.terms_of(e.extended, ty_b, bound)
-        if s.lam(ctx, ty_a, ty_b, b) == fn_tm
-    ]
-    if len(hits) != 1:
-        raise ValueError(f"λ not bijective onto {fn_tm!r}: {len(hits)} preimages")
-    s_a = section(model, ctx, arg_tm)
-    return model.subst_tm(s_a, hits[0])
-
-
 def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport:
     """The eight Π equations and the square of :func:`pi_square`.
 

@@ -8,6 +8,12 @@ map is a bijection; adjustments are carrier maps over B.  Chosen pullbacks
 are the sets of pairs in lexicographic element order throughout, which
 makes horizontal composition of cartesian cells a pure square chase.
 
+Carrier invariant: a cell's carrier is the chosen pullback of the
+codomain's middle map along φ₀, with (to_a, φ₁) its two projections, so
+each carrier element is its own pair (a, d) with φ₀(a) = g(d).  The
+calculus reads a carrier element off (a, d) directly, and the unique
+adjustment into a cartesian cell is the closed form ψ₂⁻¹ ∘ φ₂.
+
 Elements of derived sets are nested tuples; sections are represented as
 tuples of (index, value) pairs in index order.
 
@@ -233,20 +239,10 @@ def compose(g: Polynomial, f: Polynomial) -> Polynomial:
     if f.J != g.I:
         raise ValueError("middle index sets do not match")
     ud = g.s.as_dict
-    td = f.t.as_dict
     sd = f.s.as_dict
-    m_set = []
-    for c in g.A:
-        fib = g.fibre(c)
-        for sec in _sections(fib, lambda d: tuple(a for a in f.A if td[a] == ud[d])):
-            m_set.append((c, sec))
-    m_set = tuple(m_set)
-    n_set = []
-    for c, sec in m_set:
-        for d, a in sec:
-            for b in f.fibre(a):
-                n_set.append((c, sec, d, b))
-    n_set = tuple(n_set)
+    m_set = tuple(itertools.chain.from_iterable(
+        _block(g, c, lambda d: f.t.fibre(ud[d])) for c in g.A))
+    n_set = tuple((c, sec, d, b) for c, sec in m_set for d, a in sec for b in f.fibre(a))
     vd = g.t.as_dict
     return Polynomial(
         fin_map(n_set, f.I, lambda el: sd[el[3]]),
@@ -291,42 +287,6 @@ def compose_extension_iso(g: Polynomial, f: Polynomial, family: dict) -> dict:
     return out
 
 
-def find_poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[FinMap, FinMap]]:
-    """A structure-preserving pair of bijections (on positions, on directions).
-
-    Searches bijections commuting with s, f, t (identity on the outer index
-    sets, which must agree).  Exponential; intended for tiny instances only.
-    """
-    if p.I != q.I or p.J != q.J:
-        return None
-    if len(p.A) != len(q.A) or len(p.B) != len(q.B):
-        return None
-    td_p, td_q = p.t.as_dict, q.t.as_dict
-    sd_p, sd_q = p.s.as_dict, q.s.as_dict
-    fd_p = p.f.as_dict
-    for a_perm in itertools.permutations(q.A):
-        a_map = dict(zip(p.A, a_perm))
-        if any(td_p[a] != td_q[a_map[a]] for a in p.A):
-            continue
-        if any(len(p.fibre(a)) != len(q.fibre(a_map[a])) for a in p.A):
-            continue
-        pools = []
-        for b in p.B:
-            pool = [
-                b2 for b2 in q.fibre(a_map[fd_p[b]])
-                if sd_q[b2] == sd_p[b]
-            ]
-            pools.append(pool)
-        for combo in itertools.product(*pools):
-            if len(set(combo)) != len(combo):
-                continue
-            return (
-                fin_map(p.A, q.A, a_map),
-                fin_map(p.B, q.B, dict(zip(p.B, combo))),
-            )
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Morphisms of polynomials, adjustments
 # ---------------------------------------------------------------------------
@@ -335,9 +295,10 @@ def find_poly_iso(p: Polynomial, q: Polynomial) -> Optional[tuple[FinMap, FinMap
 class PolyMorphism:
     """A 2-cell between parallel polynomials, with chosen pullback carrier.
 
-    The carrier together with (to_a, phi1) forms the chosen pullback of the
-    codomain's middle map along phi0; phi2 compares it with the domain's
-    directions.  Cartesian iff phi2 is a bijection.
+    (to_a, phi1) are the projections of ``chosen_pullback(phi0, dst.f)``,
+    so the carrier element over (a, d) is the pair (a, d) itself; phi2
+    compares the carrier with the domain's directions.  Cartesian iff phi2
+    is a bijection.
     """
 
     src: Polynomial
@@ -359,8 +320,8 @@ class PolyMorphism:
         rhs = compose_map(self.dst.s, self.phi1).mapping
         if lhs != rhs:
             raise ValueError("phi1/phi2 do not agree over the source index")
-        if not is_pullback_square(self.phi1, self.to_a, self.dst.f, self.phi0):
-            raise ValueError("the lower square is not a pullback")
+        if (self.to_a, self.phi1) != chosen_pullback(self.phi0, self.dst.f)[1:]:
+            raise ValueError("the lower square is not the chosen pullback")
 
     @property
     def carrier(self) -> tuple:
@@ -404,19 +365,10 @@ def vertical_compose(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
     f_poly, h_poly = phi.src, psi.dst
     phi0 = compose_map(psi.phi0, phi.phi0)
     apex, to_a, phi1 = chosen_pullback(phi0, h_poly.f)
-    phi0_d = phi.phi0.as_dict
-    # carrier elements (a, x) with h(x) = psi0(phi0(a))
-    psi_idx = {(psi.to_a(e), psi.phi1(e)): e for e in psi.carrier}
-    phi_idx = {(phi.to_a(e), phi.phi1(e)): e for e in phi.carrier}
-
-    def comp2(p):
-        a, x = p
-        e_psi = psi_idx[(phi0_d[a], x)]
-        d = psi.phi2(e_psi)
-        e_phi = phi_idx[(a, d)]
-        return phi.phi2(e_phi)
-
-    phi2 = fin_map(apex, f_poly.B, comp2)
+    phi0d, phi2d, psi2d = phi.phi0.as_dict, phi.phi2.as_dict, psi.phi2.as_dict
+    # a carrier element (a, x) has h(x) = psi0(phi0(a)): psi's element over it
+    # is (phi0(a), x), with comparison d, and phi's is (a, d)
+    phi2 = fin_map(apex, f_poly.B, lambda p: phi2d[(p[0], psi2d[(phi0d[p[0]], p[1])])])
     return PolyMorphism(f_poly, h_poly, phi0, to_a, phi1, phi2)
 
 
@@ -432,27 +384,20 @@ def horizontal_compose(psi: PolyMorphism, phi: PolyMorphism) -> PolyMorphism:
         raise ValueError("cells do not share the middle index")
     gf = compose(psi.src, phi.src)
     gf2 = compose(psi.dst, phi.dst)
-    phi_sq = _square_of(phi)       # B -> B'
-    psi_sq = _square_of(psi)       # D -> D'
-    phi0d, phi1d = phi.phi0.as_dict, phi_sq.as_dict
-    psi0d, psi1d = psi.phi0.as_dict, psi_sq.as_dict
-    g2 = psi.dst
+    phi0d, phi1d = phi.phi0.as_dict, _square_of(phi).as_dict   # B -> B'
+    psi0d, psi1d = psi.phi0.as_dict, _square_of(psi).as_dict   # D -> D'
+    psi2d = psi.phi2.as_dict
 
     def on_m(el):
+        # the direction d' over psi0(c) comes from psi₂(c, d') in D_c
         c, sec = el
-        new_sec = tuple(
-            sorted(((psi1d[d], phi0d[a]) for d, a in sec),
-                   key=lambda p: g2.fibre(psi0d[c]).index(p[0]))
-        )
-        return (psi0d[c], new_sec)
-
-    def on_n(el):
-        c, sec, d, b = el
-        mc, msec = on_m((c, sec))
-        return (mc, msec, psi1d[d], phi1d[b])
+        secd = dict(sec)
+        c2 = psi0d[c]
+        return (c2, tuple((d2, phi0d[secd[psi2d[(c, d2)]]]) for d2 in psi.dst.fibre(c2)))
 
     m_map = fin_map(gf.A, gf2.A, on_m)
-    n_map = fin_map(gf.B, gf2.B, on_n)
+    md = m_map.as_dict
+    n_map = fin_map(gf.B, gf2.B, lambda el: (*md[el[:2]], psi1d[el[2]], phi1d[el[3]]))
     return cell_from_square(gf, gf2, m_map, n_map)
 
 
@@ -472,7 +417,6 @@ def cell_action(cell: PolyMorphism, family: dict) -> dict:
     """
     src_ext = extend(cell.src, family)
     dst_ext = extend(cell.dst, family)
-    carrier_of = {(cell.to_a(e), cell.phi1(e)): e for e in cell.carrier}
     phi0d = cell.phi0.as_dict
     phi2d = cell.phi2.as_dict
     out = {}
@@ -482,7 +426,7 @@ def cell_action(cell: PolyMorphism, family: dict) -> dict:
             secd = dict(sec)
             c = phi0d[a]
             new_sec = tuple(
-                (d, secd[phi2d[carrier_of[(a, d)]]])
+                (d, secd[phi2d[(a, d)]])
                 for d in cell.dst.fibre(c)
             )
             return (c, new_sec)
@@ -515,7 +459,8 @@ class Adjustment:
 
 
 def all_adjustments(phi: PolyMorphism, psi: PolyMorphism) -> list[Adjustment]:
-    """Brute-force enumeration of all adjustments φ ⇛ ψ."""
+    """Brute-force enumeration of all adjustments φ ⇛ ψ: the reference that
+    :func:`unique_adjustment`'s closed form is tested against."""
     out = []
     for values in itertools.product(psi.carrier, repeat=len(phi.carrier)):
         alpha = fin_map(phi.carrier, psi.carrier, dict(zip(phi.carrier, values)))
@@ -527,18 +472,12 @@ def all_adjustments(phi: PolyMorphism, psi: PolyMorphism) -> list[Adjustment]:
 def unique_adjustment(phi: PolyMorphism, psi: PolyMorphism) -> Adjustment:
     """The unique adjustment into a cartesian cell: ψ₂⁻¹ ∘ φ₂.
 
-    Refuses non-cartesian ψ, where uniqueness can fail.  Uniqueness is
-    nevertheless verified by enumerating every carrier map.
+    ψ₂ is a bijection, so ψ₂∘α = φ₂ has exactly this solution.  Refuses
+    non-cartesian ψ, where uniqueness can fail.
     """
     if not psi.cartesian:
         raise ValueError("codomain cell must be cartesian")
-    alpha = compose_map(psi.phi2.inverse(), phi.phi2)
-    found = all_adjustments(phi, psi)
-    if len(found) != 1:
-        raise AssertionError(f"expected a unique adjustment, found {len(found)}")
-    if found[0].alpha.mapping != alpha.mapping:
-        raise AssertionError("closed form disagrees with the enumeration")
-    return found[0]
+    return Adjustment(phi, psi, compose_map(psi.phi2.inverse(), phi.phi2))
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +523,12 @@ def beck_chevalley_witness(
     """
     if not is_pullback_square(v, f, g, u):
         raise ValueError("input square is not a pullback")
-    fd, vd, ud, gd = f.as_dict, v.as_dict, u.as_dict, g.as_dict
+    fd, vd, gd = f.as_dict, v.as_dict, g.as_dict
     sum_fwd, sum_bwd = {}, {}
     prod_fwd, prod_bwd = {}, {}
     b_of = {(fd[b], vd[b]): b for b in f.dom}
     for d in g.dom:
-        a_fibre = tuple(a for a in u.dom if ud[a] == gd[d])
+        a_fibre = u.fibre(gd[d])
         b_fibre = v.fibre(d)
         lhs_sum = tuple((a, x) for a in a_fibre for x in family[a])
         rhs_sum = tuple((b, x) for b in b_fibre for x in family[fd[b]])
@@ -658,8 +597,7 @@ def lemma_map_into_extension(
     """
     gd = g.as_dict
     g1 = fin_map(g.dom, f.cod, lambda y: gd[y][0])
-    fd = f.as_dict
-    carrier = tuple((y, b) for y in g.dom for b in f.dom if fd[b] == g1(y))
+    carrier, _, _ = chosen_pullback(g1, f)
     g2 = fin_map(carrier, family_x, lambda p: dict(gd[p[0]][1])[p[1]])
     return g1, g2
 
@@ -814,8 +752,8 @@ def check_pseudomonad_data(
 
     Checks that η and μ are cartesian, constructs the three coherence
     composite pairs (conjugating by the associator and unitor cells so they
-    become parallel), finds the unique adjustment between each pair by
-    brute-force enumeration, and checks the unit laws on positions (see
+    become parallel), builds the unique adjustment between each pair in
+    closed form, and checks the unit laws on positions (see
     :func:`_check_unit_laws`).
     """
     report = PseudomonadReport()
@@ -847,7 +785,7 @@ def check_pseudomonad_data(
             compose_map(adj_back.alpha, adj.alpha).mapping
             == identity_map(lhs.carrier).mapping,
         )
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         record("assoc-adjustment", False, f"associativity cell: {exc}")
 
     _check_unit_laws(report, p, eta, mu)
@@ -880,7 +818,7 @@ def _check_unit_laws(
                 compose_map(adj_back.alpha, adj.alpha).mapping
                 == identity_map(lhs.carrier).mapping,
             )
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             report.record(f"{side}-unit-adjustment", False, f"{side} unit cell: {exc}")
     report.record(
         "unit-law-bijections",
@@ -888,23 +826,28 @@ def _check_unit_laws(
     )
 
 
-def trivial_pseudomonad() -> tuple[Polynomial, PolyMorphism, PolyMorphism]:
-    """The identity-like instance: one position with a single direction."""
-    a = ("a0",)
-    b = ("b0",)
-    p = poly_from_map(fin_map(b, a, {"b0": "a0"}))
+def _one_direction_pseudomonad(
+    positions: tuple, direction: str, unit, mu0: Callable
+) -> tuple[Polynomial, PolyMorphism, PolyMorphism]:
+    """(p, η, μ) for p with the one direction ``direction``, over ``unit``:
+    η picks the unit with its direction, μ sends (c, m) in p·p to mu0."""
+    b = (direction,)
+    p = poly_from_map(fin_map(b, positions, {direction: unit}))
     eta = cell_from_square(
         identity_poly(("*",)), p,
-        fin_map(("*",), a, lambda _: "a0"),
-        fin_map(("*",), b, lambda _: "b0"),
+        fin_map(("*",), positions, lambda _: unit),
+        fin_map(("*",), b, lambda _: direction),
     )
     pp = compose(p, p)
     mu = cell_from_square(
-        pp, p,
-        fin_map(pp.A, a, lambda _: "a0"),
-        fin_map(pp.B, b, lambda _: "b0"),
+        pp, p, fin_map(pp.A, positions, mu0), fin_map(pp.B, b, lambda _: direction)
     )
     return p, eta, mu
+
+
+def trivial_pseudomonad() -> tuple[Polynomial, PolyMorphism, PolyMorphism]:
+    """The identity-like instance: one position with a single direction."""
+    return _one_direction_pseudomonad(("a0",), "b0", "a0", lambda _: "a0")
 
 
 def partiality_pseudomonad() -> tuple[Polynomial, PolyMorphism, PolyMorphism]:
@@ -916,16 +859,6 @@ def partiality_pseudomonad() -> tuple[Polynomial, PolyMorphism, PolyMorphism]:
     and μ is the dependent sum of a constant family (fibre sizes 0 and 1
     are closed under fibre-sums, so the data is total on a finite carrier).
     """
-    a = ("z", "u")
-    b = ("du",)
-    p = poly_from_map(fin_map(b, a, {"du": "u"}))
-    eta = cell_from_square(
-        identity_poly(("*",)), p,
-        fin_map(("*",), a, lambda _: "u"),
-        fin_map(("*",), b, lambda _: "du"),
-    )
-    pp = compose(p, p)
-
     def mu0(el):
         c, sec = el
         if c == "z":
@@ -933,10 +866,7 @@ def partiality_pseudomonad() -> tuple[Polynomial, PolyMorphism, PolyMorphism]:
         (_, inner_a), = sec
         return inner_a
 
-    mu = cell_from_square(
-        pp, p, fin_map(pp.A, ("z", "u"), mu0), fin_map(pp.B, b, lambda _: "du")
-    )
-    return p, eta, mu
+    return _one_direction_pseudomonad(("z", "u"), "du", "u", mu0)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,9 +934,7 @@ def random_cartesian_pair(rng: random.Random, max_size: int = 3):
                 rng.shuffle(dn)
                 for b, d in zip(f.fibre(a), dn):
                     mapping[b] = d
-            phi1 = fin_map(f.dom, g.dom, mapping)
-            if is_pullback_square(phi1, f, g, phi0):
-                return cell_from_square(src, dst, phi0, phi1)
+            return cell_from_square(src, dst, phi0, fin_map(f.dom, g.dom, mapping))
         return None
 
     first = random_cartesian()

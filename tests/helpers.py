@@ -1,6 +1,7 @@
 """Shared builders for small hand-made categories used across the test suite,
-element-by-element reference forms of the polynomial maps, and the
-per-construction forms of the free extensions' inclusions."""
+the searching reference for Π's app, element-by-element reference forms of
+the polynomial maps, and the per-construction forms of the free extensions'
+inclusions."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import itertools
 from natmod.fincat import FinCatPresentation
 from natmod.freemodel import TermTree, TypeTree
 from natmod.morphism import ForcedImages
-from natmod.natmodel import canonical_pullback
+from natmod.natmodel import canonical_pullback, section
 from natmod.polyset import compose, extend, fin_map
 
 
@@ -282,6 +283,23 @@ def propositions_model():
         lambda ctx, ty_a, ty_b, f, a: at_arg(ctx, ty_b, a),
     )
     return m
+
+
+def pi_apply(model, s, ctx: str, ty_a: str, ty_b: str, fn_tm: str, arg_tm: str,
+             bound: int) -> str:
+    """app(f, a), found by inverting λ on the fibre over f.
+
+    The reference for a Π structure's ``app``, and the way to derive one for
+    a structure that only knows its λ.
+    """
+    e = model.ext(ctx, ty_a)
+    hits = [
+        b for b in model.terms_of(e.extended, ty_b, bound)
+        if s.lam(ctx, ty_a, ty_b, b) == fn_tm
+    ]
+    if len(hits) != 1:
+        raise ValueError(f"λ not bijective onto {fn_tm!r}: {len(hits)} preimages")
+    return model.subst_tm(section(model, ctx, arg_tm), hits[0])
 
 
 # ---------------------------------------------------------------------------
