@@ -13,7 +13,11 @@ indent=2)`` plus a newline, with the records of each section ordered by
 their ``json.dumps(record, sort_keys=True)``, so parsing and re-serializing
 a canonical file is the identity.  The writer produces that text directly,
 at C speed per string, and ``tests/test_modelio.py`` proves it equal to
-this definition.  The reader validates each record section in bulk.
+this definition.  Each record is encoded once, written with its section's
+one template, and a section is ordered by sorting the record texts: no
+quoted key is a proper prefix of another, so two texts first differ inside
+the first value that differs.  The reader validates each record section in
+bulk.
 """
 
 from __future__ import annotations
@@ -350,27 +354,50 @@ def _emit(value, newline: str, put) -> None:
         put(json.dumps(value))
 
 
-def _sort_records(doc: dict) -> dict:
-    """Order each record section by its records' JSON with sorted keys.
+# a record's text in its section, with one %s per value in sorted-field
+# order; the leading separator is the same for every record, so it does not
+# change the order of the texts
+_RECORD_TEMPLATES = {
+    name: ",\n    {" + ",".join(f'\n      "{f}": %s' for f in sorted(fields)) + "\n    }"
+    for name, fields in RECORDS.items() if name != "homs"
+}
 
-    The key of a record is the tuple of its values in sorted-field order,
-    each as JSON (a string quoted by json's C function).  Records of one
-    section have the same fields and string or string-array values, and no
-    such value's JSON is a proper prefix of another's, so the first value
-    that differs decides, as it does between the records'
-    ``json.dumps(record, sort_keys=True)``.
+
+def _model_text(doc: dict) -> str:
+    """``_canonical(doc)`` with each record section ordered by its records'
+    ``json.dumps(record, sort_keys=True)``, by sorting the record texts.
+
+    ``homs``, whose ``mors`` is written as an indented array, is instead
+    sorted by that JSON and written by ``_emit``.
     """
-    for name, fields in RECORDS.items():
-        values = operator.itemgetter(*sorted(fields))
-        encode = json.dumps if "mors" in fields else encode_basestring_ascii
-        doc[name].sort(key=lambda record: tuple(map(encode, values(record))))
-    return doc
+    out: list[str] = []
+    put = out.append
+    sep = "{\n  "
+    for name in sorted(doc):
+        put(f'{sep}"{name}": ')
+        sep = ",\n  "
+        value = doc[name]
+        if name not in RECORDS or not value:
+            _emit(value, "\n  ", put)
+        elif name == "homs":
+            _emit(sorted(value, key=lambda r: json.dumps(r, sort_keys=True)), "\n  ", put)
+        else:
+            fields = sorted(RECORDS[name])
+            encoded = map(encode_basestring_ascii,
+                          chain.from_iterable(map(operator.itemgetter(*fields), value)))
+            # one record's values are the next len(fields) encoded ones
+            texts = sorted(map(_RECORD_TEMPLATES[name].__mod__, zip(*[encoded] * len(fields))))
+            texts[0] = "[" + texts[0][1:]
+            out += texts
+            put("\n  ]")
+    put("\n}\n")
+    return "".join(out)
 
 
 def serialize_model(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> str:
     """Emit a model's materialization at a bound in the canonical file format."""
     doc = _model_doc(model, bound, bound if ty_bound is None else ty_bound)
-    return _canonical(_sort_records(doc))
+    return _model_text(doc)
 
 
 def _model_doc(model: NaturalModel, bound: int, ty_bound: int) -> dict:
@@ -431,12 +458,13 @@ def _model_doc(model: NaturalModel, bound: int, ty_bound: int) -> dict:
 def reserialize_model(text: str) -> str:
     """Parse and re-emit a model file in canonical form (identity on canonical files)."""
     doc = _document(text)
-    # the records parse_model accepts, which the sort key presumes
+    # the records parse_model accepts, which the writer presumes
     for name in RECORDS:
-        _records(doc, name)
-    for _, _, mors in _records(doc, "homs"):
-        _strings(mors, "homs mors")
-    return _canonical(_sort_records(doc))
+        rows = _records(doc, name)
+        if name == "homs":
+            for _, _, mors in rows:
+                _strings(mors, "homs mors")
+    return _model_text(doc)
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -660,8 +660,9 @@ def lemma_join_quadruple(
 # ---------------------------------------------------------------------------
 
 def left_unitor(p: Polynomial) -> PolyMorphism:
-    """The cartesian cell p => i₁·p (the canonical Σ_{x:1} A ≅ A backwards)."""
-    i1 = identity_poly(p.I)
+    """The cartesian cell p => i₁·p (the canonical Σ_{x:1} A ≅ A backwards),
+    with i₁ on J, where p lands."""
+    i1 = identity_poly(p.J)
     ip = compose(i1, p)
     td = p.t.as_dict
 

@@ -11,19 +11,20 @@ must match.
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from natmod import freemodel
+from natmod import freemodel, modelio
 from natmod.modelio import (
     RECORDS,
     ParseError,
     _canonical,
     _model_doc,
+    _model_text,
     _records,
-    _sort_records,
     parse_model,
     reserialize_model,
     serialize_model,
@@ -82,16 +83,62 @@ def _random_doc(rng: random.Random) -> dict:
             for name, fields in RECORDS.items()}
 
 
+def _reference_text(doc: dict) -> str:
+    """A model document as the format defines it: each record section sorted
+    by its records' JSON with sorted keys, then json's indented writer."""
+    return json.dumps(
+        {name: sorted(records, key=lambda d: json.dumps(d, sort_keys=True))
+         for name, records in doc.items()},
+        sort_keys=True, indent=2,
+    ) + "\n"
+
+
+def _edge_docs() -> list[dict]:
+    """Every section empty; and one record per section, each ``mors`` empty."""
+    one = {name: [{f: [] if f == "mors" else "a" for f in fields}]
+           for name, fields in RECORDS.items()}
+    return [{name: [] for name in RECORDS}, one]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_records_are_ordered_by_their_json_with_sorted_keys(seed):
     rng = random.Random(seed)
-    for _ in range(1000):
-        doc = _random_doc(rng)
-        expected = {
-            name: sorted(records, key=lambda d: json.dumps(d, sort_keys=True))
-            for name, records in doc.items()
-        }
-        assert _sort_records(doc) == expected
+    docs = _edge_docs() + [_random_doc(rng) for _ in range(1000)]
+    assert any(not records for doc in docs[2:] for records in doc.values())
+    assert any(not r["mors"] for doc in docs[2:] for r in doc["homs"])
+    for doc in docs:
+        assert _model_text(doc) == _reference_text(doc)
+
+
+def test_each_record_value_is_encoded_once(monkeypatch):
+    # every string of the file is quoted by json's C function at most once:
+    # record values (``mors`` elements each), the field names of ``homs``,
+    # whose records ``_emit`` writes, and the strings of the other sections,
+    # dict keys and the section names included
+    model = freemodel.term_model(range(1))
+    doc = _model_doc(model, 2, 2)
+
+    def strings(value) -> int:
+        if isinstance(value, dict):
+            return sum(1 + strings(v) for v in value.values())
+        if isinstance(value, list):
+            return sum(map(strings, value))
+        return int(isinstance(value, str))
+
+    record_strings = sum(1 if type(v) is str else len(v)
+                         for name in RECORDS for r in doc[name] for v in r.values())
+    record_strings += len(RECORDS["homs"]) * len(doc["homs"])
+    other_strings = strings({name: v for name, v in doc.items() if name not in RECORDS})
+    calls = 0
+
+    def counting(s):
+        nonlocal calls
+        calls += 1
+        return encode_basestring_ascii(s)
+
+    monkeypatch.setattr(modelio, "encode_basestring_ascii", counting)
+    serialize_model(model, 2)
+    assert 0 < calls <= record_strings + other_strings
 
 
 def _first_writer(model, bound: int) -> str:

@@ -122,6 +122,16 @@ class TestCompose:
             assert unitor.src == p and unitor.dst == composite
             assert unitor.cartesian and unitor.phi0.is_bijection()
 
+    def test_the_unitors_build_when_the_index_sets_differ(self):
+        # p : {i} -+-> {j}, so i₁·p needs the identity on J and p·i₁ the one on I
+        p = Polynomial(fin_map(("b",), ("i",), {"b": "i"}),
+                       fin_map(("b",), ("a",), {"b": "a"}),
+                       fin_map(("a",), ("j",), {"a": "j"}))
+        for unitor, composite in ((left_unitor(p), compose(identity_poly(p.J), p)),
+                                  (right_unitor(p), compose(p, identity_poly(p.I)))):
+            assert unitor.src == p and unitor.dst == composite
+            assert unitor.cartesian and unitor.phi0.is_bijection()
+
     def test_middle_object_section_count(self):
         # |D_c| = 2 with three positions available for each: 3 ** 2 sections
         f = small_poly([1, 1, 1], tag="f")
