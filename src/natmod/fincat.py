@@ -5,10 +5,12 @@ keys is equality of cells.  Categories with infinitely many objects are
 represented by bounded generators (:class:`BoundedCategory`) that enumerate
 objects up to a size bound and produce full finite hom sets on demand;
 :func:`truncate` materializes such a generator into a
-:class:`FinCatPresentation`.  The functor laws are checked in one place,
-:func:`functor_violations`, over the scope its caller passes: a whole
-presentation for :meth:`FinFunctor.check`, and for a morphism of natural
-models a truncation or one step of the rival search.
+:class:`FinCatPresentation`.  :func:`category_violations` checks the category
+laws, deciding associativity on the middles of a generating set and listing
+every composable triple only when that fails.  The functor laws are checked
+in one place, :func:`functor_violations`, over the scope its caller passes: a
+whole presentation for :meth:`FinFunctor.check`, and for a morphism of
+natural models a truncation or one step of the rival search.
 """
 
 from __future__ import annotations
@@ -168,6 +170,40 @@ class FinCatPresentation(BoundedCategory):
         return out
 
 
+def _generating_set(ends: dict[str, tuple[str, str]], post: dict[str, dict[str, str]]) -> list[str]:
+    """A set of morphisms whose composites give every morphism of ``ends``.
+
+    ``ends`` maps each morphism to its (dom, cod), and ``post[g]`` maps each
+    f into dom g to g∘f, which must be present and a key of ``ends``.  One
+    pass over ``ends`` in order, from nothing: a morphism that is not yet
+    reached becomes a generator, and it enters with every composite it makes
+    with the morphisms reached before it, and theirs in turn, so the reached
+    set is closed under composition after each generator.  Each composable
+    pair of reached morphisms is read once, when the later of the two enters.
+    """
+    gens: list[str] = []
+    reached: set[str] = set()
+    out_of: dict[str, list[str]] = {}
+    into: dict[str, list[str]] = {}
+    for m in ends:
+        if m in reached:
+            continue
+        gens.append(m)
+        reached.add(m)
+        entering = [m]
+        for n in entering:
+            src, dst = ends[n]
+            out_of.setdefault(src, []).append(n)
+            made = [post[x][n] for x in out_of.get(dst, ())]
+            made.extend(map(post[n].__getitem__, into.get(src, ())))
+            into.setdefault(dst, []).append(n)
+            for gf in made:
+                if gf not in reached:
+                    reached.add(gf)
+                    entering.append(gf)
+    return gens
+
+
 def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tuple[str, str]]:
     """The category laws on the full subcategory of ``objects``, by enumeration.
 
@@ -180,11 +216,25 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
     missing or lies outside hom(dom f, cod g) is absent from its row and
     reads as None.
 
-    Every composable triple is still compared, one row at a time: for each g
-    and each h after it, the row of h∘(g∘f) over the fs into dom g is
-    compared with the row of (h∘g)∘f, and only rows that differ are walked
-    to name their triples.
+    Associativity is compared one middle g at a time: for each h after g,
+    the row of h∘(g∘f) over the fs into dom g is compared with the row of
+    (h∘g)∘f, and only rows that differ are walked to name their triples.
+    It is decided on the middles of a generating set, and every middle is
+    walked only when that fails.  Let A be the set of morphisms a with
+    (x∘a)∘y = x∘(a∘y) for every composable x and y.  For a and b in A,
+
+        (x∘(a∘b))∘y = ((x∘a)∘b)∘y = (x∘a)∘(b∘y) = x∘(a∘(b∘y)) = x∘((a∘b)∘y),
+
+    so A is closed under composition.  That needs only that every composable
+    pair has a composite in the right hom set, which holds when no
+    ``hom-sets``, ``dom-comp`` or ``cod-comp`` violation was yielded.  Then
+    a set S that generates every morphism proves associativity by S ⊆ A.
+    S is :func:`_generating_set`, which assumes no unit law: an identity is
+    a generator unless it is a composite.  When the composites are not all
+    well typed, or a middle in S has a differing row, every middle is walked
+    as above, so the witnesses are those of the per-triple definition.
     """
+    well_typed = True
     ends: dict[str, tuple[str, str]] = {}
     by_src: dict[str, list[str]] = {a: [] for a in objects}
     by_dst: dict[str, list[str]] = {a: [] for a in objects}
@@ -192,6 +242,7 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
         for b in objects:
             for m in c.hom(a, b):
                 if m in ends and ends[m] != (a, b):
+                    well_typed = False
                     yield "hom-sets", f"morphism {m!r} appears in hom{ends[m]} and hom{(a, b)}"
                 ends[m] = (a, b)
                 by_src[a].append(m)
@@ -216,10 +267,12 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
             try:
                 gf = c.compose(g, f)
             except KeyError:
+                well_typed = False
                 yield "dom-comp", f"no composite recorded for ({g}, {f})"
                 continue
             where = ends.get(gf)
             if where != (fs, gt):
+                well_typed = False
                 law = "cod-comp" if where and where[0] == fs else "dom-comp"
                 yield law, f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})"
                 continue
@@ -232,7 +285,9 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
         if dst in ids and post.get(ids[dst], empty).get(m) != m:
             yield "unit-left", f"unit law: id_{dst} ∘ {m} != {m}"
 
-    for g, (gs, gt) in ends.items():
+    def differing_rows(g: str) -> Iterator[tuple[str, list[str]]]:
+        """Each h after g whose row differs, with the fs where it does."""
+        gs, gt = ends[g]
         row = post[g]
         fs = [f for f in by_dst[gs] if f in row]
         gfs = [row[f] for f in fs]
@@ -240,9 +295,14 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
             h_row = post[h]
             hg_row = post.get(h_row.get(g), empty)
             if list(map(h_row.get, gfs)) != list(map(hg_row.get, fs)):
-                for f, gf in zip(fs, gfs):
-                    if h_row.get(gf) != hg_row.get(f):
-                        yield "associativity", f"associativity fails on ({h}, {g}, {f})"
+                yield h, [f for f, gf in zip(fs, gfs) if h_row.get(gf) != hg_row.get(f)]
+
+    # next(...) is a differing row or None: any() stops at the first
+    if not well_typed or any(next(differing_rows(g), None) for g in _generating_set(ends, post)):
+        for g in ends:
+            for h, fs in differing_rows(g):
+                for f in fs:
+                    yield "associativity", f"associativity fails on ({h}, {g}, {f})"
 
     t = c.terminal
     if t is not None:

@@ -1,9 +1,13 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from natmod import fincat
 from natmod.fincat import (
+    FinCatPresentation,
     FinSliceOpposite,
     category_violations,
     check_category,
@@ -19,7 +23,11 @@ from helpers import (
     broken_unit_category,
     chain_poset,
     diamond_lattice,
+    finite_sets_model,
     one_object_category,
+    poset_category,
+    propositions_model,
+    reference_category_violations,
 )
 
 
@@ -424,64 +432,6 @@ class TestPullbackSquareAgainstComposingLegs:
         assert "not composable" in str(got.value)
 
 
-def _category_violations_by_triples(c, objects):
-    """The category laws as checked one triple at a time, transcribed from
-    the per-triple loop that the row comparison replaced."""
-    ends, by_src, by_dst = {}, {a: [] for a in objects}, {a: [] for a in objects}
-    for a in objects:
-        for b in objects:
-            for m in c.hom(a, b):
-                if m in ends and ends[m] != (a, b):
-                    yield "hom-sets", f"morphism {m!r} appears in hom{ends[m]} and hom{(a, b)}"
-                ends[m] = (a, b)
-                by_src[a].append(m)
-                by_dst[b].append(m)
-    ids = {}
-    for a in objects:
-        try:
-            ids[a] = c.identity(a)
-        except KeyError:
-            yield "dom-id", f"object {a!r} has no identity"
-            continue
-        where = ends.get(ids[a])
-        if where != (a, a):
-            law = "cod-id" if where and where[0] == a else "dom-id"
-            yield law, f"identity of {a!r} is not in hom({a},{a})"
-    comp = {}
-    for f, (fs, ft) in ends.items():
-        for g in by_src[ft]:
-            gt = ends[g][1]
-            try:
-                gf = c.compose(g, f)
-            except KeyError:
-                yield "dom-comp", f"no composite recorded for ({g}, {f})"
-                continue
-            where = ends.get(gf)
-            if where != (fs, gt):
-                law = "cod-comp" if where and where[0] == fs else "dom-comp"
-                yield law, f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})"
-                continue
-            comp[(g, f)] = gf
-    for m, (src, dst) in ends.items():
-        if src in ids and comp.get((m, ids[src])) != m:
-            yield "unit-right", f"unit law: {m} ∘ id_{src} != {m}"
-        if dst in ids and comp.get((ids[dst], m)) != m:
-            yield "unit-left", f"unit law: id_{dst} ∘ {m} != {m}"
-    for g, (gs, gt) in ends.items():
-        into = [(f, comp[(g, f)]) for f in by_dst[gs] if (g, f) in comp]
-        for h in by_src[gt]:
-            hg = comp.get((h, g))
-            for f, gf in into:
-                if comp.get((h, gf)) != comp.get((hg, f)):
-                    yield "associativity", f"associativity fails on ({h}, {g}, {f})"
-    t = c.terminal
-    if t is not None:
-        for a in objects:
-            n = len(c.hom(a, t))
-            if n != 1:
-                yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
-
-
 def _table_category():
     from natmod.freemodel import term_model
     from natmod.modelio import parse_model, serialize_model
@@ -534,7 +484,184 @@ class TestAssociativityAgainstTheDefinition:
             cat = build()
             _mutate_one_composite(cat, kinds[seed % len(kinds)], random.Random(seed))
             got = list(category_violations(cat, cat.object_keys))
-            assert got == list(_category_violations_by_triples(cat, cat.object_keys))
+            assert got == list(reference_category_violations(cat, cat.object_keys))
             assert got, seed
             associativity_only += {law for law, _ in got} == {"associativity"}
         assert associativity_only >= 5
+
+
+def _ends_and_rows(cat):
+    """The (dom, cod) of every morphism, in the order the category checker
+    enumerates them, and the rows ``post[g] = {f: g∘f}`` of a category
+    whose composites are all present."""
+    objs = cat.object_keys
+    ends = {m: (a, b) for a in objs for b in objs for m in cat.hom(a, b)}
+    post = {g: {f: cat.compose(g, f) for f, (_, b) in ends.items() if b == ends[g][0]}
+            for g in ends}
+    return ends, post
+
+
+def _composites_closure(cat, gens):
+    """The morphisms reached from ``gens`` by composing, as a naive fixpoint."""
+    reached = set(gens)
+    while True:
+        made = {cat.compose(g, f) for g in reached for f in reached if cat.dom(g) == cat.cod(f)}
+        if made <= reached:
+            return reached
+        reached |= made
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("build", [
+        lambda: truncate(FinSliceOpposite((0, 1)), 2),
+        lambda: truncate(FinSliceOpposite((0, 1)), 3),
+        _table_category,
+    ], ids=["fin-slice-opposite-2", "fin-slice-opposite-3", "table-category"])
+    def test_the_generators_generate_and_the_last_is_needed(self, build):
+        cat = build()
+        gens = fincat._generating_set(*_ends_and_rows(cat))
+        assert _composites_closure(cat, gens) == set(cat.all_morphisms())
+        assert _composites_closure(cat, gens[:-1]) != set(cat.all_morphisms())
+
+    @pytest.mark.parametrize("build", [
+        lambda: truncate(FinSliceOpposite((0,)), 3), _table_category,
+    ], ids=["one-label-fin-slice-opposite-3", "table-category"])
+    def test_no_generator_is_a_composite_of_the_ones_before_it(self, build):
+        cat = build()
+        gens = fincat._generating_set(*_ends_and_rows(cat))
+        for k, g in enumerate(gens):
+            assert g not in _composites_closure(cat, gens[:k]), g
+
+    def test_a_third_of_the_bound_3_truncation_generates_it(self):
+        cat = truncate(FinSliceOpposite((0, 1)), 3)
+        gens = fincat._generating_set(*_ends_and_rows(cat))
+        assert len(cat.all_morphisms()) == 389
+        assert 3 * len(gens) <= 389
+
+    def test_associativity_is_decided_on_the_generators_of_well_typed_tables(self, monkeypatch):
+        generating_set = fincat._generating_set
+        decided = []
+
+        def spy(ends, post):
+            gens = generating_set(ends, post)
+            decided.append(len(gens))
+            return gens
+
+        monkeypatch.setattr(fincat, "_generating_set", spy)
+        cat = truncate(FinSliceOpposite((0, 1)), 3)
+        assert check_category(cat) == []
+        assert decided == [len(generating_set(*_ends_and_rows(cat)))]
+        _mutate_one_composite(cat, "hom", random.Random(0))
+        assert check_category(cat) != []
+        assert len(decided) == 1  # an ill-typed table skips the generators
+
+
+@st.composite
+def _small_tables(draw):
+    """A table of 1-3 objects and 0-3 morphisms per hom set.  In half of the
+    draws the first endomorphism of each object is a lawful identity; every
+    other composite is drawn from its hom set, or, in tables with holes,
+    left missing.  A composite whose hom set is empty is missing."""
+    objs = [f"o{i}" for i in range(draw(st.integers(1, 3)))]
+    lawful, holes = draw(st.booleans()), draw(st.booleans())
+    homs = {}
+    for a in objs:
+        for b in objs:
+            n = draw(st.integers(1 if lawful and a == b else 0, 3))
+            if n:
+                homs[(a, b)] = [f"{a}{b}:{k}" for k in range(n)]
+    identities = {a: homs[(a, a)][0] for a in objs if (a, a) in homs}
+    table = {}
+    for (a, b), fs in homs.items():
+        for c in objs:
+            for g in homs.get((b, c), ()):
+                for f in fs:
+                    if lawful and g == identities[b]:
+                        table[(g, f)] = f
+                    elif lawful and f == identities[a]:
+                        table[(g, f)] = g
+                    else:
+                        within = homs.get((a, c))
+                        if not within:
+                            continue
+                        k = draw(st.integers(-1 if holes else 0, len(within) - 1))
+                        if k >= 0:
+                            table[(g, f)] = within[k]
+    return FinCatPresentation(objs, homs, table, identities)
+
+
+class TestCategoryViolationsAgainstTheReference:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_small_tables())
+    def test_random_small_tables(self, cat):
+        assert (list(category_violations(cat, cat.object_keys))
+                == list(reference_category_violations(cat, cat.object_keys)))
+
+    def test_a_failure_the_generators_cannot_see_is_listed(self):
+        # x has a swap s (s∘s = id_x), y an idempotent e, and s swaps
+        # u, v : y -> x; the composite u∘e is missing.  The greedy pass takes
+        # id_x, s, u, id_y and e; v = s∘u is no generator.  Associativity
+        # fails only at the middle v: s∘(v∘e) = s∘v = u, but (s∘v)∘e = u∘e is
+        # missing.  No generator's row differs (u's row skips e), so only
+        # the missing composite sends the check over every middle.
+        homs = {("x", "x"): ["idx", "s"], ("y", "x"): ["u", "v"], ("y", "y"): ["idy", "e"]}
+        table = {("idx", "idx"): "idx", ("idx", "s"): "s", ("s", "idx"): "s", ("s", "s"): "idx",
+                 ("idx", "u"): "u", ("idx", "v"): "v", ("s", "u"): "v", ("s", "v"): "u",
+                 ("u", "idy"): "u", ("v", "idy"): "v", ("v", "e"): "v",
+                 ("idy", "idy"): "idy", ("idy", "e"): "e", ("e", "idy"): "e", ("e", "e"): "e"}
+        cat = FinCatPresentation(["x", "y"], homs, table, {"x": "idx", "y": "idy"})
+        got = list(category_violations(cat, cat.object_keys))
+        assert got == list(reference_category_violations(cat, cat.object_keys))
+        assert got == [("dom-comp", "no composite recorded for (u, e)"),
+                       ("associativity", "associativity fails on (s, v, e)")]
+
+
+def _term_over_unit():
+    from natmod.freemodel import extend_by_term, extend_by_unit, term_model
+
+    unit = extend_by_unit(term_model(range(0)))
+    return truncate(extend_by_term(unit, unit.new_ty).base, 2)
+
+
+def _suite_categories():
+    """(id, build, mutable): the categories of the suite at bound <= 3, and
+    whether one composite can be changed without breaking a unit law."""
+    from natmod.freemodel import (
+        extend_by_sigma, extend_by_term, extend_by_type, extend_by_unit, term_model,
+    )
+    from natmod.modelio import parse_model
+
+    out = [(f"term-model:{n}@3", lambda n=n: truncate(term_model(range(n)).base, 3), n > 0)
+           for n in range(3)]
+    for name, extend in [("term", lambda m: extend_by_term(m, "T0")), ("type", extend_by_type),
+                         ("unit", extend_by_unit), ("sigma", extend_by_sigma)]:
+        out.append((f"{name}@2",
+                    lambda extend=extend: truncate(extend(term_model(range(2))).base, 2), True))
+    out += [
+        ("term-over-unit@2", _term_over_unit, False),
+        ("finite-sets@3", lambda: truncate(finite_sets_model(2).base, 3), True),
+        ("propositions@3", lambda: truncate(propositions_model().base, 3), True),
+        ("diamond", diamond_lattice, False),
+        ("chain-4", lambda: chain_poset(4), False),
+        ("divisibility-12", lambda: poset_category(
+            [1, 2, 3, 4, 6, 12], lambda a, b: b % a == 0), False),
+    ]
+    data = Path(__file__).parent / "data"
+    for path in sorted(data.rglob("*.json")):
+        if path.name != "models.sha256.json":
+            out.append((path.name, lambda path=path: parse_model(path.read_text()).base, True))
+    return out
+
+
+class TestEverySuiteCategoryAgreesWithTheReference:
+    @pytest.mark.parametrize("build,mutable", [
+        pytest.param(build, mutable, id=name) for name, build, mutable in _suite_categories()])
+    def test_lawful_and_with_one_wrong_composite(self, build, mutable):
+        cat = build()
+        assert list(category_violations(cat, cat.object_keys)) == []
+        assert list(reference_category_violations(cat, cat.object_keys)) == []
+        if mutable:
+            _mutate_one_composite(cat, "associativity", random.Random(0))
+            got = list(category_violations(cat, cat.object_keys))
+            assert got == list(reference_category_violations(cat, cat.object_keys))
+            assert {law for law, _ in got} == {"associativity"}
