@@ -5,7 +5,9 @@ keys is equality of cells.  Categories with infinitely many objects are
 represented by bounded generators (:class:`BoundedCategory`) that enumerate
 objects up to a size bound and produce full finite hom sets on demand;
 :func:`truncate` materializes such a generator into a
-:class:`FinCatPresentation`.  :func:`category_violations` checks the category
+:class:`FinCatPresentation`.  A generated category names its morphisms
+through one registry, :class:`RegistryCategory`, so it spells a key only for a
+morphism it has never seen.  :func:`category_violations` checks the category
 laws, deciding associativity on the middles of a generating set and listing
 every composable triple only when that fails.  The functor laws are checked
 in one place, :func:`functor_violations`, over the scope its caller passes: a
@@ -18,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Optional
@@ -548,7 +549,61 @@ def product(c: FinCatPresentation, x: str, y: str) -> Optional[tuple[str, str, s
     return None
 
 
-class FinSliceOpposite(BoundedCategory):
+class RegistryCategory(BoundedCategory):
+    """A generated category that names its morphisms through a registry.
+
+    A morphism is the cell (dom, cod, payload), where the payload is what
+    the subclass composes, and its key is the string :meth:`spell` makes of
+    that cell.  The registry holds both directions: ``_mor_info`` maps a key
+    to its cell, so endpoints are never parsed back out of keys, and
+    ``_keys`` maps a cell to its key.  :meth:`key_of` spells a key only for
+    a cell it has never seen, so a composite is one composite payload and
+    one lookup.  Each instance owns its registry.
+    """
+
+    def __init__(self) -> None:
+        self._mor_info: dict[str, tuple] = {}
+        self._keys: dict[tuple, str] = {}
+
+    @abstractmethod
+    def spell(self, src: str, dst: str, payload) -> str:
+        """The key string of the morphism (src, dst, payload)."""
+
+    def key_of(self, src: str, dst: str, payload) -> str:
+        """The key of the morphism (src, dst, payload), spelled once."""
+        cell = (src, dst, payload)
+        key = self._keys.get(cell)
+        if key is None:
+            key = self._keys[cell] = self.spell(src, dst, payload)
+            self._mor_info.setdefault(key, cell)
+        return key
+
+    def parts(self, m: str) -> tuple:
+        """(dom, cod, payload) of a morphism key."""
+        return self._mor_info[m]
+
+    def mor_payload(self, m: str):
+        return self.parts(m)[2]
+
+    def dom(self, m: str) -> str:
+        return self.parts(m)[0]
+
+    def cod(self, m: str) -> str:
+        return self.parts(m)[1]
+
+    def hom(self, a: str, b: str) -> list[str]:
+        return list(self._homs(a, b))
+
+    @memo
+    def _homs(self, a: str, b: str) -> tuple[str, ...]:
+        return tuple(self.key_of(a, b, payload) for payload in self._hom_payloads(a, b))
+
+    @abstractmethod
+    def _hom_payloads(self, a: str, b: str) -> Iterable:
+        """The payloads of the morphisms a -> b, in deterministic order."""
+
+
+class FinSliceOpposite(RegistryCategory):
     """The category (Fin/I)^op for a finite index set I, as a bounded generator.
 
     Objects are finite sets over I, skeletally presented: the object key
@@ -557,14 +612,17 @@ class FinSliceOpposite(BoundedCategory):
     B -> A (direction reversed by the op).  Object size is the cardinality
     of the underlying set.
 
-    A morphism key ``src=>dst:(k0,k1,...)`` is parsed once, by the memoized
-    :meth:`_parts`, into (dom, cod, function); ``dom``, ``cod``, ``mor_fn``
-    and ``compose`` read those parts, so a composite parses nothing and
-    builds only its result key, once per pair.  Any well-formed key
-    composes, whether or not its hom set has been enumerated.
+    A morphism key ``src=>dst:(k0,k1,...)`` names the cell (dom, cod,
+    function) in the registry of :class:`RegistryCategory`.  Hom sets,
+    identities and composites read and extend the registry, so a composite
+    reads its two operands' cells, builds the composite function and looks
+    its key up, spelling it only the first time.  A well-formed key made
+    outside, whose hom set may never have been enumerated, is parsed and
+    registered on first use, so any such key composes.
     """
 
     def __init__(self, index: Iterable[int]):
+        super().__init__()
         self.index = tuple(sorted(set(index)))
 
     # -- key helpers ---------------------------------------------------
@@ -583,20 +641,25 @@ class FinSliceOpposite(BoundedCategory):
     def mor_key(src: str, dst: str, fn: tuple[int, ...]) -> str:
         return f"{src}=>{dst}:(" + ",".join(str(k) for k in fn) + ")"
 
-    @memo
-    def _parts(self, m: str) -> tuple[str, str, tuple[int, ...]]:
-        """(dom, cod, underlying function) of a morphism key.
+    def spell(self, src: str, dst: str, fn: tuple[int, ...]) -> str:
+        return self.mor_key(src, dst, fn)
 
-        The object keys are interned, so the parts of all morphisms share
-        one string per object.
+    def parts(self, m: str) -> tuple[str, str, tuple[int, ...]]:
+        return self._mor_info.get(m) or self._parse(m)
+
+    def _parse(self, m: str) -> tuple[str, str, tuple[int, ...]]:
+        """The cell of a key made outside the registry, which registers it.
+
+        Only the canonical spelling of a cell is a key, so that equal cells
+        have equal keys; anything else raises ``ValueError``.
         """
         ends, inner = m.rsplit(":(", 1)
-        src, dst = map(sys.intern, ends.split("=>", 1))
+        src, dst = ends.split("=>", 1)
         inner = inner[:-1]
-        return src, dst, tuple(int(s) for s in inner.split(",")) if inner else ()
-
-    def mor_fn(self, m: str) -> tuple[int, ...]:
-        return self._parts(m)[2]
+        fn = tuple(int(s) for s in inner.split(",")) if inner else ()
+        if self.key_of(src, dst, fn) != m:
+            raise ValueError(f"not a morphism key: {m!r}")
+        return self._mor_info[m]
 
     # -- BoundedCategory interface --------------------------------------
     @property
@@ -613,11 +676,7 @@ class FinSliceOpposite(BoundedCategory):
                 out.append(self.obj_key(labels))
         return out
 
-    def hom(self, a: str, b: str) -> list[str]:
-        return list(self._homs(a, b))
-
-    @memo
-    def _homs(self, a: str, b: str) -> tuple[str, ...]:
+    def _hom_payloads(self, a: str, b: str) -> Iterable[tuple[int, ...]]:
         u = self.obj_labels(a)
         # functions underlying(b) -> underlying(a) over I
         candidates_per_slot = []
@@ -626,23 +685,17 @@ class FinSliceOpposite(BoundedCategory):
             if not slots:
                 return ()
             candidates_per_slot.append(slots)
-        return tuple(self.mor_key(a, b, fn) for fn in itertools.product(*candidates_per_slot))
-
-    def dom(self, m: str) -> str:
-        return self._parts(m)[0]
-
-    def cod(self, m: str) -> str:
-        return self._parts(m)[1]
+        return itertools.product(*candidates_per_slot)
 
     def identity(self, a: str) -> str:
-        n = len(self.obj_labels(a))
-        return self.mor_key(a, a, tuple(range(n)))
+        return self.key_of(a, a, tuple(range(len(self.obj_labels(a)))))
 
-    @memo
     def compose(self, g: str, f: str) -> str:
         # f : X -> Y, g : Y -> Z; underlying functions fb : Y* -> X*, gb : Z* -> Y*
-        y, z, gb = self._parts(g)
-        x, y_f, fb = self._parts(f)
+        info = self._mor_info
+        y, z, gb = info.get(g) or self._parse(g)
+        x, y_f, fb = info.get(f) or self._parse(f)
         if y != y_f:
             raise ValueError(f"not composable: {g} after {f}")
-        return self.mor_key(x, z, tuple(fb[k] for k in gb))
+        cell = (x, z, tuple([fb[k] for k in gb]))
+        return self._keys.get(cell) or self.key_of(*cell)

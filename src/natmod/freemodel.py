@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .fincat import BoundedCategory, FinSliceOpposite, memo
+from .fincat import FinSliceOpposite, RegistryCategory, memo
 from .natmodel import (
     CompositeModel,
     ExtensionData,
@@ -65,25 +65,22 @@ def _fresh_key(base_keys: list[str], stem: str) -> str:
     return key
 
 
-class _WrappedCategory(BoundedCategory):
+class _WrappedCategory(RegistryCategory):
     """Base class for categories of formally extended contexts.
 
     Objects are registered normal forms over an underlying context of the
     inner model; morphisms wrap morphisms of the inner category (possibly
-    with extra payload) and are kept in a registry, both ways: ``_mor_info``
-    maps a key to its (dom, cod, payload), so endpoints never have to be
-    parsed back out of keys, and ``_keys`` maps (dom, cod, payload) back to
-    the key.  :meth:`_wrap` looks the key up there and builds the key string
-    only for a morphism it has never seen, so composing is one inner
+    with extra payload) and are named by the registry of
+    :class:`~natmod.fincat.RegistryCategory`, as ``src=>dst$payload``, so
+    endpoints are never parsed back out of keys and composing is one inner
     composite and one lookup.
     """
 
     def __init__(self, inner: NaturalModel):
+        super().__init__()
         self.inner = inner
         self._under: dict[str, str] = {}
         self._obj_info: dict[str, tuple] = {}
-        self._mor_info: dict[str, tuple] = {}
-        self._keys: dict[tuple, str] = {}
         self._obj_size: dict[str, int] = {}
         self.model: Optional[NaturalModel] = None  # set by the owning model
 
@@ -102,37 +99,11 @@ class _WrappedCategory(BoundedCategory):
     def obj_size(self, key: str) -> int:
         return self._obj_size[key]
 
-    # morphism bookkeeping
-    def _wrap(self, src: str, dst: str, payload: tuple) -> str:
-        info = (src, dst, payload)
-        key = self._keys.get(info)
-        if key is None:
-            key = self._keys[info] = f"{src}=>{dst}${payload!r}"
-            self._mor_info.setdefault(key, info)
-        return key
-
-    def mor_payload(self, m: str) -> tuple:
-        return self._mor_info[m][2]
-
-    def dom(self, m: str) -> str:
-        return self._mor_info[m][0]
-
-    def cod(self, m: str) -> str:
-        return self._mor_info[m][1]
-
-    def hom(self, a: str, b: str) -> list[str]:
-        return list(self._homs(a, b))
-
-    @memo
-    def _homs(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(self._wrap(a, b, payload) for payload in self._hom_payloads(a, b))
-
-    def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
-        """The payloads of the morphisms a -> b, in deterministic order."""
-        raise NotImplementedError
+    def spell(self, src: str, dst: str, payload: tuple) -> str:
+        return f"{src}=>{dst}${payload!r}"
 
     def identity(self, a: str) -> str:
-        return self._wrap(a, a, (self.inner.base.identity(self._under[a]),))
+        return self.key_of(a, a, (self.inner.base.identity(self._under[a]),))
 
     def compose(self, g: str, f: str) -> str:
         """Composite of morphisms whose payload is one inner morphism."""
@@ -140,7 +111,7 @@ class _WrappedCategory(BoundedCategory):
         x, y_f, (fs,) = self._mor_info[f]
         if y != y_f:
             raise ValueError("not composable")
-        return self._wrap(x, z, (self.inner.base.compose(gs, fs),))
+        return self.key_of(x, z, (self.inner.base.compose(gs, fs),))
 
     def objects(self, bound: int) -> list[str]:
         """The contexts of size at most ``bound``, closed under extension.
@@ -275,7 +246,7 @@ def inclusion(ext: _WrappedModel) -> NMorphism:
     inner = ext.inner
 
     def root_mor(d, m: str) -> str:
-        return ext.base._wrap(
+        return ext.base.key_of(
             d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), ext.i_payload(m)
         )
 
@@ -338,24 +309,24 @@ class TermModel(NaturalModel):
         return ty
 
     def subst_tm(self, sigma: str, term: str) -> str:
-        fn = self.base.mor_fn(sigma)
+        fn = self.base.mor_payload(sigma)
         return self.tm_key(fn[int(term[1:])])
+
+    def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
+        fn = self.base.mor_payload(sigma)
+        return {a: self.tm_key(fn[int(a[1:])]) for a in tms}
 
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         labels = self.base.obj_labels(ctx)
         j = int(ty[1:])
         n = len(labels)
         extended = self.base.obj_key(labels + (j,))
-        proj = self.base.mor_key(extended, ctx, tuple(range(n)))
+        proj = self.base.key_of(extended, ctx, tuple(range(n)))
         return ExtensionData(extended, proj, self.tm_key(n))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
-        gamma = self.base.cod(sigma)
-        e = self.ext(gamma, ty)
-        fn = self.base.mor_fn(sigma)
-        return self.base.mor_key(
-            self.base.dom(sigma), e.extended, fn + (int(term[1:]),)
-        )
+        src, gamma, fn = self.base.parts(sigma)
+        return self.base.key_of(src, self.ext(gamma, ty).extended, fn + (int(term[1:]),))
 
     def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
         labels = self.base.obj_labels(ctx)
@@ -570,13 +541,13 @@ class ExtTermModel(_WrappedModel):
                 a_prime = preimages[0]
                 new_key = self.i_obj(inner.ext(gamma, a_prime).extended)
                 sw = cat.align(new_key, gamma, a_prime)
-                proj = cat._wrap(new_key, ctx, (inner.base.compose(e_in.proj, sw),))
+                proj = cat.key_of(new_key, ctx, (inner.base.compose(e_in.proj, sw),))
                 return ExtensionData(new_key, proj, inner.subst_tm(sw, e_in.var))
         new_key = cat.register(
             gamma, tys + (ty,), e_in.extended,
             inner.base.compose(cat._anchor[ctx], e_in.proj),
         )
-        return ExtensionData(new_key, cat._wrap(new_key, ctx, (e_in.proj,)), e_in.var)
+        return ExtensionData(new_key, cat.key_of(new_key, ctx, (e_in.proj,)), e_in.var)
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         gamma_ctx = self.base.cod(sigma)
@@ -586,7 +557,7 @@ class ExtTermModel(_WrappedModel):
         align = self.base._align.get(e.extended)
         if align is not None:
             tau = self.inner.base.compose(align[1], tau)
-        return self.base._wrap(self.base.dom(sigma), e.extended, (tau,))
+        return self.base.key_of(self.base.dom(sigma), e.extended, (tau,))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, tys = info
@@ -728,7 +699,7 @@ class _InterleavedCategory(_WrappedCategory):
     def identity(self, a: str) -> str:
         ident = self.inner.base.identity(self._under[a])
         tally = tuple(range(self._count[a])) if self.with_tally else ()
-        return self._wrap(a, a, (ident, tally))
+        return self.key_of(a, a, (ident, tally))
 
     def compose(self, g: str, f: str) -> str:
         y, z, (gs, gt) = self._mor_info[g]
@@ -736,7 +707,7 @@ class _InterleavedCategory(_WrappedCategory):
         if y != y_f:
             raise ValueError("not composable")
         tally = tuple(ft[j] for j in gt) if self.with_tally else ()
-        return self._wrap(x, z, (self.inner.base.compose(gs, fs), tally))
+        return self.key_of(x, z, (self.inner.base.compose(gs, fs), tally))
 
 
 class _InterleavedModel(_WrappedModel):
@@ -795,13 +766,13 @@ class _InterleavedModel(_WrappedModel):
         if ty == self.new_ty:
             new_key = cat.register(gamma, ks[:-1] + (ks[-1] + 1,), tys)
             tally = tuple(range(k)) if self.new_terms_are_slots else ()
-            proj = cat._wrap(new_key, ctx, (inner.base.identity(under), tally))
+            proj = cat.key_of(new_key, ctx, (inner.base.identity(under), tally))
             var = self.slot_term(k) if self.new_terms_are_slots else self._star
             return ExtensionData(new_key, proj, var)
         e_in = inner.ext(under, ty)
         new_key = cat.register(gamma, ks + (0,), tys + (ty,))
         tally = tuple(range(k)) if self.new_terms_are_slots else ()
-        proj = cat._wrap(new_key, ctx, (e_in.proj, tally))
+        proj = cat.key_of(new_key, ctx, (e_in.proj, tally))
         return ExtensionData(new_key, proj, e_in.var)
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
@@ -811,11 +782,11 @@ class _InterleavedModel(_WrappedModel):
         e = self.ext(gamma_ctx, ty)
         if ty == self.new_ty:
             if not self.new_terms_are_slots:
-                return cat._wrap(cat.dom(sigma), e.extended, (s, ()))
+                return cat.key_of(cat.dom(sigma), e.extended, (s, ()))
             j = self._slot_index(term)
-            return cat._wrap(cat.dom(sigma), e.extended, (s, tally + (j,)))
+            return cat.key_of(cat.dom(sigma), e.extended, (s, tally + (j,)))
         tau = induced_sub(self.inner, s, term, ty)
-        return cat._wrap(cat.dom(sigma), e.extended, (tau, tally))
+        return cat.key_of(cat.dom(sigma), e.extended, (tau, tally))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, ks, tys = info
@@ -1247,13 +1218,13 @@ class SigmaExtModel(_WrappedModel):
         tree = self.ty_tree(ty)
         new_key = cat.register(gamma, trees + (tree,))
         _, proj, var = tree_ext(self.inner, cat.under(ctx), tree)
-        return ExtensionData(new_key, cat._wrap(new_key, ctx, (proj,)), self.reg_tm(var))
+        return ExtensionData(new_key, cat.key_of(new_key, ctx, (proj,)), self.reg_tm(var))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         (s,) = self.base.mor_payload(sigma)
         e = self.ext(self.base.cod(sigma), ty)
         tau = tree_indsub(self.inner, s, self.tm_tree(term), self.ty_tree(ty))
-        return self.base._wrap(self.base.dom(sigma), e.extended, (tau,))
+        return self.base.key_of(self.base.dom(sigma), e.extended, (tau,))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, trees = info

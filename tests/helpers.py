@@ -1,13 +1,14 @@
 """Shared builders for small hand-made categories used across the test suite,
 the searching reference for Π's app, element-by-element reference forms of
 the polynomial maps, the per-construction forms of the free extensions'
-inclusions, and the category laws checked one triple at a time."""
+inclusions, the category laws checked one triple at a time, and composition
+in (Fin/I)^op read back out of the keys."""
 
 from __future__ import annotations
 
 import itertools
 
-from natmod.fincat import FinCatPresentation
+from natmod.fincat import FinCatPresentation, FinSliceOpposite
 from natmod.freemodel import TermTree, TypeTree
 from natmod.morphism import ForcedImages
 from natmod.natmodel import canonical_pullback, section
@@ -368,7 +369,7 @@ def reference_term_inclusion(ext):
 
     def root_mor(d, m: str) -> str:
         o_at = inner.subst_ty(inner.t(inner.base.cod(m)), ext.o_ty)
-        return ext.base._wrap(
+        return ext.base.key_of(
             d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)),
             (canonical_pullback(inner, m, o_at),),
         )
@@ -391,7 +392,7 @@ def reference_interleaved_inclusion(ext):
         return tm
 
     def root_mor(d, m: str) -> str:
-        return cat._wrap(
+        return cat.key_of(
             d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m, ())
         )
 
@@ -412,7 +413,7 @@ def reference_sigma_inclusion(ext):
         return ext.reg_tm(TermTree(leaf=tm))
 
     def root_mor(d, m: str) -> str:
-        return ext.base._wrap(
+        return ext.base.key_of(
             d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m,)
         )
 
@@ -477,3 +478,23 @@ def reference_category_violations(c, objects):
             n = len(c.hom(a, t))
             if n != 1:
                 yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
+
+
+def slice_parts(m: str) -> tuple[str, str, tuple[int, ...]]:
+    """(dom, cod, function) of a (Fin/I)^op morphism key, parsed from the key."""
+    ends, inner = m.rsplit(":(", 1)
+    src, dst = ends.split("=>", 1)
+    inner = inner[:-1]
+    return src, dst, tuple(int(s) for s in inner.split(",")) if inner else ()
+
+
+def reference_slice_compose(g: str, f: str) -> str:
+    """g∘f in (Fin/I)^op from the keys alone: both keys parsed and the
+    composite's key spelled with ``mor_key``, as
+    :meth:`natmod.fincat.FinSliceOpposite.compose` did before it looked
+    composites up in its registry."""
+    y, z, gb = slice_parts(g)
+    x, y_f, fb = slice_parts(f)
+    if y != y_f:
+        raise ValueError(f"not composable: {g} after {f}")
+    return FinSliceOpposite.mor_key(x, z, tuple(fb[k] for k in gb))

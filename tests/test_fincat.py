@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from pathlib import Path
@@ -28,6 +29,8 @@ from helpers import (
     poset_category,
     propositions_model,
     reference_category_violations,
+    reference_slice_compose,
+    slice_parts,
 )
 
 
@@ -87,8 +90,8 @@ class TestFinSliceOpposite:
         for f in gen.hom(x, y):
             for g in gen.hom(y, z):
                 gf = gen.compose(g, f)
-                fb, gb = gen.mor_fn(f), gen.mor_fn(g)
-                assert gen.mor_fn(gf) == tuple(fb[k] for k in gb)
+                fb, gb = gen.mor_payload(f), gen.mor_payload(g)
+                assert gen.mor_payload(gf) == tuple(fb[k] for k in gb)
 
     def test_terminal_is_the_empty_set(self):
         gen = FinSliceOpposite({0, 1})
@@ -665,3 +668,187 @@ class TestEverySuiteCategoryAgreesWithTheReference:
             got = list(category_violations(cat, cat.object_keys))
             assert got == list(reference_category_violations(cat, cat.object_keys))
             assert {law for law, _ in got} == {"associativity"}
+
+
+def _composable_pairs(cat):
+    """Every composable pair (g, f) of a truncation, f by f."""
+    out_of: dict = {}
+    for (a, _b), ms in cat.homs.items():
+        out_of.setdefault(a, []).extend(ms)
+    return [(g, f) for (_a, b), fs in cat.homs.items() for f in fs for g in out_of.get(b, ())]
+
+
+class TestMorphismRegistry:
+    def test_every_key_handed_out_spells_its_cell(self):
+        from natmod.freemodel import term_model
+
+        tm = term_model(range(2))
+        cat, handed = tm.base, []
+        trunc = truncate(cat, 3)
+        for (a, b), ms in trunc.homs.items():
+            handed += [(m, (a, b)) for m in cat.hom(a, b)]
+        handed += [(cat.identity(a), (a, a)) for a in trunc.object_keys]
+        for g, f in _composable_pairs(trunc):
+            handed.append((cat.compose(g, f), (cat.dom(f), cat.cod(g))))
+        for gamma in truncate(cat, 2).object_keys:
+            for ty in tm.types(gamma, 2):
+                e = tm.ext(gamma, ty)
+                handed.append((e.proj, (e.extended, gamma)))
+                for delta in truncate(cat, 2).object_keys:
+                    for sigma in cat.hom(delta, gamma):
+                        for term in tm.terms_of(delta, ty, 2):
+                            handed.append((tm.indsub(sigma, term, ty), (delta, e.extended)))
+        # every extension of a bound-2 context lands in the bound-3 truncation
+        assert {m for m, _ in handed} == set(trunc.all_morphisms())
+        for m, ends in handed:
+            assert cat.parts(m) == slice_parts(m), m
+            assert cat.mor_key(*cat.parts(m)) == m
+            assert cat.parts(m)[:2] == ends
+
+    def test_a_key_made_outside_composes_before_its_hom_set_is_listed(self):
+        cat = FinSliceOpposite((0, 1))
+        a, b, c = cat.obj_key((0, 1)), cat.obj_key((1, 0, 0)), cat.obj_key((0,))
+        f, g = cat.mor_key(b, a, (1, 0)), cat.mor_key(a, c, (0,))
+        assert not [k for k in vars(cat) if "_homs" in k]
+        assert cat.compose(g, f) == reference_slice_compose(g, f) == cat.mor_key(b, c, (1,))
+        assert (cat.dom(f), cat.cod(f), cat.mor_payload(f)) == (b, a, (1, 0))
+        assert cat.compose(g, f) in cat.hom(b, c)
+        assert f in cat.hom(b, a)
+
+    def test_only_the_canonical_spelling_is_a_key(self):
+        cat = FinSliceOpposite((0, 1))
+        f = cat.mor_key(cat.obj_key((1, 0, 0)), cat.obj_key((0, 1)), (1, 0))
+        for bad in (f.replace(",0)", ", 0)"), f.replace("=>", "->"), "junk"):
+            with pytest.raises(ValueError):
+                cat.compose(cat.identity(cat.obj_key((0, 1))), bad)
+
+    @pytest.mark.parametrize("listed", [True, False], ids=["registered", "parsed"])
+    def test_a_non_composable_pair_raises_the_same_error(self, listed):
+        cat = FinSliceOpposite((0, 1))
+        a, b = cat.obj_key((0, 1)), cat.obj_key((1, 0, 0))
+        f = FinSliceOpposite((0, 1)).hom(b, a)[0]
+        if listed:
+            assert f in cat.hom(b, a)
+        with pytest.raises(ValueError) as got:
+            cat.compose(f, f)
+        with pytest.raises(ValueError) as want:
+            reference_slice_compose(f, f)
+        assert str(got.value) == str(want.value) == f"not composable: {f} after {f}"
+
+    def test_fresh_term_models_share_no_registry_dict(self):
+        from natmod.freemodel import term_model
+
+        one, two = term_model(range(2)), term_model(range(2))
+        trunc = truncate(one.base, 2)
+        for g, f in _composable_pairs(trunc):
+            one.base.compose(g, f)
+        dicts = [{id(v) for v in vars(m.base).values() if isinstance(v, dict)} for m in (one, two)]
+        assert {"_mor_info", "_keys"} <= set(vars(two.base))
+        assert not dicts[0] & dicts[1]
+        assert len(one.base._keys) == len(trunc.all_morphisms())
+        assert two.base._keys == {} and two.base._mor_info == {}
+
+
+@st.composite
+def _slice_pairs(draw):
+    """An index set of 1-3 labels and a composable pair (g, f) of keys
+    between objects of size at most 3 over it, spelled outside any category."""
+    index = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    x = tuple(draw(st.lists(st.sampled_from(index), max_size=3)))
+
+    def arrow_into(src):
+        fn = tuple(draw(st.lists(st.integers(0, len(src) - 1), max_size=3))) if src else ()
+        return fn, tuple(src[k] for k in fn)
+
+    f_fn, y = arrow_into(x)
+    g_fn, z = arrow_into(y)
+    key = FinSliceOpposite.obj_key
+    return (index, FinSliceOpposite.mor_key(key(y), key(z), g_fn),
+            FinSliceOpposite.mor_key(key(x), key(y), f_fn), draw(st.booleans()))
+
+
+class TestComposeAgainstTheReference:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_slice_pairs())
+    def test_random_composable_pairs(self, drawn):
+        index, g, f, listed = drawn
+        cat = FinSliceOpposite(index)
+        if listed:
+            assert f in cat.hom(*slice_parts(f)[:2]) and g in cat.hom(*slice_parts(g)[:2])
+        want = reference_slice_compose(g, f)
+        assert cat.compose(g, f) == want
+        assert cat.compose(g, f) == want
+        assert cat.parts(want) == slice_parts(want)
+
+    def test_every_composable_pair_of_the_bound_3_truncation(self):
+        gen = FinSliceOpposite((0, 1))
+        pairs = _composable_pairs(truncate(gen, 3))
+        assert len(pairs) == 11_501
+        for g, f in pairs:
+            assert gen.compose(g, f) == reference_slice_compose(g, f), (g, f)
+
+
+class TestEachMorphismIsSpelledOnce:
+    @pytest.mark.parametrize("listed", [True, False], ids=["registered", "parsed"])
+    def test_composing_every_pair_twice(self, monkeypatch, listed):
+        mor_key = FinSliceOpposite.mor_key
+        spelled = []
+
+        def counting(src, dst, fn):
+            spelled.append((src, dst, fn))
+            return mor_key(src, dst, fn)
+
+        monkeypatch.setattr(FinSliceOpposite, "mor_key", staticmethod(counting))
+        cat = FinSliceOpposite((0, 1))
+        if listed:  # cat spells each key as it lists its hom sets
+            pairs = _composable_pairs(truncate(cat, 3))
+        else:  # cat parses another instance's keys on first use
+            pairs = _composable_pairs(truncate(FinSliceOpposite((0, 1)), 3))
+            spelled.clear()
+        for g, f in pairs:
+            cat.compose(g, f)
+        assert len(spelled) == len(set(spelled)) == len(cat._keys) == 389
+        spelled.clear()
+        for g, f in pairs:
+            cat.compose(g, f)
+        assert spelled == []
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "natmod"
+
+
+def _registry_assignments_and_memoized_composes(sources: dict[str, str]):
+    """The classes that assign ``_mor_info`` or ``_keys``, and every
+    ``compose`` decorated with ``memo``, in the given module sources."""
+    assigning, memoized = set(), []
+    for name, text in sources.items():
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                if any(isinstance(t, ast.Attribute) and t.attr in ("_mor_info", "_keys")
+                       for t in targets):
+                    assigning.add((name, cls.name))
+        for fn in ast.walk(ast.parse(text)):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "compose" and any(
+                    getattr(d, "id", getattr(d, "attr", None)) == "memo"
+                    for d in fn.decorator_list):
+                memoized.append((name, fn.lineno))
+    return assigning, memoized
+
+
+class TestOneMorphismRegistry:
+    def test_one_class_owns_the_registry_and_no_compose_is_memoized(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+        assigning, memoized = _registry_assignments_and_memoized_composes(sources)
+        assert assigning == {("fincat.py", "RegistryCategory")}
+        assert memoized == []
+
+    def test_the_guard_sees_a_memo_put_back(self):
+        text = (_SRC / "fincat.py").read_text(encoding="utf-8")
+        mutant = text.replace("    def compose(self, g: str, f: str) -> str:\n        # f : X",
+                              "    @memo\n    def compose(self, g: str, f: str) -> str:\n        # f : X")
+        assert mutant != text
+        assert _registry_assignments_and_memoized_composes({"fincat.py": mutant})[1]

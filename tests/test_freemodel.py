@@ -56,6 +56,7 @@ from natmod.natmodel import (
 from helpers import (
     reference_interleaved_inclusion,
     reference_sigma_inclusion,
+    reference_slice_compose,
     reference_term_inclusion,
 )
 
@@ -81,7 +82,7 @@ class TestTermModel:
         e = m.ext(g, "T1")
         assert m.base.obj_labels(e.extended) == (0, 1, 1)
         # the projection is the left inclusion
-        assert m.base.mor_fn(e.proj) == (0, 1)
+        assert m.base.mor_payload(e.proj) == (0, 1)
         assert e.var == "x2"
 
     def test_initiality_counts_for_three_targets(self):
@@ -494,19 +495,12 @@ class TestPolyCompositeModels:
             second._ty_parts(ty)
 
 
-def _slice_fn(m: str) -> tuple[int, ...]:
-    inner = m.rsplit(":(", 1)[1][:-1]
-    return tuple(int(s) for s in inner.split(",")) if inner else ()
-
-
 def _reference_composite(cat, g: str, f: str) -> str:
     """g∘f computed from the key formulas: for (Fin/I)^op, the function read
     back out of the keys; for a wrapped category, the key of the payload of
     the inner composite, spelled out."""
     if isinstance(cat, FinSliceOpposite):
-        fb, gb = _slice_fn(f), _slice_fn(g)
-        src, dst = f.split("=>", 1)[0], g.split("=>", 1)[1].rsplit(":(", 1)[0]
-        return cat.mor_key(src, dst, tuple(fb[k] for k in gb))
+        return reference_slice_compose(g, f)
     assert isinstance(cat, _WrappedCategory)
     gp, fp = cat.mor_payload(g), cat.mor_payload(f)
     inner = _reference_composite(cat.inner.base, gp[0], fp[0])

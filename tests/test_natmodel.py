@@ -572,7 +572,7 @@ class TestMorphismChecker:
 
         def tweak_mor(mor):
             src, dst = m.base.dom(mor), m.base.cod(mor)
-            fn = m.base.mor_fn(mor)
+            fn = m.base.mor_payload(mor)
             n_src, n_dst = len(m.base.obj_labels(src)), len(m.base.obj_labels(dst))
             new_fn = tuple(
                 (n_src - 1 - fn[n_dst - 1 - k]) for k in range(n_dst)
