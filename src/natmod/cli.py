@@ -17,9 +17,11 @@ is reported as VACUOUS, not PASS, and fails the run.
 Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
 2 on bad input: a file that fails to parse or is incomplete, a free
 construction whose bound reaches past the fragment a base file holds, a
-negative bound, a ``--count`` below 1, or a ``--type`` that is not a closed
-type of the base.
-``NATMOD_BOUND`` overrides the default bound.
+negative bound, a ``--count`` below 1, a ``--type`` that is not a closed
+type of the base, a ``natmod poly`` subcommand given the wrong number of
+files, or a negative ``--family`` size.
+``NATMOD_BOUND`` overrides the default bound; it is read as ``--bound`` is,
+and a malformed or negative value exits 2.
 """
 
 from __future__ import annotations
@@ -39,16 +41,19 @@ from .report import VerificationReport
 
 
 DEFAULT_BOUND = 3
+# the number of polynomial files each ``natmod poly`` subcommand reads
+POLY_FILES = {"extend": 1, "compose": 2, "verify-bc": 0, "verify-dist": 0, "pseudomonad": 0}
 
 
 def _default_bound() -> int:
+    """``NATMOD_BOUND`` read as a ``--bound`` value, else DEFAULT_BOUND."""
     env = os.environ.get("NATMOD_BOUND")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_BOUND
+    if env is None:
+        return DEFAULT_BOUND
+    try:
+        return non_negative_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValueError(f"NATMOD_BOUND must be a non-negative integer, got {env!r}") from None
 
 
 def non_negative_int(text: str) -> int:
@@ -279,6 +284,11 @@ def cmd_poly(args) -> int:
         with open(path) as fh:
             return modelio.parse_polynomial(fh.read())
 
+    want = POLY_FILES[args.subcmd]
+    if len(args.files) != want:
+        sys.stderr.write(f"parse error: poly {args.subcmd} takes {want} polynomial "
+                         f"file{'' if want == 1 else 's'}, got {len(args.files)}\n")
+        return 2
     try:
         if args.subcmd == "extend":
             p = load(args.files[0])
@@ -287,6 +297,8 @@ def cmd_poly(args) -> int:
                 raise modelio.ParseError(
                     f"--family needs {len(p.I)} sizes, got {len(sizes)}"
                 )
+            if min(sizes) < 0:
+                raise modelio.ParseError(f"--family sizes must be non-negative, got {min(sizes)}")
             family = {i: tuple(f"x{i}.{k}" for k in range(sizes[idx]))
                       for idx, i in enumerate(p.I)}
             ext = polyset.extend(p, family)
@@ -338,9 +350,6 @@ def cmd_poly(args) -> int:
                     f"{k}:{'ok' if v else 'FAIL'}" for k, v in sorted(rep.checks.items())
                 )
                 report.add(f"pseudomonad-{name}", rep.ok, detail)
-        else:
-            sys.stderr.write(f"parse error: unknown subcommand {args.subcmd!r}\n")
-            return 2
     except (OSError, modelio.ParseError, ValueError) as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
@@ -383,10 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_free.set_defaults(fn=cmd_free)
 
     p_poly = sub.add_parser("poly", help="polynomial operations and witnesses")
-    p_poly.add_argument(
-        "subcmd",
-        choices=["extend", "compose", "verify-bc", "verify-dist", "pseudomonad"],
-    )
+    p_poly.add_argument("subcmd", choices=list(POLY_FILES))
     p_poly.add_argument("files", nargs="*")
     p_poly.add_argument("--family", default=None,
                         help="comma-separated family sizes (for 'extend')")
@@ -397,7 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a bad NATMOD_BOUND
+        sys.stderr.write(f"parse error: {exc}\n")
+        return 2
+    args = parser.parse_args(argv)
     return args.fn(args)
 
 

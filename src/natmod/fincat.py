@@ -5,14 +5,16 @@ keys is equality of cells.  Categories with infinitely many objects are
 represented by bounded generators (:class:`BoundedCategory`) that enumerate
 objects up to a size bound and produce full finite hom sets on demand;
 :func:`truncate` materializes such a generator into a
-:class:`FinCatPresentation`.  A generated category names its morphisms
-through one registry, :class:`RegistryCategory`, so it spells a key only for a
-morphism it has never seen.  :func:`category_violations` checks the category
-laws, deciding associativity on the middles of a generating set and listing
-every composable triple only when that fails.  The functor laws are checked
-in one place, :func:`functor_violations`, over the scope its caller passes: a
-whole presentation for :meth:`FinFunctor.check`, and for a morphism of
-natural models a truncation or one step of the rival search.
+:class:`FinCatPresentation`.  Every generated cell is named through one
+mechanism, :class:`Registry`, which spells a key only for a cell it has never
+seen and reads each key back as its cell; a :class:`RegistryCategory` holds
+one for its objects and one for its morphisms.  :func:`category_violations`
+checks the category laws, deciding associativity on the middles of a
+generating set and listing every composable triple only when that fails.
+The functor laws are checked in one place, :func:`functor_violations`, over
+the scope its caller passes: a whole presentation for
+:meth:`FinFunctor.check`, and for a morphism of natural models a truncation
+or one step of the rival search.
 """
 
 from __future__ import annotations
@@ -549,54 +551,82 @@ def product(c: FinCatPresentation, x: str, y: str) -> Optional[tuple[str, str, s
     return None
 
 
-class RegistryCategory(BoundedCategory):
-    """A generated category that names its morphisms through a registry.
+class Registry:
+    """The two-way naming of the cells of one sort: ``keys`` maps a cell to
+    its key, spelled by ``spell`` the first time, and ``cells`` a key to its
+    cell.  With ``parse``, a key made outside is parsed and registered on
+    first use, and only the canonical spelling of a cell is accepted, so
+    equal cells have equal keys; without it, an unknown key raises
+    ``KeyError``."""
 
-    A morphism is the cell (dom, cod, payload), where the payload is what
-    the subclass composes, and its key is the string :meth:`spell` makes of
-    that cell.  The registry holds both directions: ``_mor_info`` maps a key
-    to its cell, so endpoints are never parsed back out of keys, and
-    ``_keys`` maps a cell to its key.  :meth:`key_of` spells a key only for
-    a cell it has never seen, so a composite is one composite payload and
-    one lookup.  Each instance owns its registry.
-    """
+    __slots__ = ("spell", "parse", "keys", "cells")
 
-    def __init__(self) -> None:
-        self._mor_info: dict[str, tuple] = {}
-        self._keys: dict[tuple, str] = {}
+    def __init__(self, spell: Callable[..., str], parse: Optional[Callable] = None) -> None:
+        self.spell, self.parse = spell, parse
+        self.keys: dict = {}
+        self.cells: dict = {}
 
-    @abstractmethod
-    def spell(self, src: str, dst: str, payload) -> str:
-        """The key string of the morphism (src, dst, payload)."""
-
-    def key_of(self, src: str, dst: str, payload) -> str:
-        """The key of the morphism (src, dst, payload), spelled once."""
-        cell = (src, dst, payload)
-        key = self._keys.get(cell)
+    def key(self, cell) -> str:
+        """The key of ``cell``, spelled the first time it is asked for."""
+        key = self.keys.get(cell)
         if key is None:
-            key = self._keys[cell] = self.spell(src, dst, payload)
-            self._mor_info.setdefault(key, cell)
+            key = self.keys[cell] = self.spell(cell)
+            self.cells.setdefault(key, cell)
         return key
 
-    def parts(self, m: str) -> tuple:
-        """(dom, cod, payload) of a morphism key."""
-        return self._mor_info[m]
+    def cell(self, key: str):
+        """The cell ``key`` names."""
+        try:
+            return self.cells[key]
+        except KeyError:
+            if self.parse is None:
+                raise
+        if self.key(self.parse(key)) != key:
+            raise ValueError(f"not a canonical key: {key!r}")
+        return self.cells[key]
+
+
+class RegistryCategory(BoundedCategory):
+    """A generated category whose objects and morphisms are named by its own
+    two registries, ``objs`` and ``mors``.
+
+    An object cell is the subclass's choice; a morphism cell is (dom, cod,
+    payload), where the payload is what the subclass composes.  Endpoints
+    are read from the registry, never parsed out of keys, and a composite is
+    one composite payload and one lookup.  A subclass whose keys may be
+    made outside sets ``parse_obj`` and ``parse_mor``.
+    """
+
+    parse_obj = parse_mor = None
+
+    def __init__(self) -> None:
+        self.objs = Registry(self.spell_obj, self.parse_obj)
+        self.mors = Registry(self.spell_mor, self.parse_mor)
+
+    @abstractmethod
+    def spell_obj(self, cell) -> str:
+        """The key string of an object cell."""
+
+    @abstractmethod
+    def spell_mor(self, cell: tuple) -> str:
+        """The key string of the morphism cell (src, dst, payload)."""
 
     def mor_payload(self, m: str):
-        return self.parts(m)[2]
+        return self.mors.cell(m)[2]
 
     def dom(self, m: str) -> str:
-        return self.parts(m)[0]
+        return self.mors.cell(m)[0]
 
     def cod(self, m: str) -> str:
-        return self.parts(m)[1]
+        return self.mors.cell(m)[1]
 
     def hom(self, a: str, b: str) -> list[str]:
         return list(self._homs(a, b))
 
     @memo
     def _homs(self, a: str, b: str) -> tuple[str, ...]:
-        return tuple(self.key_of(a, b, payload) for payload in self._hom_payloads(a, b))
+        key = self.mors.key
+        return tuple(key((a, b, payload)) for payload in self._hom_payloads(a, b))
 
     @abstractmethod
     def _hom_payloads(self, a: str, b: str) -> Iterable:
@@ -606,81 +636,71 @@ class RegistryCategory(BoundedCategory):
 class FinSliceOpposite(RegistryCategory):
     """The category (Fin/I)^op for a finite index set I, as a bounded generator.
 
-    Objects are finite sets over I, skeletally presented: the object key
-    ``fs[i0,i1,...]`` stands for the set {0,..,n-1} with labelling function
-    k |-> ik.  A morphism (A,u) -> (B,v) is a label-preserving function
-    B -> A (direction reversed by the op).  Object size is the cardinality
-    of the underlying set.
+    Objects are finite sets over I, skeletally presented: the object cell is
+    the label tuple (i0, i1, ...), spelled ``fs[i0,i1,...]``, and stands for
+    the set {0,..,n-1} with labelling function k |-> ik.  A morphism
+    (A,u) -> (B,v) is a label-preserving function B -> A (direction reversed
+    by the op).  Object size is the cardinality of the underlying set.
 
     A morphism key ``src=>dst:(k0,k1,...)`` names the cell (dom, cod,
-    function) in the registry of :class:`RegistryCategory`.  Hom sets,
-    identities and composites read and extend the registry, so a composite
-    reads its two operands' cells, builds the composite function and looks
-    its key up, spelling it only the first time.  A well-formed key made
-    outside, whose hom set may never have been enumerated, is parsed and
-    registered on first use, so any such key composes.
+    function).  Objects, hom sets, identities and composites read and extend
+    the registries, so a composite reads its two operands' cells, builds the
+    composite function and looks its key up, spelling it only the first
+    time.  A well-formed object or morphism key made outside, whose hom set
+    may never have been enumerated, is parsed and registered on first use,
+    so any such key composes.
     """
 
     def __init__(self, index: Iterable[int]):
         super().__init__()
         self.index = tuple(sorted(set(index)))
 
-    # -- key helpers ---------------------------------------------------
+    # -- key spellings ---------------------------------------------------
     @staticmethod
     def obj_key(labels: tuple[int, ...]) -> str:
         return "fs[" + ",".join(str(i) for i in labels) + "]"
 
     @staticmethod
-    def obj_labels(key: str) -> tuple[int, ...]:
-        inner = key[3:-1]
-        if not inner:
-            return ()
-        return tuple(int(s) for s in inner.split(","))
-
-    @staticmethod
     def mor_key(src: str, dst: str, fn: tuple[int, ...]) -> str:
         return f"{src}=>{dst}:(" + ",".join(str(k) for k in fn) + ")"
 
-    def spell(self, src: str, dst: str, fn: tuple[int, ...]) -> str:
-        return self.mor_key(src, dst, fn)
+    def spell_obj(self, labels: tuple[int, ...]) -> str:
+        return self.obj_key(labels)
 
-    def parts(self, m: str) -> tuple[str, str, tuple[int, ...]]:
-        return self._mor_info.get(m) or self._parse(m)
+    def spell_mor(self, cell: tuple[str, str, tuple[int, ...]]) -> str:
+        return self.mor_key(*cell)
 
-    def _parse(self, m: str) -> tuple[str, str, tuple[int, ...]]:
-        """The cell of a key made outside the registry, which registers it.
+    @staticmethod
+    def parse_obj(key: str) -> tuple[int, ...]:
+        inner = key[3:-1]
+        return tuple(int(s) for s in inner.split(",")) if inner else ()
 
-        Only the canonical spelling of a cell is a key, so that equal cells
-        have equal keys; anything else raises ``ValueError``.
-        """
+    def parse_mor(self, m: str) -> tuple[str, str, tuple[int, ...]]:
         ends, inner = m.rsplit(":(", 1)
         src, dst = ends.split("=>", 1)
+        for end in (src, dst):
+            self.objs.cell(end)  # only a canonical object key is an endpoint
         inner = inner[:-1]
-        fn = tuple(int(s) for s in inner.split(",")) if inner else ()
-        if self.key_of(src, dst, fn) != m:
-            raise ValueError(f"not a morphism key: {m!r}")
-        return self._mor_info[m]
+        return src, dst, tuple(int(s) for s in inner.split(",")) if inner else ()
 
     # -- BoundedCategory interface --------------------------------------
     @property
     def terminal(self) -> str:
-        return self.obj_key(())
+        return self.objs.key(())
 
     def obj_size(self, a: str) -> int:
-        return len(self.obj_labels(a))
+        return len(self.objs.cell(a))
 
     def objects(self, bound: int) -> list[str]:
-        out = []
-        for n in range(bound + 1):
-            for labels in itertools.product(self.index, repeat=n):
-                out.append(self.obj_key(labels))
-        return out
+        key = self.objs.key
+        return [key(labels) for n in range(bound + 1)
+                for labels in itertools.product(self.index, repeat=n)]
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple[int, ...]]:
-        u = self.obj_labels(a)
+        u = self.objs.cell(a)
         # functions underlying(b) -> underlying(a) over I
         candidates_per_slot = []
-        for lb in self.obj_labels(b):
+        for lb in self.objs.cell(b):
             slots = tuple(k for k, la in enumerate(u) if la == lb)
             if not slots:
                 return ()
@@ -688,14 +708,15 @@ class FinSliceOpposite(RegistryCategory):
         return itertools.product(*candidates_per_slot)
 
     def identity(self, a: str) -> str:
-        return self.key_of(a, a, tuple(range(len(self.obj_labels(a)))))
+        return self.mors.key((a, a, tuple(range(len(self.objs.cell(a))))))
 
     def compose(self, g: str, f: str) -> str:
         # f : X -> Y, g : Y -> Z; underlying functions fb : Y* -> X*, gb : Z* -> Y*
-        info = self._mor_info
-        y, z, gb = info.get(g) or self._parse(g)
-        x, y_f, fb = info.get(f) or self._parse(f)
+        mors = self.mors
+        info = mors.cells
+        y, z, gb = info.get(g) or mors.cell(g)
+        x, y_f, fb = info.get(f) or mors.cell(f)
         if y != y_f:
             raise ValueError(f"not composable: {g} after {f}")
         cell = (x, z, tuple([fb[k] for k in gb]))
-        return self._keys.get(cell) or self.key_of(*cell)
+        return mors.keys.get(cell) or mors.key(cell)

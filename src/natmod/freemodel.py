@@ -11,9 +11,9 @@ morphism); existence is verified by the checkers in :mod:`natmod.natmodel`
 and uniqueness by bounded enumeration via :mod:`natmod.morphism`.
 
 Quotient identifications in the underlying categories of contexts are
-implemented as key normalization at construction time: every context is
-registered under the key of its normal form, so equality of contexts is
-equality of keys.
+implemented as normalization at construction time: a context is the cell of
+its normal form, named like every morphism by the category's registries
+(:class:`~natmod.fincat.RegistryCategory`), so equal contexts have equal keys.
 
 The four free extensions share one base, :class:`_WrappedModel`: a context
 morphism wraps a morphism of the inner model, its payload, and every one of
@@ -68,50 +68,37 @@ def _fresh_key(base_keys: list[str], stem: str) -> str:
 class _WrappedCategory(RegistryCategory):
     """Base class for categories of formally extended contexts.
 
-    Objects are registered normal forms over an underlying context of the
-    inner model; morphisms wrap morphisms of the inner category (possibly
-    with extra payload) and are named by the registry of
-    :class:`~natmod.fincat.RegistryCategory`, as ``src=>dst$payload``, so
-    endpoints are never parsed back out of keys and composing is one inner
-    composite and one lookup.
+    An object is a normal-form cell (Γ, ..., formal part) over a context Γ
+    of the inner model, and a morphism wraps a morphism of the inner
+    category (possibly with extra payload), spelled ``src=>dst$payload``;
+    the registries of :class:`~natmod.fincat.RegistryCategory` name both.
+    ``under``, the inner context an object lies over, and its size are
+    derived from its cell once.
     """
 
     def __init__(self, inner: NaturalModel):
         super().__init__()
         self.inner = inner
-        self._under: dict[str, str] = {}
-        self._obj_info: dict[str, tuple] = {}
-        self._obj_size: dict[str, int] = {}
         self.model: Optional[NaturalModel] = None  # set by the owning model
 
-    # object bookkeeping
-    def _register_obj(self, key: str, info: tuple, under: str, size: int) -> None:
-        self._obj_info[key] = info
-        self._under[key] = under
-        self._obj_size[key] = size
-
-    def obj_info(self, key: str) -> tuple:
-        return self._obj_info[key]
-
-    def under(self, key: str) -> str:
-        return self._under[key]
-
+    @memo
     def obj_size(self, key: str) -> int:
-        return self._obj_size[key]
+        return self.inner.base.obj_size(self.under(key))
 
-    def spell(self, src: str, dst: str, payload: tuple) -> str:
-        return f"{src}=>{dst}${payload!r}"
+    def spell_mor(self, cell: tuple) -> str:
+        return "%s=>%s$%r" % cell  # src=>dst$payload
 
     def identity(self, a: str) -> str:
-        return self.key_of(a, a, (self.inner.base.identity(self._under[a]),))
+        return self.mors.key((a, a, (self.inner.base.identity(self.under(a)),)))
 
     def compose(self, g: str, f: str) -> str:
         """Composite of morphisms whose payload is one inner morphism."""
-        y, z, (gs,) = self._mor_info[g]
-        x, y_f, (fs,) = self._mor_info[f]
+        cells = self.mors.cells
+        y, z, (gs,) = cells[g]
+        x, y_f, (fs,) = cells[f]
         if y != y_f:
             raise ValueError("not composable")
-        return self.key_of(x, z, (self.inner.base.compose(gs, fs),))
+        return self.mors.key((x, z, (self.inner.base.compose(gs, fs),)))
 
     def objects(self, bound: int) -> list[str]:
         """The contexts of size at most ``bound``, closed under extension.
@@ -213,7 +200,7 @@ class _WrappedModel(NaturalModel):
 
     def _parent_candidate(self, ctx: str) -> Optional[tuple[str, str]]:
         """The (parent, A) that ctx can only be the extension of, if any."""
-        info = self.base.obj_info(ctx)
+        info = self.base.objs.cell(ctx)
         cand = self._formal_parent(info)
         if cand is not None:
             return cand
@@ -246,9 +233,9 @@ def inclusion(ext: _WrappedModel) -> NMorphism:
     inner = ext.inner
 
     def root_mor(d, m: str) -> str:
-        return ext.base.key_of(
-            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), ext.i_payload(m)
-        )
+        return ext.base.mors.key((
+            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), ext.i_payload(m),
+        ))
 
     return ForcedImages(
         inner, ext, ext.i_obj, root_mor,
@@ -265,7 +252,7 @@ def _sharp(ext: _WrappedModel, f: NMorphism, root_mor, ty_map, tm_map) -> NMorph
     is the construction's own root morphisms and images."""
 
     def root_obj(ctx: str) -> str:
-        gamma = ext.base.obj_info(ctx)[0]
+        gamma = ext.base.objs.cell(ctx)[0]
         assert ctx == ext.i_obj(gamma), f"{ctx} is not a root context"
         return f.on_obj(gamma)
 
@@ -299,11 +286,10 @@ class TermModel(NaturalModel):
         return [self.ty_key(i) for i in self.index]
 
     def terms(self, ctx: str, bound: int) -> list[str]:
-        return [self.tm_key(k) for k in range(len(self.base.obj_labels(ctx)))]
+        return [self.tm_key(k) for k in range(len(self.base.objs.cell(ctx)))]
 
     def typeof(self, ctx: str, term: str) -> str:
-        labels = self.base.obj_labels(ctx)
-        return self.ty_key(labels[int(term[1:])])
+        return self.ty_key(self.base.objs.cell(ctx)[int(term[1:])])
 
     def subst_ty(self, sigma: str, ty: str) -> str:
         return ty
@@ -317,22 +303,21 @@ class TermModel(NaturalModel):
         return {a: self.tm_key(fn[int(a[1:])]) for a in tms}
 
     def ext(self, ctx: str, ty: str) -> ExtensionData:
-        labels = self.base.obj_labels(ctx)
-        j = int(ty[1:])
+        labels = self.base.objs.cell(ctx)
         n = len(labels)
-        extended = self.base.obj_key(labels + (j,))
-        proj = self.base.key_of(extended, ctx, tuple(range(n)))
+        extended = self.base.objs.key(labels + (int(ty[1:]),))
+        proj = self.base.mors.key((extended, ctx, tuple(range(n))))
         return ExtensionData(extended, proj, self.tm_key(n))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
-        src, gamma, fn = self.base.parts(sigma)
-        return self.base.key_of(src, self.ext(gamma, ty).extended, fn + (int(term[1:]),))
+        src, gamma, fn = self.base.mors.cell(sigma)
+        return self.base.mors.key((src, self.ext(gamma, ty).extended, fn + (int(term[1:]),)))
 
     def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
-        labels = self.base.obj_labels(ctx)
+        labels = self.base.objs.cell(ctx)
         if not labels:
             return None
-        return self.base.obj_key(labels[:-1]), self.ty_key(labels[-1])
+        return self.base.objs.key(labels[:-1]), self.ty_key(labels[-1])
 
 
 def term_model(index) -> TermModel:
@@ -421,21 +406,33 @@ class _ExtTermCategory(_WrappedCategory):
     def __init__(self, inner: NaturalModel, o_ty: str):
         super().__init__(inner)
         self.o_ty = o_ty
-        # key -> the structure map under(key) -> ⋄•O over which hom sets live
-        self._anchor: dict[str, str] = {}
         # extension key -> (iso, inverse) under(key) -> under(parent)•A, where
         # normal-form collapse changed the underlying context
         self._align: dict[str, tuple[str, str]] = {}
 
-    def obj_key_for(self, gamma: str, tys: tuple[str, ...]) -> str:
+    def spell_obj(self, cell: tuple[str, tuple[str, ...]]) -> str:
+        gamma, tys = cell
         return f"xt({gamma}|{';'.join(tys)})"
 
-    def register(self, gamma: str, tys: tuple[str, ...], under: str, anchor: str) -> str:
-        key = self.obj_key_for(gamma, tys)
-        if key not in self._obj_info:
-            self._anchor[key] = anchor
-            self._register_obj(key, (gamma, tys), under, self.inner.base.obj_size(under))
-        return key
+    @memo
+    def under(self, key: str) -> str:
+        """Γ•O•A₁•…•Aₙ for the context (Γ; A₁, …, Aₙ)."""
+        gamma, tys = self.objs.cell(key)
+        ctx = self.model._o_ext(gamma).extended  # type: ignore[union-attr]
+        for ty in tys:
+            ctx = self.inner.ext(ctx, ty).extended
+        return ctx
+
+    @memo
+    def anchor(self, key: str) -> str:
+        """The structure map under(key) -> ⋄•O over which hom sets live."""
+        gamma, tys = self.objs.cell(key)
+        inner = self.inner
+        if not tys:
+            return canonical_pullback(inner, inner.t(gamma), self.o_ty)
+        parent = self.objs.key((gamma, tys[:-1]))
+        e = inner.ext(self.under(parent), tys[-1])
+        return inner.base.compose(self.anchor(parent), e.proj)
 
     def align(self, key: str, gamma: str, a_prime: str) -> str:
         """The swap Γ•A'•O -> Γ•O•A'[p_O] recorded, with its inverse, for the
@@ -453,8 +450,9 @@ class _ExtTermCategory(_WrappedCategory):
         return self._align[key][0]
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
-        for s in self.inner.base.hom(self._under[a], self._under[b]):
-            if self.inner.base.compose(self._anchor[b], s) == self._anchor[a]:
+        anchor_a, anchor_b = self.anchor(a), self.anchor(b)
+        for s in self.inner.base.hom(self.under(a), self.under(b)):
+            if self.inner.base.compose(anchor_b, s) == anchor_a:
                 yield (s,)
 
     def _seeds(self, bound: int) -> list[str]:
@@ -487,12 +485,8 @@ class ExtTermModel(_WrappedModel):
         o_at = self.inner.subst_ty(self.inner.t(gamma), self.o_ty)
         return self.inner.ext(gamma, o_at)
 
-    @memo
     def i_obj(self, gamma: str) -> str:
-        return self.base.register(
-            gamma, (), self._o_ext(gamma).extended,
-            canonical_pullback(self.inner, self.inner.t(gamma), self.o_ty),
-        )
+        return self.base.objs.key((gamma, ()))
 
     def i_ty(self, gamma: str, ty: str) -> str:
         return self.inner.subst_ty(self._o_ext(gamma).proj, ty)
@@ -526,7 +520,7 @@ class ExtTermModel(_WrappedModel):
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
-        gamma, tys = cat.obj_info(ctx)
+        gamma, tys = cat.objs.cell(ctx)
         inner = self.inner
         e_in = inner.ext(cat.under(ctx), ty)
         if not tys:
@@ -541,13 +535,10 @@ class ExtTermModel(_WrappedModel):
                 a_prime = preimages[0]
                 new_key = self.i_obj(inner.ext(gamma, a_prime).extended)
                 sw = cat.align(new_key, gamma, a_prime)
-                proj = cat.key_of(new_key, ctx, (inner.base.compose(e_in.proj, sw),))
+                proj = cat.mors.key((new_key, ctx, (inner.base.compose(e_in.proj, sw),)))
                 return ExtensionData(new_key, proj, inner.subst_tm(sw, e_in.var))
-        new_key = cat.register(
-            gamma, tys + (ty,), e_in.extended,
-            inner.base.compose(cat._anchor[ctx], e_in.proj),
-        )
-        return ExtensionData(new_key, cat.key_of(new_key, ctx, (e_in.proj,)), e_in.var)
+        new_key = cat.objs.key((gamma, tys + (ty,)))
+        return ExtensionData(new_key, cat.mors.key((new_key, ctx, (e_in.proj,))), e_in.var)
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         gamma_ctx = self.base.cod(sigma)
@@ -557,11 +548,11 @@ class ExtTermModel(_WrappedModel):
         align = self.base._align.get(e.extended)
         if align is not None:
             tau = self.inner.base.compose(align[1], tau)
-        return self.base.key_of(self.base.dom(sigma), e.extended, (tau,))
+        return self.base.mors.key((self.base.dom(sigma), e.extended, (tau,)))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, tys = info
-        return (self.base.obj_key_for(gamma, tys[:-1]), tys[-1]) if tys else None
+        return (self.base.objs.key((gamma, tys[:-1])), tys[-1]) if tys else None
 
 
 def extend_by_term(inner: NaturalModel, o_ty: str) -> ExtTermModel:
@@ -611,7 +602,7 @@ def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorp
 
     def root_mor(d, m: str) -> str:
         # the codomain is a root (Γ₀;): F(p_O) retracts the section
-        gamma_b, _ = ext.base.obj_info(ext.base.cod(m))
+        gamma_b, _ = ext.base.objs.cell(ext.base.cod(m))
         (s,) = ext.base.mor_payload(m)
         retract = f.on_mor(ext._o_ext(gamma_b).proj)
         return target.base.compose(
@@ -653,15 +644,12 @@ class _InterleavedCategory(_WrappedCategory):
     basic-type case), and an empty tally otherwise (the unit case).
     """
 
-    def __init__(self, inner: NaturalModel):
-        super().__init__(inner)
-        self._count: dict[str, int] = {}
-
     @property
     def with_tally(self) -> bool:
         return self.model.new_terms_are_slots  # type: ignore[union-attr]
 
-    def obj_key_for(self, gamma: str, ks: tuple[int, ...], tys: tuple[str, ...]) -> str:
+    def spell_obj(self, cell: tuple[str, tuple[int, ...], tuple[str, ...]]) -> str:
+        gamma, ks, tys = cell
         body = ",".join(
             x for pair in itertools.zip_longest(map(str, ks), tys, fillvalue=None)
             for x in pair if x is not None
@@ -674,40 +662,44 @@ class _InterleavedCategory(_WrappedCategory):
             gamma = self.inner.ext(gamma, tys[0]).extended
             tys = tys[1:]
             ks = ks[1:]
-        key = self.obj_key_for(gamma, ks, tys)
-        if key not in self._obj_info:
-            under = gamma
-            for t in tys:
-                under = self.inner.ext(under, t).extended
-            self._count[key] = sum(ks)
-            self._register_obj(
-                key, (gamma, ks, tys), under, self.inner.base.obj_size(under) + sum(ks)
-            )
-        return key
+        return self.objs.key((gamma, ks, tys))
 
-    def count(self, key: str) -> int:
-        return self._count[key]
+    @memo
+    def under(self, key: str) -> str:
+        """Γ•A₁•…•Aₙ for the context (Γ, k₀, A₁, k₁, …, Aₙ, kₙ)."""
+        gamma, _, tys = self.objs.cell(key)
+        for ty in tys:
+            gamma = self.inner.ext(gamma, ty).extended
+        return gamma
+
+    def count(self, key: str) -> int:  # the number of formal slots
+        return sum(self.objs.cell(key)[1])
+
+    @memo
+    def obj_size(self, key: str) -> int:
+        return self.inner.base.obj_size(self.under(key)) + self.count(key)
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
-        inner_homs = self.inner.base.hom(self._under[a], self._under[b])
+        inner_homs = self.inner.base.hom(self.under(a), self.under(b))
         if not self.with_tally:
             return [(s, ()) for s in inner_homs]
         # kb == 0 yields exactly the empty tally; ka == 0 < kb yields none
-        tallies = list(itertools.product(range(self._count[a]), repeat=self._count[b]))
+        tallies = list(itertools.product(range(self.count(a)), repeat=self.count(b)))
         return [(s, tally) for s in inner_homs for tally in tallies]
 
     def identity(self, a: str) -> str:
-        ident = self.inner.base.identity(self._under[a])
-        tally = tuple(range(self._count[a])) if self.with_tally else ()
-        return self.key_of(a, a, (ident, tally))
+        ident = self.inner.base.identity(self.under(a))
+        tally = tuple(range(self.count(a))) if self.with_tally else ()
+        return self.mors.key((a, a, (ident, tally)))
 
     def compose(self, g: str, f: str) -> str:
-        y, z, (gs, gt) = self._mor_info[g]
-        x, y_f, (fs, ft) = self._mor_info[f]
+        cells = self.mors.cells
+        y, z, (gs, gt) = cells[g]
+        x, y_f, (fs, ft) = cells[f]
         if y != y_f:
             raise ValueError("not composable")
         tally = tuple(ft[j] for j in gt) if self.with_tally else ()
-        return self.key_of(x, z, (self.inner.base.compose(gs, fs), tally))
+        return self.mors.key((x, z, (self.inner.base.compose(gs, fs), tally)))
 
 
 class _InterleavedModel(_WrappedModel):
@@ -759,20 +751,20 @@ class _InterleavedModel(_WrappedModel):
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
-        gamma, ks, tys = cat.obj_info(ctx)
+        gamma, ks, tys = cat.objs.cell(ctx)
         inner = self.inner
         under = cat.under(ctx)
         k = cat.count(ctx)
         if ty == self.new_ty:
             new_key = cat.register(gamma, ks[:-1] + (ks[-1] + 1,), tys)
             tally = tuple(range(k)) if self.new_terms_are_slots else ()
-            proj = cat.key_of(new_key, ctx, (inner.base.identity(under), tally))
+            proj = cat.mors.key((new_key, ctx, (inner.base.identity(under), tally)))
             var = self.slot_term(k) if self.new_terms_are_slots else self._star
             return ExtensionData(new_key, proj, var)
         e_in = inner.ext(under, ty)
         new_key = cat.register(gamma, ks + (0,), tys + (ty,))
         tally = tuple(range(k)) if self.new_terms_are_slots else ()
-        proj = cat.key_of(new_key, ctx, (e_in.proj, tally))
+        proj = cat.mors.key((new_key, ctx, (e_in.proj, tally)))
         return ExtensionData(new_key, proj, e_in.var)
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
@@ -782,11 +774,11 @@ class _InterleavedModel(_WrappedModel):
         e = self.ext(gamma_ctx, ty)
         if ty == self.new_ty:
             if not self.new_terms_are_slots:
-                return cat.key_of(cat.dom(sigma), e.extended, (s, ()))
+                return cat.mors.key((cat.dom(sigma), e.extended, (s, ())))
             j = self._slot_index(term)
-            return cat.key_of(cat.dom(sigma), e.extended, (s, tally + (j,)))
+            return cat.mors.key((cat.dom(sigma), e.extended, (s, tally + (j,))))
         tau = induced_sub(self.inner, s, term, ty)
-        return cat.key_of(cat.dom(sigma), e.extended, (tau, tally))
+        return cat.mors.key((cat.dom(sigma), e.extended, (tau, tally)))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, ks, tys = info
@@ -1102,23 +1094,26 @@ def tree_indsub(m: NaturalModel, sigma: str, tm: TermTree, ty: TypeTree) -> str:
 class _TreeCategory(_WrappedCategory):
     """Contexts formally extended by lists of type trees."""
 
-    def obj_key_for(self, gamma: str, trees: tuple[TypeTree, ...]) -> str:
+    def spell_obj(self, cell: tuple[str, tuple[TypeTree, ...]]) -> str:
+        gamma, trees = cell
         return f"tr({gamma}|{';'.join(t.key for t in trees)})"
 
     def register(self, gamma: str, trees: tuple[TypeTree, ...]) -> str:
         while trees and trees[0].is_leaf:
             gamma = self.inner.ext(gamma, trees[0].leaf).extended
             trees = trees[1:]
-        key = self.obj_key_for(gamma, trees)
-        if key not in self._obj_info:
-            under = gamma
-            for t in trees:
-                under = tree_ext(self.inner, under, t)[0]
-            self._register_obj(key, (gamma, trees), under, self.inner.base.obj_size(under))
-        return key
+        return self.objs.key((gamma, trees))
+
+    @memo
+    def under(self, key: str) -> str:
+        """Γ•T₁•…•Tₙ for the context (Γ; T₁, …, Tₙ) of type trees."""
+        gamma, trees = self.objs.cell(key)
+        for tree in trees:
+            gamma = tree_ext(self.inner, gamma, tree)[0]
+        return gamma
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
-        return [(s,) for s in self.inner.base.hom(self._under[a], self._under[b])]
+        return [(s,) for s in self.inner.base.hom(self.under(a), self.under(b))]
 
 
 class SigmaExtModel(_WrappedModel):
@@ -1214,17 +1209,17 @@ class SigmaExtModel(_WrappedModel):
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
-        gamma, trees = cat.obj_info(ctx)
+        gamma, trees = cat.objs.cell(ctx)
         tree = self.ty_tree(ty)
         new_key = cat.register(gamma, trees + (tree,))
         _, proj, var = tree_ext(self.inner, cat.under(ctx), tree)
-        return ExtensionData(new_key, cat.key_of(new_key, ctx, (proj,)), self.reg_tm(var))
+        return ExtensionData(new_key, cat.mors.key((new_key, ctx, (proj,))), self.reg_tm(var))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         (s,) = self.base.mor_payload(sigma)
         e = self.ext(self.base.cod(sigma), ty)
         tau = tree_indsub(self.inner, s, self.tm_tree(term), self.ty_tree(ty))
-        return self.base.key_of(self.base.dom(sigma), e.extended, (tau,))
+        return self.base.mors.key((self.base.dom(sigma), e.extended, (tau,)))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, trees = info

@@ -359,12 +359,12 @@ def check_sigma_morphism(fm: NMorphism, bound: int) -> bool:
         fg = fm.on_obj(g)
         images = {}  # (A|B) -> (F A, F B)
         for key in comp.types(g, bound):
-            ty_a, ty_b = comp._ty_parts(key)
+            ty_a, ty_b = comp.tys.cell(key)
             f_a, f_b = images[key] = fm.on_ty(g, ty_a), fm.on_ty(src.ext(g, ty_a).extended, ty_b)
             if fm.on_ty(g, s_src.sigma(g, ty_a, ty_b)) != s_dst.sigma(fg, f_a, f_b):
                 return False
         for quad in comp.terms(g, bound):
-            ty_a, ty_b, a, b = comp._tm_parts(quad)
+            ty_a, ty_b, a, b = comp.tms.cell(quad)
             lhs = fm.on_tm(g, s_src.pair(g, ty_a, ty_b, a, b))
             rhs = s_dst.pair(fg, *images[comp.typeof(g, quad)], fm.on_tm(g, a), fm.on_tm(g, b))
             if lhs != rhs:

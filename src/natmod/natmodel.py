@@ -11,7 +11,8 @@ the latter to the presheaf oracle.
 
 Σ- and Π-types are squares over the polynomial composite p·p
 (:class:`CompositeModel`, the one enumeration of the pairs (A, B) and
-quadruples (A, B, a, b)): Σ is a cartesian map p·p ⇒ p and Π a cartesian
+quadruples (A, B, a, b), each named by a :class:`~natmod.fincat.Registry`
+like every generated cell): Σ is a cartesian map p·p ⇒ p and Π a cartesian
 map P_p(p) ⇒ p, after Awodey's natural models.  The former Σ̂ or Π̂ and the
 introduction map pair̂ or λ̂ are natural transformations whose laws are
 equations (i), (ii) and (iv) of the structure.  A Σ structure is formation,
@@ -28,7 +29,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
-from .fincat import BoundedCategory, FinCatPresentation, category_violations, memo, truncate
+from .fincat import BoundedCategory, FinCatPresentation, Registry, category_violations, memo, truncate
 from .presheaf import (
     NatTrans,
     Presheaf,
@@ -415,44 +416,28 @@ def extension_square_oracle(
 # (A, B, a, b) quadruples
 # ---------------------------------------------------------------------------
 
+def _tuple_key(parts: tuple[str, ...]) -> str:
+    """The key ``(x|y|…)`` of a tuple of keys.  A ``\\`` or ``|`` inside a
+    part is escaped by a ``\\``, so distinct tuples have distinct keys."""
+    return "(" + "|".join(x.replace("\\", "\\\\").replace("|", "\\|") for x in parts) + ")"
+
+
 class CompositeModel(NaturalModel):
     """The polynomial composite (ℂ, q·p) of two models over one base category.
 
     Types are pairs (A, B) with A a type of the outer model and B a type of
     the inner model over the outer extension; terms are the matching
-    quadruples.  Extension composes the two chosen extensions.
+    quadruples.  Both are named by a :class:`~natmod.fincat.Registry`,
+    ``tys`` and ``tms``, which spells each as :func:`_tuple_key`.  Extension
+    composes the two chosen extensions.
     """
 
     def __init__(self, inner_p: NaturalModel, outer_q: NaturalModel):
         self.p = inner_p
         self.q = outer_q
         self.base = inner_p.base
-        self._ty_reg: dict[str, tuple[str, str]] = {}
-        self._tm_reg: dict[str, tuple[str, str, str, str]] = {}
-
-    @staticmethod
-    def ty_key(a: str, b: str) -> str:
-        return f"({a}|{b})"
-
-    @staticmethod
-    def tm_key(a: str, b: str, x: str, y: str) -> str:
-        return f"({a}|{b}|{x}|{y})"
-
-    def _ty_parts(self, key: str) -> tuple[str, str]:
-        return self._ty_reg[key]
-
-    def _tm_parts(self, key: str) -> tuple[str, str, str, str]:
-        return self._tm_reg[key]
-
-    def _reg_ty(self, a: str, b: str) -> str:
-        key = self.ty_key(a, b)
-        self._ty_reg.setdefault(key, (a, b))
-        return key
-
-    def _reg_tm(self, a: str, b: str, x: str, y: str) -> str:
-        key = self.tm_key(a, b, x, y)
-        self._tm_reg.setdefault(key, (a, b, x, y))
-        return key
+        self.tys = Registry(_tuple_key)  # the pairs (A, B)
+        self.tms = Registry(_tuple_key)  # the quadruples (A, B, a, b)
 
     def types(self, ctx: str, bound: int) -> list[str]:
         out = []
@@ -460,60 +445,57 @@ class CompositeModel(NaturalModel):
             za = self.q.ty_size(ctx, a)
             mid = self.q.ext(ctx, a).extended
             for b in self.p.types(mid, bound - za):
-                out.append(self._reg_ty(a, b))
+                out.append(self.tys.key((a, b)))
         return out
 
     def terms(self, ctx: str, bound: int) -> list[str]:
         out = []
         for key in self.types(ctx, bound):
-            a, b = self._ty_parts(key)
+            a, b = self.tys.cell(key)
             for x in self.q.terms_of(ctx, a, bound):
                 s_x = section(self.q, ctx, x)
                 b_at = self.p.subst_ty(s_x, b)
                 for y in self.p.terms_of(ctx, b_at, bound):
-                    out.append(self._reg_tm(a, b, x, y))
+                    out.append(self.tms.key((a, b, x, y)))
         return out
 
     def typeof(self, ctx: str, term: str) -> str:
-        a, b, _, _ = self._tm_parts(term)
-        return self._reg_ty(a, b)
+        return self.tys.key(self.tms.cell(term)[:2])
 
     def ty_size(self, ctx: str, ty: str) -> int:
-        a, b = self._ty_parts(ty)
+        a, b = self.tys.cell(ty)
         mid = self.q.ext(ctx, a).extended
         return self.q.ty_size(ctx, a) + self.p.ty_size(mid, b)
 
     def subst_ty(self, sigma: str, ty: str) -> str:
-        a, b = self._ty_parts(ty)
+        a, b = self.tys.cell(ty)
         sigma_ext = canonical_pullback(self.q, sigma, a)
-        return self._reg_ty(self.q.subst_ty(sigma, a), self.p.subst_ty(sigma_ext, b))
+        return self.tys.key((self.q.subst_ty(sigma, a), self.p.subst_ty(sigma_ext, b)))
 
     def subst_tm(self, sigma: str, term: str) -> str:
-        a, b, x, y = self._tm_parts(term)
+        a, b, x, y = self.tms.cell(term)
         sigma_ext = canonical_pullback(self.q, sigma, a)
-        return self._reg_tm(
+        return self.tms.key((
             self.q.subst_ty(sigma, a),
             self.p.subst_ty(sigma_ext, b),
             self.q.subst_tm(sigma, x),
             self.p.subst_tm(sigma, y),
-        )
+        ))
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
-        a, b = self._ty_parts(ty)
+        a, b = self.tys.cell(ty)
         e_q = self.q.ext(ctx, a)
         e_p = self.p.ext(e_q.extended, b)
         proj = self.base.compose(e_q.proj, e_p.proj)
         a_wk = self.q.subst_ty(proj, a)
         b_wk = self.p.subst_ty(canonical_pullback(self.q, proj, a), b)
         x_wk = self.q.subst_tm(e_p.proj, e_q.var)
-        return ExtensionData(
-            e_p.extended, proj, self._reg_tm(a_wk, b_wk, x_wk, e_p.var)
-        )
+        return ExtensionData(e_p.extended, proj, self.tms.key((a_wk, b_wk, x_wk, e_p.var)))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
-        a, b = self._ty_parts(ty)
-        _, _, x, y = self._tm_parts(term)
+        a, b = self.tys.cell(ty)
+        _, _, x, y = self.tms.cell(term)
         tau1 = induced_sub(self.q, sigma, x, a)
         return induced_sub(self.p, tau1, y, b)
 
@@ -693,8 +675,8 @@ def sigma_square(model: NaturalModel, s: SigmaStructure, bound: int) -> FormerSq
     ps, pp = model_presheaves(model, bound, bound), model_presheaves(comp, bound, bound)
     return FormerSquare(
         ps.p,
-        _StructureMap(pp.ty, ps.ty, comp._ty_reg, s.sigma, "Σ({},{})"),
-        _StructureMap(pp.tm, ps.tm, comp._tm_reg, s.pair, "pair({2},{3})"),
+        _StructureMap(pp.ty, ps.ty, comp.tys.cells, s.sigma, "Σ({},{})"),
+        _StructureMap(pp.tm, ps.tm, comp.tms.cells, s.pair, "pair({2},{3})"),
         pp.p,
     )
 
@@ -702,37 +684,35 @@ def sigma_square(model: NaturalModel, s: SigmaStructure, bound: int) -> FormerSq
 def pi_square(model: NaturalModel, s: PiStructure, bound: int) -> FormerSquare:
     """Π̂ : P_p(p) ⇒ p; E is P_p(Tm), the bodies (A, b) with b a term over Γ•A.
 
-    A body is keyed (A|B|b), B being the type of b; (A, b)[σ] = (A[σ], b[σ•A])
-    and the leg sends (A, b) to (A, B).
+    A body is the cell (A, B, b) of a :class:`~natmod.fincat.Registry`, keyed
+    (A|B|b), B being the type of b; (A, b)[σ] = (A[σ], b[σ•A]) and the leg
+    sends (A, b) to (A, B).
     """
     comp = CompositeModel(model, model)
     ps, pp = model_presheaves(model, bound, bound), model_presheaves(comp, bound, bound)
     cat = ps.cat
-    parts: dict[str, tuple[str, ...]] = {}  # (A|B|b) -> (A, B, b)
+    reg = Registry(_tuple_key)
     bodies: dict[str, list[str]] = {g: [] for g in cat.object_keys}
     for g in cat.object_keys:
         for ty_a in ps.ty.at(g):
             over = model.ext(g, ty_a).extended
             for b in model.terms(over, bound - model.ty_size(g, ty_a)):
-                body = ty_a, model.typeof(over, b), b
-                key = "(" + "|".join(body) + ")"
-                parts[key] = body
-                bodies[g].append(key)
+                bodies[g].append(reg.key((ty_a, model.typeof(over, b), b)))
 
     def restrict(m: str, key: str) -> str:
-        ty_a, ty_b, b = parts[key]
+        ty_a, ty_b, b = reg.cells[key]
         m_a = canonical_pullback(model, m, ty_a)
-        return f"({model.subst_ty(m, ty_a)}|{model.subst_ty(m_a, ty_b)}|{model.subst_tm(m_a, b)})"
+        return reg.key((model.subst_ty(m, ty_a), model.subst_ty(m_a, ty_b), model.subst_tm(m_a, b)))
 
     body_ps = Presheaf(cat, bodies, {
         m: {k: restrict(m, k) for k in bodies[cat.cod(m)]} for m in cat.all_morphisms()
     })
     return FormerSquare(
         ps.p,
-        _StructureMap(pp.ty, ps.ty, comp._ty_reg, s.pi, "Π({},{})"),
-        _StructureMap(body_ps, ps.tm, parts, s.lam, "λ({2})"),
+        _StructureMap(pp.ty, ps.ty, comp.tys.cells, s.pi, "Π({},{})"),
+        _StructureMap(body_ps, ps.tm, reg.cells, s.lam, "λ({2})"),
         NatTrans(body_ps, pp.ty, {
-            g: {k: comp.ty_key(*parts[k][:2]) for k in bodies[g]} for g in cat.object_keys
+            g: {k: comp.tys.key(reg.cells[k][:2]) for k in bodies[g]} for g in cat.object_keys
         }),
     )
 

@@ -369,10 +369,10 @@ def reference_term_inclusion(ext):
 
     def root_mor(d, m: str) -> str:
         o_at = inner.subst_ty(inner.t(inner.base.cod(m)), ext.o_ty)
-        return ext.base.key_of(
+        return ext.base.mors.key((
             d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)),
             (canonical_pullback(inner, m, o_at),),
-        )
+        ))
 
     return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
@@ -392,9 +392,9 @@ def reference_interleaved_inclusion(ext):
         return tm
 
     def root_mor(d, m: str) -> str:
-        return cat.key_of(
-            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m, ())
-        )
+        return cat.mors.key((
+            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m, ()),
+        ))
 
     return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 
@@ -413,9 +413,9 @@ def reference_sigma_inclusion(ext):
         return ext.reg_tm(TermTree(leaf=tm))
 
     def root_mor(d, m: str) -> str:
-        return ext.base.key_of(
-            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m,)
-        )
+        return ext.base.mors.key((
+            d.on_obj(inner.base.dom(m)), d.on_obj(inner.base.cod(m)), (m,),
+        ))
 
     return ForcedImages(inner, ext, root_obj, root_mor, ty_map, tm_map).morphism("I")
 

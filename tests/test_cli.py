@@ -249,6 +249,33 @@ class TestPolyCommand:
         assert rc == 0
         assert "bound=2" in out
 
+    def test_env_var_zero_is_bound_zero(self, monkeypatch, capsys):
+        monkeypatch.setenv("NATMOD_BOUND", "0")
+        assert main(["poly", "pseudomonad"]) == 0
+        assert "bound=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["abc", "-4", "", "1.5"])
+    def test_a_bad_env_var_bound_is_a_parse_error(self, monkeypatch, value, capsys):
+        monkeypatch.setenv("NATMOD_BOUND", value)
+        assert main(["poly", "pseudomonad"]) == 2
+        assert capsys.readouterr().err == \
+            f"parse error: NATMOD_BOUND must be a non-negative integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["extend"], "poly extend takes 1 polynomial file, got 0"),
+        (["extend", "P", "P"], "poly extend takes 1 polynomial file, got 2"),
+        (["compose", "P"], "poly compose takes 2 polynomial files, got 1"),
+        (["compose", "P", "P", "P"], "poly compose takes 2 polynomial files, got 3"),
+        (["verify-bc", "P"], "poly verify-bc takes 0 polynomial files, got 1"),
+        (["verify-dist", "P"], "poly verify-dist takes 0 polynomial files, got 1"),
+        (["pseudomonad", "P"], "poly pseudomonad takes 0 polynomial files, got 1"),
+        (["extend", "P", "--family", "-1"], "--family sizes must be non-negative, got -1"),
+    ])
+    def test_wrong_file_arguments_are_parse_errors(self, poly_file, argv, message, capsys):
+        rc = main(["poly"] + [str(poly_file) if a == "P" else a for a in argv])
+        assert rc == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):

@@ -129,7 +129,7 @@ class TestPullback:
         got = pullback(cat, f, g)
         assert got is not None
         apex, _, _ = got
-        assert sorted(gen.obj_labels(apex)) == [0, 1]
+        assert sorted(gen.objs.cell(apex)) == [0, 1]
 
     def test_is_pullback_square_rejects_non_pullbacks(self):
         c = diamond_lattice()
@@ -194,7 +194,7 @@ class TestProduct:
         got = product(cat, one, two)
         assert got is not None
         apex, _, _ = got
-        assert len(gen.obj_labels(apex)) == 3
+        assert len(gen.objs.cell(apex)) == 3
 
     def test_product_in_lattice_is_meet(self):
         c = diamond_lattice()
@@ -701,9 +701,9 @@ class TestMorphismRegistry:
         # every extension of a bound-2 context lands in the bound-3 truncation
         assert {m for m, _ in handed} == set(trunc.all_morphisms())
         for m, ends in handed:
-            assert cat.parts(m) == slice_parts(m), m
-            assert cat.mor_key(*cat.parts(m)) == m
-            assert cat.parts(m)[:2] == ends
+            assert cat.mors.cell(m) == slice_parts(m), m
+            assert cat.mor_key(*cat.mors.cell(m)) == m
+            assert cat.mors.cell(m)[:2] == ends
 
     def test_a_key_made_outside_composes_before_its_hom_set_is_listed(self):
         cat = FinSliceOpposite((0, 1))
@@ -718,9 +718,12 @@ class TestMorphismRegistry:
     def test_only_the_canonical_spelling_is_a_key(self):
         cat = FinSliceOpposite((0, 1))
         f = cat.mor_key(cat.obj_key((1, 0, 0)), cat.obj_key((0, 1)), (1, 0))
-        for bad in (f.replace(",0)", ", 0)"), f.replace("=>", "->"), "junk"):
+        for bad in (f.replace(",0)", ", 0)"), f.replace("=>", "->"), "junk",
+                    f.replace("fs[0,1]", "fs[0, 1]")):
             with pytest.raises(ValueError):
                 cat.compose(cat.identity(cat.obj_key((0, 1))), bad)
+            with pytest.raises(ValueError):
+                cat.dom(bad)
 
     @pytest.mark.parametrize("listed", [True, False], ids=["registered", "parsed"])
     def test_a_non_composable_pair_raises_the_same_error(self, listed):
@@ -742,11 +745,13 @@ class TestMorphismRegistry:
         trunc = truncate(one.base, 2)
         for g, f in _composable_pairs(trunc):
             one.base.compose(g, f)
-        dicts = [{id(v) for v in vars(m.base).values() if isinstance(v, dict)} for m in (one, two)]
-        assert {"_mor_info", "_keys"} <= set(vars(two.base))
-        assert not dicts[0] & dicts[1]
-        assert len(one.base._keys) == len(trunc.all_morphisms())
-        assert two.base._keys == {} and two.base._mor_info == {}
+        dicts = [{id(d) for reg in (m.base.objs, m.base.mors) for d in (reg.keys, reg.cells)}
+                 for m in (one, two)]
+        assert len(dicts[0]) == len(dicts[1]) == 4 and not dicts[0] & dicts[1]
+        assert len(one.base.mors.keys) == len(trunc.all_morphisms())
+        assert len(one.base.objs.keys) == len(trunc.object_keys)
+        assert two.base.mors.keys == {} and two.base.mors.cells == {}
+        assert two.base.objs.keys == {} and two.base.objs.cells == {}
 
 
 @st.composite
@@ -778,7 +783,7 @@ class TestComposeAgainstTheReference:
         want = reference_slice_compose(g, f)
         assert cat.compose(g, f) == want
         assert cat.compose(g, f) == want
-        assert cat.parts(want) == slice_parts(want)
+        assert cat.mors.cell(want) == slice_parts(want)
 
     def test_every_composable_pair_of_the_bound_3_truncation(self):
         gen = FinSliceOpposite((0, 1))
@@ -807,30 +812,92 @@ class TestEachMorphismIsSpelledOnce:
             spelled.clear()
         for g, f in pairs:
             cat.compose(g, f)
-        assert len(spelled) == len(set(spelled)) == len(cat._keys) == 389
+        assert len(spelled) == len(set(spelled)) == len(cat.mors.keys) == 389
         spelled.clear()
         for g, f in pairs:
             cat.compose(g, f)
         assert spelled == []
 
 
+class TestEachObjectIsSpelledOnce:
+    def test_listing_the_truncation_and_composing_every_pair(self, monkeypatch):
+        obj_key, parse_obj = FinSliceOpposite.obj_key, FinSliceOpposite.parse_obj
+        spelled, parsed = [], []
+
+        def counting(labels):
+            spelled.append(labels)
+            return obj_key(labels)
+
+        def counting_parse(key):
+            parsed.append(key)
+            return parse_obj(key)
+
+        monkeypatch.setattr(FinSliceOpposite, "obj_key", staticmethod(counting))
+        monkeypatch.setattr(FinSliceOpposite, "parse_obj", staticmethod(counting_parse))
+        cat = FinSliceOpposite((0, 1))
+        for n_spelled in (15, 0):  # the second pass spells nothing
+            spelled.clear()
+            trunc = truncate(cat, 3)
+            for g, f in _composable_pairs(trunc):
+                cat.compose(g, f)
+            assert len(spelled) == len(set(spelled)) == n_spelled
+        assert len(cat.objs.keys) == len(trunc.object_keys) == 15
+        assert parsed == []  # no key the registry handed out is parsed
+
+    def test_a_key_made_outside_is_registered_on_first_use(self):
+        cat = FinSliceOpposite((0, 1))
+        assert "fs[0,1]" not in cat.objs.cells
+        assert cat.obj_size("fs[0,1]") == 2
+        assert cat.objs.cells["fs[0,1]"] == (0, 1) and cat.objs.keys[(0, 1)] == "fs[0,1]"
+        assert cat.hom("fs[0,1]", "fs[1]") == ["fs[0,1]=>fs[1]:(1)"]
+        assert "fs[0,1]" in cat.objects(2)
+
+    @pytest.mark.parametrize("bad", ["fs[0, 1]", "fs[01]", "xs[0,1]", "fs[0,1", "fs[a]", ""])
+    def test_only_the_canonical_spelling_is_an_object_key(self, bad):
+        cat = FinSliceOpposite((0, 1))
+        with pytest.raises(ValueError):
+            cat.obj_size(bad)
+        with pytest.raises(ValueError):
+            cat.identity(bad)
+        assert bad not in cat.objs.cells
+
+
 _SRC = Path(__file__).resolve().parent.parent / "src" / "natmod"
 
 
+# The instance dicts outside the registry class.  None names a cell by a
+# key spelled from it: the ranks of a file's objects, the images a morphism
+# has derived, the rival search's context indices and projections, and the
+# alignment isomorphisms of collapsed contexts.  The Σ model's tree tables
+# map the key a tree carries to the tree, and stay as they are.
+_OTHER_DICTS = {
+    ("modelio.py", "TableCategory", "ranks"), ("modelio.py", "TableModel", "ranks"),
+    ("morphism.py", "ForcedImages", "obj"), ("morphism.py", "ForcedImages", "mor"),
+    ("morphism.py", "_Search", "idx"), ("morphism.py", "_Search", "proj"),
+    ("freemodel.py", "_ExtTermCategory", "_align"),
+    ("freemodel.py", "SigmaExtModel", "_ty_trees"), ("freemodel.py", "SigmaExtModel", "_tm_trees"),
+}
+
+
 def _registry_assignments_and_memoized_composes(sources: dict[str, str]):
-    """The classes that assign ``_mor_info`` or ``_keys``, and every
-    ``compose`` decorated with ``memo``, in the given module sources."""
+    """Each (module, class, attribute) that a class sets to a dict, and
+    every ``compose`` decorated with ``memo``, in the given module sources."""
     assigning, memoized = set(), []
     for name, text in sources.items():
         for cls in ast.walk(ast.parse(text)):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in ast.walk(cls):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
-                if any(isinstance(t, ast.Attribute) and t.attr in ("_mor_info", "_keys")
-                       for t in targets):
-                    assigning.add((name, cls.name))
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign):
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                        isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"):
+                    assigning.update((name, cls.name, t.attr) for t in targets
+                                     if isinstance(t, ast.Attribute))
         for fn in ast.walk(ast.parse(text)):
             if isinstance(fn, ast.FunctionDef) and fn.name == "compose" and any(
                     getattr(d, "id", getattr(d, "attr", None)) == "memo"
@@ -841,10 +908,20 @@ def _registry_assignments_and_memoized_composes(sources: dict[str, str]):
 
 class TestOneMorphismRegistry:
     def test_one_class_owns_the_registry_and_no_compose_is_memoized(self):
+        """Only the registry class writes key↔cell dicts."""
         sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
         assigning, memoized = _registry_assignments_and_memoized_composes(sources)
-        assert assigning == {("fincat.py", "RegistryCategory")}
+        assert assigning == {("fincat.py", "Registry", "keys"),
+                             ("fincat.py", "Registry", "cells")} | _OTHER_DICTS
         assert memoized == []
+
+    def test_the_guard_sees_a_naming_dict_put_back(self):
+        text = (_SRC / "natmodel.py").read_text(encoding="utf-8")
+        line = "        self.tms = Registry(_tuple_key)  # the quadruples (A, B, a, b)\n"
+        mutant = text.replace(line, line + "        self._ty_reg: dict[str, tuple[str, str]] = {}\n")
+        assert mutant != text
+        assert ("natmodel.py", "CompositeModel", "_ty_reg") in \
+            _registry_assignments_and_memoized_composes({"natmodel.py": mutant})[0]
 
     def test_the_guard_sees_a_memo_put_back(self):
         text = (_SRC / "fincat.py").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from natmod.freemodel import (
     CompositeModel,
     ExtTermModel,
     _InterleavedCategory,
+    _TreeCategory,
     _WrappedCategory,
     TypeTree,
     extend_by_sigma,
@@ -44,6 +46,7 @@ from natmod.morphism import (
     count_morphisms,
     identity_morphism,
 )
+from natmod.modelio import parse_model
 from natmod.natmodel import (
     check_eat,
     check_sigma,
@@ -74,13 +77,13 @@ class TestTermModel:
         assert len(m.base.objects(3)) == 4
         for g in m.base.objects(3):
             assert m.types(g, 3) == ["T0"]
-            assert len(m.terms(g, 3)) == len(m.base.obj_labels(g))
+            assert len(m.terms(g, 3)) == len(m.base.objs.cell(g))
 
     def test_extension_data_appends_a_fresh_labelled_element(self):
         m = term_model(range(2))
         g = m.base.obj_key((0, 1))
         e = m.ext(g, "T1")
-        assert m.base.obj_labels(e.extended) == (0, 1, 1)
+        assert m.base.objs.cell(e.extended) == (0, 1, 1)
         # the projection is the left inclusion
         assert m.base.mor_payload(e.proj) == (0, 1)
         assert e.var == "x2"
@@ -193,7 +196,7 @@ class TestExtendByTerm:
         assert e.extended == "xt(set1|fam(0, 1))"
         assert ext.ext_parent(e.extended) == (root, "fam(0, 1)")
         assert ext.base.mor_payload(e.proj) == ("set1=>set2:(1,)",)
-        assert ext.base._anchor[e.extended] == "set1=>set2:(1,)"
+        assert ext.base.anchor(e.extended) == "set1=>set2:(1,)"
         e2 = ext.ext(e.extended, "fam(0,)")
         assert ext.ext_parent(e2.extended) == (e.extended, "fam(0,)")
         assert ext.ext(root, "fam(1, 1)").extended == root
@@ -429,7 +432,7 @@ class TestSigmaSplit:
         seen = 0
         for g in m.base.objects(bound):
             for key in comp.types(g, bound):
-                ty_a, ty_b = comp._ty_parts(key)
+                ty_a, ty_b = comp.tys.cell(key)
                 for t in m.terms_of(g, s.sigma(g, ty_a, ty_b), bound):
                     assert s.split(g, ty_a, ty_b, t) == sigma_split(m, s, g, ty_a, ty_b, t, bound)
                     seen += 1
@@ -465,7 +468,7 @@ class TestPolyCompositeModels:
         g = m.base.obj_key(())
         ty = comp.types(g, 2)[0]
         e = comp.ext(g, ty)
-        a, b = comp._ty_parts(ty)
+        a, b = comp.tys.cell(ty)
         e_q = m.ext(g, a)
         e_p = m.ext(e_q.extended, b)
         assert e.extended == e_p.extended
@@ -477,10 +480,10 @@ class TestPolyCompositeModels:
         g = m.base.obj_key(())
         ty = comp.types(g, 2)[0]
         e = comp.ext(g, ty)
-        a, b = comp._ty_parts(ty)
+        a, b = comp.tys.cell(ty)
         e_q = m.ext(g, a)
         e_p = m.ext(e_q.extended, b)
-        a2, b2, x2, y2 = comp._tm_parts(e.var)
+        a2, b2, x2, y2 = comp.tms.cell(e.var)
         assert x2 == m.subst_tm(e_p.proj, e_q.var)
         assert y2 == e_p.var
         assert a2 == m.subst_ty(e.proj, a)
@@ -492,7 +495,32 @@ class TestPolyCompositeModels:
         ty = first.types(m.base.obj_key(()), 2)[0]
         second = CompositeModel(m, m)
         with pytest.raises(KeyError):
-            second._ty_parts(ty)
+            second.tys.cell(ty)
+
+    def test_pairs_whose_parts_contain_the_separator_have_distinct_keys(self):
+        # one object; each type extends it to itself by the identity and has
+        # one term.  Spelled without escapes, (a|b, c) and (a, b|c) would
+        # share the key (a|b|c).
+        tys = ["a|b", "c", "a", "b|c", "\\", "\\|"]
+        tms = [f"t{i}" for i in range(len(tys))]
+        m = parse_model(json.dumps({
+            "objects": ["*"], "terminal": "*", "identities": {"*": "id"},
+            "homs": [{"src": "*", "dst": "*", "mors": ["id"]}],
+            "compose": [{"g": "id", "f": "id", "gf": "id"}],
+            "ty": {"*": tys}, "tm": {"*": tms},
+            "typeof": [{"ctx": "*", "term": t, "type": a} for t, a in zip(tms, tys)],
+            "subst_ty": [{"mor": "id", "type": a, "out": a} for a in tys],
+            "subst_tm": [{"mor": "id", "term": t, "out": t} for t in tms],
+            "ext": [{"ctx": "*", "type": a, "extended": "*", "proj": "id", "var": t}
+                    for t, a in zip(tms, tys)],
+        }))
+        comp = CompositeModel(m, m)
+        pairs, quads = comp.types("*", 2), comp.terms("*", 2)
+        assert len(set(pairs)) == len(pairs) == 36 and len(set(quads)) == len(quads) == 36
+        assert [comp.tys.cell(k) for k in pairs] == list(itertools.product(tys, tys))
+        assert pairs[tys.index("c")] == "(a\\|b|c)"
+        assert pairs[len(tys) * tys.index("a") + tys.index("b|c")] == "(a|b\\|c)"
+        assert check_eat(comp, 1).ok
 
 
 def _reference_composite(cat, g: str, f: str) -> str:
@@ -580,7 +608,7 @@ _FREEMODEL = Path(__file__).resolve().parent.parent / "src" / "natmod" / "freemo
 
 class TestOneWrappedModelBase:
     hooks = {"subst_ty", "subst_tm", "subst_ty_row", "subst_tm_row", "ext_parent"}
-    registries = {"_under", "_anchor", "_obj_info", "_align"}
+    registries = {"objs", "mors", "keys", "cells", "_align"}
     mutators = {"setdefault", "update", "pop", "popitem", "clear"}
 
     def test_substitution_and_ext_parent_are_defined_once_on_the_base(self):
@@ -680,7 +708,53 @@ class TestOneInclusion:
     def test_the_presheaves_register_as_many_contexts_and_morphisms(self, make, bound, sizes):
         ext = make()
         model_presheaves(ext, bound, bound)
-        assert (len(ext.base._obj_info), len(ext.base._mor_info)) == sizes
+        assert (len(ext.base.objs.cells), len(ext.base.mors.cells)) == sizes
+
+
+_SPELLING_CASES = [
+    ("type", lambda: extend_by_type(term_model(range(2))), _InterleavedCategory),
+    ("unit", lambda: extend_by_unit(term_model(range(2))), _InterleavedCategory),
+    ("sigma", lambda: extend_by_sigma(term_model(range(1))), _TreeCategory),
+]
+
+
+class TestOneObjectRegistry:
+    @pytest.mark.parametrize("make,cls", [c[1:] for c in _SPELLING_CASES],
+                             ids=[c[0] for c in _SPELLING_CASES])
+    def test_the_presheaves_spell_each_object_key_once(self, make, cls, monkeypatch):
+        spelled = []
+        for owner in (cls, FinSliceOpposite):
+            def counting(cat, cell, spell=owner.spell_obj):
+                spelled.append((id(cat), spell(cat, cell)))
+                return spelled[-1][1]
+
+            monkeypatch.setattr(owner, "spell_obj", counting)
+        ext = make()
+        model_presheaves(ext, 3, 3)
+        cats = (ext.base, ext.inner.base)
+        assert sorted(spelled) == sorted((id(c), k) for c in cats for k in c.objs.cells)
+        spelled.clear()
+        model_presheaves(ext, 3, 3)
+        assert spelled == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: extend_by_term(term_model(range(1)), "T0"),
+        lambda: extend_by_type(term_model(range(1))),
+        lambda: extend_by_unit(term_model(range(1))),
+        lambda: extend_by_sigma(term_model(range(1))),
+        lambda: CompositeModel(term_model(range(1)), term_model(range(1))),
+    ], ids=["term", "type", "unit", "sigma", "composite"])
+    def test_fresh_instances_share_no_registry(self, make):
+        def registries(m):
+            regs = [m.base.objs, m.base.mors]
+            regs += [getattr(m, r) for r in ("tys", "tms") if hasattr(m, r)]
+            return {id(d) for reg in regs for d in (reg.keys, reg.cells)}
+
+        first, second = make(), make()
+        check_eat(first, 2)
+        assert registries(first) and not registries(first) & registries(second)
+        assert set(second.base.objs.cells) <= {second.terminal}
+        assert len(first.base.objs.cells) > 1
 
 
 def _memo_tables(model) -> list[dict]:

@@ -369,7 +369,7 @@ class TestPiChecker:
             comp = CompositeModel(model, model)
             for g in model.base.objects(bound):
                 for key in comp.types(g, bound):
-                    ty_a, ty_b = comp._ty_parts(key)
+                    ty_a, ty_b = comp.tys.cell(key)
                     for f in model.terms_of(g, s.pi(g, ty_a, ty_b), bound):
                         for a in model.terms_of(g, ty_a, bound):
                             assert s.app(g, ty_a, ty_b, f, a) == pi_apply(
@@ -567,13 +567,13 @@ class TestMorphismChecker:
         m = term_model(range(1))
 
         def tweak(ctx):
-            labels = m.base.obj_labels(ctx)
+            labels = m.base.objs.cell(ctx)
             return m.base.obj_key(tuple(reversed(labels)))
 
         def tweak_mor(mor):
             src, dst = m.base.dom(mor), m.base.cod(mor)
             fn = m.base.mor_payload(mor)
-            n_src, n_dst = len(m.base.obj_labels(src)), len(m.base.obj_labels(dst))
+            n_src, n_dst = len(m.base.objs.cell(src)), len(m.base.objs.cell(dst))
             new_fn = tuple(
                 (n_src - 1 - fn[n_dst - 1 - k]) for k in range(n_dst)
             )
@@ -584,7 +584,7 @@ class TestMorphismChecker:
             on_obj=tweak,
             on_mor=tweak_mor,
             on_ty=lambda g, t: t,
-            on_tm=lambda g, t: f"x{len(m.base.obj_labels(g)) - 1 - int(t[1:])}",
+            on_tm=lambda g, t: f"x{len(m.base.objs.cell(g)) - 1 - int(t[1:])}",
             name="reverse",
         )
         rep = check_morphism(fm, 2, strict=False)

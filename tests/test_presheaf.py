@@ -68,7 +68,7 @@ class TestYoneda:
         c = gen.obj_key((0, 0))
         y = yoneda(base, c)
         for d in base.object_keys:
-            assert len(y.at(d)) == len(gen.obj_labels(d)) ** 2
+            assert len(y.at(d)) == len(gen.objs.cell(d)) ** 2
 
     def test_yoneda_faithfulness_at_desk_scale(self):
         base = truncate(FinSliceOpposite({0}), 3)
@@ -339,7 +339,7 @@ class TestTermModelClassifier:
         rep = is_representable(ps.p)
         assert "verified up to" in rep.bound_note
         for entry in rep.entries:
-            size = len(m.base.obj_labels(entry.obj))
+            size = len(m.base.objs.cell(entry.obj))
             e = m.ext(entry.obj, entry.element)
             if size < 2:
                 assert entry.found
