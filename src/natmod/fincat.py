@@ -8,13 +8,19 @@ objects up to a size bound and produce full finite hom sets on demand;
 :class:`FinCatPresentation`.  Every generated cell is named through one
 mechanism, :class:`Registry`, which spells a key only for a cell it has never
 seen and reads each key back as its cell; a :class:`RegistryCategory` holds
-one for its objects and one for its morphisms.  :func:`category_violations`
-checks the category laws, deciding associativity on the middles of a
-generating set and listing every composable triple only when that fails.
-The functor laws are checked in one place, :func:`functor_violations`, over
-the scope its caller passes: a whole presentation for
-:meth:`FinFunctor.check`, and for a morphism of natural models a truncation
-or one step of the rival search.
+one for its objects and one for its morphisms.  Composites are read a row
+at a time where a caller needs many after one g:
+:meth:`BoundedCategory.compose_row` gives g∘f over a list of fs, which a
+table, a truncation and each generated category serve in one pass.
+:func:`category_violations` checks the category laws, deciding
+associativity on the middles of a generating set and listing every
+composable triple only when that fails.  For a lawful category it returns
+that generating set, along which the presheaf layer then checks the laws
+closed under composition: functoriality of a presheaf and naturality of a
+map between functorial presheaves.  The functor laws are checked in one
+place, :func:`functor_violations`, over the scope its caller passes: a whole
+presentation for :meth:`FinFunctor.check`, and for a morphism of natural
+models a truncation or one step of the rival search.
 """
 
 from __future__ import annotations
@@ -89,6 +95,11 @@ class BoundedCategory(ABC):
     def compose(self, g: str, f: str) -> str:
         """Composite g after f; requires cod(f) == dom(g)."""
 
+    def compose_row(self, g: str, fs: list[str]) -> list[str]:
+        """[g∘f for f in fs], one row of composites after g.  A non-composable
+        f raises the error ``compose`` raises on it."""
+        return [self.compose(g, f) for f in fs]
+
     def obj_size(self, a: str) -> int:
         """The size of an object, as used by ``objects(bound)``."""
         return 0
@@ -119,7 +130,9 @@ class FinCatPresentation(BoundedCategory):
     ``homs`` maps (src, dst) pairs to morphism key lists; ``compose_table``
     maps (g, f) to the composite g∘f for every composable pair.  A lazy
     ``compose_rule`` may be supplied instead of a full table; composites are
-    then computed on demand and cached.
+    then computed on demand and cached.  A ``row_rule`` computes a row of
+    them at once, as :meth:`compose_row` does; without it a row's missing
+    entries are composed one at a time.
     """
 
     object_keys: list[str]
@@ -128,6 +141,7 @@ class FinCatPresentation(BoundedCategory):
     identities: dict[str, str]
     terminal_key: Optional[str] = None
     compose_rule: Optional[Callable[[str, str], str]] = None
+    row_rule: Optional[Callable[[str, list[str]], list[str]]] = None
     _dom: dict[str, str] = field(default_factory=dict, repr=False)
     _cod: dict[str, str] = field(default_factory=dict, repr=False)
 
@@ -165,6 +179,26 @@ class FinCatPresentation(BoundedCategory):
             self.compose_table[key] = out
             return out
         raise KeyError(f"no composite for ({g}, {f})")
+
+    def compose_row(self, g: str, fs: list[str]) -> list[str]:
+        """The row after g read from the table; the entries it lacks are
+        made by ``row_rule``, else one at a time by :meth:`compose`, and
+        cached."""
+        table = self.compose_table
+        row = list(map(table.get, zip(itertools.repeat(g), fs)))
+        lacking = row.count(None)
+        if not lacking:
+            return row
+        missing = fs if lacking == len(row) else [f for f, gf in zip(fs, row) if gf is None]
+        if self.row_rule is None:
+            made = [self.compose(g, f) for f in missing]
+        else:
+            made = self.row_rule(g, missing)
+            table.update(zip(zip(itertools.repeat(g), missing), made))
+        if missing is fs:
+            return made
+        it = iter(made)
+        return [next(it) if gf is None else gf for gf in row]
 
     def all_morphisms(self) -> list[str]:
         out = []
@@ -207,7 +241,9 @@ def _generating_set(ends: dict[str, tuple[str, str]], post: dict[str, dict[str, 
     return gens
 
 
-def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tuple[str, str]]:
+def category_violations(
+    c: BoundedCategory, objects: list[str]
+) -> Generator[tuple[str, str], None, Optional[list[str]]]:
     """The category laws on the full subcategory of ``objects``, by enumeration.
 
     Yields (law, witness) pairs.  The laws are ``dom-id``/``cod-id`` (id_a
@@ -215,9 +251,13 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
     hom(dom f, cod g)), ``unit-right``, ``unit-left``, ``associativity``,
     ``hom-sets`` (hom sets are disjoint) and ``terminal`` (exactly one map
     into the distinguished terminal object).  Each composable pair is
-    composed once, into the rows ``post[g] = {f: g∘f}``; a composite that is
-    missing or lies outside hom(dom f, cod g) is absent from its row and
-    reads as None.
+    composed once, a row ``post[g] = {f: g∘f}`` at a time by
+    :meth:`BoundedCategory.compose_row`, and the endpoints of a row's
+    composites are compared as a whole.  Only when a row differs or lacks a
+    composite are the pairs walked f by f to name the ill-typed ones; a row
+    with a missing composite, or every row when the hom sets overlap, is
+    then composed pair by pair.  A composite that is missing or lies
+    outside hom(dom f, cod g) is absent from its row and reads as None.
 
     Associativity is compared one middle g at a time: for each h after g,
     the row of h∘(g∘f) over the fs into dom g is compared with the row of
@@ -236,7 +276,27 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
     a generator unless it is a composite.  When the composites are not all
     well typed, or a middle in S has a differing row, every middle is walked
     as above, so the witnesses are those of the per-triple definition.
+
+    When nothing was yielded, the generator returns S, the generating set
+    of a lawful category, and otherwise None.  Every law closed under
+    composition then needs checking on S only: :meth:`Presheaf.violations
+    <natmod.presheaf.Presheaf.violations>` reads it for functoriality and
+    :meth:`NatTrans.violations <natmod.presheaf.NatTrans.violations>` for
+    naturality, as ``check_eat`` passes it.
     """
+    gens: list[str] = []
+    lawful = True
+    for witness in _category_laws(c, objects, gens):
+        lawful = False
+        yield witness
+    return gens if lawful else None
+
+
+def _category_laws(
+    c: BoundedCategory, objects: list[str], gens: list[str]
+) -> Iterator[tuple[str, str]]:
+    """The body of :func:`category_violations`; the generating set it
+    decides associativity on is put into ``gens``."""
     well_typed = True
     ends: dict[str, tuple[str, str]] = {}
     by_src: dict[str, list[str]] = {a: [] for a in objects}
@@ -263,23 +323,45 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
             law = "cod-id" if where and where[0] == a else "dom-id"
             yield law, f"identity of {a!r} is not in hom({a},{a})"
 
+    # rows need by_dst to list exactly the fs into each object, which holds
+    # when the hom sets are disjoint
     post: dict[str, dict[str, str]] = {g: {} for g in ends}
-    for f, (fs, ft) in ends.items():
-        for g in by_src[ft]:
-            gt = ends[g][1]
+    rows_typed = well_typed
+    if well_typed:
+        dom_of = {m: a for m, (a, _) in ends.items()}
+        cod_of = {m: b for m, (_, b) in ends.items()}
+        srcs_into = {b: list(map(dom_of.get, fs)) for b, fs in by_dst.items()}
+        for g, (gs, gt) in ends.items():
             try:
-                gf = c.compose(g, f)
+                gfs = c.compose_row(g, by_dst[gs])
             except KeyError:
-                well_typed = False
-                yield "dom-comp", f"no composite recorded for ({g}, {f})"
+                rows_typed = False
                 continue
-            where = ends.get(gf)
-            if where != (fs, gt):
-                well_typed = False
-                law = "cod-comp" if where and where[0] == fs else "dom-comp"
-                yield law, f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})"
-                continue
-            post[g][f] = gf
+            post[g] = dict(zip(by_dst[gs], gfs))
+            if (list(map(dom_of.get, gfs)) != srcs_into[gs]
+                    or not set(map(cod_of.get, gfs)) <= {gt}):
+                rows_typed = False
+    if not rows_typed:
+        for f, (fs, ft) in ends.items():
+            for g in by_src[ft]:
+                gt = ends[g][1]
+                row = post[g]
+                gf = row.get(f)
+                if gf is None:
+                    try:
+                        gf = c.compose(g, f)
+                    except KeyError:
+                        well_typed = False
+                        yield "dom-comp", f"no composite recorded for ({g}, {f})"
+                        continue
+                where = ends.get(gf)
+                if where != (fs, gt):
+                    well_typed = False
+                    row.pop(f, None)
+                    law = "cod-comp" if where and where[0] == fs else "dom-comp"
+                    yield law, f"composite {g} ∘ {f} = {gf!r} missing from hom({fs},{gt})"
+                    continue
+                row[f] = gf
 
     empty: dict[str, str] = {}
     for m, (src, dst) in ends.items():
@@ -301,7 +383,9 @@ def category_violations(c: BoundedCategory, objects: list[str]) -> Iterator[tupl
                 yield h, [f for f, gf in zip(fs, gfs) if h_row.get(gf) != hg_row.get(f)]
 
     # next(...) is a differing row or None: any() stops at the first
-    if not well_typed or any(next(differing_rows(g), None) for g in _generating_set(ends, post)):
+    if well_typed:
+        gens.extend(_generating_set(ends, post))
+    if not well_typed or any(next(differing_rows(g), None) for g in gens):
         for g in ends:
             for h, fs in differing_rows(g):
                 for f in fs:
@@ -421,6 +505,7 @@ def truncate(cat: BoundedCategory, bound: int) -> FinCatPresentation:
         identities=identities,
         terminal_key=term,
         compose_rule=rule,
+        row_rule=cat.compose_row,
     )
 
 
@@ -549,6 +634,13 @@ def product(c: FinCatPresentation, x: str, y: str) -> Optional[tuple[str, str, s
                 ) for q in c.object_keys):
                     return (apex, p1, p2)
     return None
+
+
+def join_escaped(sep: str, parts: Iterable[str]) -> str:
+    """The parts joined by the one-character ``sep``, with each ``\\`` and
+    ``sep`` inside a part escaped by a ``\\``, so distinct non-empty lists of
+    parts join to distinct strings.  A part with neither is written as it is."""
+    return sep.join(x.replace("\\", "\\\\").replace(sep, "\\" + sep) for x in parts)
 
 
 class Registry:
@@ -720,3 +812,19 @@ class FinSliceOpposite(RegistryCategory):
             raise ValueError(f"not composable: {g} after {f}")
         cell = (x, z, tuple([fb[k] for k in gb]))
         return mors.keys.get(cell) or mors.key(cell)
+
+    def compose_row(self, g: str, fs: list[str]) -> list[str]:
+        """The row after g, reading g's cell once."""
+        mors = self.mors
+        info, keys = mors.cells, mors.keys
+        y, z, gb = info.get(g) or mors.cell(g)
+        # the composite's function picks its values out of f's function by gb
+        pick = operator.itemgetter(*gb) if len(gb) > 1 else lambda fb: tuple(fb[k] for k in gb)
+        out = []
+        for f in fs:
+            x, y_f, fb = info.get(f) or mors.cell(f)
+            if y != y_f:
+                raise ValueError(f"not composable: {g} after {f}")
+            cell = (x, z, pick(fb))
+            out.append(keys.get(cell) or mors.key(cell))
+        return out

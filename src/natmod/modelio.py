@@ -406,13 +406,17 @@ def _model_doc(model: NaturalModel, bound: int, ty_bound: int) -> dict:
     cat = ps.cat
     objects = cat.object_keys
     homs = [{"src": a, "dst": b, "mors": ms} for (a, b), ms in cat.homs.items()]
-    # the morphisms out of each object, by codomain in object order, which
-    # is the order the truncation lists its hom sets in
+    # the morphisms out of and into each object, in the order the truncation
+    # lists its hom sets in; the composites after each g are one row
     out_of: dict[str, list[str]] = {a: [] for a in objects}
-    for (a, _), ms in cat.homs.items():
+    into: dict[str, list[str]] = {a: [] for a in objects}
+    for (a, b), ms in cat.homs.items():
         out_of[a].extend(ms)
+        into[b].extend(ms)
+    post = {g: dict(zip(into[a], cat.compose_row(g, into[a])))
+            for a, gs in out_of.items() for g in gs}
     compose = [
-        {"g": g, "f": f, "gf": cat.compose(g, f)}
+        {"g": g, "f": f, "gf": post[g][f]}
         for (_, b), fs in cat.homs.items() for f in fs for g in out_of[b]
     ]
     typeof = [

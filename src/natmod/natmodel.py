@@ -27,9 +27,17 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Generator, Iterator, Mapping, NamedTuple, Optional
 
-from .fincat import BoundedCategory, FinCatPresentation, Registry, category_violations, memo, truncate
+from .fincat import (
+    BoundedCategory,
+    FinCatPresentation,
+    Registry,
+    category_violations,
+    join_escaped,
+    memo,
+    truncate,
+)
 from .presheaf import (
     NatTrans,
     Presheaf,
@@ -213,17 +221,32 @@ TM_EQUATIONS = {"identity": "xiv", "composition": "xv", "closure": "xvi"}
 TYPING_EQUATIONS = {"component": "xvii", "naturality": "xviii"}
 
 
+def _report_laws(report: EatReport, equations: dict[str, str],
+                 violations: Generator[tuple[str, str], None, object]) -> object:
+    """Add a layer checker's (law, witness) pairs to ``report``, each under
+    its equation; returns what the checker returns."""
+    while True:
+        try:
+            law, msg = next(violations)
+        except StopIteration as stop:
+            return stop.value
+        report.add(equations.get(law, law), msg)
+
+
 def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> EatReport:
     """Check the twenty-seven equations on every in-bound instantiation.
 
     Equations (i)-(xviii) are the laws of the category, of the presheaves
     Ty and Tm and of p : Tm -> Ty, checked by the layer checkers on the
-    model's materialization, whose base truncation composes each pair once
-    for all of them; (xix)-(xxvii), the representability data, are
-    checked here.  Partial operations are checked only on their domains of
-    definition.  Violations are keyed by equation number "i".."xxvii",
-    except that a morphism lying in two hom sets of the base is keyed
-    "hom-sets", which names no single equation.
+    model's materialization.  The category check composes each pair once,
+    a row at a time, and returns a generating set when the category is
+    lawful; functoriality of Ty and Tm is then checked along it, and
+    naturality of p too when Ty and Tm are functorial.
+    (xix)-(xxvii), the representability data, are checked here.  Partial
+    operations are checked only on their domains of definition.  Violations
+    are keyed by equation number "i".."xxvii", except that a morphism lying
+    in two hom sets of the base is keyed "hom-sets", which names no single
+    equation.
     """
     if ty_bound is None:
         ty_bound = bound
@@ -231,17 +254,19 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
     report = EatReport(bound)
     ps = model_presheaves(model, bound, ty_bound)
     ctxs = ps.cat.object_keys
-    # the truncation has no terminal object when the base's lies outside it
-    # (a boundary object of a file); maps into it are then counted on the base
-    cat = ps.cat if ps.cat.terminal == base.terminal else base
-    for equations, violations in (
-        (CATEGORY_EQUATIONS, category_violations(cat, ctxs)),
-        (TY_EQUATIONS, ps.ty.violations()),
-        (TM_EQUATIONS, ps.tm.violations()),
-        (TYPING_EQUATIONS, ps.p.violations()),
-    ):
-        for law, msg in violations:
-            report.add(equations.get(law, law), msg)
+    # the category laws are checked on the base over the truncation's
+    # objects: its terminal object counts maps into it where the truncation
+    # has none (a boundary object of a file), and the truncation keeps only
+    # the composites the presheaf checks read, not every one the laws make.
+    # The laws closed under composition are then checked along the
+    # generators of a lawful category, naturality only over functorial Ty
+    # and Tm.
+    gens = _report_laws(report, CATEGORY_EQUATIONS, category_violations(base, ctxs))
+    _report_laws(report, TY_EQUATIONS, ps.ty.violations(gens))
+    _report_laws(report, TM_EQUATIONS, ps.tm.violations(gens))
+    functorial = report.violations.keys().isdisjoint(
+        [*TY_EQUATIONS.values(), *TM_EQUATIONS.values()])
+    _report_laws(report, TYPING_EQUATIONS, ps.p.violations(gens if functorial else None))
 
     ctx_set = set(ctxs)
     mors = [(m, a, b) for (a, b), ms in ps.cat.homs.items() for m in ms]
@@ -417,9 +442,10 @@ def extension_square_oracle(
 # ---------------------------------------------------------------------------
 
 def _tuple_key(parts: tuple[str, ...]) -> str:
-    """The key ``(x|y|…)`` of a tuple of keys.  A ``\\`` or ``|`` inside a
-    part is escaped by a ``\\``, so distinct tuples have distinct keys."""
-    return "(" + "|".join(x.replace("\\", "\\\\").replace("|", "\\|") for x in parts) + ")"
+    """The key ``(x|y|…)`` of a tuple of keys, joined by
+    :func:`~natmod.fincat.join_escaped`, so distinct tuples have distinct
+    keys."""
+    return "(" + join_escaped("|", parts) + ")"
 
 
 class CompositeModel(NaturalModel):

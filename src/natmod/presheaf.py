@@ -6,6 +6,28 @@ contravariant action to every morphism.  The central operation is
 square of natural transformations is a pullback.  It and the pullback
 checks in a base category and in finite sets apply one finite-set test,
 :func:`natmod.fincat.is_set_pullback`.
+
+Functoriality and naturality are checked along the generators of the base
+when its laws are known to hold: the morphisms along which each law holds
+are closed under composition, so a set that generates every morphism
+proves it everywhere.  Write x[f] for the action of f on x and α for a
+natural transformation.
+
+* Functoriality along f is x[f∘g] = x[f][g] for every g into dom f and every
+  x in P(cod f).  If it holds along f₁ and f₂, every x[m] lies in P(dom m)
+  and composition is associative, then
+
+      x[(f₁∘f₂)∘g] = x[f₁][f₂∘g] = x[f₁][f₂][g] = x[f₁∘f₂][g].
+
+* Naturality along f is α(x[f]) = α(x)[f] for every x in P(cod f).  If it
+  holds along f₁ and f₂, both presheaves are functorial and α maps each
+  P(c) into Q(c), then
+
+      α(x[f₁∘f₂]) = α(x[f₁][f₂]) = α(x[f₁])[f₂] = α(x)[f₁][f₂] = α(x)[f₁∘f₂].
+
+:func:`~natmod.fincat.category_violations` returns such a set for a lawful
+base, and ``check_eat`` passes it to Ty and Tm, and to p once Ty and Tm are
+functorial.  Every other caller walks every morphism.
 """
 
 from __future__ import annotations
@@ -41,15 +63,23 @@ class Presheaf:
         absent.  It may be a read-only mapping the model shares."""
         return self.action.get(m, {})
 
-    def violations(self) -> Iterator[tuple[str, str]]:
+    def violations(self, gens: Optional[list[str]] = None) -> Iterator[tuple[str, str]]:
         """Functoriality by enumeration, as (law, witness) pairs.
 
         The laws are ``identity`` (x[id] = x), ``closure`` (x[m] lies in
         P(dom m)) and ``composition`` (x[f][g] = x[f∘g]).  A missing cell
-        reads as None.  Every composable pair is checked on every element,
-        one row at a time: per pair, the row of x[f][g] over P(cod f) is
-        compared with the row of x[f∘g], and only rows that differ are
-        walked to name their elements.
+        reads as None.  Identity and closure are checked on every cell.
+        Composition is checked one f at a time: the composites f∘g over the
+        gs into dom f are one row of the base, and per g the row of x[f][g]
+        over P(cod f) is compared with the row of x[f∘g], and only rows
+        that differ are walked to name their elements.
+
+        ``gens`` is a generating set of a lawful base, as
+        :func:`~natmod.fincat.category_violations` returns it.  When it is
+        given and closure held, composition is checked with f in ``gens``
+        only, which suffices by the closure argument of the module
+        docstring; if a generator's row differs, every f is walked, so the
+        witnesses are those of the check over every f.
         """
         base = self.base
         at = {obj: set(self.at(obj)) for obj in base.object_keys}
@@ -61,6 +91,7 @@ class Presheaf:
         mors = base.all_morphisms()
         rows = {m: self.row(m) for m in mors}
         into: dict[str, list[str]] = {obj: [] for obj in base.object_keys}
+        closed = True
         for m in mors:
             src, dst = base.dom(m), base.cod(m)
             into[dst].append(m)
@@ -68,20 +99,29 @@ class Presheaf:
             for x in self.at(dst):
                 image = row.get(x)
                 if image is None:
+                    closed = False
                     yield "closure", f"no action of {m!r} on {x!r}"
                 elif image not in at[src]:
+                    closed = False
                     yield "closure", f"action of {m!r} does not send {x!r} into P({src})"
-        for f in mors:
+
+        def differing(f: str) -> Iterator[str]:
+            """The witness of each (g, x) with x[f][g] != x[f∘g]."""
             xs = self.at(base.cod(f))
             x_f = list(map(rows[f].get, xs))
-            for g in into[base.dom(f)]:
-                fg = base.compose(f, g)
+            gs = into[base.dom(f)]
+            for g, fg in zip(gs, base.compose_row(f, gs)):
                 x_f_g = list(map(rows[g].get, x_f))
                 x_fg = list(map((rows[fg] if fg in rows else self.row(fg)).get, xs))
                 if x_f_g != x_fg:
                     for x, lhs, rhs in zip(xs, x_f_g, x_fg):
                         if lhs != rhs:
-                            yield "composition", f"x[f][g] != x[f∘g] for f={f}, g={g}, x={x}"
+                            yield f"x[f][g] != x[f∘g] for f={f}, g={g}, x={x}"
+
+        if gens is None or not closed or any(next(differing(f), None) for f in gens):
+            for f in mors:
+                for msg in differing(f):
+                    yield "composition", msg
 
     def check(self) -> list[str]:
         """Functoriality violations, by enumeration; empty list means ok."""
@@ -113,31 +153,51 @@ class NatTrans:
         """The element x as a witness names it."""
         return repr(x)
 
-    def violations(self) -> Iterator[tuple[str, str]]:
+    def violations(self, gens: Optional[list[str]] = None) -> Iterator[tuple[str, str]]:
         """Naturality by enumeration, as (law, witness) pairs.
 
         The laws are ``component`` (each component maps into the codomain)
         and ``naturality`` (the naturality square commutes).
+
+        ``gens`` is a generating set of a lawful base, as
+        :func:`~natmod.fincat.category_violations` returns it, over which
+        both presheaves are functorial.  When it is given and every
+        component maps into the codomain, naturality is checked along the
+        morphisms of ``gens`` only, which suffices by the closure argument
+        of the module docstring; if it fails along a generator, every
+        morphism is walked, so the witnesses are those of the check along
+        every morphism.
         """
         base = self.dom.base
+        mapped = True
         for obj in base.object_keys:
             comp = self.components.get(obj)
             if comp is None:
+                mapped = False
                 yield "component", f"no component at {obj!r}"
                 continue
             cod = set(self.cod.at(obj))
             for x in self.dom.at(obj):
                 if comp.get(x) not in cod:
+                    mapped = False
                     yield "component", (
                         f"component at {obj!r} does not send {self.describe(x)} into codomain"
                     )
-        for m in base.all_morphisms():
+
+        def failing(m: str) -> Iterator[str]:
+            """The witness of each x on which the square along m fails."""
             src, dst = base.dom(m), base.cod(m)
             for x in self.dom.at(dst):
                 lhs = _try(self.cod.restrict, m, _try(self.apply, dst, x))
                 rhs = _try(self.apply, src, _try(self.dom.restrict, m, x))
                 if lhs is None or lhs != rhs:
-                    yield "naturality", f"naturality fails for {m!r} on {self.describe(x)}"
+                    yield f"naturality fails for {m!r} on {self.describe(x)}"
+
+        mors = base.all_morphisms()
+        if gens is None or not mapped or any(next(failing(m), None) for m in gens):
+            for m in mors:
+                for msg in failing(m):
+                    yield "naturality", msg
 
     def check(self) -> list[str]:
         return [msg for _law, msg in self.violations()]
@@ -185,7 +245,8 @@ def yoneda(base: FinCatPresentation, c: str) -> Presheaf:
 
 def yoneda_map(base: FinCatPresentation, g: str, src_ps: Presheaf, dst_ps: Presheaf) -> NatTrans:
     """y(g) : y(dom g) -> y(cod g), postcomposition by g."""
-    comps = {d: {h: base.compose(g, h) for h in src_ps.at(d)} for d in base.object_keys}
+    comps = {d: dict(zip(src_ps.at(d), base.compose_row(g, src_ps.at(d))))
+             for d in base.object_keys}
     return NatTrans(src_ps, dst_ps, comps)
 
 

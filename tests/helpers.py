@@ -1,8 +1,9 @@
 """Shared builders for small hand-made categories used across the test suite,
 the searching reference for Π's app, element-by-element reference forms of
 the polynomial maps, the per-construction forms of the free extensions'
-inclusions, the category laws checked one triple at a time, and composition
-in (Fin/I)^op read back out of the keys."""
+inclusions, the category laws checked one triple at a time, functoriality
+and naturality checked along every morphism, and composition in (Fin/I)^op
+read back out of the keys."""
 
 from __future__ import annotations
 
@@ -498,3 +499,75 @@ def reference_slice_compose(g: str, f: str) -> str:
     if y != y_f:
         raise ValueError(f"not composable: {g} after {f}")
     return FinSliceOpposite.mor_key(x, z, tuple(fb[k] for k in gb))
+
+
+def _attempt(fn, *args):
+    """fn(*args), or None where a table has no such cell or an argument is None."""
+    if None in args:
+        return None
+    try:
+        return fn(*args)
+    except KeyError:
+        return None
+
+
+def reference_presheaf_violations(p):
+    """Functoriality as :meth:`natmod.presheaf.Presheaf.violations` yields
+    it, with composition checked for every composable pair (f, g), one pair
+    at a time: the definition that checking along generators must
+    reproduce witness for witness."""
+    base = p.base
+    at = {obj: set(p.at(obj)) for obj in base.object_keys}
+    for obj in base.object_keys:
+        i = base.identity(obj)
+        for x in p.at(obj):
+            if _attempt(p.restrict, i, x) != x:
+                yield "identity", f"identity action fails at {obj!r} on {x!r}"
+    mors = base.all_morphisms()
+    rows = {m: p.row(m) for m in mors}
+    into = {obj: [] for obj in base.object_keys}
+    for m in mors:
+        src, dst = base.dom(m), base.cod(m)
+        into[dst].append(m)
+        row = rows[m]
+        for x in p.at(dst):
+            image = row.get(x)
+            if image is None:
+                yield "closure", f"no action of {m!r} on {x!r}"
+            elif image not in at[src]:
+                yield "closure", f"action of {m!r} does not send {x!r} into P({src})"
+    for f in mors:
+        xs = p.at(base.cod(f))
+        x_f = list(map(rows[f].get, xs))
+        for g in into[base.dom(f)]:
+            fg = base.compose(f, g)
+            x_f_g = list(map(rows[g].get, x_f))
+            x_fg = list(map((rows[fg] if fg in rows else p.row(fg)).get, xs))
+            if x_f_g != x_fg:
+                for x, lhs, rhs in zip(xs, x_f_g, x_fg):
+                    if lhs != rhs:
+                        yield "composition", f"x[f][g] != x[f∘g] for f={f}, g={g}, x={x}"
+
+
+def reference_nat_trans_violations(nt):
+    """Naturality as :meth:`natmod.presheaf.NatTrans.violations` yields it,
+    checked along every morphism."""
+    base = nt.dom.base
+    for obj in base.object_keys:
+        comp = nt.components.get(obj)
+        if comp is None:
+            yield "component", f"no component at {obj!r}"
+            continue
+        cod = set(nt.cod.at(obj))
+        for x in nt.dom.at(obj):
+            if comp.get(x) not in cod:
+                yield "component", (
+                    f"component at {obj!r} does not send {nt.describe(x)} into codomain"
+                )
+    for m in base.all_morphisms():
+        src, dst = base.dom(m), base.cod(m)
+        for x in nt.dom.at(dst):
+            lhs = _attempt(nt.cod.restrict, m, _attempt(nt.apply, dst, x))
+            rhs = _attempt(nt.apply, src, _attempt(nt.dom.restrict, m, x))
+            if lhs is None or lhs != rhs:
+                yield "naturality", f"naturality fails for {m!r} on {nt.describe(x)}"

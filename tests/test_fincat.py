@@ -54,10 +54,15 @@ class TestCheckCategory:
     def test_a_generator_is_checked_over_an_object_list_composing_each_pair_once(self):
         calls = []
 
+        # a pair counts whether it is composed alone or in a row
         class Counting(FinSliceOpposite):
             def compose(self, g, f):
                 calls.append((g, f))
                 return super().compose(g, f)
+
+            def compose_row(self, g, fs):
+                calls.extend((g, f) for f in fs)
+                return super().compose_row(g, fs)
 
         gen = Counting({0, 1})
         assert list(category_violations(gen, gen.objects(2))) == []
@@ -737,6 +742,10 @@ class TestMorphismRegistry:
         with pytest.raises(ValueError) as want:
             reference_slice_compose(f, f)
         assert str(got.value) == str(want.value) == f"not composable: {f} after {f}"
+        # in a row, after a composable f
+        with pytest.raises(ValueError) as in_row:
+            cat.compose_row(f, [cat.identity(b), f])
+        assert str(in_row.value) == str(want.value)
 
     def test_fresh_term_models_share_no_registry_dict(self):
         from natmod.freemodel import term_model
@@ -929,3 +938,49 @@ class TestOneMorphismRegistry:
                               "    @memo\n    def compose(self, g: str, f: str) -> str:\n        # f : X")
         assert mutant != text
         assert _registry_assignments_and_memoized_composes({"fincat.py": mutant})[1]
+
+
+def _row_categories():
+    """(id, build, bound): a generated category of each kind, a parsed file's
+    category and a truncation of each, fresh per call."""
+    from natmod.freemodel import (
+        extend_by_sigma, extend_by_term, extend_by_type, extend_by_unit, term_model,
+    )
+    from natmod.modelio import BOUNDARY_RANK, parse_model, serialize_model
+
+    out = [("fin-op", lambda: FinSliceOpposite((0, 1)), 2)]
+    for name, extend in [("term", lambda m: extend_by_term(m, "T0")), ("type", extend_by_type),
+                         ("unit", extend_by_unit), ("sigma", extend_by_sigma)]:
+        out.append((name, lambda extend=extend: extend(term_model(range(1))).base, 2))
+    out.append(("file", lambda: parse_model(serialize_model(term_model(range(1)), 2)).base,
+                BOUNDARY_RANK))
+    return out + [(f"truncated {name}", lambda build=build, bound=bound: truncate(build(), bound),
+                   bound) for name, build, bound in out]
+
+
+class TestComposeRow:
+    @pytest.mark.parametrize("build,bound", [
+        pytest.param(build, bound, id=name) for name, build, bound in _row_categories()])
+    def test_a_row_is_its_composites_and_refuses_as_compose_does(self, build, bound):
+        by_row, by_pair = build(), build()  # neither reads composites the other made
+        objs = by_row.objects(bound)
+        into = {b: [f for a in objs for f in by_row.hom(a, b)] for b in objs}
+        # the same keys name the same cells in the other
+        assert by_pair.objects(bound) == objs
+        assert {b: [f for a in objs for f in by_pair.hom(a, b)] for b in objs} == into
+        rows = 0
+        for a in objs:
+            for b in objs:
+                for g in by_row.hom(a, b):
+                    fs = into[a]
+                    assert by_row.compose_row(g, fs) == [by_pair.compose(g, f) for f in fs]
+                    rows += len(fs) > 1
+                    bad = next((f for c in objs if c != a for f in into[c]), None)
+                    if bad is None:
+                        continue
+                    with pytest.raises(Exception) as want:
+                        by_pair.compose(g, bad)
+                    with pytest.raises(want.type) as got:
+                        by_row.compose_row(g, [*fs, bad])
+                    assert str(got.value) == str(want.value)
+        assert rows

@@ -757,6 +757,44 @@ class TestOneObjectRegistry:
         assert len(first.base.objs.cells) > 1
 
 
+def _one_object_file(tys: list[str]) -> str:
+    """A model file with one object *, whose only morphism is its identity,
+    and one term per type, each type extending * to itself by the identity."""
+    return json.dumps({
+        "objects": ["*"], "homs": [{"src": "*", "dst": "*", "mors": ["id"]}],
+        "compose": [{"g": "id", "f": "id", "gf": "id"}], "identities": {"*": "id"},
+        "terminal": "*", "ty": {"*": tys}, "tm": {"*": [f"v{t}" for t in tys]},
+        "typeof": [{"ctx": "*", "term": f"v{t}", "type": t} for t in tys],
+        "subst_ty": [{"mor": "id", "type": t, "out": t} for t in tys],
+        "subst_tm": [{"mor": "id", "term": f"v{t}", "out": f"v{t}"} for t in tys],
+        "ext": [{"ctx": "*", "type": t, "extended": "*", "proj": "id", "var": f"v{t}"}
+                for t in tys],
+    })
+
+
+class TestObjectKeysAreInjective:
+    def test_a_type_key_holding_the_separator_keeps_its_own_context(self):
+        # extending X by `a,0,b` and X by `a`, then `b`, gives two contexts
+        # whose parts joined by commas would be spelled alike
+        x = extend_by_type(parse_model(_one_object_file(["a", "b", "a,0,b"])))
+        over_x = x.ext(x.base.terminal, x.new_ty).extended
+        one = x.ext(over_x, "a,0,b").extended
+        two = x.ext(x.ext(over_x, "a").extended, "b").extended
+        assert one != two
+        assert x.base.objs.cell(one) == ("*", (1, 0), ("a,0,b",))
+        assert x.base.objs.cell(two) == ("*", (1, 0, 0), ("a", "b"))
+        assert len(x.base.objs.cells) == len(x.base.objs.keys) == 5
+
+    def test_a_term_extension_escapes_its_separator(self):
+        cat = extend_by_term(term_model(range(1)), "T0").base
+        assert cat.spell_obj(("g", ("a;b",))) != cat.spell_obj(("g", ("a", "b")))
+        assert cat.spell_obj(("g", ("a", "b"))) == "xt(g|a;b)"
+
+    def test_a_key_without_separators_is_spelled_as_before(self):
+        x = extend_by_type(term_model(range(1)))
+        assert x.base.spell_obj(("fs[0]", (1, 0), ("T0",))) == "ix(fs[0]|1,T0,0)"
+
+
 def _memo_tables(model) -> list[dict]:
     owners = [model, model.base, model.inner, model.inner.base]
     return [t for o in owners for name, t in vars(o).items() if name.startswith("_memo_")]

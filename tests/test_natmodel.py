@@ -1099,16 +1099,19 @@ class TestSubstitutionRows:
 
     @pytest.mark.parametrize("name", list(_ROW_MODELS))
     def test_a_returned_row_belongs_to_its_caller(self, name):
-        # a wrapped model's row is shared with its memo, so writing into it
-        # fails; the other models return fresh rows, which a write leaves unshared
+        # a wrapped model's row is shared with its memo, and the term model's
+        # ty row (Ty is constant) with every morphism, so writing into it
+        # fails; the other rows are fresh, and a write leaves them unshared
         model = _ROW_MODELS[name]()
         first = model_presheaves(model, 2, 2)
         saved = [{m: dict(row) for m, row in rows.items()}
                  for rows in (first.ty.action, first.tm.action)]
         for rows in (first.ty.action, first.tm.action):
+            shared = isinstance(model, _WrappedModel) or (
+                name == "term-model" and rows is first.ty.action)
             for row in rows.values():
                 for a in [*row, "NOPE"]:
-                    if isinstance(model, _WrappedModel):
+                    if shared:
                         with pytest.raises(TypeError):
                             row[a] = "NOPE"
                     else:
@@ -1123,3 +1126,78 @@ class TestSubstitutionRows:
             assert row == {a: sm.subst_tm(m, a) for a in row}
         for m, row in ps.ty.action.items():
             assert row == {a: sm.subst_ty(m, a) for a in row}
+
+
+def _file_models():
+    """(id, build, sections): model files of the suite, built on demand, and
+    the sections a mutant changes (one type leaves Ty nothing to change)."""
+    from natmod.modelio import serialize_model
+
+    every = ("subst_ty", "subst_tm", "typeof", "compose")
+    return [
+        ("term-model:1@3", lambda: serialize_model(term_model(range(1)), 3),
+         ("subst_tm", "compose")),
+        ("term-model:2@3", lambda: serialize_model(term_model(range(2)), 3), every),
+        ("type@3", lambda: serialize_model(extend_by_type(term_model(range(1))), 3), every),
+    ]
+
+
+def _mutated(model, section: str, rng):
+    """Change one cell of ``section`` of a parsed file model over its core
+    (the objects ``check_eat`` checks at bound 0) to another value of the
+    same sort, in place."""
+    base = model.base
+    core = set(base.objects(0))
+
+    def in_core(*mors):
+        return {base.dom(m) for m in mors} | {base.cod(m) for m in mors} <= core
+
+    if section == "compose":
+        ids = set(base.identities.values())
+        pairs = [(g, f) for (g, f), gf in base.compose_table.items()
+                 if not {g, f} & ids and in_core(g, f)
+                 and len(base.hom(base.dom(f), base.cod(g))) > 1]
+        g, f = rng.choice(pairs)
+        base.compose_table[(g, f)] = rng.choice(
+            [m for m in base.hom(base.dom(f), base.cod(g)) if m != base.compose_table[(g, f)]])
+        return
+    table, sort, dom, inside = {
+        "subst_ty": (model._subst_ty, model._ty, base.dom, in_core),
+        "subst_tm": (model._subst_tm, model._tm, base.dom, in_core),
+        "typeof": (model._typeof, model._ty, lambda g: g, core.__contains__),
+    }[section]
+    cells = [(key, out) for key, out in table.items()
+             if inside(key[0]) and len(sort.get(dom(key[0]), ())) > 1]
+    key, out = rng.choice(cells)
+    table[key] = rng.choice([x for x in sort[dom(key[0])] if x != out])
+
+
+class TestCheckEatAgainstTheReference:
+    """``check_eat`` checks functoriality and naturality along the
+    generators of a lawful category; on each mutant its report is the one
+    the walk along every morphism gives."""
+
+    @pytest.mark.parametrize("build,section", [
+        pytest.param(build, section, id=f"{name}-{section}")
+        for name, build, sections in _file_models() for section in sections])
+    def test_one_wrong_cell(self, build, section, monkeypatch):
+        from natmod.modelio import parse_model
+        from natmod.presheaf import Presheaf
+        from helpers import reference_nat_trans_violations, reference_presheaf_violations
+
+        text = build()
+        reports = []
+        for seed in range(3):
+            model = parse_model(text)
+            _mutated(model, section, random.Random(seed))
+            reports.append(check_eat(model, 0, 2).violations)
+        with monkeypatch.context() as m:
+            m.setattr(Presheaf, "violations",
+                      lambda self, gens=None: reference_presheaf_violations(self))
+            m.setattr(NatTrans, "violations",
+                      lambda self, gens=None: reference_nat_trans_violations(self))
+            for seed, got in enumerate(reports):
+                model = parse_model(text)
+                _mutated(model, section, random.Random(seed))
+                assert got == check_eat(model, 0, 2).violations
+        assert any(reports)

@@ -2,8 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from natmod.fincat import FinSliceOpposite, truncate
+from natmod.fincat import FinCatPresentation, FinSliceOpposite, category_violations, truncate
 from natmod.presheaf import (
     NatTrans,
     Presheaf,
@@ -25,7 +26,12 @@ from natmod.fincat import check_category
 from natmod.freemodel import extend_by_unit, term_model
 from natmod.natmodel import model_presheaves
 
-from helpers import chain_poset, diamond_lattice
+from helpers import (
+    chain_poset,
+    diamond_lattice,
+    reference_nat_trans_violations,
+    reference_presheaf_violations,
+)
 
 
 def representable_bases():
@@ -464,3 +470,219 @@ class TestFunctorialityAgainstTheDefinition:
         p = WrongAtOneCell(base, c)
         got = list(p.violations())
         assert got and got == list(_functoriality_by_elements(p))
+
+
+# ---------------------------------------------------------------------------
+# Functoriality and naturality along generators, against the walk over every
+# morphism (tests/helpers.py)
+# ---------------------------------------------------------------------------
+
+def _category_check(base, objects=None):
+    """(violations, returned generating set) of ``base``'s category check."""
+    laws = category_violations(base, base.object_keys if objects is None else objects)
+    found = []
+    while True:
+        try:
+            found.append(next(laws))
+        except StopIteration as stop:
+            return found, stop.value
+
+
+def _z2():
+    """One object with a swap s, s∘s = e."""
+    table = {("e", "e"): "e", ("e", "s"): "s", ("s", "e"): "s", ("s", "s"): "e"}
+    return FinCatPresentation(["*"], {("*", "*"): ["e", "s"]}, table, {"*": "e"})
+
+
+_LAWFUL_BASES = [
+    ("chain3", lambda: chain_poset(3)),
+    ("diamond", diamond_lattice),
+    ("z2", _z2),
+    ("fin-op{0,1}@2", lambda: truncate(FinSliceOpposite((0, 1)), 2)),
+]
+
+
+def _tabulated(p):
+    """p with its action written out as tables, which a test may change."""
+    base = p.base
+    return Presheaf(base, {o: list(p.at(o)) for o in base.object_keys},
+                    {m: dict(p.row(m)) for m in base.all_morphisms()})
+
+
+def _wrong_cells(draw, cells, choices):
+    """Change up to three of ``cells`` (mapping, key) to a drawn choice of
+    ``choices(key)`` or to junk, or drop one."""
+    for _ in range(draw(st.integers(0, 3))):
+        if not cells:
+            break
+        row, x, options = draw(st.sampled_from(cells))
+        kind = draw(st.sampled_from(["other", "other", "junk", "drop"]))
+        if kind == "other" and options:
+            row[x] = draw(st.sampled_from(options))
+        elif kind == "junk":
+            row[x] = "junk"
+        else:
+            row.pop(x, None)
+
+
+@st.composite
+def _presheaves_over_lawful_bases(draw):
+    """A sum of one or two representables over a lawful base, tabulated,
+    with up to three cells changed; or, drawn cell by cell, any action."""
+    base = draw(st.sampled_from([build for _, build in _LAWFUL_BASES]))()
+    cs = draw(st.lists(st.sampled_from(base.object_keys), min_size=1, max_size=2))
+    p = _tabulated(sum_presheaves([yoneda(base, c) for c in cs])[0])
+    if draw(st.booleans()):
+        cells = [(p.action[m], x, p.at(base.dom(m)))
+                 for m in base.all_morphisms() for x in p.at(base.cod(m))]
+        _wrong_cells(draw, cells, None)
+    else:
+        for m in base.all_morphisms():
+            for x in p.at(base.cod(m)):
+                p.action[m][x] = draw(st.sampled_from(p.at(base.dom(m)) or ["junk"]))
+    return p
+
+
+@st.composite
+def _nat_trans_over_lawful_bases(draw):
+    """A natural map between tabulated sums of representables (the identity
+    or a postcomposition), with up to three component or action cells
+    changed."""
+    base = draw(st.sampled_from([build for _, build in _LAWFUL_BASES]))()
+    g = draw(st.sampled_from(base.all_morphisms()))
+    if draw(st.booleans()):
+        p = _tabulated(yoneda(base, base.cod(g)))
+        nt = identity_nat(p)
+    else:
+        src, dst = _tabulated(yoneda(base, base.dom(g))), _tabulated(yoneda(base, base.cod(g)))
+        nt = yoneda_map(base, g, src, dst)
+    nt.components = {o: dict(row) for o, row in nt.components.items()}
+    cells = [(nt.components[o], x, nt.cod.at(o))
+             for o in base.object_keys for x in nt.dom.at(o)]
+    if draw(st.integers(0, 3)) == 0:  # an action cell of dom or cod too
+        ps = draw(st.sampled_from([nt.dom, nt.cod]))
+        cells = [(ps.action[m], x, ps.at(base.dom(m)))
+                 for m in base.all_morphisms() for x in ps.at(base.cod(m))]
+    _wrong_cells(draw, cells, None)
+    return nt
+
+
+class TestFunctorialityAlongGenerators:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_presheaves_over_lawful_bases())
+    def test_random_small_tables(self, p):
+        laws, gens = _category_check(p.base)
+        assert laws == [] and gens
+        assert list(p.violations(gens)) == list(reference_presheaf_violations(p))
+
+    def test_a_functorial_presheaf_composes_the_generator_rows_only(self):
+        ps = model_presheaves(term_model(range(2)), 3, 3)
+        base = ps.cat
+        _, gens = _category_check(base)
+        rows = []
+        compose_row = base.compose_row
+        base.compose_row = lambda g, fs: rows.append(g) or compose_row(g, fs)
+        assert list(ps.tm.violations(gens)) == []
+        assert rows == gens and len(gens) < len(base.all_morphisms()) / 3
+        rows.clear()
+        assert list(ps.tm.violations()) == []
+        assert rows == base.all_morphisms()
+
+
+class TestNaturalityAlongGenerators:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_nat_trans_over_lawful_bases())
+    def test_random_small_tables(self, nt):
+        laws, gens = _category_check(nt.dom.base)
+        assert laws == [] and gens
+        functorial = not any(next(p.violations(), None) for p in (nt.dom, nt.cod))
+        got = list(nt.violations(gens if functorial else None))
+        assert got == list(reference_nat_trans_violations(nt))
+
+
+def _suite_models():
+    """(id, build, bound): the models of the suite, materialized at a bound."""
+    from natmod.freemodel import (
+        extend_by_sigma, extend_by_term, extend_by_type, extend_by_unit,
+    )
+    from helpers import finite_sets_model, propositions_model
+
+    out = [(f"term-model:{n}@3", lambda n=n: term_model(range(n)), 3) for n in range(3)]
+    for name, extend in [("term", lambda m: extend_by_term(m, "T0")), ("type", extend_by_type),
+                         ("unit", extend_by_unit), ("sigma", extend_by_sigma)]:
+        out.append((f"{name}@2", lambda extend=extend: extend(term_model(range(2))), 2))
+    out += [
+        ("term-over-unit@2", lambda: (lambda u: extend_by_term(u, u.new_ty))(
+            extend_by_unit(term_model(range(0)))), 2),
+        ("finite-sets@2", lambda: finite_sets_model(2), 2),
+        ("propositions@3", propositions_model, 3),
+    ]
+    return out
+
+
+def _with_one_wrong_cell(p, rng):
+    """A copy of p with one action cell moved to another element, or None."""
+    base = p.base
+    cells = [(m, x) for m in base.all_morphisms() for x in p.at(base.cod(m))
+             if len(p.at(base.dom(m))) > 1]
+    if not cells:
+        return None
+    m, x = rng.choice(cells)
+    action = dict(p.action)
+    action[m] = dict(action[m])
+    action[m][x] = rng.choice([y for y in p.at(base.dom(m)) if y != action[m][x]])
+    return Presheaf(base, p.values, action)
+
+
+def _with_one_wrong_component(nt, rng):
+    """A copy of nt with one component cell moved to another element, or None."""
+    cells = [(o, x) for o in nt.dom.base.object_keys for x in nt.dom.at(o)
+             if len(nt.cod.at(o)) > 1]
+    if not cells:
+        return None
+    o, x = rng.choice(cells)
+    comps = dict(nt.components)
+    comps[o] = dict(comps[o])
+    comps[o][x] = rng.choice([y for y in nt.cod.at(o) if y != comps[o][x]])
+    return NatTrans(nt.dom, nt.cod, comps)
+
+
+class TestEverySuiteModelAgreesWithTheReference:
+    @pytest.mark.parametrize("build,bound", [
+        pytest.param(build, bound, id=name) for name, build, bound in _suite_models()])
+    def test_lawful_and_with_one_wrong_cell(self, build, bound):
+        ps = model_presheaves(build(), bound, bound)
+        laws, gens = _category_check(ps.cat)
+        assert laws == [] and gens
+        for p in (ps.ty, ps.tm):
+            assert list(p.violations(gens)) == list(reference_presheaf_violations(p)) == []
+        assert list(ps.p.violations(gens)) == list(reference_nat_trans_violations(ps.p)) == []
+        for seed in range(3):
+            rng = random.Random(seed)
+            for p in (ps.ty, ps.tm):
+                q = _with_one_wrong_cell(p, rng)
+                if q is not None:
+                    assert list(q.violations(gens)) == list(reference_presheaf_violations(q))
+            nt = _with_one_wrong_component(ps.p, rng)
+            if nt is not None:
+                assert list(nt.violations(gens)) == list(reference_nat_trans_violations(nt))
+
+    @pytest.mark.parametrize("build,bound", [
+        pytest.param(build, bound, id=name) for name, build, bound in _suite_models()
+        if name.startswith(("term-model:1", "term-model:2", "type", "finite-sets"))])
+    def test_a_wrong_composite_walks_every_morphism(self, build, bound):
+        ps = model_presheaves(build(), bound, bound)
+        cat = ps.cat
+        _category_check(cat)  # fills the truncation's table
+        ids = set(cat.identities.values())
+        rng = random.Random(0)
+        pairs = [(g, f) for (g, f), gf in cat.compose_table.items()
+                 if not {g, f} & ids and len(cat.hom(cat.dom(f), cat.cod(g))) > 1]
+        g, f = rng.choice(pairs)
+        cat.compose_table[(g, f)] = rng.choice(
+            [m for m in cat.hom(cat.dom(f), cat.cod(g)) if m != cat.compose_table[(g, f)]])
+        laws, gens = _category_check(cat)
+        assert {law for law, _ in laws} == {"associativity"} and gens is None
+        for p in (ps.ty, ps.tm):
+            assert list(p.violations(gens)) == list(reference_presheaf_violations(p))
+        assert list(ps.p.violations(gens)) == list(reference_nat_trans_violations(ps.p))
