@@ -11,7 +11,7 @@ seen and reads each key back as its cell; a :class:`RegistryCategory` holds
 one for its objects and one for its morphisms.  Composites are read a row
 at a time where a caller needs many after one g:
 :meth:`BoundedCategory.compose_row` gives g∘f over a list of fs, which a
-table, a truncation and each generated category serve in one pass.
+table, a truncation and :class:`FinSliceOpposite` serve in one pass.
 :func:`category_violations` checks the category laws, deciding
 associativity on the middles of a generating set and listing every
 composable triple only when that fails.  For a lawful category it returns

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .fincat import FinSliceOpposite, Registry, RegistryCategory, join_escaped, memo
+from .fincat import FinSliceOpposite, RegistryCategory, join_escaped, memo
 from .natmodel import (
     CompositeModel,
     ExtensionData,
@@ -99,21 +99,6 @@ class _WrappedCategory(RegistryCategory):
         if y != y_f:
             raise ValueError("not composable")
         return self.mors.key((x, z, (self.inner.base.compose(gs, fs),)))
-
-    def compose_row(self, g: str, fs: list[str]) -> list[str]:
-        """The row after g: one row of the inner base on the payloads."""
-        cells = self.mors.cells
-        y, z, (gs,) = cells[g]
-        srcs, payloads = [], []
-        for f in fs:
-            x, y_f, (fp,) = cells[f]
-            if y != y_f:
-                raise ValueError("not composable")
-            srcs.append(x)
-            payloads.append(fp)
-        key = self.mors.key
-        gfs = self.inner.base.compose_row(gs, payloads)
-        return [key((x, z, (gf,))) for x, gf in zip(srcs, gfs)]
 
     def objects(self, bound: int) -> list[str]:
         """The contexts of size at most ``bound``, closed under extension.
@@ -290,13 +275,12 @@ class TermModel(NaturalModel):
     def __init__(self, index):
         self.index = tuple(sorted(set(index)))
         self.base = FinSliceOpposite(self.index)
-        self.vars = Registry(lambda k: f"x{k}")  # the term x_k of number k
 
     def ty_key(self, i: int) -> str:
         return f"T{i}"
 
     def tm_key(self, k: int) -> str:
-        return self.vars.key(k)
+        return f"x{k}"
 
     @memo
     def _variables(self, n: int) -> tuple[str, ...]:
@@ -329,10 +313,8 @@ class TermModel(NaturalModel):
 
     def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
         src, _, fn = self.base.mors.cell(sigma)
-        # the terms over dom σ and over cod σ, each registered with its number
-        var = self._variables(max(len(self.base.objs.cell(src)), len(fn)))
-        number = self.vars.cells
-        return {a: var[fn[number[a]]] for a in tms}
+        var = self._variables(len(self.base.objs.cell(src)))
+        return {a: var[fn[int(a[1:])]] for a in tms}
 
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         labels = self.base.objs.cell(ctx)
@@ -444,7 +426,8 @@ class _ExtTermCategory(_WrappedCategory):
 
     def spell_obj(self, cell: tuple[str, tuple[str, ...]]) -> str:
         gamma, tys = cell
-        return f"xt({gamma}|{join_escaped(';', tys)})"
+        # Γ is escaped too, so a `|` inside Γ or a type cannot move the split
+        return f"xt({join_escaped('|', (gamma, join_escaped(';', tys)))})"
 
     @memo
     def under(self, key: str) -> str:
@@ -686,7 +669,7 @@ class _InterleavedCategory(_WrappedCategory):
             x for pair in itertools.zip_longest(map(str, ks), tys, fillvalue=None)
             for x in pair if x is not None
         ))
-        return f"ix({gamma}|{body})"
+        return f"ix({join_escaped('|', (gamma, body))})"
 
     def register(self, gamma: str, ks: tuple[int, ...], tys: tuple[str, ...]) -> str:
         # normalize: absorb leading type whenever the head slot count is zero
@@ -732,24 +715,6 @@ class _InterleavedCategory(_WrappedCategory):
             raise ValueError("not composable")
         tally = tuple(ft[j] for j in gt) if self.with_tally else ()
         return self.mors.key((x, z, (self.inner.base.compose(gs, fs), tally)))
-
-    def compose_row(self, g: str, fs: list[str]) -> list[str]:
-        """The row after g: one row of the inner base on the payloads, with
-        the tallies composed alongside."""
-        cells = self.mors.cells
-        y, z, (gs, gt) = cells[g]
-        with_tally = self.with_tally
-        srcs, payloads, tallies = [], [], []
-        for f in fs:
-            x, y_f, (fp, ft) = cells[f]
-            if y != y_f:
-                raise ValueError("not composable")
-            srcs.append(x)
-            payloads.append(fp)
-            tallies.append(tuple(ft[j] for j in gt) if with_tally else ())
-        key = self.mors.key
-        gfs = self.inner.base.compose_row(gs, payloads)
-        return [key((x, z, (gf, tally))) for x, gf, tally in zip(srcs, gfs, tallies)]
 
 
 class _InterleavedModel(_WrappedModel):

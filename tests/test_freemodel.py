@@ -790,6 +790,22 @@ class TestObjectKeysAreInjective:
         assert cat.spell_obj(("g", ("a;b",))) != cat.spell_obj(("g", ("a", "b")))
         assert cat.spell_obj(("g", ("a", "b"))) == "xt(g|a;b)"
 
+    @pytest.mark.parametrize("one,two", [
+        (("p|q", ("r",)), ("p", ("q|r",))),
+        (("p|\\", ("r",)), ("p", ("|r",))),
+    ])
+    def test_a_term_extension_context_holding_a_bar_keeps_its_own_key(self, one, two):
+        cat = extend_by_term(term_model(range(1)), "T0").base
+        assert cat.spell_obj(one) != cat.spell_obj(two)
+
+    @pytest.mark.parametrize("one,two", [
+        (("p|1,a", (0, 0), ()), ("p", (1, 0), ("a|0",))),
+        (("p|1,a\\", (0, 0), ()), ("p", (1, 0), ("a|0",))),
+    ])
+    def test_an_interleaved_context_holding_a_bar_keeps_its_own_key(self, one, two):
+        cat = extend_by_type(term_model(range(1))).base
+        assert cat.spell_obj(one) != cat.spell_obj(two)
+
     def test_a_key_without_separators_is_spelled_as_before(self):
         x = extend_by_type(term_model(range(1)))
         assert x.base.spell_obj(("fs[0]", (1, 0), ("T0",))) == "ix(fs[0]|1,T0,0)"
