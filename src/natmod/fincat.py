@@ -11,7 +11,9 @@ seen and reads each key back as its cell; a :class:`RegistryCategory` holds
 one for its objects and one for its morphisms.  Composites are read a row
 at a time where a caller needs many after one g:
 :meth:`BoundedCategory.compose_row` gives g∘f over a list of fs, which a
-table, a truncation and :class:`FinSliceOpposite` serve in one pass.
+table, a truncation, :class:`FinSliceOpposite` and the free extensions'
+categories serve in one pass; the category laws, the legs of
+:func:`is_pullback_square` and the blocks of the functor laws read rows.
 :func:`category_violations` checks the category laws, deciding
 associativity on the middles of a generating set and listing every
 composable triple only when that fails.  For a lawful category it returns
@@ -417,9 +419,13 @@ def functor_violations(
     composition on each block (fs, gs) of ``blocks``, every f in fs ending
     where every g in gs starts.  An image of None is a violation.  A morphism
     whose image is None or has the wrong endpoints is reported once, skipped
-    by composition, and returned among the misplaced.  Per f, the row of
-    F(g∘f) over gs is compared lazily with that of F g ∘ F f, so a caller
-    that stops at the first witness composes no further.
+    by composition, and returned among the misplaced.  A block is compared
+    one g at a time, F mapped over ``src.compose_row(g, fs)`` against
+    ``dst.compose_row(F g, F fs)``.  Only a block with a row that differs
+    or raises is walked f by f, F(g∘f) over gs against F g ∘ F f, lazily,
+    so the witnesses, their order and what is raised are the pairwise
+    definition's, and a caller that stops at the first witness composes no
+    further.
     """
     for a in objects:
         fa = on_obj(a)
@@ -439,11 +445,17 @@ def functor_violations(
         misplaced.add(m)
     for fs, gs in blocks:
         if misplaced:
+            fs = [f for f in fs if f not in misplaced]
             gs = [g for g in gs if g not in misplaced]
+        try:
+            f_fs = list(map(on_mor, fs))
+            if all(list(map(on_mor, src.compose_row(g, fs))) == dst.compose_row(on_mor(g), f_fs)
+                   for g in gs):
+                continue
+        except Exception:  # noqa: BLE001 -- the walk below raises it where the pairs do
+            pass
         f_gs = list(map(on_mor, gs))
         for f in fs:
-            if f in misplaced:
-                continue
             f_f = on_mor(f)
             lhs = map(on_mor, map(src.compose, gs, itertools.repeat(f)))
             rhs = map(dst.compose, f_gs, itertools.repeat(f_f))
@@ -455,13 +467,14 @@ def functor_violations(
 def composable_pairs(
     morphisms: list[tuple[str, str, str]]
 ) -> Iterator[tuple[list[str], list[str]]]:
-    """The composable pairs of ``morphisms`` as blocks ([f], gs) for
-    :func:`functor_violations`: f by f, the gs out of cod f in order."""
+    """The composable pairs of ``morphisms`` as blocks (fs, gs) for
+    :func:`functor_violations`: each run of consecutive fs into one b, and
+    the gs out of b in order, so the pairs are listed f by f."""
     out_of: dict[str, list[str]] = {}
     for m, a, _b in morphisms:
         out_of.setdefault(a, []).append(m)
-    for f, _a, b in morphisms:
-        yield [f], out_of.get(b, [])
+    for b, run in itertools.groupby(morphisms, operator.itemgetter(2)):
+        yield [f for f, _a, _b in run], out_of.get(b, [])
 
 
 @dataclass
@@ -583,8 +596,10 @@ class _PostRow(dict):
 @memo
 def _post_row(c: BoundedCategory, q: str, g: str) -> _PostRow:
     """{h: g∘h for h in hom(q, dom g)}: how the leg g acts on the cone
-    vertex q, shared by every square with leg g."""
-    row = _PostRow((h, c.compose(g, h)) for h in c.hom(q, c.dom(g)))
+    vertex q, composed as one :meth:`~BoundedCategory.compose_row` and
+    shared by every square with leg g."""
+    hs = c.hom(q, c.dom(g))
+    row = _PostRow(zip(hs, c.compose_row(g, hs)))
     row.compose = functools.partial(c.compose, g)
     return row
 
@@ -638,9 +653,12 @@ def product(c: FinCatPresentation, x: str, y: str) -> Optional[tuple[str, str, s
 
 def join_escaped(sep: str, parts: Iterable[str]) -> str:
     """The parts joined by the one-character ``sep``, with each ``\\`` and
-    ``sep`` inside a part escaped by a ``\\``, so distinct non-empty lists of
-    parts join to distinct strings.  A part with neither is written as it is."""
-    return sep.join(x.replace("\\", "\\\\").replace(sep, "\\" + sep) for x in parts)
+    ``sep`` inside a part escaped by a ``\\``, so distinct lists of parts
+    join to distinct strings.  A part with neither is written as it is.  A
+    list of one empty part, which would join to ``""`` as the empty list
+    does, is spelled ``\\``, which no escaped part is."""
+    escaped = [x.replace("\\", "\\\\").replace(sep, "\\" + sep) for x in parts]
+    return sep.join(escaped) if escaped != [""] else "\\"
 
 
 class Registry:
@@ -818,8 +836,10 @@ class FinSliceOpposite(RegistryCategory):
         mors = self.mors
         info, keys = mors.cells, mors.keys
         y, z, gb = info.get(g) or mors.cell(g)
-        # the composite's function picks its values out of f's function by gb
-        pick = operator.itemgetter(*gb) if len(gb) > 1 else lambda fb: tuple(fb[k] for k in gb)
+        # the composite's function picks its values out of f's function by
+        # gb; a slice keeps a pick of one value or none a tuple
+        pick = operator.itemgetter(
+            *gb if len(gb) > 1 else [slice(gb[0], gb[0] + 1) if gb else slice(0)])
         out = []
         for f in fs:
             x, y_f, fb = info.get(f) or mors.cell(f)

@@ -73,7 +73,11 @@ class _WrappedCategory(RegistryCategory):
     category (possibly with extra payload), spelled ``src=>dst$payload``;
     the registries of :class:`~natmod.fincat.RegistryCategory` name both.
     ``under``, the inner context an object lies over, and its size are
-    derived from its cell once.
+    derived from its cell once.  Composites are made a row at a time:
+    :meth:`compose_row` reads g's cell once, composes the inner morphisms
+    of the row as one row of the inner base and looks each composite up
+    once, and :meth:`compose` is its one-element row.  The pullback check's
+    leg rows and the blocks of the functor laws read whole rows.
     """
 
     def __init__(self, inner: NaturalModel):
@@ -92,13 +96,26 @@ class _WrappedCategory(RegistryCategory):
         return self.mors.key((a, a, (self.inner.base.identity(self.under(a)),)))
 
     def compose(self, g: str, f: str) -> str:
-        """Composite of morphisms whose payload is one inner morphism."""
-        cells = self.mors.cells
-        y, z, (gs,) = cells[g]
-        x, y_f, (fs,) = cells[f]
-        if y != y_f:
-            raise ValueError("not composable")
-        return self.mors.key((x, z, (self.inner.base.compose(gs, fs),)))
+        return self.compose_row(g, [f])[0]
+
+    def compose_row(self, g: str, fs: list[str]) -> list[str]:
+        mors = self.mors
+        cells, keys = mors.cells, mors.keys
+        y, z, gp = cells[g]
+        f_cells = [cells[f] for f in fs]
+        for _, y_f, _ in f_cells:
+            if y_f != y:
+                raise ValueError("not composable")
+        out = []
+        for (x, _, _), gfp in zip(f_cells, self._compose_payloads(gp, [c[2] for c in f_cells])):
+            cell = (x, z, gfp)
+            out.append(keys.get(cell) or mors.key(cell))
+        return out
+
+    def _compose_payloads(self, gp: tuple, fps: list[tuple]) -> Iterable[tuple]:
+        """The payloads of the g∘f in order, from g's payload ``gp`` and
+        the fs' payloads ``fps``."""
+        return zip(self.inner.base.compose_row(gp[0], [fp[0] for fp in fps]))
 
     def objects(self, bound: int) -> list[str]:
         """The contexts of size at most ``bound``, closed under extension.
@@ -316,6 +333,7 @@ class TermModel(NaturalModel):
         var = self._variables(len(self.base.objs.cell(src)))
         return {a: var[fn[int(a[1:])]] for a in tms}
 
+    @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         labels = self.base.objs.cell(ctx)
         n = len(labels)
@@ -707,14 +725,12 @@ class _InterleavedCategory(_WrappedCategory):
         tally = tuple(range(self.count(a))) if self.with_tally else ()
         return self.mors.key((a, a, (ident, tally)))
 
-    def compose(self, g: str, f: str) -> str:
-        cells = self.mors.cells
-        y, z, (gs, gt) = cells[g]
-        x, y_f, (fs, ft) = cells[f]
-        if y != y_f:
-            raise ValueError("not composable")
-        tally = tuple(ft[j] for j in gt) if self.with_tally else ()
-        return self.mors.key((x, z, (self.inner.base.compose(gs, fs), tally)))
+    def _compose_payloads(self, gp: tuple, fps: list[tuple]) -> Iterable[tuple]:
+        gfs = self.inner.base.compose_row(gp[0], [fp[0] for fp in fps])
+        if not self.with_tally:
+            return zip(gfs, itertools.repeat(()))
+        # g∘f's tally reads f's tally through g's
+        return zip(gfs, [tuple(fp[1][j] for j in gp[1]) for fp in fps])
 
 
 class _InterleavedModel(_WrappedModel):
@@ -955,14 +971,20 @@ def interleaved_universal_pins(
 # Type trees and the free admission of dependent sum types
 # ---------------------------------------------------------------------------
 
-def _leaf_key(leaf: str) -> str:
-    """The key of a leaf tree: the leaf itself, unless it could read as a node.
+_LEAF_ESCAPES = str.maketrans({**{c: "\\" + c for c in "\\[],:"}, "|": "\\x7c"})
 
-    Node keys start with "[", so a leaf that starts with "[" (a tree key of
-    an inner Σ model, say) or with the escape "\\" is escaped by a leading
-    "\\".  Every other leaf is its own key.
+
+def _leaf_key(leaf: str) -> str:
+    """The key of a leaf tree: the leaf with each "\\" and each of the node
+    spellings' "[", "]", "," and ":" escaped by a "\\", and each "|" spelled
+    "\\x7c".
+
+    So a node's key splits into its children's keys at its one unescaped
+    separator outside brackets, distinct trees have distinct keys, and no
+    tree key holds a "|" (see :meth:`_TreeCategory.spell_obj`).  A leaf with
+    none of these, as over a term model, is its own key.
     """
-    return "\\" + leaf if leaf.startswith(("[", "\\")) else leaf
+    return leaf.translate(_LEAF_ESCAPES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1084,6 +1106,7 @@ def tmtree_subst(m: NaturalModel, sigma: str, tree: TermTree) -> TermTree:
     return TermTree(left=left, rtype=rtype, right=tmtree_subst(m, sigma, tree.right))
 
 
+@memo
 def tmtree_type(m: NaturalModel, ctx: str, tree: TermTree) -> TypeTree:
     """The type tree of a term tree (leafwise typing, node type from the index)."""
     if tree.is_leaf:
@@ -1110,8 +1133,10 @@ class _TreeCategory(_WrappedCategory):
     """Contexts formally extended by lists of type trees."""
 
     def spell_obj(self, cell: tuple[str, tuple[TypeTree, ...]]) -> str:
+        # no tree key holds a `|`, so the key splits at its last `|` and Γ,
+        # a context of an inner Σ model say, is written as it is
         gamma, trees = cell
-        return f"tr({gamma}|{';'.join(t.key for t in trees)})"
+        return f"tr({gamma}|{join_escaped(';', (t.key for t in trees))})"
 
     def register(self, gamma: str, trees: tuple[TypeTree, ...]) -> str:
         while trees and trees[0].is_leaf:

@@ -318,9 +318,8 @@ def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTran
     P(D) -> {(u,v) in X(D) x Y(D) : x(u) = f(v)} must be a bijection.
 
     The four maps must be natural: the verdict is pointwise, and for maps
-    that are not natural it can differ from the universal property
-    (:func:`check_pullback_square_by_cones`, which rejects such a square).
-    Who guarantees it: for p,
+    that are not natural it can differ from the universal property, which
+    rejects such a square.  Who guarantees it: for p,
     equation (xviii) of ``check_eat``; for the formers and introduction maps
     of Σ and Π, (ii) and (iv), reported beside the verdict by
     ``natmodel._square_report``; for the maps built by ``element_nat``,
@@ -338,58 +337,6 @@ def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTran
         )
         for d in x.dom.base.object_keys
     )
-
-
-def check_pullback_square_by_cones(
-    f: NatTrans, x: NatTrans, top: NatTrans, left: NatTrans
-) -> bool:
-    """Independent pullback verifier chasing the universal property.
-
-    Enumerates every cone whose apex is a representable presheaf y(D) —
-    i.e. every pair of natural transformations a : y(D) -> X, b : y(D) -> Y
-    with x∘a = f∘b, built from elements via Yoneda — and demands exactly
-    one mediating natural transformation into the candidate apex.  This
-    re-derives the answer of :func:`check_pullback_square` from the
-    definition rather than from the fibrewise-bijection shortcut.  The
-    definition is about natural transformations, so a square one of whose
-    four maps is not natural is no pullback.
-    """
-    if any(next(nt.violations(), None) is not None for nt in (f, x, top, left)):
-        return False
-    base = x.dom.base
-    p = top.dom
-    yons = {d: yoneda(base, d) for d in base.object_keys}
-    for d in base.object_keys:
-        yd = yons[d]
-        for u in x.dom.at(d):
-            a = element_nat(base, x.dom, u, yd)
-            for v in f.dom.at(d):
-                b = element_nat(base, f.dom, v, yd)
-                lhs = compose_nat(x, a)
-                rhs = compose_nat(f, b)
-                if any(
-                    lhs.apply(e, h) != rhs.apply(e, h)
-                    for e in base.object_keys for h in yd.at(e)
-                ):
-                    continue
-                mediating = 0
-                for z in p.at(d):
-                    med = element_nat(base, p, z, yd)
-                    la = compose_nat(left, med)
-                    tb = compose_nat(top, med)
-                    if all(
-                        la.apply(e, h) == a.apply(e, h) and tb.apply(e, h) == b.apply(e, h)
-                        for e in base.object_keys for h in yd.at(e)
-                    ):
-                        mediating += 1
-                if mediating != 1:
-                    return False
-    # commutativity of the candidate square itself
-    for d in base.object_keys:
-        for z in p.at(d):
-            if x.apply(d, left.apply(d, z)) != f.apply(d, top.apply(d, z)):
-                return False
-    return True
 
 
 @dataclass

@@ -2,17 +2,20 @@
 the searching reference for Π's app, element-by-element reference forms of
 the polynomial maps, the per-construction forms of the free extensions'
 inclusions, the category laws checked one triple at a time, functoriality
-and naturality checked along every morphism, and composition in (Fin/I)^op
-read back out of the keys."""
+and naturality checked along every morphism, the functor laws checked pair
+by pair, the pullback of presheaves checked against every representable
+cone, and composition in (Fin/I)^op read back out of the keys."""
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from natmod.fincat import FinCatPresentation, FinSliceOpposite
 from natmod.freemodel import TermTree, TypeTree
 from natmod.morphism import ForcedImages
 from natmod.natmodel import canonical_pullback, section
+from natmod.presheaf import NatTrans, compose_nat, element_nat, yoneda
 from natmod.polyset import compose, extend, fin_map
 
 
@@ -479,6 +482,95 @@ def reference_category_violations(c, objects):
             n = len(c.hom(a, t))
             if n != 1:
                 yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
+
+
+def reference_functor_violations(src, dst, on_obj, on_mor, objects, morphisms, blocks):
+    """The functor laws as :func:`natmod.fincat.functor_violations` yields
+    them, with composition compared pair by pair, f by f over each block:
+    the definition that comparing a block a row at a time must reproduce
+    witness for witness, raising what it raises where it raises it."""
+    for a in objects:
+        fa = on_obj(a)
+        if fa is None:
+            yield "functor", f"no image for object {a}"
+        elif on_mor(src.identity(a)) != dst.identity(fa):
+            yield "functor", f"identity of {a} not preserved"
+    misplaced = set()
+    for m, a, b in morphisms:
+        im = on_mor(m)
+        if im is None:
+            yield "functor", f"no image for morphism {m}"
+        elif dst.dom(im) != on_obj(a) or dst.cod(im) != on_obj(b):
+            yield "functor", f"image of {m} has wrong endpoints"
+        else:
+            continue
+        misplaced.add(m)
+    for fs, gs in blocks:
+        if misplaced:
+            gs = [g for g in gs if g not in misplaced]
+        f_gs = list(map(on_mor, gs))
+        for f in fs:
+            if f in misplaced:
+                continue
+            f_f = on_mor(f)
+            lhs = map(on_mor, map(src.compose, gs, itertools.repeat(f)))
+            rhs = map(dst.compose, f_gs, itertools.repeat(f_f))
+            for g in itertools.compress(gs, map(operator.ne, lhs, rhs)):
+                yield "functor", f"composition not preserved on ({g}, {f})"
+    return misplaced
+
+
+def check_pullback_square_by_cones(
+    f: NatTrans, x: NatTrans, top: NatTrans, left: NatTrans
+) -> bool:
+    """The pullback verifier that chases the universal property, the
+    reference for :func:`natmod.presheaf.check_pullback_square`.
+
+    Enumerates every cone whose apex is a representable presheaf y(D) —
+    i.e. every pair of natural transformations a : y(D) -> X, b : y(D) -> Y
+    with x∘a = f∘b, built from elements via Yoneda — and demands exactly
+    one mediating natural transformation into the candidate apex.  This
+    re-derives the answer of :func:`check_pullback_square` from the
+    definition rather than from the fibrewise-bijection shortcut.  The
+    definition is about natural transformations, so a square one of whose
+    four maps is not natural is no pullback.
+    """
+    if any(next(nt.violations(), None) is not None for nt in (f, x, top, left)):
+        return False
+    base = x.dom.base
+    p = top.dom
+    yons = {d: yoneda(base, d) for d in base.object_keys}
+    for d in base.object_keys:
+        yd = yons[d]
+        for u in x.dom.at(d):
+            a = element_nat(base, x.dom, u, yd)
+            for v in f.dom.at(d):
+                b = element_nat(base, f.dom, v, yd)
+                lhs = compose_nat(x, a)
+                rhs = compose_nat(f, b)
+                if any(
+                    lhs.apply(e, h) != rhs.apply(e, h)
+                    for e in base.object_keys for h in yd.at(e)
+                ):
+                    continue
+                mediating = 0
+                for z in p.at(d):
+                    med = element_nat(base, p, z, yd)
+                    la = compose_nat(left, med)
+                    tb = compose_nat(top, med)
+                    if all(
+                        la.apply(e, h) == a.apply(e, h) and tb.apply(e, h) == b.apply(e, h)
+                        for e in base.object_keys for h in yd.at(e)
+                    ):
+                        mediating += 1
+                if mediating != 1:
+                    return False
+    # commutativity of the candidate square itself
+    for d in base.object_keys:
+        for z in p.at(d):
+            if x.apply(d, left.apply(d, z)) != f.apply(d, top.apply(d, z)):
+                return False
+    return True
 
 
 def slice_parts(m: str) -> tuple[str, str, tuple[int, ...]]:

@@ -12,6 +12,8 @@ from natmod.fincat import (
     FinSliceOpposite,
     category_violations,
     check_category,
+    composable_pairs,
+    functor_violations,
     is_pullback_square,
     is_set_pullback,
     memo,
@@ -29,6 +31,7 @@ from helpers import (
     poset_category,
     propositions_model,
     reference_category_violations,
+    reference_functor_violations,
     reference_slice_compose,
     slice_parts,
 )
@@ -984,3 +987,95 @@ class TestComposeRow:
                         by_row.compose_row(g, [*fs, bad])
                     assert str(got.value) == str(want.value)
         assert rows
+
+    @pytest.mark.parametrize("build,bound", [
+        pytest.param(build, bound, id=name) for name, build, bound in _row_categories()])
+    def test_a_leg_row_of_the_pullback_check_is_its_composites(self, build, bound):
+        by_row, by_pair = build(), build()
+        objs = by_row.objects(bound)
+        legs = [g for a in objs for b in objs for g in by_row.hom(a, b)]
+        # the same keys name the same cells in the other
+        assert by_pair.objects(bound) == objs
+        assert [g for a in objs for b in objs for g in by_pair.hom(a, b)] == legs
+        rows = 0
+        for q in objs:
+            for g in legs:
+                want = {h: by_pair.compose(g, h) for h in by_pair.hom(q, by_pair.dom(g))}
+                assert fincat._post_row(by_row, q, g) == want
+                rows += len(want) > 1
+        assert rows
+
+
+# ---------------------------------------------------------------------------
+# The functor laws by rows yield what they yield pair by pair
+# ---------------------------------------------------------------------------
+
+def _functor_outcome(laws, *args):
+    """The pairs a functor-law body yields, and what it raises, by type and text."""
+    out = []
+    try:
+        for w in laws(*args):
+            out.append(w)
+    except Exception as exc:  # noqa: BLE001 -- the type and text are compared
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def _pairwise_blocks(mors):
+    """The composable pairs of ``mors`` as blocks of one f each, in order."""
+    out_of: dict = {}
+    for m, a, _b in mors:
+        out_of.setdefault(a, []).append(m)
+    return [([f], out_of.get(b, [])) for f, _a, b in mors]
+
+
+def assert_functor_rows_match_pairs(src, dst, on_obj, on_mor, objects, mors):
+    """The functor laws over the composable pairs of ``mors``, a row at a
+    time in the blocks of :func:`composable_pairs` and pair by pair in
+    blocks of one f; returns the shared outcome."""
+    want = _functor_outcome(reference_functor_violations, src, dst, on_obj, on_mor,
+                            objects, mors, _pairwise_blocks(mors))
+    got = _functor_outcome(functor_violations, src, dst, on_obj, on_mor,
+                           objects, mors, composable_pairs(mors))
+    assert got == want
+    return got
+
+
+class TestFunctorLawsAgainstTheReference:
+    @pytest.mark.parametrize("build,mutable", [
+        pytest.param(build, mutable, id=name) for name, build, mutable in _suite_categories()])
+    def test_every_suite_presentation_with_one_wrong_cell(self, build, mutable):
+        src = build()
+        mors = [(m, a, b) for (a, b), ms in src.homs.items() for m in ms]
+        # str is the identity functor on the keys
+        same = assert_functor_rows_match_pairs(src, build(), str, str, src.object_keys, mors)
+        assert same == ([], None)
+        outcomes = []
+        for seed in range(3):
+            rng, dst = random.Random(seed), build()
+            kinds = ["associativity" if mutable else "hom", "hom"]
+            if type(src) is not FinCatPresentation and src.compose_rule is None:
+                kinds.append("missing")  # a file's table: the reference raises
+            if len(dst.homs) > 1:  # else the one composite has nowhere to move
+                _mutate_one_composite(dst, kinds[seed % len(kinds)], rng)
+            m, a, b = rng.choice(mors)
+            moved = rng.choice([None, *dst.homs[(a, b)], *rng.choice(list(dst.homs.values()))])
+            for on_mor in (str, lambda k, m=m, moved=moved: moved if k == m else k):
+                outcomes.append(assert_functor_rows_match_pairs(
+                    src, dst, str, on_mor, src.object_keys, mors))
+        assert any(witnesses for witnesses, _raised in outcomes)
+
+    def test_a_raise_after_a_witness_comes_where_the_pairs_meet_it(self):
+        src, dst = _table_category(), _table_category()
+        mors = [(m, a, b) for (a, b), ms in src.homs.items() for m in ms]
+        pairs = [(g, f) for fs, gs in _pairwise_blocks(mors) for f in fs for g in gs]
+        wrong = next((g, f) for g, f in pairs
+                     if len(dst.homs[(dst.dom(f), dst.cod(g))]) > 1)
+        missing = pairs[-1]
+        assert pairs.index(wrong) < pairs.index(missing)
+        hom = dst.homs[(dst.dom(wrong[1]), dst.cod(wrong[0]))]
+        dst.compose_table[wrong] = next(m for m in hom if m != dst.compose(*wrong))
+        del dst.compose_table[missing]
+        witnesses, raised = assert_functor_rows_match_pairs(
+            src, dst, str, str, src.object_keys, mors)
+        assert witnesses and raised[0] is KeyError

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
+from natmod.fincat import FinSliceOpposite, is_pullback_square, join_escaped, truncate
 from natmod.freemodel import (
     CompositeModel,
     ExtTermModel,
     _InterleavedCategory,
     _TreeCategory,
     _WrappedCategory,
+    TermTree,
     TypeTree,
     extend_by_sigma,
     extend_by_term,
@@ -34,6 +35,7 @@ from natmod.freemodel import (
     tree_ext,
     tree_subst,
     tree_summation,
+    tmtree_type,
     type_insertion,
     type_universal,
     unit_insertion,
@@ -810,6 +812,73 @@ class TestObjectKeysAreInjective:
         x = extend_by_type(term_model(range(1)))
         assert x.base.spell_obj(("fs[0]", (1, 0), ("T0",))) == "ix(fs[0]|1,T0,0)"
 
+    def test_one_empty_part_is_not_the_empty_list(self):
+        assert join_escaped(";", [""]) != join_escaped(";", []) == ""
+        parts = ["", "a", ";", "\\", "a;b", "\\;"]
+        lists = [list(p) for n in range(3) for p in itertools.product(parts, repeat=n)]
+        assert len({join_escaped(";", p) for p in lists}) == len(lists)
+        # a list whose parts are all non-empty is joined as before
+        assert join_escaped(";", ["a", "b;c"]) == "a;b\\;c"
+
+    def test_the_root_and_a_context_over_the_empty_type_keep_their_own_keys(self):
+        # a one-object file with a type keyed by the empty string: the root
+        # (*, ()) and the context (*, ("",)) were both spelled xt(*|)
+        cat = extend_by_term(parse_model(_one_object_file(["a", ""])), "a").base
+        over_empty = cat.objs.key(("*", ("",)))
+        assert over_empty != cat.terminal == cat.objs.key(("*", ()))
+        assert len(cat.objs.keys) == len(cat.objs.cells) == 2
+
+    def test_the_roadmap_pair_of_type_trees_keeps_two_keys(self):
+        a, b_c, a_b, c = (TypeTree(leaf=x) for x in ("a", "b,c", "a,b", "c"))
+        one, two = TypeTree(left=a, right=b_c), TypeTree(left=a_b, right=c)
+        assert one.key != two.key and one != two
+        ab, b = TermTree(leaf="a:b"), TermTree(leaf="b")
+        assert (TermTree(left=TermTree(leaf="a"), rtype=TypeTree(leaf="b:c"), right=b).key
+                != TermTree(left=ab, rtype=c, right=b).key)
+        cat = extend_by_sigma(term_model(range(1))).base
+        assert cat.spell_obj(("g", (one,))) != cat.spell_obj(("g", (two,)))
+
+    def test_tree_keys_are_injective_over_every_separator(self):
+        leaves = ["", "a", "\\", "[", "]", ",", ":", ";", "|", "a,b", "\\,", "[a,b]"]
+        trees = _type_trees(leaves, 3)
+        assert len({t.key for t in trees}) == len({_shape(t) for t in trees}) == len(trees)
+        terms = [TermTree(leaf=x) for x in leaves]
+        types = [t for t in trees if t.size() < 3]
+        terms += [TermTree(left=l, rtype=ty, right=r) for l in terms for ty in types[::7]
+                  for r in terms]
+        assert len({t.key for t in terms}) == len({_shape(t) for t in terms}) == len(terms)
+        cat = extend_by_sigma(term_model(range(1))).base
+        cells = [(g, ts) for g in ["g", "g|", "g|a", "g\\", "tr(g|)", ""]
+                 for n in range(3) for ts in itertools.product(types[::11], repeat=n)]
+        assert len({cat.spell_obj(cell) for cell in cells}) == len(cells)
+
+    def test_tree_keys_over_a_term_model_are_spelled_as_before(self):
+        t0, x0 = TypeTree(leaf="T0"), TermTree(leaf="x0")
+        pair = TypeTree(left=t0, right=t0)
+        assert TypeTree(left=pair, right=t0).key == "[[T0,T0],T0]"
+        assert TermTree(left=x0, rtype=pair, right=x0).key == "[x0:[T0,T0]:x0]"
+        cat = extend_by_sigma(term_model(range(1))).base
+        assert cat.spell_obj(("fs[0]", (pair, t0))) == "tr(fs[0]|[T0,T0];T0)"
+        assert cat.spell_obj(("tr(fs[0]|)", ())) == "tr(tr(fs[0]|)|)"
+
+
+def _type_trees(leaves: list[str], n: int) -> list[TypeTree]:
+    """Every type tree of at most n leaves drawn from ``leaves``."""
+    by_size = {1: [TypeTree(leaf=x) for x in leaves]}
+    for k in range(2, n + 1):
+        by_size[k] = [TypeTree(left=l, right=r) for i in range(1, k)
+                      for l in by_size[i] for r in by_size[k - i]]
+    return [t for k in sorted(by_size) for t in by_size[k]]
+
+
+def _shape(tree) -> object:
+    """A tree as nested tuples of its leaves, compared without keys."""
+    if tree.is_leaf:
+        return tree.leaf
+    if isinstance(tree, TermTree):
+        return _shape(tree.left), _shape(tree.rtype), _shape(tree.right)
+    return _shape(tree.left), _shape(tree.right)
+
 
 def _memo_tables(model) -> list[dict]:
     owners = [model, model.base, model.inner, model.inner.base]
@@ -824,6 +893,26 @@ class TestPerInstanceMemo:
         tables = [_memo_tables(first), _memo_tables(second)]
         assert tables[0] and len(tables[0]) == len(tables[1])
         assert not {id(t) for t in tables[0]} & {id(t) for t in tables[1]}
+        # the type trees of term trees are memoized on the inner model
+        types = [vars(m.inner).get("_memo_tmtree_type") for m in (first, second)]
+        assert all(types) and types[0] is not types[1]
+
+    def test_every_sigma_term_keeps_its_type_at_bound_3(self):
+        def by_calls(m, ctx, tree):
+            if tree.is_leaf:
+                return TypeTree(leaf=m.typeof(ctx, tree.leaf))
+            return TypeTree(left=by_calls(m, ctx, tree.left), right=tree.rtype)
+
+        sm = extend_by_sigma(term_model(range(1)))
+        checked = 0
+        for ctx in sm.base.objects(3):
+            under = sm.base.under(ctx)
+            for tm in sm.terms(ctx, 3):
+                want = by_calls(sm.inner, under, sm.tm_tree(tm))
+                assert tmtree_type(sm.inner, under, sm.tm_tree(tm)) == want
+                assert sm.typeof(ctx, tm) == want.key
+                checked += not want.is_leaf
+        assert checked
 
 
 class TestFreeFunctorsPreserveInitiality:

@@ -97,7 +97,8 @@ def _categories():
         pytest.param("fincat", "FinSliceOpposite", tm.base, id="FinSliceOpposite"),
         pytest.param("freemodel", "_WrappedCategory", freemodel.extend_by_sigma(tm).base,
                      id="_WrappedCategory"),
-        pytest.param("freemodel", "_InterleavedCategory", freemodel.extend_by_unit(tm).base,
+        # an interleaved category composes by the wrapped categories' compose
+        pytest.param("freemodel", "_WrappedCategory", freemodel.extend_by_unit(tm).base,
                      id="_InterleavedCategory"),
     ]
 

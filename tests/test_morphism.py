@@ -33,7 +33,7 @@ from natmod.freemodel import (
     type_universal,
     unit_universal,
 )
-from natmod.fincat import memo
+from natmod.fincat import functor_violations, memo
 from natmod.morphism import (
     MorphismPins,
     NMorphism,
@@ -43,6 +43,8 @@ from natmod.morphism import (
     check_morphism,
 )
 from natmod.natmodel import model_presheaves
+
+from helpers import reference_functor_violations
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +479,76 @@ def test_naturality_by_rows_matches_cells_at_every_node_of_the_pinned_searches(n
         def _consistent_at(self, cand, i):
             mors = self._scope(i)[1]
             nodes.append(_assert_rows_match_cells(cand, self.ps, mors, (cand.ty, cand.tm)))
+            return super()._consistent_at(cand, i)
+
+    count, steps, verdicts = _tree(BothBodies, src, dst, bound, pins)
+    assert len(nodes) == len(verdicts)
+    assert (count, steps, _run_length([f"{i}{'+' if ok else '-'}" for i, ok in verdicts])) == (
+        SEARCH_PINS[(name, bound)])
+
+
+# ---------------------------------------------------------------------------
+# The functor laws by rows yield what they yield pair by pair
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", list(REPORT_PINS))
+def test_functor_laws_by_rows_match_pairs_on_the_recorded_reports(name):
+    from test_fincat import assert_functor_rows_match_pairs
+
+    build, _strict, counts, _digest = REPORT_PINS[name]
+    fm = build()
+    ps = model_presheaves(fm.src, 2, 2)
+    witnesses, raised = assert_functor_rows_match_pairs(
+        fm.src.base, fm.dst.base, fm.on_obj, fm.on_mor, ps.cat.object_keys, _all_mors(ps))
+    assert (len(witnesses), raised) == (counts.get("functor", 0), None)
+
+
+def _moved_morphism_image(fm, ps, rng: random.Random):
+    """``fm.on_mor`` with one image moved to another morphism between the
+    same images, to one between other images, or to None."""
+    m = rng.choice(ps.cat.all_morphisms())
+    was, dst = fm.on_mor(m), fm.dst.base
+    a, b = (rng.choice(ps.cat.object_keys) for _ in range(2))
+    pool = dst.hom(dst.dom(was), dst.cod(was)) + dst.hom(fm.on_obj(a), fm.on_obj(b))
+    value = rng.choice(sorted(set(pool) - {was}) + [None])
+    return lambda k: value if k == m else fm.on_mor(k)
+
+
+def test_functor_laws_by_rows_match_pairs_under_moved_morphism_images():
+    from test_fincat import assert_functor_rows_match_pairs
+
+    built = {}
+    outcomes = []
+    for seed in range(48):
+        rng = random.Random(seed)
+        name = rng.choice(sorted(REPORT_PINS))
+        if name not in built:
+            fm = REPORT_PINS[name][0]()
+            built[name] = fm, model_presheaves(fm.src, 2, 2)
+        fm, ps = built[name]
+        outcomes.append(assert_functor_rows_match_pairs(
+            fm.src.base, fm.dst.base, fm.on_obj, _moved_morphism_image(fm, ps, rng),
+            ps.cat.object_keys, _all_mors(ps)))
+    assert len(built) == len(REPORT_PINS)
+    assert all(witnesses for witnesses, _raised in outcomes)  # each move is seen
+
+
+@pytest.mark.parametrize("name,bound", list(SEARCH_PINS), ids=[
+    f"{name.replace(' ', '-')}@{bound}" for name, bound in SEARCH_PINS
+])
+def test_functor_laws_by_rows_match_pairs_at_every_node_of_the_pinned_searches(name, bound):
+    from test_fincat import _functor_outcome
+
+    src, dst, pins = _search(name, bound)
+    nodes = []
+
+    class BothBodies(_Search):
+        def _consistent_at(self, cand, i):
+            args = (self.src.base, self.dst.base, cand.on_obj, cand.on_mor, (), (),
+                    self._scope(i)[2])
+            got = _functor_outcome(functor_violations, *args)
+            assert got == _functor_outcome(reference_functor_violations, *args)
+            nodes.append(got)
             return super()._consistent_at(cand, i)
 
     count, steps, verdicts = _tree(BothBodies, src, dst, bound, pins)

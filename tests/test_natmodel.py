@@ -54,9 +54,9 @@ from natmod.natmodel import (
     sigma_square,
     swap_iso,
 )
-from natmod.presheaf import NatTrans, check_pullback_square, check_pullback_square_by_cones
+from natmod.presheaf import NatTrans, check_pullback_square
 
-from helpers import pi_apply, propositions_model
+from helpers import check_pullback_square_by_cones, pi_apply, propositions_model
 
 
 class BrokenSubstModel:

@@ -10,7 +10,6 @@ from natmod.presheaf import (
     Presheaf,
     Representable,
     check_pullback_square,
-    check_pullback_square_by_cones,
     compose_nat,
     element_nat,
     elements_cat,
@@ -28,6 +27,7 @@ from natmod.natmodel import model_presheaves
 
 from helpers import (
     chain_poset,
+    check_pullback_square_by_cones,
     diamond_lattice,
     reference_nat_trans_violations,
     reference_presheaf_violations,
