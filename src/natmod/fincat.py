@@ -8,7 +8,9 @@ objects up to a size bound and produce full finite hom sets on demand;
 :class:`FinCatPresentation`.  Every generated cell is named through one
 mechanism, :class:`Registry`, which spells a key only for a cell it has never
 seen and reads each key back as its cell; a :class:`RegistryCategory` holds
-one for its objects and one for its morphisms.  Composites are read a row
+one for its objects and one for its morphisms, and the Σ model's trees and
+the cells of the presheaf constructions have theirs.  :func:`tuple_key` is
+the one spelling of a tuple of keys.  Composites are read a row
 at a time where a caller needs many after one g:
 :meth:`BoundedCategory.compose_row` gives g∘f over a list of fs, which a
 table, a truncation, :class:`FinSliceOpposite` and the free extensions'
@@ -659,6 +661,12 @@ def join_escaped(sep: str, parts: Iterable[str]) -> str:
     does, is spelled ``\\``, which no escaped part is."""
     escaped = [x.replace("\\", "\\\\").replace(sep, "\\" + sep) for x in parts]
     return sep.join(escaped) if escaped != [""] else "\\"
+
+
+def tuple_key(parts: tuple[str, ...]) -> str:
+    """The key ``(x|y|…)`` of a tuple of keys, joined by
+    :func:`join_escaped`, so distinct tuples have distinct keys."""
+    return "(" + join_escaped("|", parts) + ")"
 
 
 class Registry:

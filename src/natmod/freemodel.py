@@ -14,6 +14,8 @@ Quotient identifications in the underlying categories of contexts are
 implemented as normalization at construction time: a context is the cell of
 its normal form, named like every morphism by the category's registries
 (:class:`~natmod.fincat.RegistryCategory`), so equal contexts have equal keys.
+The Σ model's type and term trees are named by two
+:class:`~natmod.fincat.Registry` too, each spelled by the tree's own key.
 
 The four free extensions share one base, :class:`_WrappedModel`: a context
 morphism wraps a morphism of the inner model, its payload, and every one of
@@ -33,10 +35,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .fincat import FinSliceOpposite, RegistryCategory, join_escaped, memo
+from .fincat import FinSliceOpposite, Registry, RegistryCategory, join_escaped, memo
 from .natmodel import (
     CompositeModel,
     ExtensionData,
@@ -438,9 +441,6 @@ class _ExtTermCategory(_WrappedCategory):
     def __init__(self, inner: NaturalModel, o_ty: str):
         super().__init__(inner)
         self.o_ty = o_ty
-        # extension key -> (iso, inverse) under(key) -> under(parent)•A, where
-        # normal-form collapse changed the underlying context
-        self._align: dict[str, tuple[str, str]] = {}
 
     def spell_obj(self, cell: tuple[str, tuple[str, ...]]) -> str:
         gamma, tys = cell
@@ -467,21 +467,6 @@ class _ExtTermCategory(_WrappedCategory):
         e = inner.ext(self.under(parent), tys[-1])
         return inner.base.compose(self.anchor(parent), e.proj)
 
-    def align(self, key: str, gamma: str, a_prime: str) -> str:
-        """The swap Γ•A'•O -> Γ•O•A'[p_O] recorded, with its inverse, for the
-        collapsed context ``key``; checked once."""
-        if key not in self._align:
-            inner = self.inner
-            o_at_g = inner.subst_ty(inner.t(gamma), self.o_ty)
-            sw = swap_iso(inner, gamma, a_prime, o_at_g)
-            sw_inv = swap_iso(inner, gamma, o_at_g, a_prime)
-            ib = inner.base
-            if ib.compose(sw_inv, sw) != ib.identity(ib.dom(sw)) or \
-                    ib.compose(sw, sw_inv) != ib.identity(ib.cod(sw)):
-                raise ValueError("alignment isomorphism is not invertible")
-            self._align[key] = sw, sw_inv
-        return self._align[key][0]
-
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
         anchor_a, anchor_b = self.anchor(a), self.anchor(b)
         for s in self.inner.base.hom(self.under(a), self.under(b)):
@@ -498,8 +483,8 @@ class ExtTermModel(_WrappedModel):
 
     Contexts are pairs of an inner context and a list of formal extensions
     depending on the new variable; lists whose head does not depend on it
-    are absorbed into the inner context (the normal form), with the swap
-    isomorphism recorded so that types and terms can be transported.
+    are absorbed into the inner context (the normal form), and the swap
+    isomorphism of :meth:`alignment` transports types and terms.
     """
 
     base: _ExtTermCategory
@@ -551,25 +536,42 @@ class ExtTermModel(_WrappedModel):
         return self.inner.subst_tm(payload[0], term)
 
     @memo
+    def alignment(self, ctx: str, ty: str) -> Optional[tuple[str, str, str]]:
+        """Where extending ctx by ty collapses, if it does: when ctx is a root
+        (Γ;) and ty is A'[p_O] for the first inner type A' over Γ that
+        weakens to it, the type does not depend on the new variable and the
+        extension is absorbed into the root (Γ•A';).  Returns that root, the
+        swap Γ•A'•O -> Γ•O•A'[p_O] and its inverse, checked once; else None.
+        """
+        gamma, tys = self.base.objs.cell(ctx)
+        if tys:
+            return None
+        inner = self.inner
+        o_ext = self._o_ext(gamma)
+        a_prime = next((a for a in inner.types(gamma, self.ty_size(ctx, ty))
+                        if inner.subst_ty(o_ext.proj, a) == ty), None)
+        if a_prime is None:
+            return None
+        o_at_g = inner.subst_ty(inner.t(gamma), self.o_ty)
+        sw = swap_iso(inner, gamma, a_prime, o_at_g)
+        sw_inv = swap_iso(inner, gamma, o_at_g, a_prime)
+        ib = inner.base
+        if ib.compose(sw_inv, sw) != ib.identity(ib.dom(sw)) or \
+                ib.compose(sw, sw_inv) != ib.identity(ib.cod(sw)):
+            raise ValueError("alignment isomorphism is not invertible")
+        return self.i_obj(inner.ext(gamma, a_prime).extended), sw, sw_inv
+
+    @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
-        gamma, tys = cat.objs.cell(ctx)
         inner = self.inner
         e_in = inner.ext(cat.under(ctx), ty)
-        if not tys:
-            # normal-form collapse: a type not depending on the new variable
-            # is absorbed into the inner context
-            o_ext = self._o_ext(gamma)
-            preimages = [
-                a for a in inner.types(gamma, self.ty_size(ctx, ty))
-                if inner.subst_ty(o_ext.proj, a) == ty
-            ]
-            if preimages:
-                a_prime = preimages[0]
-                new_key = self.i_obj(inner.ext(gamma, a_prime).extended)
-                sw = cat.align(new_key, gamma, a_prime)
-                proj = cat.mors.key((new_key, ctx, (inner.base.compose(e_in.proj, sw),)))
-                return ExtensionData(new_key, proj, inner.subst_tm(sw, e_in.var))
+        collapse = self.alignment(ctx, ty)
+        if collapse is not None:
+            new_key, sw, _ = collapse
+            proj = cat.mors.key((new_key, ctx, (inner.base.compose(e_in.proj, sw),)))
+            return ExtensionData(new_key, proj, inner.subst_tm(sw, e_in.var))
+        gamma, tys = cat.objs.cell(ctx)
         new_key = cat.objs.key((gamma, tys + (ty,)))
         return ExtensionData(new_key, cat.mors.key((new_key, ctx, (e_in.proj,))), e_in.var)
 
@@ -578,9 +580,9 @@ class ExtTermModel(_WrappedModel):
         (s,) = self.base.mor_payload(sigma)
         e = self.ext(gamma_ctx, ty)
         tau = induced_sub(self.inner, s, term, ty)
-        align = self.base._align.get(e.extended)
-        if align is not None:
-            tau = self.inner.base.compose(align[1], tau)
+        collapse = self.alignment(gamma_ctx, ty)
+        if collapse is not None:
+            tau = self.inner.base.compose(collapse[2], tau)
         return self.base.mors.key((self.base.dom(sigma), e.extended, (tau,)))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
@@ -603,9 +605,9 @@ def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorp
     Built directly into F's codomain, like the other free extensions: the
     comparison map θ : F♯(ctx) -> F(under ctx) is the section ⟨id, o[t]⟩ at
     a root (Γ;), and the canonical pullback of the parent's θ along F(A) at
-    Γ•A, composed with the F-image of the recorded alignment inverse where
-    normal-form collapse changed the underlying context.  With F the
-    identity this is the substitution morphism S_o.
+    Γ•A, composed with the F-image of the alignment inverse where extending
+    Γ by A collapsed.  With F the identity this is the substitution
+    morphism S_o.
     """
     target = f.dst
     fo = f.on_ty(ext.inner.terminal, ext.o_ty)
@@ -622,9 +624,9 @@ def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorp
             )
         pctx, pty = parent
         th = canonical_pullback(target, theta(d, pctx), f.on_ty(ext.base.under(pctx), pty))
-        align = ext.base._align.get(ctx)
-        if align is not None:
-            th = target.base.compose(f.on_mor(align[1]), th)
+        collapse = ext.alignment(pctx, pty)
+        if collapse is not None:
+            th = target.base.compose(f.on_mor(collapse[2]), th)
         return th
 
     def ty_map(d, ctx: str, ty: str) -> str:
@@ -1160,32 +1162,31 @@ class SigmaExtModel(_WrappedModel):
     """The free natural model on ``inner`` admitting dependent sum types.
 
     Types are type trees over the underlying context, terms are term trees,
-    and the dependent sum of (T, T') is the tree [T, T'].  Tree keys are
-    registered so they never need to be parsed.
+    and the dependent sum of (T, T') is the tree [T, T'].  The trees are
+    named by two :class:`~natmod.fincat.Registry`, ``tys`` and ``tms``, whose
+    spelling is the tree's own key, so a key is never parsed.
     """
 
     base: _TreeCategory
 
     def __init__(self, inner: NaturalModel):
         super().__init__(inner, _TreeCategory(inner))
-        self._ty_trees: dict[str, TypeTree] = {}
-        self._tm_trees: dict[str, TermTree] = {}
+        self.tys = Registry(attrgetter("key"))  # the type trees
+        self.tms = Registry(attrgetter("key"))  # the term trees
         self.sigma_structure = SigmaStructure(self._sigma, self._pair, self._split)
 
     # -- tree registries --------------------------------------------------
     def reg_ty(self, tree: TypeTree) -> str:
-        self._ty_trees.setdefault(tree.key, tree)
-        return tree.key
+        return self.tys.key(tree)
 
     def reg_tm(self, tree: TermTree) -> str:
-        self._tm_trees.setdefault(tree.key, tree)
-        return tree.key
+        return self.tms.key(tree)
 
     def ty_tree(self, key: str) -> TypeTree:
-        return self._ty_trees[key]
+        return self.tys.cells[key]
 
     def tm_tree(self, key: str) -> TermTree:
-        return self._tm_trees[key]
+        return self.tms.cells[key]
 
     # -- model interface ---------------------------------------------------
     def types(self, ctx: str, bound: int) -> list[str]:
@@ -1290,7 +1291,7 @@ class SigmaExtModel(_WrappedModel):
 
     def _split(self, ctx: str, ty_a: str, ty_b: str, tm: str) -> tuple[str, str]:
         """(fst, snd): the children of a node (t₁, B, t₂) whose t₁ has type A."""
-        tree = self._tm_trees.get(tm)
+        tree = self.tms.cells.get(tm)
         try:
             fits = (tree is not None and not tree.is_leaf and tree.rtype.key == ty_b
                     and self.typeof(ctx, self.reg_tm(tree.left)) == ty_a)

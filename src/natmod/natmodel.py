@@ -34,9 +34,9 @@ from .fincat import (
     FinCatPresentation,
     Registry,
     category_violations,
-    join_escaped,
     memo,
     truncate,
+    tuple_key as _tuple_key,
 )
 from .presheaf import (
     NatTrans,
@@ -395,20 +395,15 @@ class SquareOracleReport:
 
 
 def extension_square_oracle(
-    model: NaturalModel, ctx_bound: int, ty_bound: Optional[int] = None,
-    square_ctx_bound: Optional[int] = None,
+    model: NaturalModel, ctx_bound: int, ty_bound: int, square_ctx_bound: int,
 ) -> SquareOracleReport:
     """Run the pullback oracle on every in-bound extension square.
 
-    The base is truncated at ``ctx_bound``; squares are checked for contexts
-    of size at most ``square_ctx_bound`` (default ``ctx_bound - 1`` so the
-    extended object stays inside the truncation).  Extensions that leave the
-    truncation are reported as skipped.
+    The base is truncated at ``ctx_bound`` and types at ``ty_bound``; squares
+    are checked for contexts of size at most ``square_ctx_bound``, at most
+    ``ctx_bound - 1`` keeping the extended object inside the truncation.
+    Extensions that leave the truncation are reported as skipped.
     """
-    if ty_bound is None:
-        ty_bound = ctx_bound
-    if square_ctx_bound is None:
-        square_ctx_bound = ctx_bound - 1
     ps = model_presheaves(model, ctx_bound, ty_bound)
     yons: dict[str, Presheaf] = {}  # representables of the contexts the squares use
     report = SquareOracleReport(ctx_bound, ty_bound)
@@ -441,21 +436,14 @@ def extension_square_oracle(
 # (A, B, a, b) quadruples
 # ---------------------------------------------------------------------------
 
-def _tuple_key(parts: tuple[str, ...]) -> str:
-    """The key ``(x|y|…)`` of a tuple of keys, joined by
-    :func:`~natmod.fincat.join_escaped`, so distinct tuples have distinct
-    keys."""
-    return "(" + join_escaped("|", parts) + ")"
-
-
 class CompositeModel(NaturalModel):
     """The polynomial composite (ℂ, q·p) of two models over one base category.
 
     Types are pairs (A, B) with A a type of the outer model and B a type of
     the inner model over the outer extension; terms are the matching
     quadruples.  Both are named by a :class:`~natmod.fincat.Registry`,
-    ``tys`` and ``tms``, which spells each as :func:`_tuple_key`.  Extension
-    composes the two chosen extensions.
+    ``tys`` and ``tms``, which spells each as :func:`~natmod.fincat.tuple_key`.
+    Extension composes the two chosen extensions.
     """
 
     def __init__(self, inner_p: NaturalModel, outer_q: NaturalModel):
@@ -588,12 +576,11 @@ def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> StructureRe
     if u.unit_ty not in model.types(diamond, bound):
         report.add("(i) the unit type is not a closed type")
         return report
-    try:
-        if model.typeof(diamond, u.star_tm) != u.unit_ty:
-            report.add("(ii) typeof(star) != unit")
-    except (ValueError, KeyError, IndexError):
+    if u.star_tm not in model.terms(diamond, bound):
         report.add("(ii) the distinguished term is not a closed term")
         return report
+    if model.typeof(diamond, u.star_tm) != u.unit_ty:
+        report.add("(ii) typeof(star) != unit")
     e = model.ext(diamond, u.unit_ty)
     if e.proj != model.t(e.extended):
         report.add("(iii) projection of the unit extension is not the terminal map")

@@ -28,6 +28,10 @@ natural transformation.
 :func:`~natmod.fincat.category_violations` returns such a set for a lawful
 base, and ``check_eat`` passes it to Ty and Tm, and to p once Ty and Tm are
 functorial.  Every other caller walks every morphism.
+
+The sums, pullbacks and categories of elements name their cells through a
+:class:`~natmod.fincat.Registry` spelled by :func:`~natmod.fincat.tuple_key`
+and read the parts back from the cells, so no two cells share a key.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
-from .fincat import FinCatPresentation, FinFunctor, is_set_pullback
+from .fincat import FinCatPresentation, FinFunctor, Registry, is_set_pullback, tuple_key
 
 
 @dataclass
@@ -257,50 +261,34 @@ def element_nat(base: FinCatPresentation, ps: Presheaf, x: str, yon: Presheaf) -
 
 
 def elements_cat(p: Presheaf) -> tuple[FinCatPresentation, FinFunctor]:
-    """The category of elements of p, with its projection functor."""
+    """The category of elements of p, with its projection functor.
+
+    An object is the cell (c, x) of a :class:`~natmod.fincat.Registry`,
+    keyed ``el(c|x)``.  A morphism (c, x[m]) -> (d, y) is the cell (m, y) of
+    another, keyed (m|y), for m : c -> d; composites and the projection
+    read the cells.
+    """
     base = p.base
-    objs = []
-    for c in base.object_keys:
-        for x in p.at(c):
-            objs.append(f"el({c}|{x})")
+    objs, mors = Registry(lambda cell: "el" + tuple_key(cell)), Registry(tuple_key)
+    els = [(objs.key((c, x)), c, x) for c in base.object_keys for x in p.at(c)]
     homs: dict[tuple[str, str], list[str]] = {}
-    identities: dict[str, str] = {}
-    obj_map: dict[str, str] = {}
-    mor_map: dict[str, str] = {}
-
-    def el_mor(m: str, src_el: str, dst_el: str) -> str:
-        return f"{src_el}=>{dst_el}:{m}"
-
-    for c in base.object_keys:
-        for x in p.at(c):
-            src_el = f"el({c}|{x})"
-            obj_map[src_el] = c
-            for d in base.object_keys:
-                for y in p.at(d):
-                    dst_el = f"el({d}|{y})"
-                    ms = []
-                    for m in base.hom(c, d):
-                        if p.restrict(m, y) == x:
-                            k = el_mor(m, src_el, dst_el)
-                            ms.append(k)
-                            mor_map[k] = m
-                    if ms:
-                        homs[(src_el, dst_el)] = ms
-    for c in base.object_keys:
-        for x in p.at(c):
-            el = f"el({c}|{x})"
-            identities[el] = el_mor(base.identity(c), el, el)
+    for src, c, x in els:
+        for dst, d, y in els:
+            ms = [mors.key((m, y)) for m in base.hom(c, d) if p.restrict(m, y) == x]
+            if ms:
+                homs[(src, dst)] = ms
+    identities = {el: mors.key((base.identity(c), x)) for el, c, x in els}
 
     def rule(g: str, f: str) -> str:
-        return el_mor(base.compose(mor_map[g], mor_map[f]), cat.dom(f), cat.cod(g))
+        gm, y = mors.cells[g]
+        return mors.key((base.compose(gm, mors.cells[f][0]), y))
 
     cat = FinCatPresentation(
-        object_keys=objs, homs=homs, compose_table={}, identities=identities,
-        terminal_key=None, compose_rule=rule,
+        object_keys=[el for el, _, _ in els], homs=homs, compose_table={},
+        identities=identities, terminal_key=None, compose_rule=rule,
     )
-    # the rule reads mor_map, so the functor gets a table of its own
-    proj = FinFunctor(cat, base, obj_map, dict(mor_map))
-    return cat, proj
+    obj_map = {el: c for el, c, _ in els}
+    return cat, FinFunctor(cat, base, obj_map, {k: m for k, (m, _) in mors.cells.items()})
 
 
 def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTrans) -> bool:
@@ -403,70 +391,69 @@ def is_representable(p: NatTrans) -> RepresentabilityReport:
 
 
 def sum_presheaves(ps: list[Presheaf]) -> tuple[Presheaf, list[NatTrans]]:
-    """Pointwise disjoint union, with the coproduct injections."""
+    """Pointwise disjoint union, with the coproduct injections.  An element
+    is the cell (i, x) of a :class:`~natmod.fincat.Registry`, keyed (i|x),
+    for x in the i-th presheaf."""
     if not ps:
         raise ValueError("need at least one presheaf")
     base = ps[0].base
-    tag = lambda i, x: f"i{i}:{x}"
+    reg = Registry(tuple_key)
+    tagged = [(str(i), p) for i, p in enumerate(ps)]
     values = {
-        obj: [tag(i, x) for i, p in enumerate(ps) for x in p.at(obj)]
+        obj: [reg.key((i, x)) for i, p in tagged for x in p.at(obj)]
         for obj in base.object_keys
     }
-    action: dict[str, dict[str, str]] = {}
-    for m in base.all_morphisms():
-        amap = {}
-        for i, p in enumerate(ps):
-            for x in p.at(base.cod(m)):
-                amap[tag(i, x)] = tag(i, p.restrict(m, x))
-        action[m] = amap
+    action = {
+        m: {reg.key((i, x)): reg.key((i, p.restrict(m, x)))
+            for i, p in tagged for x in p.at(base.cod(m))}
+        for m in base.all_morphisms()
+    }
     total = Presheaf(base, values, action)
     injections = [
-        NatTrans(p, total, {obj: {x: tag(i, x) for x in p.at(obj)} for obj in base.object_keys})
-        for i, p in enumerate(ps)
+        NatTrans(p, total, {obj: {x: reg.key((i, x)) for x in p.at(obj)} for obj in base.object_keys})
+        for i, p in tagged
     ]
     return total, injections
 
 
 def sum_nat_trans(fs: list[NatTrans]) -> NatTrans:
-    """The coproduct of parallel families of natural transformations."""
-    dom = sum_presheaves([f.dom for f in fs])[0]
-    cod = sum_presheaves([f.cod for f in fs])[0]
-    base = dom.base
-    comps: dict[str, dict[str, str]] = {}
-    for obj in base.object_keys:
-        cmap = {}
-        for i, f in enumerate(fs):
-            for x in f.dom.at(obj):
-                cmap[f"i{i}:{x}"] = f"i{i}:{f.apply(obj, x)}"
-        comps[obj] = cmap
+    """The coproduct of parallel families of natural transformations: the
+    i-th injection of x goes to the i-th injection of its image."""
+    dom, dom_in = sum_presheaves([f.dom for f in fs])
+    cod, cod_in = sum_presheaves([f.cod for f in fs])
+    # an image outside f's codomain maps to None, a component violation
+    comps = {
+        obj: {x_in: into_cod.components[obj].get(f.apply(obj, x))
+              for f, into_dom, into_cod in zip(fs, dom_in, cod_in)
+              for x, x_in in into_dom.components[obj].items()}
+        for obj in dom.base.object_keys
+    }
     return NatTrans(dom, cod, comps)
 
 
 def pullback_presheaves(f: NatTrans, g: NatTrans) -> tuple[Presheaf, NatTrans, NatTrans]:
-    """Pointwise fibre product of f : X -> Z and g : Y -> Z, with projections."""
+    """Pointwise fibre product of f : X -> Z and g : Y -> Z, with projections.
+    An element is the cell (x, y) of a :class:`~natmod.fincat.Registry`,
+    keyed (x|y), and the projections read its parts."""
     if f.cod is not g.cod:
         raise ValueError("pullback requires a common codomain")
     base = f.dom.base
-    pair = lambda x, y: f"({x}|{y})"
-    values: dict[str, list[str]] = {}
-    pairs: dict[str, list[tuple[str, str]]] = {}
-    for obj in base.object_keys:
-        ps = [
-            (x, y)
-            for x in f.dom.at(obj)
-            for y in g.dom.at(obj)
-            if f.apply(obj, x) == g.apply(obj, y)
-        ]
-        pairs[obj] = ps
-        values[obj] = [pair(x, y) for x, y in ps]
-    action: dict[str, dict[str, str]] = {}
-    for m in base.all_morphisms():
-        action[m] = {
-            pair(x, y): pair(f.dom.restrict(m, x), g.dom.restrict(m, y))
-            for x, y in pairs[base.cod(m)]
-        }
-    apex = Presheaf(base, values, action)
-    proj1 = NatTrans(apex, f.dom, {o: {pair(x, y): x for x, y in pairs[o]} for o in base.object_keys})
-    proj2 = NatTrans(apex, g.dom, {o: {pair(x, y): y for x, y in pairs[o]} for o in base.object_keys})
-    return apex, proj1, proj2
+    reg = Registry(tuple_key)
+    values = {
+        obj: [reg.key((x, y)) for x in f.dom.at(obj) for y in g.dom.at(obj)
+              if f.apply(obj, x) == g.apply(obj, y)]
+        for obj in base.object_keys
+    }
 
+    def restrict(m: str, key: str) -> str:
+        x, y = reg.cells[key]
+        return reg.key((f.dom.restrict(m, x), g.dom.restrict(m, y)))
+
+    apex = Presheaf(base, values, {
+        m: {k: restrict(m, k) for k in values[base.cod(m)]} for m in base.all_morphisms()
+    })
+    proj1, proj2 = (
+        NatTrans(apex, side, {o: {k: reg.cells[k][n] for k in values[o]} for o in base.object_keys})
+        for n, side in enumerate((f.dom, g.dom))
+    )
+    return apex, proj1, proj2

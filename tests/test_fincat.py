@@ -879,15 +879,11 @@ _SRC = Path(__file__).resolve().parent.parent / "src" / "natmod"
 
 # The instance dicts outside the registry class.  None names a cell by a
 # key spelled from it: the ranks of a file's objects, the images a morphism
-# has derived, the rival search's context indices and projections, and the
-# alignment isomorphisms of collapsed contexts.  The Σ model's tree tables
-# map the key a tree carries to the tree, and stay as they are.
+# has derived, and the rival search's context indices and projections.
 _OTHER_DICTS = {
     ("modelio.py", "TableCategory", "ranks"), ("modelio.py", "TableModel", "ranks"),
     ("morphism.py", "ForcedImages", "obj"), ("morphism.py", "ForcedImages", "mor"),
     ("morphism.py", "_Search", "idx"), ("morphism.py", "_Search", "proj"),
-    ("freemodel.py", "_ExtTermCategory", "_align"),
-    ("freemodel.py", "SigmaExtModel", "_ty_trees"), ("freemodel.py", "SigmaExtModel", "_tm_trees"),
 }
 
 

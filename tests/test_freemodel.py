@@ -128,11 +128,12 @@ class TestExtendByTerm:
     def test_recorded_alignment_inverse_is_the_inverse(self):
         incl = inclusion(self.ext)
         g = self.u.terminal
-        for a in self.u.types(g, 1):
-            self.ext.ext(incl.on_obj(g), incl.on_ty(g, a))
-        aligns = self.ext.base._align
-        assert aligns
-        for iso, inv in aligns.values():
+        cells = [(incl.on_obj(g), incl.on_ty(g, a)) for a in self.u.types(g, 1)]
+        for cell in cells:
+            self.ext.ext(*cell)
+        aligns = [self.ext.alignment(*cell) for cell in cells]
+        assert any(aligns)
+        for _, iso, inv in filter(None, aligns):
             assert self.u.base.is_iso(iso) == inv
 
     def test_inclusion_preserves_extension_strictly(self):
@@ -610,7 +611,7 @@ _FREEMODEL = Path(__file__).resolve().parent.parent / "src" / "natmod" / "freemo
 
 class TestOneWrappedModelBase:
     hooks = {"subst_ty", "subst_tm", "subst_ty_row", "subst_tm_row", "ext_parent"}
-    registries = {"objs", "mors", "keys", "cells", "_align"}
+    registries = {"objs", "mors", "keys", "cells"}
     mutators = {"setdefault", "update", "pop", "popitem", "clear"}
 
     def test_substitution_and_ext_parent_are_defined_once_on_the_base(self):
@@ -639,7 +640,7 @@ class TestOneWrappedModelBase:
                 if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
                     node = node.value  # x._under[k] = ... writes into x._under
                 elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in self.mutators:
-                    node = node.func.value  # x._align.setdefault(...)
+                    node = node.func.value  # x.keys.setdefault(...)
                 elif not (isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load)):
                     continue
                 if isinstance(node, ast.Attribute) and node.attr in self.registries:
@@ -851,6 +852,23 @@ class TestObjectKeysAreInjective:
         cells = [(g, ts) for g in ["g", "g|", "g|a", "g\\", "tr(g|)", ""]
                  for n in range(3) for ts in itertools.product(types[::11], repeat=n)]
         assert len({cat.spell_obj(cell) for cell in cells}) == len(cells)
+
+    @pytest.mark.parametrize("tys", [["a|b", "c", "a", "b|c"], ["a", "b,c", "a,b", "c"]],
+                             ids=["bars", "commas"])
+    @pytest.mark.parametrize("extend", [extend_by_type, extend_by_unit, extend_by_sigma],
+                             ids=["type", "unit", "sigma"])
+    def test_a_one_object_file_lists_as_many_keys_as_cells(self, tys, extend):
+        # every extension keeps the one object, so the contexts are those
+        # of bound 1 (objects() would not return) and types pair at bound 2
+        m = extend(parse_model(_one_object_file(tys)))
+        ctxs = [m.terminal] + [m.ext(m.terminal, a).extended for a in m.types(m.terminal, 1)]
+        for ctx in ctxs:
+            for a in m.types(ctx, 2):
+                m.ext(ctx, a)
+            m.terms(ctx, 2)
+        regs = [m.base.objs, m.base.mors] + [getattr(m, r) for r in ("tys", "tms") if hasattr(m, r)]
+        assert len(m.base.objs.cells) > 2
+        assert [len(r.keys) for r in regs] == [len(r.cells) for r in regs]
 
     def test_tree_keys_over_a_term_model_are_spelled_as_before(self):
         t0, x0 = TypeTree(leaf="T0"), TermTree(leaf="x0")

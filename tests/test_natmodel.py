@@ -40,6 +40,7 @@ from natmod.natmodel import (
     ExtensionData,
     PiStructure,
     SigmaStructure,
+    UnitStructure,
     canonical_pullback,
     check_eat,
     check_pi,
@@ -234,12 +235,28 @@ class TestUnitChecker:
         assert check_unit(u, u.unit_structure, 2).ok
 
     def test_wrong_star_fails(self):
-        from natmod.natmodel import UnitStructure
-
         u = extend_by_unit(term_model(range(1)))
         bad = UnitStructure(u.new_ty, u.new_ty)  # a type key is not a term
         rep = check_unit(u, bad, 2)
         assert not rep.ok
+
+    def test_a_slot_shaped_key_of_no_closed_term_is_a_violation_not_a_raise(self):
+        # typeof answers X for any slot-shaped key, so "v0" must be checked
+        # against the closed terms before it is typed
+        x = extend_by_type(term_model(range(0)))
+        rep = check_unit(x, UnitStructure(x.new_ty, "v0"), 2)
+        assert rep.violations == ["(ii) the distinguished term is not a closed term"]
+
+    @pytest.mark.parametrize("unit_ty,violations", [
+        ("T0", ["(ii) typeof(star) != unit",
+                "(iv) variable of the unit extension is not star weakened",
+                "unit square is not a pullback within the bound"]),
+        ("nope", ["(i) the unit type is not a closed type"]),
+    ])
+    def test_a_wrong_unit_type_names_its_equations(self, unit_ty, violations):
+        u = extend_by_unit(term_model(range(1)))
+        rep = check_unit(u, UnitStructure(unit_ty, u.unit_structure.star_tm), 2)
+        assert rep.violations == violations
 
 
 def _searched_structure(model, sigma, pair, bound):
@@ -935,6 +952,19 @@ class TestStructureInstances:
         assert rep.ok and not rep.vacuous
         comp = CompositeModel(s, s)
         assert rep.instances == sum(len(comp.types(g, 2)) for g in s.base.objects(2)) == 4
+
+    def test_a_composite_pair_is_as_large_as_its_parts(self):
+        s = extend_by_sigma(term_model(range(1)))
+        comp, ctx = CompositeModel(s, s), s.terminal
+        sizes = {}
+        for key in comp.types(ctx, 3):
+            ty_a, ty_b = comp.tys.cell(key)
+            mid = s.ext(ctx, ty_a).extended
+            sizes[key] = comp.ty_size(ctx, key)
+            assert sizes[key] == s.ty_size(ctx, ty_a) + s.ty_size(mid, ty_b)
+        assert sorted(sizes.values()) == [2, 3, 3]
+        for bound in range(4):
+            assert comp.types(ctx, bound) == [k for k, n in sizes.items() if n <= bound]
 
     def test_the_constant_pi_structure_counts_its_pairs(self):
         u = extend_by_unit(term_model(range(0)))

@@ -304,6 +304,20 @@ class TestSumsAndPullbacks:
         assert apex.check() == []
         assert p1.check() == []
 
+    def test_pairs_whose_parts_hold_the_separator_keep_their_own_keys(self):
+        # (a|b, c) and (a, b|c) were both spelled (a|b|c), so the apex listed
+        # four elements of which three were distinct
+        base = FinCatPresentation(["*"], {("*", "*"): ["id"]}, {("id", "id"): "id"},
+                                  {"*": "id"}, "*")
+        xs, ys = ["a|b", "a"], ["c", "b|c"]
+        x, y, z = (Presheaf(base, {"*": v}, {"id": {e: e for e in v}}) for v in (xs, ys, ["z"]))
+        apex, p1, p2 = pullback_presheaves(NatTrans(x, z, {"*": dict.fromkeys(xs, "z")}),
+                                           NatTrans(y, z, {"*": dict.fromkeys(ys, "z")}))
+        assert len(set(apex.at("*"))) == 4
+        assert [(p1.apply("*", k), p2.apply("*", k)) for k in apex.at("*")] \
+            == [(a, b) for a in xs for b in ys]
+        assert apex.check() == [] and p1.check() == [] and p2.check() == []
+
     def test_one_plus_p_values(self):
         base = chain_poset(2)
         y1 = yoneda(base, "1")

@@ -1,11 +1,31 @@
 """Law-style property tests over randomly generated finite data."""
 
+import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from natmod.fincat import FinSliceOpposite, truncate
-from natmod.freemodel import TypeTree, term_model, tree_subst
+from natmod.fincat import (
+    FinCatPresentation, FinSliceOpposite, check_category, join_escaped, truncate, tuple_key,
+)
+from natmod.freemodel import (
+    TermTree,
+    TypeTree,
+    extend_by_sigma,
+    extend_by_term,
+    extend_by_type,
+    term_model,
+    tree_subst,
+)
+from natmod.natmodel import _tuple_key
+from natmod.presheaf import (
+    NatTrans,
+    Presheaf,
+    elements_cat,
+    pullback_presheaves,
+    sum_presheaves,
+)
 from natmod.polyset import (
     beck_chevalley_witness,
     chosen_pullback,
@@ -185,3 +205,135 @@ class TestTreeSubstitutionLaws:
         lhs = tree_subst(m, m.base.compose(sig, tau), t)
         rhs = tree_subst(m, tau, tree_subst(m, sig, t))
         assert lhs.key == rhs.key
+
+
+# Key parts drawn over every separator a spelling uses, and the escape.
+_KEY_TEXT = st.lists(st.sampled_from("a0|;,[]:()=>\\"), max_size=3).map("".join)
+_PARTS = st.lists(_KEY_TEXT, max_size=3).map(tuple)
+_TYPE_TREES = st.recursive(
+    _KEY_TEXT.map(lambda x: TypeTree(leaf=x)),
+    lambda kids: st.tuples(kids, kids).map(lambda lr: TypeTree(left=lr[0], right=lr[1])),
+    max_leaves=4,
+)
+_TERM_TREES = st.recursive(
+    _KEY_TEXT.map(lambda x: TermTree(leaf=x)),
+    lambda kids: st.tuples(kids, _TYPE_TREES, kids).map(
+        lambda t: TermTree(left=t[0], rtype=t[1], right=t[2])),
+    max_leaves=3,
+)
+_KEY_SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+
+# The small cells every drawn cell is also compared with: parts of at most
+# one character, a separator or the escape, so that the cells a spelling
+# without escapes would run together are among them.  An interleaved
+# context also takes the part ",0,", which reads as a slot count between
+# two parts when its commas are not escaped.
+_ATOMS = ["", "a", "\\", "|", ";", ",", "[", "]", ":"]
+
+
+def _shape(tree) -> object:
+    """A tree as nested tuples of its leaves, compared without keys."""
+    if tree.is_leaf:
+        return tree.leaf
+    if isinstance(tree, TermTree):
+        return _shape(tree.left), _shape(tree.rtype), _shape(tree.right)
+    return _shape(tree.left), _shape(tree.right)
+
+
+def _small_lists(items: list, n: int) -> list[tuple]:
+    return [p for k in range(n + 1) for p in itertools.product(items, repeat=k)]
+
+
+def _small_type_trees(leaves: list[str]) -> list[TypeTree]:
+    ones = [TypeTree(leaf=x) for x in leaves]
+    twos = [TypeTree(left=l, right=r) for l in ones for r in ones]
+    return ones + twos + [TypeTree(left=l, right=r) for l in ones for r in twos] \
+        + [TypeTree(left=l, right=r) for l in twos for r in ones]
+
+
+def _spellings():
+    """(id, drawn cells, small cells, spell, cell identity): every way a
+    key is spelled from parts, with what makes two cells the same cell."""
+    term_cat = extend_by_term(term_model(range(1)), "T0").base
+    type_cat = extend_by_type(term_model(range(1))).base
+    tree_cat = extend_by_sigma(term_model(range(1))).base
+    same = lambda cell: cell  # noqa: E731
+    small_tys = _small_type_trees(_ATOMS)
+    terms = [TermTree(leaf=x) for x in _ATOMS]
+    interleaved = st.tuples(_KEY_TEXT, _PARTS).flatmap(lambda c: st.tuples(
+        st.just(c[0]), st.lists(st.integers(0, 11), min_size=len(c[1]) + 1,
+                                max_size=len(c[1]) + 1).map(tuple), st.just(c[1])))
+    out = [(f"join_escaped {sep}", _PARTS, _small_lists(_ATOMS, 3),
+            lambda p, sep=sep: join_escaped(sep, p), same) for sep in ";|,"]
+    return out + [
+        ("tuple_key", _PARTS, _small_lists(_ATOMS, 3), _tuple_key, same),
+        ("type tree", _TYPE_TREES, small_tys, lambda t: t.key, _shape),
+        ("term tree", _TERM_TREES,
+         terms + [TermTree(left=l, rtype=t, right=r) for l in terms for t in small_tys[:90]
+                  for r in terms[:3]], lambda t: t.key, _shape),
+        ("term context", st.tuples(_KEY_TEXT, _PARTS),
+         [(g, p) for g in _ATOMS for p in _small_lists(_ATOMS, 2)], term_cat.spell_obj, same),
+        ("interleaved context", interleaved,
+         [(g, ks, p) for g in _ATOMS[:4] for p in _small_lists(_ATOMS + [",0,"], 2)
+          for ks in itertools.product((0, 1), repeat=len(p) + 1)],
+         type_cat.spell_obj, same),
+        ("tree context", st.tuples(_KEY_TEXT, st.lists(_TYPE_TREES, max_size=2).map(tuple)),
+         [(g, ts) for g in _ATOMS for ts in _small_lists(small_tys[:30], 2)],
+         tree_cat.spell_obj, lambda c: (c[0], tuple(map(_shape, c[1])))),
+    ]
+
+
+def _one_point_base() -> FinCatPresentation:
+    return FinCatPresentation(["*"], {("*", "*"): ["id"]}, {("id", "id"): "id"}, {"*": "id"}, "*")
+
+
+def _constant(base: FinCatPresentation, values: list[str]) -> Presheaf:
+    return Presheaf(base, {"*": values}, {"id": {x: x for x in values}})
+
+
+# elements such as `a|` and `a`, whose pairs with `` and `|` read alike
+# when the bar is not escaped
+_ELEMENTS = st.lists(st.sampled_from(_ATOMS + ["a|", "|a", "a\\"]), min_size=1, max_size=4,
+                     unique=True)
+_SPELLINGS = _spellings()
+_SMALL_KEYS: dict[str, dict] = {}  # each spelling's small cells by key, built once
+
+
+class TestKeySpellingsAreInjective:
+    @pytest.mark.parametrize("name,cells,small,spell,same", _SPELLINGS,
+                             ids=[s[0] for s in _SPELLINGS])
+    @given(data=st.data())
+    @_KEY_SETTINGS
+    def test_distinct_cells_get_distinct_keys(self, name, cells, small, spell, same, data):
+        """Drawn cells get distinct keys among themselves and from every
+        other small cell."""
+        small_keys = _SMALL_KEYS.get(name)
+        if small_keys is None:
+            small_keys = _SMALL_KEYS[name] = {spell(c): same(c) for c in small}
+        assert len(small_keys) == len(small)
+        drawn = data.draw(st.lists(cells, min_size=1, max_size=8))
+        assert len({spell(c) for c in drawn}) == len({same(c) for c in drawn})
+        for c in drawn:
+            assert small_keys.get(spell(c), same(c)) == same(c)
+
+    def test_tuple_key_is_the_one_in_fincat(self):
+        assert _tuple_key is tuple_key
+
+    @given(_ELEMENTS, _ELEMENTS)
+    @_KEY_SETTINGS
+    def test_the_presheaf_constructions_keep_their_cells_apart(self, xs, ys):
+        base = _one_point_base()
+        x, y, z = _constant(base, xs), _constant(base, ys), _constant(base, ["z"])
+        apex, p1, p2 = pullback_presheaves(
+            NatTrans(x, z, {"*": dict.fromkeys(xs, "z")}),
+            NatTrans(y, z, {"*": dict.fromkeys(ys, "z")}))
+        pairs = [(p1.apply("*", k), p2.apply("*", k)) for k in apex.at("*")]
+        assert len(set(apex.at("*"))) == len(pairs) == len(xs) * len(ys)
+        assert pairs == [(a, b) for a in xs for b in ys]
+        total, injections = sum_presheaves([x, y])
+        assert len(set(total.at("*"))) == len(xs) + len(ys)
+        assert [i.apply("*", e) for i, es in zip(injections, (xs, ys)) for e in es] \
+            == total.at("*")
+        cat, proj = elements_cat(x)
+        assert len(set(cat.object_keys)) == len(set(cat.all_morphisms())) == len(xs)
+        assert check_category(cat) == [] and proj.check() == []
