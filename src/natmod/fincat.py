@@ -133,10 +133,9 @@ class FinCatPresentation(BoundedCategory):
 
     ``homs`` maps (src, dst) pairs to morphism key lists; ``compose_table``
     maps (g, f) to the composite g∘f for every composable pair.  A lazy
-    ``compose_rule`` may be supplied instead of a full table; composites are
-    then computed on demand and cached.  A ``row_rule`` computes a row of
-    them at once, as :meth:`compose_row` does; without it a row's missing
-    entries are composed one at a time.
+    ``row_rule`` may be supplied instead of a full table: it computes a row
+    of composites at once, as :meth:`compose_row` does, on demand, and a
+    missed single composite is made as a row of one.  Both are cached.
     """
 
     object_keys: list[str]
@@ -144,7 +143,6 @@ class FinCatPresentation(BoundedCategory):
     compose_table: dict[tuple[str, str], str]
     identities: dict[str, str]
     terminal_key: Optional[str] = None
-    compose_rule: Optional[Callable[[str, str], str]] = None
     row_rule: Optional[Callable[[str, list[str]], list[str]]] = None
     _dom: dict[str, str] = field(default_factory=dict, repr=False)
     _cod: dict[str, str] = field(default_factory=dict, repr=False)
@@ -175,19 +173,16 @@ class FinCatPresentation(BoundedCategory):
         return self.identities[a]
 
     def compose(self, g: str, f: str) -> str:
-        key = (g, f)
-        if key in self.compose_table:
-            return self.compose_table[key]
-        if self.compose_rule is not None:
-            out = self.compose_rule(g, f)
-            self.compose_table[key] = out
+        out = self.compose_table.get((g, f))
+        if out is not None:
             return out
-        raise KeyError(f"no composite for ({g}, {f})")
+        if self.row_rule is None:
+            raise KeyError(f"no composite for ({g}, {f})")
+        return self.compose_row(g, [f])[0]
 
     def compose_row(self, g: str, fs: list[str]) -> list[str]:
         """The row after g read from the table; the entries it lacks are
-        made by ``row_rule``, else one at a time by :meth:`compose`, and
-        cached."""
+        made by ``row_rule`` and cached, else raise ``KeyError``."""
         table = self.compose_table
         row = list(map(table.get, zip(itertools.repeat(g), fs)))
         lacking = row.count(None)
@@ -195,10 +190,9 @@ class FinCatPresentation(BoundedCategory):
             return row
         missing = fs if lacking == len(row) else [f for f, gf in zip(fs, row) if gf is None]
         if self.row_rule is None:
-            made = [self.compose(g, f) for f in missing]
-        else:
-            made = self.row_rule(g, missing)
-            table.update(zip(zip(itertools.repeat(g), missing), made))
+            raise KeyError(f"no composite for ({g}, {missing[0]})")
+        made = self.row_rule(g, missing)
+        table.update(zip(zip(itertools.repeat(g), missing), made))
         if missing is fs:
             return made
         it = iter(made)
@@ -509,17 +503,12 @@ def truncate(cat: BoundedCategory, bound: int) -> FinCatPresentation:
                 homs[(a, b)] = ms
     identities = {a: cat.identity(a) for a in objs}
     term = cat.terminal if (cat.terminal in obj_set) else None
-
-    def rule(g: str, f: str) -> str:
-        return cat.compose(g, f)
-
     return FinCatPresentation(
         object_keys=objs,
         homs=homs,
         compose_table={},
         identities=identities,
         terminal_key=term,
-        compose_rule=rule,
         row_rule=cat.compose_row,
     )
 

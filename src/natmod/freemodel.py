@@ -24,17 +24,21 @@ inclusion I of the inner model is one map, :func:`inclusion`, given by four
 hooks of the base: ``i_obj`` (the root context (Γ;)), ``i_ty``, ``i_tm`` and
 ``i_payload``.  The terminal context, the seeds of ``objects``, the root case
 of ``ext_parent`` and the pins of G ∘ I = F all read those hooks.  The
-mediating morphisms share one shape too: F♯ is a single
+mediating morphisms share one recursion, :func:`_sharp`: F♯ is a single
 :class:`~natmod.morphism.ForcedImages` over a comparison map
-θ : F♯(ctx) -> F(under ctx) built along ``ext_parent``, its roots are the
-contexts I(Γ), and substitution, insertion and summation are each F♯ of the
-identity.
+θ : F♯(ctx) -> F(under ctx) built once along ``ext_parent`` from the
+construction's root and step rules, its roots are the contexts I(Γ), and
+substitution, insertion and summation are each F♯ of the identity.  The
+basic-type and unit extensions name their new terms per context, and how
+many of them a morphism's tally carries, so no shared code asks which of
+the two it serves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
@@ -267,16 +271,35 @@ def inclusion(ext: _WrappedModel) -> NMorphism:
 sigma_inclusion = inclusion
 
 
-def _sharp(ext: _WrappedModel, f: NMorphism, root_mor, ty_map, tm_map) -> NMorphism:
-    """F♯ out of a free extension: a root I(Γ) goes to F(Γ), and the rest
-    is the construction's own root morphisms and images."""
+def _sharp(ext: _WrappedModel, f: NMorphism, theta_root, theta_step, ty_image, tm_image,
+           retract=None) -> NMorphism:
+    """F♯ out of a free extension, from the construction's own rules: θ is
+    ``theta_root(d, ctx)`` at a root I(Γ) and ``theta_step(d, pctx, A,
+    θ(pctx))`` at pctx•A; I(Γ) goes to F(Γ) and a morphism m into a root to
+    F(payload) ∘ θ(dom m), then ``retract(cod m)`` where one is given."""
+    target = f.dst
+
+    @memo
+    def theta(d, ctx: str) -> str:
+        parent = ext.ext_parent(ctx)
+        if parent is None:
+            return theta_root(d, ctx)
+        pctx, pty = parent
+        return theta_step(d, pctx, pty, theta(d, pctx))
 
     def root_obj(ctx: str) -> str:
         gamma = ext.base.objs.cell(ctx)[0]
         assert ctx == ext.i_obj(gamma), f"{ctx} is not a root context"
         return f.on_obj(gamma)
 
-    return ForcedImages(ext, f.dst, root_obj, root_mor, ty_map, tm_map).morphism("F#")
+    def root_mor(d, m: str) -> str:
+        cat = ext.base
+        out = target.base.compose(f.on_mor(cat.mor_payload(m)[0]), theta(d, cat.dom(m)))
+        return out if retract is None else target.base.compose(retract(cat.cod(m)), out)
+
+    return ForcedImages(
+        ext, target, root_obj, root_mor, partial(ty_image, theta), partial(tm_image, theta),
+    ).morphism("F#")
 
 
 # ---------------------------------------------------------------------------
@@ -602,49 +625,40 @@ def extend_by_term(inner: NaturalModel, o_ty: str) -> ExtTermModel:
 def extend_term_universal(ext: ExtTermModel, f: NMorphism, o_term: str) -> NMorphism:
     """F♯ : the unique morphism out of the term extension with F♯(x) = o.
 
-    Built directly into F's codomain, like the other free extensions: the
-    comparison map θ : F♯(ctx) -> F(under ctx) is the section ⟨id, o[t]⟩ at
-    a root (Γ;), and the canonical pullback of the parent's θ along F(A) at
-    Γ•A, composed with the F-image of the alignment inverse where extending
-    Γ by A collapsed.  With F the identity this is the substitution
-    morphism S_o.
+    θ is the section ⟨id, o[t]⟩ at a root (Γ;), and the canonical pullback
+    of the parent's θ along F(A) at Γ•A, composed with the F-image of the
+    alignment inverse where extending Γ by A collapsed.  With F the identity
+    this is the substitution morphism S_o.
     """
     target = f.dst
     fo = f.on_ty(ext.inner.terminal, ext.o_ty)
 
-    @memo
-    def theta(d, ctx: str) -> str:
-        parent = ext.ext_parent(ctx)
-        if parent is None:
-            f_gamma = d.on_obj(ctx)
-            t = target.t(f_gamma)
-            return induced_sub(
-                target, target.base.identity(f_gamma),
-                target.subst_tm(t, o_term), target.subst_ty(t, fo),
-            )
-        pctx, pty = parent
-        th = canonical_pullback(target, theta(d, pctx), f.on_ty(ext.base.under(pctx), pty))
+    def theta_root(d, ctx: str) -> str:
+        f_gamma = d.on_obj(ctx)
+        t = target.t(f_gamma)
+        return induced_sub(
+            target, target.base.identity(f_gamma),
+            target.subst_tm(t, o_term), target.subst_ty(t, fo),
+        )
+
+    def theta_step(d, pctx: str, pty: str, th: str) -> str:
+        th = canonical_pullback(target, th, f.on_ty(ext.base.under(pctx), pty))
         collapse = ext.alignment(pctx, pty)
         if collapse is not None:
             th = target.base.compose(f.on_mor(collapse[2]), th)
         return th
 
-    def ty_map(d, ctx: str, ty: str) -> str:
+    def ty_image(theta, d, ctx: str, ty: str) -> str:
         return target.subst_ty(theta(d, ctx), f.on_ty(ext.base.under(ctx), ty))
 
-    def tm_map(d, ctx: str, tm: str) -> str:
+    def tm_image(theta, d, ctx: str, tm: str) -> str:
         return target.subst_tm(theta(d, ctx), f.on_tm(ext.base.under(ctx), tm))
 
-    def root_mor(d, m: str) -> str:
+    def retract(root: str) -> str:
         # the codomain is a root (Γ₀;): F(p_O) retracts the section
-        gamma_b, _ = ext.base.objs.cell(ext.base.cod(m))
-        (s,) = ext.base.mor_payload(m)
-        retract = f.on_mor(ext._o_ext(gamma_b).proj)
-        return target.base.compose(
-            retract, target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
-        )
+        return f.on_mor(ext._o_ext(ext.base.objs.cell(root)[0]).proj)
 
-    return _sharp(ext, f, root_mor, ty_map, tm_map)
+    return _sharp(ext, f, theta_root, theta_step, ty_image, tm_image, retract)
 
 
 def substitution_morphism(ext: ExtTermModel, o_term: str) -> NMorphism:
@@ -674,14 +688,10 @@ class _InterleavedCategory(_WrappedCategory):
     """Contexts interleaved with formal slots (shared by the X and unit cases).
 
     Objects are (Γ, k₀, A₁, k₁, …, Aₙ, kₙ) in normal form (either the bare
-    pair (Γ, 0) or k₀ > 0).  Morphisms carry a function between the slot
-    counts (a tally) when the owning model's new terms are slots (the
-    basic-type case), and an empty tally otherwise (the unit case).
+    pair (Γ, 0) or k₀ > 0).  Morphisms carry a function (a tally) from the
+    first ``width`` slots of the codomain to those of the domain, where the
+    owning model gives the width: every slot for X, none for the unit.
     """
-
-    @property
-    def with_tally(self) -> bool:
-        return self.model.new_terms_are_slots  # type: ignore[union-attr]
 
     def spell_obj(self, cell: tuple[str, tuple[int, ...], tuple[str, ...]]) -> str:
         gamma, ks, tys = cell
@@ -716,50 +726,44 @@ class _InterleavedCategory(_WrappedCategory):
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
         inner_homs = self.inner.base.hom(self.under(a), self.under(b))
-        if not self.with_tally:
-            return [(s, ()) for s in inner_homs]
-        # kb == 0 yields exactly the empty tally; ka == 0 < kb yields none
-        tallies = list(itertools.product(range(self.count(a)), repeat=self.count(b)))
+        width = self.model.width  # type: ignore[union-attr]
+        # width(b) == 0 yields exactly the empty tally; width(a) == 0 < width(b) yields none
+        tallies = list(itertools.product(range(width(a)), repeat=width(b)))
         return [(s, tally) for s in inner_homs for tally in tallies]
 
     def identity(self, a: str) -> str:
-        ident = self.inner.base.identity(self.under(a))
-        tally = tuple(range(self.count(a))) if self.with_tally else ()
-        return self.mors.key((a, a, (ident, tally)))
+        tally = tuple(range(self.model.width(a)))  # type: ignore[union-attr]
+        return self.mors.key((a, a, (self.inner.base.identity(self.under(a)), tally)))
 
     def _compose_payloads(self, gp: tuple, fps: list[tuple]) -> Iterable[tuple]:
         gfs = self.inner.base.compose_row(gp[0], [fp[0] for fp in fps])
-        if not self.with_tally:
-            return zip(gfs, itertools.repeat(()))
-        # g∘f's tally reads f's tally through g's
-        return zip(gfs, [tuple(fp[1][j] for j in gp[1]) for fp in fps])
+        return zip(gfs, [tuple([fp[1][j] for j in gp[1]]) for fp in fps])  # f's tally through g's
 
 
 class _InterleavedModel(_WrappedModel):
-    """Shared behaviour of the basic-type and unit-type free extensions."""
+    """Shared behaviour of the basic-type and unit-type free extensions.
+
+    A subclass gives ``new_terms(ctx)``, the terms of the new type that ctx
+    adds to the inner ones; ``width(ctx)``, how many of them (the first) a
+    tally carries, each as the index of its image among the domain's new
+    terms; and ``_moved(tally, term)``, a new term's image along a tally
+    (None for any other term).
+    """
 
     base: _InterleavedCategory
     new_ty: str
-    new_terms_are_slots: bool
 
     def __init__(self, inner: NaturalModel):
         super().__init__(inner, _InterleavedCategory(inner))
-
-    def slot_term(self, j: int) -> str:
-        return f"{self._slot_prefix}{j}" if self.new_terms_are_slots else self._star
 
     def types(self, ctx: str, bound: int) -> list[str]:
         return [self.new_ty] + self.inner.types(self.base.under(ctx), bound)
 
     def terms(self, ctx: str, bound: int) -> list[str]:
-        if self.new_terms_are_slots:
-            new = [self.slot_term(j) for j in range(self.base.count(ctx))]
-        else:
-            new = [self._star]
-        return new + self.inner.terms(self.base.under(ctx), bound)
+        return [*self.new_terms(ctx), *self.inner.terms(self.base.under(ctx), bound)]
 
     def typeof(self, ctx: str, term: str) -> str:
-        if self._is_new_term(term):
+        if term in self.new_terms(ctx):
             return self.new_ty
         return self.inner.typeof(self.base.under(ctx), term)
 
@@ -774,44 +778,35 @@ class _InterleavedModel(_WrappedModel):
         return self.inner.subst_ty(payload[0], ty)
 
     def _subst_tm(self, payload: tuple, term: str) -> str:
-        s, tally = payload
-        if self._is_new_term(term):
-            if not self.new_terms_are_slots:
-                return term
-            return self.slot_term(tally[self._slot_index(term)])
-        return self.inner.subst_tm(s, term)
+        moved = self._moved(payload[1], term)
+        return self.inner.subst_tm(payload[0], term) if moved is None else moved
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
         gamma, ks, tys = cat.objs.cell(ctx)
-        inner = self.inner
         under = cat.under(ctx)
-        k = cat.count(ctx)
+        tally = tuple(range(self.width(ctx)))
         if ty == self.new_ty:
             new_key = cat.register(gamma, ks[:-1] + (ks[-1] + 1,), tys)
-            tally = tuple(range(k)) if self.new_terms_are_slots else ()
-            proj = cat.mors.key((new_key, ctx, (inner.base.identity(under), tally)))
-            var = self.slot_term(k) if self.new_terms_are_slots else self._star
-            return ExtensionData(new_key, proj, var)
-        e_in = inner.ext(under, ty)
+            proj = cat.mors.key((new_key, ctx, (self.inner.base.identity(under), tally)))
+            return ExtensionData(new_key, proj, self.new_terms(new_key)[-1])
+        e_in = self.inner.ext(under, ty)
         new_key = cat.register(gamma, ks + (0,), tys + (ty,))
-        tally = tuple(range(k)) if self.new_terms_are_slots else ()
-        proj = cat.mors.key((new_key, ctx, (e_in.proj, tally)))
-        return ExtensionData(new_key, proj, e_in.var)
+        return ExtensionData(new_key, cat.mors.key((new_key, ctx, (e_in.proj, tally))), e_in.var)
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         cat = self.base
-        gamma_ctx = cat.cod(sigma)
+        src = cat.dom(sigma)
         s, tally = cat.mor_payload(sigma)
-        e = self.ext(gamma_ctx, ty)
-        if ty == self.new_ty:
-            if not self.new_terms_are_slots:
-                return cat.mors.key((cat.dom(sigma), e.extended, (s, ())))
-            j = self._slot_index(term)
-            return cat.mors.key((cat.dom(sigma), e.extended, (s, tally + (j,))))
-        tau = induced_sub(self.inner, s, term, ty)
-        return cat.mors.key((cat.dom(sigma), e.extended, (tau, tally)))
+        e = self.ext(cat.cod(sigma), ty)
+        if ty != self.new_ty:
+            payload = (induced_sub(self.inner, s, term, ty), tally)
+        elif self.width(e.extended) > len(tally):  # the tally carries the new term's image
+            payload = (s, tally + (self.new_terms(src).index(term),))
+        else:
+            payload = (s, tally)
+        return cat.mors.key((src, e.extended, payload))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, ks, tys = info
@@ -833,43 +828,58 @@ class _InterleavedModel(_WrappedModel):
     def i_payload(self, m: str) -> tuple:
         return (m, ())
 
-    def _is_new_term(self, term: str) -> bool:
-        if self.new_terms_are_slots:
-            rest = term[len(self._slot_prefix):]
-            return term.startswith(self._slot_prefix) and rest.isdigit()
-        return term == self._star
-
-    def _slot_index(self, term: str) -> int:
-        return int(term[len(self._slot_prefix):])
-
 
 class TypeExtModel(_InterleavedModel):
     """The free natural model on ``inner`` extended by a basic type X.
 
-    The new type and slot-term keys carry one apostrophe per nesting level,
-    so iterated extensions never clash.
+    The new terms of a context are its slot variables, and a tally carries
+    every one.  The new type and slot-term keys carry one apostrophe per
+    nesting level, so iterated extensions never clash, and the slot prefix
+    one more while a closed inner term reads as a slot variable.
     """
-
-    new_terms_are_slots = True
 
     def __init__(self, inner: NaturalModel):
         super().__init__(inner)
         self.new_ty = _fresh_key(inner.types(inner.terminal, 4), "X")
-        self._slot_prefix = "v" + "'" * self.new_ty.count("'")
+        closed, p = inner.terms(inner.terminal, 4), "v" + "'" * self.new_ty.count("'")
+        while any(t.startswith(p) and t[len(p):].isdigit() for t in closed):
+            p += "'"
+        self._slot_prefix = p
+
+    @memo
+    def _slots(self, k: int) -> tuple[str, ...]:
+        """The slot variables of a context with k slots, in slot order."""
+        return tuple(f"{self._slot_prefix}{j}" for j in range(k))
+
+    def new_terms(self, ctx: str) -> tuple[str, ...]:
+        return self._slots(self.base.count(ctx))
+
+    def width(self, ctx: str) -> int:
+        return self.base.count(ctx)
+
+    def _moved(self, tally: tuple[int, ...], term: str) -> Optional[str]:
+        slots = self._slots(len(tally))  # a tally is as wide as its codomain's slots
+        return f"{self._slot_prefix}{tally[slots.index(term)]}" if term in slots else None
 
 
 class UnitExtModel(_InterleavedModel):
-    """The free natural model on ``inner`` admitting a unit type."""
-
-    new_terms_are_slots = False
+    """The free natural model on ``inner`` admitting a unit type: every
+    context has the one new term ⋆, which no tally carries."""
 
     def __init__(self, inner: NaturalModel):
         super().__init__(inner)
         self.new_ty = _fresh_key(inner.types(inner.terminal, 4), "unit")
-        self._star = _fresh_key(
-            inner.terms(inner.terminal, 4) + [self.new_ty], "star"
-        )
+        self._star = _fresh_key(inner.terms(inner.terminal, 4) + [self.new_ty], "star")
         self.unit_structure = UnitStructure(self.new_ty, self._star)
+
+    def new_terms(self, ctx: str) -> tuple[str, ...]:
+        return (self._star,)
+
+    def width(self, ctx: str) -> int:
+        return 0
+
+    def _moved(self, tally: tuple[int, ...], term: str) -> Optional[str]:
+        return term if term == self._star else None
 
 
 def extend_by_type(inner: NaturalModel) -> TypeExtModel:
@@ -882,57 +892,47 @@ def extend_by_unit(inner: NaturalModel) -> UnitExtModel:
     return UnitExtModel(inner)
 
 
-def _interleaved_collapse(ext: _InterleavedModel, f: NMorphism, slot_ty: str) -> NMorphism:
+def _interleaved_collapse(ext: _InterleavedModel, f: NMorphism, slot_ty: str,
+                          new_tm_image) -> NMorphism:
     """The mediating morphism out of an interleaved extension.
 
     Formal slots are sent to extensions by the closed type ``slot_ty`` of the
     target (weakened to the image context); inner types and terms are
-    transported along the comparison morphism that forgets the slots.  A
-    slot term goes to its slot variable when the new terms are slots, and to
-    the weakened unit term of the target otherwise.  With ``f`` the identity
-    this is the insertion morphism; in general it is F♯.
+    transported along the comparison morphism θ that forgets the slots.  A
+    new term of ctx goes to ``new_tm_image(d, ctx, tm)``.  With ``f`` the
+    identity this is the insertion morphism; in general it is F♯.
     """
     target = f.dst
 
-    @memo
-    def theta(d, ctx: str) -> str:
-        """F♯(ctx) -> F(under ctx), forgetting the formal slots."""
-        parent = ext.ext_parent(ctx)
-        if parent is None:
-            return target.base.identity(d.on_obj(ctx))
-        pctx, pty = parent
-        th_p = theta(d, pctx)
-        if pty == ext.new_ty:
-            e = target.ext(d.on_obj(pctx), d.on_ty(pctx, pty))
-            return target.base.compose(th_p, e.proj)
-        f_ty = f.on_ty(ext.base.under(pctx), pty)
-        return canonical_pullback(target, th_p, f_ty)
+    def theta_root(d, ctx: str) -> str:
+        return target.base.identity(d.on_obj(ctx))
 
-    def ty_map(d, ctx: str, ty: str) -> str:
+    def theta_step(d, pctx: str, pty: str, th: str) -> str:
+        if pty == ext.new_ty:
+            return target.base.compose(th, target.ext(d.on_obj(pctx), d.on_ty(pctx, pty)).proj)
+        return canonical_pullback(target, th, f.on_ty(ext.base.under(pctx), pty))
+
+    def ty_image(theta, d, ctx: str, ty: str) -> str:
         if ty == ext.new_ty:
             return target.subst_ty(target.t(d.on_obj(ctx)), slot_ty)
-        img = f.on_ty(ext.base.under(ctx), ty)
-        return target.subst_ty(theta(d, ctx), img)
+        return target.subst_ty(theta(d, ctx), f.on_ty(ext.base.under(ctx), ty))
 
-    def tm_map(d, ctx: str, tm: str) -> str:
-        if ext._is_new_term(tm):
-            if ext.new_terms_are_slots:
-                return _variable_images(d, ctx, ext.new_ty)[int(tm[1:])]
-            u = target.unit_structure  # type: ignore[attr-defined]
-            return target.subst_tm(target.t(d.on_obj(ctx)), u.star_tm)
-        img = f.on_tm(ext.base.under(ctx), tm)
-        return target.subst_tm(theta(d, ctx), img)
+    def tm_image(theta, d, ctx: str, tm: str) -> str:
+        if tm in ext.new_terms(ctx):
+            return new_tm_image(d, ctx, tm)
+        return target.subst_tm(theta(d, ctx), f.on_tm(ext.base.under(ctx), tm))
 
-    def root_mor(d, m: str) -> str:
-        (s, _) = ext.base.mor_payload(m)
-        return target.base.compose(f.on_mor(s), theta(d, ext.base.dom(m)))
-
-    return _sharp(ext, f, root_mor, ty_map, tm_map)
+    return _sharp(ext, f, theta_root, theta_step, ty_image, tm_image)
 
 
 def type_universal(ext: TypeExtModel, f: NMorphism, o_ty: str) -> NMorphism:
     """F♯ out of the basic-type extension, sending X to the closed type o_ty."""
-    return _interleaved_collapse(ext, f, slot_ty=o_ty)
+
+    def slot_image(d, ctx: str, tm: str) -> str:
+        # a slot variable goes to the variable of its own extension by o_ty
+        return _variable_images(d, ctx, ext.new_ty)[ext.new_terms(ctx).index(tm)]
+
+    return _interleaved_collapse(ext, f, o_ty, slot_image)
 
 
 def type_insertion(ext: TypeExtModel, o_ty: str) -> NMorphism:
@@ -942,8 +942,13 @@ def type_insertion(ext: TypeExtModel, o_ty: str) -> NMorphism:
 
 def unit_universal(ext: UnitExtModel, f: NMorphism) -> NMorphism:
     """F♯ out of the unit extension into a model admitting a unit type."""
-    u: UnitStructure = f.dst.unit_structure  # type: ignore[attr-defined]
-    return _interleaved_collapse(ext, f, slot_ty=u.unit_ty)
+    target = f.dst
+    u: UnitStructure = target.unit_structure  # type: ignore[attr-defined]
+
+    def star_image(d, ctx: str, tm: str) -> str:
+        return target.subst_tm(target.t(d.on_obj(ctx)), u.star_tm)
+
+    return _interleaved_collapse(ext, f, u.unit_ty, star_image)
 
 
 def unit_insertion(ext: UnitExtModel) -> NMorphism:
@@ -956,16 +961,17 @@ def interleaved_universal_pins(
 ) -> MorphismPins:
     """Pins for G ∘ I = F plus the prescribed images of the formal structure.
 
-    The new type (and, in the unit case, its term) are pinned at every
-    in-bound context to the values any structure-preserving candidate is
-    forced to take — the weakened prescribed closed type resp. the weakened
-    distinguished term — as computed by the constructed mediating morphism.
+    The new type, and the new terms of a context no tally carries (the unit
+    case's ⋆), are pinned at every in-bound context to the values any
+    structure-preserving candidate is forced to take, as computed by the
+    constructed mediating morphism.
     """
     pins = _inclusion_pins(ext, f, bound)
     for ctx in ext.base.objects(bound):
         pins.on_ty[(ctx, ext.new_ty)] = sharp.on_ty(ctx, ext.new_ty)
-        if not ext.new_terms_are_slots:
-            pins.on_tm[(ctx, ext._star)] = sharp.on_tm(ctx, ext._star)
+        if not ext.width(ctx):
+            for tm in ext.new_terms(ctx):
+                pins.on_tm[(ctx, tm)] = sharp.on_tm(ctx, tm)
     return pins
 
 
@@ -1411,36 +1417,26 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
             right=map_tm_tree(d, m_ctx, tree.right),
         )
 
-    @memo
-    def theta(d, ctx: str) -> str:
-        """F♯(ctx) -> "F(under ctx)" built leafwise; collapses tracked."""
-        parent = ext.ext_parent(ctx)
-        if parent is None:
-            return target.base.identity(d.on_obj(ctx))
-        pctx, pty = parent
-        th_p = theta(d, pctx)
-        tree = map_ty_tree(d, ext.base.under(pctx), ext.ty_tree(pty))
-        tree_over_img = tree_subst(target, th_p, tree)
-        th_here = sigma_of_tree(target, d.on_obj(pctx), tree_over_img)[1]
-        lift = canonical_pullback_tree(target, th_p, tree)
-        return target.base.compose(lift, th_here)
+    def theta_root(d, ctx: str) -> str:
+        return target.base.identity(d.on_obj(ctx))
 
-    def ty_map(d, ctx: str, ty: str) -> str:
+    def theta_step(d, pctx: str, pty: str, th: str) -> str:
+        # built leafwise, with the collapse of the parent's tree tracked
+        tree = map_ty_tree(d, ext.base.under(pctx), ext.ty_tree(pty))
+        th_here = sigma_of_tree(target, d.on_obj(pctx), tree_subst(target, th, tree))[1]
+        return target.base.compose(canonical_pullback_tree(target, th, tree), th_here)
+
+    def ty_image(theta, d, ctx: str, ty: str) -> str:
         tree = map_ty_tree(d, ext.base.under(ctx), ext.ty_tree(ty))
         tree_img = tree_subst(target, theta(d, ctx), tree)
         return sigma_of_tree(target, d.on_obj(ctx), tree_img)[0]
 
-    def tm_map(d, ctx: str, tm: str) -> str:
+    def tm_image(theta, d, ctx: str, tm: str) -> str:
         tree = map_tm_tree(d, ext.base.under(ctx), ext.tm_tree(tm))
         tree_img = tmtree_subst(target, theta(d, ctx), tree)
         return pair_of_tree(target, d.on_obj(ctx), tree_img)
 
-    def root_mor(d, m: str) -> str:
-        (s,) = ext.base.mor_payload(m)
-        a = ext.base.dom(m)
-        return target.base.compose(f.on_mor(s), theta(d, a))
-
-    return _sharp(ext, f, root_mor, ty_map, tm_map)
+    return _sharp(ext, f, theta_root, theta_step, ty_image, tm_image)
 
 
 def sigma_universal_pins(

@@ -26,7 +26,7 @@ import json
 import operator
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .fincat import FinCatPresentation
 from .natmodel import ExtensionData, NaturalModel, model_presheaves
@@ -394,10 +394,9 @@ def _model_text(doc: dict) -> str:
     return "".join(out)
 
 
-def serialize_model(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> str:
+def serialize_model(model: NaturalModel, bound: int) -> str:
     """Emit a model's materialization at a bound in the canonical file format."""
-    doc = _model_doc(model, bound, bound if ty_bound is None else ty_bound)
-    return _model_text(doc)
+    return _model_text(_model_doc(model, bound, bound))
 
 
 def _model_doc(model: NaturalModel, bound: int, ty_bound: int) -> dict:

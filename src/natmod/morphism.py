@@ -202,9 +202,7 @@ class MorphismReport:
         return self.ok_for("canonical-pullbacks")
 
 
-def check_morphism(
-    fm: NMorphism, bound: int, strict: bool = True, ty_bound: Optional[int] = None
-) -> MorphismReport:
+def check_morphism(fm: NMorphism, bound: int, strict: bool = True) -> MorphismReport:
     """Verify morphism laws on every in-bound instantiation.
 
     The returned report contains separate entries for strict preservation of
@@ -212,10 +210,8 @@ def check_morphism(
     condition), and preservation of canonical pullback squares; the latter
     two coincide within the bound but are computed independently.
     """
-    if ty_bound is None:
-        ty_bound = bound
     report = MorphismReport(bound, strict)
-    for check, msg in _checks(fm, model_presheaves(fm.src, bound, ty_bound), bound):
+    for check, msg in _checks(fm, model_presheaves(fm.src, bound, bound), bound):
         report.add(check, msg)
     return report
 

@@ -279,13 +279,13 @@ def elements_cat(p: Presheaf) -> tuple[FinCatPresentation, FinFunctor]:
                 homs[(src, dst)] = ms
     identities = {el: mors.key((base.identity(c), x)) for el, c, x in els}
 
-    def rule(g: str, f: str) -> str:
+    def row_rule(g: str, fs: list[str]) -> list[str]:
         gm, y = mors.cells[g]
-        return mors.key((base.compose(gm, mors.cells[f][0]), y))
+        return [mors.key((m, y)) for m in base.compose_row(gm, [mors.cells[f][0] for f in fs])]
 
     cat = FinCatPresentation(
         object_keys=[el for el, _, _ in els], homs=homs, compose_table={},
-        identities=identities, terminal_key=None, compose_rule=rule,
+        identities=identities, terminal_key=None, row_rule=row_rule,
     )
     obj_map = {el: c for el, c, _ in els}
     return cat, FinFunctor(cat, base, obj_map, {k: m for k, (m, _) in mors.cells.items()})

@@ -31,10 +31,9 @@ def poset_category(elements, leq) -> FinCatPresentation:
     for a in elements:
         identities[str(a)] = f"{a}<={a}"
 
-    def rule(g: str, f: str) -> str:
-        src = f.split("<=")[0]
+    def rule(g: str, fs: list[str]) -> list[str]:
         dst = g.split("<=")[1]
-        return f"{src}<={dst}"
+        return [f"{f.split('<=')[0]}<={dst}" for f in fs]
 
     tops = [a for a in elements if all(leq(b, a) for b in elements)]
     return FinCatPresentation(
@@ -43,7 +42,7 @@ def poset_category(elements, leq) -> FinCatPresentation:
         compose_table={},
         identities=identities,
         terminal_key=str(tops[0]) if tops else None,
-        compose_rule=rule,
+        row_rule=rule,
     )
 
 

@@ -1050,7 +1050,7 @@ class TestFunctorLawsAgainstTheReference:
         for seed in range(3):
             rng, dst = random.Random(seed), build()
             kinds = ["associativity" if mutable else "hom", "hom"]
-            if type(src) is not FinCatPresentation and src.compose_rule is None:
+            if type(src) is not FinCatPresentation and src.row_rule is None:
                 kinds.append("missing")  # a file's table: the reference raises
             if len(dst.homs) > 1:  # else the one composite has nowhere to move
                 _mutate_one_composite(dst, kinds[seed % len(kinds)], rng)

@@ -275,6 +275,28 @@ class TestExtendByType:
             ctx = xm.ext(ctx, xm.new_ty).extended
             assert sharp.on_obj(ctx) == target.base.obj_key((0,) * k)
 
+    def test_a_slot_shaped_key_is_a_new_term_only_where_the_context_has_that_slot(self):
+        x = extend_by_type(term_model(range(0)))
+
+        def answer(m, ctx):
+            try:
+                return m.typeof(ctx, "v0")
+            except LookupError as exc:
+                return type(exc)
+
+        # ⋄ has no slot, so "v0" is typed as the inner model types a non-term
+        assert answer(x, x.terminal) == answer(x.inner, x.inner.terminal) == IndexError
+        assert answer(x, x.ext(x.terminal, x.new_ty).extended) == x.new_ty
+
+    def test_the_slot_prefix_stays_apart_from_a_closed_inner_term(self):
+        # the base's closed term is v0, so the slots take an apostrophe; only
+        # terms and typeof are called, as objects() of this base never returns
+        x = extend_by_type(parse_model(_one_object_file(["0"])))
+        ctx = x.ext(x.terminal, x.new_ty).extended
+        tms = x.terms(ctx, 2)
+        assert tms == ["v'0", "v0"]
+        assert [x.typeof(ctx, t) for t in tms] == [x.new_ty, "0"]
+
 
 class TestExtendByUnit:
     def test_unit_structure_passes(self):
@@ -537,10 +559,8 @@ def _reference_composite(cat, g: str, f: str) -> str:
     inner = _reference_composite(cat.inner.base, gp[0], fp[0])
     if not isinstance(cat, _InterleavedCategory):
         payload = (inner,)
-    elif cat.with_tally:
+    else:  # f's tally read through g's, empty in the unit case
         payload = (inner, tuple(fp[1][j] for j in gp[1]))
-    else:
-        payload = (inner, ())
     return f"{cat.dom(f)}=>{cat.cod(g)}${payload!r}"
 
 
@@ -1015,6 +1035,17 @@ class TestNestedConstructions:
         assert check_eat(outer, 2).ok
         tys = outer.types(outer.terminal, 2)
         assert inner.new_ty in tys and outer.new_ty in tys
+        # the slot prefixes over term and free models carry one apostrophe per level
+        for m, slot in ((inner, "v0"), (outer, "v'0")):
+            assert m.terms(m.ext(m.terminal, m.new_ty).extended, 2)[0] == slot
+
+    def test_type_insertion_into_a_type_extension_reads_its_primed_slots(self):
+        inner = extend_by_type(term_model(range(0)))
+        outer = extend_by_type(inner)
+        s = type_insertion(outer, inner.new_ty)
+        assert check_morphism(s, 2).ok
+        one = outer.ext(outer.terminal, outer.new_ty).extended
+        assert s.on_tm(one, "v'0") == inner.terms(s.on_obj(one), 2)[0] == "v0"
 
     def test_sigma_over_sigma_keeps_a_leaf_apart_from_a_node(self):
         # the inner sum [T0,T0] is a leaf of the outer trees, and the outer

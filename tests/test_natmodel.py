@@ -11,6 +11,7 @@ import pytest
 from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
 from natmod.freemodel import (
     SigmaExtModel,
+    TermModel,
     _WrappedModel,
     extend_by_sigma,
     extend_by_term,
@@ -77,7 +78,51 @@ class BrokenSubstModel:
         return self._inner.subst_ty(sigma, ty)
 
 
+class _OmitsTheVariable(TermModel):
+    """Lists every term of a context but its last variable."""
+
+    def terms(self, ctx, bound):
+        return super().terms(ctx, bound)[:-1]
+
+
+class _ProjectionAsIndsub(TermModel):
+    """⟨σ, a⟩ is the extension's projection, out of Γ•A instead of dom σ."""
+
+    def indsub(self, sigma, term, ty):
+        return self.ext(self.base.cod(sigma), ty).proj
+
+
+class _OtherFirstComponent(TermModel):
+    """⟨σ, a⟩ is ⟨σ', a⟩ for another σ' with σ's ends, where there is one."""
+
+    def indsub(self, sigma, term, ty):
+        base = self.base
+        others = [m for m in base.hom(base.dom(sigma), base.cod(sigma)) if m != sigma]
+        return super().indsub(others[0] if others else sigma, term, ty)
+
+
+class _OtherVariable(TermModel):
+    """⟨σ, a⟩ is ⟨σ, b⟩ for another variable b of a's type, where there is one."""
+
+    def indsub(self, sigma, term, ty):
+        src = self.base.dom(sigma)
+        ty_a = self.typeof(src, term)
+        others = [t for t in self.terms(src, 0) if t != term and self.typeof(src, t) == ty_a]
+        return super().indsub(sigma, others[0] if others else term, ty)
+
+
 class TestCheckEat:
+    @pytest.mark.parametrize("model_cls,equation", [
+        (_OmitsTheVariable, "xxi"),
+        (_ProjectionAsIndsub, "xxiii"),
+        (_OtherFirstComponent, "xxv"),
+        (_OtherVariable, "xxvi"),
+    ])
+    def test_a_broken_representability_datum_names_its_equation(self, model_cls, equation):
+        rep = check_eat(model_cls(range(1)), 2)
+        assert equation in rep.violations
+        assert check_eat(term_model(range(1)), 2).ok
+
     def test_term_models_pass_at_bound_three(self):
         for n in (0, 1):
             rep = check_eat(term_model(range(n)), 3)
@@ -241,8 +286,8 @@ class TestUnitChecker:
         assert not rep.ok
 
     def test_a_slot_shaped_key_of_no_closed_term_is_a_violation_not_a_raise(self):
-        # typeof answers X for any slot-shaped key, so "v0" must be checked
-        # against the closed terms before it is typed
+        # "v0" is no closed term of the type extension, so it must be
+        # checked against the closed terms before it is typed
         x = extend_by_type(term_model(range(0)))
         rep = check_unit(x, UnitStructure(x.new_ty, "v0"), 2)
         assert rep.violations == ["(ii) the distinguished term is not a closed term"]

@@ -139,6 +139,12 @@ class TestLawNames:
         nt.components["1"]["b"] = "z"
         assert "component" in {law for law, _ in nt.violations()}
 
+    def test_a_missing_component_is_named_at_its_object(self):
+        p = self._chain_presheaf()
+        nt = NatTrans(p, p, {"0": {"a": "a"}})
+        assert next(nt.violations()) == ("component", "no component at '1'")
+        assert nt.check()[0] == "no component at '1'"
+
 
 class TestElementsCat:
     def test_projection_is_a_functor(self):
