@@ -29,6 +29,7 @@ models a truncation or one step of the rival search.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -210,17 +211,21 @@ def _generating_set(ends: dict[str, tuple[str, str]], post: dict[str, dict[str, 
 
     ``ends`` maps each morphism to its (dom, cod), and ``post[g]`` maps each
     f into dom g to g∘f, which must be present and a key of ``ends``.  One
-    pass over ``ends`` in order, from nothing: a morphism that is not yet
+    pass over the morphisms, from nothing: a morphism that is not yet
     reached becomes a generator, and it enters with every composite it makes
     with the morphisms reached before it, and theirs in turn, so the reached
     set is closed under composition after each generator.  Each composable
     pair of reached morphisms is read once, when the later of the two enters.
+    It visits first the morphisms that are g∘f for the fewest pairs of
+    ``post`` (ties in ``ends`` order), which the others then mostly arrive
+    as composites of; every order reaches every morphism.
     """
     gens: list[str] = []
     reached: set[str] = set()
     out_of: dict[str, list[str]] = {}
     into: dict[str, list[str]] = {}
-    for m in ends:
+    made_by = collections.Counter(itertools.chain.from_iterable(map(dict.values, post.values())))
+    for m in sorted(ends, key=made_by.__getitem__):
         if m in reached:
             continue
         gens.append(m)
@@ -271,9 +276,11 @@ def category_violations(
     ``hom-sets``, ``dom-comp`` or ``cod-comp`` violation was yielded.  Then
     a set S that generates every morphism proves associativity by S ⊆ A.
     S is :func:`_generating_set`, which assumes no unit law: an identity is
-    a generator unless it is a composite.  When the composites are not all
-    well typed, or a middle in S has a differing row, every middle is walked
-    as above, so the witnesses are those of the per-triple definition.
+    a generator unless it is a composite.  Its visiting order, the
+    morphisms made by the fewest pairs first, only keeps S small: every
+    order gives a set that generates.  When the composites are not all well
+    typed, or a middle in S has a differing row, every middle is walked as
+    above, so the witnesses are those of the per-triple definition.
 
     When nothing was yielded, the generator returns S, the generating set
     of a lawful category, and otherwise None.  Every law closed under

@@ -13,20 +13,24 @@ indent=2)`` plus a newline, with the records of each section ordered by
 their ``json.dumps(record, sort_keys=True)``, so parsing and re-serializing
 a canonical file is the identity.  The writer produces that text directly,
 at C speed per string, and ``tests/test_modelio.py`` proves it equal to
-this definition.  Each record is encoded once, written with its section's
-one template, and a section is ordered by sorting the record texts: no
-quoted key is a proper prefix of another, so two texts first differ inside
-the first value that differs.  The reader validates each record section in
-bulk.
+this definition.  Each distinct string of a record section is quoted once,
+each record written with its section's one template, and a section ordered
+by sorting the record texts: no quoted key is a proper prefix of another,
+so two texts first differ inside the first value that differs.  The reader
+checks a record section whole: one ``itemgetter`` pass, field counts, one
+set of value types, and each function section as one dict, the compose
+rows with no set of composable pairs.  Only a section that fails is walked
+record by record or row by row, to name its first bad one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import operator
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .fincat import FinCatPresentation
 from .natmodel import ExtensionData, NaturalModel, model_presheaves
@@ -103,12 +107,13 @@ def _records(doc, name: str) -> list[tuple]:
         raise ParseError(f"{name} must be an array of records")
     wanted = set(fields)
     keys = [f for f in fields if f != "mors"]
-    if set(map(type, entries)) <= {dict} and \
-            all(map(operator.eq, map(dict.keys, entries), repeat(wanted))):
-        rows = list(map(operator.itemgetter(*fields), entries))
-        values = rows if len(keys) == len(fields) else map(operator.itemgetter(*keys), entries)
-        if set(map(type, chain.from_iterable(values))) <= {str}:
-            return rows
+    # a record lacking a field fails itemgetter; the lengths add up if none has another
+    with contextlib.suppress(KeyError):
+        if set(map(type, entries)) <= {dict} and sum(map(len, entries)) == len(wanted) * len(entries):
+            rows = list(map(operator.itemgetter(*fields), entries))
+            values = rows if len(keys) == len(fields) else map(operator.itemgetter(*keys), entries)
+            if set(map(type, chain.from_iterable(values))) <= {str}:
+                return rows
     for entry in entries:
         if type(entry) is not dict or entry.keys() != wanted:
             raise ParseError(
@@ -119,22 +124,28 @@ def _records(doc, name: str) -> list[tuple]:
     raise AssertionError("a section that fails the bulk check has a bad record")
 
 
-def _table(doc, name: str, cells: set[tuple]) -> dict:
-    """A function section: exactly one row for each cell the theory defines.
+_KEY, _G, _F = operator.itemgetter(0, 1), operator.itemgetter(0), operator.itemgetter(1)
 
-    The section's fields are the key fields followed by the one value field.
+
+def _table(doc, name: str, cells: Callable[[], set[tuple]], exact=None) -> dict:
+    """A function section: exactly one row for each cell of ``cells()``.
+
+    Its two key fields and one value field are read into one dict, taken
+    when no key repeats and the keys are the cells, or when ``exact(rows)``
+    says so; only a section that fails is walked, to name its first bad row.
     """
-    table = {}
-    for *key, value in _records(doc, name):
-        key = tuple(key)
+    rows = _records(doc, name)
+    table = dict(zip(map(_KEY, rows), map(operator.itemgetter(2), rows)))
+    if len(table) == len(rows) and (exact(rows) if exact else table.keys() == cells()):
+        return table
+    cells, seen = cells(), set()
+    for key in map(_KEY, rows):
         if key not in cells:
             raise ParseError(f"{name} row for an unknown cell {key}")
-        if key in table:
+        if key in seen:
             raise ParseError(f"{name} has two rows for {key}")
-        table[key] = value
-    if len(table) != len(cells):
-        raise ParseError(f"{name} has no row for {min(cells - table.keys())}")
-    return table
+        seen.add(key)
+    raise ParseError(f"{name} has no row for {min(cells - seen)}")
 
 
 def _families(doc, name: str, objects: set[str]) -> dict[str, list[str]]:
@@ -254,26 +265,35 @@ def parse_model(text: str) -> TableModel:
     if len(obj_set) != len(objects):
         raise ParseError("objects must not repeat")
     homs: dict[tuple[str, str], list[str]] = {}
-    ends: dict[str, tuple[str, str]] = {}
+    dom_of: dict[str, str] = {}
+    cod_of: dict[str, str] = {}
     out_of: dict[str, list[str]] = {o: [] for o in objects}
     for src, dst, mors in _records(doc, "homs"):
         if src not in obj_set or dst not in obj_set or (src, dst) in homs:
             raise ParseError(f"homs record for an unknown or repeated pair ({src!r}, {dst!r})")
         homs[(src, dst)] = _strings(mors, "homs mors")
         for m in homs[(src, dst)]:
-            if ends.get(m) == (src, dst):
-                raise ParseError(f"homs mors for ({src!r}, {dst!r}) repeats {m!r}")
-            if m in ends:
+            if m in cod_of:
+                if (dom_of[m], cod_of[m]) == (src, dst):
+                    raise ParseError(f"homs mors for ({src!r}, {dst!r}) repeats {m!r}")
                 raise ParseError(f"morphism {m!r} is in two hom sets")
-            ends[m] = (src, dst)
+            dom_of[m], cod_of[m] = src, dst
             out_of[src].append(m)
-    composable = {(g, f) for f, (_, b) in ends.items() for g in out_of[b]}
-    compose_table = _table(doc, "compose", composable)
-    if not set(compose_table.values()) <= ends.keys():
+
+    def composable(rows: list[tuple]) -> bool:
+        # distinct (g, f) rows are the composable pairs when there are
+        # Σ_b |into b|·|out of b| of them and each f ends where its g starts
+        cods = list(map(cod_of.get, map(_F, rows)))
+        return len(rows) == sum(len(out_of[b]) for b in cod_of.values()) and \
+            None not in cods and cods == list(map(dom_of.get, map(_G, rows)))
+
+    compose_table = _table(doc, "compose", lambda: {
+        (g, f) for f, b in cod_of.items() for g in out_of[b]}, composable)
+    if not set(compose_table.values()) <= cod_of.keys():
         raise ParseError("compose names an unknown morphism")
     identities = doc["identities"]
     if not isinstance(identities, dict) or set(identities) != obj_set or \
-            not all(isinstance(i, str) and i in ends for i in identities.values()):
+            not all(isinstance(i, str) and i in cod_of for i in identities.values()):
         raise ParseError("identities must map every object to a listed morphism")
     terminal = doc["terminal"]
     if not isinstance(terminal, str) or terminal not in obj_set:
@@ -287,16 +307,16 @@ def parse_model(text: str) -> TableModel:
     )
     ty = _families(doc, "ty", obj_set)
     tm = _families(doc, "tm", obj_set)
-    typeof_table = _table(doc, "typeof", {(o, t) for o, ts in tm.items() for t in ts})
-    subst_ty_table = _table(doc, "subst_ty",
-                            {(m, t) for m, (_, b) in ends.items() for t in ty.get(b, [])})
-    subst_tm_table = _table(doc, "subst_tm",
-                            {(m, t) for m, (_, b) in ends.items() for t in tm.get(b, [])})
+    typeof_table = _table(doc, "typeof", lambda: {(o, t) for o, ts in tm.items() for t in ts})
+    subst_ty_table = _table(doc, "subst_ty", lambda: {
+        (m, t) for m, b in cod_of.items() for t in ty.get(b, [])})
+    subst_tm_table = _table(doc, "subst_tm", lambda: {
+        (m, t) for m, b in cod_of.items() for t in tm.get(b, [])})
     ext_table = {}
     for ctx, t, extended, proj, var in _records(doc, "ext"):
         if t not in ty.get(ctx, []) or (ctx, t) in ext_table:
             raise ParseError(f"ext row for an unknown or repeated cell ({ctx!r}, {t!r})")
-        if extended not in obj_set or proj not in ends:
+        if extended not in obj_set or proj not in cod_of:
             raise ParseError(f"ext row at ({ctx!r}, {t!r}) names an unknown key")
         ext_table[(ctx, t)] = ExtensionData(extended, proj, var)
     return TableModel(
@@ -383,8 +403,9 @@ def _model_text(doc: dict) -> str:
             _emit(sorted(value, key=lambda r: json.dumps(r, sort_keys=True)), "\n  ", put)
         else:
             fields = sorted(RECORDS[name])
-            encoded = map(encode_basestring_ascii,
-                          chain.from_iterable(map(operator.itemgetter(*fields), value)))
+            values = list(chain.from_iterable(map(operator.itemgetter(*fields), value)))
+            quoted = {v: encode_basestring_ascii(v) for v in set(values)}
+            encoded = map(quoted.__getitem__, values)
             # one record's values are the next len(fields) encoded ones
             texts = sorted(map(_RECORD_TEMPLATES[name].__mod__, zip(*[encoded] * len(fields))))
             texts[0] = "[" + texts[0][1:]

@@ -4,8 +4,8 @@ A canonical model file is ``json.dumps(doc, sort_keys=True, indent=2)`` plus
 a newline, with each record section ordered by its records'
 ``json.dumps(record, sort_keys=True)``.  The writer produces that text
 directly and the reader validates record sections in bulk; these tests keep
-the definitions, and a record-by-record reader, as the references that both
-must match.
+the definitions, a record-by-record reader and a row-by-row table reader as
+the references that both must match.
 """
 
 import json
@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from natmod import freemodel, modelio
 from natmod.modelio import (
@@ -110,6 +110,28 @@ def test_records_are_ordered_by_their_json_with_sorted_keys(seed):
         assert _model_text(doc) == _reference_text(doc)
 
 
+def _strings(value) -> int:
+    """The strings ``_emit`` quotes in a value: dict keys, strings, and
+    those in the lists and dicts within."""
+    if isinstance(value, dict):
+        return sum(1 + _strings(v) for v in value.values())
+    if isinstance(value, list):
+        return sum(map(_strings, value))
+    return int(isinstance(value, str))
+
+
+def _counting_quotes(monkeypatch) -> list[str]:
+    """Patch the writer's quoting function; returns the strings it quotes."""
+    quoted: list[str] = []
+
+    def counting(s):
+        quoted.append(s)
+        return encode_basestring_ascii(s)
+
+    monkeypatch.setattr(modelio, "encode_basestring_ascii", counting)
+    return quoted
+
+
 def test_each_record_value_is_encoded_once(monkeypatch):
     # every string of the file is quoted by json's C function at most once:
     # record values (``mors`` elements each), the field names of ``homs``,
@@ -117,28 +139,49 @@ def test_each_record_value_is_encoded_once(monkeypatch):
     # dict keys and the section names included
     model = freemodel.term_model(range(1))
     doc = _model_doc(model, 2, 2)
-
-    def strings(value) -> int:
-        if isinstance(value, dict):
-            return sum(1 + strings(v) for v in value.values())
-        if isinstance(value, list):
-            return sum(map(strings, value))
-        return int(isinstance(value, str))
-
     record_strings = sum(1 if type(v) is str else len(v)
                          for name in RECORDS for r in doc[name] for v in r.values())
     record_strings += len(RECORDS["homs"]) * len(doc["homs"])
-    other_strings = strings({name: v for name, v in doc.items() if name not in RECORDS})
-    calls = 0
-
-    def counting(s):
-        nonlocal calls
-        calls += 1
-        return encode_basestring_ascii(s)
-
-    monkeypatch.setattr(modelio, "encode_basestring_ascii", counting)
+    other_strings = _strings({name: v for name, v in doc.items() if name not in RECORDS})
+    quoted = _counting_quotes(monkeypatch)
     serialize_model(model, 2)
-    assert 0 < calls <= record_strings + other_strings
+    assert 0 < len(quoted) <= record_strings + other_strings
+
+
+def test_each_distinct_string_of_a_record_section_is_quoted_once(monkeypatch):
+    # a file lists every composite, so a key recurs across the records of a
+    # section, and the writer quotes it once per section.  ``_emit`` writes
+    # the rest: each ``homs`` record (three field names, two ends and each
+    # of ``mors``) and every string of the other sections, whose names are
+    # written unquoted
+    doc = _model_doc(freemodel.term_model(range(2)), 3, 3)
+    distinct = sum(len({v for r in doc[name] for v in r.values()})
+                   for name in RECORDS if name != "homs")
+    values = sum(len(RECORDS[name]) * len(doc[name]) for name in RECORDS if name != "homs")
+    emitted = sum(5 + len(r["mors"]) for r in doc["homs"])
+    emitted += sum(_strings(v) for name, v in doc.items() if name not in RECORDS)
+    quoted = _counting_quotes(monkeypatch)
+    _model_text(doc)
+    assert len(quoted) == distinct + emitted
+    assert 8 * distinct < values
+
+
+# a key json escapes: a quote, a backslash, a control and a non-ASCII character
+ESCAPED_KEY = '"\\\x01Σ k'
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_a_recurring_escaped_key_is_written_as_json_writes_it(data):
+    key = st.one_of(st.just(ESCAPED_KEY), TRICKY)
+    doc = {name: data.draw(st.lists(st.fixed_dictionaries(
+        {f: st.lists(key, max_size=3) if f == "mors" else key for f in fields}), max_size=8))
+        for name, fields in RECORDS.items()}
+    assume(any(sum(v == ESCAPED_KEY for r in doc[name] for v in r.values()) > 1
+               for name in RECORDS if name != "homs"))
+    assert _model_text(doc) == _canonical(
+        {name: sorted(records, key=lambda d: json.dumps(d, sort_keys=True))
+         for name, records in doc.items()})
 
 
 def _first_writer(model, bound: int) -> str:
@@ -177,6 +220,112 @@ def _record_by_record(doc, name: str, fields: tuple) -> list[tuple]:
             raise ParseError(f"{name} record values must be strings: {entry}")
         rows.append(row)
     return rows
+
+
+def _row_by_row_table(doc, name: str, cells: set[tuple]) -> dict:
+    """The function-section reader as first written: one row at a time."""
+    table = {}
+    for *key, value in _record_by_record(doc, name, RECORDS[name]):
+        key = tuple(key)
+        if key not in cells:
+            raise ParseError(f"{name} row for an unknown cell {key}")
+        if key in table:
+            raise ParseError(f"{name} has two rows for {key}")
+        table[key] = value
+    if len(table) != len(cells):
+        raise ParseError(f"{name} has no row for {min(cells - table.keys())}")
+    return table
+
+
+def _row_by_row_parse(text: str, monkeypatch):
+    """parse_model with every function section read by the row-by-row walk
+    against its set of cells, for ``compose`` every composable pair."""
+    def row_by_row(doc, name, cells, exact=None):
+        return _row_by_row_table(doc, name, cells())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modelio, "_table", row_by_row)
+        return parse_model(text)
+
+
+def _outcome(parse, text: str):
+    """The tables a parse reads, or the message it raises."""
+    try:
+        m = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return m.base.compose_table, m._typeof, m._subst_ty, m._subst_tm, m._ext
+
+
+TABLE_DEFECTS = ["drop", "duplicate", "unknown", "unknown-pair", "unrelated", "swap",
+                 "duplicate-and-drop"]
+
+
+def _table_defect(records: list[dict], name: str, kind: str, rng: random.Random):
+    """A copy of a function section with one seeded defect, or None where
+    the section has no place for it.  ``unknown`` names a key no section
+    lists, and ``unknown-pair`` names two; ``unrelated`` pairs two listed keys that make no cell (in
+    ``compose``, two morphisms that do not compose); ``swap`` exchanges the
+    two key fields (g and f); ``duplicate-and-drop`` overwrites one row with
+    a copy of another, which keeps the row count."""
+    first, second = RECORDS[name][:2]
+    rows = list(records)
+    i = rng.randrange(len(rows))
+    if kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.insert(rng.randrange(len(rows) + 1), rows[i])
+    elif kind == "duplicate-and-drop":
+        rows[rng.choice([j for j in range(len(rows)) if j != i])] = rows[i]
+    elif kind == "unknown":
+        rows[i] = {**rows[i], rng.choice([first, second]): "unknown"}
+    elif kind == "unknown-pair":
+        rows[i] = {**rows[i], first: "unknown", second: "unknown'"}
+    elif kind == "unrelated":
+        cells = {(r[first], r[second]) for r in rows}
+        pairs = [(a, b) for a in sorted({r[first] for r in rows})
+                 for b in sorted({r[second] for r in rows}) if (a, b) not in cells]
+        if not pairs:
+            return None
+        a, b = rng.choice(pairs)
+        rows[i] = {**rows[i], first: a, second: b}
+    else:
+        swappable = [j for j, r in enumerate(rows) if r[first] != r[second]]
+        i = rng.choice(swappable)
+        rows[i] = {**rows[i], first: rows[i][second], second: rows[i][first]}
+    return rows
+
+
+@pytest.fixture(scope="module")
+def term_model_docs():
+    return {name: json.loads(serialize_model(build(freemodel), bound))
+            for name, build, bound in FILE_MODELS if name in ("term-model:1", "term-model:2")}
+
+
+@pytest.mark.parametrize("file", ["term-model:1", "term-model:2"])
+def test_the_reader_reads_the_tables_the_row_by_row_walk_reads(file, term_model_docs, monkeypatch):
+    text = json.dumps(term_model_docs[file])
+    tables = _outcome(parse_model, text)
+    assert not isinstance(tables, str)
+    assert tables == _outcome(lambda t: _row_by_row_parse(t, monkeypatch), text)
+
+
+@pytest.mark.parametrize("kind", TABLE_DEFECTS)
+@pytest.mark.parametrize("file", ["term-model:1", "term-model:2"])
+def test_the_reader_rejects_a_table_defect_as_the_row_by_row_walk_does(
+    file, kind, term_model_docs, monkeypatch
+):
+    # a check on the row count alone would take duplicate-and-drop
+    base = term_model_docs[file]
+    for name in ("compose", "typeof", "subst_ty", "subst_tm"):
+        rng = random.Random(f"{file}:{kind}:{name}")
+        rows = _table_defect(base[name], name, kind, rng)
+        if rows is None:
+            continue
+        text = json.dumps({**base, name: rows})
+        expected = _outcome(lambda t: _row_by_row_parse(t, monkeypatch), text)
+        assert isinstance(expected, str), (name, kind)
+        assert _outcome(parse_model, text) == expected
 
 
 @pytest.fixture(scope="module")
