@@ -14,8 +14,9 @@ Quotient identifications in the underlying categories of contexts are
 implemented as normalization at construction time: a context is the cell of
 its normal form, named like every morphism by the category's registries
 (:class:`~natmod.fincat.RegistryCategory`), so equal contexts have equal keys.
-The Σ model's type and term trees are named by two
-:class:`~natmod.fincat.Registry` too, each spelled by the tree's own key.
+The Σ model's type and term trees are plain values, compared and hashed
+as tuples, and two :class:`~natmod.fincat.Registry` name them: a tree's key
+is spelled once, when it is first registered, and never parsed.
 
 The four free extensions share one base, :class:`_WrappedModel`: a context
 morphism wraps a morphism of the inner model, its payload, and every one of
@@ -37,11 +38,10 @@ the two it serves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .fincat import FinSliceOpposite, Registry, RegistryCategory, join_escaped, memo
 from .natmodel import (
@@ -995,72 +995,55 @@ def _leaf_key(leaf: str) -> str:
     return leaf.translate(_LEAF_ESCAPES)
 
 
-@dataclass(frozen=True, eq=False)
-class TypeTree:
+class TypeTree(NamedTuple):
     """Leaf-labelled finite rooted binary tree of types.
 
     The right subtree of a node lives over the context extended by the left
-    subtree.  Like every cell, a tree is identified by its key.
+    subtree.  A tree is a value: equal leaves in equal shapes are equal
+    trees, and its key is spelled only when a registry names it.
     """
 
     leaf: Optional[str] = None
-    left: Optional["TypeTree"] = None
-    right: Optional["TypeTree"] = None
-
-    def __post_init__(self):
-        # the key and the size are computed once, when the tree is built
-        if self.is_leaf:
-            key, size = _leaf_key(self.leaf), 1  # type: ignore[arg-type]
-        else:
-            key = f"[{self.left.key},{self.right.key}]"
-            size = self.left.size() + self.right.size()
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_size", size)
+    left: Optional[TypeTree] = None
+    right: Optional[TypeTree] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.leaf is not None
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, type(self)) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+    @property
+    def key(self) -> str:
+        if self.is_leaf:
+            return _leaf_key(self.leaf)  # type: ignore[arg-type]
+        return f"[{self.left.key},{self.right.key}]"
 
     def size(self) -> int:
-        return self._size
+        return 1 if self.is_leaf else self.left.size() + self.right.size()
 
 
-@dataclass(frozen=True, eq=False)
-class TermTree:
+class TermTree(NamedTuple):
     """Term tree; a node carries the type tree indexing its second component.
 
     A node (t₁, B, t₂) is a term of the dependent sum [p(t₁), B]; the second
     component t₂ lives over the same context, of type B substituted along the
-    section of t₁.  Like every cell, a tree is identified by its key.
+    section of t₁.  Like a type tree, it is a value whose key is spelled only
+    when a registry names it.
     """
 
     leaf: Optional[str] = None
-    left: Optional["TermTree"] = None
+    left: Optional[TermTree] = None
     rtype: Optional[TypeTree] = None
-    right: Optional["TermTree"] = None
-
-    def __post_init__(self):
-        if self.is_leaf:
-            key = _leaf_key(self.leaf)  # type: ignore[arg-type]
-        else:
-            key = f"[{self.left.key}:{self.rtype.key}:{self.right.key}]"
-        object.__setattr__(self, "key", key)
+    right: Optional[TermTree] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.leaf is not None
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, type(self)) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
+    @property
+    def key(self) -> str:
+        if self.is_leaf:
+            return _leaf_key(self.leaf)  # type: ignore[arg-type]
+        return f"[{self.left.key}:{self.rtype.key}:{self.right.key}]"
 
 
 @memo
@@ -1169,8 +1152,9 @@ class SigmaExtModel(_WrappedModel):
 
     Types are type trees over the underlying context, terms are term trees,
     and the dependent sum of (T, T') is the tree [T, T'].  The trees are
-    named by two :class:`~natmod.fincat.Registry`, ``tys`` and ``tms``, whose
-    spelling is the tree's own key, so a key is never parsed.
+    values, named by two :class:`~natmod.fincat.Registry`, ``tys`` and
+    ``tms``: a tree's key is spelled when it is first registered, and no
+    code compares or parses keys.
     """
 
     base: _TreeCategory
@@ -1299,7 +1283,8 @@ class SigmaExtModel(_WrappedModel):
         """(fst, snd): the children of a node (t₁, B, t₂) whose t₁ has type A."""
         tree = self.tms.cells.get(tm)
         try:
-            fits = (tree is not None and not tree.is_leaf and tree.rtype.key == ty_b
+            fits = (tree is not None and not tree.is_leaf
+                    and tree.rtype == self.tys.cells.get(ty_b)
                     and self.typeof(ctx, self.reg_tm(tree.left)) == ty_a)
         except LookupError:  # a term of another context
             fits = False

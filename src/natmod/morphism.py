@@ -244,7 +244,9 @@ def _checks(fm: NMorphism, ps: ModelPresheaves, bound: int) -> Iterator[tuple[st
             except ValueError as exc:
                 yield "weak-tau", f"({g}, {ty}): {exc}"
                 continue
-            if dst.base.is_iso(tau) is None:
+            # where F is strict here, τ = ⟨p, q⟩ is the identity, its own
+            # inverse, so only a non-identity τ is searched
+            if tau != dst.base.identity(dst.base.cod(tau)) and dst.base.is_iso(tau) is None:
                 yield "weak-tau", f"mediating map at ({g}, {ty}) is not invertible"
 
     # preservation of canonical pullback squares, via the in-category oracle;
@@ -383,9 +385,12 @@ def classified_morphisms(model: NaturalModel, bound: int) -> ClassifiedReport:
     """Morphisms classified by the model's classifier, with pullback closure.
 
     σ : Γ' -> Γ is classified iff some type A over Γ admits a slice
-    isomorphism (Γ•A, p_A) -> (Γ', σ); witnesses are searched exhaustively.
-    Closure under pullback is verified by pasting the canonical square with
-    the witness isomorphism and running the in-category pullback oracle.
+    isomorphism h : (Γ•A, p_A) -> (Γ', σ).  Then p_A∘h⁻¹ = σ, so
+    h⁻¹ = ⟨σ, a⟩_A for the term a = q_A[h⁻¹] of A[σ]; the inverse candidates
+    are read through ``induced_sub`` over the terms of A[σ], and h is the
+    inverse of the first one that is invertible.  Closure under pullback is
+    verified by pasting the canonical square with the witness isomorphism
+    and running the in-category pullback oracle.
     """
     base = model.base
     report = ClassifiedReport(bound)
@@ -396,11 +401,9 @@ def classified_morphisms(model: NaturalModel, bound: int) -> ClassifiedReport:
             for sigma in ps.cat.homs.get((gp, g), ()):
                 witness = None
                 for ty in ps.ty.values[g]:
-                    e = model.ext(g, ty)
-                    for h in base.hom(e.extended, gp):
-                        if base.compose(sigma, h) != e.proj:
-                            continue
-                        if base.is_iso(h) is not None:
+                    for a in model.terms_of(gp, ps.ty.restrict(sigma, ty), bound):
+                        h = base.is_iso(induced_sub(model, sigma, a, ty))
+                        if h is not None:
                             witness = (ty, h)
                             break
                     if witness:

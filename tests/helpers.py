@@ -4,7 +4,8 @@ the polynomial maps, the per-construction forms of the free extensions'
 inclusions, the category laws checked one triple at a time, functoriality
 and naturality checked along every morphism, the functor laws checked pair
 by pair, the pullback of presheaves checked against every representable
-cone, and composition in (Fin/I)^op read back out of the keys."""
+cone, composition in (Fin/I)^op read back out of the keys, and the searching
+reference for the classified morphisms."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import operator
 from natmod.fincat import FinCatPresentation, FinSliceOpposite
 from natmod.freemodel import TermTree, TypeTree
 from natmod.morphism import ForcedImages
-from natmod.natmodel import canonical_pullback, section
+from natmod.natmodel import canonical_pullback, model_presheaves, section
 from natmod.presheaf import NatTrans, compose_nat, element_nat, yoneda
 from natmod.polyset import compose, extend, fin_map
 
@@ -662,3 +663,26 @@ def reference_nat_trans_violations(nt):
             rhs = _attempt(nt.apply, src, _attempt(nt.dom.restrict, m, x))
             if lhs is None or lhs != rhs:
                 yield "naturality", f"naturality fails for {m!r} on {nt.describe(x)}"
+
+
+def reference_classified(model, bound: int) -> dict:
+    """σ ↦ (A, h) as :func:`natmod.morphism.classified_morphisms` finds
+    them, by searching hom(Γ•A, Γ') for an h with σ∘h = p_A and asking
+    ``is_iso`` of each: the definition that reading the inverse candidates
+    through ``induced_sub`` must reproduce, up to the choice of h."""
+    base = model.base
+    ps = model_presheaves(model, bound, bound)
+    ctxs = ps.cat.object_keys
+    out = {}
+    for gp in ctxs:
+        for g in ctxs:
+            for sigma in ps.cat.homs.get((gp, g), ()):
+                for ty in ps.ty.values[g]:
+                    e = model.ext(g, ty)
+                    h = next((h for h in base.hom(e.extended, gp)
+                              if base.compose(sigma, h) == e.proj
+                              and base.is_iso(h) is not None), None)
+                    if h is not None:
+                        out[sigma] = (ty, h)
+                        break
+    return out

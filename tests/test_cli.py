@@ -563,6 +563,18 @@ class TestVacuousChecks:
         assert "PASS  sigma-structure" not in out
         assert out.endswith("result: FAIL\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["free", "poly-compose", "--bound", "1"],
+        ["free", "term-model", "--base", "term-model:0", "--bound", "0"],
+    ])
+    def test_an_oracle_over_no_square_is_vacuous_and_fails(self, argv, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        bound = argv[-1]
+        assert f"\nVACUOUS  representability-oracle  -- 0 instances at bound {bound}\n" in out
+        assert "PASS  representability-oracle" not in out
+        assert out.endswith("result: FAIL\n")
+
     def test_the_machine_status_is_vacuous(self, capsys):
         assert main(["free", "sigma", "--bound", "1", "--format", "machine"]) == 1
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

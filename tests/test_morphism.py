@@ -20,6 +20,7 @@ from natmod.freemodel import (
     extend_by_term,
     extend_by_type,
     extend_by_unit,
+    extend_term_universal,
     initial_morphism,
     initiality_pins,
     interleaved_universal_pins,
@@ -33,7 +34,7 @@ from natmod.freemodel import (
     type_universal,
     unit_universal,
 )
-from natmod.fincat import functor_violations, memo
+from natmod.fincat import BoundedCategory, functor_violations, memo
 from natmod.morphism import (
     MorphismPins,
     NMorphism,
@@ -44,7 +45,7 @@ from natmod.morphism import (
 )
 from natmod.natmodel import model_presheaves
 
-from helpers import reference_functor_violations
+from helpers import finite_sets_model, reference_functor_violations
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,52 @@ def test_a_failing_morphism_report_is_the_recorded_one(name):
     assert list(rep.checks) == list(counts)  # the checks fail in this order
     blob = json.dumps(list(rep.checks.items()), ensure_ascii=False)
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
+
+
+# ---------------------------------------------------------------------------
+# The weak condition reads an identity τ as invertible without a search
+# ---------------------------------------------------------------------------
+
+def _strict_universal_maps() -> list[NMorphism]:
+    """The strict maps of acceptance criteria 2 and 6: the initial morphisms
+    out of term_model(2) and the mediating F♯ of each free extension."""
+    tm, m0 = term_model(range(2)), term_model(range(0))
+    u, x = extend_by_unit(term_model(range(0))), extend_by_type(term_model(range(0)))
+    maps = [initial_morphism(tm, target, images) for target, images in [
+        (term_model(range(2)), {0: "T0", 1: "T1"}),
+        (term_model(range(1)), {0: "T0", 1: "T0"}),
+        (u, {0: u.new_ty, 1: u.new_ty}),
+        (x, {0: x.new_ty, 1: x.new_ty}),
+    ]]
+    mt = term_model(range(1))
+    target = extend_by_term(extend_by_type(term_model(range(0))), "X")
+    maps.append(extend_term_universal(
+        extend_by_term(mt, "T0"), initial_morphism(mt, target, {0: "X"}), "v0"))
+    maps.append(type_universal(extend_by_type(m0), initial_morphism(m0, mt, {}), "T0"))
+    maps.append(unit_universal(
+        extend_by_unit(m0), initial_morphism(m0, extend_by_unit(term_model(range(0))), {})))
+    sm = extend_by_sigma(term_model(range(1)))
+    maps.append(sigma_universal(sm, sigma_inclusion(sm)))
+    return maps
+
+
+def test_a_strict_morphism_asks_no_inverse_search(monkeypatch):
+    # where F is strict, every mediating map τ is an identity; the perturbed
+    # morphism's τ are not, so it still searches for their inverses
+    calls = []
+    search = BoundedCategory.is_iso
+    monkeypatch.setattr(BoundedCategory, "is_iso", lambda c, m: calls.append(m) or search(c, m))
+    for fm in _strict_universal_maps():
+        assert check_morphism(fm, 2).ok, fm.name
+    assert calls == []
+    assert not check_morphism(_swapped_type_image(), 2).ok
+    assert calls
+
+
+def test_the_initial_morphism_into_finite_sets_is_strict():
+    # the weak condition once searched the target's largest hom sets here
+    fm = initial_morphism(term_model(range(1)), finite_sets_model(2), {0: "fam(2,)"})
+    assert check_morphism(fm, 2).ok
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,13 @@ from natmod.natmodel import (
 )
 from natmod.presheaf import NatTrans, check_pullback_square
 
-from helpers import check_pullback_square_by_cones, pi_apply, propositions_model
+from helpers import (
+    check_pullback_square_by_cones,
+    finite_sets_model,
+    pi_apply,
+    propositions_model,
+    reference_classified,
+)
 
 
 class BrokenSubstModel:
@@ -720,6 +726,24 @@ class TestClassifiedMorphisms:
         e2 = s.ext(e1.extended, s.subst_ty(e1.proj, leaf))
         composite = s.base.compose(e1.proj, e2.proj)
         assert composite in rep.classified
+
+    @pytest.mark.parametrize("build", [
+        lambda: term_model(range(1)),
+        lambda: term_model(range(2)),
+        lambda: extend_by_unit(term_model(range(0))),
+        lambda: extend_by_type(term_model(range(0))),
+        lambda: extend_by_sigma(term_model(range(1))),
+        lambda: extend_by_term(term_model(range(1)), "T0"),
+        lambda: finite_sets_model(2),
+    ], ids=["tm1", "tm2", "unit", "type", "sigma", "term", "finsets"])
+    def test_the_inverses_read_through_induced_sub_classify_as_the_search(self, build):
+        m = build()
+        rep, want = classified_morphisms(m, 2), reference_classified(m, 2)
+        assert {s: ty for s, (ty, _) in rep.classified.items()} == \
+            {s: ty for s, (ty, _) in want.items()}
+        for sigma, (ty, h) in rep.classified.items():
+            assert m.base.compose(sigma, h) == m.ext(m.base.cod(sigma), ty).proj
+            assert m.base.is_iso(h) is not None
 
 
 class TestInitiality:

@@ -315,6 +315,17 @@ class TestKeySpellingsAreInjective:
         assert len({spell(c) for c in drawn}) == len({same(c) for c in drawn})
         for c in drawn:
             assert small_keys.get(spell(c), same(c)) == same(c)
+        if name.endswith("tree"):
+            # a tree is a value: it equals a tree of its kind exactly when
+            # their keys are equal, with equal hashes, and never a tree of
+            # the other kind, even a leaf spelled alike
+            for a, b in itertools.product(drawn, repeat=2):
+                assert (a == b) == (a.key == b.key)
+                assert a != b or hash(a) == hash(b)
+            mirror = TermTree if name == "type tree" else TypeTree
+            mirrors = [mirror(leaf=x) for x in _ATOMS + [c.leaf for c in drawn if c.is_leaf]]
+            assert not set(drawn) & set(mirrors)
+            assert all(c != m for c in drawn for m in mirrors)
 
     def test_tuple_key_is_the_one_in_fincat(self):
         assert _tuple_key is tuple_key
