@@ -11,8 +11,11 @@ Three command families:
   distributivity witnesses on seeded random instances, pseudomonad data.
 
 A check that quantified over no instance (``natmod free sigma`` at a bound
-where no Σ(A, B) fits, ``natmod check`` on a file with no complete context)
-is reported as VACUOUS, not PASS, and fails the run.
+where no Σ(A, B) fits, a check over a free construction at a bound below
+its every context, ``natmod check`` on a file with no complete context) is
+reported as VACUOUS, not PASS, and fails the run.  ``natmod poly extend``
+reads ``--family`` as one size per index, one element at each index by
+default and ``""`` the empty family.
 
 Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
 2 on bad input: a file that fails to parse or is incomplete, a free
@@ -162,74 +165,68 @@ def cmd_free(args) -> int:
 
 def _free_checks(args, base, report: VerificationReport):
     """Build the construction of ``args.kind`` over base, adding its checks."""
-    bound = args.bound
+    bound, ub = args.bound, min(args.bound, 2)
     if args.kind == "term-model":
         model = base
-        eat = check_eat(model, bound)
-        report.add("eat", eat.ok)
+        _add_over(report, model, "eat", bound, lambda: (check_eat(model, bound).ok,))
         _add_oracle(report, extension_square_oracle(model, bound + 1, bound, bound), bound)
-        images = {i: model.ty_key(i) for i in model.index}
+        images = {i: model.tys.key(i) for i in model.index}
         pins = freemodel.initiality_pins(model, model, images)
-        rivals = count_morphisms(model, model, min(bound, 2), pins)
+        rivals = count_morphisms(model, model, ub, pins)
         report.add("initiality-selfmap-unique", rivals == 1, f"count={rivals}")
-    elif args.kind == "term":
+        return model
+    if args.kind == "poly-compose":
+        model = freemodel.poly_composite_models(base, base)
+        _add_over(report, model, "eat", bound, lambda: (check_eat(model, bound).ok,))
+        _add_oracle(report, extension_square_oracle(model, bound, bound - 1, bound - 1), bound)
+        return model
+    if args.kind == "term":
         model = freemodel.extend_by_term(base, args.type)
-        eat = check_eat(model, bound)
-        report.add("eat", eat.ok)
-        incl = freemodel.inclusion(model)
-        report.add("inclusion-strict", check_morphism(incl, min(bound, 2)).ok)
+    else:
+        model = {"type": freemodel.extend_by_type, "unit": freemodel.extend_by_unit,
+                 "sigma": freemodel.extend_by_sigma}[args.kind](base)
+    eat_bound = ub if args.kind == "sigma" else bound
+    _add_over(report, model, "eat", eat_bound, lambda: (check_eat(model, eat_bound).ok,))
+    incl = freemodel.inclusion(model)
+    if args.kind == "term":
+        # the inclusion quantifies over the inner model, which has ⋄
+        report.add("inclusion-strict", check_morphism(incl, ub).ok)
         sharp = freemodel.extend_term_universal(model, incl, model.x_term)
-        report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
-        ub = min(bound, 2)
         pins = freemodel.term_universal_pins(model, incl, model.x_term, ub)
-        rivals = count_morphisms(model, model, ub, pins)
-        report.add("universal-property-unique", rivals == 1, f"count={rivals}")
     elif args.kind == "type":
-        model = freemodel.extend_by_type(base)
-        eat = check_eat(model, bound)
-        report.add("eat", eat.ok)
-        incl = freemodel.inclusion(model)
-        report.add("inclusion-strict", check_morphism(incl, min(bound, 2)).ok)
+        report.add("inclusion-strict", check_morphism(incl, ub).ok)
         sharp = freemodel.type_universal(model, incl, model.new_ty)
-        report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
-        ub = min(bound, 2)
         pins = freemodel.interleaved_universal_pins(model, incl, ub, sharp)
-        rivals = count_morphisms(model, model, ub, pins)
-        report.add("universal-property-unique", rivals == 1, f"count={rivals}")
     elif args.kind == "unit":
-        model = freemodel.extend_by_unit(base)
-        eat = check_eat(model, bound)
-        report.add("eat", eat.ok)
         report.add("unit-structure", check_unit(model, model.unit_structure, bound).ok)
-        incl = freemodel.inclusion(model)
         sharp = freemodel.unit_universal(model, incl)
-        report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
-        ub = min(bound, 2)
         pins = freemodel.interleaved_universal_pins(model, incl, ub, sharp)
-        rivals = count_morphisms(model, model, ub, pins)
-        report.add("universal-property-unique", rivals == 1, f"count={rivals}")
-    elif args.kind == "sigma":
-        model = freemodel.extend_by_sigma(base)
-        eat = check_eat(model, min(bound, 2))
-        report.add("eat", eat.ok)
-        sigma = check_sigma(model, model.sigma_structure, min(bound, 2))
+    else:
+        sigma = check_sigma(model, model.sigma_structure, ub)
         if sigma.vacuous:
             report.add_vacuous("sigma-structure", sigma.bound)
         else:
             report.add("sigma-structure", sigma.ok)
-        incl = freemodel.inclusion(model)
         sharp = freemodel.sigma_universal(model, incl)
-        report.add("mediating-strict", check_morphism(sharp, min(bound, 2)).ok)
-        ub = min(bound, 2)
         pins = freemodel.sigma_universal_pins(model, incl, ub, sharp)
-        rivals = count_morphisms(model, model, ub, pins)
-        report.add("universal-property-unique", rivals == 1, f"count={rivals}")
-    else:
-        model = freemodel.poly_composite_models(base, base)
-        eat = check_eat(model, bound)
-        report.add("eat", eat.ok)
-        _add_oracle(report, extension_square_oracle(model, bound, bound - 1, bound - 1), bound)
+    _add_over(report, model, "mediating-strict", ub, lambda: (check_morphism(sharp, ub).ok,))
+
+    def rivals():
+        count = count_morphisms(model, model, ub, pins)
+        return count == 1, f"count={count}"
+
+    _add_over(report, model, "universal-property-unique", ub, rivals)
     return model
+
+
+def _add_over(report: VerificationReport, model, name: str, bound: int, run) -> None:
+    """The verdict ``run()`` gives on a check that quantifies over the
+    contexts of ``model`` up to ``bound``; with no such context it shows
+    nothing, so it is VACUOUS, not a pass."""
+    if model.base.objects(bound):
+        report.add(name, *run())
+    else:
+        report.add_vacuous(name, bound)
 
 
 def _add_oracle(report: VerificationReport, oracle, bound: int) -> None:
@@ -297,12 +294,14 @@ def cmd_poly(args) -> int:
     try:
         if args.subcmd == "extend":
             p = load(args.files[0])
-            sizes = [int(s) for s in (args.family or "1").split(",")]
+            # one element at each index by default; "" is the empty family
+            sizes = ([1] * len(p.I) if args.family is None
+                     else [int(s) for s in args.family.split(",")] if args.family else [])
             if len(sizes) != len(p.I):
                 raise modelio.ParseError(
                     f"--family needs {len(p.I)} sizes, got {len(sizes)}"
                 )
-            if min(sizes) < 0:
+            if min(sizes, default=0) < 0:
                 raise modelio.ParseError(f"--family sizes must be non-negative, got {min(sizes)}")
             family = {i: tuple(f"x{i}.{k}" for k in range(sizes[idx]))
                       for idx, i in enumerate(p.I)}
@@ -400,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("subcmd", choices=list(POLY_FILES))
     p_poly.add_argument("files", nargs="*")
     p_poly.add_argument("--family", default=None,
-                        help="comma-separated family sizes (for 'extend')")
+                        help="comma-separated family sizes, one per index (for 'extend'; "
+                             "default one element at each index, '' the empty family)")
     p_poly.add_argument("--count", type=positive_int, default=50)
     common(p_poly)
     p_poly.set_defaults(fn=cmd_poly)

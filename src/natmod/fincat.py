@@ -7,11 +7,12 @@ objects up to a size bound and produce full finite hom sets on demand;
 :func:`truncate` materializes such a generator into a
 :class:`FinCatPresentation`.  Every generated cell is named through one
 mechanism, :class:`Registry`, which spells a key only for a cell it has never
-seen and reads each key back as its cell; a :class:`RegistryCategory` holds
-one for its objects and one for its morphisms, and the Σ model's trees and
-the cells of the presheaf constructions have theirs.  :func:`tuple_key` is
-the one spelling of a tuple of keys.  Composites are read a row
-at a time where a caller needs many after one g:
+seen and reads each key back as its cell, never parsing one; a
+:class:`RegistryCategory` holds one for its objects and one for its
+morphisms, and the term model's types and variables, the Σ model's trees
+and the cells of the presheaf constructions have theirs.  :func:`tuple_key`
+is the one spelling of a tuple of keys.  Composites are read a row at a
+time where a caller needs many after one g:
 :meth:`BoundedCategory.compose_row` gives g∘f over a list of fs, which a
 table, a truncation, :class:`FinSliceOpposite` and the free extensions'
 categories serve in one pass; the category laws, the legs of
@@ -668,15 +669,13 @@ def tuple_key(parts: tuple[str, ...]) -> str:
 class Registry:
     """The two-way naming of the cells of one sort: ``keys`` maps a cell to
     its key, spelled by ``spell`` the first time, and ``cells`` a key to its
-    cell.  With ``parse``, a key made outside is parsed and registered on
-    first use, and only the canonical spelling of a cell is accepted, so
-    equal cells have equal keys; without it, an unknown key raises
-    ``KeyError``."""
+    cell.  A key is only ever handed out by its registry and never parsed:
+    a key it did not spell raises ``KeyError``."""
 
-    __slots__ = ("spell", "parse", "keys", "cells")
+    __slots__ = ("spell", "keys", "cells")
 
-    def __init__(self, spell: Callable[..., str], parse: Optional[Callable] = None) -> None:
-        self.spell, self.parse = spell, parse
+    def __init__(self, spell: Callable[..., str]) -> None:
+        self.spell = spell
         self.keys: dict = {}
         self.cells: dict = {}
 
@@ -690,13 +689,6 @@ class Registry:
 
     def cell(self, key: str):
         """The cell ``key`` names."""
-        try:
-            return self.cells[key]
-        except KeyError:
-            if self.parse is None:
-                raise
-        if self.key(self.parse(key)) != key:
-            raise ValueError(f"not a canonical key: {key!r}")
         return self.cells[key]
 
 
@@ -707,15 +699,12 @@ class RegistryCategory(BoundedCategory):
     An object cell is the subclass's choice; a morphism cell is (dom, cod,
     payload), where the payload is what the subclass composes.  Endpoints
     are read from the registry, never parsed out of keys, and a composite is
-    one composite payload and one lookup.  A subclass whose keys may be
-    made outside sets ``parse_obj`` and ``parse_mor``.
+    one composite payload and one lookup.
     """
 
-    parse_obj = parse_mor = None
-
     def __init__(self) -> None:
-        self.objs = Registry(self.spell_obj, self.parse_obj)
-        self.mors = Registry(self.spell_mor, self.parse_mor)
+        self.objs = Registry(self.spell_obj)
+        self.mors = Registry(self.spell_mor)
 
     @abstractmethod
     def spell_obj(self, cell) -> str:
@@ -760,42 +749,19 @@ class FinSliceOpposite(RegistryCategory):
     function).  Objects, hom sets, identities and composites read and extend
     the registries, so a composite reads its two operands' cells, builds the
     composite function and looks its key up, spelling it only the first
-    time.  A well-formed object or morphism key made outside, whose hom set
-    may never have been enumerated, is parsed and registered on first use,
-    so any such key composes.
+    time.
     """
 
     def __init__(self, index: Iterable[int]):
         super().__init__()
         self.index = tuple(sorted(set(index)))
 
-    # -- key spellings ---------------------------------------------------
-    @staticmethod
-    def obj_key(labels: tuple[int, ...]) -> str:
-        return "fs[" + ",".join(str(i) for i in labels) + "]"
-
-    @staticmethod
-    def mor_key(src: str, dst: str, fn: tuple[int, ...]) -> str:
-        return f"{src}=>{dst}:(" + ",".join(str(k) for k in fn) + ")"
-
     def spell_obj(self, labels: tuple[int, ...]) -> str:
-        return self.obj_key(labels)
+        return "fs[" + ",".join(map(str, labels)) + "]"
 
     def spell_mor(self, cell: tuple[str, str, tuple[int, ...]]) -> str:
-        return self.mor_key(*cell)
-
-    @staticmethod
-    def parse_obj(key: str) -> tuple[int, ...]:
-        inner = key[3:-1]
-        return tuple(int(s) for s in inner.split(",")) if inner else ()
-
-    def parse_mor(self, m: str) -> tuple[str, str, tuple[int, ...]]:
-        ends, inner = m.rsplit(":(", 1)
-        src, dst = ends.split("=>", 1)
-        for end in (src, dst):
-            self.objs.cell(end)  # only a canonical object key is an endpoint
-        inner = inner[:-1]
-        return src, dst, tuple(int(s) for s in inner.split(",")) if inner else ()
+        src, dst, fn = cell
+        return f"{src}=>{dst}:(" + ",".join(map(str, fn)) + ")"
 
     # -- BoundedCategory interface --------------------------------------
     @property
@@ -827,9 +793,8 @@ class FinSliceOpposite(RegistryCategory):
     def compose(self, g: str, f: str) -> str:
         # f : X -> Y, g : Y -> Z; underlying functions fb : Y* -> X*, gb : Z* -> Y*
         mors = self.mors
-        info = mors.cells
-        y, z, gb = info.get(g) or mors.cell(g)
-        x, y_f, fb = info.get(f) or mors.cell(f)
+        y, z, gb = mors.cells[g]
+        x, y_f, fb = mors.cells[f]
         if y != y_f:
             raise ValueError(f"not composable: {g} after {f}")
         cell = (x, z, tuple([fb[k] for k in gb]))
@@ -838,15 +803,15 @@ class FinSliceOpposite(RegistryCategory):
     def compose_row(self, g: str, fs: list[str]) -> list[str]:
         """The row after g, reading g's cell once."""
         mors = self.mors
-        info, keys = mors.cells, mors.keys
-        y, z, gb = info.get(g) or mors.cell(g)
+        cells, keys = mors.cells, mors.keys
+        y, z, gb = cells[g]
         # the composite's function picks its values out of f's function by
         # gb; a slice keeps a pick of one value or none a tuple
         pick = operator.itemgetter(
             *gb if len(gb) > 1 else [slice(gb[0], gb[0] + 1) if gb else slice(0)])
         out = []
         for f in fs:
-            x, y_f, fb = info.get(f) or mors.cell(f)
+            x, y_f, fb = cells[f]
             if y != y_f:
                 raise ValueError(f"not composable: {g} after {f}")
             cell = (x, z, pick(fb))

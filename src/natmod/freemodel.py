@@ -306,45 +306,52 @@ def _sharp(ext: _WrappedModel, f: NMorphism, theta_root, theta_step, ty_image, t
 # The term model on a family of basic types
 # ---------------------------------------------------------------------------
 
+def _read(reg: Registry, key: str):
+    """The cell ``key`` names in ``reg``; a key the registry never handed
+    out raises ``ValueError`` naming it."""
+    try:
+        return reg.cells[key]
+    except KeyError:
+        raise ValueError(f"not a key of this model: {key!r}") from None
+
+
 class TermModel(NaturalModel):
     """The free natural model on an I-indexed family of basic types.
 
     The base category is the opposite of finite sets over I; the type
     presheaf is constant with value I, the term presheaf is the domain
     functor, and extension by the basic type j appends a fresh element
-    labelled j.
+    labelled j.  Two registries name the types and the variables: ``tys``
+    spells the index element i ``T{i}`` and ``tms`` the position k ``x{k}``.
     """
 
     def __init__(self, index):
         self.index = tuple(sorted(set(index)))
         self.base = FinSliceOpposite(self.index)
-
-    def ty_key(self, i: int) -> str:
-        return f"T{i}"
-
-    def tm_key(self, k: int) -> str:
-        return f"x{k}"
+        self.tys = Registry("T{}".format)
+        self.tms = Registry("x{}".format)
+        self._types = tuple(map(self.tys.key, self.index))
 
     @memo
     def _variables(self, n: int) -> tuple[str, ...]:
         """x0, …, x(n-1): the terms over a context of n elements."""
-        return tuple(map(self.tm_key, range(n)))
+        return tuple(map(self.tms.key, range(n)))
 
     def types(self, ctx: str, bound: int) -> list[str]:
-        return [self.ty_key(i) for i in self.index]
+        return list(self._types)
 
     def terms(self, ctx: str, bound: int) -> list[str]:
         return list(self._variables(len(self.base.objs.cell(ctx))))
 
     def typeof(self, ctx: str, term: str) -> str:
-        return self.ty_key(self.base.objs.cell(ctx)[int(term[1:])])
+        return self.tys.key(self.base.objs.cell(ctx)[_read(self.tms, term)])
 
     def subst_ty(self, sigma: str, ty: str) -> str:
         return ty
 
     def subst_tm(self, sigma: str, term: str) -> str:
         fn = self.base.mor_payload(sigma)
-        return self.tm_key(fn[int(term[1:])])
+        return self.tms.key(fn[_read(self.tms, term)])
 
     def subst_ty_row(self, sigma: str, tys: list[str]) -> Mapping[str, str]:
         return self._identity_row(tuple(tys))
@@ -357,25 +364,26 @@ class TermModel(NaturalModel):
     def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
         src, _, fn = self.base.mors.cell(sigma)
         var = self._variables(len(self.base.objs.cell(src)))
-        return {a: var[fn[int(a[1:])]] for a in tms}
+        return {a: var[fn[_read(self.tms, a)]] for a in tms}
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         labels = self.base.objs.cell(ctx)
         n = len(labels)
-        extended = self.base.objs.key(labels + (int(ty[1:]),))
+        extended = self.base.objs.key(labels + (_read(self.tys, ty),))
         proj = self.base.mors.key((extended, ctx, tuple(range(n))))
-        return ExtensionData(extended, proj, self.tm_key(n))
+        return ExtensionData(extended, proj, self.tms.key(n))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         src, gamma, fn = self.base.mors.cell(sigma)
-        return self.base.mors.key((src, self.ext(gamma, ty).extended, fn + (int(term[1:]),)))
+        extended = self.ext(gamma, ty).extended
+        return self.base.mors.key((src, extended, fn + (_read(self.tms, term),)))
 
     def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
         labels = self.base.objs.cell(ctx)
         if not labels:
             return None
-        return self.base.objs.key(labels[:-1]), self.ty_key(labels[-1])
+        return self.base.objs.key(labels[:-1]), self.tys.key(labels[-1])
 
 
 def term_model(index) -> TermModel:
@@ -413,12 +421,10 @@ def initial_morphism(tm: TermModel, target: NaturalModel, images: dict) -> NMorp
         return target.terminal
 
     def ty_map(d: ForcedImages, ctx: str, ty: str) -> str:
-        i = int(ty[1:])
-        fctx = d.on_obj(ctx)
-        return target.subst_ty(target.t(fctx), o_tys[i])
+        return target.subst_ty(target.t(d.on_obj(ctx)), o_tys[_read(tm.tys, ty)])
 
-    def tm_map(d: ForcedImages, ctx: str, tm_key: str) -> str:
-        return _variable_images(d, ctx, None)[int(tm_key[1:])]
+    def tm_map(d: ForcedImages, ctx: str, term: str) -> str:
+        return _variable_images(d, ctx, None)[_read(tm.tms, term)]
 
     def root_mor(d: ForcedImages, m: str) -> str:
         # the only root is the terminal context
@@ -450,7 +456,7 @@ def initiality_pins(tm: TermModel, target: NaturalModel, images: dict) -> Morphi
     pins = MorphismPins()
     pins.on_obj[tm.terminal] = target.terminal
     for i in tm.index:
-        pins.on_ty[(tm.terminal, tm.ty_key(i))] = images[i]
+        pins.on_ty[(tm.terminal, tm.tys.key(i))] = images[i]
     return pins
 
 

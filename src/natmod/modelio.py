@@ -417,12 +417,12 @@ def _model_text(doc: dict) -> str:
 
 def serialize_model(model: NaturalModel, bound: int) -> str:
     """Emit a model's materialization at a bound in the canonical file format."""
-    return _model_text(_model_doc(model, bound, bound))
+    return _model_text(_model_doc(model, bound))
 
 
-def _model_doc(model: NaturalModel, bound: int, ty_bound: int) -> dict:
-    """The file's sections, read off the materialization, which is then dropped."""
-    ps = model_presheaves(model, bound, ty_bound)
+def _model_doc(model: NaturalModel, bound: int) -> dict:
+    """The file's sections, read off the materialization at ``bound``, which is then dropped."""
+    ps = model_presheaves(model, bound, bound)
     cat = ps.cat
     objects = cat.object_keys
     homs = [{"src": a, "dst": b, "mors": ms} for (a, b), ms in cat.homs.items()]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from natmod.fincat import FinCatPresentation, FinSliceOpposite
+from natmod.fincat import FinCatPresentation
 from natmod.freemodel import TermTree, TypeTree
 from natmod.morphism import ForcedImages
 from natmod.natmodel import canonical_pullback, model_presheaves, section
@@ -112,107 +112,85 @@ def finite_sets_model(max_fibre: int = 2):
     lexicographic layout.  Types here genuinely depend on the context, so
     substitution acts non-trivially.
     """
-    from natmod.fincat import BoundedCategory
+    from natmod.fincat import Registry, RegistryCategory
     from natmod.natmodel import ExtensionData, NaturalModel
 
-    class FinSets(BoundedCategory):
+    class FinSets(RegistryCategory):
+        """An object is its cardinality n, spelled ``set{n}``; a morphism's
+        payload is its function as a tuple, spelled ``src=>dst:(…)``."""
+
+        def spell_obj(self, n):
+            return f"set{n}"
+
+        def spell_mor(self, cell):
+            return "%s=>%s:%s" % cell
+
         @property
         def terminal(self):
-            return "set1"
+            return self.objs.key(1)
 
         def obj_size(self, a):
-            return int(a[3:])
+            return self.objs.cell(a)
 
         def objects(self, bound):
-            return [f"set{n}" for n in range(bound + 1)]
+            return [self.objs.key(n) for n in range(bound + 1)]
 
-        def hom(self, a, b):
-            import itertools
-
-            na, nb = int(a[3:]), int(b[3:])
-            return [
-                f"{a}=>{b}:{fn}"
-                for fn in itertools.product(range(nb), repeat=na)
-            ]
-
-        def dom(self, m):
-            return m.split("=>")[0]
-
-        def cod(self, m):
-            return m.split("=>")[1].split(":")[0]
-
-        def fn(self, m):
-            import ast
-
-            return ast.literal_eval(m.split(":", 1)[1])
+        def _hom_payloads(self, a, b):
+            return itertools.product(range(self.objs.cell(b)), repeat=self.objs.cell(a))
 
         def identity(self, a):
-            n = int(a[3:])
-            return f"{a}=>{a}:{tuple(range(n))}"
+            return self.mors.key((a, a, tuple(range(self.objs.cell(a)))))
 
         def compose(self, g, f):
-            gf = self.fn(g)
-            ff = self.fn(f)
-            out = tuple(gf[v] for v in ff)
-            return f"{self.dom(f)}=>{self.cod(g)}:{out}"
+            gf, ff = self.mor_payload(g), self.mor_payload(f)
+            return self.mors.key((self.dom(f), self.cod(g), tuple(gf[v] for v in ff)))
 
     class FiniteSetsModel(NaturalModel):
+        """A type is its family of fibre sizes, spelled ``fam(…)``, and a
+        term its family and section, spelled ``sec(…)|(…)``."""
+
         def __init__(self):
             self.base = FinSets()
             self.max_fibre = max_fibre
+            self.tys = Registry("fam{}".format)
+            self.tms = Registry("sec%s|%s".__mod__)
 
-        @staticmethod
-        def _fam(ty):
-            import ast
+        def _fam(self, ty):
+            return self.tys.cell(ty)
 
-            return ast.literal_eval(ty[3:])
-
-        @staticmethod
-        def _sec(tm):
-            import ast
-
-            fam, sec = tm[3:].split("|")
-            return ast.literal_eval(fam), ast.literal_eval(sec)
+        def _sec(self, tm):
+            return self.tms.cell(tm)
 
         def types(self, ctx, bound):
-            import itertools
-
-            n = int(ctx[3:])
-            return [
-                f"fam{fam}"
-                for fam in itertools.product(range(self.max_fibre + 1), repeat=n)
-            ]
+            n = self.base.obj_size(ctx)
+            return [self.tys.key(fam)
+                    for fam in itertools.product(range(self.max_fibre + 1), repeat=n)]
 
         def terms(self, ctx, bound):
-            import itertools
-
             out = []
             for ty in self.types(ctx, bound):
                 fam = self._fam(ty)
                 for sec in itertools.product(*(range(k) for k in fam)):
-                    out.append(f"sec{fam}|{sec}")
+                    out.append(self.tms.key((fam, sec)))
             return out
 
         def typeof(self, ctx, term):
             fam, _ = self._sec(term)
-            return f"fam{fam}"
+            return self.tys.key(fam)
 
         def subst_ty(self, sigma, ty):
             fam = self._fam(ty)
-            fn = self.base.fn(sigma)
-            return f"fam{tuple(fam[v] for v in fn)}"
+            fn = self.base.mor_payload(sigma)
+            return self.tys.key(tuple(fam[v] for v in fn))
 
         def subst_tm(self, sigma, term):
             fam, sec = self._sec(term)
-            fn = self.base.fn(sigma)
-            new_fam = tuple(fam[v] for v in fn)
-            new_sec = tuple(sec[v] for v in fn)
-            return f"sec{new_fam}|{new_sec}"
+            fn = self.base.mor_payload(sigma)
+            return self.tms.key((tuple(fam[v] for v in fn), tuple(sec[v] for v in fn)))
 
         def ext(self, ctx, ty):
             fam = self._fam(ty)
-            total = sum(fam)
-            extended = f"set{total}"
+            extended = self.base.objs.key(sum(fam))
             proj = []
             var = []
             for x, k in enumerate(fam):
@@ -221,22 +199,18 @@ def finite_sets_model(max_fibre: int = 2):
             wk_fam = tuple(fam[x] for x in proj)
             return ExtensionData(
                 extended,
-                f"{extended}=>{ctx}:{tuple(proj)}",
-                f"sec{wk_fam}|{tuple(var)}",
+                self.base.mors.key((extended, ctx, tuple(proj))),
+                self.tms.key((wk_fam, tuple(var))),
             )
 
         def indsub(self, sigma, term, ty):
             fam = self._fam(ty)
-            offsets = []
-            acc = 0
-            for k in fam:
-                offsets.append(acc)
-                acc += k
-            fn = self.base.fn(sigma)
+            offsets = list(itertools.accumulate(fam, initial=0))
+            fn = self.base.mor_payload(sigma)
             _, sec = self._sec(term)
             out = tuple(offsets[fn[d]] + sec[d] for d in range(len(fn)))
             e = self.ext(self.base.cod(sigma), ty)
-            return f"{self.base.dom(sigma)}=>{e.extended}:{out}"
+            return self.base.mors.key((self.base.dom(sigma), e.extended, out))
 
     return FiniteSetsModel()
 
@@ -260,12 +234,13 @@ def propositions_model():
         def fn(ctx, ty_a, ty_b):
             fam_a, fam_b = m._fam(ty_a), m._fam(ty_b)
             offsets = itertools.accumulate(fam_a, initial=0)
-            return f"fam{tuple(fam_b[o] if k else empty_fibre for k, o in zip(fam_a, offsets))}"
+            return m.tys.key(tuple(fam_b[o] if k else empty_fibre
+                                   for k, o in zip(fam_a, offsets)))
         return fn
 
     def the_term(ty):
         fam = m._fam(ty)
-        return f"sec{fam}|{(0,) * len(fam)}"
+        return m.tms.key((fam, (0,) * len(fam)))
 
     def at_arg(ctx, ty_b, a):
         return the_term(m.subst_ty(section(m, ctx, a), ty_b))  # B[⟨id, a⟩]
@@ -278,7 +253,7 @@ def propositions_model():
         a = the_term(ty_a)
         return a, at_arg(ctx, ty_b, a)
 
-    m.unit_structure = UnitStructure("fam(1,)", "sec(1,)|(0,)")
+    m.unit_structure = UnitStructure(m.tys.key((1,)), m.tms.key(((1,), (0,))))
     m.sigma_structure = SigmaStructure(
         sigma, lambda ctx, ty_a, ty_b, a, b: the_term(sigma(ctx, ty_a, ty_b)), split
     )
@@ -583,14 +558,14 @@ def slice_parts(m: str) -> tuple[str, str, tuple[int, ...]]:
 
 def reference_slice_compose(g: str, f: str) -> str:
     """g∘f in (Fin/I)^op from the keys alone: both keys parsed and the
-    composite's key spelled with ``mor_key``, as
-    :meth:`natmod.fincat.FinSliceOpposite.compose` did before it looked
-    composites up in its registry."""
+    composite's key spelled here, independently of
+    :meth:`natmod.fincat.FinSliceOpposite.compose`, which looks composites
+    up in its registry."""
     y, z, gb = slice_parts(g)
     x, y_f, fb = slice_parts(f)
     if y != y_f:
         raise ValueError(f"not composable: {g} after {f}")
-    return FinSliceOpposite.mor_key(x, z, tuple(fb[k] for k in gb))
+    return f"{x}=>{z}:(" + ",".join(str(fb[k]) for k in gb) + ")"
 
 
 def _attempt(fn, *args):

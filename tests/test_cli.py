@@ -171,6 +171,21 @@ class TestPolyCommand:
         # fibres have sizes 2 and 1: 9 + 3 = 12 dependent pairs
         assert "12 elements" in out
 
+    def test_extend_over_the_empty_index_takes_the_empty_family(self, tmp_path, capsys):
+        path = tmp_path / "empty-index.json"
+        path.write_text(json.dumps({"I": 0, "B": 0, "A": 2, "J": 1, "s": [], "f": [],
+                                    "t": [0, 0]}))
+        assert main(["poly", "extend", str(path), "--family", ""]) == 0
+        assert "PASS  component-0  -- 2 elements\n" in capsys.readouterr().out
+
+    def test_extend_defaults_to_one_element_at_each_index(self, tmp_path, capsys):
+        path = tmp_path / "two-index.json"
+        path.write_text(json.dumps({"I": 2, "B": 2, "A": 1, "J": 1, "s": [0, 1], "f": [0, 0],
+                                    "t": [0]}))
+        assert main(["poly", "extend", str(path)]) == 0
+        # one position with one direction into each one-element index: 1 element
+        assert "PASS  component-0  -- 1 elements\n" in capsys.readouterr().out
+
     def test_compose_identity(self, poly_file, tmp_path, capsys):
         ident = tmp_path / "id.json"
         ident.write_text(json.dumps({
@@ -573,6 +588,16 @@ class TestVacuousChecks:
         bound = argv[-1]
         assert f"\nVACUOUS  representability-oracle  -- 0 instances at bound {bound}\n" in out
         assert "PASS  representability-oracle" not in out
+        assert out.endswith("result: FAIL\n")
+
+    def test_a_term_extension_below_its_root_is_vacuous_and_fails(self, capsys):
+        # the root (⋄;) lies over ⋄•O, of size 1: at bound 0 the extension
+        # has no context, while the inclusion still checks the inner ⋄
+        assert main(["free", "term", "--type", "T0", "--bound", "0"]) == 1
+        out = capsys.readouterr().out
+        for name in ("eat", "mediating-strict", "universal-property-unique"):
+            assert f"\nVACUOUS  {name}  -- 0 instances at bound 0\n" in out
+        assert "\nPASS  inclusion-strict\n" in out
         assert out.endswith("result: FAIL\n")
 
     def test_the_machine_status_is_vacuous(self, capsys):

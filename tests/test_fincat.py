@@ -85,16 +85,16 @@ class TestFinSliceOpposite:
 
     def test_hom_sets_are_label_preserving_functions(self):
         gen = FinSliceOpposite({0, 1})
-        a = gen.obj_key((0, 1))
-        b = gen.obj_key((0, 0, 1))
+        a = gen.objs.key((0, 1))
+        b = gen.objs.key((0, 0, 1))
         # functions {0,1,2} -> {0,1} over I: slots for label 0 are {0}, {0}, {1}
         assert len(gen.hom(a, b)) == 1 * 1 * 1
-        aa = gen.obj_key((0, 0))
+        aa = gen.objs.key((0, 0))
         assert len(gen.hom(aa, b)) == 2 * 2 * 0 if False else len(gen.hom(aa, b)) == 0
 
     def test_compose_matches_function_composition(self):
         gen = FinSliceOpposite({0})
-        x, y, z = gen.obj_key((0,)), gen.obj_key((0, 0)), gen.obj_key((0, 0, 0))
+        x, y, z = gen.objs.key((0,)), gen.objs.key((0, 0)), gen.objs.key((0, 0, 0))
         for f in gen.hom(x, y):
             for g in gen.hom(y, z):
                 gf = gen.compose(g, f)
@@ -132,8 +132,8 @@ class TestPullback:
         # the cospan fs[0] -> fs[] <- fs[1] the apex is the disjoint union.
         gen = FinSliceOpposite({0, 1})
         cat = truncate(gen, 2)
-        f = cat.hom(gen.obj_key((0,)), gen.obj_key(()))[0]
-        g = cat.hom(gen.obj_key((1,)), gen.obj_key(()))[0]
+        f = cat.hom(gen.objs.key((0,)), gen.objs.key(()))[0]
+        g = cat.hom(gen.objs.key((1,)), gen.objs.key(()))[0]
         got = pullback(cat, f, g)
         assert got is not None
         apex, _, _ = got
@@ -197,8 +197,8 @@ class TestProduct:
     def test_product_in_truncated_fin_op_is_disjoint_union(self):
         gen = FinSliceOpposite({0})
         cat = truncate(gen, 4)
-        one = gen.obj_key((0,))
-        two = gen.obj_key((0, 0))
+        one = gen.objs.key((0,))
+        two = gen.objs.key((0, 0))
         got = product(cat, one, two)
         assert got is not None
         apex, _, _ = got
@@ -215,8 +215,8 @@ class TestTruncate:
     def test_truncation_has_requested_objects(self):
         gen = FinSliceOpposite({0})
         cat = truncate(gen, 2)
-        assert cat.object_keys == [gen.obj_key(()), gen.obj_key((0,)), gen.obj_key((0, 0))]
-        assert cat.terminal_key == gen.obj_key(())
+        assert cat.object_keys == [gen.objs.key(()), gen.objs.key((0,)), gen.objs.key((0, 0))]
+        assert cat.terminal_key == gen.objs.key(())
 
     def test_every_composite_lands_in_a_hom_set(self):
         cat = truncate(FinSliceOpposite({0, 1}), 2)
@@ -288,9 +288,9 @@ class TestMemo:
 
     def test_fin_slice_opposite_hom_returns_a_fresh_list(self):
         gen = FinSliceOpposite({0})
-        a, b = gen.obj_key((0,)), gen.obj_key((0, 0))
+        a, b = gen.objs.key((0,)), gen.objs.key((0, 0))
         gen.hom(a, b).append("junk")
-        assert gen.hom(a, b) == [gen.mor_key(a, b, (0, 0))]
+        assert gen.hom(a, b) == [gen.mors.key((a, b, (0, 0)))]
 
 
 def _pullback_by_cone_enumeration(c, bound, apex, to_left, to_top, left_leg, top_leg):
@@ -768,36 +768,35 @@ class TestMorphismRegistry:
         assert {m for m, _ in handed} == set(trunc.all_morphisms())
         for m, ends in handed:
             assert cat.mors.cell(m) == slice_parts(m), m
-            assert cat.mor_key(*cat.mors.cell(m)) == m
+            assert cat.spell_mor(cat.mors.cell(m)) == m
             assert cat.mors.cell(m)[:2] == ends
 
-    def test_a_key_made_outside_composes_before_its_hom_set_is_listed(self):
+    def test_a_registered_key_composes_before_its_hom_set_is_listed(self):
         cat = FinSliceOpposite((0, 1))
-        a, b, c = cat.obj_key((0, 1)), cat.obj_key((1, 0, 0)), cat.obj_key((0,))
-        f, g = cat.mor_key(b, a, (1, 0)), cat.mor_key(a, c, (0,))
+        a, b, c = cat.objs.key((0, 1)), cat.objs.key((1, 0, 0)), cat.objs.key((0,))
+        f, g = cat.mors.key((b, a, (1, 0))), cat.mors.key((a, c, (0,)))
         assert not [k for k in vars(cat) if "_homs" in k]
-        assert cat.compose(g, f) == reference_slice_compose(g, f) == cat.mor_key(b, c, (1,))
+        assert cat.compose(g, f) == reference_slice_compose(g, f) == cat.mors.key((b, c, (1,)))
         assert (cat.dom(f), cat.cod(f), cat.mor_payload(f)) == (b, a, (1, 0))
         assert cat.compose(g, f) in cat.hom(b, c)
         assert f in cat.hom(b, a)
 
-    def test_only_the_canonical_spelling_is_a_key(self):
+    @pytest.mark.parametrize("key", [
+        "fs[0,1]", "fs[0, 1]", "fs[0]=>fs[0]:(0)", "fs[0]=>fs[]:()", "junk", ""])
+    def test_a_key_the_registry_never_handed_out_raises_key_error(self, key):
         cat = FinSliceOpposite((0, 1))
-        f = cat.mor_key(cat.obj_key((1, 0, 0)), cat.obj_key((0, 1)), (1, 0))
-        for bad in (f.replace(",0)", ", 0)"), f.replace("=>", "->"), "junk",
-                    f.replace("fs[0,1]", "fs[0, 1]")):
-            with pytest.raises(ValueError):
-                cat.compose(cat.identity(cat.obj_key((0, 1))), bad)
-            with pytest.raises(ValueError):
-                cat.dom(bad)
+        one = cat.identity(cat.terminal)
+        for read in (cat.obj_size, cat.identity, cat.dom, cat.cod, cat.mor_payload,
+                     lambda k: cat.compose(one, k), lambda k: cat.compose(k, one),
+                     lambda k: cat.compose_row(one, [one, k])):
+            with pytest.raises(KeyError):
+                read(key)
+        assert key not in cat.objs.cells and key not in cat.mors.cells
 
-    @pytest.mark.parametrize("listed", [True, False], ids=["registered", "parsed"])
-    def test_a_non_composable_pair_raises_the_same_error(self, listed):
+    def test_a_non_composable_pair_raises_the_same_error(self):
         cat = FinSliceOpposite((0, 1))
-        a, b = cat.obj_key((0, 1)), cat.obj_key((1, 0, 0))
-        f = FinSliceOpposite((0, 1)).hom(b, a)[0]
-        if listed:
-            assert f in cat.hom(b, a)
+        a, b = cat.objs.key((0, 1)), cat.objs.key((1, 0, 0))
+        f = cat.hom(b, a)[0]
         with pytest.raises(ValueError) as got:
             cat.compose(f, f)
         with pytest.raises(ValueError) as want:
@@ -826,8 +825,8 @@ class TestMorphismRegistry:
 
 @st.composite
 def _slice_pairs(draw):
-    """An index set of 1-3 labels and a composable pair (g, f) of keys
-    between objects of size at most 3 over it, spelled outside any category."""
+    """An index set of 1-3 labels and the cells (src, dst, function) of a
+    composable pair (g, f) between objects of size at most 3 over it."""
     index = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
     x = tuple(draw(st.lists(st.sampled_from(index), max_size=3)))
 
@@ -837,17 +836,25 @@ def _slice_pairs(draw):
 
     f_fn, y = arrow_into(x)
     g_fn, z = arrow_into(y)
-    key = FinSliceOpposite.obj_key
-    return (index, FinSliceOpposite.mor_key(key(y), key(z), g_fn),
-            FinSliceOpposite.mor_key(key(x), key(y), f_fn), draw(st.booleans()))
+    return index, (y, z, g_fn), (x, y, f_fn), draw(st.booleans())
+
+
+def _register(cat: FinSliceOpposite, cell) -> str:
+    """The key of the morphism cell (src labels, dst labels, function)."""
+    src, dst, fn = cell
+    return cat.mors.key((cat.objs.key(src), cat.objs.key(dst), fn))
 
 
 class TestComposeAgainstTheReference:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(_slice_pairs())
     def test_random_composable_pairs(self, drawn):
-        index, g, f, listed = drawn
+        index, g_cell, f_cell, listed = drawn
         cat = FinSliceOpposite(index)
+        if listed:  # the hom sets are listed before the pair is registered
+            for src, dst, _fn in (g_cell, f_cell):
+                cat.hom(cat.objs.key(src), cat.objs.key(dst))
+        g, f = _register(cat, g_cell), _register(cat, f_cell)
         if listed:
             assert f in cat.hom(*slice_parts(f)[:2]) and g in cat.hom(*slice_parts(g)[:2])
         want = reference_slice_compose(g, f)
@@ -864,22 +871,18 @@ class TestComposeAgainstTheReference:
 
 
 class TestEachMorphismIsSpelledOnce:
-    @pytest.mark.parametrize("listed", [True, False], ids=["registered", "parsed"])
-    def test_composing_every_pair_twice(self, monkeypatch, listed):
-        mor_key = FinSliceOpposite.mor_key
+    def test_composing_every_pair_twice(self, monkeypatch):
+        spell_mor = FinSliceOpposite.spell_mor
         spelled = []
 
-        def counting(src, dst, fn):
-            spelled.append((src, dst, fn))
-            return mor_key(src, dst, fn)
+        def counting(self, cell):
+            spelled.append(cell)
+            return spell_mor(self, cell)
 
-        monkeypatch.setattr(FinSliceOpposite, "mor_key", staticmethod(counting))
+        monkeypatch.setattr(FinSliceOpposite, "spell_mor", counting)
         cat = FinSliceOpposite((0, 1))
-        if listed:  # cat spells each key as it lists its hom sets
-            pairs = _composable_pairs(truncate(cat, 3))
-        else:  # cat parses another instance's keys on first use
-            pairs = _composable_pairs(truncate(FinSliceOpposite((0, 1)), 3))
-            spelled.clear()
+        # cat spells each key as it lists its hom sets
+        pairs = _composable_pairs(truncate(cat, 3))
         for g, f in pairs:
             cat.compose(g, f)
         assert len(spelled) == len(set(spelled)) == len(cat.mors.keys) == 389
@@ -891,19 +894,14 @@ class TestEachMorphismIsSpelledOnce:
 
 class TestEachObjectIsSpelledOnce:
     def test_listing_the_truncation_and_composing_every_pair(self, monkeypatch):
-        obj_key, parse_obj = FinSliceOpposite.obj_key, FinSliceOpposite.parse_obj
-        spelled, parsed = [], []
+        spell_obj = FinSliceOpposite.spell_obj
+        spelled = []
 
-        def counting(labels):
+        def counting(self, labels):
             spelled.append(labels)
-            return obj_key(labels)
+            return spell_obj(self, labels)
 
-        def counting_parse(key):
-            parsed.append(key)
-            return parse_obj(key)
-
-        monkeypatch.setattr(FinSliceOpposite, "obj_key", staticmethod(counting))
-        monkeypatch.setattr(FinSliceOpposite, "parse_obj", staticmethod(counting_parse))
+        monkeypatch.setattr(FinSliceOpposite, "spell_obj", counting)
         cat = FinSliceOpposite((0, 1))
         for n_spelled in (15, 0):  # the second pass spells nothing
             spelled.clear()
@@ -912,24 +910,6 @@ class TestEachObjectIsSpelledOnce:
                 cat.compose(g, f)
             assert len(spelled) == len(set(spelled)) == n_spelled
         assert len(cat.objs.keys) == len(trunc.object_keys) == 15
-        assert parsed == []  # no key the registry handed out is parsed
-
-    def test_a_key_made_outside_is_registered_on_first_use(self):
-        cat = FinSliceOpposite((0, 1))
-        assert "fs[0,1]" not in cat.objs.cells
-        assert cat.obj_size("fs[0,1]") == 2
-        assert cat.objs.cells["fs[0,1]"] == (0, 1) and cat.objs.keys[(0, 1)] == "fs[0,1]"
-        assert cat.hom("fs[0,1]", "fs[1]") == ["fs[0,1]=>fs[1]:(1)"]
-        assert "fs[0,1]" in cat.objects(2)
-
-    @pytest.mark.parametrize("bad", ["fs[0, 1]", "fs[01]", "xs[0,1]", "fs[0,1", "fs[a]", ""])
-    def test_only_the_canonical_spelling_is_an_object_key(self, bad):
-        cat = FinSliceOpposite((0, 1))
-        with pytest.raises(ValueError):
-            cat.obj_size(bad)
-        with pytest.raises(ValueError):
-            cat.identity(bad)
-        assert bad not in cat.objs.cells
 
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "natmod"
@@ -995,6 +975,42 @@ class TestOneMorphismRegistry:
                               "    @memo\n    def compose(self, g: str, f: str) -> str:\n        # f : X")
         assert mutant != text
         assert _registry_assignments_and_memoized_composes({"fincat.py": mutant})[1]
+
+
+def _parsed_keys(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """Each ``int(x[a:b])`` call, a number read out of a key, and each
+    definition of ``parse_obj``/``parse_mor`` in the given module sources."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int" and any(
+                    isinstance(a, ast.Subscript) and isinstance(a.slice, ast.Slice)
+                    for a in node.args):
+                found.append((name, node.lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name in ("parse_obj", "parse_mor"):
+                found.append((name, node.lineno))
+    return found
+
+
+class TestKeysAreNeverParsed:
+    def test_no_module_reads_a_key_back(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+        assert _parsed_keys(sources) == []
+
+    def test_a_registry_is_made_from_its_speller_alone(self):
+        module = ast.parse((_SRC / "fincat.py").read_text(encoding="utf-8"))
+        [init] = [fn for cls in module.body if isinstance(cls, ast.ClassDef)
+                  and cls.name == "Registry" for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+        args = init.args
+        assert [a.arg for a in args.posonlyargs + args.args] == ["self", "spell"]
+        assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
+
+    def test_the_guard_sees_a_parsed_key_put_back(self):
+        text = (_SRC / "freemodel.py").read_text(encoding="utf-8")
+        mutant = text.replace("fn[_read(self.tms, term)]", "fn[int(term[1:])]")
+        assert mutant != text
+        assert _parsed_keys({"freemodel.py": mutant})
 
 
 def _row_categories():

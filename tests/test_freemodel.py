@@ -69,7 +69,7 @@ from helpers import (
 class TestTermModel:
     def test_empty_index_gives_terminal_base(self):
         m = term_model(range(0))
-        assert m.base.objects(3) == [m.base.obj_key(())]
+        assert m.base.objects(3) == [m.base.objs.key(())]
         assert m.types(m.terminal, 3) == []
         assert m.terms(m.terminal, 3) == []
 
@@ -83,12 +83,30 @@ class TestTermModel:
 
     def test_extension_data_appends_a_fresh_labelled_element(self):
         m = term_model(range(2))
-        g = m.base.obj_key((0, 1))
+        g = m.base.objs.key((0, 1))
         e = m.ext(g, "T1")
         assert m.base.objs.cell(e.extended) == (0, 1, 1)
         # the projection is the left inclusion
         assert m.base.mor_payload(e.proj) == (0, 1)
         assert e.var == "x2"
+
+    def test_a_key_the_model_never_handed_out_raises_value_error(self):
+        m = term_model(range(1))
+        one = m.base.objs.key((0,))
+        ident = m.base.identity(one)
+        [x0], [t0] = m.terms(one, 1), m.types(one, 1)
+        assert (m.typeof(one, x0), m.subst_tm(ident, x0)) == (t0, x0)
+        for attempt in (lambda: m.typeof(one, "v0"), lambda: m.subst_tm(ident, "z0"),
+                        lambda: m.subst_tm_row(ident, [x0, "z0"]),
+                        lambda: m.indsub(ident, "v0", t0), lambda: m.ext(one, "X0")):
+            with pytest.raises(ValueError, match="not a key"):
+                attempt()
+        # the image rules of the initial morphism read the same registries
+        fm = initial_morphism(m, m, {0: t0})
+        with pytest.raises(ValueError):
+            fm.on_tm(one, "v0")
+        with pytest.raises(ValueError):
+            fm.on_ty(one, "X0")
 
     def test_initiality_counts_for_three_targets(self):
         tm = term_model(range(2))
@@ -192,17 +210,19 @@ class TestExtendByTerm:
         # here, as these extensions can keep a context's size.
         from helpers import finite_sets_model
 
-        ext = extend_by_term(finite_sets_model(2), "fam(2,)")
-        root = ext.i_obj("set1")
+        fs = finite_sets_model(2)
+        fam = fs.tys.key
+        ext = extend_by_term(fs, fam((2,)))
+        root = ext.i_obj(fs.base.objs.key(1))
         assert root == "xt(set1|)"
-        e = ext.ext(root, "fam(0, 1)")
+        e = ext.ext(root, fam((0, 1)))
         assert e.extended == "xt(set1|fam(0, 1))"
         assert ext.ext_parent(e.extended) == (root, "fam(0, 1)")
         assert ext.base.mor_payload(e.proj) == ("set1=>set2:(1,)",)
         assert ext.base.anchor(e.extended) == "set1=>set2:(1,)"
-        e2 = ext.ext(e.extended, "fam(0,)")
+        e2 = ext.ext(e.extended, fam((0,)))
         assert ext.ext_parent(e2.extended) == (e.extended, "fam(0,)")
-        assert ext.ext(root, "fam(1, 1)").extended == root
+        assert ext.ext(root, fam((1, 1))).extended == root
 
     def test_a_candidate_parent_that_extends_elsewhere_is_no_parent(self):
         # over finite sets with set n = set1•fam(n,), the empty O weakens every
@@ -212,14 +232,16 @@ class TestExtendByTerm:
 
         class WithParents(type(finite_sets_model(2))):
             def ext_parent(self, ctx):
-                n = int(ctx[3:])
-                return None if n == 1 else ("set1", f"fam({n},)")
+                n = self.base.obj_size(ctx)
+                return None if n == 1 else (self.base.objs.key(1), self.tys.key((n,)))
 
-        ext = extend_by_term(WithParents(), "fam(0,)")
-        one = ext.i_obj("set1")
-        assert ext.ext(one, "fam()").extended == ext.i_obj("set0")
-        assert ext.ext_parent(ext.i_obj("set0")) == (one, "fam()")
-        assert ext.ext_parent(ext.i_obj("set2")) is None
+        fs = WithParents()
+        ext = extend_by_term(fs, fs.tys.key((0,)))
+        one = ext.i_obj(fs.base.objs.key(1))
+        zero, two = (ext.i_obj(fs.base.objs.key(n)) for n in (0, 2))
+        assert ext.ext(one, fs.tys.key(())).extended == zero
+        assert ext.ext_parent(zero) == (one, "fam()")
+        assert ext.ext_parent(two) is None
 
 
 class TestExtendByType:
@@ -273,7 +295,7 @@ class TestExtendByType:
         ctx = xm.terminal
         for k in range(1, 3):
             ctx = xm.ext(ctx, xm.new_ty).extended
-            assert sharp.on_obj(ctx) == target.base.obj_key((0,) * k)
+            assert sharp.on_obj(ctx) == target.base.objs.key((0,) * k)
 
     def test_a_slot_shaped_key_is_a_new_term_only_where_the_context_has_that_slot(self):
         x = extend_by_type(term_model(range(0)))
@@ -281,11 +303,12 @@ class TestExtendByType:
         def answer(m, ctx):
             try:
                 return m.typeof(ctx, "v0")
-            except LookupError as exc:
+            except (LookupError, ValueError) as exc:
                 return type(exc)
 
-        # ⋄ has no slot, so "v0" is typed as the inner model types a non-term
-        assert answer(x, x.terminal) == answer(x.inner, x.inner.terminal) == IndexError
+        # ⋄ has no slot, so "v0" is typed as the inner model types a key it
+        # never handed out
+        assert answer(x, x.terminal) == answer(x.inner, x.inner.terminal) == ValueError
         assert answer(x, x.ext(x.terminal, x.new_ty).extended) == x.new_ty
 
     def test_the_slot_prefix_stays_apart_from_a_closed_inner_term(self):
@@ -340,14 +363,14 @@ class TestTypeTrees:
         self.s = extend_by_sigma(self.m)
 
     def test_leaf_tree_is_ordinary_extension(self):
-        g = self.m.base.obj_key((0,))
+        g = self.m.base.objs.key((0,))
         ext_m = self.m.ext(g, "T0")
         extended, proj, var = tree_ext(self.m, g, TypeTree(leaf="T0"))
         assert (extended, proj) == (ext_m.extended, ext_m.proj)
         assert var.leaf == ext_m.var
 
     def test_two_leaf_tree_extends_twice_with_composite_projection(self):
-        g = self.m.base.obj_key(())
+        g = self.m.base.objs.key(())
         t = TypeTree(left=TypeTree(leaf="T0"), right=TypeTree(leaf="T0"))
         extended, proj, _ = tree_ext(self.m, g, t)
         e1 = self.m.ext(g, "T0")
@@ -363,7 +386,7 @@ class TestTypeTrees:
             left=TypeTree(left=TypeTree(leaf="T0"), right=TypeTree(leaf="T0")),
             right=TypeTree(leaf="T0"),
         )
-        g = m.base.obj_key(())
+        g = m.base.objs.key(())
         for d1 in m.base.objects(2):
             for sig in m.base.hom(d1, g):
                 for d2 in m.base.objects(2):
@@ -399,7 +422,7 @@ class TestTypeTrees:
         # over each context, pair̂ bijects Σ_t terms(B[s_t]) with the fibre
         # of the classifier over the dependent sum
         s = self.s
-        g = s.base.register(self.m.base.obj_key((0,)), ())
+        g = s.base.register(self.m.base.objs.key((0,)), ())
         st = s.sigma_structure
         for ty_a in s.types(g, 1):
             ext_a = s.ext(g, ty_a).extended
@@ -465,7 +488,7 @@ class TestSigmaSplit:
 
     def test_a_term_that_is_no_pair_of_the_sum_raises_value_error(self):
         m = extend_by_sigma(term_model(range(1)))
-        s, g = m.sigma_structure, m.base.register(m.inner.base.obj_key((0,)), ())
+        s, g = m.sigma_structure, m.base.register(m.inner.base.objs.key((0,)), ())
         leaf = m.types(g, 1)[0]
         pair_ty = s.sigma(g, leaf, m.types(m.ext(g, leaf).extended, 1)[0])
         pair_tm = m.terms_of(g, pair_ty, 2)[0]
@@ -490,7 +513,7 @@ class TestPolyCompositeModels:
     def test_projection_factors_through_both_extensions(self):
         m = term_model(range(1))
         comp = poly_composite_models(m, m)
-        g = m.base.obj_key(())
+        g = m.base.objs.key(())
         ty = comp.types(g, 2)[0]
         e = comp.ext(g, ty)
         a, b = comp.tys.cell(ty)
@@ -502,7 +525,7 @@ class TestPolyCompositeModels:
     def test_composite_variable_projects_to_the_constituent_data(self):
         m = term_model(range(1))
         comp = poly_composite_models(m, m)
-        g = m.base.obj_key(())
+        g = m.base.objs.key(())
         ty = comp.types(g, 2)[0]
         e = comp.ext(g, ty)
         a, b = comp.tys.cell(ty)
@@ -517,7 +540,7 @@ class TestPolyCompositeModels:
     def test_directly_constructed_composites_share_no_registry(self):
         m = term_model(range(1))
         first = CompositeModel(m, m)
-        ty = first.types(m.base.obj_key(()), 2)[0]
+        ty = first.types(m.base.objs.key(()), 2)[0]
         second = CompositeModel(m, m)
         with pytest.raises(KeyError):
             second.tys.cell(ty)
@@ -568,7 +591,7 @@ def _composition_cases():
     tm = term_model(range(2))
     return [
         pytest.param(tm, 3, id="term"),
-        pytest.param(extend_by_term(tm, tm.ty_key(0)), 2, id="ext-term"),
+        pytest.param(extend_by_term(tm, tm.tys.key(0)), 2, id="ext-term"),
         pytest.param(extend_by_type(tm), 2, id="ext-type"),
         pytest.param(extend_by_unit(tm), 2, id="ext-unit"),
         pytest.param(extend_by_sigma(tm), 2, id="ext-sigma"),
@@ -601,15 +624,15 @@ class TestComposeIsALookup:
         with pytest.raises(ValueError):
             cat.compose(e.proj, e.proj)
 
-    def test_a_key_built_by_mor_key_composes_before_its_hom_set_is_listed(self):
+    def test_a_key_built_by_the_registry_composes_before_its_hom_set_is_listed(self):
         tm = term_model(range(2))
         cat = tm.base
-        e1 = tm.ext(tm.terminal, tm.ty_key(0))
-        e2 = tm.ext(e1.extended, tm.ty_key(1))
+        e1 = tm.ext(tm.terminal, tm.tys.key(0))
+        e2 = tm.ext(e1.extended, tm.tys.key(1))
         assert not [k for k in vars(cat) if "_homs" in k]
         composite = cat.compose(e1.proj, e2.proj)
         assert composite == _reference_composite(cat, e1.proj, e2.proj)
-        assert composite == cat.mor_key(e2.extended, tm.terminal, ())
+        assert composite == cat.mors.key((e2.extended, tm.terminal, ()))
         assert cat.compose(e2.proj, cat.identity(e2.extended)) == e2.proj
         assert cat.hom(e2.extended, tm.terminal) == [composite]
 
@@ -765,7 +788,7 @@ class TestOneObjectRegistry:
         lambda: extend_by_type(term_model(range(1))),
         lambda: extend_by_unit(term_model(range(1))),
         lambda: extend_by_sigma(term_model(range(1))),
-        lambda: CompositeModel(term_model(range(1)), term_model(range(1))),
+        lambda: (lambda tm: CompositeModel(tm, tm))(term_model(range(1))),
     ], ids=["term", "type", "unit", "sigma", "composite"])
     def test_fresh_instances_share_no_registry(self, make):
         def registries(m):

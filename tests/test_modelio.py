@@ -138,7 +138,7 @@ def test_each_record_value_is_encoded_once(monkeypatch):
     # whose records ``_emit`` writes, and the strings of the other sections,
     # dict keys and the section names included
     model = freemodel.term_model(range(1))
-    doc = _model_doc(model, 2, 2)
+    doc = _model_doc(model, 2)
     record_strings = sum(1 if type(v) is str else len(v)
                          for name in RECORDS for r in doc[name] for v in r.values())
     record_strings += len(RECORDS["homs"]) * len(doc["homs"])
@@ -154,7 +154,7 @@ def test_each_distinct_string_of_a_record_section_is_quoted_once(monkeypatch):
     # the rest: each ``homs`` record (three field names, two ends and each
     # of ``mors``) and every string of the other sections, whose names are
     # written unquoted
-    doc = _model_doc(freemodel.term_model(range(2)), 3, 3)
+    doc = _model_doc(freemodel.term_model(range(2)), 3)
     distinct = sum(len({v for r in doc[name] for v in r.values()})
                    for name in RECORDS if name != "homs")
     values = sum(len(RECORDS[name]) * len(doc[name]) for name in RECORDS if name != "homs")
@@ -186,7 +186,7 @@ def test_a_recurring_escaped_key_is_written_as_json_writes_it(data):
 
 def _first_writer(model, bound: int) -> str:
     """serialize_model as json's encoder wrote it, sort keys included."""
-    doc = _model_doc(model, bound, bound)
+    doc = _model_doc(model, bound)
     for section in ("homs", "compose", "typeof", "subst_ty", "subst_tm", "ext"):
         doc[section].sort(key=lambda d: json.dumps(d, sort_keys=True))
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

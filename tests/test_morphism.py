@@ -156,7 +156,7 @@ def _swapped_type_image() -> NMorphism:
     """The identity-like initial morphism of term_model(2), T0 and T1 swapped at fs[0]."""
     tm = term_model(range(2))
     fm = initial_morphism(tm, term_model(range(2)), {0: "T0", 1: "T1"})
-    g, swap = tm.base.obj_key((0,)), {"T0": "T1", "T1": "T0"}
+    g, swap = tm.base.objs.key((0,)), {"T0": "T1", "T1": "T0"}
     return NMorphism(fm.src, fm.dst, fm.on_obj, fm.on_mor,
                      lambda c, t: swap[fm.on_ty(c, t)] if c == g else fm.on_ty(c, t),
                      fm.on_tm, "swapped")
@@ -167,7 +167,7 @@ def _wrong_root_morphism() -> NMorphism:
     root) with the two morphisms fs[0,0] -> fs[0] exchanged."""
     tm = term_model(range(1))
     comp = poly_composite_models(tm, tm)
-    m, other = tm.base.hom(tm.base.obj_key((0, 0)), tm.base.obj_key((0,)))
+    m, other = tm.base.hom(tm.base.objs.key((0, 0)), tm.base.objs.key((0,)))
     swap = {m: other, other: m}
     return NMorphism(comp, comp, lambda g: g, lambda k: swap.get(k, k),
                      lambda g, t: t, lambda g, t: t, "wrong-root")
@@ -178,7 +178,8 @@ def _wrong_endpoints() -> NMorphism:
     fs[1] → fs[] replaced by the identity of its image context, so that the
     image has the wrong codomain and composes with nothing it should."""
     fm = initial_morphism(term_model(range(2)), term_model(range(1)), {0: "T0", 1: "T0"})
-    m = "fs[1]=>fs[]:()"
+    cat = fm.src.base
+    m = cat.mors.key((cat.objs.key((1,)), cat.terminal, ()))
     bad = fm.dst.base.identity(fm.on_obj(fm.src.base.dom(m)))
     return NMorphism(fm.src, fm.dst, fm.on_obj, lambda k: bad if k == m else fm.on_mor(k),
                      fm.on_ty, fm.on_tm, "wrong-endpoints")
@@ -259,7 +260,8 @@ def test_a_strict_morphism_asks_no_inverse_search(monkeypatch):
 
 def test_the_initial_morphism_into_finite_sets_is_strict():
     # the weak condition once searched the target's largest hom sets here
-    fm = initial_morphism(term_model(range(1)), finite_sets_model(2), {0: "fam(2,)"})
+    target = finite_sets_model(2)
+    fm = initial_morphism(term_model(range(1)), target, {0: target.tys.key((2,))})
     assert check_morphism(fm, 2).ok
 
 
@@ -412,7 +414,7 @@ def test_generator_blocks_visit_the_tree_of_all_blocks_under_perturbed_pins(seed
 
 def test_a_wrongly_pinned_identity_or_endomorphism_has_no_morphism():
     m = term_model(range(1))
-    c = m.base.obj_key((0, 0))
+    c = m.base.objs.key((0, 0))
     ident = m.base.identity(c)
     others = [e for e in m.base.hom(c, c) if e != ident]
     assert others

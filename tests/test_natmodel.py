@@ -182,7 +182,7 @@ class TestCheckEat:
 
             def ext(self, ctx, ty):
                 e = self._inner.ext(ctx, ty)
-                if ctx == self.base.obj_key((0,)):
+                if ctx == self.base.objs.key((0,)):
                     # claim the extension of a one-variable context is itself
                     return ExtensionData(ctx, self.base.identity(ctx), "x0")
                 return e
@@ -215,7 +215,7 @@ class TestCheckEat:
 class TestCanonicalPullback:
     def test_identity_gives_identity(self):
         m = term_model(range(2))
-        g = m.base.obj_key((0, 1))
+        g = m.base.objs.key((0, 1))
         for ty in m.types(g, 1):
             assert canonical_pullback(m, m.base.identity(g), ty) == \
                 m.base.identity(m.ext(g, ty).extended)
@@ -238,7 +238,7 @@ class TestCanonicalPullback:
 
     def test_section_laws(self):
         m = term_model(range(1))
-        g = m.base.obj_key((0,))
+        g = m.base.objs.key((0,))
         for a in m.terms(g, 1):
             s_a = section(m, g, a)
             e = m.ext(g, m.typeof(g, a))
@@ -248,7 +248,7 @@ class TestCanonicalPullback:
     def test_indsub_retraction(self):
         # ⟨p∘σ, q[σ]⟩ = σ for all σ into an extension
         m = term_model(range(1))
-        g = m.base.obj_key((0,))
+        g = m.base.objs.key((0,))
         e = m.ext(g, "T0")
         for d in m.base.objects(2):
             for sp in m.base.hom(d, e.extended):
@@ -261,7 +261,7 @@ class TestCanonicalPullback:
 class TestSwapIso:
     def test_swap_isos_compose_to_identity(self):
         m = term_model(range(2))
-        g = m.base.obj_key((0,))
+        g = m.base.objs.key((0,))
         sw = swap_iso(m, g, "T0", "T1")
         sw_back = swap_iso(m, g, "T1", "T0")
         assert m.base.compose(sw_back, sw) == m.base.identity(m.base.dom(sw))
@@ -269,7 +269,7 @@ class TestSwapIso:
 
     def test_swap_coheres_with_projections(self):
         m = term_model(range(2))
-        g = m.base.obj_key(())
+        g = m.base.objs.key(())
         sw = swap_iso(m, g, "T0", "T1")
         e_o = m.ext(g, "T0")
         e_a = m.ext(g, "T1")
@@ -636,7 +636,7 @@ class TestMorphismChecker:
 
         def tweak(ctx):
             labels = m.base.objs.cell(ctx)
-            return m.base.obj_key(tuple(reversed(labels)))
+            return m.base.objs.key(tuple(reversed(labels)))
 
         def tweak_mor(mor):
             src, dst = m.base.dom(mor), m.base.cod(mor)
@@ -645,14 +645,14 @@ class TestMorphismChecker:
             new_fn = tuple(
                 (n_src - 1 - fn[n_dst - 1 - k]) for k in range(n_dst)
             )
-            return m.base.mor_key(tweak(src), tweak(dst), new_fn)
+            return m.base.mors.key((tweak(src), tweak(dst), new_fn))
 
         fm = NMorphism(
             m, m,
             on_obj=tweak,
             on_mor=tweak_mor,
             on_ty=lambda g, t: t,
-            on_tm=lambda g, t: f"x{len(m.base.objs.cell(g)) - 1 - int(t[1:])}",
+            on_tm=lambda g, t: m.tms.key(len(m.base.objs.cell(g)) - 1 - m.tms.cell(t)),
             name="reverse",
         )
         rep = check_morphism(fm, 2, strict=False)
@@ -757,7 +757,7 @@ class TestInitiality:
     def test_no_morphism_with_wrong_terminal_pin(self):
         m = term_model(range(1))
         pins = initiality_pins(m, m, {0: "T0"})
-        pins.on_obj[m.terminal] = m.base.obj_key((0,))  # not the terminal
+        pins.on_obj[m.terminal] = m.base.objs.key((0,))  # not the terminal
         assert count_morphisms(m, m, 2, pins) == 0
 
     def test_empty_index_model_is_initial(self):
@@ -823,7 +823,7 @@ def _strict_ext_control():
     pins = initiality_pins(src, dst, {0: "T0"})
     e = dst.ext(dst.terminal, "T0")
     weakened = [t for t in dst.terms(e.extended, 2) if t != e.var]
-    pins.on_tm[(src.base.obj_key((0,)), "x0")] = weakened[0]
+    pins.on_tm[(src.base.objs.key((0,)), "x0")] = weakened[0]
     return src, dst, 2, pins, 1
 
 
@@ -839,7 +839,7 @@ def _ty_naturality_control():
     # F(T1) at fs[0] is T0, but T1[p] = T1 at fs[0] and F(T1) = T1 at ⋄
     m = term_model(range(2))
     pins = initiality_pins(m, m, {0: "T0", 1: "T1"})
-    pins.on_ty[(m.base.obj_key((0,)), "T1")] = "T0"
+    pins.on_ty[(m.base.objs.key((0,)), "T1")] = "T0"
     return m, m, 2, pins, 1
 
 
@@ -892,13 +892,13 @@ class TestRivalSearchCatchesEarlyViolations:
     def test_each_control_without_its_broken_pin_has_a_morphism(self):
         # the controls' models and remaining pins admit a strict morphism
         src, dst, bound, pins, _ = _strict_ext_control()
-        del pins.on_tm[(src.base.obj_key((0,)), "x0")]
+        del pins.on_tm[(src.base.objs.key((0,)), "x0")]
         assert count_morphisms(src, dst, bound, pins) == 1
         m, _, _, _, _ = _typing_control()
         assert count_morphisms(m, m, 2, MorphismPins(
             on_ty={(m.terminal, "T0"): "T0", (m.terminal, "T1"): "T1"})) == 1
         m, _, _, pins, _ = _ty_naturality_control()
-        del pins.on_ty[(m.base.obj_key((0,)), "T1")]
+        del pins.on_ty[(m.base.objs.key((0,)), "T1")]
         assert count_morphisms(m, m, 2, pins) == 1
         m, _, _, pins, _ = _tm_naturality_control()
         del pins.on_tm[("X", "a'")]
@@ -913,7 +913,7 @@ class TestSwapCoherence:
         # the two decompositions of the full reversal of three independent
         # extensions into elementary swaps yield the same morphism key
         m = term_model(range(3))
-        g = m.base.obj_key(())
+        g = m.base.objs.key(())
 
         def swap_at(ty_lo: str, ty_hi: str, prefix: list[str], tail: list[str]):
             """Elementary swap of two adjacent slots, lifted by the tail."""
@@ -952,7 +952,7 @@ class TestSwapCoherence:
 
         m = term_model(range(1))
         cat = truncate(m.base, 3)
-        gamma = m.base.obj_key((0,))
+        gamma = m.base.objs.key((0,))
         closed_ext = m.ext(m.terminal, "T0").extended
         got = product(cat, gamma, closed_ext)
         assert got is not None
@@ -980,16 +980,17 @@ class TestFiniteSetsModel:
         from helpers import finite_sets_model
 
         m = finite_sets_model(2)
-        swapper = "set2=>set2:(1, 0)"
-        assert m.subst_ty(swapper, "fam(2, 1)") == "fam(1, 2)"
+        two = m.base.objs.key(2)
+        swapper = m.base.mors.key((two, two, (1, 0)))
+        assert m.subst_ty(swapper, m.tys.key((2, 1))) == "fam(1, 2)"
 
     def test_swap_isos_invert_on_a_dependent_model(self):
         from helpers import finite_sets_model
 
         m = finite_sets_model(2)
-        g = "set1"
-        sw = swap_iso(m, g, "fam(2,)", "fam(1,)")
-        back = swap_iso(m, g, "fam(1,)", "fam(2,)")
+        g, fam = m.base.objs.key(1), m.tys.key
+        sw = swap_iso(m, g, fam((2,)), fam((1,)))
+        back = swap_iso(m, g, fam((1,)), fam((2,)))
         assert m.base.compose(back, sw) == m.base.identity(m.base.dom(sw))
 
 

@@ -71,7 +71,7 @@ class TestYoneda:
         # the representable at the 2-element object counts |d| ** 2.
         gen = FinSliceOpposite({0})
         base = truncate(gen, 3)
-        c = gen.obj_key((0, 0))
+        c = gen.objs.key((0, 0))
         y = yoneda(base, c)
         for d in base.object_keys:
             assert len(y.at(d)) == len(gen.objs.cell(d)) ** 2

@@ -190,7 +190,7 @@ class TestTreeSubstitutionLaws:
                      right=TypeTree(left=TypeTree(leaf="T0"), right=TypeTree(leaf="T1"))),
         ]
         t = shapes[seed % 2]
-        g = m.base.obj_key(())
+        g = m.base.objs.key(())
         ctxs = m.base.objects(2)
         d1 = rng.choice(ctxs)
         sigmas = m.base.hom(d1, g)
