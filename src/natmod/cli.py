@@ -20,9 +20,9 @@ default and ``""`` the empty family.
 Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
 2 on bad input: a file that fails to parse or is incomplete, a free
 construction whose bound reaches past the fragment a base file holds, a
-negative bound, a ``--count`` below 1, a ``--type`` that is not a closed
-type of the base, a ``natmod poly`` subcommand given the wrong number of
-files, or a negative ``--family`` size.
+negative bound, a negative ``term-model:N``, a ``--count`` below 1, a
+``--type`` that is not a closed type of the base, a ``natmod poly``
+subcommand given the wrong number of files, or a negative ``--family`` size.
 ``NATMOD_BOUND`` overrides the default bound; it is read as ``--bound`` is,
 and a malformed or negative value exits 2.
 """
@@ -93,6 +93,8 @@ def _load_base(spec: str):
     """A base model from 'term-model:N' or a model file path."""
     if spec.startswith("term-model:"):
         n = int(spec.split(":", 1)[1])
+        if n < 0:
+            raise ValueError(f"term-model:N needs a non-negative N, got {n}")
         return freemodel.term_model(range(n))
     with open(spec) as fh:
         return modelio.parse_model(fh.read())

@@ -344,14 +344,20 @@ class TermModel(NaturalModel):
         return list(self._variables(len(self.base.objs.cell(ctx))))
 
     def typeof(self, ctx: str, term: str) -> str:
-        return self.tys.key(self.base.objs.cell(ctx)[_read(self.tms, term)])
+        try:
+            return self.tys.key(self.base.objs.cell(ctx)[_read(self.tms, term)])
+        except IndexError:
+            raise ValueError(f"{term} is not a term over {ctx}") from None
 
     def subst_ty(self, sigma: str, ty: str) -> str:
         return ty
 
     def subst_tm(self, sigma: str, term: str) -> str:
         fn = self.base.mor_payload(sigma)
-        return self.tms.key(fn[_read(self.tms, term)])
+        try:
+            return self.tms.key(fn[_read(self.tms, term)])
+        except IndexError:
+            raise ValueError(f"{term} is not a term over {self.base.cod(sigma)}") from None
 
     def subst_ty_row(self, sigma: str, tys: list[str]) -> Mapping[str, str]:
         return self._identity_row(tuple(tys))
@@ -362,9 +368,13 @@ class TermModel(NaturalModel):
         return MappingProxyType(dict(zip(tys, tys)))
 
     def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:
-        src, _, fn = self.base.mors.cell(sigma)
+        src, gamma, fn = self.base.mors.cell(sigma)
         var = self._variables(len(self.base.objs.cell(src)))
-        return {a: var[fn[_read(self.tms, a)]] for a in tms}
+        try:
+            return {a: var[fn[_read(self.tms, a)]] for a in tms}
+        except IndexError:
+            bad = next(a for a in tms if _read(self.tms, a) >= len(fn))
+            raise ValueError(f"{bad} is not a term over {gamma}") from None
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
@@ -377,7 +387,10 @@ class TermModel(NaturalModel):
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         src, gamma, fn = self.base.mors.cell(sigma)
         extended = self.ext(gamma, ty).extended
-        return self.base.mors.key((src, extended, fn + (_read(self.tms, term),)))
+        k = _read(self.tms, term)
+        if k >= len(self.base.objs.cells[src]):
+            raise ValueError(f"{term} is not a term over {src}")
+        return self.base.mors.key((src, extended, fn + (k,)))
 
     def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
         labels = self.base.objs.cell(ctx)
@@ -1292,7 +1305,7 @@ class SigmaExtModel(_WrappedModel):
             fits = (tree is not None and not tree.is_leaf
                     and tree.rtype == self.tys.cells.get(ty_b)
                     and self.typeof(ctx, self.reg_tm(tree.left)) == ty_a)
-        except LookupError:  # a term of another context
+        except (LookupError, ValueError):  # a term of another context
             fits = False
         if not fits:
             raise ValueError(f"{tm!r} is not a pair of Σ({ty_a}, {ty_b}) over {ctx}")
@@ -1455,6 +1468,4 @@ def sigma_universal_pins(
 
 def poly_composite_models(inner_p: NaturalModel, outer_q: NaturalModel) -> CompositeModel:
     """The polynomial composite model (ℂ, q·p); both models must share a base."""
-    if inner_p.base is not outer_q.base:
-        raise ValueError("polynomial composite requires a shared base category")
     return CompositeModel(inner_p, outer_q)

@@ -11,12 +11,13 @@ as arrays.
 Serialization is canonical: a file is ``json.dumps(doc, sort_keys=True,
 indent=2)`` plus a newline, with the records of each section ordered by
 their ``json.dumps(record, sort_keys=True)``, so parsing and re-serializing
-a canonical file is the identity.  The writer produces that text directly,
-at C speed per string, and ``tests/test_modelio.py`` proves it equal to
-this definition.  Each distinct string of a record section is quoted once,
-each record written with its section's one template, and a section ordered
-by sorting the record texts: no quoted key is a proper prefix of another,
-so two texts first differ inside the first value that differs.  The reader
+a canonical file is the identity.  The writer writes the record sections
+by their templates and every other section, ``homs`` included, by
+``json.dumps``; ``tests/test_modelio.py`` proves the text equal to this
+definition.  Each distinct string of a record section is quoted once, each
+record written with its section's one template, and a section ordered by
+sorting the record texts: no quoted key is a proper prefix of another, so
+two texts first differ inside the first value that differs.  The reader
 checks a record section whole: one ``itemgetter`` pass, field counts, one
 set of value types, and each function section as one dict, the compose
 rows with no set of composable pairs.  Only a section that fails is walked
@@ -77,14 +78,20 @@ def _strings(value, what: str) -> list[str]:
     return list(value)
 
 
-def _document(text: str) -> dict:
-    """A model file's JSON object, with exactly the sections of the format."""
+def _json_object(text: str, what: str) -> dict:
+    """A file's JSON text read as an object; ``what`` names the file in the error."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError("model file must be a JSON object")
+        raise ParseError(f"{what} must be a JSON object")
+    return doc
+
+
+def _document(text: str) -> dict:
+    """A model file's JSON object, with exactly the sections of the format."""
+    doc = _json_object(text, "model file")
     unknown = set(doc) - MODEL_FIELDS
     if unknown:
         raise ParseError(f"unknown fields: {sorted(unknown)}")
@@ -324,56 +331,6 @@ def parse_model(text: str) -> TableModel:
     )
 
 
-def _canonical(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline.
-
-    Written directly: json's indenting encoder runs in Python, so this one
-    appends each piece to one list, quotes strings with json's own C
-    function and joins once.  Object keys must be strings.
-    """
-    out: list[str] = []
-    _emit(doc, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit(value, newline: str, put) -> None:
-    """Append the pieces of value's JSON; ``newline`` begins value's own line."""
-    if isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key, item in sorted(value.items()):
-            head = sep + encode_basestring_ascii(key) + ": "
-            if type(item) is str:
-                put(head + encode_basestring_ascii(item))
-            else:
-                put(head)
-                _emit(item, inner, put)
-            sep = comma
-        put(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in value:
-            if type(item) is str:
-                put(sep + encode_basestring_ascii(item))
-            else:
-                put(sep)
-                _emit(item, inner, put)
-            sep = comma
-        put(newline + "]")
-    elif type(value) is str:
-        put(encode_basestring_ascii(value))
-    else:
-        put(json.dumps(value))
-
-
 # a record's text in its section, with one %s per value in sorted-field
 # order; the leading separator is the same for every record, so it does not
 # change the order of the texts
@@ -384,11 +341,13 @@ _RECORD_TEMPLATES = {
 
 
 def _model_text(doc: dict) -> str:
-    """``_canonical(doc)`` with each record section ordered by its records'
-    ``json.dumps(record, sort_keys=True)``, by sorting the record texts.
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, with each
+    record section ordered by its records' ``json.dumps(record, sort_keys=True)``,
+    by sorting the record texts.
 
-    ``homs``, whose ``mors`` is written as an indented array, is instead
-    sorted by that JSON and written by ``_emit``.
+    Every other section, and ``homs``, whose ``mors`` is an indented array
+    (sorted by its records' JSON first), is ``json.dumps`` indented one level
+    deeper: JSON holds no raw newline inside a string.
     """
     out: list[str] = []
     put = out.append
@@ -397,10 +356,10 @@ def _model_text(doc: dict) -> str:
         put(f'{sep}"{name}": ')
         sep = ",\n  "
         value = doc[name]
-        if name not in RECORDS or not value:
-            _emit(value, "\n  ", put)
-        elif name == "homs":
-            _emit(sorted(value, key=lambda r: json.dumps(r, sort_keys=True)), "\n  ", put)
+        if name == "homs":
+            value = sorted(value, key=lambda r: json.dumps(r, sort_keys=True))
+        if name not in _RECORD_TEMPLATES or not value:
+            put(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  "))
         else:
             fields = sorted(RECORDS[name])
             values = list(chain.from_iterable(map(operator.itemgetter(*fields), value)))
@@ -492,12 +451,7 @@ def reserialize_model(text: str) -> str:
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("polynomial file must be a JSON object")
+    doc = _json_object(text, "polynomial file")
     if set(doc) != POLY_FIELDS:
         raise ParseError(f"polynomial file must have exactly fields {sorted(POLY_FIELDS)}")
     for name in ("I", "B", "A", "J"):
@@ -529,7 +483,7 @@ def serialize_polynomial(p: Polynomial) -> str:
         d = m.as_dict
         return [d[x] for x in m.dom]
 
-    return _canonical({
+    return json.dumps({
         "I": len(p.I), "B": len(p.B), "A": len(p.A), "J": len(p.J),
         "s": arr(p.s), "f": arr(p.f), "t": arr(p.t),
-    })
+    }, sort_keys=True, indent=2) + "\n"

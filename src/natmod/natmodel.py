@@ -447,6 +447,9 @@ class CompositeModel(NaturalModel):
     """
 
     def __init__(self, inner_p: NaturalModel, outer_q: NaturalModel):
+        if inner_p.base is not outer_q.base:
+            raise ValueError("polynomial composite requires a shared base category, "
+                             f"not {inner_p.base!r} and {outer_q.base!r}")
         self.p = inner_p
         self.q = outer_q
         self.base = inner_p.base

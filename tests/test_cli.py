@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,20 @@ class TestFreeCommand:
         assert rc == 0
         model = parse_model(out_model.read_text())
         assert check_eat(model, 0, ty_bound=2).ok
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_timing_adds_the_time_and_changes_nothing_else(self, fmt, capsys):
+        argv = ["free", "unit", "--base", "term-model:0", "--bound", "1", "--format", fmt]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--timing"]) == 0
+        timed = capsys.readouterr().out.splitlines()
+        if fmt == "text":
+            assert timed[:-1] == plain and re.fullmatch(r"time: \d+\.\d\ds", timed[-1])
+        else:
+            header = json.loads(timed[0])
+            assert isinstance(header.pop("time_s"), float)
+            assert header == json.loads(plain[0]) and timed[1:] == plain[1:]
 
     def test_reports_are_reproducible(self, tmp_path):
         out1 = tmp_path / "r1.txt"
@@ -412,6 +427,35 @@ class TestBadInputExitsTwo:
     def test_term_model_construction_needs_a_term_model_base(self, term_model_file, capsys):
         assert main(["free", "term-model", "--base", str(term_model_file)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_a_negative_term_model_base_is_rejected(self, capsys):
+        # term-model:-2 would be the empty family, and every check would pass
+        assert main(["free", "type", "--base", "term-model:-2", "--bound", "1"]) == 2
+        assert capsys.readouterr().err == \
+            "parse error: term-model:N needs a non-negative N, got -2\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda path: path.unlink(),
+        lambda path: path.write_text(json.dumps({"objects": []})),
+    ], ids=["missing-file", "missing-sections"])
+    def test_a_base_file_that_does_not_load_is_a_parse_error(
+        self, edit, term_model_file, capsys
+    ):
+        edit(term_model_file)
+        assert main(["free", "type", "--base", str(term_model_file), "--bound", "1"]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "invalid JSON: "),
+        ("[1, 2]", "polynomial file must be a JSON object"),
+    ])
+    def test_a_polynomial_file_that_is_no_json_object_is_a_parse_error(
+        self, text, message, tmp_path, capsys
+    ):
+        path = tmp_path / "poly.json"
+        path.write_text(text)
+        assert main(["poly", "extend", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {message}")
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,17 @@ class TestTermModel:
             fm.on_tm(one, "v0")
         with pytest.raises(ValueError):
             fm.on_ty(one, "X0")
+
+    def test_a_variable_past_its_context_raises_value_error(self):
+        m = term_model(range(1))
+        one, two = m.base.objs.key((0,)), m.base.objs.key((0, 0))
+        ident = m.base.identity(one)
+        assert m.terms(two, 2) == ["x0", "x1"]  # hands out the key x1
+        for attempt in (lambda: m.indsub(ident, "x1", "T0"), lambda: m.typeof(one, "x1"),
+                        lambda: m.subst_tm(ident, "x1"),
+                        lambda: m.subst_tm_row(ident, ["x0", "x1"])):
+            with pytest.raises(ValueError, match=f"x1 is not a term over {re.escape(one)}"):
+                attempt()
 
     def test_initiality_counts_for_three_targets(self):
         tm = term_model(range(2))
@@ -536,6 +548,12 @@ class TestPolyCompositeModels:
         assert y2 == e_p.var
         assert a2 == m.subst_ty(e.proj, a)
 
+    @pytest.mark.parametrize("build", [CompositeModel, poly_composite_models])
+    def test_models_over_two_bases_are_refused_by_name(self, build):
+        p, q = term_model(range(1)), term_model(range(1))
+        with pytest.raises(ValueError, match="shared base category") as exc:
+            build(p, q)
+        assert repr(p.base) in str(exc.value) and repr(q.base) in str(exc.value)
 
     def test_directly_constructed_composites_share_no_registry(self):
         m = term_model(range(1))

@@ -19,9 +19,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from natmod import freemodel, modelio
 from natmod.modelio import (
+    MODEL_FIELDS,
     RECORDS,
     ParseError,
-    _canonical,
     _model_doc,
     _model_text,
     _records,
@@ -57,16 +57,6 @@ JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=500, derandomize=True, deadline=None)
-@given(JSON_VALUES)
-@example({})
-@example([])
-@example({"a": {}, "b": [[], {}]})
-@example([[[]], {}])
-def test_the_writer_is_json_with_sorted_keys_and_indent_two(value):
-    assert _canonical(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
-
-
 # values that are prefixes of one another, before and after quoting
 KEY_VALUES = ["", "a", "ab", "abc", "b", 'a"', 'a"b', "a\\", "a\\b", "a b", "a]", "Σ", "Σa",
               "\x00"]
@@ -87,10 +77,25 @@ def _reference_text(doc: dict) -> str:
     """A model document as the format defines it: each record section sorted
     by its records' JSON with sorted keys, then json's indented writer."""
     return json.dumps(
-        {name: sorted(records, key=lambda d: json.dumps(d, sort_keys=True))
-         for name, records in doc.items()},
+        {name: sorted(value, key=lambda d: json.dumps(d, sort_keys=True))
+         if name in RECORDS else value for name, value in doc.items()},
         sort_keys=True, indent=2,
     ) + "\n"
+
+
+# the sections the writer hands to json whole, re-indented one level
+OTHER_SECTIONS = sorted(MODEL_FIELDS - RECORDS.keys())
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.fixed_dictionaries(dict.fromkeys(OTHER_SECTIONS, JSON_VALUES)), st.integers(0, 999))
+@example(dict.fromkeys(OTHER_SECTIONS, {}), 0)
+@example(dict.fromkeys(OTHER_SECTIONS, []), 0)
+@example(dict(zip(OTHER_SECTIONS, [{"a": {}, "b": [[], {}]}, [[[]], {}], "a\nb\\n",
+                                    {"\n": ["\n  "]}, 1.5])), 1)
+def test_the_writer_is_json_with_sorted_keys_and_indent_two(others, seed):
+    doc = {**_random_doc(random.Random(seed)), **others}
+    assert _model_text(doc) == _reference_text(doc)
 
 
 def _edge_docs() -> list[dict]:
@@ -111,8 +116,8 @@ def test_records_are_ordered_by_their_json_with_sorted_keys(seed):
 
 
 def _strings(value) -> int:
-    """The strings ``_emit`` quotes in a value: dict keys, strings, and
-    those in the lists and dicts within."""
+    """The strings json quotes in a value: dict keys, strings, and those in
+    the lists and dicts within."""
     if isinstance(value, dict):
         return sum(1 + _strings(v) for v in value.values())
     if isinstance(value, list):
@@ -135,8 +140,8 @@ def _counting_quotes(monkeypatch) -> list[str]:
 def test_each_record_value_is_encoded_once(monkeypatch):
     # every string of the file is quoted by json's C function at most once:
     # record values (``mors`` elements each), the field names of ``homs``,
-    # whose records ``_emit`` writes, and the strings of the other sections,
-    # dict keys and the section names included
+    # and the strings of the other sections, dict keys and the section names
+    # included; the writer itself quotes only the template sections' values
     model = freemodel.term_model(range(1))
     doc = _model_doc(model, 2)
     record_strings = sum(1 if type(v) is str else len(v)
@@ -150,19 +155,15 @@ def test_each_record_value_is_encoded_once(monkeypatch):
 
 def test_each_distinct_string_of_a_record_section_is_quoted_once(monkeypatch):
     # a file lists every composite, so a key recurs across the records of a
-    # section, and the writer quotes it once per section.  ``_emit`` writes
-    # the rest: each ``homs`` record (three field names, two ends and each
-    # of ``mors``) and every string of the other sections, whose names are
-    # written unquoted
+    # section, and the writer quotes it once per section.  ``json.dumps``
+    # quotes the rest: ``homs`` and the other sections
     doc = _model_doc(freemodel.term_model(range(2)), 3)
     distinct = sum(len({v for r in doc[name] for v in r.values()})
                    for name in RECORDS if name != "homs")
     values = sum(len(RECORDS[name]) * len(doc[name]) for name in RECORDS if name != "homs")
-    emitted = sum(5 + len(r["mors"]) for r in doc["homs"])
-    emitted += sum(_strings(v) for name, v in doc.items() if name not in RECORDS)
     quoted = _counting_quotes(monkeypatch)
     _model_text(doc)
-    assert len(quoted) == distinct + emitted
+    assert len(quoted) == distinct
     assert 8 * distinct < values
 
 
@@ -179,9 +180,7 @@ def test_a_recurring_escaped_key_is_written_as_json_writes_it(data):
         for name, fields in RECORDS.items()}
     assume(any(sum(v == ESCAPED_KEY for r in doc[name] for v in r.values()) > 1
                for name in RECORDS if name != "homs"))
-    assert _model_text(doc) == _canonical(
-        {name: sorted(records, key=lambda d: json.dumps(d, sort_keys=True))
-         for name, records in doc.items()})
+    assert _model_text(doc) == _reference_text(doc)
 
 
 def _first_writer(model, bound: int) -> str:

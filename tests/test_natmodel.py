@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import functools
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -309,6 +311,18 @@ class TestUnitChecker:
         rep = check_unit(u, UnitStructure(unit_ty, u.unit_structure.star_tm), 2)
         assert rep.violations == violations
 
+    def test_a_unit_extension_projecting_elsewhere_fails_iii(self):
+        # into the terminal context there is one map, so only a model whose
+        # ext row names another projection, here an identity, reaches (iii)
+        from natmod.modelio import parse_model, serialize_model
+
+        u = extend_by_unit(term_model(range(1)))
+        doc = json.loads(serialize_model(u, 2))
+        [row] = [r for r in doc["ext"] if (r["ctx"], r["type"]) == (u.terminal, u.new_ty)]
+        row["proj"] = doc["identities"][row["extended"]]
+        rep = check_unit(parse_model(json.dumps(doc)), u.unit_structure, 2)
+        assert rep.violations == ["(iii) projection of the unit extension is not the terminal map"]
+
 
 def _searched_structure(model, sigma, pair, bound):
     """A Σ-structure whose split inverts ``pair`` by search (:func:`sigma_split`)."""
@@ -384,6 +398,87 @@ class TestSigmaChecker:
         assert any(v.startswith("(v) fst(") and "'NOPE' is not a term of" in v
                    for v in rep.violations)
         assert not any(v.startswith("(vii)") for v in rep.violations)
+
+
+# one component of the free Σ structure made wrong, and the branch it reaches
+SIGMA_FAULTS = {
+    "fst-of-another-type": (lambda good, g, a, b, t: (t, good.split(g, a, b, t)[1]),
+                            "(v) typeof(fst("),
+    "snd-no-term": (lambda good, g, a, b, t: (good.split(g, a, b, t)[0], "NOPE"),
+                    "(vii) snd("),
+    "snd-of-another-type": (lambda good, g, a, b, t: (good.split(g, a, b, t)[0], t),
+                            "(vii) typeof(snd("),
+}
+
+
+class TestSigmaCheckerBranches:
+    """Each FAIL branch of ``check_sigma`` fires on a structure made wrong for it."""
+
+    @pytest.mark.parametrize("fault", SIGMA_FAULTS)
+    def test_a_split_wrong_in_one_component_fails_its_equation(self, fault):
+        s = extend_by_sigma(term_model(range(1)))
+        split, message = SIGMA_FAULTS[fault]
+        bad = dataclasses.replace(s.sigma_structure,
+                                  split=functools.partial(split, s.sigma_structure))
+        rep = check_sigma(s, bad, 2)
+        assert any(v.startswith(message) for v in rep.violations), rep.violations
+
+    def test_a_pair_of_another_type_fails_iii(self):
+        s = extend_by_sigma(term_model(range(1)))
+        bad = dataclasses.replace(s.sigma_structure, pair=lambda g, a, b, x, y: x)
+        assert "(iii) typeof(pair(x0,x0))" in check_sigma(s, bad, 2).violations
+
+    def test_a_split_that_raises_off_the_terminal_context_fails_vi_viii(self):
+        # the split succeeds at the terminal context, so only the restriction
+        # of a closed pair along a map into it reaches the failing split
+        m = propositions_model()
+        good = m.sigma_structure
+
+        def split(g, a, b, t):
+            if g != m.terminal:
+                raise ValueError(f"no split over {g}")
+            return good.split(g, a, b, t)
+
+        rep = check_sigma(m, dataclasses.replace(good, split=split), 2)
+        assert any(v.startswith("(vi/viii) no split over ") for v in rep.violations)
+
+    def test_a_second_component_not_stable_under_substitution_fails_viii(self):
+        m = propositions_model()
+        good = m.sigma_structure
+
+        def split(g, a, b, t):
+            fst, snd = good.split(g, a, b, t)
+            return fst, snd if g == m.terminal else "NOPE"
+
+        rep = check_sigma(m, dataclasses.replace(good, split=split), 2)
+        assert any(v.startswith("(viii) snd(") for v in rep.violations)
+        assert not any(v.startswith("(vi) ") for v in rep.violations)
+
+
+class TestPiCheckerBranches:
+    """Each FAIL branch of ``check_pi`` fires on a structure made wrong for it."""
+
+    def test_an_application_of_another_type_fails_v(self):
+        # over the unit extension of one basic type, app(f, a) = a has type A,
+        # not B[a], where B is the basic type
+        u = extend_by_unit(term_model(range(1)))
+        bad = PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star, lambda g, a, b, f, x: x)
+        assert "(v) typeof(app(star,star))" in check_pi(u, bad, 2).violations
+
+    def test_an_application_not_stable_under_substitution_fails_vi(self):
+        m = propositions_model()
+        good = m.pi_structure
+
+        def app(g, a, b, f, x):
+            return good.app(g, a, b, f, x) if g == m.terminal else "NOPE"
+
+        rep = check_pi(m, dataclasses.replace(good, app=app), 2)
+        assert any(v.startswith("(vi) app(") and v.endswith("]") for v in rep.violations)
+
+    def test_an_abstraction_that_app_does_not_invert_fails_the_eta_witness(self):
+        m = propositions_model()
+        rep = check_pi(m, dataclasses.replace(m.pi_structure, lam=lambda *a: "NOPE"), 2)
+        assert any(v.startswith("(viii) λ(app(") for v in rep.violations)
 
 
 class TestPiChecker:

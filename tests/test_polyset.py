@@ -525,6 +525,18 @@ class TestPseudomonad:
         report = check_pseudomonad_data(*trivial_pseudomonad())
         assert report.ok, report.details
 
+    @pytest.mark.parametrize("shape", ["eta-shape", "mu-shape"])
+    def test_a_cartesian_cell_of_the_wrong_shape_fails_its_shape_check(self, shape):
+        from natmod.polyset import partiality_pseudomonad
+
+        p, eta, mu = partiality_pseudomonad()
+        if shape == "eta-shape":
+            eta = identity_cell(p)
+        else:
+            mu = identity_cell(p)
+        report = check_pseudomonad_data(p, eta, mu)
+        assert report.checks[shape] is False and not report.ok
+
     def test_partiality_monad_passes(self):
         # the classifier of a finite model with an empty and a unit type,
         # restricted to finite sets: fibre sizes 0 and 1, closed under sums
