@@ -125,11 +125,16 @@ class _WrappedCategory(RegistryCategory):
         return zip(self.inner.base.compose_row(gp[0], [fp[0] for fp in fps]))
 
     def objects(self, bound: int) -> list[str]:
-        """The contexts of size at most ``bound``, closed under extension.
+        """The contexts of size at most ``bound``, closed under extension,
+        found once per bound and returned as a fresh list.
 
         Precondition: every extension adds to the size, as it does over term
         models; otherwise the frontier need not empty and this never returns.
         """
+        return list(self._objects(bound))
+
+    @memo
+    def _objects(self, bound: int) -> tuple[str, ...]:
         assert self.model is not None
         seeds = [s for s in self._seeds(bound) if self.obj_size(s) <= bound]
         seen = dict.fromkeys(seeds)
@@ -146,7 +151,7 @@ class _WrappedCategory(RegistryCategory):
                         seen[e.extended] = None
                         nxt.append(e.extended)
             frontier = nxt
-        return sorted(seen, key=lambda c: (self.obj_size(c), c))
+        return tuple(sorted(seen, key=lambda c: (self.obj_size(c), c)))
 
     @property
     def terminal(self) -> Optional[str]:
@@ -350,6 +355,7 @@ class TermModel(NaturalModel):
             raise ValueError(f"{term} is not a term over {ctx}") from None
 
     def subst_ty(self, sigma: str, ty: str) -> str:
+        _read(self.tys, ty)
         return ty
 
     def subst_tm(self, sigma: str, term: str) -> str:
@@ -364,7 +370,10 @@ class TermModel(NaturalModel):
 
     @memo
     def _identity_row(self, tys: tuple[str, ...]) -> Mapping[str, str]:
-        """{A: A} over ``tys``: Ty is constant, so every morphism shares it."""
+        """{A: A} over ``tys``: Ty is constant, so every morphism shares it.
+        Each type is read once per distinct ``tys``."""
+        for ty in tys:
+            _read(self.tys, ty)
         return MappingProxyType(dict(zip(tys, tys)))
 
     def subst_tm_row(self, sigma: str, tms: list[str]) -> Mapping[str, str]:

@@ -250,26 +250,34 @@ def _checks(fm: NMorphism, ps: ModelPresheaves, bound: int) -> Iterator[tuple[st
                 yield "weak-tau", f"mediating map at ({g}, {ty}) is not invertible"
 
     # preservation of canonical pullback squares, via the in-category oracle;
-    # an image square whose legs do not compose is not preserved
+    # an image square whose legs do not compose is not preserved.  Image
+    # squares repeat across (m, A): each distinct one is checked once, and its
+    # fault is named under every (m, A) whose image it is
+    faults: dict[tuple, Optional[str]] = {}  # image square -> None if a pullback
     for m, a, b in placed:
         for ty in ps.ty.values[b]:
             top = canonical_pullback(src, m, ty)
             e_sub = src.ext(a, ps.ty.restrict(m, ty))
             e = src.ext(b, ty)
             try:
-                ok = is_pullback_square(
-                    dst.base, bound + 1,
-                    fm.on_obj(e_sub.extended),
-                    fm.on_mor(e_sub.proj),
-                    fm.on_mor(top),
-                    fm.on_mor(m),
-                    fm.on_mor(e.proj),
-                )
+                square = (fm.on_obj(e_sub.extended), fm.on_mor(e_sub.proj),
+                          fm.on_mor(top), fm.on_mor(m), fm.on_mor(e.proj))
             except (ValueError, KeyError) as exc:
                 yield "canonical-pullbacks", f"image square of ({m}, {ty}): {exc}"
                 continue
-            if not ok:
-                yield "canonical-pullbacks", f"image square of ({m}, {ty})"
+            if square not in faults:
+                faults[square] = _pullback_fault(dst.base, bound + 1, square)
+            if faults[square] is not None:
+                yield "canonical-pullbacks", f"image square of ({m}, {ty}){faults[square]}"
+
+
+def _pullback_fault(c, bound: int, square: tuple) -> Optional[str]:
+    """None if ``square`` is a pullback in ``c`` at ``bound``; otherwise the
+    witness's suffix: empty, or the oracle's exception after a colon."""
+    try:
+        return None if is_pullback_square(c, bound, *square) else ""
+    except (ValueError, KeyError) as exc:
+        return f": {exc}"
 
 
 # The laws of a strict morphism over a scope, as (check, witness) pairs; an

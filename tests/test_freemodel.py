@@ -120,6 +120,17 @@ class TestTermModel:
             with pytest.raises(ValueError, match=f"x1 is not a term over {re.escape(one)}"):
                 attempt()
 
+    def test_a_type_the_model_does_not_have_raises_value_error(self):
+        m = term_model(range(2))
+        ident = m.base.identity(m.terminal)
+        assert (m.subst_ty(ident, "T1"), dict(m.subst_ty_row(ident, ["T0"]))) == ("T1", {"T0": "T0"})
+        u = extend_by_unit(term_model(range(1)))
+        for attempt in (lambda: m.subst_ty(ident, "T2"),
+                        lambda: m.subst_ty_row(ident, ["T2", "bogus"]),
+                        lambda: u.subst_ty(u.base.identity(u.terminal), "X")):
+            with pytest.raises(ValueError, match="not a key"):
+                attempt()
+
     def test_initiality_counts_for_three_targets(self):
         tm = term_model(range(2))
         targets = [
@@ -975,6 +986,15 @@ class TestPerInstanceMemo:
         # the type trees of term trees are memoized on the inner model
         types = [vars(m.inner).get("_memo_tmtree_type") for m in (first, second)]
         assert all(types) and types[0] is not types[1]
+
+    def test_objects_runs_its_closure_once_per_bound(self, monkeypatch):
+        u = extend_by_unit(term_model(range(1)))
+        seeds = []
+        closure = type(u.base)._seeds
+        monkeypatch.setattr(u.base, "_seeds", lambda b: seeds.append(b) or closure(u.base, b))
+        first, second = u.base.objects(2), u.base.objects(2)
+        assert first == second and first is not second
+        assert seeds == [2]
 
     def test_every_sigma_term_keeps_its_type_at_bound_3(self):
         def by_calls(m, ctx, tree):

@@ -34,7 +34,7 @@ from natmod.freemodel import (
     type_universal,
     unit_universal,
 )
-from natmod.fincat import BoundedCategory, functor_violations, memo
+from natmod.fincat import BoundedCategory, functor_violations, is_pullback_square, memo
 from natmod.morphism import (
     MorphismPins,
     NMorphism,
@@ -243,6 +243,19 @@ def _strict_universal_maps() -> list[NMorphism]:
     sm = extend_by_sigma(term_model(range(1)))
     maps.append(sigma_universal(sm, sigma_inclusion(sm)))
     return maps
+
+
+def test_each_distinct_image_square_is_checked_once(monkeypatch):
+    # the initial morphism into the one-type term model sends many (m, A) to
+    # one image square; the oracle decides each distinct square once
+    squares = []
+    monkeypatch.setattr("natmod.morphism.is_pullback_square",
+                        lambda c, b, *sq: squares.append(sq) or is_pullback_square(c, b, *sq))
+    tm = term_model(range(2))
+    assert check_morphism(initial_morphism(tm, term_model(range(1)), {0: "T0", 1: "T0"}), 2).ok
+    ps = model_presheaves(tm, 2, 2)
+    pairs = sum(len(ms) * len(ps.ty.values[b]) for (_, b), ms in ps.cat.homs.items())
+    assert len(set(squares)) == len(squares) < pairs
 
 
 def test_a_strict_morphism_asks_no_inverse_search(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -499,6 +500,75 @@ class TestAdjustments:
         with pytest.raises(ValueError):
             unique_adjustment(identity_cell(src), cell)
 
+
+# generator -> draw(rng, seed); every seed 0-99 hashes the repr of the draw
+# and the rng's state after it
+GENERATOR_DRAWS = {
+    "random_fin_map": lambda rng, seed: random_fin_map(
+        rng, tuple(f"x{k}" for k in range(seed % 5)), tuple(f"y{k}" for k in range(1 + seed % 3))),
+    "random_polynomial-2": lambda rng, seed: random_polynomial(rng, 2, tag="p"),
+    "random_polynomial-3": lambda rng, seed: random_polynomial(rng, 3, tag="p"),
+    "random_family": lambda rng, seed: random_family(rng, ("i0", "i1", "i2"), 3),
+    "random_pullback_square": lambda rng, seed: random_pullback_square(rng, 3),
+    "random_cartesian_pair": lambda rng, seed: random_cartesian_pair(rng, 3),
+}
+
+GENERATOR_DIGESTS = {
+    "random_fin_map": "d819266b7ef8010e3588f020dba86833243e3894d4eefc7842260f4f984bda22",
+    "random_polynomial-2": "277e2d9fe288a1f073a3d4fe4061f652300263f36771a1e3647d08dfe8ed92b9",
+    "random_polynomial-3": "0ad69bb7d4ab1d8442d8b656cdd1c4e9b846868cd9138505d234d95604196a63",
+    "random_family": "48ca912c1a5a67dadb7d0c1753df9d145c8e4785223e9c72d14f4b082e8db50f",
+    "random_pullback_square": "f308c86eb6b931b70b8111ffa2952245fc366b8403366f0f223d6a8da40367b0",
+    "random_cartesian_pair": "6564b3427376912597e54459f5a390b6d7225986cdb4a16d64c32ec53bc92345",
+}
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its choice calls per sequence."""
+
+    def __init__(self, seed):
+        self.choices: dict = {}
+        super().__init__(seed)
+
+    def choice(self, seq):
+        self.choices[seq] = self.choices.get(seq, 0) + 1
+        return super().choice(seq)
+
+
+class TestSeededGenerators:
+    @pytest.mark.parametrize("name", list(GENERATOR_DRAWS))
+    def test_every_seed_draws_the_recorded_instances(self, name):
+        # the rng calls are part of a generator's contract: the property
+        # tests, the acceptance criteria, `natmod poly` and the benchmark
+        # inputs all replay them
+        h = hashlib.sha256()
+        for seed in range(100):
+            rng = random.Random(seed)
+            h.update(repr(GENERATOR_DRAWS[name](rng, seed)).encode())
+            h.update(repr(rng.getstate()).encode())
+        assert h.hexdigest() == GENERATOR_DIGESTS[name]
+
+    def test_a_rejected_phi0_draw_builds_no_fin_map(self, monkeypatch):
+        # φ₀ is the only map A -> C a pair builds: one per kept cell, however
+        # many draws its fibre sizes reject
+        built = []
+        post = FinMap.__post_init__
+        monkeypatch.setattr(FinMap, "__post_init__", lambda m: built.append(m) or post(m))
+        rejected = 0
+        for seed in range(20):
+            rng = _CountingRandom(seed)
+            built.clear()
+            pair = random_cartesian_pair(rng, 3)
+            if pair is None:
+                continue
+            a_set, c_set = pair[0].phi0.dom, pair[0].phi0.cod
+            d_set = pair[0].dst.B
+            # the draws of φ₀ and of g are the choices from C
+            draws = (rng.choices[c_set] - len(d_set)) // len(a_set)
+            rejected += draws - 2
+            assert [m for m in built if (m.dom, m.cod) == (a_set, c_set)] == [
+                pair[0].phi0, pair[1].phi0]
+        assert rejected > 0
 
 class TestOneCarrierEnumeration:
     def test_only_its_own_def_names_all_adjustments_in_src(self):
