@@ -50,6 +50,7 @@ from .natmodel import (
     NaturalModel,
     SigmaStructure,
     UnitStructure,
+    _read,
     canonical_pullback,
     induced_sub,
     swap_iso,
@@ -87,10 +88,10 @@ class _WrappedCategory(RegistryCategory):
     leg rows and the blocks of the functor laws read whole rows.
     """
 
-    def __init__(self, inner: NaturalModel):
+    def __init__(self, model: _WrappedModel):
         super().__init__()
-        self.inner = inner
-        self.model: Optional[NaturalModel] = None  # set by the owning model
+        self.model = model
+        self.inner = model.inner
 
     @memo
     def obj_size(self, key: str) -> int:
@@ -135,7 +136,6 @@ class _WrappedCategory(RegistryCategory):
 
     @memo
     def _objects(self, bound: int) -> tuple[str, ...]:
-        assert self.model is not None
         seeds = [s for s in self._seeds(bound) if self.obj_size(s) <= bound]
         seen = dict.fromkeys(seeds)
         frontier = list(seeds)
@@ -160,10 +160,10 @@ class _WrappedCategory(RegistryCategory):
     @memo
     def _terminal(self) -> str:
         """The root context over the inner terminal, built on the first read."""
-        return self.model.i_obj(self.inner.terminal)  # type: ignore[union-attr]
+        return self.model.i_obj(self.inner.terminal)
 
     def _seeds(self, bound: int) -> list[str]:
-        return [self.model.i_obj(g) for g in self.inner.base.objects(bound)]  # type: ignore[union-attr]
+        return [self.model.i_obj(g) for g in self.inner.base.objects(bound)]
 
 
 class _WrappedModel(NaturalModel):
@@ -190,10 +190,9 @@ class _WrappedModel(NaturalModel):
 
     base: _WrappedCategory
 
-    def __init__(self, inner: NaturalModel, cat: _WrappedCategory):
+    def __init__(self, inner: NaturalModel, category: type[_WrappedCategory]):
         self.inner = inner
-        cat.model = self
-        self.base = cat
+        self.base = category(self)
 
     def subst_ty(self, sigma: str, ty: str) -> str:
         return self._subst_ty(self.base.mor_payload(sigma), ty)
@@ -310,15 +309,6 @@ def _sharp(ext: _WrappedModel, f: NMorphism, theta_root, theta_step, ty_image, t
 # ---------------------------------------------------------------------------
 # The term model on a family of basic types
 # ---------------------------------------------------------------------------
-
-def _read(reg: Registry, key: str):
-    """The cell ``key`` names in ``reg``; a key the registry never handed
-    out raises ``ValueError`` naming it."""
-    try:
-        return reg.cells[key]
-    except KeyError:
-        raise ValueError(f"not a key of this model: {key!r}") from None
-
 
 class TermModel(NaturalModel):
     """The free natural model on an I-indexed family of basic types.
@@ -489,9 +479,7 @@ def initiality_pins(tm: TermModel, target: NaturalModel, images: dict) -> Morphi
 class _ExtTermCategory(_WrappedCategory):
     """Contexts of the inner model formally extended by a term variable."""
 
-    def __init__(self, inner: NaturalModel, o_ty: str):
-        super().__init__(inner)
-        self.o_ty = o_ty
+    model: ExtTermModel
 
     def spell_obj(self, cell: tuple[str, tuple[str, ...]]) -> str:
         gamma, tys = cell
@@ -502,7 +490,7 @@ class _ExtTermCategory(_WrappedCategory):
     def under(self, key: str) -> str:
         """Γ•O•A₁•…•Aₙ for the context (Γ; A₁, …, Aₙ)."""
         gamma, tys = self.objs.cell(key)
-        ctx = self.model._o_ext(gamma).extended  # type: ignore[union-attr]
+        ctx = self.model._o_ext(gamma).extended
         for ty in tys:
             ctx = self.inner.ext(ctx, ty).extended
         return ctx
@@ -513,7 +501,7 @@ class _ExtTermCategory(_WrappedCategory):
         gamma, tys = self.objs.cell(key)
         inner = self.inner
         if not tys:
-            return canonical_pullback(inner, inner.t(gamma), self.o_ty)
+            return canonical_pullback(inner, inner.t(gamma), self.model.o_ty)
         parent = self.objs.key((gamma, tys[:-1]))
         e = inner.ext(self.under(parent), tys[-1])
         return inner.base.compose(self.anchor(parent), e.proj)
@@ -541,7 +529,7 @@ class ExtTermModel(_WrappedModel):
     base: _ExtTermCategory
 
     def __init__(self, inner: NaturalModel, o_ty: str):
-        super().__init__(inner, _ExtTermCategory(inner, o_ty))
+        super().__init__(inner, _ExtTermCategory)
         self.o_ty = o_ty
         # the variable of the anchor object ⋄•O
         self.x_term = inner.ext(inner.terminal, o_ty).var
@@ -721,6 +709,8 @@ class _InterleavedCategory(_WrappedCategory):
     owning model gives the width: every slot for X, none for the unit.
     """
 
+    model: _InterleavedModel
+
     def spell_obj(self, cell: tuple[str, tuple[int, ...], tuple[str, ...]]) -> str:
         gamma, ks, tys = cell
         body = join_escaped(",", (
@@ -754,13 +744,13 @@ class _InterleavedCategory(_WrappedCategory):
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
         inner_homs = self.inner.base.hom(self.under(a), self.under(b))
-        width = self.model.width  # type: ignore[union-attr]
+        width = self.model.width
         # width(b) == 0 yields exactly the empty tally; width(a) == 0 < width(b) yields none
         tallies = list(itertools.product(range(width(a)), repeat=width(b)))
         return [(s, tally) for s in inner_homs for tally in tallies]
 
     def identity(self, a: str) -> str:
-        tally = tuple(range(self.model.width(a)))  # type: ignore[union-attr]
+        tally = tuple(range(self.model.width(a)))
         return self.mors.key((a, a, (self.inner.base.identity(self.under(a)), tally)))
 
     def _compose_payloads(self, gp: tuple, fps: list[tuple]) -> Iterable[tuple]:
@@ -782,7 +772,7 @@ class _InterleavedModel(_WrappedModel):
     new_ty: str
 
     def __init__(self, inner: NaturalModel):
-        super().__init__(inner, _InterleavedCategory(inner))
+        super().__init__(inner, _InterleavedCategory)
 
     def types(self, ctx: str, bound: int) -> list[str]:
         return [self.new_ty] + self.inner.types(self.base.under(ctx), bound)
@@ -830,6 +820,8 @@ class _InterleavedModel(_WrappedModel):
         e = self.ext(cat.cod(sigma), ty)
         if ty != self.new_ty:
             payload = (induced_sub(self.inner, s, term, ty), tally)
+        elif term not in self.new_terms(src):
+            raise ValueError(f"{term!r} is not a term of {ty} over {src}")
         elif self.width(e.extended) > len(tally):  # the tally carries the new term's image
             payload = (s, tally + (self.new_terms(src).index(term),))
         else:
@@ -869,10 +861,8 @@ class TypeExtModel(_InterleavedModel):
     def __init__(self, inner: NaturalModel):
         super().__init__(inner)
         self.new_ty = _fresh_key(inner.types(inner.terminal, 4), "X")
-        closed, p = inner.terms(inner.terminal, 4), "v" + "'" * self.new_ty.count("'")
-        while any(t.startswith(p) and t[len(p):].isdigit() for t in closed):
-            p += "'"
-        self._slot_prefix = p
+        stems = [t.rstrip("0123456789") for t in inner.terms(inner.terminal, 4) if t[-1:].isdigit()]
+        self._slot_prefix = _fresh_key(stems, "v" + "'" * self.new_ty.count("'"))
 
     @memo
     def _slots(self, k: int) -> tuple[str, ...]:
@@ -1188,28 +1178,15 @@ class SigmaExtModel(_WrappedModel):
     base: _TreeCategory
 
     def __init__(self, inner: NaturalModel):
-        super().__init__(inner, _TreeCategory(inner))
+        super().__init__(inner, _TreeCategory)
         self.tys = Registry(attrgetter("key"))  # the type trees
         self.tms = Registry(attrgetter("key"))  # the term trees
         self.sigma_structure = SigmaStructure(self._sigma, self._pair, self._split)
 
-    # -- tree registries --------------------------------------------------
-    def reg_ty(self, tree: TypeTree) -> str:
-        return self.tys.key(tree)
-
-    def reg_tm(self, tree: TermTree) -> str:
-        return self.tms.key(tree)
-
-    def ty_tree(self, key: str) -> TypeTree:
-        return self.tys.cells[key]
-
-    def tm_tree(self, key: str) -> TermTree:
-        return self.tms.cells[key]
-
     # -- model interface ---------------------------------------------------
     def types(self, ctx: str, bound: int) -> list[str]:
         under = self.base.under(ctx)
-        return [self.reg_ty(t) for t in self._gen_ty_trees(under, bound)]
+        return [self.tys.key(t) for t in self._gen_ty_trees(under, bound)]
 
     @memo
     def _gen_ty_trees(self, m_ctx: str, bound: int) -> list[TypeTree]:
@@ -1230,7 +1207,7 @@ class SigmaExtModel(_WrappedModel):
         under = self.base.under(ctx)
         out = []
         for ty in self._gen_ty_trees(under, bound):
-            out.extend(self.reg_tm(t) for t in self._gen_tm_trees(under, ty))
+            out.extend(self.tms.key(t) for t in self._gen_tm_trees(under, ty))
         return out
 
     @memo
@@ -1251,60 +1228,58 @@ class SigmaExtModel(_WrappedModel):
     @memo
     def typeof(self, ctx: str, term: str) -> str:
         under = self.base.under(ctx)
-        return self.reg_ty(tmtree_type(self.inner, under, self.tm_tree(term)))
+        return self.tys.key(tmtree_type(self.inner, under, _read(self.tms, term)))
 
     def ty_size(self, ctx: str, ty: str) -> int:
-        return self.ty_tree(ty).size()
+        return _read(self.tys, ty).size()
 
     # a tree substitution walks the whole tree, so cells are memoized too
     @memo
     def _subst_ty(self, payload: tuple, ty: str) -> str:
-        return self.reg_ty(tree_subst(self.inner, payload[0], self.ty_tree(ty)))
+        return self.tys.key(tree_subst(self.inner, payload[0], _read(self.tys, ty)))
 
     @memo
     def _subst_tm(self, payload: tuple, term: str) -> str:
-        return self.reg_tm(tmtree_subst(self.inner, payload[0], self.tm_tree(term)))
+        return self.tms.key(tmtree_subst(self.inner, payload[0], _read(self.tms, term)))
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
         cat = self.base
         gamma, trees = cat.objs.cell(ctx)
-        tree = self.ty_tree(ty)
+        tree = _read(self.tys, ty)
         new_key = cat.register(gamma, trees + (tree,))
         _, proj, var = tree_ext(self.inner, cat.under(ctx), tree)
-        return ExtensionData(new_key, cat.mors.key((new_key, ctx, (proj,))), self.reg_tm(var))
+        return ExtensionData(new_key, cat.mors.key((new_key, ctx, (proj,))), self.tms.key(var))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         (s,) = self.base.mor_payload(sigma)
         e = self.ext(self.base.cod(sigma), ty)
-        tau = tree_indsub(self.inner, s, self.tm_tree(term), self.ty_tree(ty))
+        tau = tree_indsub(self.inner, s, _read(self.tms, term), _read(self.tys, ty))
         return self.base.mors.key((self.base.dom(sigma), e.extended, (tau,)))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
         gamma, trees = info
-        if trees:
-            return self.base.register(gamma, trees[:-1]), self.reg_ty(trees[-1])
-        return None
+        return (self.base.register(gamma, trees[:-1]), self.tys.key(trees[-1])) if trees else None
 
     def i_obj(self, gamma: str) -> str:
         return self.base.register(gamma, ())
 
     def i_ty(self, gamma: str, ty: str) -> str:
-        return self.reg_ty(TypeTree(leaf=ty))
+        return self.tys.key(TypeTree(leaf=ty))
 
     def i_tm(self, gamma: str, tm: str) -> str:
-        return self.reg_tm(TermTree(leaf=tm))
+        return self.tms.key(TermTree(leaf=tm))
 
     def i_payload(self, m: str) -> tuple:
         return (m,)
 
     # -- dependent sum structure -------------------------------------------
     def _sigma(self, ctx: str, ty_a: str, ty_b: str) -> str:
-        return self.reg_ty(TypeTree(left=self.ty_tree(ty_a), right=self.ty_tree(ty_b)))
+        return self.tys.key(TypeTree(left=_read(self.tys, ty_a), right=_read(self.tys, ty_b)))
 
     def _pair(self, ctx: str, ty_a: str, ty_b: str, tm_a: str, tm_b: str) -> str:
-        return self.reg_tm(TermTree(
-            left=self.tm_tree(tm_a), rtype=self.ty_tree(ty_b), right=self.tm_tree(tm_b),
+        return self.tms.key(TermTree(
+            left=_read(self.tms, tm_a), rtype=_read(self.tys, ty_b), right=_read(self.tms, tm_b),
         ))
 
     def _split(self, ctx: str, ty_a: str, ty_b: str, tm: str) -> tuple[str, str]:
@@ -1313,12 +1288,12 @@ class SigmaExtModel(_WrappedModel):
         try:
             fits = (tree is not None and not tree.is_leaf
                     and tree.rtype == self.tys.cells.get(ty_b)
-                    and self.typeof(ctx, self.reg_tm(tree.left)) == ty_a)
-        except (LookupError, ValueError):  # a term of another context
+                    and self.typeof(ctx, self.tms.key(tree.left)) == ty_a)
+        except ValueError:  # a term of another context
             fits = False
         if not fits:
             raise ValueError(f"{tm!r} is not a pair of Σ({ty_a}, {ty_b}) over {ctx}")
-        return self.reg_tm(tree.left), self.reg_tm(tree.right)
+        return self.tms.key(tree.left), self.tms.key(tree.right)
 
 
 def extend_by_sigma(inner: NaturalModel) -> SigmaExtModel:
@@ -1435,17 +1410,17 @@ def sigma_universal(ext: SigmaExtModel, f: NMorphism, bound: int = 4) -> NMorphi
 
     def theta_step(d, pctx: str, pty: str, th: str) -> str:
         # built leafwise, with the collapse of the parent's tree tracked
-        tree = map_ty_tree(d, ext.base.under(pctx), ext.ty_tree(pty))
+        tree = map_ty_tree(d, ext.base.under(pctx), _read(ext.tys, pty))
         th_here = sigma_of_tree(target, d.on_obj(pctx), tree_subst(target, th, tree))[1]
         return target.base.compose(canonical_pullback_tree(target, th, tree), th_here)
 
     def ty_image(theta, d, ctx: str, ty: str) -> str:
-        tree = map_ty_tree(d, ext.base.under(ctx), ext.ty_tree(ty))
+        tree = map_ty_tree(d, ext.base.under(ctx), _read(ext.tys, ty))
         tree_img = tree_subst(target, theta(d, ctx), tree)
         return sigma_of_tree(target, d.on_obj(ctx), tree_img)[0]
 
     def tm_image(theta, d, ctx: str, tm: str) -> str:
-        tree = map_tm_tree(d, ext.base.under(ctx), ext.tm_tree(tm))
+        tree = map_tm_tree(d, ext.base.under(ctx), _read(ext.tms, tm))
         tree_img = tmtree_subst(target, theta(d, ctx), tree)
         return pair_of_tree(target, d.on_obj(ctx), tree_img)
 

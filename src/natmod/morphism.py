@@ -48,6 +48,7 @@ from .natmodel import (
     ModelPresheaves,
     NaturalModel,
     SigmaStructure,
+    _read,
     canonical_pullback,
     induced_sub,
     model_presheaves,
@@ -356,24 +357,35 @@ def _strictness(fm, cells: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str
 
 
 def check_sigma_morphism(fm: NMorphism, bound: int) -> bool:
-    """Does fm preserve dependent sum structure on all in-bound pairs and quadruples?"""
+    """Does fm preserve dependent sum structure on all in-bound pairs and quadruples?
+
+    A pair (A, B) whose B lies over a context beyond the bound is skipped, with
+    its quadruples, where fm has no image of B; any other missing image fails.
+    """
     src, dst = fm.src, fm.dst
     s_src: SigmaStructure = src.sigma_structure  # type: ignore[attr-defined]
     s_dst: SigmaStructure = dst.sigma_structure  # type: ignore[attr-defined]
     comp = CompositeModel(src, src)
-    for g in src.base.objects(bound):
+    ctxs = src.base.objects(bound)
+    for g in ctxs:
         fg = fm.on_obj(g)
         images = {}  # (A|B) -> (F A, F B)
         for key in comp.types(g, bound):
-            ty_a, ty_b = comp.tys.cell(key)
-            f_a, f_b = images[key] = fm.on_ty(g, ty_a), fm.on_ty(src.ext(g, ty_a).extended, ty_b)
-            if fm.on_ty(g, s_src.sigma(g, ty_a, ty_b)) != s_dst.sigma(fg, f_a, f_b):
+            ty_a, ty_b = _read(comp.tys, key)
+            over_a = src.ext(g, ty_a).extended
+            f_a, f_b = images[key] = fm.on_ty(g, ty_a), fm.on_ty(over_a, ty_b)
+            if f_b is None and over_a not in ctxs:
+                continue  # skipped, with its quadruples
+            lhs = fm.on_ty(g, s_src.sigma(g, ty_a, ty_b))
+            if None in (fg, f_a, f_b) or lhs != s_dst.sigma(fg, f_a, f_b):
                 return False
         for quad in comp.terms(g, bound):
-            ty_a, ty_b, a, b = comp.tms.cell(quad)
+            ty_a, ty_b, a, b = _read(comp.tms, quad)
+            f_ab, f_a, f_b = images[comp.typeof(g, quad)], fm.on_tm(g, a), fm.on_tm(g, b)
+            if f_ab[1] is None:  # its pair was skipped
+                continue
             lhs = fm.on_tm(g, s_src.pair(g, ty_a, ty_b, a, b))
-            rhs = s_dst.pair(fg, *images[comp.typeof(g, quad)], fm.on_tm(g, a), fm.on_tm(g, b))
-            if lhs != rhs:
+            if None in (f_a, f_b) or lhs != s_dst.pair(fg, *f_ab, f_a, f_b):
                 return False
     return True
 

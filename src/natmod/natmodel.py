@@ -58,12 +58,24 @@ class ExtensionData:
     var: str
 
 
+def _read(reg: Registry, key: str):
+    """The cell ``key`` names in ``reg``; a key it never handed out raises ``ValueError``."""
+    try:
+        return reg.cells[key]
+    except KeyError:
+        raise ValueError(f"not a key of this model: {key!r}") from None
+
+
 class NaturalModel(ABC):
     """Bounded-enumerable model of the theory of natural models.
 
     Types and terms are string keys local to a context; ``types(ctx, bound)``
     enumerates those of size at most ``bound`` (size is 1 except for tree
     models).  Substitution and extension are total on their stated domains.
+
+    A model naming its types and terms by registries reads them through
+    :func:`_read`: a key it never handed out raises ``ValueError`` naming it,
+    from ``typeof``, ``subst_ty``, ``subst_tm``, ``ext`` and ``indsub``.
     """
 
     base: BoundedCategory
@@ -468,7 +480,7 @@ class CompositeModel(NaturalModel):
     def terms(self, ctx: str, bound: int) -> list[str]:
         out = []
         for key in self.types(ctx, bound):
-            a, b = self.tys.cell(key)
+            a, b = _read(self.tys, key)
             for x in self.q.terms_of(ctx, a, bound):
                 s_x = section(self.q, ctx, x)
                 b_at = self.p.subst_ty(s_x, b)
@@ -477,20 +489,20 @@ class CompositeModel(NaturalModel):
         return out
 
     def typeof(self, ctx: str, term: str) -> str:
-        return self.tys.key(self.tms.cell(term)[:2])
+        return self.tys.key(_read(self.tms, term)[:2])
 
     def ty_size(self, ctx: str, ty: str) -> int:
-        a, b = self.tys.cell(ty)
+        a, b = _read(self.tys, ty)
         mid = self.q.ext(ctx, a).extended
         return self.q.ty_size(ctx, a) + self.p.ty_size(mid, b)
 
     def subst_ty(self, sigma: str, ty: str) -> str:
-        a, b = self.tys.cell(ty)
+        a, b = _read(self.tys, ty)
         sigma_ext = canonical_pullback(self.q, sigma, a)
         return self.tys.key((self.q.subst_ty(sigma, a), self.p.subst_ty(sigma_ext, b)))
 
     def subst_tm(self, sigma: str, term: str) -> str:
-        a, b, x, y = self.tms.cell(term)
+        a, b, x, y = _read(self.tms, term)
         sigma_ext = canonical_pullback(self.q, sigma, a)
         return self.tms.key((
             self.q.subst_ty(sigma, a),
@@ -501,7 +513,7 @@ class CompositeModel(NaturalModel):
 
     @memo
     def ext(self, ctx: str, ty: str) -> ExtensionData:
-        a, b = self.tys.cell(ty)
+        a, b = _read(self.tys, ty)
         e_q = self.q.ext(ctx, a)
         e_p = self.p.ext(e_q.extended, b)
         proj = self.base.compose(e_q.proj, e_p.proj)
@@ -511,8 +523,8 @@ class CompositeModel(NaturalModel):
         return ExtensionData(e_p.extended, proj, self.tms.key((a_wk, b_wk, x_wk, e_p.var)))
 
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
-        a, b = self.tys.cell(ty)
-        _, _, x, y = self.tms.cell(term)
+        a, b = _read(self.tys, ty)
+        _, _, x, y = _read(self.tms, term)
         tau1 = induced_sub(self.q, sigma, x, a)
         return induced_sub(self.p, tau1, y, b)
 

@@ -113,7 +113,7 @@ def finite_sets_model(max_fibre: int = 2):
     substitution acts non-trivially.
     """
     from natmod.fincat import Registry, RegistryCategory
-    from natmod.natmodel import ExtensionData, NaturalModel
+    from natmod.natmodel import ExtensionData, NaturalModel, _read
 
     class FinSets(RegistryCategory):
         """An object is its cardinality n, spelled ``set{n}``; a morphism's
@@ -156,10 +156,10 @@ def finite_sets_model(max_fibre: int = 2):
             self.tms = Registry("sec%s|%s".__mod__)
 
         def _fam(self, ty):
-            return self.tys.cell(ty)
+            return _read(self.tys, ty)
 
         def _sec(self, tm):
-            return self.tms.cell(tm)
+            return _read(self.tms, tm)
 
         def types(self, ctx, bound):
             n = self.base.obj_size(ctx)
@@ -386,10 +386,10 @@ def reference_sigma_inclusion(ext):
         return ext.base.register(ctx, ())
 
     def ty_map(d, ctx: str, ty: str) -> str:
-        return ext.reg_ty(TypeTree(leaf=ty))
+        return ext.tys.key(TypeTree(leaf=ty))
 
     def tm_map(d, ctx: str, tm: str) -> str:
-        return ext.reg_tm(TermTree(leaf=tm))
+        return ext.tms.key(TermTree(leaf=tm))
 
     def root_mor(d, m: str) -> str:
         return ext.base.mors.key((

@@ -336,8 +336,8 @@ def test_criterion_8_closure_properties_over_a_finite_base():
 def test_criterion_9_non_associativity_witness():
     s = extend_by_sigma(term_model(range(1)))
     leaf = TypeTree(leaf="T0")
-    ll = s.reg_ty(TypeTree(left=TypeTree(left=leaf, right=leaf), right=leaf))
-    rr = s.reg_ty(TypeTree(left=leaf, right=TypeTree(left=leaf, right=leaf)))
+    ll = s.tys.key(TypeTree(left=TypeTree(left=leaf, right=leaf), right=leaf))
+    rr = s.tys.key(TypeTree(left=leaf, right=TypeTree(left=leaf, right=leaf)))
     keys_distinct = ll != rr
     g = s.terminal
     el = s.ext(g, ll).extended

@@ -300,6 +300,7 @@ class TestPolyCommand:
         (["verify-dist", "P"], "poly verify-dist takes 0 polynomial files, got 1"),
         (["pseudomonad", "P"], "poly pseudomonad takes 0 polynomial files, got 1"),
         (["extend", "P", "--family", "-1"], "--family sizes must be non-negative, got -1"),
+        (["extend", "P", "--family", "1,2"], "--family needs 1 sizes, got 2"),
     ])
     def test_wrong_file_arguments_are_parse_errors(self, poly_file, argv, message, capsys):
         rc = main(["poly"] + [str(poly_file) if a == "P" else a for a in argv])

@@ -53,6 +53,20 @@ class TestCheckCategory:
         assert check_category(diamond_lattice()) == []
         assert check_category(chain_poset(4)) == []
 
+    def test_a_morphism_in_two_hom_sets_is_reported_and_no_generating_set_returned(self):
+        cat = FinCatPresentation(
+            object_keys=["a", "b"],
+            homs={("a", "a"): ["ida", "m"], ("a", "b"): ["m"], ("b", "b"): ["idb"]},
+            compose_table={}, identities={"a": "ida", "b": "idb"},
+        )
+        laws = category_violations(cat, cat.object_keys)
+        witnesses = []
+        with pytest.raises(StopIteration) as stop:
+            while True:
+                witnesses.append(next(laws))
+        assert witnesses[0] == ("hom-sets", "morphism 'm' appears in hom('a', 'a') and hom('a', 'b')")
+        assert stop.value.value is None
+
 
     def test_a_generator_is_checked_over_an_object_list_composing_each_pair_once(self):
         calls = []
@@ -186,6 +200,16 @@ class TestSetPullback:
                                [0, 1], {0: 0, 1: 1}.get)
 
 
+    def test_a_non_cospan_is_refused(self):
+        with pytest.raises(ValueError, match="pullback requires a cospan"):
+            pullback(diamond_lattice(), "0<=a", "b<=1")
+
+    def test_a_cospan_with_no_cone_has_no_pullback(self):
+        # x <= z >= y with no lower bound of x and y: no cone at all
+        c = poset_category(["x", "y", "z"], lambda p, q: p == q or q == "z")
+        assert pullback(c, "x<=z", "y<=z") is None
+
+
 class TestProduct:
     def test_product_with_terminal_gives_other_factor(self):
         c = chain_poset(3)
@@ -209,6 +233,10 @@ class TestProduct:
         got = product(c, "a", "b")
         assert got is not None
         assert got[0] == "0"
+
+    def test_two_objects_with_no_common_lower_bound_have_no_product(self):
+        c = poset_category(["x", "y", "z"], lambda p, q: p == q or q == "z")
+        assert product(c, "x", "y") is None
 
 
 class TestTruncate:
@@ -1013,6 +1041,44 @@ class TestKeysAreNeverParsed:
         assert _parsed_keys({"freemodel.py": mutant})
 
 
+def _registry_reads(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """Each ``….tys.cell(…)``, ``….tms.cell(…)``, ``….tys.cells[…]`` and
+    ``….tms.cells[…]`` in the given module sources outside ``_read``: a read
+    of a model's type or term registry that a foreign key would meet as a
+    ``KeyError``.  ``….cells.get``, which tolerates a miss, is not one."""
+    def of_a_model_registry(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in ("tys", "tms")
+
+    found = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        reader = {id(n) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_read" for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in reader:
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "cell" and of_a_model_registry(node.func.value):
+                found.append((name, node.lineno))
+            elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "cells" and of_a_model_registry(node.value.value):
+                found.append((name, node.lineno))
+    return found
+
+
+class TestRegistriesAreReadThroughOneReader:
+    def test_no_module_reads_a_type_or_term_registry_past_the_reader(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+        assert _registry_reads(sources) == []
+
+    def test_the_guard_sees_a_direct_read_put_back(self):
+        text = (_SRC / "freemodel.py").read_text(encoding="utf-8")
+        for mutant in (text.replace("        _read(self.tys, ty)\n", "        self.tys.cells[ty]\n", 1),
+                       text.replace("_read(self.tms, term)", "self.tms.cell(term)", 1)):
+            assert mutant != text
+            assert _registry_reads({"freemodel.py": mutant})
+
+
 def _row_categories():
     """(id, build, bound): a generated category of each kind, a parsed file's
     category and a truncation of each, fresh per call."""
@@ -1112,6 +1178,11 @@ def assert_functor_rows_match_pairs(src, dst, on_obj, on_mor, objects, mors):
 
 
 class TestFunctorLawsAgainstTheReference:
+    def test_an_object_with_no_image_is_a_violation(self):
+        c = one_object_category()
+        got = list(functor_violations(c, c, lambda a: None, lambda m: None, ["*"], [], []))
+        assert got == [("functor", "no image for object *")]
+
     @pytest.mark.parametrize("build,mutable", [
         pytest.param(build, mutable, id=name) for name, build, mutable in _suite_categories()])
     def test_every_suite_presentation_with_one_wrong_cell(self, build, mutable):

@@ -430,7 +430,7 @@ class TestTypeTrees:
         leaf = TypeTree(leaf="T0")
         ll = TypeTree(left=TypeTree(left=leaf, right=leaf), right=leaf)
         rr = TypeTree(left=leaf, right=TypeTree(left=leaf, right=leaf))
-        kl, kr = s.reg_ty(ll), s.reg_ty(rr)
+        kl, kr = s.tys.key(ll), s.tys.key(rr)
         assert kl != kr
         el = s.ext(g, kl).extended
         er = s.ext(g, kr).extended
@@ -1007,8 +1007,8 @@ class TestPerInstanceMemo:
         for ctx in sm.base.objects(3):
             under = sm.base.under(ctx)
             for tm in sm.terms(ctx, 3):
-                want = by_calls(sm.inner, under, sm.tm_tree(tm))
-                assert tmtree_type(sm.inner, under, sm.tm_tree(tm)) == want
+                want = by_calls(sm.inner, under, sm.tms.cell(tm))
+                assert tmtree_type(sm.inner, under, sm.tms.cell(tm)) == want
                 assert sm.typeof(ctx, tm) == want.key
                 checked += not want.is_leaf
         assert checked
@@ -1142,8 +1142,8 @@ class TestSigmaOverUnit:
         s = extend_by_sigma(u)
         from natmod.freemodel import TypeTree, TermTree
 
-        unit_leaf = s.reg_ty(TypeTree(leaf=u.new_ty))
-        star_leaf = s.reg_tm(TermTree(leaf=u._star))
+        unit_leaf = s.tys.key(TypeTree(leaf=u.new_ty))
+        star_leaf = s.tms.key(TermTree(leaf=u._star))
         lifted = UnitStructure(unit_leaf, star_leaf)
         assert check_unit(s, lifted, 2).ok
         assert check_sigma(s, s.sigma_structure, 2).ok

@@ -42,6 +42,7 @@ from natmod.morphism import (
     _naturality,
     _Search,
     check_morphism,
+    check_sigma_morphism,
 )
 from natmod.natmodel import model_presheaves
 
@@ -143,7 +144,7 @@ def _perturbed_summation() -> NMorphism:
 
     def bad_ty(g, t):
         if t.startswith("["):
-            tree = summ.src.ty_tree(t)
+            tree = summ.src.tys.cell(t)
             if not tree.is_leaf:
                 return summ.on_ty(g, tree.left.key)
         return summ.on_ty(g, t)
@@ -640,3 +641,48 @@ def test_naturality_substitutes_no_single_cell():
     names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(body)}
     assert {"subst_ty_row", "subst_tm_row"} <= names
     assert not names & {"subst_ty", "subst_tm"}
+
+
+# ---------------------------------------------------------------------------
+# check_sigma_morphism on a morphism with images only within the bound
+# ---------------------------------------------------------------------------
+
+def _sigma_sharp():
+    sm = extend_by_sigma(term_model(range(1)))
+    return sm, sigma_universal(sm, sigma_inclusion(sm))
+
+
+def test_sigma_preservation_skips_a_pair_the_cut_morphism_has_no_image_of():
+    # a morphism found at bound 2 has images over the contexts of bound 2
+    # only; B of a pair (A, B) at bound 2 may lie over a larger context
+    sm, sharp = _sigma_sharp()
+    in_bound = set(sm.base.objects(2))
+    cut = NMorphism(
+        sm, sm, sharp.on_obj, sharp.on_mor,
+        on_ty=lambda g, t: sharp.on_ty(g, t) if g in in_bound else None,
+        on_tm=lambda g, t: sharp.on_tm(g, t) if g in in_bound else None,
+        name="cut",
+    )
+    assert check_sigma_morphism(cut, 2)
+
+
+def test_sigma_preservation_sees_pairs_swapped():
+    # the types keep F#'s images, so only the pair branch can fail
+    sm, sharp = _sigma_sharp()
+
+    def swapped(g, t):
+        out = sharp.on_tm(g, t)
+        tree = sm.tms.cell(out)
+        if not tree.is_leaf and tree.left.is_leaf and tree.right.is_leaf and tree.left != tree.right:
+            return sm.tms.key(tree._replace(left=tree.right, right=tree.left))
+        return out
+
+    swap = NMorphism(sm, sm, sharp.on_obj, sharp.on_mor, sharp.on_ty, swapped, name="swap")
+    assert not check_sigma_morphism(swap, 3)
+    assert check_sigma_morphism(NMorphism(sm, sm, sharp.on_obj, sharp.on_mor, sharp.on_ty,
+                                          sharp.on_tm), 3)
+
+
+def test_sigma_preservation_holds_for_the_uncut_morphism():
+    _, sharp = _sigma_sharp()
+    assert check_sigma_morphism(sharp, 2)

@@ -774,7 +774,7 @@ class TestMorphismChecker:
         def bad_ty(g, t):
             out = summ.on_ty(g, t)
             if t.startswith("["):
-                tree = summ.src.ty_tree(t)
+                tree = summ.src.tys.cell(t)
                 if not tree.is_leaf:
                     # collapse to the left subtree instead of the sum
                     return summ.on_ty(g, tree.left.key)
@@ -1260,11 +1260,11 @@ def _rows_cell_by_cell(model, bound):
     if isinstance(model, SigmaExtModel):
         def ty_cell(m, a):
             (s,) = model.base.mor_payload(m)
-            return model.reg_ty(tree_subst(model.inner, s, model.ty_tree(a)))
+            return model.tys.key(tree_subst(model.inner, s, model.tys.cell(a)))
 
         def tm_cell(m, a):
             (s,) = model.base.mor_payload(m)
-            return model.reg_tm(tmtree_subst(model.inner, s, model.tm_tree(a)))
+            return model.tms.key(tmtree_subst(model.inner, s, model.tms.cell(a)))
     else:
         ty_cell, tm_cell = model.subst_ty, model.subst_tm
     ty_rows, tm_rows = {}, {}

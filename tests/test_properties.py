@@ -1,5 +1,6 @@
 """Law-style property tests over randomly generated finite data."""
 
+import functools
 import itertools
 import random
 
@@ -15,10 +16,11 @@ from natmod.freemodel import (
     extend_by_sigma,
     extend_by_term,
     extend_by_type,
+    extend_by_unit,
     term_model,
     tree_subst,
 )
-from natmod.natmodel import _tuple_key
+from natmod.natmodel import CompositeModel, NaturalModel, _tuple_key
 from natmod.presheaf import (
     NatTrans,
     Presheaf,
@@ -44,6 +46,8 @@ from natmod.polyset import (
     random_family,
     random_fin_map,
 )
+
+from helpers import finite_sets_model, propositions_model
 
 
 @st.composite
@@ -348,3 +352,142 @@ class TestKeySpellingsAreInjective:
         cat, proj = elements_cat(x)
         assert len(set(cat.object_keys)) == len(set(cat.all_morphisms())) == len(xs)
         assert check_category(cat) == [] and proj.check() == []
+
+
+# ---------------------------------------------------------------------------
+# A model refuses a type or term key it never handed out
+# ---------------------------------------------------------------------------
+
+def _composite_over_one_type():
+    m = term_model(range(1))
+    return CompositeModel(m, m)
+
+
+# the suite models whose types and terms are named by registries
+_REGISTRY_MODELS = {
+    "term-model:1": lambda: term_model(range(1)),
+    "term-model:2": lambda: term_model(range(2)),
+    "type": lambda: extend_by_type(term_model(range(1))),
+    "unit": lambda: extend_by_unit(term_model(range(1))),
+    "term": lambda: extend_by_term(term_model(range(1)), "T0"),
+    "sigma": lambda: extend_by_sigma(term_model(range(1))),
+    "composite": _composite_over_one_type,
+    "P": propositions_model,
+    "finite-sets:2": lambda: finite_sets_model(2),
+}
+_KEY_BOUND = 2
+
+
+class _World:
+    """A model with its contexts, types, terms and morphisms into each
+    context at ``_KEY_BOUND``, enumerated once."""
+
+    def __init__(self, m: NaturalModel):
+        self.m = m
+        self.ctxs = m.base.objects(_KEY_BOUND)
+        self.tys = {g: m.types(g, _KEY_BOUND) for g in self.ctxs}
+        self.tms = {g: m.terms(g, _KEY_BOUND) for g in self.ctxs}
+        self.into = {g: [s for d in self.ctxs for s in m.base.hom(d, g)] for g in self.ctxs}
+        self.enumerated = {k for g in self.ctxs for k in self.tys[g] + self.tms[g]}
+
+
+@functools.lru_cache(maxsize=None)
+def _world(name: str) -> _World:
+    return _World(_REGISTRY_MODELS[name]())
+
+
+@functools.lru_cache(maxsize=None)
+def _key_pool() -> tuple[str, ...]:
+    """The type and term keys every suite model enumerates at the bound, from
+    fresh instances, and keys no model spells."""
+    keys = {"bogus", "T9", "x99"}
+    for build in _REGISTRY_MODELS.values():
+        keys |= _World(build()).enumerated
+    return tuple(sorted(keys))
+
+
+def _handed_out(m) -> set[str]:
+    """The keys in the type and term registries of m and of the models it is
+    built on, so far: a key not among them, nor among m's own enumerated
+    keys, is one m never handed out."""
+    keys = {getattr(m, "new_ty", None), getattr(m, "_star", None)}
+    for reg in ("tys", "tms"):
+        if hasattr(m, reg):
+            keys |= set(getattr(m, reg).cells)
+    for part in ("inner", "p", "q"):
+        if hasattr(m, part):
+            keys |= _handed_out(getattr(m, part))
+    return keys
+
+
+_CALLS = ("typeof", "subst_ty", "subst_tm", "ext", "indsub by type", "indsub by term")
+
+
+def _call(m: NaturalModel, how: str, g: str, sigma: str, ty: str, tm: str):
+    if how == "typeof":
+        return m.typeof(g, tm)
+    if how == "subst_ty":
+        return m.subst_ty(sigma, ty)
+    if how == "subst_tm":
+        return m.subst_tm(sigma, tm)
+    if how == "ext":
+        return m.ext(g, ty)
+    return m.indsub(sigma, tm, ty)
+
+
+class TestAForeignKeyIsRefused:
+    @pytest.mark.parametrize("name", list(_REGISTRY_MODELS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_key_the_model_never_handed_out_raises_value_error(self, name, data):
+        w = _world(name)
+        m = w.m
+        own = _handed_out(m) | w.enumerated
+        foreign = [k for k in _key_pool() if k not in own]
+        assert foreign
+        how = data.draw(st.sampled_from(_CALLS))
+        key = data.draw(st.sampled_from(foreign))
+        g = data.draw(st.sampled_from([g for g in w.ctxs if w.tys[g]]))
+        sigma = data.draw(st.sampled_from(w.into[g]))
+        ty, tm = key, key
+        if how == "indsub by term":
+            ty = data.draw(st.sampled_from(w.tys[g]))
+        elif how == "indsub by type":
+            tm = data.draw(st.sampled_from(w.tms[m.base.dom(sigma)] or [key]))
+        with pytest.raises(ValueError) as refused:
+            _call(m, how, g, sigma, ty, tm)
+        assert key in str(refused.value)
+
+    @pytest.mark.parametrize("name", list(_REGISTRY_MODELS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_key_the_model_handed_out_answers(self, name, data):
+        w = _world(name)
+        m = w.m
+        how = data.draw(st.sampled_from(_CALLS))
+        g = data.draw(st.sampled_from([g for g in w.ctxs if w.tys[g]]))
+        sigma = data.draw(st.sampled_from(w.into[g]))
+        d = m.base.dom(sigma)
+        ty = data.draw(st.sampled_from(w.tys[g]))
+        if how == "typeof":
+            tm = data.draw(st.sampled_from(w.tms[g] or [None]))
+            if tm is not None:
+                assert tm in m.terms_of(g, _call(m, how, g, sigma, ty, tm), _KEY_BOUND)
+        elif how == "subst_ty":
+            assert _call(m, how, g, sigma, ty, None) in w.tys[d]
+        elif how == "subst_tm":
+            tm = data.draw(st.sampled_from(w.tms[g] or [None]))
+            if tm is not None:
+                assert _call(m, how, g, sigma, ty, tm) in w.tms[d]
+        elif how == "ext":
+            e = _call(m, how, g, sigma, ty, None)
+            assert m.base.cod(e.proj) == g
+            assert m.typeof(e.extended, e.var) == m.subst_ty(e.proj, ty)
+        else:
+            over = m.terms_of(d, m.subst_ty(sigma, ty), _KEY_BOUND)
+            tm = data.draw(st.sampled_from(over or [None]))
+            if tm is not None:
+                tau = _call(m, how, g, sigma, ty, tm)
+                e = m.ext(g, ty)
+                assert m.base.compose(e.proj, tau) == sigma
+                assert m.subst_tm(tau, e.var) == tm
