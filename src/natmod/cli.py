@@ -10,10 +10,13 @@ Three command families:
   composition with the extension-preservation check, Beck–Chevalley and
   distributivity witnesses on seeded random instances, pseudomonad data.
 
-A check that quantified over no instance (``natmod free sigma`` at a bound
-where no Σ(A, B) fits, a check over a free construction at a bound below
-its every context, ``natmod check`` on a file with no complete context) is
-reported as VACUOUS, not PASS, and fails the run.  ``natmod poly extend``
+Every check that quantifies over contexts, extension squares, (Γ, A, B)
+pairs or elements passes its instance count to the report, and a check
+over no instance is reported as VACUOUS, not PASS, and fails the run: the
+Σ structure at a bound where no Σ(A, B) fits, a check over a free
+construction at a bound below its every context, ``inclusion-strict``
+over an inner model with no context at the bound, ``natmod check`` on a
+file with no complete context or no extension square.  ``natmod poly extend``
 reads ``--family`` as one size per index, one element at each index by
 default and ``""`` the empty family.
 
@@ -122,18 +125,14 @@ def cmd_check(args) -> int:
     for eq, msgs in sorted(eat.violations.items()):
         more = f" (+{len(msgs) - 1} more)" if len(msgs) > 1 else ""
         report.add(f"eat-{eq}", False, msgs[0] + more)
-    if not core:
-        # no context to quantify over: the theory and the oracle show nothing
-        report.add_vacuous("eat", args.bound)
-        report.add_vacuous("representability-oracle", args.bound)
-    else:
-        report.add("eat", eat.ok,
-                   f"{len(eat.violations)} violated equations" if not eat.ok else "")
-        oracle = extension_square_oracle(model, modelio.BOUNDARY_RANK, args.bound, 0)
-        report.add(
-            "representability-oracle", oracle.ok,
-            f"{len(oracle.checked)} squares checked, {len(oracle.skipped)} outside the truncation",
-        )
+    report.add("eat", eat.ok, f"{len(eat.violations)} violated equations" if not eat.ok else "",
+               instances=len(core))
+    oracle = extension_square_oracle(model, modelio.BOUNDARY_RANK, args.bound, 0)
+    report.add(
+        "representability-oracle", oracle.ok,
+        f"{len(oracle.checked)} squares checked, {len(oracle.skipped)} outside the truncation",
+        instances=len(oracle.checked),
+    )
     report.timing_s = time.time() - t0
     return _emit(report, args)
 
@@ -170,33 +169,37 @@ def _free_checks(args, base, report: VerificationReport):
     bound, ub = args.bound, min(args.bound, 2)
     if args.kind == "term-model":
         model = base
-        _add_over(report, model, "eat", bound, lambda: (check_eat(model, bound).ok,))
-        _add_oracle(report, extension_square_oracle(model, bound + 1, bound, bound), bound)
-        images = {i: model.tys.key(i) for i in model.index}
-        pins = freemodel.initiality_pins(model, model, images)
-        rivals = count_morphisms(model, model, ub, pins)
-        report.add("initiality-selfmap-unique", rivals == 1, f"count={rivals}")
-        return model
-    if args.kind == "poly-compose":
+    elif args.kind == "poly-compose":
         model = freemodel.poly_composite_models(base, base)
-        _add_over(report, model, "eat", bound, lambda: (check_eat(model, bound).ok,))
-        _add_oracle(report, extension_square_oracle(model, bound, bound - 1, bound - 1), bound)
-        return model
-    if args.kind == "term":
+    elif args.kind == "term":
         model = freemodel.extend_by_term(base, args.type)
     else:
         model = {"type": freemodel.extend_by_type, "unit": freemodel.extend_by_unit,
                  "sigma": freemodel.extend_by_sigma}[args.kind](base)
     eat_bound = ub if args.kind == "sigma" else bound
-    _add_over(report, model, "eat", eat_bound, lambda: (check_eat(model, eat_bound).ok,))
+    report.add("eat", check_eat(model, eat_bound).ok,
+               instances=len(model.base.objects(eat_bound)), bound=eat_bound)
+    if args.kind in ("term-model", "poly-compose"):
+        # the composite's squares lie over contexts one size smaller
+        squares = bound if args.kind == "term-model" else bound - 1
+        oracle = extension_square_oracle(model, squares + 1, squares, squares)
+        report.add("representability-oracle", oracle.ok, f"{len(oracle.checked)} squares",
+                   instances=len(oracle.checked))
+        if args.kind == "term-model":
+            images = {i: model.tys.key(i) for i in model.index}
+            pins = freemodel.initiality_pins(model, model, images)
+            rivals = count_morphisms(model, model, ub, pins)
+            report.add("initiality-selfmap-unique", rivals == 1, f"count={rivals}")
+        return model
     incl = freemodel.inclusion(model)
+    if args.kind in ("term", "type"):
+        # the inclusion quantifies over the inner model's contexts
+        report.add("inclusion-strict", check_morphism(incl, ub).ok,
+                   instances=len(model.inner.base.objects(ub)), bound=ub)
     if args.kind == "term":
-        # the inclusion quantifies over the inner model, which has ⋄
-        report.add("inclusion-strict", check_morphism(incl, ub).ok)
         sharp = freemodel.extend_term_universal(model, incl, model.x_term)
         pins = freemodel.term_universal_pins(model, incl, model.x_term, ub)
     elif args.kind == "type":
-        report.add("inclusion-strict", check_morphism(incl, ub).ok)
         sharp = freemodel.type_universal(model, incl, model.new_ty)
         pins = freemodel.interleaved_universal_pins(model, incl, ub, sharp)
     elif args.kind == "unit":
@@ -205,50 +208,27 @@ def _free_checks(args, base, report: VerificationReport):
         pins = freemodel.interleaved_universal_pins(model, incl, ub, sharp)
     else:
         sigma = check_sigma(model, model.sigma_structure, ub)
-        if sigma.vacuous:
-            report.add_vacuous("sigma-structure", sigma.bound)
-        else:
-            report.add("sigma-structure", sigma.ok)
+        report.add("sigma-structure", sigma.ok, instances=sigma.instances, bound=sigma.bound)
         sharp = freemodel.sigma_universal(model, incl)
         pins = freemodel.sigma_universal_pins(model, incl, ub, sharp)
-    _add_over(report, model, "mediating-strict", ub, lambda: (check_morphism(sharp, ub).ok,))
-
-    def rivals():
-        count = count_morphisms(model, model, ub, pins)
-        return count == 1, f"count={count}"
-
-    _add_over(report, model, "universal-property-unique", ub, rivals)
+    contexts = len(model.base.objects(ub))
+    report.add("mediating-strict", check_morphism(sharp, ub).ok, instances=contexts, bound=ub)
+    count = count_morphisms(model, model, ub, pins)
+    report.add("universal-property-unique", count == 1, f"count={count}",
+               instances=contexts, bound=ub)
     return model
-
-
-def _add_over(report: VerificationReport, model, name: str, bound: int, run) -> None:
-    """The verdict ``run()`` gives on a check that quantifies over the
-    contexts of ``model`` up to ``bound``; with no such context it shows
-    nothing, so it is VACUOUS, not a pass."""
-    if model.base.objects(bound):
-        report.add(name, *run())
-    else:
-        report.add_vacuous(name, bound)
-
-
-def _add_oracle(report: VerificationReport, oracle, bound: int) -> None:
-    """The oracle's record; with no square checked it shows nothing, so it is
-    VACUOUS, not a pass."""
-    if oracle.checked:
-        report.add("representability-oracle", oracle.ok, f"{len(oracle.checked)} squares")
-    else:
-        report.add_vacuous("representability-oracle", bound)
 
 
 def _composition_is_natural(
     g, f, gf, rng: random.Random, bound: int
-) -> Optional[tuple[bool, str]]:
+) -> tuple[bool, str, Optional[int]]:
     """|P_{g·f}(X)| = |P_g(P_f(X))| per index, and the iso is natural along a
     seeded φ : X -> X', as acceptance criterion 3 (tests/test_acceptance.py) does.
 
     A failure names one witness: an index whose counts differ, the error of
     a map that does not build, or an element whose naturality square fails.
-    None when the counts agree and P_{g·f}(X) has no element to check.
+    The third component counts the elements of P_{g·f}(X) checked, None
+    when the counts already differ.
     """
     xs = polyset.random_family(rng, f.I, bound)
     ys = polyset.random_family(rng, f.I, bound, tag="y")
@@ -260,9 +240,9 @@ def _composition_is_natural(
     rhs = polyset.extend(g, mid)
     for k in g.J:
         if len(lhs[k]) != len(rhs[k]):
-            return False, f"at {k}: |P_(g.f)(X)| = {len(lhs[k])}, |P_g(P_f(X))| = {len(rhs[k])}"
-    if not any(lhs.values()):
-        return None
+            return (False, f"at {k}: |P_(g.f)(X)| = {len(lhs[k])}, "
+                    f"|P_g(P_f(X))| = {len(rhs[k])}", None)
+    elements = sum(map(len, lhs.values()))
     try:
         isos = polyset.compose_extension_iso(g, f, xs)
         isos2 = polyset.compose_extension_iso(g, f, ys)
@@ -270,13 +250,13 @@ def _composition_is_natural(
         pg_pf_phi = polyset.extend_map(
             g, mid, polyset.extend(f, ys), polyset.extend_map(f, xs, ys, phi))
     except ValueError as exc:
-        return False, f"a map does not build: {exc}"
+        return False, f"a map does not build: {exc}", elements
     for k in g.J:
         for el in lhs[k]:
             if isos2[k][0](big[k](el)) != pg_pf_phi[k](isos[k][0](el)):
-                return False, f"at {k}: not natural at {el!r}"
+                return False, f"at {k}: not natural at {el!r}", elements
     return True, "natural along X -> X': " + ", ".join(
-        f"{len(lhs[k])} elements at index {k}" for k in g.J)
+        f"{len(lhs[k])} elements at index {k}" for k in g.J), elements
 
 
 def cmd_poly(args) -> int:
@@ -316,11 +296,8 @@ def cmd_poly(args) -> int:
             gf = polyset.compose(g, f)
             report.add("composite", True,
                        f"positions={len(gf.A)} directions={len(gf.B)}")
-            checked = _composition_is_natural(g, f, gf, rng, args.bound)
-            if checked is None:
-                report.add_vacuous("extension-preserves-composition", args.bound)
-            else:
-                report.add("extension-preserves-composition", *checked)
+            passed, detail, elements = _composition_is_natural(g, f, gf, rng, args.bound)
+            report.add("extension-preserves-composition", passed, detail, elements)
         elif args.subcmd == "verify-bc":
             failures = 0
             for k in range(args.count):

@@ -680,11 +680,15 @@ class Registry:
         self.cells: dict = {}
 
     def key(self, cell) -> str:
-        """The key of ``cell``, spelled the first time it is asked for."""
+        """The key of ``cell``, spelled the first time it is asked for.  A
+        spelling that names a second cell raises ``ValueError``."""
         key = self.keys.get(cell)
         if key is None:
-            key = self.keys[cell] = self.spell(cell)
-            self.cells.setdefault(key, cell)
+            key = self.spell(cell)
+            other = self.cells.setdefault(key, cell)
+            if other != cell:
+                raise ValueError(f"the key {key!r} would name two cells: {other!r} and {cell!r}")
+            self.keys[cell] = key
         return key
 
     def cell(self, key: str):

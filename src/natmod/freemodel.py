@@ -129,8 +129,18 @@ class _WrappedCategory(RegistryCategory):
         """The contexts of size at most ``bound``, closed under extension,
         found once per bound and returned as a fresh list.
 
-        Precondition: every extension adds to the size, as it does over term
-        models; otherwise the frontier need not empty and this never returns.
+        A context's size is the inner ``obj_size`` of the context it lies
+        over, plus its formal slots in the interleaved categories.  Over a
+        term model that is a length.  Over a file base every core context
+        has rank 0 and every boundary context ``BOUNDARY_RANK`` (see
+        :class:`~natmod.modelio.TableCategory`), so ``bound`` counts only the
+        formal slots: every context over the core is within any bound, none
+        over the boundary is within a working one, and an inner model whose
+        core is empty leaves no context at all.
+
+        Precondition: every extension adds to the size, or, as over a file,
+        finitely many contexts have each size; otherwise the frontier need
+        not empty and this never returns.
         """
         return list(self._objects(bound))
 
@@ -1117,9 +1127,12 @@ def tmtree_subst(m: NaturalModel, sigma: str, tree: TermTree) -> TermTree:
 
 @memo
 def tmtree_type(m: NaturalModel, ctx: str, tree: TermTree) -> TypeTree:
-    """The type tree of a term tree (leafwise typing, node type from the index)."""
+    """The type tree of a term tree (leafwise typing, node type from the index).
+    Both components of a pair are typed over ``ctx``, so a pair whose second
+    component is no term over ``ctx`` is refused as that component is."""
     if tree.is_leaf:
         return TypeTree(leaf=m.typeof(ctx, tree.leaf))
+    tmtree_type(m, ctx, tree.right)
     return TypeTree(left=tmtree_type(m, ctx, tree.left), right=tree.rtype)
 
 

@@ -72,6 +72,14 @@ class MissingCell(LookupError):
         return f"the model file holds no {name} cell for {key}"
 
 
+def _cell(name: str, table: dict, key: tuple):
+    """The cell ``key`` of section ``name``; one the file lacks raises MissingCell."""
+    try:
+        return table[key]
+    except KeyError:
+        raise MissingCell(name, key) from None
+
+
 def _strings(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ParseError(f"{what} must be an array of strings")
@@ -228,19 +236,16 @@ class TableModel(NaturalModel):
         return list(self._tm.get(ctx, []))
 
     def typeof(self, ctx: str, term: str) -> str:
-        return self._typeof[(ctx, term)]
+        return _cell("typeof", self._typeof, (ctx, term))
 
     def subst_ty(self, sigma: str, ty: str) -> str:
-        return self._subst_ty[(sigma, ty)]
+        return _cell("subst_ty", self._subst_ty, (sigma, ty))
 
     def subst_tm(self, sigma: str, term: str) -> str:
-        return self._subst_tm[(sigma, term)]
+        return _cell("subst_tm", self._subst_tm, (sigma, term))
 
     def ext(self, ctx: str, ty: str) -> ExtensionData:
-        try:
-            return self._ext[(ctx, ty)]
-        except KeyError:
-            raise MissingCell("ext", (ctx, ty)) from None
+        return _cell("ext", self._ext, (ctx, ty))
 
     def sort_violations(self) -> Iterator[tuple[str, str]]:
         """Rows whose value has the wrong sort, as (equation, witness) pairs.

@@ -303,7 +303,7 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
                 # verified via typeof plus membership when in bound.
                 if e.extended in ctx_set and e.var not in tms[e.extended]:
                     report.add("xxi", f"q not among terms of {e.extended}")
-            except (ValueError, KeyError, IndexError) as exc:
+            except (ValueError, LookupError) as exc:
                 report.add("xix", f"extension data at ({g}, {a_ty}) broken: {exc}")
 
     # (xxiii)-(xxvi) induced substitutions
@@ -326,7 +326,7 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
                         report.add("xxv", f"p ∘ ⟨{m},{tm}⟩ != {m}")
                     if model.subst_tm(tau, e.var) != tm:
                         report.add("xxvi", f"q[⟨{m},{tm}⟩] != {tm}")
-                except (ValueError, KeyError, IndexError) as exc:
+                except (ValueError, LookupError) as exc:
                     report.add("xxvii", f"⟨{m},{tm}⟩ at {a_ty}: {exc}")
 
     # (xxvii) uniqueness: ⟨p∘σ', q[σ']⟩ = σ' for every σ' into an extension
@@ -338,7 +338,7 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
             for d in ctxs:
                 try:
                     candidates = base.hom(d, e.extended)
-                except (ValueError, KeyError) as exc:
+                except (ValueError, LookupError) as exc:
                     report.add("xxvii", f"hom({d}, {e.extended}): {exc}")
                     continue
                 for sp in candidates:

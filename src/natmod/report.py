@@ -32,11 +32,17 @@ class VerificationReport:
     checks: list[CheckRecord] = field(default_factory=list)
     timing_s: Optional[float] = None
 
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(CheckRecord(name, passed, detail))
-
-    def add_vacuous(self, name: str, bound: int) -> None:
-        self.checks.append(CheckRecord(name, False, f"0 instances at bound {bound}", True))
+    def add(self, name: str, passed: bool, detail: str = "",
+            instances: Optional[int] = None, bound: Optional[int] = None) -> None:
+        """Record a check's verdict.  ``instances`` is how many instances it
+        quantified over (None where not counted); a check over none shows
+        nothing, so it is VACUOUS at ``bound`` (the report's bound by
+        default), not a pass, whatever ``passed`` says."""
+        if instances == 0:
+            bound = self.bound if bound is None else bound
+            self.checks.append(CheckRecord(name, False, f"0 instances at bound {bound}", True))
+        else:
+            self.checks.append(CheckRecord(name, passed, detail))
 
     @property
     def ok(self) -> bool:

@@ -24,6 +24,7 @@ from natmod.modelio import (
 )
 from natmod.freemodel import term_model
 from natmod.natmodel import check_eat
+from natmod.report import VerificationReport
 
 
 @pytest.fixture
@@ -425,6 +426,20 @@ class TestBadInputExitsTwo:
             model.ext("no-such-context", "T0")
         assert not isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize("call,section,cell", [
+        (lambda m: m.typeof("fs[]", "bogus"), "typeof", ("fs[]", "bogus")),
+        (lambda m: m.subst_ty("fs[]=>fs[]:()", "bogus"), "subst_ty", ("fs[]=>fs[]:()", "bogus")),
+        (lambda m: m.subst_tm("fs[]=>fs[]:()", "bogus"), "subst_tm", ("fs[]=>fs[]:()", "bogus")),
+    ], ids=["typeof", "subst_ty", "subst_tm"])
+    def test_a_cell_the_file_does_not_hold_is_a_missing_cell(
+        self, term_model_file, call, section, cell
+    ):
+        model = parse_model(term_model_file.read_text())
+        with pytest.raises(MissingCell) as exc:
+            call(model)
+        assert not isinstance(exc.value, KeyError)
+        assert str(exc.value) == f"the model file holds no {section} cell for {cell}"
+
     def test_term_model_construction_needs_a_term_model_base(self, term_model_file, capsys):
         assert main(["free", "term-model", "--base", str(term_model_file)]) == 2
         assert "parse error" in capsys.readouterr().err
@@ -685,6 +700,42 @@ class TestVacuousChecks:
         assert main(["check", str(path), "--bound", "0"]) == 1
         out = capsys.readouterr().out
         assert "\nFAIL  eat-xiii  -- subst_ty row " in out and "\nVACUOUS  eat  " in out
+
+    def test_an_inclusion_over_an_inner_model_with_no_context_is_vacuous(
+        self, tmp_path, capsys
+    ):
+        # a bound-0 file of term-model:1 holds ⋄ but not ⋄•T0: no complete context
+        path = tmp_path / "f.json"
+        assert main(["free", "term-model", "--base", "term-model:1", "--bound", "0",
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["free", "type", "--base", str(path), "--bound", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "\nVACUOUS  inclusion-strict  -- 0 instances at bound 1\n" in out
+        assert "PASS" not in out and out.endswith("result: FAIL\n")
+
+    def test_a_file_with_no_extension_square_has_a_vacuous_oracle(self, tmp_path, capsys):
+        # term-model:0 has the one context ⋄ and no type, so no square
+        path = tmp_path / "f.json"
+        assert main(["free", "term-model", "--base", "term-model:0", "--bound", "1",
+                     "--out-model", str(path)]) == 1
+        capsys.readouterr()
+        assert main(["check", str(path), "--bound", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "\nPASS  eat\n" in out
+        assert "\nVACUOUS  representability-oracle  -- 0 instances at bound 1\n" in out
+
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_a_record_over_no_instance_is_vacuous_whatever_its_verdict(self, passed):
+        report = VerificationReport("c", 3)
+        report.add("a", passed, "detail", instances=0)
+        report.add("b", passed, "detail", instances=0, bound=2)
+        report.add("c", passed, "detail", instances=4)
+        report.add("d", passed, "detail")
+        assert [(c.status, c.detail) for c in report.checks] == [
+            ("vacuous", "0 instances at bound 3"), ("vacuous", "0 instances at bound 2"),
+            ("pass" if passed else "fail", "detail"), ("pass" if passed else "fail", "detail")]
+        assert not report.ok
 
     def test_sigma_structure_with_instances_passes_unchanged(self, capsys):
         assert main(["free", "sigma", "--bound", "2"]) == 0

@@ -821,6 +821,16 @@ class TestMorphismRegistry:
                 read(key)
         assert key not in cat.objs.cells and key not in cat.mors.cells
 
+    def test_a_speller_that_names_two_cells_alike_is_refused(self):
+        reg = fincat.Registry(lambda cell: f"k{len(cell)}")
+        assert reg.key("ab") == "k2"
+        with pytest.raises(ValueError) as refused:
+            reg.key("cd")
+        assert str(refused.value) == "the key 'k2' would name two cells: 'ab' and 'cd'"
+        # the first cell keeps its key and the second is not registered
+        assert (reg.keys, reg.cells) == ({"ab": "k2"}, {"k2": "ab"})
+        assert reg.key("ab") == "k2" and reg.key("e") == "k1"
+
     def test_a_non_composable_pair_raises_the_same_error(self):
         cat = FinSliceOpposite((0, 1))
         a, b = cat.objs.key((0, 1)), cat.objs.key((1, 0, 0))
@@ -980,6 +990,30 @@ def _registry_assignments_and_memoized_composes(sources: dict[str, str]):
     return assigning, memoized
 
 
+class TestToTerminal:
+    def test_the_unique_map_into_the_terminal_object(self):
+        cat = diamond_lattice()
+        assert [cat.to_terminal(a) for a in cat.object_keys] == ["0<=1", "a<=1", "b<=1", "1<=1"]
+
+    def test_a_category_without_a_terminal_object_is_refused(self):
+        with pytest.raises(ValueError, match="no distinguished terminal object"):
+            broken_unit_category().to_terminal("x")
+
+    @pytest.mark.parametrize("build,terminal,a,found", [
+        (diamond_lattice, "a", "b", 0),  # a and b are incomparable
+        (broken_unit_category, "y", "y", 2),  # y -> y holds the identity and e
+    ], ids=["none", "two"])
+    def test_a_terminal_object_with_other_than_one_map_into_it_is_refused(
+        self, build, terminal, a, found
+    ):
+        cat = build()
+        cat.terminal_key = terminal
+        with pytest.raises(ValueError) as refused:
+            cat.to_terminal(a)
+        assert str(refused.value) == \
+            f"expected exactly one morphism {a} -> {terminal}, found {found}"
+
+
 class TestOneMorphismRegistry:
     def test_one_class_owns_the_registry_and_no_compose_is_memoized(self):
         """Only the registry class writes key↔cell dicts."""
@@ -1077,6 +1111,44 @@ class TestRegistriesAreReadThroughOneReader:
                        text.replace("_read(self.tms, term)", "self.tms.cell(term)", 1)):
             assert mutant != text
             assert _registry_reads({"freemodel.py": mutant})
+
+
+def _vacuous_verdicts(text: str) -> list[int]:
+    """The lines of a module source that make or read a VACUOUS verdict
+    themselves: a ``CheckRecord`` built or imported, a ``.vacuous`` read or an
+    ``add_vacuous`` call.  In ``cli.py`` there should be none: each check
+    passes its instance count to ``VerificationReport.add``, which decides."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and node.id in ("CheckRecord", "add_vacuous") \
+                or isinstance(node, ast.Attribute) and node.attr in (
+                    "CheckRecord", "vacuous", "add_vacuous") \
+                or isinstance(node, ast.alias) and node.name == "CheckRecord":
+            found.append(getattr(node, "lineno", 0))
+    return found
+
+
+class TestOneVacuousRule:
+    def test_the_cli_leaves_every_vacuous_verdict_to_the_report(self):
+        assert _vacuous_verdicts((_SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+    @pytest.mark.parametrize("put_back", [
+        # the per-check helper that once decided VACUOUS in the command line
+        "def _add_over(report, model, name, bound, run):\n"
+        "    if model.base.objects(bound):\n"
+        "        report.add(name, *run())\n"
+        "    else:\n"
+        "        report.add_vacuous(name, bound)\n",
+        "def _sigma(report, sigma):\n"
+        "    report.add('sigma-structure', sigma.ok and not sigma.vacuous)\n",
+        "from .report import CheckRecord\n",
+    ], ids=["add-over", "vacuous-read", "record-import"])
+    def test_the_guard_sees_a_vacuous_decision_put_back(self, put_back):
+        text = (_SRC / "cli.py").read_text(encoding="utf-8")
+        anchor = "\n\ndef _composition_is_natural("
+        assert anchor in text
+        mutant = text.replace(anchor, "\n\n" + put_back + anchor, 1)
+        assert _vacuous_verdicts(mutant)
 
 
 def _row_categories():

@@ -43,6 +43,7 @@ from natmod.morphism import (
     _Search,
     check_morphism,
     check_sigma_morphism,
+    count_morphisms,
 )
 from natmod.natmodel import model_presheaves
 
@@ -686,3 +687,51 @@ def test_sigma_preservation_sees_pairs_swapped():
 def test_sigma_preservation_holds_for_the_uncut_morphism():
     _, sharp = _sigma_sharp()
     assert check_sigma_morphism(sharp, 2)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses and refusals of the checker and the search
+# ---------------------------------------------------------------------------
+
+def _identity_of_one_type() -> NMorphism:
+    m = term_model(range(1))
+    return initial_morphism(m, term_model(range(1)), {0: "T0"})
+
+
+def test_a_moved_terminal_object_is_named():
+    fm = _identity_of_one_type()
+    src = fm.src
+    other = fm.dst.base.objs.key((0,))
+    moved = NMorphism(src, fm.dst, lambda g: other if g == src.terminal else fm.on_obj(g),
+                      fm.on_mor, fm.on_ty, fm.on_tm, "moved")
+    rep = check_morphism(moved, 1)
+    assert rep.checks["terminal"] == ["distinguished terminal object not preserved"]
+    assert "terminal" not in check_morphism(fm, 1).checks
+
+
+def test_an_image_square_that_does_not_build_is_named():
+    # the morphisms between two contexts past the bound have no image: only
+    # the canonical pullback squares over bound-1 contexts reach them
+    fm = _identity_of_one_type()
+    src = fm.src
+    inside = set(src.base.objects(1))
+
+    def on_mor(m):
+        if src.base.dom(m) not in inside and src.base.cod(m) not in inside:
+            raise ValueError(f"no image of {m}")
+        return fm.on_mor(m)
+
+    rep = check_morphism(NMorphism(src, fm.dst, fm.on_obj, on_mor, fm.on_ty, fm.on_tm, "cut"), 1)
+    assert rep.checks == {"canonical-pullbacks": [
+        "image square of (fs[0]=>fs[0]:(0), T0): no image of fs[0,0]=>fs[0,0]:(0,1)"]}
+
+
+def test_a_root_context_left_unpinned_has_no_morphism():
+    # no context of a composite model is an extension: each is a root, whose
+    # image only a pin gives
+    m = term_model(range(1))
+    comp = poly_composite_models(m, m)
+    assert len(comp.base.objects(1)) == 2
+    assert count_morphisms(comp, comp, 1, MorphismPins()) == 0
+    pinned = MorphismPins(on_obj={g: g for g in comp.base.objects(2)})
+    assert count_morphisms(comp, comp, 1, pinned) == 1

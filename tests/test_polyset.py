@@ -607,6 +607,19 @@ class TestPseudomonad:
         report = check_pseudomonad_data(p, eta, mu)
         assert report.checks[shape] is False and not report.ok
 
+    def test_a_non_cartesian_mu_stops_after_the_cartesian_records(self):
+        # μ sends every position of p·p to the empty type z: a cell p·p => p
+        # that drops the direction over the unit position, so not cartesian
+        from natmod.polyset import PolyMorphism, partiality_pseudomonad
+
+        p, eta, mu = partiality_pseudomonad()
+        phi0 = fin_map(mu.src.A, p.A, lambda _: "z")
+        apex, to_a, phi1 = chosen_pullback(phi0, p.f)
+        collapsed = PolyMorphism(mu.src, p, phi0, to_a, phi1, fin_map(apex, mu.src.B, {}))
+        report = check_pseudomonad_data(p, eta, collapsed)
+        assert report.checks == {"eta-cartesian": True, "mu-cartesian": False}
+        assert not report.ok
+
     def test_partiality_monad_passes(self):
         # the classifier of a finite model with an empty and a unit type,
         # restricted to finite sets: fibre sizes 0 and 1, closed under sums

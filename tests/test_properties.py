@@ -458,6 +458,35 @@ class TestAForeignKeyIsRefused:
             _call(m, how, g, sigma, ty, tm)
         assert key in str(refused.value)
 
+    # every call whose term lies over a larger context than the one the call
+    # is at; P, finite sets and the composite model still answer some
+    @pytest.mark.parametrize("name", ["term-model:1", "term-model:2", "type", "unit", "term",
+                                      "sigma"])
+    def test_a_term_of_a_larger_context_is_refused(self, name):
+        w = _world(name)
+        m = w.m
+        size = m.base.obj_size
+
+        def larger(d):
+            return sorted({t for h in w.ctxs if size(h) > size(d) for t in w.tms[h]}
+                          - set(w.tms[d]))
+
+        calls = 0
+        for g in w.ctxs:
+            for t in larger(g):
+                with pytest.raises(ValueError):
+                    m.typeof(g, t)
+                for sigma in w.into[g]:
+                    with pytest.raises(ValueError):
+                        m.subst_tm(sigma, t)
+                calls += 1
+            for sigma in w.into[g]:
+                for t in larger(m.base.dom(sigma)):
+                    for ty in w.tys[g]:
+                        with pytest.raises(ValueError):
+                            m.indsub(sigma, t, ty)
+        assert calls
+
     @pytest.mark.parametrize("name", list(_REGISTRY_MODELS))
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
