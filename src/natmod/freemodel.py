@@ -1240,8 +1240,11 @@ class SigmaExtModel(_WrappedModel):
 
     @memo
     def typeof(self, ctx: str, term: str) -> str:
-        under = self.base.under(ctx)
-        return self.tys.key(tmtree_type(self.inner, under, _read(self.tms, term)))
+        tree = _read(self.tms, term)
+        try:
+            return self.tys.key(tmtree_type(self.inner, self.base.under(ctx), tree))
+        except ValueError:
+            raise ValueError(f"{term} is not a term over {ctx}") from None
 
     def ty_size(self, ctx: str, ty: str) -> int:
         return _read(self.tys, ty).size()

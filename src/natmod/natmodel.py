@@ -9,6 +9,11 @@ size bound; the structure checkers (:func:`check_unit`, :func:`check_sigma`,
 dependent product structure together with the pullback property, delegating
 the latter to the presheaf oracle.
 
+:func:`model_presheaves` tabulates every substitution row for the code that
+reads whole rows (``check_eat``, the morphism checkers, the rival search, the
+Σ and Π squares, the file writer); the extension-square oracle and
+:func:`check_unit` read only the substitution cells of their squares.
+
 Σ- and Π-types are squares over the polynomial composite p·p
 (:class:`CompositeModel`, the one enumeration of the pairs (A, B) and
 quadruples (A, B, a, b), each named by a :class:`~natmod.fincat.Registry`
@@ -42,7 +47,6 @@ from .presheaf import (
     NatTrans,
     Presheaf,
     check_pullback_square,
-    element_nat,
     identity_nat,
     yoneda,
     yoneda_map,
@@ -367,30 +371,36 @@ class ModelPresheaves:
     p: NatTrans
 
 
+def _classifier(model: NaturalModel, ctx_bound: int, ty_bound: int) -> ModelPresheaves:
+    """Ty, Tm and p over the truncation: the values and the typing, no action yet."""
+    cat = truncate(model.base, ctx_bound)
+    ty_ps, tm_ps = (Presheaf(cat, {g: cells(g, ty_bound) for g in cat.object_keys}, {})
+                    for cells in (model.types, model.terms))
+    typing = {g: {a: model.typeof(g, a) for a in tm_ps.values[g]} for g in cat.object_keys}
+    return ModelPresheaves(cat, ty_ps, tm_ps, NatTrans(tm_ps, ty_ps, typing))
+
+
 def model_presheaves(model: NaturalModel, ctx_bound: int, ty_bound: int) -> ModelPresheaves:
     """Materialize the classifier p : U̇ -> U of a model over a base truncation.
 
     This is the one tabulation of a bounded model: every type, term, typing
     and substitution cell over the truncated base.  The action of each
     morphism on types and on terms is one row from the model's
-    ``subst_ty_row``/``subst_tm_row`` hooks.
+    ``subst_ty_row``/``subst_tm_row`` hooks, for the code that reads them.
     """
-    cat = truncate(model.base, ctx_bound)
-    ty_vals = {g: model.types(g, ty_bound) for g in cat.object_keys}
-    tm_vals = {g: model.terms(g, ty_bound) for g in cat.object_keys}
-    ty_act = {}
-    tm_act = {}
-    for m in cat.all_morphisms():
-        dst = cat.cod(m)
-        ty_act[m] = model.subst_ty_row(m, ty_vals[dst])
-        tm_act[m] = model.subst_tm_row(m, tm_vals[dst])
-    ty_ps = Presheaf(cat, ty_vals, ty_act)
-    tm_ps = Presheaf(cat, tm_vals, tm_act)
-    p_nt = NatTrans(
-        tm_ps, ty_ps,
-        {g: {a: model.typeof(g, a) for a in tm_vals[g]} for g in cat.object_keys},
-    )
-    return ModelPresheaves(cat, ty_ps, tm_ps, p_nt)
+    ps = _classifier(model, ctx_bound, ty_bound)
+    for m in ps.cat.all_morphisms():
+        dst = ps.cat.cod(m)
+        ps.ty.action[m] = model.subst_ty_row(m, ps.ty.values[dst])
+        ps.tm.action[m] = model.subst_tm_row(m, ps.tm.values[dst])
+    return ps
+
+
+def _element_cells(yon: Presheaf, ps: Presheaf, cell: Callable[[str, str], str],
+                   x: str) -> NatTrans:
+    """y(c) -> ps classifying x in ps(c), read cell by cell: h ↦ cell(h, x) = x[h]."""
+    return NatTrans(yon, ps, {d: {h: cell(h, x) for h in yon.at(d)}
+                              for d in yon.base.object_keys})
 
 
 @dataclass
@@ -415,15 +425,17 @@ def extension_square_oracle(
     are checked for contexts of size at most ``square_ctx_bound``, at most
     ``ctx_bound - 1`` keeping the extended object inside the truncation.
     Extensions that leave the truncation are reported as skipped.
+
+    Ty, Tm and p are listed once, and each square reads only its cells A[σ]
+    and q_A[h]; a q_A outside Tm(Γ•A) forms no square, and fails.
     """
-    ps = model_presheaves(model, ctx_bound, ty_bound)
+    ps = _classifier(model, ctx_bound, ty_bound)
     yons: dict[str, Presheaf] = {}  # representables of the contexts the squares use
     report = SquareOracleReport(ctx_bound, ty_bound)
-    in_cat = set(ps.cat.object_keys)
     for g in model.base.objects(square_ctx_bound):
         for a_ty in model.types(g, ty_bound):
             e = model.ext(g, a_ty)
-            if e.extended not in in_cat:
+            if e.extended not in ps.tm.values:
                 report.skipped.append((g, a_ty))
                 continue
             report.checked.append((g, a_ty))
@@ -431,10 +443,12 @@ def extension_square_oracle(
                 if d not in yons:
                     yons[d] = yoneda(ps.cat, d)
             try:
-                x_nt = element_nat(ps.cat, ps.ty, a_ty, yons[g])
-                top = element_nat(ps.cat, ps.tm, e.var, yons[e.extended])
-                left = yoneda_map(ps.cat, e.proj, yons[e.extended], yons[g])
-                is_pullback = check_pullback_square(ps.p, x_nt, top, left)
+                is_pullback = e.var in ps.tm.values[e.extended] and check_pullback_square(
+                    ps.p,
+                    _element_cells(yons[g], ps.ty, model.subst_ty, a_ty),
+                    _element_cells(yons[e.extended], ps.tm, model.subst_tm, e.var),
+                    yoneda_map(ps.cat, e.proj, yons[e.extended], yons[g]),
+                )
             except KeyError:
                 # a cell the square needs is missing: the data forms no square
                 is_pullback = False
@@ -489,7 +503,10 @@ class CompositeModel(NaturalModel):
         return out
 
     def typeof(self, ctx: str, term: str) -> str:
-        return self.tys.key(_read(self.tms, term)[:2])
+        a, b, x, y = _read(self.tms, term)
+        self.q.typeof(ctx, x)  # a term of another context raises ValueError
+        self.p.typeof(ctx, y)
+        return self.tys.key((a, b))
 
     def ty_size(self, ctx: str, ty: str) -> int:
         a, b = _read(self.tys, ty)
@@ -583,6 +600,7 @@ class StructureReport:
 def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> StructureReport:
     """The four unit-type equations plus the pullback property via the oracle.
 
+    The square reads unit[t_Δ] and ⋆[t_Δ] cell by cell, as the oracle does.
     Sort mismatches (a structure component that is not a closed type or
     term) are reported as violations rather than raised.
     """
@@ -602,12 +620,11 @@ def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> StructureRe
     if e.var != model.subst_tm(model.t(e.extended), u.star_tm):
         report.add("(iv) variable of the unit extension is not star weakened")
 
-    ps = model_presheaves(model, bound, bound)
+    ps = _classifier(model, bound, bound)
     y_d = yoneda(ps.cat, diamond)
-    x_nt = element_nat(ps.cat, ps.ty, u.unit_ty, y_d)
-    top = element_nat(ps.cat, ps.tm, u.star_tm, y_d)
-    left = identity_nat(y_d)
-    if not check_pullback_square(ps.p, x_nt, top, left):
+    x_nt = _element_cells(y_d, ps.ty, model.subst_ty, u.unit_ty)
+    top = _element_cells(y_d, ps.tm, model.subst_tm, u.star_tm)
+    if not check_pullback_square(ps.p, x_nt, top, identity_nat(y_d)):
         report.add("unit square is not a pullback within the bound")
     return report
 

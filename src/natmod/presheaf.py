@@ -310,9 +310,9 @@ def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTran
     rejects such a square.  Who guarantees it: for p,
     equation (xviii) of ``check_eat``; for the formers and introduction maps
     of Σ and Π, (ii) and (iv), reported beside the verdict by
-    ``natmodel._square_report``; for the maps built by ``element_nat``,
-    ``yoneda_map`` and ``identity_nat``, their construction over functorial
-    presheaves.
+    ``natmodel._square_report``; for the maps built by ``element_nat``, the
+    oracle's cell reads, ``yoneda_map`` and ``identity_nat``, their
+    construction over functorial presheaves.
     """
     if left.dom is not top.dom or x.dom is not left.cod or f.dom is not top.cod:
         raise ValueError("pullback square shape mismatch")

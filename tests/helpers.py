@@ -5,7 +5,8 @@ inclusions, the category laws checked one triple at a time, functoriality
 and naturality checked along every morphism, the functor laws checked pair
 by pair, the pullback of presheaves checked against every representable
 cone, composition in (Fin/I)^op read back out of the keys, and the searching
-reference for the classified morphisms."""
+reference for the classified morphisms, and the extension-square oracle
+read off the whole tabulation."""
 
 from __future__ import annotations
 
@@ -15,8 +16,15 @@ import operator
 from natmod.fincat import FinCatPresentation
 from natmod.freemodel import TermTree, TypeTree
 from natmod.morphism import ForcedImages
-from natmod.natmodel import canonical_pullback, model_presheaves, section
-from natmod.presheaf import NatTrans, compose_nat, element_nat, yoneda
+from natmod.natmodel import SquareOracleReport, canonical_pullback, model_presheaves, section
+from natmod.presheaf import (
+    NatTrans,
+    check_pullback_square,
+    compose_nat,
+    element_nat,
+    yoneda,
+    yoneda_map,
+)
 from natmod.polyset import compose, extend, fin_map
 
 
@@ -161,6 +169,11 @@ def finite_sets_model(max_fibre: int = 2):
         def _sec(self, tm):
             return _read(self.tms, tm)
 
+        def _over(self, key, fam, ctx):
+            """Refuse the cell ``key`` of family ``fam`` unless it lies over ``ctx``."""
+            if len(fam) != self.base.obj_size(ctx):
+                raise ValueError(f"{key} is not a cell over {ctx}")
+
         def types(self, ctx, bound):
             n = self.base.obj_size(ctx)
             return [self.tys.key(fam)
@@ -176,20 +189,24 @@ def finite_sets_model(max_fibre: int = 2):
 
         def typeof(self, ctx, term):
             fam, _ = self._sec(term)
+            self._over(term, fam, ctx)
             return self.tys.key(fam)
 
         def subst_ty(self, sigma, ty):
             fam = self._fam(ty)
+            self._over(ty, fam, self.base.cod(sigma))
             fn = self.base.mor_payload(sigma)
             return self.tys.key(tuple(fam[v] for v in fn))
 
         def subst_tm(self, sigma, term):
             fam, sec = self._sec(term)
+            self._over(term, fam, self.base.cod(sigma))
             fn = self.base.mor_payload(sigma)
             return self.tms.key((tuple(fam[v] for v in fn), tuple(sec[v] for v in fn)))
 
         def ext(self, ctx, ty):
             fam = self._fam(ty)
+            self._over(ty, fam, ctx)
             extended = self.base.objs.key(sum(fam))
             proj = []
             var = []
@@ -205,9 +222,11 @@ def finite_sets_model(max_fibre: int = 2):
 
         def indsub(self, sigma, term, ty):
             fam = self._fam(ty)
+            self._over(ty, fam, self.base.cod(sigma))
             offsets = list(itertools.accumulate(fam, initial=0))
             fn = self.base.mor_payload(sigma)
-            _, sec = self._sec(term)
+            term_fam, sec = self._sec(term)
+            self._over(term, term_fam, self.base.dom(sigma))
             out = tuple(offsets[fn[d]] + sec[d] for d in range(len(fn)))
             e = self.ext(self.base.cod(sigma), ty)
             return self.base.mors.key((self.base.dom(sigma), e.extended, out))
@@ -661,3 +680,36 @@ def reference_classified(model, bound: int) -> dict:
                         out[sigma] = (ty, h)
                         break
     return out
+
+
+def reference_extension_square_oracle(model, ctx_bound: int, ty_bound: int,
+                                      square_ctx_bound: int) -> SquareOracleReport:
+    """:func:`natmod.natmodel.extension_square_oracle` read off the
+    tabulation of every substitution row by ``model_presheaves``: the two
+    element maps of a square restrict A and q_A along the rows, so a q_A
+    outside Tm(Γ•A) has no row entry and fails its square.  The oracle that
+    reads only the cells its squares use must reproduce its report."""
+    ps = model_presheaves(model, ctx_bound, ty_bound)
+    yons = {}
+    report = SquareOracleReport(ctx_bound, ty_bound)
+    in_cat = set(ps.cat.object_keys)
+    for g in model.base.objects(square_ctx_bound):
+        for a_ty in model.types(g, ty_bound):
+            e = model.ext(g, a_ty)
+            if e.extended not in in_cat:
+                report.skipped.append((g, a_ty))
+                continue
+            report.checked.append((g, a_ty))
+            for d in (g, e.extended):
+                if d not in yons:
+                    yons[d] = yoneda(ps.cat, d)
+            try:
+                x_nt = element_nat(ps.cat, ps.ty, a_ty, yons[g])
+                top = element_nat(ps.cat, ps.tm, e.var, yons[e.extended])
+                left = yoneda_map(ps.cat, e.proj, yons[e.extended], yons[g])
+                is_pullback = check_pullback_square(ps.p, x_nt, top, left)
+            except KeyError:
+                is_pullback = False
+            if not is_pullback:
+                report.failed.append((g, a_ty))
+    return report

@@ -119,6 +119,37 @@ class _OtherVariable(TermModel):
         return super().indsub(sigma, others[0] if others else term, ty)
 
 
+class _ExtWrapper:
+    """Wrap a model, changing its chosen extensions through ``ext``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.base = inner.base
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class _SelfExtension(_ExtWrapper):
+    """Claims that the extension of a one-variable context is itself."""
+
+    def ext(self, ctx, ty):
+        e = self._inner.ext(ctx, ty)
+        if ctx == self.base.objs.key((0,)):
+            return ExtensionData(ctx, self.base.identity(ctx), "x0")
+        return e
+
+
+class _ForeignVariable(_ExtWrapper):
+    """Names x1, a variable of a larger context, as the variable of ⋄•A."""
+
+    def ext(self, ctx, ty):
+        e = self._inner.ext(ctx, ty)
+        if ctx == self.base.terminal:
+            return ExtensionData(e.extended, e.proj, "x1")
+        return e
+
+
 class TestCheckEat:
     @pytest.mark.parametrize("model_cls,equation", [
         (_OmitsTheVariable, "xxi"),
@@ -173,23 +204,7 @@ class TestCheckEat:
 
     def test_mutated_extension_fails_both_ways(self):
         m = term_model(range(1))
-
-        class BadExt:
-            def __init__(self, inner):
-                self._inner = inner
-                self.base = inner.base
-
-            def __getattr__(self, name):
-                return getattr(self._inner, name)
-
-            def ext(self, ctx, ty):
-                e = self._inner.ext(ctx, ty)
-                if ctx == self.base.objs.key((0,)):
-                    # claim the extension of a one-variable context is itself
-                    return ExtensionData(ctx, self.base.identity(ctx), "x0")
-                return e
-
-        bad = BadExt(m)
+        bad = _SelfExtension(m)
         rep = check_eat(bad, 2)
         assert not rep.ok
         oracle = extension_square_oracle(bad, 3, 1, 2)
@@ -1396,3 +1411,105 @@ class TestCheckEatAgainstTheReference:
                 _mutated(model, section, random.Random(seed))
                 assert got == check_eat(model, 0, 2).violations
         assert any(reports)
+
+
+def _composite_of_one_model():
+    m = term_model(range(1))
+    return CompositeModel(m, m)
+
+
+def _oracle_cases():
+    """(id, build, bounds): the models and bounds on which the oracle must
+    give the reference's report, each model built fresh per call."""
+    from natmod.modelio import BOUNDARY_RANK, parse_model
+
+    cases = [(f"term-model:{n}@{bounds}", functools.partial(term_model, range(n)), bounds)
+             for n in range(3) for bounds in ((4, 1, 3), (3, 1, 2))]
+    one = functools.partial(term_model, range(1))
+    cases += [
+        ("term", lambda: extend_by_term(one(), "T0"), (3, 2, 2)),
+        ("type", lambda: extend_by_type(one()), (3, 2, 2)),
+        ("unit", lambda: extend_by_unit(one()), (3, 2, 2)),
+        ("sigma", lambda: extend_by_sigma(one()), (3, 2, 2)),
+        ("composite", _composite_of_one_model, (3, 2, 2)),
+        ("P", propositions_model, (2, 1, 1)),
+        ("finite-sets:2", lambda: finite_sets_model(2), (2, 1, 1)),
+        ("self-extension", lambda: _SelfExtension(one()), (3, 1, 2)),
+        ("foreign-variable", lambda: _ForeignVariable(one()), (3, 1, 2)),
+    ]
+    for name, text, sections in _file_models():
+        cases.append((name, lambda text=text: parse_model(text()), (BOUNDARY_RANK, 2, 0)))
+        for section in sections:
+            for seed in range(3):
+                def mutant(text=text, section=section, seed=seed):
+                    model = parse_model(text())
+                    _mutated(model, section, random.Random(seed))
+                    return model
+                cases.append((f"{name}-{section}-{seed}", mutant, (BOUNDARY_RANK, 2, 0)))
+    return cases
+
+
+class TestSquareOracleAgainstTheReference:
+    """The oracle reads only the cells of its squares; on every case its
+    report is the one read off the whole tabulation."""
+
+    @pytest.mark.parametrize("build,bounds", [
+        pytest.param(build, bounds, id=name) for name, build, bounds in _oracle_cases()])
+    def test_the_report_is_the_reference(self, build, bounds):
+        from helpers import reference_extension_square_oracle
+
+        got = extension_square_oracle(build(), *bounds)
+        want = reference_extension_square_oracle(build(), *bounds)
+        assert (got.checked, got.failed, got.skipped) == \
+            (want.checked, want.failed, want.skipped)
+
+    def test_a_variable_outside_the_extended_context_fails_its_square(self):
+        from helpers import reference_extension_square_oracle
+
+        for oracle in (extension_square_oracle, reference_extension_square_oracle):
+            model = _ForeignVariable(term_model(range(1)))
+            assert oracle(model, 3, 1, 2).failed == [(model.terminal, "T0")]
+
+    def test_every_case_but_the_empty_signature_checks_squares_and_some_fail(self):
+        reports = {name: extension_square_oracle(build(), *bounds)
+                   for name, build, bounds in _oracle_cases()}
+        assert [name for name, r in reports.items() if not r.checked] == \
+            ["term-model:0@(4, 1, 3)", "term-model:0@(3, 1, 2)"]
+        failing = {name for name, r in reports.items() if not r.ok}
+        assert {"self-extension", "foreign-variable"} <= failing and len(failing) >= 20
+
+
+class TestTheOracleReadsCells:
+    """The oracle and ``check_unit`` read the cells of their squares one by
+    one: no substitution row and no tabulation."""
+
+    @staticmethod
+    def _counted(model, monkeypatch):
+        import natmod.natmodel as natmodel
+
+        calls = Counter()
+        for name in ("subst_tm", "subst_ty", "subst_tm_row", "subst_ty_row"):
+            def counted(*args, _name=name, _inner=getattr(model, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            setattr(model, name, counted)
+
+        def tabulate(*args, _inner=natmodel.model_presheaves):
+            calls["model_presheaves"] += 1
+            return _inner(*args)
+        monkeypatch.setattr(natmodel, "model_presheaves", tabulate)
+        return calls
+
+    def test_the_oracle_reads_each_cell_of_its_squares_once(self, monkeypatch):
+        m = term_model(range(2))
+        calls = self._counted(m, monkeypatch)
+        report = extension_square_oracle(m, 4, 1, 3)
+        assert report.ok and len(report.checked) == 30
+        assert calls == Counter(subst_tm=6528, subst_ty=3498)
+
+    def test_the_unit_square_reads_its_cells(self, monkeypatch):
+        u = extend_by_unit(term_model(range(1)))
+        calls = self._counted(u, monkeypatch)
+        assert check_unit(u, u.unit_structure, 2).ok
+        assert not {"subst_tm_row", "subst_ty_row", "model_presheaves"} & calls.keys()
+        assert calls["subst_ty"] and calls["subst_tm"]

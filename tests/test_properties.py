@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -435,6 +436,44 @@ def _call(m: NaturalModel, how: str, g: str, sigma: str, ty: str, tm: str):
     return m.indsub(sigma, tm, ty)
 
 
+def _refused_over_other_contexts(name: str, other) -> int:
+    """Hand each typeof, subst_tm and indsub of the model ``name`` a term,
+    and each subst_ty and ext a type, of a context whose size is ``other``
+    than the one the call is at, and assert each is refused; returns how
+    many typeof calls there were."""
+    w = _world(name)
+    m = w.m
+    size = m.base.obj_size
+
+    def elsewhere(d, cells=w.tms):
+        return sorted({t for h in w.ctxs if other(size(h), size(d)) for t in cells[h]}
+                      - set(cells[d]))
+
+    calls = 0
+    for g in w.ctxs:
+        for ty in elsewhere(g, w.tys):
+            with pytest.raises(ValueError):
+                m.ext(g, ty)
+            for sigma in w.into[g]:
+                with pytest.raises(ValueError):
+                    m.subst_ty(sigma, ty)
+        for t in elsewhere(g):
+            with pytest.raises(ValueError) as refused:
+                m.typeof(g, t)
+            if name != "composite":
+                assert t in str(refused.value)
+            for sigma in w.into[g]:
+                with pytest.raises(ValueError):
+                    m.subst_tm(sigma, t)
+            calls += 1
+        for sigma in w.into[g]:
+            for t in elsewhere(m.base.dom(sigma)):
+                for ty in w.tys[g]:
+                    with pytest.raises(ValueError):
+                        m.indsub(sigma, t, ty)
+    return calls
+
+
 class TestAForeignKeyIsRefused:
     @pytest.mark.parametrize("name", list(_REGISTRY_MODELS))
     @given(data=st.data())
@@ -459,33 +498,18 @@ class TestAForeignKeyIsRefused:
         assert key in str(refused.value)
 
     # every call whose term lies over a larger context than the one the call
-    # is at; P, finite sets and the composite model still answer some
+    # is at; a typeof refusal names the term, except the composite's, which
+    # is its inner model's refusal of one component
     @pytest.mark.parametrize("name", ["term-model:1", "term-model:2", "type", "unit", "term",
-                                      "sigma"])
+                                      "sigma", "composite", "P", "finite-sets:2"])
     def test_a_term_of_a_larger_context_is_refused(self, name):
-        w = _world(name)
-        m = w.m
-        size = m.base.obj_size
+        assert _refused_over_other_contexts(name, operator.gt) > 0
 
-        def larger(d):
-            return sorted({t for h in w.ctxs if size(h) > size(d) for t in w.tms[h]}
-                          - set(w.tms[d]))
-
-        calls = 0
-        for g in w.ctxs:
-            for t in larger(g):
-                with pytest.raises(ValueError):
-                    m.typeof(g, t)
-                for sigma in w.into[g]:
-                    with pytest.raises(ValueError):
-                        m.subst_tm(sigma, t)
-                calls += 1
-            for sigma in w.into[g]:
-                for t in larger(m.base.dom(sigma)):
-                    for ty in w.tys[g]:
-                        with pytest.raises(ValueError):
-                            m.indsub(sigma, t, ty)
-        assert calls
+    # the same with the smaller contexts, in the models where a term of one
+    # is not also a term of a larger context
+    @pytest.mark.parametrize("name", ["type", "unit", "P", "finite-sets:2"])
+    def test_a_term_of_a_smaller_context_is_refused(self, name):
+        assert _refused_over_other_contexts(name, operator.lt) > 0
 
     @pytest.mark.parametrize("name", list(_REGISTRY_MODELS))
     @given(data=st.data())
