@@ -504,8 +504,11 @@ class CompositeModel(NaturalModel):
 
     def typeof(self, ctx: str, term: str) -> str:
         a, b, x, y = _read(self.tms, term)
-        self.q.typeof(ctx, x)  # a term of another context raises ValueError
-        self.p.typeof(ctx, y)
+        try:
+            self.q.typeof(ctx, x)
+            self.p.typeof(ctx, y)
+        except ValueError:
+            raise ValueError(f"{term} is not a term over {ctx}") from None
         return self.tys.key((a, b))
 
     def ty_size(self, ctx: str, ty: str) -> int:

@@ -20,7 +20,10 @@ tuples of (index, value) pairs in index order.
 Block order: the component at j of an extension lists the positions a over
 j in A order, and each position's elements as one contiguous block, its
 sections in the lexicographic order of the product over the fibre B_a.  The
-maps between extensions are built a block at a time on this invariant.
+maps between extensions are read by place on this invariant: an image's
+place in its component is the start of its position's block plus the
+mixed-radix number of its section's digits, and the image is the
+codomain's own element at that place, so no image tuple is built.
 """
 
 from __future__ import annotations
@@ -28,28 +31,37 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .fincat import is_set_pullback, memo
 
 
 @dataclass(frozen=True)
 class FinMap:
-    """A total function between finite sets of hashable elements."""
+    """A total function between finite sets of hashable elements.
+
+    Its laws are checked by identity first: the graph's keys must be dom in
+    order (a tuple comparison, which identity settles without comparing
+    values) and each value's id must be one of cod's.  Only a miss is
+    checked by value, by hashing, so the verdicts and messages are those of
+    the check by value.
+    """
 
     dom: tuple
     cod: tuple
     mapping: tuple  # tuple of (x, f(x)) pairs in dom order
 
     def __post_init__(self):
-        graph = dict(self.mapping)
-        if set(graph) != set(self.dom):
+        mapping, dom, cod = self.mapping, self.dom, self.cod
+        graph = dict(mapping)
+        if not (len(graph) == len(mapping) and tuple(graph) == dom) and set(graph) != set(dom):
             raise ValueError("mapping does not cover the domain")
-        cod_set = set(self.cod)
-        if not cod_set.issuperset(map(itemgetter(1), self.mapping)):
-            y = next(y for _, y in self.mapping if y not in cod_set)
-            raise ValueError(f"value {y!r} outside the codomain")
+        own, cod_set = {id(y) for y in cod}, None
+        for _, y in mapping:
+            if id(y) not in own:
+                cod_set = set(cod) if cod_set is None else cod_set
+                if y not in cod_set:
+                    raise ValueError(f"value {y!r} outside the codomain")
         object.__setattr__(self, "_graph", graph)
 
     def __call__(self, x):
@@ -61,10 +73,10 @@ class FinMap:
         return self._graph
 
     def fibre(self, y) -> tuple:
-        return self._fibres().get(y, ())
+        return self.fibres().get(y, ())
 
     @memo
-    def _fibres(self) -> dict:
+    def fibres(self) -> dict:
         """Each value's fibre, in dom order, built in one pass over dom."""
         out: dict = {}
         for x in self.dom:
@@ -75,9 +87,10 @@ class FinMap:
         return len(self.dom) == len(self.cod) and len(set(self.as_dict.values())) == len(self.cod)
 
     def inverse(self) -> "FinMap":
-        if not self.is_bijection():
+        inv = {y: x for x, y in self._graph.items()}
+        if not len(self.dom) == len(self.cod) == len(inv):
             raise ValueError(f"not a bijection: {self._bijection_witness()}")
-        return fin_map(self.cod, self.dom, {y: x for x, y in self.mapping})
+        return fin_map(self.cod, self.dom, inv)
 
     def _bijection_witness(self) -> str:
         """Two elements with one image, else an element of cod with none."""
@@ -184,21 +197,41 @@ def _sections(index: tuple, values_at: Callable[[object], tuple]) -> list[tuple]
     return [tuple(choice) for choice in itertools.product(*pools)]
 
 
-def _block(p: Polynomial, a, values_at: Callable[[object], Iterable]) -> Iterator:
-    """Position a's block: the pairs (a, section), one per choice of a value
-    from ``values_at(b)`` for each b in the fibre B_a, in lexicographic order."""
-    pools = [[(b, v) for v in values_at(b)] for b in p.fibre(a)]
-    return zip(itertools.repeat(a), itertools.product(*pools))
+def _extension(p: Polynomial, family: dict) -> tuple[dict, dict]:
+    """P(family) in block order, and each position's block as the range of
+    its places in its component, built in one pass over A.  Position a's
+    block is the pairs (a, section), one per choice of an element of the
+    family at s(b) for each b in the fibre B_a, in lexicographic order."""
+    if set(family) != set(p.I):
+        raise ValueError("family must be indexed exactly by I")
+    td, sd, fibres = p.t.as_dict, p.s.as_dict, p.f.fibres()
+    out = {j: [] for j in p.J}
+    spans = {}
+    for a in p.A:
+        component = out[td[a]]
+        start = len(component)
+        component += zip(itertools.repeat(a), itertools.product(
+            *[[(b, x) for x in family[sd[b]]] for b in fibres.get(a, ())]))
+        spans[a] = range(start, len(component))
+    return {j: tuple(v) for j, v in out.items()}, spans
 
 
-def _by_index(p: Polynomial, block: Callable[[object], Iterable]) -> dict:
-    """The J-indexed family whose component at j is the blocks of the
-    positions over j, concatenated in A order."""
+def _places(p: Polynomial, target: Callable[[object], tuple]) -> dict:
+    """Per j, the places of the images of P(X)_j under a map sending each
+    position a's block into one block of a block-ordered family.  ``target(a)``
+    is that block's start and a (radix, places) pair per digit of a's block,
+    most significant first: the element choosing the k-th value of each digit
+    goes to the start plus the mixed-radix number of the k-th places."""
     td = p.t.as_dict
     out = {j: [] for j in p.J}
     for a in p.A:
-        out[td[a]] += block(a)
-    return {j: tuple(v) for j, v in out.items()}
+        start, digits = target(a)
+        offsets, width = [start], 1
+        for radix, places in reversed(digits):
+            offsets = [q * width + o for q in places for o in offsets]
+            width *= radix
+        out[td[a]] += offsets
+    return out
 
 
 def extend(p: Polynomial, family: dict) -> dict:
@@ -208,25 +241,30 @@ def extend(p: Polynomial, family: dict) -> dict:
     the section assigning to each b in the fibre over a an element of the
     family at s(b).
     """
-    if set(family) != set(p.I):
-        raise ValueError("family must be indexed exactly by I")
-    sd = p.s.as_dict
-    return _by_index(p, lambda a: _block(p, a, lambda b: family[sd[b]]))
+    return _extension(p, family)[0]
 
 
 def extend_map(p: Polynomial, family: dict, family2: dict, maps: dict) -> dict:
     """Functorial action of the extension on a family of maps X -> X'.
 
-    Mapping every value of position a's block of P(X) gives, element for
-    element, a's block over the pools of images φ_{s(b)}(X_{s(b)}), so the
-    images are built as those blocks.
+    Position a's block of P(X) goes to a's block of P(X'), and the section
+    choosing x_b goes to the one choosing φ_{s(b)}(x_b): its digits are the
+    places of the φ_i(x) in X'_i, read by place off P(X').
     """
     ext1 = extend(p, family)
-    ext2 = extend(p, family2)
-    sd = p.s.as_dict
-    images = _by_index(p, lambda a: _block(
-        p, a, lambda b: map(maps[sd[b]].as_dict.__getitem__, family[sd[b]])))
-    return {j: FinMap(ext1[j], ext2[j], tuple(zip(ext1[j], images[j]))) for j in p.J}
+    ext2, span = _extension(p, family2)
+    sd, fibres = p.s.as_dict, p.f.fibres()
+    try:
+        digit = {}
+        for i in p.I:
+            where = {y: n for n, y in enumerate(family2[i])}
+            digit[i] = len(family2[i]), [where[y] for y in map(maps[i].as_dict.__getitem__, family[i])]
+    except KeyError:  # a value outside X': FinMap names the first image holding one
+        return {j: fin_map(ext1[j], ext2[j], lambda el: (
+            el[0], tuple((b, maps[sd[b]](v)) for b, v in el[1]))) for j in p.J}
+    places = _places(p, lambda a: (span[a].start, [digit[sd[b]] for b in fibres.get(a, ())]))
+    return {j: FinMap(ext1[j], ext2[j], tuple(zip(ext1[j], map(ext2[j].__getitem__, places[j]))))
+            for j in p.J}
 
 
 def compose(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -238,11 +276,11 @@ def compose(g: Polynomial, f: Polynomial) -> Polynomial:
     """
     if f.J != g.I:
         raise ValueError("middle index sets do not match")
-    ud = g.s.as_dict
-    sd = f.s.as_dict
-    m_set = tuple(itertools.chain.from_iterable(
-        _block(g, c, lambda d: f.t.fibre(ud[d])) for c in g.A))
-    n_set = tuple((c, sec, d, b) for c, sec in m_set for d, a in sec for b in f.fibre(a))
+    ud, sd = g.s.as_dict, f.s.as_dict
+    over, fibres, f_fibres = f.t.fibres(), g.f.fibres(), f.f.fibres()
+    m_set = tuple((c, m) for c in g.A for m in itertools.product(
+        *[[(d, a) for a in over.get(ud[d], ())] for d in fibres.get(c, ())]))
+    n_set = tuple((c, sec, d, b) for c, sec in m_set for d, a in sec for b in f_fibres.get(a, ()))
     vd = g.t.as_dict
     return Polynomial(
         fin_map(n_set, f.I, lambda el: sd[el[3]]),
@@ -258,31 +296,26 @@ def compose_extension_iso(g: Polynomial, f: Polynomial, family: dict) -> dict:
     canonical isomorphism; naturality amounts to these maps commuting with
     the functorial action on family maps.
 
-    The forward map is built a block at a time.  The directions of g·f at a
-    position (c, m) are the (c, m, d, b) for d in D_c, b in B_{m(d)}, grouped
-    by d in m's order, so the block of (c, m) is the lexicographic product
-    over that flat list.  A lexicographic product over a concatenation is
-    the nested lexicographic product: over d in D_c, of the products over
-    B_{m(d)}.  Those inner products are the blocks of P_f(X) at the m(d),
-    so element for element the block of (c, m) goes to the pairs (c, section)
-    choosing, for each d, an element of the block of m(d).  The backward map
-    is the forward map's inverse, which exists only if it is a bijection.
+    The forward map is read by place.  The directions of g·f at a position
+    (c, m) are the (c, m, d, b) for d in D_c, b in B_{m(d)}, grouped by d in
+    m's order, so the block of (c, m) is the lexicographic product over that
+    flat list.  A lexicographic product over a concatenation is the nested
+    lexicographic product: over d in D_c, of the products over B_{m(d)}.
+    Those inner products are the blocks of P_f(X) at the m(d), so the block
+    of (c, m) goes to c's block of P_g(P_f(X)), with one digit per d: the
+    places of m(d)'s block in P_f(X)_{u(d)}.  The backward map is the
+    forward map's inverse, which exists only if it is a bijection.
     """
     gf = compose(g, f)
     lhs = extend(gf, family)
-    sd = f.s.as_dict
-    mid_block = {a: tuple(_block(f, a, lambda b: family[sd[b]])) for a in f.A}
-    rhs = extend(g, _by_index(f, mid_block.__getitem__))
-
-    def image_block(position):
-        c, m = position
-        md = dict(m)
-        return _block(g, c, lambda d: mid_block[md[d]])
-
-    images = _by_index(gf, image_block)
+    mid, f_span = _extension(f, family)
+    rhs, g_span = _extension(g, mid)
+    ud = g.s.as_dict
+    places = _places(gf, lambda cm: (
+        g_span[cm[0]].start, [(len(mid[ud[d]]), f_span[a]) for d, a in cm[1]]))
     out = {}
     for k in g.J:
-        fwd = FinMap(lhs[k], rhs[k], tuple(zip(lhs[k], images[k])))
+        fwd = FinMap(lhs[k], rhs[k], tuple(zip(lhs[k], map(rhs[k].__getitem__, places[k]))))
         out[k] = (fwd, fwd.inverse())
     return out
 

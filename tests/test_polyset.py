@@ -2,6 +2,7 @@ import ast
 import hashlib
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,31 @@ class TestFinMap:
         with pytest.raises(ValueError, match=r"^value 'z' outside the codomain$"):
             FinMap((0, 1), ("a",), ((0, "a"), (1, "z"), (1, "y")))
         assert FinMap((0, 1), ("a",), ((0, "a"), (1, "a"))).as_dict == {0: "a", 1: "a"}
+
+    def test_an_equal_but_not_identical_key_or_value_is_accepted(self):
+        # the identity check misses and the check by value decides
+        dom, cod = (("x", 0), ("x", 1)), (("y", 0),)
+        copies = tuple(tuple(list(el)) for el in dom + cod)
+        assert all(c == el and c is not el for c, el in zip(copies, dom + cod))
+        by_key = FinMap(dom, cod, ((copies[0], cod[0]), (copies[1], cod[0])))
+        by_value = FinMap(dom, cod, ((dom[0], copies[2]), (dom[1], cod[0])))
+        assert by_key(("x", 1)) == by_value(("x", 0)) == ("y", 0)
+
+    def test_the_messages_of_the_check_by_value_are_kept(self):
+        with pytest.raises(ValueError, match=r"^value 'd' outside the codomain$"):
+            FinMap((0, 1), ("a",), ((0, "a"), (1, "d")))
+        with pytest.raises(ValueError, match=r"^mapping does not cover the domain$"):
+            FinMap((0, 1), ("a",), ((0, "a"),))
+        with pytest.raises(ValueError, match=r"^not a bijection: 'a' and 'b' both go to 'c'$"):
+            fin_map(("a", "b"), ("c", "d"), lambda _: "c").inverse()
+
+    def test_an_image_outside_the_codomain_is_named(self):
+        p = poly_from_map(fin_map(("b0", "b1"), ("a",), lambda _: "a"))
+        xs, ys = {"*": ("x0", "x1")}, {"*": ("y0", "y1")}
+        phi = {"*": fin_map(xs["*"], ("y0", "y1", "y2"), {"x0": "y0", "x1": "y2"})}
+        with pytest.raises(ValueError, match=r"^value \('a', \(\('b0', 'y0'\), \('b1', 'y2'\)\)\) "
+                                             r"outside the codomain$"):
+            extend_map(p, xs, ys, phi)
 
 
 class TestExtend:
@@ -260,6 +286,78 @@ class TestBlockwiseMaps:
         phi = {"*": fin_map(xs["*"], ys["*"], {"x0": "y1", "x1": "y0"})}
         assert extend(compose(g, f), xs)["k1"] == ()
         _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
+
+    def test_an_empty_component_that_a_direction_of_g_ranges_over(self):
+        # the polynomial workload's composite 345 (seed 1): X's one component
+        # is empty, so af1's block of P_f(X) and P_f(X) at jf1 are empty, and
+        # the directions bg1, bg2 of g range over jf1: a zero-width digit
+        f = _poly({"bf0": "if0", "bf1": "if0"}, {"bf0": "af2", "bf1": "af1"},
+                  {"af0": "jf0", "af1": "jf1", "af2": "jf0"}, ("if0",), ("jf0", "jf1"))
+        g = _poly({"bg0": "jf0", "bg1": "jf1", "bg2": "jf1"},
+                  {"bg0": "ag0", "bg1": "ag0", "bg2": "ag0"},
+                  {"ag0": "jg0", "ag1": "jg0"}, ("jf0", "jf1"), ("jg0",))
+        xs, ys = {"if0": ()}, {"if0": ("y0", "y1", "y2")}
+        phi = {"if0": fin_map((), ys["if0"], {})}
+        assert extend(f, xs)["jf1"] == ()
+        assert extend(g, extend(f, xs))["jg0"] == (("ag1", ()),)
+        _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
+
+    def test_size_3_draws_with_an_empty_component_under_g(self):
+        # each draw has a direction of g over an empty component of P_f(X)
+        rng = random.Random(345)
+        checked = 0
+        while checked < 40:
+            f = random_polynomial(rng, 3, tag="f")
+            g0 = random_polynomial(rng, 3, tag="g")
+            g = Polynomial(fin_map(g0.B, f.J, {b: rng.choice(f.J) for b in g0.B}), g0.f, g0.t)
+            xs = random_family(rng, f.I, 3)
+            ys = random_family(rng, f.I, 3, tag="y")
+            try:
+                phi = {i: random_fin_map(rng, xs[i], ys[i]) for i in f.I}
+            except ValueError:
+                continue
+            mid = extend(f, xs)
+            if all(mid[g.s(d)] for d in g.B):
+                continue
+            _assert_blockwise_maps_match_the_reference(g, f, xs, ys, phi)
+            checked += 1
+
+
+class TestImagesAreReadByPlace:
+    """extend_map and compose_extension_iso read each image off the
+    codomain by its place, so every value of their maps is one of the
+    codomain tuple's own elements, not an equal tuple built anew."""
+
+    @staticmethod
+    def _maps(g, f, xs, ys, phi) -> list:
+        maps = [m for family in (xs, ys)
+                for pair in compose_extension_iso(g, f, family).values() for m in pair]
+        pf_phi = extend_map(f, xs, ys, phi)
+        for p, dom, cod, ms in ((compose(g, f), xs, ys, phi), (f, xs, ys, phi),
+                                (g, extend(f, xs), extend(f, ys), pf_phi)):
+            maps += extend_map(p, dom, cod, ms).values()
+        return maps
+
+    def test_every_value_is_an_element_of_the_codomain_tuple(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(sys.modules[__name__], "_assert_blockwise_maps_match_the_reference",
+                            lambda *draw: draws.append(draw))
+        blockwise = TestBlockwiseMaps()
+        for size in (2, 3):
+            blockwise.test_criterion_3_draws(size)
+        for name in ("test_empty_fibres", "test_an_empty_family_component",
+                     "test_a_g_position_with_an_empty_fibre", "test_indices_with_no_positions",
+                     "test_an_empty_component_that_a_direction_of_g_ranges_over",
+                     "test_size_3_draws_with_an_empty_component_under_g"):
+            getattr(blockwise, name)()
+        assert len(draws) == 30 + 30 + 4 + 1 + 40
+        values = 0
+        for draw in draws:
+            for m in self._maps(*draw):
+                own = {id(y) for y in m.cod}
+                assert all(id(y) in own for _, y in m.mapping)
+                values += len(m.mapping)
+        assert values > 1000
 
 
 class TestBeckChevalley:
