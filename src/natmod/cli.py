@@ -117,7 +117,6 @@ def cmd_check(args) -> int:
                "; ".join(cat_violations[:3]))
     # a file is a fragment: the theory's quantifiers range over the objects
     # whose extension data is complete; boundary objects only receive maps
-    core = model.base.objects(0)
     eat = check_eat(model, 0, ty_bound=args.bound)
     # the sort of every substitution and typing cell, boundary rows included
     for eq, msg in model.sort_violations():
@@ -126,7 +125,7 @@ def cmd_check(args) -> int:
         more = f" (+{len(msgs) - 1} more)" if len(msgs) > 1 else ""
         report.add(f"eat-{eq}", False, msgs[0] + more)
     report.add("eat", eat.ok, f"{len(eat.violations)} violated equations" if not eat.ok else "",
-               instances=len(core))
+               instances=eat.instances)
     oracle = extension_square_oracle(model, modelio.BOUNDARY_RANK, args.bound, 0)
     report.add(
         "representability-oracle", oracle.ok,
@@ -176,9 +175,7 @@ def _free_checks(args, base, report: VerificationReport):
     else:
         model = {"type": freemodel.extend_by_type, "unit": freemodel.extend_by_unit,
                  "sigma": freemodel.extend_by_sigma}[args.kind](base)
-    eat_bound = ub if args.kind == "sigma" else bound
-    report.add("eat", check_eat(model, eat_bound).ok,
-               instances=len(model.base.objects(eat_bound)), bound=eat_bound)
+    report.add_findings("eat", check_eat(model, ub if args.kind == "sigma" else bound))
     if args.kind in ("term-model", "poly-compose"):
         # the composite's squares lie over contexts one size smaller
         squares = bound if args.kind == "term-model" else bound - 1
@@ -194,8 +191,7 @@ def _free_checks(args, base, report: VerificationReport):
     incl = freemodel.inclusion(model)
     if args.kind in ("term", "type"):
         # the inclusion quantifies over the inner model's contexts
-        report.add("inclusion-strict", check_morphism(incl, ub).ok,
-                   instances=len(model.inner.base.objects(ub)), bound=ub)
+        report.add_findings("inclusion-strict", check_morphism(incl, ub))
     if args.kind == "term":
         sharp = freemodel.extend_term_universal(model, incl, model.x_term)
         pins = freemodel.term_universal_pins(model, incl, model.x_term, ub)
@@ -203,19 +199,18 @@ def _free_checks(args, base, report: VerificationReport):
         sharp = freemodel.type_universal(model, incl, model.new_ty)
         pins = freemodel.interleaved_universal_pins(model, incl, ub, sharp)
     elif args.kind == "unit":
-        report.add("unit-structure", check_unit(model, model.unit_structure, bound).ok)
+        report.add_findings("unit-structure", check_unit(model, model.unit_structure, bound))
         sharp = freemodel.unit_universal(model, incl)
         pins = freemodel.interleaved_universal_pins(model, incl, ub, sharp)
     else:
-        sigma = check_sigma(model, model.sigma_structure, ub)
-        report.add("sigma-structure", sigma.ok, instances=sigma.instances, bound=sigma.bound)
+        report.add_findings("sigma-structure", check_sigma(model, model.sigma_structure, ub))
         sharp = freemodel.sigma_universal(model, incl)
         pins = freemodel.sigma_universal_pins(model, incl, ub, sharp)
-    contexts = len(model.base.objects(ub))
-    report.add("mediating-strict", check_morphism(sharp, ub).ok, instances=contexts, bound=ub)
+    mediating = check_morphism(sharp, ub)  # over the model's contexts
+    report.add_findings("mediating-strict", mediating)
     count = count_morphisms(model, model, ub, pins)
     report.add("universal-property-unique", count == 1, f"count={count}",
-               instances=contexts, bound=ub)
+               instances=mediating.instances, bound=ub)
     return model
 
 

@@ -772,10 +772,13 @@ class _InterleavedModel(_WrappedModel):
     """Shared behaviour of the basic-type and unit-type free extensions.
 
     A subclass gives ``new_terms(ctx)``, the terms of the new type that ctx
-    adds to the inner ones; ``width(ctx)``, how many of them (the first) a
+    adds to the inner ones; ``_owns(term)``, whether a key is one of the new
+    terms of some context; ``width(ctx)``, how many of them (the first) a
     tally carries, each as the index of its image among the domain's new
     terms; and ``_moved(tally, term)``, a new term's image along a tally
-    (None for any other term).
+    (None for any other term).  ``typeof`` refuses a new term of another
+    context, and ``indsub`` also one at an inner type, naming the context;
+    only the keys they do not own reach the inner model.
     """
 
     base: _InterleavedCategory
@@ -791,9 +794,11 @@ class _InterleavedModel(_WrappedModel):
         return [*self.new_terms(ctx), *self.inner.terms(self.base.under(ctx), bound)]
 
     def typeof(self, ctx: str, term: str) -> str:
-        if term in self.new_terms(ctx):
-            return self.new_ty
-        return self.inner.typeof(self.base.under(ctx), term)
+        if not self._owns(term):
+            return self.inner.typeof(self.base.under(ctx), term)
+        if term not in self.new_terms(ctx):
+            raise ValueError(f"{term!r} is not a term over {ctx}")
+        return self.new_ty
 
     def ty_size(self, ctx: str, ty: str) -> int:
         if ty == self.new_ty:
@@ -828,10 +833,11 @@ class _InterleavedModel(_WrappedModel):
         src = cat.dom(sigma)
         s, tally = cat.mor_payload(sigma)
         e = self.ext(cat.cod(sigma), ty)
-        if ty != self.new_ty:
-            payload = (induced_sub(self.inner, s, term, ty), tally)
-        elif term not in self.new_terms(src):
+        own = self._owns(term)  # a new term is one only of the new type, over its own context
+        if own != (ty == self.new_ty) or own and term not in self.new_terms(src):
             raise ValueError(f"{term!r} is not a term of {ty} over {src}")
+        if not own:
+            payload = (induced_sub(self.inner, s, term, ty), tally)
         elif self.width(e.extended) > len(tally):  # the tally carries the new term's image
             payload = (s, tally + (self.new_terms(src).index(term),))
         else:
@@ -865,29 +871,35 @@ class TypeExtModel(_InterleavedModel):
     The new terms of a context are its slot variables, and a tally carries
     every one.  The new type and slot-term keys carry one apostrophe per
     nesting level, so iterated extensions never clash, and the slot prefix
-    one more while a closed inner term reads as a slot variable.
+    one more while a closed inner term reads as a slot variable.  The slot
+    variables are named by the registry ``slot_vars``, whose cell is the
+    slot index.
     """
 
     def __init__(self, inner: NaturalModel):
         super().__init__(inner)
         self.new_ty = _fresh_key(inner.types(inner.terminal, 4), "X")
         stems = [t.rstrip("0123456789") for t in inner.terms(inner.terminal, 4) if t[-1:].isdigit()]
-        self._slot_prefix = _fresh_key(stems, "v" + "'" * self.new_ty.count("'"))
+        prefix = _fresh_key(stems, "v" + "'" * self.new_ty.count("'"))
+        self.slot_vars = Registry(lambda j: f"{prefix}{j}")
 
     @memo
     def _slots(self, k: int) -> tuple[str, ...]:
         """The slot variables of a context with k slots, in slot order."""
-        return tuple(f"{self._slot_prefix}{j}" for j in range(k))
+        return tuple(map(self.slot_vars.key, range(k)))
 
     def new_terms(self, ctx: str) -> tuple[str, ...]:
         return self._slots(self.base.count(ctx))
+
+    def _owns(self, term: str) -> bool:
+        return term in self.slot_vars.cells
 
     def width(self, ctx: str) -> int:
         return self.base.count(ctx)
 
     def _moved(self, tally: tuple[int, ...], term: str) -> Optional[str]:
         slots = self._slots(len(tally))  # a tally is as wide as its codomain's slots
-        return f"{self._slot_prefix}{tally[slots.index(term)]}" if term in slots else None
+        return self.slot_vars.key(tally[slots.index(term)]) if term in slots else None
 
 
 class UnitExtModel(_InterleavedModel):
@@ -902,6 +914,9 @@ class UnitExtModel(_InterleavedModel):
 
     def new_terms(self, ctx: str) -> tuple[str, ...]:
         return (self._star,)
+
+    def _owns(self, term: str) -> bool:
+        return term == self._star
 
     def width(self, ctx: str) -> int:
         return 0

@@ -3,10 +3,12 @@
 A morphism is a terminal-preserving functor together with per-context maps
 on types and terms (the right adjoint convention: components land in the
 codomain model's families at the image context).  :func:`check_morphism`
-verifies the premorphism laws and, depending on the flag, either strict
-preservation of the chosen representability data or invertibility of the
-mediating comparison maps; preservation of canonical pullback squares is
-reported separately and never conflated with either.
+verifies the premorphism laws, strict preservation of the chosen
+representability data, invertibility of the mediating comparison maps and
+preservation of canonical pullback squares, each as its own law of one
+:class:`~natmod.report.Findings`; its ``strict`` flag chooses the laws that
+decide ``ok``, the strict ones or the weak one, and the canonical pullbacks
+are never among them.
 
 Each law has one body, a generator of (check, witness) pairs over a scope
 its caller passes: :func:`natmod.fincat.functor_violations`, and here
@@ -53,6 +55,7 @@ from .natmodel import (
     induced_sub,
     model_presheaves,
 )
+from .report import Findings
 
 _NO_IMAGES: Mapping[str, str] = MappingProxyType({})  # a context without images
 
@@ -173,46 +176,27 @@ class ForcedImages:
         return NMorphism(self.src, self.dst, self.on_obj, self.on_mor, self.on_ty, self.on_tm, name)
 
 
-@dataclass
-class MorphismReport:
-    bound: int
-    strict: bool
-    checks: dict[str, list[str]] = field(default_factory=dict)
-
-    def add(self, check: str, msg: str) -> None:
-        self.checks.setdefault(check, []).append(msg)
-
-    def ok_for(self, check: str) -> bool:
-        return not self.checks.get(check)
-
-    @property
-    def premorphism_ok(self) -> bool:
-        names = ["terminal", "functor", "ty-natural", "tm-natural", "typing"]
-        return all(self.ok_for(n) for n in names)
-
-    @property
-    def ok(self) -> bool:
-        if not self.premorphism_ok:
-            return False
-        if self.strict:
-            return all(self.ok_for(n) for n in ["strict-ext", "strict-proj", "strict-var"])
-        return self.ok_for("weak-tau")
-
-    @property
-    def preserves_canonical_pullbacks(self) -> bool:
-        return self.ok_for("canonical-pullbacks")
+# the laws that decide a morphism check: the premorphism laws, then strict
+# preservation of the representability data or the weak condition
+PREMORPHISM_LAWS = frozenset({"terminal", "functor", "ty-natural", "tm-natural", "typing"})
+STRICT_LAWS = PREMORPHISM_LAWS | {"strict-ext", "strict-proj", "strict-var"}
+WEAK_LAWS = PREMORPHISM_LAWS | {"weak-tau"}
 
 
-def check_morphism(fm: NMorphism, bound: int, strict: bool = True) -> MorphismReport:
+def check_morphism(fm: NMorphism, bound: int, strict: bool = True) -> Findings:
     """Verify morphism laws on every in-bound instantiation.
 
-    The returned report contains separate entries for strict preservation of
-    representability data, invertibility of the mediating maps (the weak
-    condition), and preservation of canonical pullback squares; the latter
-    two coincide within the bound but are computed independently.
+    The findings hold separate laws for strict preservation of
+    representability data (strict-ext, strict-proj, strict-var), invertibility
+    of the mediating maps (weak-tau, the weak condition), and preservation of
+    canonical pullback squares (canonical-pullbacks); the latter two coincide
+    within the bound but are computed independently.  ``ok`` reads
+    STRICT_LAWS, or WEAK_LAWS when ``strict`` is false, never
+    canonical-pullbacks.  The instances are the source's contexts.
     """
-    report = MorphismReport(bound, strict)
-    for check, msg in _checks(fm, model_presheaves(fm.src, bound, bound), bound):
+    ps = model_presheaves(fm.src, bound, bound)
+    report = Findings(bound, len(ps.cat.object_keys), STRICT_LAWS if strict else WEAK_LAWS)
+    for check, msg in _checks(fm, ps, bound):
         report.add(check, msg)
     return report
 

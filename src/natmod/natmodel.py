@@ -24,8 +24,11 @@ equations (i), (ii) and (iv) of the structure.  A Σ structure is formation,
 pairing and split (fst and snd), a Π structure formation, λ and app; each
 checker verifies the eliminator it is given against the introduction.
 
-All reports carry the bound they were computed at; nothing is claimed
-beyond it.
+Every checker returns a :class:`~natmod.report.Findings`, per law its
+verdict and witnesses, at the bound it was computed at; nothing is claimed
+beyond it.  ``check_eat`` files each witness under its equation number, the
+structure checkers each "(ii) typeof(star) != unit" under ``ii``, and a
+square that is not a pullback under ``pullback``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .presheaf import (
     yoneda,
     yoneda_map,
 )
+from .report import Findings
 
 
 @dataclass(frozen=True)
@@ -212,19 +216,6 @@ def swap_iso(model: NaturalModel, ctx: str, ty_o: str, ty_a: str) -> str:
 # The essentially algebraic theory checker
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EatReport:
-    bound: int
-    violations: dict[str, list[str]] = field(default_factory=dict)
-
-    def add(self, eq: str, msg: str) -> None:
-        self.violations.setdefault(eq, []).append(msg)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # The equation of the theory that each layer checker's law is.  (viii) and
 # (ix) hold by construction, t_Γ being read off hom(Γ, ⋄); overlapping hom
 # sets break no single equation and keep their law's name.
@@ -237,7 +228,7 @@ TM_EQUATIONS = {"identity": "xiv", "composition": "xv", "closure": "xvi"}
 TYPING_EQUATIONS = {"component": "xvii", "naturality": "xviii"}
 
 
-def _report_laws(report: EatReport, equations: dict[str, str],
+def _report_laws(report: Findings, equations: dict[str, str],
                  violations: Generator[tuple[str, str], None, object]) -> object:
     """Add a layer checker's (law, witness) pairs to ``report``, each under
     its equation; returns what the checker returns."""
@@ -249,7 +240,7 @@ def _report_laws(report: EatReport, equations: dict[str, str],
         report.add(equations.get(law, law), msg)
 
 
-def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> EatReport:
+def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> Findings:
     """Check the twenty-seven equations on every in-bound instantiation.
 
     Equations (i)-(xviii) are the laws of the category, of the presheaves
@@ -262,14 +253,14 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
     operations are checked only on their domains of definition.  Violations
     are keyed by equation number "i".."xxvii", except that a morphism lying
     in two hom sets of the base is keyed "hom-sets", which names no single
-    equation.
+    equation.  The instances are the contexts of the truncation.
     """
     if ty_bound is None:
         ty_bound = bound
     base = model.base
-    report = EatReport(bound)
     ps = model_presheaves(model, bound, ty_bound)
     ctxs = ps.cat.object_keys
+    report = Findings(bound, len(ctxs))
     # the category laws are checked on the base over the truncation's
     # objects: its terminal object counts maps into it where the truncation
     # has none (a boundary object of a file), and the truncation keeps only
@@ -580,55 +571,42 @@ class PiStructure:
     app: Callable[[str, str, str, str, str], str]
 
 
-@dataclass
-class StructureReport:
-    bound: int
-    violations: list[str] = field(default_factory=list)
-    # the (Γ, A, B) a Σ or Π check quantified over; None where not counted
-    instances: Optional[int] = None
-
-    def add(self, msg: str) -> None:
-        self.violations.append(msg)
-
-    @property
-    def vacuous(self) -> bool:
-        """True when the check quantified over no instance, so it shows nothing."""
-        return self.instances == 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.vacuous
+def _filer(report: Findings) -> Callable[[str, str], None]:
+    """``add(eq, msg)``: file the witness "(eq) msg" under equation eq."""
+    return lambda eq, msg: report.add(eq, f"({eq}) {msg}")
 
 
-def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> StructureReport:
+def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> Findings:
     """The four unit-type equations plus the pullback property via the oracle.
 
-    The square reads unit[t_Δ] and ⋆[t_Δ] cell by cell, as the oracle does.
-    Sort mismatches (a structure component that is not a closed type or
-    term) are reported as violations rather than raised.
+    The square reads unit[t_Δ] and ⋆[t_Δ] cell by cell, as the oracle does;
+    its failure is filed under ``pullback``.  Sort mismatches (a structure
+    component that is not a closed type or term) are reported as violations
+    rather than raised.
     """
-    report = StructureReport(bound)
+    report = Findings(bound)
+    add = _filer(report)
     diamond = model.terminal
     if u.unit_ty not in model.types(diamond, bound):
-        report.add("(i) the unit type is not a closed type")
+        add("i", "the unit type is not a closed type")
         return report
     if u.star_tm not in model.terms(diamond, bound):
-        report.add("(ii) the distinguished term is not a closed term")
+        add("ii", "the distinguished term is not a closed term")
         return report
     if model.typeof(diamond, u.star_tm) != u.unit_ty:
-        report.add("(ii) typeof(star) != unit")
+        add("ii", "typeof(star) != unit")
     e = model.ext(diamond, u.unit_ty)
     if e.proj != model.t(e.extended):
-        report.add("(iii) projection of the unit extension is not the terminal map")
+        add("iii", "projection of the unit extension is not the terminal map")
     if e.var != model.subst_tm(model.t(e.extended), u.star_tm):
-        report.add("(iv) variable of the unit extension is not star weakened")
+        add("iv", "variable of the unit extension is not star weakened")
 
     ps = _classifier(model, bound, bound)
     y_d = yoneda(ps.cat, diamond)
     x_nt = _element_cells(y_d, ps.ty, model.subst_ty, u.unit_ty)
     top = _element_cells(y_d, ps.tm, model.subst_tm, u.star_tm)
     if not check_pullback_square(ps.p, x_nt, top, identity_nat(y_d)):
-        report.add("unit square is not a pullback within the bound")
+        report.add("pullback", "unit square is not a pullback within the bound")
     return report
 
 
@@ -697,14 +675,15 @@ class FormerSquare(NamedTuple):
     leg: NatTrans
 
 
-def _square_report(sq: FormerSquare, bound: int, name: str) -> StructureReport:
+def _square_report(sq: FormerSquare, bound: int, name: str) -> Findings:
     """The laws of former and intro and the pullback verdict, over the pairs (A, B)."""
-    report = StructureReport(bound, instances=sum(map(len, sq.former.dom.values.values())))
+    report = Findings(bound, sum(map(len, sq.former.dom.values.values())))
+    add = _filer(report)
     for equations, nt in ((FORMER_EQUATIONS, sq.former), (INTRO_EQUATIONS, sq.intro)):
         for law, msg in nt.violations():
-            report.add(f"({equations[law]}) {msg}")
+            add(equations[law], msg)
     if not check_pullback_square(*sq):
-        report.add(f"{name} square is not a pullback within the bound")
+        report.add("pullback", f"{name} square is not a pullback within the bound")
     return report
 
 
@@ -765,16 +744,18 @@ def pi_square(model: NaturalModel, s: PiStructure, bound: int) -> FormerSquare:
     )
 
 
-def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> StructureReport:
+def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Findings:
     """The eleven Σ equations (including β/η) and the square of :func:`sigma_square`.
 
     (i), (ii) and (iv) are the laws of Σ̂ and pair̂; (iii) and (v)-(xi) are
     checked on every pair and quadruple of p·p, cross-checking the oracle.
     (v)-(xi) are read off ``s.split``; a component it returns that is no
-    term of Γ in bound is reported under (v) or (vii).
+    term of Γ in bound is reported under (v) or (vii).  The instances are
+    the pairs (A, B).
     """
     sq = sigma_square(model, s, bound)
     report = _square_report(sq, bound, "Σ")
+    add = _filer(report)
     for g in sq.p.dom.base.object_keys:
         tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
         splits = {}  # ((A|B), term of Σ(A, B)) -> (fst, snd)
@@ -788,30 +769,30 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
                 try:
                     fa, sb = splits[key, p_tm] = s.split(g, ty_a, ty_b, p_tm)
                 except ValueError as exc:
-                    report.add(f"(xi) {exc}")
+                    add("xi", str(exc))
                     continue
                 if fa not in tms:
-                    report.add(f"(v) fst({p_tm}) = {fa!r} is not a term of {g} in bound")
+                    add("v", f"fst({p_tm}) = {fa!r} is not a term of {g} in bound")
                 if sb not in tms:
-                    report.add(f"(vii) snd({p_tm}) = {sb!r} is not a term of {g} in bound")
+                    add("vii", f"snd({p_tm}) = {sb!r} is not a term of {g} in bound")
                 if fa not in tms or sb not in tms:
                     continue
                 if model.typeof(g, fa) != ty_a:
-                    report.add(f"(v) typeof(fst({p_tm}))")
+                    add("v", f"typeof(fst({p_tm}))")
                 elif model.typeof(g, sb) != model.subst_ty(section(model, g, fa), ty_b):
-                    report.add(f"(vii) typeof(snd({p_tm}))")
+                    add("vii", f"typeof(snd({p_tm}))")
                 if s.pair(g, ty_a, ty_b, fa, sb) != p_tm:
-                    report.add(f"(xi) pair(fst,snd)({p_tm})")
+                    add("xi", f"pair(fst,snd)({p_tm})")
                 for m, d, a_m, b_m, t_m, fa_m, sb_m in _restrictions(sq, g, key, p_tm, fa, sb):
                     try:
                         fa2, sb2 = s.split(d, a_m, b_m, t_m)
                     except ValueError as exc:
-                        report.add(f"(vi/viii) {exc}")
+                        add("vi/viii", str(exc))
                         continue
                     if fa2 != fa_m:
-                        report.add(f"(vi) fst({p_tm})[{m}]")
+                        add("vi", f"fst({p_tm})[{m}]")
                     if sb2 != sb_m:
-                        report.add(f"(viii) snd({p_tm})[{m}]")
+                        add("viii", f"snd({p_tm})[{m}]")
         # (iii), (ix), (x): the typing and computation rules of pairs
         for quad in sq.intro.dom.at(g):
             key, pr = sq.leg.apply(g, quad), sq.intro.apply(g, quad)
@@ -819,26 +800,27 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Structure
                 continue  # reported as (i) or (iii)
             ty_a, ty_b, a, b = sq.intro.parts[quad]
             if sq.p.apply(g, pr) != sq.former.apply(g, key):
-                report.add(f"(iii) typeof(pair({a},{b}))")
+                add("iii", f"typeof(pair({a},{b}))")
             elif (key, pr) in splits:  # else its split failed, reported as (xi)
                 fa, sb = splits[key, pr]
                 if fa != a:
-                    report.add(f"(ix) fst(pair({a},{b})) = {fa}")
+                    add("ix", f"fst(pair({a},{b})) = {fa}")
                 if sb != b:
-                    report.add(f"(x) snd(pair({a},{b})) = {sb}")
+                    add("x", f"snd(pair({a},{b})) = {sb}")
     return report
 
 
-def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport:
+def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> Findings:
     """The eight Π equations and the square of :func:`pi_square`.
 
     (i), (ii) and (iv) are the laws of Π̂ and λ̂; (iii) and (v)-(viii) are
     checked on every pair (A, B) of p·p, cross-checking the oracle.
     (v)-(viii) are read off ``s.app``; an app(f, a) that is no term of Γ in
-    bound is reported under (v).
+    bound is reported under (v).  The instances are the pairs (A, B).
     """
     sq = pi_square(model, s, bound)
     report = _square_report(sq, bound, "Π")
+    add = _filer(report)
     for g in sq.p.dom.base.object_keys:
         tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
         # (iii), (vii): the typing and computation rules of λ on every body
@@ -848,15 +830,15 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
                 continue  # reported as (i) or (iii)
             ty_a, ty_b, b = sq.intro.parts[body]
             if sq.p.apply(g, lam) != pi_ty:
-                report.add(f"(iii) typeof(λ({b}))")
+                add("iii", f"typeof(λ({b}))")
             for a in model.terms_of(g, ty_a, bound):
                 try:
                     res = s.app(g, ty_a, ty_b, lam, a)
                 except ValueError as exc:
-                    report.add(f"(vii) {exc}")
+                    add("vii", str(exc))
                     continue
                 if res != model.subst_tm(section(model, g, a), b):
-                    report.add(f"(vii) app(λ({b}),{a})")
+                    add("vii", f"app(λ({b}),{a})")
         # (v), (vi), (viii): application and η on arbitrary terms of Π(A, B)
         for key in sq.former.dom.at(g):
             pi_ty = sq.former.apply(g, key)
@@ -869,21 +851,21 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
                     try:
                         res = s.app(g, ty_a, ty_b, f_tm, a)
                     except ValueError as exc:
-                        report.add(f"(v) {exc}")
+                        add("v", str(exc))
                         continue
                     if res not in tms:
-                        report.add(f"(v) app({f_tm},{a}) = {res!r} is not a term of {g} in bound")
+                        add("v", f"app({f_tm},{a}) = {res!r} is not a term of {g} in bound")
                         continue
                     if model.typeof(g, res) != model.subst_ty(section(model, g, a), ty_b):
-                        report.add(f"(v) typeof(app({f_tm},{a}))")
+                        add("v", f"typeof(app({f_tm},{a}))")
                     for m, d, a_m, b_m, f_m, x_m, res_m in _restrictions(sq, g, key, f_tm, a, res):
                         try:
                             res2 = s.app(d, a_m, b_m, f_m, x_m)
                         except ValueError as exc:
-                            report.add(f"(vi) {exc}")
+                            add("vi", str(exc))
                             continue
                         if res2 != res_m:
-                            report.add(f"(vi) app({f_tm},{a})[{m}]")
+                            add("vi", f"app({f_tm},{a})[{m}]")
                 # (viii) η: λ(app(f[p_A], q_A)) = f, the body a term of B over Γ•A
                 try:
                     body = s.app(
@@ -892,8 +874,8 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> StructureReport
                         model.subst_tm(e.proj, f_tm), e.var,
                     )
                 except ValueError as exc:
-                    report.add(f"(viii) {exc}")
+                    add("viii", str(exc))
                     continue
                 if s.lam(g, ty_a, ty_b, body) != f_tm:
-                    report.add(f"(viii) λ(app({f_tm}[p], q)) != {f_tm}")
+                    add("viii", f"λ(app({f_tm}[p], q)) != {f_tm}")
     return report

@@ -24,16 +24,20 @@ maps between extensions are read by place on this invariant: an image's
 place in its component is the start of its position's block plus the
 mixed-radix number of its section's digits, and the image is the
 codomain's own element at that place, so no image tuple is built.
+
+:func:`check_pseudomonad_data` returns a :class:`~natmod.report.Findings`
+holding a verdict for every check it makes, the passing ones too.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .fincat import is_set_pullback, memo
+from .report import Findings
 
 
 @dataclass(frozen=True)
@@ -764,33 +768,17 @@ def associator(p: Polynomial, q: Polynomial, r: Polynomial) -> PolyMorphism:
     )
 
 
-@dataclass
-class PseudomonadReport:
-    checks: dict[str, bool] = field(default_factory=dict)
-    details: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
-
-    def record(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks[name] = ok
-        if detail:
-            self.details[name] = detail
-
-
-def check_pseudomonad_data(
-    p: Polynomial, eta: PolyMorphism, mu: PolyMorphism
-) -> PseudomonadReport:
+def check_pseudomonad_data(p: Polynomial, eta: PolyMorphism, mu: PolyMorphism) -> Findings:
     """Verify that (p, η, μ) generates a polynomial pseudomonad.
 
     Checks that η and μ are cartesian, constructs the three coherence
     composite pairs (conjugating by the associator and unitor cells so they
     become parallel), builds the unique adjustment between each pair in
     closed form, and checks the unit laws on positions (see
-    :func:`_check_unit_laws`).
+    :func:`_check_unit_laws`).  Each check is a law of the findings, passing
+    ones included; a cell that does not build is its law's witness.
     """
-    report = PseudomonadReport()
+    report = Findings()
     record = report.record
     record("eta-cartesian", eta.cartesian)
     record("mu-cartesian", mu.cartesian)
@@ -826,9 +814,7 @@ def check_pseudomonad_data(
     return report
 
 
-def _check_unit_laws(
-    report: PseudomonadReport, p: Polynomial, eta: PolyMorphism, mu: PolyMorphism
-) -> None:
+def _check_unit_laws(report: Findings, p: Polynomial, eta: PolyMorphism, mu: PolyMorphism) -> None:
     """The left and right unit pairs over p, and ``unit-law-bijections``.
 
     The unit composites μ∘(η·p)∘λ and μ∘(p·η)∘ρ are cells p => p.  Each is

@@ -1,4 +1,11 @@
-"""Verification reports: one record per check, emitted as text or JSON lines.
+"""Checker findings, and verification reports: one record per check, emitted
+as text or JSON lines.
+
+Every checker (``check_eat``, ``check_unit``, ``check_sigma``, ``check_pi``,
+``check_morphism``, ``check_pseudomonad_data``) returns its verdicts as one
+:class:`Findings`, law by law; the command line turns each into a record of
+a :class:`VerificationReport`.  Both follow one rule: a check over no
+instance shows nothing, so it does not pass.
 
 Reports are deterministic for a fixed (input, bound, seed): check records are
 sorted by name before emission and timing is excluded from the output unless
@@ -10,6 +17,46 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Optional
+
+
+@dataclass
+class Findings:
+    """A checker's verdicts at one ``bound``, law by law.
+
+    ``checks`` maps each law given a verdict to it, and ``violations`` each
+    failing law to its witnesses in the order found.  ``instances`` counts
+    what the checker quantified over (None where not counted); over none it
+    shows nothing, so it is not ``ok``, as ``VerificationReport.add`` reports
+    it VACUOUS.  ``laws`` are the laws that decide ``ok``, every law when
+    None; ``check_morphism`` reports more laws than its strict or weak rule
+    reads.
+    """
+
+    bound: Optional[int] = None
+    instances: Optional[int] = None
+    laws: Optional[frozenset[str]] = None
+    checks: dict[str, bool] = field(default_factory=dict)
+    violations: dict[str, list[str]] = field(default_factory=dict)
+
+    def add(self, law: str, witness: str) -> None:
+        """File ``witness`` against ``law``, which fails."""
+        self.record(law, False, witness)
+
+    def record(self, law: str, ok: bool, witness: str = "") -> None:
+        """Give ``law`` a verdict, a failure with its witness if there is
+        one; a pass never clears a failure."""
+        if ok:
+            self.checks.setdefault(law, True)
+            return
+        self.checks[law] = False
+        witnesses = self.violations.setdefault(law, [])
+        if witness:
+            witnesses.append(witness)
+
+    @property
+    def ok(self) -> bool:
+        laws = self.checks if self.laws is None else self.laws
+        return self.instances != 0 and all(self.checks.get(law, True) for law in laws)
 
 
 @dataclass
@@ -43,6 +90,10 @@ class VerificationReport:
             self.checks.append(CheckRecord(name, False, f"0 instances at bound {bound}", True))
         else:
             self.checks.append(CheckRecord(name, passed, detail))
+
+    def add_findings(self, name: str, findings: Findings) -> None:
+        """Record a checker's verdict with its instance count, at its bound."""
+        self.add(name, findings.ok, "", findings.instances, findings.bound)
 
     @property
     def ok(self) -> bool:

@@ -1151,6 +1151,33 @@ class TestOneVacuousRule:
         assert _vacuous_verdicts(mutant)
 
 
+# the result classes that are not a checker's Findings: the CLI's report, the
+# oracle's checked, failed and skipped squares, and the two of their own shape
+_REPORT_CLASSES = {"VerificationReport", "SquareOracleReport", "ClassifiedReport",
+                   "RepresentabilityReport"}
+
+
+def _report_classes(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Each (module, class) defined in the given module sources whose name
+    ends in ``Report``."""
+    return sorted((name, node.name) for name, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.ClassDef) and node.name.endswith("Report"))
+
+
+class TestOneFindingsType:
+    def test_no_checker_has_a_report_class_of_its_own(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+        assert {cls for _, cls in _report_classes(sources)} == _REPORT_CLASSES
+
+    def test_the_guard_sees_a_report_class_put_back(self):
+        text = (_SRC / "natmodel.py").read_text(encoding="utf-8")
+        anchor = "\n\ndef check_unit("
+        assert anchor in text
+        mutant = text.replace(anchor, "\n\nclass StructureReport:\n    pass\n" + anchor, 1)
+        assert ("natmodel.py", "StructureReport") in _report_classes({"natmodel.py": mutant})
+
+
 def _row_categories():
     """(id, build, bound): a generated category of each kind, a parsed file's
     category and a truncation of each, fresh per call."""

@@ -180,7 +180,7 @@ class TestExtendByTerm:
     def test_inclusion_preserves_extension_strictly(self):
         incl = inclusion(self.ext)
         rep = check_morphism(incl, 2, strict=True)
-        assert rep.ok, rep.checks
+        assert rep.ok, rep.violations
 
     def test_distinguished_term_and_substitution(self):
         s = substitution_morphism(self.ext, self.u._star)

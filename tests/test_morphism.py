@@ -214,9 +214,10 @@ def test_a_failing_morphism_report_is_the_recorded_one(name):
     build, strict, counts, digest = REPORT_PINS[name]
     rep = check_morphism(build(), 2, strict=strict)
     assert not rep.ok
-    assert {check: len(msgs) for check, msgs in rep.checks.items()} == counts
-    assert list(rep.checks) == list(counts)  # the checks fail in this order
-    blob = json.dumps(list(rep.checks.items()), ensure_ascii=False)
+    assert {check: len(msgs) for check, msgs in rep.violations.items()} == counts
+    assert list(rep.violations) == list(counts)  # the checks fail in this order
+    assert rep.checks == dict.fromkeys(counts, False)
+    blob = json.dumps(list(rep.violations.items()), ensure_ascii=False)
     assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
 
@@ -705,8 +706,9 @@ def test_a_moved_terminal_object_is_named():
     moved = NMorphism(src, fm.dst, lambda g: other if g == src.terminal else fm.on_obj(g),
                       fm.on_mor, fm.on_ty, fm.on_tm, "moved")
     rep = check_morphism(moved, 1)
-    assert rep.checks["terminal"] == ["distinguished terminal object not preserved"]
-    assert "terminal" not in check_morphism(fm, 1).checks
+    assert rep.violations["terminal"] == ["distinguished terminal object not preserved"]
+    assert rep.checks["terminal"] is False and not rep.ok
+    assert "terminal" not in check_morphism(fm, 1).violations
 
 
 def test_an_image_square_that_does_not_build_is_named():
@@ -722,8 +724,9 @@ def test_an_image_square_that_does_not_build_is_named():
         return fm.on_mor(m)
 
     rep = check_morphism(NMorphism(src, fm.dst, fm.on_obj, on_mor, fm.on_ty, fm.on_tm, "cut"), 1)
-    assert rep.checks == {"canonical-pullbacks": [
+    assert rep.violations == {"canonical-pullbacks": [
         "image square of (fs[0]=>fs[0]:(0), T0): no image of fs[0,0]=>fs[0,0]:(0,1)"]}
+    assert rep.ok  # the canonical pullbacks decide neither the strict nor the weak rule
 
 
 def test_a_root_context_left_unpinned_has_no_morphism():

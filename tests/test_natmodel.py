@@ -29,6 +29,7 @@ from natmod.freemodel import (
     tree_summation,
 )
 from natmod.morphism import (
+    PREMORPHISM_LAWS,
     MorphismPins,
     NMorphism,
     check_morphism,
@@ -59,6 +60,7 @@ from natmod.natmodel import (
     swap_iso,
 )
 from natmod.presheaf import NatTrans, check_pullback_square
+from natmod.report import VerificationReport
 
 from helpers import (
     check_pullback_square_by_cones,
@@ -313,18 +315,18 @@ class TestUnitChecker:
         # checked against the closed terms before it is typed
         x = extend_by_type(term_model(range(0)))
         rep = check_unit(x, UnitStructure(x.new_ty, "v0"), 2)
-        assert rep.violations == ["(ii) the distinguished term is not a closed term"]
+        assert rep.violations == {"ii": ["(ii) the distinguished term is not a closed term"]}
 
     @pytest.mark.parametrize("unit_ty,violations", [
-        ("T0", ["(ii) typeof(star) != unit",
-                "(iv) variable of the unit extension is not star weakened",
-                "unit square is not a pullback within the bound"]),
-        ("nope", ["(i) the unit type is not a closed type"]),
+        ("T0", [("ii", ["(ii) typeof(star) != unit"]),
+                ("iv", ["(iv) variable of the unit extension is not star weakened"]),
+                ("pullback", ["unit square is not a pullback within the bound"])]),
+        ("nope", [("i", ["(i) the unit type is not a closed type"])]),
     ])
     def test_a_wrong_unit_type_names_its_equations(self, unit_ty, violations):
         u = extend_by_unit(term_model(range(1)))
         rep = check_unit(u, UnitStructure(unit_ty, u.unit_structure.star_tm), 2)
-        assert rep.violations == violations
+        assert list(rep.violations.items()) == violations
 
     def test_a_unit_extension_projecting_elsewhere_fails_iii(self):
         # into the terminal context there is one map, so only a model whose
@@ -336,7 +338,8 @@ class TestUnitChecker:
         [row] = [r for r in doc["ext"] if (r["ctx"], r["type"]) == (u.terminal, u.new_ty)]
         row["proj"] = doc["identities"][row["extended"]]
         rep = check_unit(parse_model(json.dumps(doc)), u.unit_structure, 2)
-        assert rep.violations == ["(iii) projection of the unit extension is not the terminal map"]
+        assert rep.violations == {
+            "iii": ["(iii) projection of the unit extension is not the terminal map"]}
 
 
 def _searched_structure(model, sigma, pair, bound):
@@ -380,7 +383,9 @@ class TestSigmaChecker:
         bad = _searched_structure(s, good.sigma, bad_pair, 2)
         rep = check_sigma(s, bad, 2)
         assert not rep.ok
-        assert any("(ix" in v or "(iii" in v or "(x" in v for v in rep.violations)
+        # the split searched from the swapped pairing inverts it, so β holds;
+        # pair̂ is not natural (iv) and fst not stable under substitution (vi)
+        assert list(rep.violations) == ["iv", "vi"]
 
     def test_a_pairing_outside_the_terms_is_reported_not_raised(self):
         # pair̂ lands outside Tm, so the square is not a pullback; the
@@ -388,10 +393,10 @@ class TestSigmaChecker:
         s = extend_by_sigma(term_model(range(1)))
         nope = _searched_structure(s, s.sigma_structure.sigma, lambda *a: "NOPE", 2)
         rep = check_sigma(s, nope, 2)
-        assert "Σ square is not a pullback within the bound" in rep.violations
+        assert rep.violations["pullback"] == ["Σ square is not a pullback within the bound"]
         u = extend_by_unit(term_model(range(0)))
         rep = check_pi(u, _searched_pi(u, lambda c, a, b: u.new_ty, lambda *a: "NOPE", 2), 2)
-        assert "Π square is not a pullback within the bound" in rep.violations
+        assert rep.violations["pullback"] == ["Π square is not a pullback within the bound"]
 
     def test_a_split_swapping_fst_and_snd_fails_the_computation_rules(self):
         s = extend_by_sigma(term_model(range(1)))
@@ -399,8 +404,7 @@ class TestSigmaChecker:
         swapped = SigmaStructure(good.sigma, good.pair, lambda *a: good.split(*a)[::-1])
         rep = check_sigma(s, swapped, 2)
         assert rep.instances == 4 and not rep.ok
-        assert any(v.startswith("(ix) ") for v in rep.violations)
-        assert any(v.startswith("(x) ") for v in rep.violations)
+        assert rep.violations["ix"] and rep.violations["x"]
 
     def test_a_split_naming_no_term_fails_v_without_raising(self):
         s = extend_by_sigma(term_model(range(1)))
@@ -411,18 +415,19 @@ class TestSigmaChecker:
         rep = check_sigma(s, unknown, 2)
         assert not rep.ok
         assert any(v.startswith("(v) fst(") and "'NOPE' is not a term of" in v
-                   for v in rep.violations)
-        assert not any(v.startswith("(vii)") for v in rep.violations)
+                   for v in rep.violations["v"])
+        assert "vii" not in rep.violations
 
 
-# one component of the free Σ structure made wrong, and the branch it reaches
+# one component of the free Σ structure made wrong, and the equation and
+# branch it reaches
 SIGMA_FAULTS = {
     "fst-of-another-type": (lambda good, g, a, b, t: (t, good.split(g, a, b, t)[1]),
-                            "(v) typeof(fst("),
+                            "v", "(v) typeof(fst("),
     "snd-no-term": (lambda good, g, a, b, t: (good.split(g, a, b, t)[0], "NOPE"),
-                    "(vii) snd("),
+                    "vii", "(vii) snd("),
     "snd-of-another-type": (lambda good, g, a, b, t: (good.split(g, a, b, t)[0], t),
-                            "(vii) typeof(snd("),
+                            "vii", "(vii) typeof(snd("),
 }
 
 
@@ -432,16 +437,16 @@ class TestSigmaCheckerBranches:
     @pytest.mark.parametrize("fault", SIGMA_FAULTS)
     def test_a_split_wrong_in_one_component_fails_its_equation(self, fault):
         s = extend_by_sigma(term_model(range(1)))
-        split, message = SIGMA_FAULTS[fault]
+        split, eq, message = SIGMA_FAULTS[fault]
         bad = dataclasses.replace(s.sigma_structure,
                                   split=functools.partial(split, s.sigma_structure))
         rep = check_sigma(s, bad, 2)
-        assert any(v.startswith(message) for v in rep.violations), rep.violations
+        assert any(v.startswith(message) for v in rep.violations.get(eq, [])), rep.violations
 
     def test_a_pair_of_another_type_fails_iii(self):
         s = extend_by_sigma(term_model(range(1)))
         bad = dataclasses.replace(s.sigma_structure, pair=lambda g, a, b, x, y: x)
-        assert "(iii) typeof(pair(x0,x0))" in check_sigma(s, bad, 2).violations
+        assert "(iii) typeof(pair(x0,x0))" in check_sigma(s, bad, 2).violations["iii"]
 
     def test_a_split_that_raises_off_the_terminal_context_fails_vi_viii(self):
         # the split succeeds at the terminal context, so only the restriction
@@ -455,7 +460,7 @@ class TestSigmaCheckerBranches:
             return good.split(g, a, b, t)
 
         rep = check_sigma(m, dataclasses.replace(good, split=split), 2)
-        assert any(v.startswith("(vi/viii) no split over ") for v in rep.violations)
+        assert any(v.startswith("(vi/viii) no split over ") for v in rep.violations["vi/viii"])
 
     def test_a_second_component_not_stable_under_substitution_fails_viii(self):
         m = propositions_model()
@@ -466,8 +471,8 @@ class TestSigmaCheckerBranches:
             return fst, snd if g == m.terminal else "NOPE"
 
         rep = check_sigma(m, dataclasses.replace(good, split=split), 2)
-        assert any(v.startswith("(viii) snd(") for v in rep.violations)
-        assert not any(v.startswith("(vi) ") for v in rep.violations)
+        assert any(v.startswith("(viii) snd(") for v in rep.violations["viii"])
+        assert "vi" not in rep.violations
 
 
 class TestPiCheckerBranches:
@@ -478,7 +483,7 @@ class TestPiCheckerBranches:
         # not B[a], where B is the basic type
         u = extend_by_unit(term_model(range(1)))
         bad = PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star, lambda g, a, b, f, x: x)
-        assert "(v) typeof(app(star,star))" in check_pi(u, bad, 2).violations
+        assert "(v) typeof(app(star,star))" in check_pi(u, bad, 2).violations["v"]
 
     def test_an_application_not_stable_under_substitution_fails_vi(self):
         m = propositions_model()
@@ -488,12 +493,12 @@ class TestPiCheckerBranches:
             return good.app(g, a, b, f, x) if g == m.terminal else "NOPE"
 
         rep = check_pi(m, dataclasses.replace(good, app=app), 2)
-        assert any(v.startswith("(vi) app(") and v.endswith("]") for v in rep.violations)
+        assert any(v.startswith("(vi) app(") and v.endswith("]") for v in rep.violations["vi"])
 
     def test_an_abstraction_that_app_does_not_invert_fails_the_eta_witness(self):
         m = propositions_model()
         rep = check_pi(m, dataclasses.replace(m.pi_structure, lam=lambda *a: "NOPE"), 2)
-        assert any(v.startswith("(viii) λ(app(") for v in rep.violations)
+        assert any(v.startswith("(viii) λ(app(") for v in rep.violations["viii"])
 
 
 class TestPiChecker:
@@ -526,7 +531,7 @@ class TestPiChecker:
         u = extend_by_unit(term_model(range(1)))
         rep = check_pi(u, _searched_pi(u, lambda c, a, b: u.new_ty, lambda *a: u._star, 2), 2)
         assert not rep.ok
-        assert "(vi) λ not bijective onto 'star': 2 preimages" in rep.violations
+        assert "(vi) λ not bijective onto 'star': 2 preimages" in rep.violations["vi"]
 
     def test_an_application_naming_no_term_fails_v_without_raising(self):
         u = extend_by_unit(term_model(range(0)))
@@ -534,8 +539,8 @@ class TestPiChecker:
         rep = check_pi(u, unknown, 2)
         assert not rep.ok
         assert any(v.startswith("(v) app(") and "'NOPE' is not a term of" in v
-                   for v in rep.violations)
-        assert not any(v.startswith("(vi)") for v in rep.violations)
+                   for v in rep.violations["v"])
+        assert "vi" not in rep.violations
 
     @pytest.mark.parametrize("bound", [2, 3])
     def test_the_constant_and_propositions_apps_are_the_searched_ones(self, bound):
@@ -572,16 +577,16 @@ class TestPropositionsModel:
         m = propositions_model()
         swapped = dataclasses.replace(m.pi_structure, pi=m.sigma_structure.sigma)
         rep = check_pi(m, swapped, 2)
-        assert len(rep.violations) == 5
-        assert "Π square is not a pullback within the bound" in rep.violations
+        assert {eq: len(ws) for eq, ws in rep.violations.items()} == {"pullback": 1, "iii": 4}
+        assert rep.violations["pullback"] == ["Π square is not a pullback within the bound"]
 
     def test_pis_former_used_as_sigma_fails_check_sigma_under_xi(self):
         m = propositions_model()
         swapped = dataclasses.replace(m.sigma_structure, sigma=m.pi_structure.pi)
         rep = check_sigma(m, swapped, 2)
         assert not rep.ok
-        assert "Σ square is not a pullback within the bound" in rep.violations
-        assert any(v.startswith("(xi) ") for v in rep.violations)
+        assert rep.violations["pullback"] == ["Σ square is not a pullback within the bound"]
+        assert rep.violations["xi"]
 
 
 class TestNoSearchOnTheCheckerPaths:
@@ -731,7 +736,7 @@ class TestMorphismChecker:
     def test_identity_is_strict(self):
         m = term_model(range(1))
         rep = check_morphism(identity_morphism(m), 2)
-        assert rep.ok and rep.preserves_canonical_pullbacks
+        assert rep.ok and not rep.violations
 
     def test_inclusions_are_strict(self):
         xm = extend_by_type(term_model(range(0)))
@@ -766,11 +771,11 @@ class TestMorphismChecker:
             name="reverse",
         )
         rep = check_morphism(fm, 2, strict=False)
-        assert rep.premorphism_ok
+        assert rep.violations.keys().isdisjoint(PREMORPHISM_LAWS)
         assert rep.ok  # weak: mediating maps are isomorphisms
         strict_rep = check_morphism(fm, 2, strict=True)
         assert not strict_rep.ok  # extensions prepend rather than append
-        assert rep.preserves_canonical_pullbacks
+        assert "canonical-pullbacks" not in rep.violations
 
     def test_sigma_morphism_checker(self):
         s = extend_by_sigma(term_model(range(1)))
@@ -1123,15 +1128,38 @@ class TestStructureInstances:
         good = s.sigma_structure
         nope = SigmaStructure(lambda *a: "NOPE", good.pair, good.split)
         rep = check_sigma(s, nope, 1)
-        assert rep.instances == 0 and rep.vacuous
-        assert not rep.violations and not rep.ok
+        assert rep.instances == 0
+        assert not rep.checks and not rep.violations and not rep.ok
 
     def test_sigma_at_bound_two_counts_its_pairs(self):
         s = extend_by_sigma(term_model(range(1)))
         rep = check_sigma(s, s.sigma_structure, 2)
-        assert rep.ok and not rep.vacuous
+        assert rep.ok and not rep.violations
         comp = CompositeModel(s, s)
         assert rep.instances == sum(len(comp.types(g, 2)) for g in s.base.objects(2)) == 4
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_a_check_over_no_pair_fails_exactly_where_the_report_says_vacuous(self, bound):
+        # in the free Σ model no pair (A, B) fits below bound 2, a type tree
+        # being of size 1 at least; its Σ structure passes wherever one fits,
+        # and a Π structure that is never called passes where none does
+        s = extend_by_sigma(term_model(range(1)))
+
+        def never(*args):
+            raise AssertionError(f"called on {args}")
+
+        checks = [("sigma", check_sigma(s, s.sigma_structure, bound))]
+        if bound < 2:
+            checks.append(("pi", check_pi(s, PiStructure(never, never, never), bound)))
+        report = VerificationReport("structures", bound)
+        for name, findings in checks:
+            report.add_findings(name, findings)
+        assert [(c.name, c.status) for c in report.checks] == [
+            (name, "vacuous" if bound < 2 else "pass") for name, _ in checks]
+        for (_, findings), record in zip(checks, report.checks):
+            assert (findings.instances == 0) is (bound < 2) is record.vacuous
+            assert findings.ok is (record.status == "pass") is not record.vacuous
+            assert not findings.violations
 
     def test_a_composite_pair_is_as_large_as_its_parts(self):
         s = extend_by_sigma(term_model(range(1)))
@@ -1157,7 +1185,7 @@ class TestFormerSquaresAsNaturalTransformations:
     def test_the_swapped_pairing_breaks_the_naturality_of_pair(self):
         s = extend_by_sigma(term_model(range(1)))
         rep = check_sigma(s, _swapped_pairing(s), 2)
-        naturality = [v for v in rep.violations if v.startswith("(iv) naturality fails")]
+        naturality = [v for v in rep.violations["iv"] if v.startswith("(iv) naturality fails")]
         assert len(naturality) == 36
         assert all(" on pair(" in v for v in naturality)
 
@@ -1165,7 +1193,7 @@ class TestFormerSquaresAsNaturalTransformations:
         s = extend_by_sigma(term_model(range(1)))
         good = s.sigma_structure
         rep = check_sigma(s, SigmaStructure(lambda *a: "NOPE", good.pair, good.split), 2)
-        assert any(v.startswith("(i) component at") and "Σ(" in v for v in rep.violations)
+        assert any(v.startswith("(i) component at") and "Σ(" in v for v in rep.violations["i"])
 
 
 def _perturbed(sq, rng, name="intro"):

@@ -691,7 +691,7 @@ class TestPseudomonad:
         from natmod.polyset import trivial_pseudomonad
 
         report = check_pseudomonad_data(*trivial_pseudomonad())
-        assert report.ok, report.details
+        assert report.ok, report.violations
 
     @pytest.mark.parametrize("shape", ["eta-shape", "mu-shape"])
     def test_a_cartesian_cell_of_the_wrong_shape_fails_its_shape_check(self, shape):
@@ -724,7 +724,7 @@ class TestPseudomonad:
         from natmod.polyset import partiality_pseudomonad
 
         report = check_pseudomonad_data(*partiality_pseudomonad())
-        assert report.ok, report.details
+        assert report.ok, report.violations
 
     def test_partiality_p_is_the_propositions_classifier_at_the_terminal_context(self):
         # the docstring's claim: p is the typing map Tm(⋄) -> Ty(⋄) of a model
@@ -752,12 +752,8 @@ class TestPseudomonad:
         # p has positions a0, a1 with one direction each; η picks a0 and μ
         # sends every position of p·p to a0, so both unit composites send
         # A to a0
-        from natmod.polyset import (
-            PseudomonadReport,
-            _check_unit_laws,
-            partiality_pseudomonad,
-            trivial_pseudomonad,
-        )
+        from natmod.polyset import _check_unit_laws, partiality_pseudomonad, trivial_pseudomonad
+        from natmod.report import Findings
 
         a, b = ("a0", "a1"), ("b0", "b1")
         p = poly_from_map(fin_map(b, a, {"b0": "a0", "b1": "a1"}))
@@ -773,7 +769,7 @@ class TestPseudomonad:
         for data, holds in ((trivial_pseudomonad(), True),
                             (partiality_pseudomonad(), True),
                             ((p, eta, mu), False)):
-            report = PseudomonadReport()
+            report = Findings()
             _check_unit_laws(report, *data)
             assert report.checks["unit-law-bijections"] is holds
         report = check_pseudomonad_data(p, eta, mu)

@@ -21,7 +21,8 @@ from natmod.freemodel import (
     term_model,
     tree_subst,
 )
-from natmod.natmodel import CompositeModel, NaturalModel, _tuple_key
+from natmod.modelio import MissingCell, TableModel, parse_model, serialize_model
+from natmod.natmodel import CompositeModel, NaturalModel, _tuple_key, induced_sub
 from natmod.presheaf import (
     NatTrans,
     Presheaf,
@@ -376,6 +377,12 @@ _REGISTRY_MODELS = {
     "P": propositions_model,
     "finite-sets:2": lambda: finite_sets_model(2),
 }
+# model files read back: a file refuses a cell it lacks with MissingCell,
+# a LookupError, not a ValueError
+_FILE_MODELS = {
+    "file:term-model:1": lambda: parse_model(serialize_model(term_model(range(1)), 2)),
+    "file:unit": lambda: parse_model(serialize_model(extend_by_unit(term_model(range(1))), 2)),
+}
 _KEY_BOUND = 2
 
 
@@ -394,7 +401,7 @@ class _World:
 
 @functools.lru_cache(maxsize=None)
 def _world(name: str) -> _World:
-    return _World(_REGISTRY_MODELS[name]())
+    return _World({**_REGISTRY_MODELS, **_FILE_MODELS}[name]())
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,6 +440,8 @@ def _call(m: NaturalModel, how: str, g: str, sigma: str, ty: str, tm: str):
         return m.subst_tm(sigma, tm)
     if how == "ext":
         return m.ext(g, ty)
+    if isinstance(m, TableModel):  # a file has no closed form: ⟨σ, a⟩ is searched
+        return induced_sub(m, sigma, tm, ty)
     return m.indsub(sigma, tm, ty)
 
 
@@ -474,7 +483,7 @@ def _refused_over_other_contexts(name: str, other) -> int:
 
 
 class TestAForeignKeyIsRefused:
-    @pytest.mark.parametrize("name", list(_REGISTRY_MODELS))
+    @pytest.mark.parametrize("name", [*_REGISTRY_MODELS, *_FILE_MODELS])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_a_key_the_model_never_handed_out_raises_value_error(self, name, data):
@@ -492,7 +501,8 @@ class TestAForeignKeyIsRefused:
             ty = data.draw(st.sampled_from(w.tys[g]))
         elif how == "indsub by type":
             tm = data.draw(st.sampled_from(w.tms[m.base.dom(sigma)] or [key]))
-        with pytest.raises(ValueError) as refused:
+        with pytest.raises((ValueError, MissingCell) if name in _FILE_MODELS else ValueError) \
+                as refused:
             _call(m, how, g, sigma, ty, tm)
         assert key in str(refused.value)
 
@@ -510,7 +520,48 @@ class TestAForeignKeyIsRefused:
     def test_a_term_of_a_smaller_context_is_refused(self, name):
         assert _refused_over_other_contexts(name, operator.lt) > 0
 
-    @pytest.mark.parametrize("name", list(_REGISTRY_MODELS))
+    # the basic-type and unit extensions refuse a new term of theirs at
+    # another context, or at an inner type, before they delegate: the
+    # refusal names the term and the context of the call
+    @pytest.mark.parametrize("name", ["type", "unit"])
+    def test_a_new_term_out_of_place_is_refused_naming_its_context(self, name):
+        w = _world(name)
+        m = w.m
+        new = {g: set(m.new_terms(g)) for g in w.ctxs}
+        tags = set().union(*new.values())
+        calls = 0
+        for g in w.ctxs:
+            for t in sorted(tags - new[g]):
+                with pytest.raises(ValueError) as refused:
+                    m.typeof(g, t)
+                assert str(refused.value) == f"{t!r} is not a term over {g}"
+                calls += 1
+            for sigma in w.into[g]:
+                d = m.base.dom(sigma)
+                for ty in w.tys[g]:
+                    for t in sorted(tags - new[d] if ty == m.new_ty else tags):
+                        with pytest.raises(ValueError) as refused:
+                            m.indsub(sigma, t, ty)
+                        assert str(refused.value) == f"{t!r} is not a term of {ty} over {d}"
+                        calls += 1
+        assert calls > 0
+
+    def test_the_refusals_of_keys_the_model_handed_out_name_the_context(self):
+        x = extend_by_type(term_model(range(1)))
+        for g in x.base.objects(2):
+            x.terms(g, 2)  # ix(fs[]|2) hands out v0 and v1
+        one = "ix(fs[]|1)"
+        with pytest.raises(ValueError, match=r"^'v1' is not a term over ix\(fs\[\]\|1\)$"):
+            x.typeof(one, "v1")
+        with pytest.raises(ValueError, match=r"^'v0' is not a term of T0 over ix\(fs\[\]\|1\)$"):
+            x.indsub(x.base.identity(one), "v0", "T0")
+        u = extend_by_unit(term_model(range(1)))
+        zero = u.base.objects(0)[0]
+        assert zero == "ix(fs[]|0)"
+        with pytest.raises(ValueError, match=r"^'star' is not a term of T0 over ix\(fs\[\]\|0\)$"):
+            u.indsub(u.base.identity(zero), "star", "T0")
+
+    @pytest.mark.parametrize("name", [*_REGISTRY_MODELS, *_FILE_MODELS])
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_a_key_the_model_handed_out_answers(self, name, data):
