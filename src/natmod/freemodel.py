@@ -230,6 +230,16 @@ class _WrappedModel(NaturalModel):
     def _subst_tm(self, payload: tuple, term: str) -> str:
         raise NotImplementedError
 
+    def _indsub_refusal(self, src: str, term: str, exc: ValueError) -> ValueError:
+        """The error of ``indsub`` at a σ out of src whose term the inner model
+        refused with ``exc``: a term of another context is refused naming src,
+        exc after it; the refusal of a term over src stands as it is."""
+        try:
+            self.typeof(src, term)
+        except ValueError:
+            return ValueError(f"{term!r} is not a term over {src}: {exc}")
+        return exc
+
     def ext_parent(self, ctx: str) -> Optional[tuple[str, str]]:
         cand = self._parent_candidate(ctx)
         if cand is not None and self.ext(*cand).extended == ctx:
@@ -573,7 +583,10 @@ class ExtTermModel(_WrappedModel):
         return self.inner.terms(self.base.under(ctx), bound)
 
     def typeof(self, ctx: str, term: str) -> str:
-        return self.inner.typeof(self.base.under(ctx), term)
+        try:
+            return self.inner.typeof(self.base.under(ctx), term)
+        except ValueError as exc:
+            raise ValueError(f"{term!r} is not a term over {ctx}: {exc}") from None
 
     def ty_size(self, ctx: str, ty: str) -> int:
         return self.inner.ty_size(self.base.under(ctx), ty)
@@ -628,7 +641,10 @@ class ExtTermModel(_WrappedModel):
         gamma_ctx = self.base.cod(sigma)
         (s,) = self.base.mor_payload(sigma)
         e = self.ext(gamma_ctx, ty)
-        tau = induced_sub(self.inner, s, term, ty)
+        try:
+            tau = induced_sub(self.inner, s, term, ty)
+        except ValueError as exc:
+            raise self._indsub_refusal(self.base.dom(sigma), term, exc) from None
         collapse = self.alignment(gamma_ctx, ty)
         if collapse is not None:
             tau = self.inner.base.compose(collapse[2], tau)
@@ -778,7 +794,8 @@ class _InterleavedModel(_WrappedModel):
     terms; and ``_moved(tally, term)``, a new term's image along a tally
     (None for any other term).  ``typeof`` refuses a new term of another
     context, and ``indsub`` also one at an inner type, naming the context;
-    only the keys they do not own reach the inner model.
+    only the keys they do not own reach the inner model, whose refusal of a
+    term of another context is raised again naming the context of the call.
     """
 
     base: _InterleavedCategory
@@ -795,7 +812,10 @@ class _InterleavedModel(_WrappedModel):
 
     def typeof(self, ctx: str, term: str) -> str:
         if not self._owns(term):
-            return self.inner.typeof(self.base.under(ctx), term)
+            try:
+                return self.inner.typeof(self.base.under(ctx), term)
+            except ValueError as exc:
+                raise ValueError(f"{term!r} is not a term over {ctx}: {exc}") from None
         if term not in self.new_terms(ctx):
             raise ValueError(f"{term!r} is not a term over {ctx}")
         return self.new_ty
@@ -837,7 +857,10 @@ class _InterleavedModel(_WrappedModel):
         if own != (ty == self.new_ty) or own and term not in self.new_terms(src):
             raise ValueError(f"{term!r} is not a term of {ty} over {src}")
         if not own:
-            payload = (induced_sub(self.inner, s, term, ty), tally)
+            try:
+                payload = (induced_sub(self.inner, s, term, ty), tally)
+            except ValueError as exc:
+                raise self._indsub_refusal(src, term, exc) from None
         elif self.width(e.extended) > len(tally):  # the tally carries the new term's image
             payload = (s, tally + (self.new_terms(src).index(term),))
         else:
@@ -1285,7 +1308,10 @@ class SigmaExtModel(_WrappedModel):
     def indsub(self, sigma: str, term: str, ty: str) -> Optional[str]:
         (s,) = self.base.mor_payload(sigma)
         e = self.ext(self.base.cod(sigma), ty)
-        tau = tree_indsub(self.inner, s, _read(self.tms, term), _read(self.tys, ty))
+        try:
+            tau = tree_indsub(self.inner, s, _read(self.tms, term), _read(self.tys, ty))
+        except ValueError as exc:
+            raise self._indsub_refusal(self.base.dom(sigma), term, exc) from None
         return self.base.mors.key((self.base.dom(sigma), e.extended, (tau,)))
 
     def _formal_parent(self, info: tuple) -> Optional[tuple[str, str]]:
@@ -1339,7 +1365,8 @@ def sigma_of_tree(m: NaturalModel, ctx: str, tree: TypeTree) -> tuple[str, str, 
     Returns (S, θ, θ⁻¹): the Σ-collapsed type S over ctx and the canonical
     comparison isomorphism θ : ctx•S -> ctx•T-chain with its inverse.  θ⁻¹
     is built from its parts, and a θ for which the two composites are not
-    identities raises ``ValueError``.
+    identities raises ``ValueError``, as does a node when the Σ structure of
+    ``m`` has no split.
     """
     s: SigmaStructure = m.sigma_structure  # type: ignore[attr-defined]
     base = m.base
@@ -1347,6 +1374,8 @@ def sigma_of_tree(m: NaturalModel, ctx: str, tree: TypeTree) -> tuple[str, str, 
         e = m.ext(ctx, tree.leaf)
         i = base.identity(e.extended)
         return tree.leaf, i, i
+    if s.split is None:
+        raise ValueError(f"the target's Σ structure has no split to collapse {tree.key} over {ctx}")
     s1, th1, th1_inv = sigma_of_tree(m, ctx, tree.left)
     mid = tree_ext(m, ctx, tree.left)[0]
     s2, th2, th2_inv = sigma_of_tree(m, mid, tree.right)

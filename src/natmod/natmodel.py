@@ -21,8 +21,11 @@ like every generated cell): Σ is a cartesian map p·p ⇒ p and Π a cartesian
 map P_p(p) ⇒ p, after Awodey's natural models.  The former Σ̂ or Π̂ and the
 introduction map pair̂ or λ̂ are natural transformations whose laws are
 equations (i), (ii) and (iv) of the structure.  A Σ structure is formation,
-pairing and split (fst and snd), a Π structure formation, λ and app; each
-checker verifies the eliminator it is given against the introduction.
+pairing and split (fst and snd), a Π structure formation, λ and app.  The
+eliminator is optional: without one, the checker reads it off the square,
+as the inverse of the introduction map on each fibre over (Γ, A, B), and a
+fibre with no preimage or several fails the equation that reads it; a
+supplied eliminator is checked as given against the introduction.
 
 Every checker returns a :class:`~natmod.report.Findings`, per law its
 verdict and witnesses, at the bound it was computed at; nothing is claimed
@@ -555,20 +558,22 @@ class SigmaStructure:
     # formation sigma(ctx, A, B) with B over ctx•A; pairing pair(ctx, A, B,
     # a, b) with typeof(a) = A and typeof(b) = B[⟨id, a⟩]; elimination
     # split(ctx, A, B, t) = (fst t, snd t) for a term t of Σ(A, B), raising
-    # ValueError when t is not one
+    # ValueError when t is not one.  Without a split, check_sigma inverts
+    # the pairing on the Σ square, and sigma_of_tree refuses the structure.
     sigma: Callable[[str, str, str], str]
     pair: Callable[[str, str, str, str, str], str]
-    split: Callable[[str, str, str, str], tuple[str, str]]
+    split: Optional[Callable[[str, str, str, str], tuple[str, str]]] = None
 
 
 @dataclass
 class PiStructure:
     # formation pi(ctx, A, B) with B over ctx•A; abstraction lam(ctx, A, B, b)
     # with b over ctx•A; elimination app(ctx, A, B, f, a) = f(a) for a term f
-    # of Π(A, B) and a of A, raising ValueError when it has no value
+    # of Π(A, B) and a of A, raising ValueError when it has no value.
+    # Without an app, check_pi inverts λ on the Π square.
     pi: Callable[[str, str, str], str]
     lam: Callable[[str, str, str, str], str]
-    app: Callable[[str, str, str, str, str], str]
+    app: Optional[Callable[[str, str, str, str, str], str]] = None
 
 
 def _filer(report: Findings) -> Callable[[str, str], None]:
@@ -616,8 +621,9 @@ def sigma_split(
 ) -> tuple[str, str]:
     """(fst, snd) of a term of Σ(A, B), found by enumerating the pairing's inputs.
 
-    The reference for a structure's ``split``, and the way to derive one for
-    a structure that only knows its pairing.
+    Nothing calls it: ``check_sigma`` reads a missing split off the Σ square.
+    It is kept only because the benchmark's layer trace (``bench/layertrace.py``)
+    names it in its trace list, and it goes when that list next changes.
     """
     hits = []
     for a in model.terms_of(ctx, ty_a, bound):
@@ -696,6 +702,28 @@ def _restrictions(sq: FormerSquare, g: str, key: str, *tms: str) -> Iterator[tup
                    *(sq.p.dom.restrict(m, t) for t in tms))
 
 
+def _intro_inverse(sq: FormerSquare) -> Callable[[str, str, str, str], str]:
+    """(Γ, A, B, t) ↦ the one element of E over (A|B) that intro sends to t.
+
+    intro inverted on each fibre over (Γ, A, B), Γ in the truncation: the
+    eliminator of a pullback square.  A fibre with no such element, or with
+    several, raises ``ValueError`` naming (Γ, A, B, t) and the count.
+    """
+    fibres: dict[tuple[str, ...], list[str]] = {}
+    for g in sq.p.dom.base.object_keys:
+        for x in sq.intro.dom.at(g):
+            over = sq.former.parts[sq.leg.apply(g, x)]
+            fibres.setdefault((g, *over, sq.intro.apply(g, x)), []).append(x)
+
+    def inverse(g: str, ty_a: str, ty_b: str, t: str) -> str:
+        hits = fibres.get((g, ty_a, ty_b, t), [])
+        if len(hits) != 1:
+            raise ValueError(f"{t!r} over ({g}, {ty_a}, {ty_b}) has {len(hits)} preimages")
+        return hits[0]
+
+    return inverse
+
+
 def sigma_square(model: NaturalModel, s: SigmaStructure, bound: int) -> FormerSquare:
     """Σ̂ : p·p ⇒ p; E is the Tm of p·p, the quadruples (A, B, a, b)."""
     comp = CompositeModel(model, model)
@@ -750,11 +778,20 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Findings:
     (i), (ii) and (iv) are the laws of Σ̂ and pair̂; (iii) and (v)-(xi) are
     checked on every pair and quadruple of p·p, cross-checking the oracle.
     (v)-(xi) are read off ``s.split``; a component it returns that is no
-    term of Γ in bound is reported under (v) or (vii).  The instances are
-    the pairs (A, B).
+    term of Γ in bound is reported under (v) or (vii).  Without a split, the
+    split of t is the (a, b) of the one quadruple (A, B, a, b) that pair̂
+    sends to t, and a t with no such quadruple or several fails where the
+    split is read, under (xi) or (vi/viii).  The instances are the pairs
+    (A, B).
     """
     sq = sigma_square(model, s, bound)
     report = _square_report(sq, bound, "Σ")
+    split = s.split
+    if split is None:
+        quadruple = _intro_inverse(sq)
+
+        def split(g: str, ty_a: str, ty_b: str, t: str) -> tuple[str, str]:
+            return sq.intro.parts[quadruple(g, ty_a, ty_b, t)][2:]
     add = _filer(report)
     for g in sq.p.dom.base.object_keys:
         tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
@@ -767,7 +804,7 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Findings:
             ty_a, ty_b = sq.former.parts[key]
             for p_tm in model.terms_of(g, sig, bound):
                 try:
-                    fa, sb = splits[key, p_tm] = s.split(g, ty_a, ty_b, p_tm)
+                    fa, sb = splits[key, p_tm] = split(g, ty_a, ty_b, p_tm)
                 except ValueError as exc:
                     add("xi", str(exc))
                     continue
@@ -785,7 +822,7 @@ def check_sigma(model: NaturalModel, s: SigmaStructure, bound: int) -> Findings:
                     add("xi", f"pair(fst,snd)({p_tm})")
                 for m, d, a_m, b_m, t_m, fa_m, sb_m in _restrictions(sq, g, key, p_tm, fa, sb):
                     try:
-                        fa2, sb2 = s.split(d, a_m, b_m, t_m)
+                        fa2, sb2 = split(d, a_m, b_m, t_m)
                     except ValueError as exc:
                         add("vi/viii", str(exc))
                         continue
@@ -816,10 +853,22 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> Findings:
     (i), (ii) and (iv) are the laws of Π̂ and λ̂; (iii) and (v)-(viii) are
     checked on every pair (A, B) of p·p, cross-checking the oracle.
     (v)-(viii) are read off ``s.app``; an app(f, a) that is no term of Γ in
-    bound is reported under (v).  The instances are the pairs (A, B).
+    bound is reported under (v).  Without an app, app(f, a) is b[⟨id, a⟩]
+    for the one body b that λ̂ sends to f, and an f with no such body or
+    several fails where app is read, under (v), (vi) or (vii).  That app is
+    known only over the truncation, and η calls app over Γ•A, so for it η
+    (viii) is checked only where Γ•A lies in the truncation.  The instances
+    are the pairs (A, B).
     """
     sq = pi_square(model, s, bound)
     report = _square_report(sq, bound, "Π")
+    app = s.app
+    if app is None:
+        body_of = _intro_inverse(sq)
+
+        def app(g: str, ty_a: str, ty_b: str, f: str, a: str) -> str:
+            b = sq.intro.parts[body_of(g, ty_a, ty_b, f)][2]
+            return model.subst_tm(section(model, g, a), b)
     add = _filer(report)
     for g in sq.p.dom.base.object_keys:
         tys, tms = set(sq.p.cod.at(g)), set(sq.p.dom.at(g))
@@ -833,7 +882,7 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> Findings:
                 add("iii", f"typeof(λ({b}))")
             for a in model.terms_of(g, ty_a, bound):
                 try:
-                    res = s.app(g, ty_a, ty_b, lam, a)
+                    res = app(g, ty_a, ty_b, lam, a)
                 except ValueError as exc:
                     add("vii", str(exc))
                     continue
@@ -849,7 +898,7 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> Findings:
             for f_tm in model.terms_of(g, pi_ty, bound):
                 for a in model.terms_of(g, ty_a, bound):
                     try:
-                        res = s.app(g, ty_a, ty_b, f_tm, a)
+                        res = app(g, ty_a, ty_b, f_tm, a)
                     except ValueError as exc:
                         add("v", str(exc))
                         continue
@@ -860,15 +909,17 @@ def check_pi(model: NaturalModel, s: PiStructure, bound: int) -> Findings:
                         add("v", f"typeof(app({f_tm},{a}))")
                     for m, d, a_m, b_m, f_m, x_m, res_m in _restrictions(sq, g, key, f_tm, a, res):
                         try:
-                            res2 = s.app(d, a_m, b_m, f_m, x_m)
+                            res2 = app(d, a_m, b_m, f_m, x_m)
                         except ValueError as exc:
                             add("vi", str(exc))
                             continue
                         if res2 != res_m:
                             add("vi", f"app({f_tm},{a})[{m}]")
                 # (viii) η: λ(app(f[p_A], q_A)) = f, the body a term of B over Γ•A
+                if s.app is None and e.extended not in sq.p.dom.values:
+                    continue
                 try:
-                    body = s.app(
+                    body = app(
                         e.extended, model.subst_ty(e.proj, ty_a),
                         model.subst_ty(canonical_pullback(model, e.proj, ty_a), ty_b),
                         model.subst_tm(e.proj, f_tm), e.var,

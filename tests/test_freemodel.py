@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import random
@@ -51,15 +52,17 @@ from natmod.morphism import (
 )
 from natmod.modelio import parse_model
 from natmod.natmodel import (
+    _intro_inverse,
     check_eat,
     check_sigma,
     check_unit,
     extension_square_oracle,
     model_presheaves,
-    sigma_split,
+    sigma_square,
 )
 
 from helpers import (
+    propositions_model,
     reference_interleaved_inclusion,
     reference_sigma_inclusion,
     reference_slice_compose,
@@ -498,16 +501,39 @@ class TestSigmaSplit:
         (lambda: extend_by_sigma(term_model(range(2))), 2, 34),
     ], ids=["sigma@3", "sigma-over-unit@2", "sigma-over-two-types@2"])
     def test_the_split_is_the_pairing_inverted_by_search(self, build, bound, n_terms):
+        # the reference is the split read off the Σ square: pair̂ inverted
         m = build()
         s, comp = m.sigma_structure, CompositeModel(m, m)
+        sq = sigma_square(m, s, bound)
+        quadruple = _intro_inverse(sq)
         seen = 0
         for g in m.base.objects(bound):
             for key in comp.types(g, bound):
                 ty_a, ty_b = comp.tys.cell(key)
                 for t in m.terms_of(g, s.sigma(g, ty_a, ty_b), bound):
-                    assert s.split(g, ty_a, ty_b, t) == sigma_split(m, s, g, ty_a, ty_b, t, bound)
+                    derived = sq.intro.parts[quadruple(g, ty_a, ty_b, t)][2:]
+                    assert s.split(g, ty_a, ty_b, t) == derived
                     seen += 1
         assert seen == n_terms
+
+    def test_a_target_without_a_split_is_refused_where_a_tree_collapses(self):
+        # P's Σ structure without its split: a leaf needs none, and a node
+        # is refused by sigma_of_tree and by the F♯ into P built on it
+        p = propositions_model()
+        p.sigma_structure = dataclasses.replace(p.sigma_structure, split=None)
+        one = p.tys.key((1,))
+        leaf = TypeTree(leaf=one)
+        assert sigma_of_tree(p, p.terminal, leaf)[0] == one
+        with pytest.raises(ValueError, match="^the target's Σ structure has no split"):
+            sigma_of_tree(p, p.terminal, TypeTree(left=leaf, right=leaf))
+        tm1 = term_model(range(1))
+        sm = extend_by_sigma(tm1)
+        sharp = sigma_universal(sm, initial_morphism(tm1, p, {0: one}))
+        [t0] = sm.types(sm.terminal, 1)
+        assert sharp.on_ty(sm.terminal, t0) == one
+        [node] = [ty for ty in sm.types(sm.terminal, 2) if ty != t0]
+        with pytest.raises(ValueError, match="^the target's Σ structure has no split"):
+            sharp.on_ty(sm.terminal, node)
 
     def test_a_term_that_is_no_pair_of_the_sum_raises_value_error(self):
         m = extend_by_sigma(term_model(range(1)))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from natmod import natmodel
 from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
 from natmod.freemodel import (
     SigmaExtModel,
@@ -45,6 +46,7 @@ from natmod.natmodel import (
     PiStructure,
     SigmaStructure,
     UnitStructure,
+    _intro_inverse,
     canonical_pullback,
     check_eat,
     check_pi,
@@ -55,7 +57,6 @@ from natmod.natmodel import (
     model_presheaves,
     pi_square,
     section,
-    sigma_split,
     sigma_square,
     swap_iso,
 )
@@ -65,7 +66,6 @@ from natmod.report import VerificationReport
 from helpers import (
     check_pullback_square_by_cones,
     finite_sets_model,
-    pi_apply,
     propositions_model,
     reference_classified,
 )
@@ -342,24 +342,6 @@ class TestUnitChecker:
             "iii": ["(iii) projection of the unit extension is not the terminal map"]}
 
 
-def _searched_structure(model, sigma, pair, bound):
-    """A Σ-structure whose split inverts ``pair`` by search (:func:`sigma_split`)."""
-    def split(ctx, ty_a, ty_b, tm):
-        return sigma_split(model, st, ctx, ty_a, ty_b, tm, bound)
-
-    st = SigmaStructure(sigma, pair, split)
-    return st
-
-
-def _searched_pi(model, pi, lam, bound):
-    """A Π-structure whose app inverts ``lam`` by search (:func:`pi_apply`)."""
-    def app(ctx, ty_a, ty_b, f, a):
-        return pi_apply(model, st, ctx, ty_a, ty_b, f, a, bound)
-
-    st = PiStructure(pi, lam, app)
-    return st
-
-
 class TestSigmaChecker:
     def test_free_sigma_model_passes_with_beta_eta(self):
         s = extend_by_sigma(term_model(range(1)))
@@ -380,10 +362,9 @@ class TestSigmaChecker:
                 return good.pair(ctx, ty_a, ty_b, terms[0], tm_b)
             return good.pair(ctx, ty_a, ty_b, tm_a, tm_b)
 
-        bad = _searched_structure(s, good.sigma, bad_pair, 2)
-        rep = check_sigma(s, bad, 2)
+        rep = check_sigma(s, SigmaStructure(good.sigma, bad_pair), 2)
         assert not rep.ok
-        # the split searched from the swapped pairing inverts it, so β holds;
+        # the split read off the swapped pairing's square inverts it, so β holds;
         # pair̂ is not natural (iv) and fst not stable under substitution (vi)
         assert list(rep.violations) == ["iv", "vi"]
 
@@ -391,11 +372,10 @@ class TestSigmaChecker:
         # pair̂ lands outside Tm, so the square is not a pullback; the
         # pointwise oracle must say so instead of looking the term up in p
         s = extend_by_sigma(term_model(range(1)))
-        nope = _searched_structure(s, s.sigma_structure.sigma, lambda *a: "NOPE", 2)
-        rep = check_sigma(s, nope, 2)
+        rep = check_sigma(s, SigmaStructure(s.sigma_structure.sigma, lambda *a: "NOPE"), 2)
         assert rep.violations["pullback"] == ["Σ square is not a pullback within the bound"]
         u = extend_by_unit(term_model(range(0)))
-        rep = check_pi(u, _searched_pi(u, lambda c, a, b: u.new_ty, lambda *a: "NOPE", 2), 2)
+        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: "NOPE"), 2)
         assert rep.violations["pullback"] == ["Π square is not a pullback within the bound"]
 
     def test_a_split_swapping_fst_and_snd_fails_the_computation_rules(self):
@@ -504,7 +484,9 @@ class TestPiCheckerBranches:
 class TestPiChecker:
     def test_single_type_model_admits_products(self):
         # over the free unit model every context has one type and one term,
-        # so the constant structure satisfies all eight equations
+        # so the constant structure satisfies all eight equations, with app
+        # read off the square and with the constant app supplied, which η
+        # also calls over a Γ•A beyond the truncation
         u = extend_by_unit(term_model(range(0)))
 
         def pi(ctx, ty_a, ty_b):
@@ -513,8 +495,9 @@ class TestPiChecker:
         def lam(ctx, ty_a, ty_b, b):
             return u._star
 
-        rep = check_pi(u, _searched_pi(u, pi, lam, 2), 2)
-        assert rep.ok, rep.violations
+        for app in (None, lambda *a: u._star):
+            rep = check_pi(u, PiStructure(pi, lam, app), 2)
+            assert rep.ok, rep.violations
 
     def test_sort_mismatch_reported(self):
         u = extend_by_unit(term_model(range(0)))
@@ -522,16 +505,16 @@ class TestPiChecker:
         def pi(ctx, ty_a, ty_b):
             return "no-such-type"
 
-        rep = check_pi(u, _searched_pi(u, pi, lambda *a: u._star, 2), 2)
+        rep = check_pi(u, PiStructure(pi, lambda *a: u._star), 2)
         assert not rep.ok
 
     def test_an_application_that_fails_under_substitution_is_a_vi_violation(self):
         # over term_model(1) the unit extension has two types, so λ onto the
         # one unit term has two preimages; app(f, a)[σ] cannot be formed
         u = extend_by_unit(term_model(range(1)))
-        rep = check_pi(u, _searched_pi(u, lambda c, a, b: u.new_ty, lambda *a: u._star, 2), 2)
+        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star), 2)
         assert not rep.ok
-        assert "(vi) λ not bijective onto 'star': 2 preimages" in rep.violations["vi"]
+        assert "(vi) 'star' over (ix(fs[0,0]|0), unit, T0) has 2 preimages" in rep.violations["vi"]
 
     def test_an_application_naming_no_term_fails_v_without_raising(self):
         u = extend_by_unit(term_model(range(0)))
@@ -544,21 +527,54 @@ class TestPiChecker:
 
     @pytest.mark.parametrize("bound", [2, 3])
     def test_the_constant_and_propositions_apps_are_the_searched_ones(self, bound):
+        # each supplied app is the derived one: f's one body b at ⟨id, a⟩
         u = extend_by_unit(term_model(range(0)))
         constant = PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star, lambda *a: u._star)
         m = propositions_model()
         checked = 0
         for model, s in ((u, constant), (m, m.pi_structure)):
+            sq = pi_square(model, s, bound)
+            body_of = _intro_inverse(sq)
             comp = CompositeModel(model, model)
             for g in model.base.objects(bound):
                 for key in comp.types(g, bound):
                     ty_a, ty_b = comp.tys.cell(key)
                     for f in model.terms_of(g, s.pi(g, ty_a, ty_b), bound):
+                        body = sq.intro.parts[body_of(g, ty_a, ty_b, f)][2]
                         for a in model.terms_of(g, ty_a, bound):
-                            assert s.app(g, ty_a, ty_b, f, a) == pi_apply(
-                                model, s, g, ty_a, ty_b, f, a, bound)
+                            assert s.app(g, ty_a, ty_b, f, a) == model.subst_tm(
+                                section(model, g, a), body)
                             checked += 1
         assert checked > 0
+
+
+class TestAFibreWithTwoPreimages:
+    """Without an eliminator, an introduction map sending two elements of one
+    fibre over (Γ, A, B) to one term t fails the square, and the eliminator
+    read off it names (Γ, A, B, t) where it is read."""
+
+    def test_a_pairing_merging_two_first_components(self):
+        s = extend_by_sigma(term_model(range(1)))
+        good = s.sigma_structure
+
+        def pair(ctx, ty_a, ty_b, tm_a, tm_b):
+            terms = s.terms_of(ctx, ty_a, 1)
+            if len(terms) >= 2 and tm_a == terms[1]:
+                tm_a = terms[0]
+            return good.pair(ctx, ty_a, ty_b, tm_a, tm_b)
+
+        rep = check_sigma(s, SigmaStructure(good.sigma, pair), 2)
+        assert rep.violations["pullback"] == ["Σ square is not a pullback within the bound"]
+        assert "(xi) '[x0:T0:x0]' over (tr(fs[0,0]|), T0, T0) has 2 preimages" \
+            in rep.violations["xi"]
+
+    def test_a_lambda_merging_two_bodies(self):
+        # over term_model(1)'s unit extension the constant λ sends both
+        # variables of T0 over ix(fs[0]|0)•T0 to star
+        u = extend_by_unit(term_model(range(1)))
+        rep = check_pi(u, PiStructure(lambda c, a, b: u.new_ty, lambda *a: u._star), 2)
+        assert rep.violations["pullback"] == ["Π square is not a pullback within the bound"]
+        assert "(v) 'star' over (ix(fs[0]|0), T0, T0) has 2 preimages" in rep.violations["v"]
 
 
 class TestPropositionsModel:
@@ -591,25 +607,33 @@ class TestPropositionsModel:
 
 class TestNoSearchOnTheCheckerPaths:
     def test_the_searching_eliminators_are_called_nowhere_in_src(self):
-        # sigma_split stays in natmodel, where the benchmark's layer trace
-        # finds it; pi_apply is a test reference in helpers
-        src = Path(__file__).resolve().parent.parent / "src" / "natmod"
+        # check_sigma and check_pi read a missing eliminator off the square;
+        # sigma_split stays defined in natmodel only because the benchmark's
+        # layer trace names it, and pi_apply is gone
+        root = Path(__file__).resolve().parent.parent
+        files = sorted((root / "src" / "natmod").glob("*.py")) + sorted((root / "tests").glob("*.py"))
         searches = {"pi_apply", "sigma_split"}
-        defined = {
-            path.name: {n.name for n in ast.parse(path.read_text(encoding="utf-8")).body
-                        if isinstance(n, ast.FunctionDef)} & searches
-            for path in sorted(src.glob("*.py")) + [Path(__file__).resolve().parent / "helpers.py"]
-        }
-        assert {name: fns for name, fns in defined.items() if fns} == {
-            "natmodel.py": {"sigma_split"}, "helpers.py": {"pi_apply"}}
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+        defined = {name: {n.name for n in tree.body if isinstance(n, ast.FunctionDef)} & searches
+                   for name, tree in trees.items()}
+        assert {name: fns for name, fns in defined.items() if fns} == {"natmodel.py": {"sigma_split"}}
         calls = [
-            (path.name, node.lineno)
-            for path in sorted(src.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            (name, node.lineno)
+            for name, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) in searches
         ]
         assert calls == []
+
+    def test_a_supplied_eliminator_is_checked_without_inverting_the_square(self, monkeypatch):
+        def inverted(sq):
+            raise AssertionError("the square was inverted")
+
+        monkeypatch.setattr(natmodel, "_intro_inverse", inverted)
+        m = propositions_model()
+        assert check_sigma(m, m.sigma_structure, 2).ok and check_pi(m, m.pi_structure, 2).ok
+        with pytest.raises(AssertionError, match="inverted"):
+            check_pi(m, dataclasses.replace(m.pi_structure, app=None), 2)
 
 
 _SRC = Path(__file__).resolve().parent.parent / "src" / "natmod"
@@ -683,6 +707,18 @@ def _unnamed_methods(modules: dict[str, ast.Module], readers: list[ast.AST]) -> 
     ]
 
 
+def _unnamed_functions(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[tuple[str, str]]:
+    """(file, function) of each module-level function of src that nothing in
+    ``readers`` names outside the function's own def."""
+    reads = sum((_names_read(tree) for tree in readers), Counter())
+    return [
+        (path, fn.name)
+        for path, module in modules.items() for fn in module.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and reads[fn.name] <= _names_read(fn)[fn.name]
+    ]
+
+
 def _unread_parameters(module: ast.Module) -> list[tuple[str, str]]:
     """(function, parameter) of every parameter of a module-level function
     that the function's body, nested scopes included, never reads."""
@@ -702,6 +738,19 @@ def _unread_parameters(module: ast.Module) -> list[tuple[str, str]]:
 # the benchmark's universal workload still passes sigma_universal a bound; the
 # parameter goes when that workload next changes
 _UNREAD_PARAMETERS_KEPT = [("freemodel.py", "sigma_universal", "bound")]
+# bench/layertrace.py names sigma_split only as a string, in its trace list;
+# the function goes when that list next changes
+_FUNCTIONS_NAMED_ONLY_AS_STRINGS = [("natmodel.py", "sigma_split")]
+
+
+def _src_and_readers() -> tuple[dict[str, ast.Module], list[ast.AST]]:
+    """The parsed src modules, and those with every test and bench module."""
+    root = _SRC.parent.parent
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_SRC.glob("*.py"))}
+    return modules, list(modules.values()) + [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for d in ("tests", "bench") for p in sorted((root / d).glob("*.py"))
+    ]
 
 
 class TestNoDeadCode:
@@ -712,24 +761,16 @@ class TestNoDeadCode:
         assert unread == _UNREAD_PARAMETERS_KEPT
 
     def test_src_assigns_no_name_that_nothing_reads(self):
-        root = _SRC.parent.parent
-        modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_SRC.glob("*.py"))}
-        readers = list(modules.values()) + [
-            ast.parse(p.read_text(encoding="utf-8"))
-            for d in ("tests", "bench") for p in sorted((root / d).glob("*.py"))
-        ]
+        modules, readers = _src_and_readers()
         dead = [f"{path}:{line}:{name}"
                 for path, module in modules.items() for name, line in _unread_locals(module)]
         assert dead + _unreferenced_constants(modules, readers) == []
 
     def test_every_method_is_named_outside_its_own_def(self):
-        root = _SRC.parent.parent
-        modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_SRC.glob("*.py"))}
-        readers = list(modules.values()) + [
-            ast.parse(p.read_text(encoding="utf-8"))
-            for d in ("tests", "bench") for p in sorted((root / d).glob("*.py"))
-        ]
-        assert _unnamed_methods(modules, readers) == []
+        assert _unnamed_methods(*_src_and_readers()) == []
+
+    def test_every_module_level_function_is_named_outside_its_own_def(self):
+        assert _unnamed_functions(*_src_and_readers()) == _FUNCTIONS_NAMED_ONLY_AS_STRINGS
 
 
 class TestMorphismChecker:
@@ -1119,7 +1160,7 @@ def _swapped_pairing(s):
             tm_a = terms[1] if tm_a == terms[0] else terms[0]
         return good.pair(ctx, ty_a, ty_b, tm_a, tm_b)
 
-    return _searched_structure(s, good.sigma, pair, 2)
+    return SigmaStructure(good.sigma, pair)
 
 
 class TestStructureInstances:
@@ -1176,7 +1217,7 @@ class TestStructureInstances:
 
     def test_the_constant_pi_structure_counts_its_pairs(self):
         u = extend_by_unit(term_model(range(0)))
-        pi = _searched_pi(u, lambda c, a, b: u.new_ty, lambda c, a, b, t: u._star, 2)
+        pi = PiStructure(lambda c, a, b: u.new_ty, lambda c, a, b, t: u._star)
         rep = check_pi(u, pi, 2)
         assert rep.ok and rep.instances > 0
 
@@ -1234,12 +1275,11 @@ class TestFormerSquaresAgainstTheConeChaser:
         su = extend_by_sigma(extend_by_unit(term_model(range(0))))
         u0 = extend_by_unit(term_model(range(0)))
         u1 = extend_by_unit(term_model(range(1)))
-        u0_pi = pi_square(
-            u0, _searched_pi(u0, lambda c, a, b: u0.new_ty, lambda *a: u0._star, 2), 2)
+        u0_pi = pi_square(u0, PiStructure(lambda c, a, b: u0.new_ty, lambda *a: u0._star), 2)
         squares = [
             sigma_square(sm, sm.sigma_structure, 2),
             sigma_square(su, su.sigma_structure, 2),
-            pi_square(u1, _searched_pi(u1, lambda c, a, b: u1.new_ty, lambda *a: u1._star, 2), 2),
+            pi_square(u1, PiStructure(lambda c, a, b: u1.new_ty, lambda *a: u1._star), 2),
         ]
         rng = random.Random(0)
         # u0 has one term per context, so its λ̂ has no other value to take
@@ -1513,8 +1553,6 @@ class TestTheOracleReadsCells:
 
     @staticmethod
     def _counted(model, monkeypatch):
-        import natmod.natmodel as natmodel
-
         calls = Counter()
         for name in ("subst_tm", "subst_ty", "subst_tm_row", "subst_ty_row"):
             def counted(*args, _name=name, _inner=getattr(model, name)):

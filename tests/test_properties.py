@@ -448,7 +448,8 @@ def _call(m: NaturalModel, how: str, g: str, sigma: str, ty: str, tm: str):
 def _refused_over_other_contexts(name: str, other) -> int:
     """Hand each typeof, subst_tm and indsub of the model ``name`` a term,
     and each subst_ty and ext a type, of a context whose size is ``other``
-    than the one the call is at, and assert each is refused; returns how
+    than the one the call is at, and assert each is refused, each typeof and
+    indsub refusal naming the context of the call (g, or dom σ); returns how
     many typeof calls there were."""
     w = _world(name)
     m = w.m
@@ -469,16 +470,18 @@ def _refused_over_other_contexts(name: str, other) -> int:
         for t in elsewhere(g):
             with pytest.raises(ValueError) as refused:
                 m.typeof(g, t)
-            assert t in str(refused.value)
+            assert t in str(refused.value) and g in str(refused.value)
             for sigma in w.into[g]:
                 with pytest.raises(ValueError):
                     m.subst_tm(sigma, t)
             calls += 1
         for sigma in w.into[g]:
-            for t in elsewhere(m.base.dom(sigma)):
+            d = m.base.dom(sigma)
+            for t in elsewhere(d):
                 for ty in w.tys[g]:
-                    with pytest.raises(ValueError):
+                    with pytest.raises(ValueError) as refused:
                         m.indsub(sigma, t, ty)
+                    assert d in str(refused.value)
     return calls
 
 
@@ -507,8 +510,8 @@ class TestAForeignKeyIsRefused:
         assert key in str(refused.value)
 
     # every call whose term lies over a larger context than the one the call
-    # is at; a typeof refusal names the term, except the composite's, which
-    # is its inner model's refusal of one component
+    # is at; a typeof refusal names the term, and every typeof and indsub
+    # refusal the context of the call, not one of an inner model
     @pytest.mark.parametrize("name", ["term-model:1", "term-model:2", "type", "unit", "term",
                                       "sigma", "composite", "P", "finite-sets:2"])
     def test_a_term_of_a_larger_context_is_refused(self, name):
