@@ -16,9 +16,12 @@ over no instance is reported as VACUOUS, not PASS, and fails the run: the
 Σ structure at a bound where no Σ(A, B) fits, a check over a free
 construction at a bound below its every context, ``inclusion-strict``
 over an inner model with no context at the bound, ``natmod check`` on a
-file with no complete context or no extension square.  ``natmod poly extend``
-reads ``--family`` as one size per index, one element at each index by
-default and ``""`` the empty family.
+file with no complete context or no extension square, and ``natmod poly
+verify-bc`` or ``verify-dist`` at bound 0, which draws no instance, as its
+random sets need at least one element.  A failing check's detail names its
+first failing law and witness.  ``natmod poly extend`` reads ``--family``
+as one size per index, one element at each index by default and ``""`` the
+empty family.
 
 Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
 2 on bad input: a file that fails to parse or is incomplete, a free
@@ -268,6 +271,7 @@ def cmd_poly(args) -> int:
         sys.stderr.write(f"parse error: poly {args.subcmd} takes {want} polynomial "
                          f"file{'' if want == 1 else 's'}, got {len(args.files)}\n")
         return 2
+    count = args.count if args.bound else 0  # no random instance fits bound 0
     try:
         if args.subcmd == "extend":
             p = load(args.files[0])
@@ -295,17 +299,17 @@ def cmd_poly(args) -> int:
             report.add("extension-preserves-composition", passed, detail, elements)
         elif args.subcmd == "verify-bc":
             failures = 0
-            for k in range(args.count):
+            for k in range(count):
                 v, f, u, g = polyset.random_pullback_square(rng, args.bound)
                 family = polyset.random_family(rng, u.dom, args.bound)
                 sums, prods = polyset.beck_chevalley_witness(v, f, u, g, family)
                 if not (sums.check_roundtrips() and prods.check_roundtrips()):
                     failures += 1
             report.add("beck-chevalley", failures == 0,
-                       f"{args.count} instances, {failures} failures")
+                       f"{count} instances, {failures} failures", count)
         elif args.subcmd == "verify-dist":
             failures = 0
-            for k in range(args.count):
+            for k in range(count):
                 sizes = args.bound
                 b = tuple(f"b{i}" for i in range(rng.randint(1, sizes)))
                 a = tuple(f"a{i}" for i in range(rng.randint(1, sizes)))
@@ -317,7 +321,7 @@ def cmd_poly(args) -> int:
                 if not w.check_roundtrips():
                     failures += 1
             report.add("distributivity", failures == 0,
-                       f"{args.count} instances, {failures} failures")
+                       f"{count} instances, {failures} failures", count)
         elif args.subcmd == "pseudomonad":
             for name, data in [
                 ("trivial", polyset.trivial_pseudomonad()),

@@ -407,13 +407,12 @@ def _model_doc(model: NaturalModel, bound: int) -> dict:
         {"ctx": a, "term": t, "type": ty}
         for a, row in ps.p.components.items() for t, ty in row.items()
     ]
+    mors = cat.all_morphisms()
     subst_ty = [
-        {"mor": m, "type": t, "out": out}
-        for m, row in ps.ty.action.items() for t, out in row.items()
+        {"mor": m, "type": t, "out": out} for m in mors for t, out in ps.ty.row(m).items()
     ]
     subst_tm = [
-        {"mor": m, "term": t, "out": out}
-        for m, row in ps.tm.action.items() for t, out in row.items()
+        {"mor": m, "term": t, "out": out} for m in mors for t, out in ps.tm.row(m).items()
     ]
     # only self-contained extension data: entries whose extended context
     # escapes the materialized fragment are dropped, and the source context

@@ -419,7 +419,7 @@ def classified_morphisms(model: NaturalModel, bound: int) -> ClassifiedReport:
         g = base.cod(sigma)
         for d in ctxs:
             for m in ps.cat.homs.get((d, g), ()):
-                e_sub = model.ext(d, ps.ty.restrict(m, ty))
+                e_sub = model.ext(d, ps.ty.row(m)[ty])
                 top = canonical_pullback(model, m, ty)
                 pasted_top = base.compose(h, top)
                 ok = is_pullback_square(

@@ -9,10 +9,12 @@ size bound; the structure checkers (:func:`check_unit`, :func:`check_sigma`,
 dependent product structure together with the pullback property, delegating
 the latter to the presheaf oracle.
 
-:func:`model_presheaves` tabulates every substitution row for the code that
-reads whole rows (``check_eat``, the morphism checkers, the rival search, the
-Σ and Π squares, the file writer); the extension-square oracle and
-:func:`check_unit` read only the substitution cells of their squares.
+:func:`model_presheaves` is the one materialization of a bounded model: Ty
+and Tm over a truncation, with the model's substitution as their rule.  A
+row is built on its first read, through the model's row hooks, for the code
+that reads whole rows (``check_eat``, the morphism checkers, the rival
+search, the Σ and Π squares, the file writer); the extension-square oracle
+and :func:`check_unit` read only the substitution cells of their squares.
 
 Σ- and Π-types are squares over the polynomial composite p·p
 (:class:`CompositeModel`, the one enumeration of the pairs (A, B) and
@@ -36,6 +38,7 @@ square that is not a pullback under ``pullback``.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, Mapping, NamedTuple, Optional
@@ -53,6 +56,7 @@ from .presheaf import (
     NatTrans,
     Presheaf,
     check_pullback_square,
+    element_nat,
     identity_nat,
     yoneda,
     yoneda_map,
@@ -118,7 +122,7 @@ class NaturalModel(ABC):
 
     # -- optional hooks --------------------------------------------------
     # Closed forms and tabulations a model may supply; the defaults search
-    # or go cell by cell.  ``model_presheaves`` reads the action of each
+    # or go cell by cell.  ``model_presheaves`` builds the action of each
     # morphism through the two row hooks, and the morphism checkers compare
     # naturality through them.  A returned row is read-only: a model may
     # share one row between callers and between morphisms, as every free
@@ -365,36 +369,21 @@ class ModelPresheaves:
     p: NatTrans
 
 
-def _classifier(model: NaturalModel, ctx_bound: int, ty_bound: int) -> ModelPresheaves:
-    """Ty, Tm and p over the truncation: the values and the typing, no action yet."""
-    cat = truncate(model.base, ctx_bound)
-    ty_ps, tm_ps = (Presheaf(cat, {g: cells(g, ty_bound) for g in cat.object_keys}, {})
-                    for cells in (model.types, model.terms))
-    typing = {g: {a: model.typeof(g, a) for a in tm_ps.values[g]} for g in cat.object_keys}
-    return ModelPresheaves(cat, ty_ps, tm_ps, NatTrans(tm_ps, ty_ps, typing))
-
-
 def model_presheaves(model: NaturalModel, ctx_bound: int, ty_bound: int) -> ModelPresheaves:
     """Materialize the classifier p : U̇ -> U of a model over a base truncation.
 
-    This is the one tabulation of a bounded model: every type, term, typing
-    and substitution cell over the truncated base.  The action of each
-    morphism on types and on terms is one row from the model's
-    ``subst_ty_row``/``subst_tm_row`` hooks, for the code that reads them.
+    The one materialization of a bounded model: its types, terms and typing
+    over the truncated base, with the substitution as the action's rule.  A
+    cell x[m] is one ``subst_ty``/``subst_tm`` call and a row one
+    ``subst_ty_row``/``subst_tm_row`` call, made on its first read and kept.
     """
-    ps = _classifier(model, ctx_bound, ty_bound)
-    for m in ps.cat.all_morphisms():
-        dst = ps.cat.cod(m)
-        ps.ty.action[m] = model.subst_ty_row(m, ps.ty.values[dst])
-        ps.tm.action[m] = model.subst_tm_row(m, ps.tm.values[dst])
-    return ps
-
-
-def _element_cells(yon: Presheaf, ps: Presheaf, cell: Callable[[str, str], str],
-                   x: str) -> NatTrans:
-    """y(c) -> ps classifying x in ps(c), read cell by cell: h ↦ cell(h, x) = x[h]."""
-    return NatTrans(yon, ps, {d: {h: cell(h, x) for h in yon.at(d)}
-                              for d in yon.base.object_keys})
+    cat = truncate(model.base, ctx_bound)
+    ty_ps, tm_ps = (
+        Presheaf(cat, {g: cells(g, ty_bound) for g in cat.object_keys}, cell=cell, row_rule=row)
+        for cells, cell, row in ((model.types, model.subst_ty, model.subst_ty_row),
+                                 (model.terms, model.subst_tm, model.subst_tm_row)))
+    typing = {g: {a: model.typeof(g, a) for a in tm_ps.values[g]} for g in cat.object_keys}
+    return ModelPresheaves(cat, ty_ps, tm_ps, NatTrans(tm_ps, ty_ps, typing))
 
 
 @dataclass
@@ -420,11 +409,12 @@ def extension_square_oracle(
     ``ctx_bound - 1`` keeping the extended object inside the truncation.
     Extensions that leave the truncation are reported as skipped.
 
-    Ty, Tm and p are listed once, and each square reads only its cells A[σ]
-    and q_A[h]; a q_A outside Tm(Γ•A) forms no square, and fails.
+    Ty, Tm and p are materialized once, and each square reads only its
+    cells A[σ] and q_A[h]; a q_A outside Tm(Γ•A) has no cells, forms no
+    square, and fails.
     """
-    ps = _classifier(model, ctx_bound, ty_bound)
-    yons: dict[str, Presheaf] = {}  # representables of the contexts the squares use
+    ps = model_presheaves(model, ctx_bound, ty_bound)
+    yon = functools.cache(functools.partial(yoneda, ps.cat))  # the contexts the squares use
     report = SquareOracleReport(ctx_bound, ty_bound)
     for g in model.base.objects(square_ctx_bound):
         for a_ty in model.types(g, ty_bound):
@@ -433,15 +423,12 @@ def extension_square_oracle(
                 report.skipped.append((g, a_ty))
                 continue
             report.checked.append((g, a_ty))
-            for d in (g, e.extended):
-                if d not in yons:
-                    yons[d] = yoneda(ps.cat, d)
             try:
-                is_pullback = e.var in ps.tm.values[e.extended] and check_pullback_square(
+                is_pullback = check_pullback_square(
                     ps.p,
-                    _element_cells(yons[g], ps.ty, model.subst_ty, a_ty),
-                    _element_cells(yons[e.extended], ps.tm, model.subst_tm, e.var),
-                    yoneda_map(ps.cat, e.proj, yons[e.extended], yons[g]),
+                    element_nat(ps.cat, ps.ty, a_ty, yon(g)),
+                    element_nat(ps.cat, ps.tm, e.var, yon(e.extended)),
+                    yoneda_map(ps.cat, e.proj, yon(e.extended), yon(g)),
                 )
             except KeyError:
                 # a cell the square needs is missing: the data forms no square
@@ -606,11 +593,10 @@ def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> Findings:
     if e.var != model.subst_tm(model.t(e.extended), u.star_tm):
         add("iv", "variable of the unit extension is not star weakened")
 
-    ps = _classifier(model, bound, bound)
+    ps = model_presheaves(model, bound, bound)
     y_d = yoneda(ps.cat, diamond)
-    x_nt = _element_cells(y_d, ps.ty, model.subst_ty, u.unit_ty)
-    top = _element_cells(y_d, ps.tm, model.subst_tm, u.star_tm)
-    if not check_pullback_square(ps.p, x_nt, top, identity_nat(y_d)):
+    if not check_pullback_square(ps.p, element_nat(ps.cat, ps.ty, u.unit_ty, y_d),
+                                 element_nat(ps.cat, ps.tm, u.star_tm, y_d), identity_nat(y_d)):
         report.add("pullback", "unit square is not a pullback within the bound")
     return report
 
@@ -695,11 +681,11 @@ def _square_report(sq: FormerSquare, bound: int, name: str) -> Findings:
 
 def _restrictions(sq: FormerSquare, g: str, key: str, *tms: str) -> Iterator[tuple]:
     """(m, Δ, A[m], B[m•A], *t[m]) for each m : Δ -> Γ = g of the truncation,
-    (A, B) = key, read off the square's tabulated pairs and terms."""
+    (A, B) = key, read off the rows of the square's pairs and terms."""
     for d in sq.p.dom.base.object_keys:
         for m in sq.p.dom.base.hom(d, g):
-            yield (m, d, *sq.former.parts[sq.former.dom.restrict(m, key)],
-                   *(sq.p.dom.restrict(m, t) for t in tms))
+            tm_row = sq.p.dom.row(m)
+            yield (m, d, *sq.former.parts[sq.former.dom.row(m)[key]], *(tm_row[t] for t in tms))
 
 
 def _intro_inverse(sq: FormerSquare) -> Callable[[str, str, str, str], str]:
@@ -759,9 +745,7 @@ def pi_square(model: NaturalModel, s: PiStructure, bound: int) -> FormerSquare:
         m_a = canonical_pullback(model, m, ty_a)
         return reg.key((model.subst_ty(m, ty_a), model.subst_ty(m_a, ty_b), model.subst_tm(m_a, b)))
 
-    body_ps = Presheaf(cat, bodies, {
-        m: {k: restrict(m, k) for k in bodies[cat.cod(m)]} for m in cat.all_morphisms()
-    })
+    body_ps = Presheaf(cat, bodies, cell=restrict)
     return FormerSquare(
         ps.p,
         _StructureMap(pp.ty, ps.ty, comp.tys.cells, s.pi, "Π({},{})"),

@@ -1,7 +1,10 @@
 """Presheaves over finite category presentations and the pullback oracle.
 
 A presheaf assigns a finite set of element keys to every object and a
-contravariant action to every morphism.  The central operation is
+contravariant action to every morphism, as tables or as a rule whose rows
+are built on first read: a model's Ty and Tm have one materialization,
+``natmodel.model_presheaves``, whose rule is the model's substitution.
+The central operation is
 :func:`check_pullback_square`, which decides by enumeration whether a
 square of natural transformations is a pullback.  It and the pullback
 checks in a base category and in finite sets apply one finite-set test,
@@ -36,6 +39,7 @@ and read the parts back from the cells, so no two cells share a key.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -46,26 +50,55 @@ from .fincat import FinCatPresentation, FinFunctor, Registry, is_set_pullback, t
 class Presheaf:
     """Contravariant finite-set-valued functor on a FinCatPresentation.
 
-    A row of ``action`` may be a read-only mapping that the model shares
-    between morphisms (see ``NaturalModel.subst_ty_row``), so rows are read,
-    never written.
+    The action is the tables ``action``, or a rule: ``cell`` (m, x) ↦ x[m]
+    and optionally ``row_rule`` (m, xs) ↦ {x: x[m]}, whose row is built on
+    its first read and kept in ``action``.  A row may be a read-only mapping
+    the model shares (see ``NaturalModel.subst_ty_row``): rows are never
+    written.
     """
 
     base: FinCatPresentation
     values: dict[str, list[str]]
-    action: dict[str, Mapping[str, str]]  # morphism -> (element of P(cod) -> element of P(dom))
+    action: dict[str, Mapping[str, str]] = field(default_factory=dict)  # morphism -> row
+    cell: Optional[Callable[[str, str], str]] = None
+    row_rule: Optional[Callable[[str, list[str]], Mapping[str, str]]] = None
+    _elements: dict[str, set[str]] = field(default_factory=dict, init=False, repr=False)
 
     def at(self, obj: str) -> list[str]:
         return self.values.get(obj, [])
 
     def restrict(self, m: str, x: str) -> str:
-        """x[m], the action of morphism m on element x of P(cod m)."""
-        return self.action[m][x]
+        """x[m] for x in P(cod m); a cell the presheaf lacks raises ``KeyError``."""
+        row = self.action.get(m)
+        if row is not None:
+            return row[x]
+        if self.cell is None:
+            raise KeyError(m)
+        cod = self.base.cod(m)
+        if cod not in self._elements:
+            self._elements[cod] = set(self.at(cod))
+        if x not in self._elements[cod]:
+            raise KeyError(x)
+        return self.cell(m, x)
 
     def row(self, m: str) -> Mapping[str, str]:
         """The action of m as a mapping x ↦ x[m]; an element with no cell is
-        absent.  It may be a read-only mapping the model shares."""
-        return self.action.get(m, {})
+        absent, and every element for an m outside the base."""
+        row = self.action.get(m)
+        if row is not None or self.cell is None:
+            return {} if row is None else row
+        try:
+            xs = self.at(self.base.cod(m))
+        except KeyError:
+            return {}
+        if self.row_rule is not None:
+            row = self.action[m] = self.row_rule(m, xs)
+            return row
+        row = self.action[m] = {}
+        for x in xs:
+            with contextlib.suppress(KeyError):
+                row[x] = self.cell(m, x)
+        return row
 
     def violations(self, gens: Optional[list[str]] = None) -> Iterator[tuple[str, str]]:
         """Functoriality by enumeration, as (law, witness) pairs.
@@ -87,13 +120,14 @@ class Presheaf:
         """
         base = self.base
         at = {obj: set(self.at(obj)) for obj in base.object_keys}
-        for obj in base.object_keys:
-            i = base.identity(obj)
-            for x in self.at(obj):
-                if _try(self.restrict, i, x) != x:
-                    yield "identity", f"identity action fails at {obj!r} on {x!r}"
         mors = base.all_morphisms()
         rows = {m: self.row(m) for m in mors}
+        for obj in base.object_keys:
+            i = base.identity(obj)
+            row = rows[i] if i in rows else self.row(i)
+            for x in self.at(obj):
+                if row.get(x) != x:
+                    yield "identity", f"identity action fails at {obj!r} on {x!r}"
         into: dict[str, list[str]] = {obj: [] for obj in base.object_keys}
         closed = True
         for m in mors:
@@ -130,16 +164,6 @@ class Presheaf:
     def check(self) -> list[str]:
         """Functoriality violations, by enumeration; empty list means ok."""
         return [msg for _law, msg in self.violations()]
-
-
-def _try(fn: Callable[..., str], *args) -> Optional[str]:
-    """fn(*args), or None where a table has no such cell or an argument is None."""
-    if None in args:
-        return None
-    try:
-        return fn(*args)
-    except KeyError:
-        return None
 
 
 @dataclass
@@ -191,9 +215,10 @@ class NatTrans:
         def failing(m: str) -> Iterator[str]:
             """The witness of each x on which the square along m fails."""
             src, dst = base.dom(m), base.cod(m)
+            dom_row, cod_row = self.dom.row(m), self.cod.row(m)
+            at_src, at_dst = self.components.get(src, {}), self.components.get(dst, {})
             for x in self.dom.at(dst):
-                lhs = _try(self.cod.restrict, m, _try(self.apply, dst, x))
-                rhs = _try(self.apply, src, _try(self.dom.restrict, m, x))
+                lhs, rhs = cod_row.get(at_dst.get(x)), at_src.get(dom_row.get(x))
                 if lhs is None or lhs != rhs:
                     yield f"naturality fails for {m!r} on {self.describe(x)}"
 
@@ -219,32 +244,11 @@ def compose_nat(g: NatTrans, f: NatTrans) -> NatTrans:
     return NatTrans(f.dom, g.cod, comps)
 
 
-class Representable(Presheaf):
-    """The representable presheaf hom(-, c).
-
-    Its values are the hom sets.  It keeps no action table: the action is
-    precomposition, computed by :meth:`restrict` when asked.
-    """
-
-    def __init__(self, base: FinCatPresentation, c: str):
-        super().__init__(base, {d: base.hom(d, c) for d in base.object_keys}, {})
-
-    def restrict(self, m: str, x: str) -> str:
-        return self.base.compose(x, m)
-
-    def row(self, m: str) -> dict[str, str]:
-        out = {}
-        for x in self.at(self.base.cod(m)):
-            try:
-                out[x] = self.restrict(m, x)
-            except KeyError:
-                pass
-        return out
-
-
 def yoneda(base: FinCatPresentation, c: str) -> Presheaf:
-    """The representable presheaf hom(-, c) with precomposition action."""
-    return Representable(base, c)
+    """The representable presheaf hom(-, c): its values are the hom sets and
+    its rule is precomposition, x[m] = x∘m."""
+    return Presheaf(base, {d: base.hom(d, c) for d in base.object_keys},
+                    cell=lambda m, x: base.compose(x, m))
 
 
 def yoneda_map(base: FinCatPresentation, g: str, src_ps: Presheaf, dst_ps: Presheaf) -> NatTrans:
@@ -274,7 +278,7 @@ def elements_cat(p: Presheaf) -> tuple[FinCatPresentation, FinFunctor]:
     homs: dict[tuple[str, str], list[str]] = {}
     for src, c, x in els:
         for dst, d, y in els:
-            ms = [mors.key((m, y)) for m in base.hom(c, d) if p.restrict(m, y) == x]
+            ms = [mors.key((m, y)) for m in base.hom(c, d) if p.row(m)[y] == x]
             if ms:
                 homs[(src, dst)] = ms
     identities = {el: mors.key((base.identity(c), x)) for el, c, x in els}
@@ -310,9 +314,9 @@ def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTran
     rejects such a square.  Who guarantees it: for p,
     equation (xviii) of ``check_eat``; for the formers and introduction maps
     of Σ and Π, (ii) and (iv), reported beside the verdict by
-    ``natmodel._square_report``; for the maps built by ``element_nat``, the
-    oracle's cell reads, ``yoneda_map`` and ``identity_nat``, their
-    construction over functorial presheaves.
+    ``natmodel._square_report``; for the maps built by ``element_nat``,
+    ``yoneda_map`` and ``identity_nat``, their construction over functorial
+    presheaves.
     """
     if left.dom is not top.dom or x.dom is not left.cod or f.dom is not top.cod:
         raise ValueError("pullback square shape mismatch")
@@ -398,20 +402,20 @@ def sum_presheaves(ps: list[Presheaf]) -> tuple[Presheaf, list[NatTrans]]:
         raise ValueError("need at least one presheaf")
     base = ps[0].base
     reg = Registry(tuple_key)
-    tagged = [(str(i), p) for i, p in enumerate(ps)]
+    tagged = {str(i): p for i, p in enumerate(ps)}
     values = {
-        obj: [reg.key((i, x)) for i, p in tagged for x in p.at(obj)]
+        obj: [reg.key((i, x)) for i, p in tagged.items() for x in p.at(obj)]
         for obj in base.object_keys
     }
-    action = {
-        m: {reg.key((i, x)): reg.key((i, p.restrict(m, x)))
-            for i, p in tagged for x in p.at(base.cod(m))}
-        for m in base.all_morphisms()
-    }
-    total = Presheaf(base, values, action)
+
+    def restrict(m: str, key: str) -> str:
+        i, x = reg.cells[key]
+        return reg.key((i, tagged[i].restrict(m, x)))
+
+    total = Presheaf(base, values, cell=restrict)
     injections = [
         NatTrans(p, total, {obj: {x: reg.key((i, x)) for x in p.at(obj)} for obj in base.object_keys})
-        for i, p in tagged
+        for i, p in tagged.items()
     ]
     return total, injections
 
@@ -449,9 +453,7 @@ def pullback_presheaves(f: NatTrans, g: NatTrans) -> tuple[Presheaf, NatTrans, N
         x, y = reg.cells[key]
         return reg.key((f.dom.restrict(m, x), g.dom.restrict(m, y)))
 
-    apex = Presheaf(base, values, {
-        m: {k: restrict(m, k) for k in values[base.cod(m)]} for m in base.all_morphisms()
-    })
+    apex = Presheaf(base, values, cell=restrict)
     proj1, proj2 = (
         NatTrans(apex, side, {o: {k: reg.cells[k][n] for k in values[o]} for o in base.object_keys})
         for n, side in enumerate((f.dom, g.dom))

@@ -58,6 +58,14 @@ class Findings:
         laws = self.checks if self.laws is None else self.laws
         return self.instances != 0 and all(self.checks.get(law, True) for law in laws)
 
+    def first_failure(self) -> str:
+        """The first failing law that decides ``ok``, in the order found,
+        with its first witness and a count of the others; empty if none."""
+        laws = self.checks if self.laws is None else self.laws
+        law, ws = next(((law, ws) for law, ws in self.violations.items() if law in laws), ("", []))
+        more = f" (+{len(ws) - 1} more)" if len(ws) > 1 else ""
+        return f"{law}: {ws[0]}{more}" if ws else law
+
 
 @dataclass
 class CheckRecord:
@@ -92,8 +100,9 @@ class VerificationReport:
             self.checks.append(CheckRecord(name, passed, detail))
 
     def add_findings(self, name: str, findings: Findings) -> None:
-        """Record a checker's verdict with its instance count, at its bound."""
-        self.add(name, findings.ok, "", findings.instances, findings.bound)
+        """Record a checker's verdict with its instance count, at its bound;
+        a failure names its first failing law and witness."""
+        self.add(name, findings.ok, findings.first_failure(), findings.instances, findings.bound)
 
     @property
     def ok(self) -> bool:

@@ -1,12 +1,12 @@
 """Shared builders for small hand-made categories used across the test suite,
-the searching reference for Π's app, element-by-element reference forms of
+a model's presheaves with every row built, element-by-element reference forms of
 the polynomial maps, the per-construction forms of the free extensions'
 inclusions, the category laws checked one triple at a time, functoriality
 and naturality checked along every morphism, the functor laws checked pair
 by pair, the pullback of presheaves checked against every representable
 cone, composition in (Fin/I)^op read back out of the keys, and the searching
 reference for the classified morphisms, and the extension-square oracle
-read off the whole tabulation."""
+read off every row."""
 
 from __future__ import annotations
 
@@ -665,14 +665,23 @@ def reference_classified(model, bound: int) -> dict:
     return out
 
 
+def with_every_row(ps):
+    """``ps`` with every row of Ty and Tm built, as a reader of whole rows
+    builds them; ``action`` then holds them all."""
+    for m in ps.cat.all_morphisms():
+        ps.ty.row(m)
+        ps.tm.row(m)
+    return ps
+
+
 def reference_extension_square_oracle(model, ctx_bound: int, ty_bound: int,
                                       square_ctx_bound: int) -> SquareOracleReport:
-    """:func:`natmod.natmodel.extension_square_oracle` read off the
-    tabulation of every substitution row by ``model_presheaves``: the two
-    element maps of a square restrict A and q_A along the rows, so a q_A
+    """:func:`natmod.natmodel.extension_square_oracle` read off every
+    substitution row of ``model_presheaves``, built before any square: the
+    two element maps of a square restrict A and q_A along the rows, so a q_A
     outside Tm(Γ•A) has no row entry and fails its square.  The oracle that
     reads only the cells its squares use must reproduce its report."""
-    ps = model_presheaves(model, ctx_bound, ty_bound)
+    ps = with_every_row(model_presheaves(model, ctx_bound, ty_bound))
     yons = {}
     report = SquareOracleReport(ctx_bound, ty_bound)
     in_cat = set(ps.cat.object_keys)

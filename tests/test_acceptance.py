@@ -8,9 +8,6 @@ per-criterion lines.
 import random
 import time
 
-import pytest
-
-from natmod.fincat import FinSliceOpposite, truncate
 from natmod.freemodel import (
     TypeTree,
     extend_by_sigma,
@@ -35,7 +32,6 @@ from natmod.natmodel import (
     check_sigma,
     check_unit,
     extension_square_oracle,
-    section,
 )
 from natmod.polyset import (
     all_adjustments,
@@ -60,7 +56,6 @@ from natmod.presheaf import (
     NatTrans,
     Presheaf,
     compose_nat,
-    identity_nat,
     is_representable,
     pullback_presheaves,
     sum_nat_trans,

@@ -24,7 +24,7 @@ from natmod.modelio import (
 )
 from natmod.freemodel import term_model
 from natmod.natmodel import check_eat
-from natmod.report import VerificationReport
+from natmod.report import Findings, VerificationReport
 
 
 @pytest.fixture
@@ -270,6 +270,18 @@ class TestPolyCommand:
         assert main(["poly", "verify-bc", "--count", "10", "--seed", "1"]) == 0
         assert main(["poly", "verify-dist", "--count", "10", "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("subcmd,name", [
+        ("verify-bc", "beck-chevalley"), ("verify-dist", "distributivity")])
+    def test_a_random_check_at_bound_0_draws_nothing_and_is_vacuous(self, subcmd, name, capsys):
+        # the random sets need at least one element, which bound 0 leaves no room for
+        assert main(["poly", subcmd, "--bound", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (f"# poly-{subcmd} (bound=0, seed=0)\n"
+                                f"VACUOUS  {name}  -- 0 instances at bound 0\nresult: FAIL\n")
+        assert captured.err == ""
+        assert main(["poly", subcmd, "--bound", "1"]) == 0
+        assert f"\nPASS  {name}  -- 50 instances, 0 failures\n" in capsys.readouterr().out
+
     def test_pseudomonad(self, capsys):
         assert main(["poly", "pseudomonad"]) == 0
 
@@ -359,6 +371,45 @@ class TestConstructionsOverFileModels:
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
+
+
+class TestFailingRecordsNameTheirWitness:
+    def test_a_broken_identity_cell_of_a_base_file_is_named(self, tmp_path, capsys):
+        # star[id] := x0 over ⋄•T0 breaks (xiv) in the extension and the
+        # naturality of its mediating morphism
+        path = tmp_path / "u.json"
+        assert main(["free", "unit", "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        ident = doc["identities"]["ix(fs[0]|0)"]
+        next(r for r in doc["subst_tm"] if (r["mor"], r["term"]) == (ident, "star"))["out"] = "x0"
+        path.write_text(json.dumps(doc))
+        assert main(["free", "type", "--base", str(path), "--bound", "1"]) == 1
+        out = capsys.readouterr().out
+        assert ("\nFAIL  eat  -- xiv: identity action fails at " + r"'ix(ix(fs[0]\\|0)|0)'"
+                + " on 'star' (+1 more)\n") in out
+        fail = re.search(r"\nFAIL  mediating-strict  -- (.*)\n", out).group(1)
+        assert fail.startswith("tm-natural: star[") and fail.endswith("] (+5 more)")
+        assert "\nPASS  inclusion-strict\n" in out and out.endswith("result: FAIL\n")
+
+    def test_the_detail_is_the_first_failing_law_that_decides(self):
+        findings = Findings(2, 3, laws=frozenset({"b", "c"}))
+        findings.add("a", "not deciding")
+        findings.record("d", True)
+        findings.add("b", "first")
+        findings.add("b", "second")
+        findings.add("b", "third")
+        findings.record("c", False)
+        report = VerificationReport("r", 2)
+        report.add_findings("x", findings)
+        assert [(c.status, c.detail) for c in report.checks] == [("fail", "b: first (+2 more)")]
+        alone = Findings(2, 1)
+        alone.record("c", False)
+        assert alone.first_failure() == "c"
+        passing = Findings(2, 1, laws=frozenset({"b"}))
+        passing.add("a", "not deciding")
+        assert passing.ok and passing.first_failure() == ""
 
 
 class TestBadInputExitsTwo:

@@ -1,5 +1,4 @@
 import ast
-import itertools
 import random
 from pathlib import Path
 

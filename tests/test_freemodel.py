@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from natmod.fincat import FinSliceOpposite, is_pullback_square, join_escaped, truncate
+from natmod.fincat import FinSliceOpposite, join_escaped, truncate
 from natmod.freemodel import (
     CompositeModel,
     ExtTermModel,

@@ -50,8 +50,10 @@ def test_sigma_substitution_is_memoized_per_inner_morphism():
     from natmod.freemodel import extend_by_sigma, term_model
     from natmod.natmodel import model_presheaves
 
+    from helpers import with_every_row
+
     sm = extend_by_sigma(term_model(range(1)))
-    ps = model_presheaves(sm, 3, 3)
+    ps = with_every_row(model_presheaves(sm, 3, 3))
     assert sum(map(len, ps.tm.action.values())) == 52_616
     assert len(vars(sm)["_memo_SigmaExtModel._subst_tm"]) <= 2_708
     assert "_memo_SigmaExtModel.subst_tm" not in vars(sm)  # no per-morphism table

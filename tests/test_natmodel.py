@@ -1,17 +1,15 @@
 import ast
 import dataclasses
 import functools
-import itertools
 import json
 import random
-import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from natmod import natmodel
-from natmod.fincat import FinSliceOpposite, is_pullback_square, truncate
+from natmod.fincat import truncate
 from natmod.freemodel import (
     SigmaExtModel,
     TermModel,
@@ -29,6 +27,7 @@ from natmod.freemodel import (
     tree_subst,
     tree_summation,
 )
+from natmod.modelio import serialize_model
 from natmod.morphism import (
     PREMORPHISM_LAWS,
     MorphismPins,
@@ -36,7 +35,6 @@ from natmod.morphism import (
     check_morphism,
     check_sigma_morphism,
     classified_morphisms,
-    compose_morphisms,
     count_morphisms,
     identity_morphism,
 )
@@ -60,7 +58,14 @@ from natmod.natmodel import (
     sigma_square,
     swap_iso,
 )
-from natmod.presheaf import NatTrans, check_pullback_square
+from natmod.presheaf import (
+    NatTrans,
+    check_pullback_square,
+    identity_nat,
+    pullback_presheaves,
+    sum_presheaves,
+    yoneda,
+)
 from natmod.report import VerificationReport
 
 from helpers import (
@@ -68,6 +73,7 @@ from helpers import (
     finite_sets_model,
     propositions_model,
     reference_classified,
+    with_every_row,
 )
 
 
@@ -669,6 +675,20 @@ def _unread_locals(module: ast.Module) -> list[tuple[str, int]]:
     return out
 
 
+def _unread_imports(module: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every name the module imports and never reads; a
+    ``__future__`` import binds no name."""
+    imported = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name.split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    loads = {node.id for node in ast.walk(module)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [(name, line) for name, line in imported.items() if name not in loads]
+
+
 def _unreferenced_constants(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
     """Module-level names of src assigned and referenced by nothing in ``readers``."""
     used = {getattr(n, "id", getattr(n, "attr", None))
@@ -765,6 +785,14 @@ class TestNoDeadCode:
         dead = [f"{path}:{line}:{name}"
                 for path, module in modules.items() for name, line in _unread_locals(module)]
         assert dead + _unreferenced_constants(modules, readers) == []
+
+    def test_every_module_reads_every_name_it_imports(self):
+        # the package's __init__ imports its API for its users to read
+        paths = [p for p in sorted(_SRC.glob("*.py")) if p.name != "__init__.py"]
+        paths += sorted((_SRC.parent.parent / "tests").glob("*.py"))
+        unread = [f"{path.parent.name}/{path.name}:{line}:{name}" for path in paths
+                  for name, line in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))]
+        assert unread == []
 
     def test_every_method_is_named_outside_its_own_def(self):
         assert _unnamed_methods(*_src_and_readers()) == []
@@ -1368,7 +1396,7 @@ class TestSubstitutionRows:
         build = _ROW_MODELS[name]
         model = build()
         smaller = model_presheaves(model, bound, bound - 1)  # same morphisms, fewer cells
-        ps = model_presheaves(model, bound, bound)
+        ps = with_every_row(model_presheaves(model, bound, bound))
         assert smaller.cat.all_morphisms() == ps.cat.all_morphisms()
         ty_rows, tm_rows = _rows_cell_by_cell(build(), bound)
         assert ps.ty.action == ty_rows
@@ -1381,7 +1409,7 @@ class TestSubstitutionRows:
         # ty row (Ty is constant) with every morphism, so writing into it
         # fails; the other rows are fresh, and a write leaves them unshared
         model = _ROW_MODELS[name]()
-        first = model_presheaves(model, 2, 2)
+        first = with_every_row(model_presheaves(model, 2, 2))
         saved = [{m: dict(row) for m, row in rows.items()}
                  for rows in (first.ty.action, first.tm.action)]
         for rows in (first.ty.action, first.tm.action):
@@ -1394,16 +1422,90 @@ class TestSubstitutionRows:
                             row[a] = "NOPE"
                     else:
                         row[a] = "NOPE"
-        second = model_presheaves(model, 2, 2)
+        second = with_every_row(model_presheaves(model, 2, 2))
         assert [second.ty.action, second.tm.action] == saved
 
     def test_a_sigma_row_agrees_with_its_single_cells(self):
         sm = extend_by_sigma(term_model(range(1)))
-        ps = model_presheaves(sm, 3, 3)
+        ps = with_every_row(model_presheaves(sm, 3, 3))
         for m, row in ps.tm.action.items():
             assert row == {a: sm.subst_tm(m, a) for a in row}
         for m, row in ps.ty.action.items():
             assert row == {a: sm.subst_ty(m, a) for a in row}
+
+
+def _counting(model) -> Counter:
+    """Count the calls of the model's two row hooks per (hook, morphism), and
+    of its two substitution cells per hook."""
+    calls = Counter()
+    for name in ("subst_ty_row", "subst_tm_row", "subst_ty", "subst_tm"):
+        def counted(m, *args, _name=name, _inner=getattr(model, name)):
+            calls[(_name, m) if _name.endswith("_row") else _name] += 1
+            return _inner(m, *args)
+        setattr(model, name, counted)
+    return calls
+
+
+def _pi_bodies():
+    m = propositions_model()
+    return pi_square(m, m.pi_structure, 2).intro.dom
+
+
+class TestRowsOnFirstRead:
+    """A presheaf given by a rule builds a row the first time it is read and
+    keeps it; until then a cell is one call of the rule."""
+
+    @pytest.mark.parametrize("name", list(_ROW_MODELS))
+    def test_materializing_reads_no_substitution(self, name):
+        model = _ROW_MODELS[name]()
+        calls = _counting(model)
+        ps = model_presheaves(model, 2, 2)
+        assert not calls and not ps.ty.action and not ps.tm.action
+
+    @pytest.mark.parametrize("run", [
+        lambda src: check_eat(src, 2),
+        lambda src: check_morphism(inclusion(extend_by_type(src)), 2),
+        lambda src: count_morphisms(src, term_model(range(1)), 2, initiality_pins(
+            src, term_model(range(1)), {0: "T0", 1: "T0"})),
+        lambda src: serialize_model(src, 2),
+    ], ids=["check_eat", "check_morphism", "count_morphisms", "file-writer"])
+    def test_each_row_is_built_at_most_once(self, run):
+        src = term_model(range(2))
+        calls = _counting(src)
+        run(src)
+        rows = {key: n for key, n in calls.items() if isinstance(key, tuple)}
+        assert rows and set(rows.values()) == {1}
+
+    @pytest.mark.parametrize("build", [
+        lambda: model_presheaves(extend_by_sigma(term_model(range(1))), 2, 2).tm,
+        lambda: model_presheaves(term_model(range(2)), 2, 2).ty,
+        lambda: yoneda(truncate(term_model(range(1)).base, 2), "fs[0]"),
+        lambda: sum_presheaves([yoneda(truncate(term_model(range(1)).base, 2), c)
+                                for c in ("fs[]", "fs[0]")])[0],
+        lambda: pullback_presheaves(*[identity_nat(
+            model_presheaves(term_model(range(1)), 2, 2).tm)] * 2)[0],
+        _pi_bodies,
+    ], ids=["model-tm", "model-ty", "yoneda", "sum", "pullback", "pi-bodies"])
+    def test_an_element_outside_the_codomain_has_no_cell(self, build):
+        p = build()
+        base = p.base
+        m, x = next((m, x) for m in base.all_morphisms()
+                    for x in (*p.at(base.dom(m)), "NOPE") if x not in p.at(base.cod(m)))
+        with pytest.raises(KeyError):
+            p.restrict(m, x)
+        assert x not in p.row(m)
+        assert p.row(m) == {y: p.restrict(m, y) for y in p.at(base.cod(m))}
+
+    def test_a_morphism_outside_the_truncation_has_an_empty_row(self):
+        model = term_model(range(1))
+        ps = model_presheaves(model, 1, 1)
+        outside = model.base.identity(model.base.objects(2)[-1])
+        assert outside not in ps.cat.all_morphisms()
+        for p in (ps.ty, ps.tm):
+            assert p.row(outside) == {} and p.row("NOPE") == {}
+            with pytest.raises(KeyError):
+                p.restrict(outside, "x0")
+        assert not ps.ty.action and not ps.tm.action
 
 
 def _file_models():
@@ -1549,33 +1651,28 @@ class TestSquareOracleAgainstTheReference:
 
 class TestTheOracleReadsCells:
     """The oracle and ``check_unit`` read the cells of their squares one by
-    one: no substitution row and no tabulation."""
+    one: no row hook."""
 
     @staticmethod
-    def _counted(model, monkeypatch):
+    def _counted(model):
         calls = Counter()
         for name in ("subst_tm", "subst_ty", "subst_tm_row", "subst_ty_row"):
             def counted(*args, _name=name, _inner=getattr(model, name)):
                 calls[_name] += 1
                 return _inner(*args)
             setattr(model, name, counted)
-
-        def tabulate(*args, _inner=natmodel.model_presheaves):
-            calls["model_presheaves"] += 1
-            return _inner(*args)
-        monkeypatch.setattr(natmodel, "model_presheaves", tabulate)
         return calls
 
-    def test_the_oracle_reads_each_cell_of_its_squares_once(self, monkeypatch):
+    def test_the_oracle_reads_each_cell_of_its_squares_once(self):
         m = term_model(range(2))
-        calls = self._counted(m, monkeypatch)
+        calls = self._counted(m)
         report = extension_square_oracle(m, 4, 1, 3)
         assert report.ok and len(report.checked) == 30
         assert calls == Counter(subst_tm=6528, subst_ty=3498)
 
-    def test_the_unit_square_reads_its_cells(self, monkeypatch):
+    def test_the_unit_square_reads_its_cells(self):
         u = extend_by_unit(term_model(range(1)))
-        calls = self._counted(u, monkeypatch)
+        calls = self._counted(u)
         assert check_unit(u, u.unit_structure, 2).ok
-        assert not {"subst_tm_row", "subst_ty_row", "model_presheaves"} & calls.keys()
+        assert not {"subst_tm_row", "subst_ty_row"} & calls.keys()
         assert calls["subst_ty"] and calls["subst_tm"]

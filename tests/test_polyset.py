@@ -8,10 +8,8 @@ from pathlib import Path
 import pytest
 
 from natmod.polyset import (
-    Adjustment,
     FinMap,
     all_adjustments,
-    associator,
     beck_chevalley_witness,
     cell_from_square,
     check_pseudomonad_data,
@@ -44,7 +42,6 @@ from natmod.polyset import (
     unique_adjustment,
     vertical_compose,
     whisker_left,
-    whisker_right,
     Polynomial,
 )
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from natmod.fincat import (
-    FinCatPresentation, FinSliceOpposite, check_category, join_escaped, truncate, tuple_key,
+    FinCatPresentation, check_category, join_escaped, tuple_key,
 )
 from natmod.freemodel import (
     TermTree,
