@@ -95,7 +95,19 @@ class _WrappedCategory(RegistryCategory):
 
     @memo
     def obj_size(self, key: str) -> int:
-        return self.inner.base.obj_size(self.under(key))
+        """The size of a context: a root's is the inner size of the context
+        under it, and that of the extension of Γ by A adds to size(Γ) the
+        larger of ``ty_size(Γ, A)`` and what the inner size grew by.
+
+        So every formal step costs at least its type's size, which is at
+        least 1, and :meth:`objects` returns whenever the inner base has
+        finitely many objects of each size."""
+        size = self.inner.base.obj_size
+        parent = self.model._formal_parent(self.objs.cell(key))  # (Γ, A), or None at a root
+        if parent is None:
+            return size(self.under(key))
+        grown = size(self.under(key)) - size(self.under(parent[0]))
+        return self.obj_size(parent[0]) + max(self.model.ty_size(*parent), grown)
 
     def spell_mor(self, cell: tuple) -> str:
         return "%s=>%s$%r" % cell  # src=>dst$payload
@@ -129,18 +141,15 @@ class _WrappedCategory(RegistryCategory):
         """The contexts of size at most ``bound``, closed under extension,
         found once per bound and returned as a fresh list.
 
-        A context's size is the inner ``obj_size`` of the context it lies
-        over, plus its formal slots in the interleaved categories.  Over a
-        term model that is a length.  Over a file base every core context
-        has rank 0 and every boundary context ``BOUNDARY_RANK`` (see
-        :class:`~natmod.modelio.TableCategory`), so ``bound`` counts only the
-        formal slots: every context over the core is within any bound, none
-        over the boundary is within a working one, and an inner model whose
-        core is empty leaves no context at all.
-
-        Precondition: every extension adds to the size, or, as over a file,
-        finitely many contexts have each size; otherwise the frontier need
-        not empty and this never returns.
+        A context's size is :meth:`obj_size`.  Over a term model that is a
+        length.  Over a file base every core context has rank 0 and every
+        boundary context ``BOUNDARY_RANK`` (see
+        :class:`~natmod.modelio.TableCategory`), so ``bound`` counts the
+        formal steps, each at least 1: no context over the boundary is
+        within a working bound, and an inner model whose core is empty
+        leaves no context at all.  Each step adds to the size, so this
+        returns whenever the inner base has finitely many objects of each
+        size.
         """
         return list(self._objects(bound))
 
@@ -532,10 +541,6 @@ class _ExtTermCategory(_WrappedCategory):
             if self.inner.base.compose(anchor_b, s) == anchor_a:
                 yield (s,)
 
-    def _seeds(self, bound: int) -> list[str]:
-        # a root (Γ;) lies over Γ•O, one larger than Γ
-        return super()._seeds(max(bound - 1, 0))
-
 
 class ExtTermModel(_WrappedModel):
     """The free natural model on ``inner`` extended by a term x of type O.
@@ -763,10 +768,6 @@ class _InterleavedCategory(_WrappedCategory):
 
     def count(self, key: str) -> int:  # the number of formal slots
         return sum(self.objs.cell(key)[1])
-
-    @memo
-    def obj_size(self, key: str) -> int:
-        return self.inner.base.obj_size(self.under(key)) + self.count(key)
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple]:
         inner_homs = self.inner.base.hom(self.under(a), self.under(b))

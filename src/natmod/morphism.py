@@ -192,12 +192,17 @@ def check_morphism(fm: NMorphism, bound: int, strict: bool = True) -> Findings:
     canonical pullback squares (canonical-pullbacks); the latter two coincide
     within the bound but are computed independently.  ``ok`` reads
     STRICT_LAWS, or WEAK_LAWS when ``strict`` is false, never
-    canonical-pullbacks.  The instances are the source's contexts.
+    canonical-pullbacks.  The instances are the source's contexts.  An image
+    that raises ValueError, as F♯ into a model without an induced
+    substitution it needs, ends the check with a functor violation.
     """
     ps = model_presheaves(fm.src, bound, bound)
     report = Findings(bound, len(ps.cat.object_keys), STRICT_LAWS if strict else WEAK_LAWS)
-    for check, msg in _checks(fm, ps, bound):
-        report.add(check, msg)
+    try:
+        for check, msg in _checks(fm, ps, bound):
+            report.add(check, msg)
+    except ValueError as exc:  # F is not defined where a law reads it
+        report.add("functor", f"an image is undefined: {exc}")
     return report
 
 
@@ -235,34 +240,26 @@ def _checks(fm: NMorphism, ps: ModelPresheaves, bound: int) -> Iterator[tuple[st
                 yield "weak-tau", f"mediating map at ({g}, {ty}) is not invertible"
 
     # preservation of canonical pullback squares, via the in-category oracle;
-    # an image square whose legs do not compose is not preserved.  Image
-    # squares repeat across (m, A): each distinct one is checked once, and its
-    # fault is named under every (m, A) whose image it is
+    # a square that cannot be built, or whose legs do not compose, is not
+    # preserved.  Image squares repeat across (m, A): the oracle decides each
+    # distinct one once, and its fault is named under every (m, A) whose image it is
+    c = dst.base
     faults: dict[tuple, Optional[str]] = {}  # image square -> None if a pullback
     for m, a, b in placed:
         for ty in ps.ty.values[b]:
-            top = canonical_pullback(src, m, ty)
-            e_sub = src.ext(a, ps.ty.restrict(m, ty))
-            e = src.ext(b, ty)
             try:
+                top = canonical_pullback(src, m, ty)
+                e_sub = src.ext(a, ps.ty.restrict(m, ty))
+                e = src.ext(b, ty)
                 square = (fm.on_obj(e_sub.extended), fm.on_mor(e_sub.proj),
                           fm.on_mor(top), fm.on_mor(m), fm.on_mor(e.proj))
+                if square not in faults:
+                    faults[square] = None if is_pullback_square(c, bound + 1, *square) else ""
+                fault = faults[square]
             except (ValueError, KeyError) as exc:
-                yield "canonical-pullbacks", f"image square of ({m}, {ty}): {exc}"
-                continue
-            if square not in faults:
-                faults[square] = _pullback_fault(dst.base, bound + 1, square)
-            if faults[square] is not None:
-                yield "canonical-pullbacks", f"image square of ({m}, {ty}){faults[square]}"
-
-
-def _pullback_fault(c, bound: int, square: tuple) -> Optional[str]:
-    """None if ``square`` is a pullback in ``c`` at ``bound``; otherwise the
-    witness's suffix: empty, or the oracle's exception after a colon."""
-    try:
-        return None if is_pullback_square(c, bound, *square) else ""
-    except (ValueError, KeyError) as exc:
-        return f": {exc}"
+                fault = f": {exc}"
+            if fault is not None:
+                yield "canonical-pullbacks", f"image square of ({m}, {ty}){fault}"
 
 
 # The laws of a strict morphism over a scope, as (check, witness) pairs; an

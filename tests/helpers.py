@@ -4,14 +4,18 @@ the polynomial maps, the per-construction forms of the free extensions'
 inclusions, the category laws checked one triple at a time, functoriality
 and naturality checked along every morphism, the functor laws checked pair
 by pair, the pullback of presheaves checked against every representable
-cone, composition in (Fin/I)^op read back out of the keys, and the searching
-reference for the classified morphisms, and the extension-square oracle
-read off every row."""
+cone, composition in (Fin/I)^op read back out of the keys, a one-object
+model file, the searching reference for the classified morphisms, the
+extension-square oracle read off every row, and a deadline that makes a hang
+fail its test."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import json
 import operator
+import signal
 
 from natmod.fincat import FinCatPresentation
 from natmod.freemodel import TermTree, TypeTree
@@ -26,6 +30,23 @@ from natmod.presheaf import (
     yoneda_map,
 )
 from natmod.polyset import compose, extend, fin_map
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the enclosed block once it has run ``seconds``,
+    so a computation that does not return fails its test instead of stalling
+    the suite.  A SIGALRM timer: main thread only, and no deadlines nest."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def poset_category(elements, leq) -> FinCatPresentation:
@@ -108,6 +129,21 @@ def broken_unit_category() -> FinCatPresentation:
         identities={"x": "idx", "y": "idy"},
         terminal_key=None,
     )
+
+
+def one_object_file(tys: list[str]) -> str:
+    """A model file with one object *, whose only morphism is its identity,
+    and one term per type, each type extending * to itself by the identity."""
+    return json.dumps({
+        "objects": ["*"], "homs": [{"src": "*", "dst": "*", "mors": ["id"]}],
+        "compose": [{"g": "id", "f": "id", "gf": "id"}], "identities": {"*": "id"},
+        "terminal": "*", "ty": {"*": tys}, "tm": {"*": [f"v{t}" for t in tys]},
+        "typeof": [{"ctx": "*", "term": f"v{t}", "type": t} for t in tys],
+        "subst_ty": [{"mor": "id", "type": t, "out": t} for t in tys],
+        "subst_tm": [{"mor": "id", "term": f"v{t}", "out": f"v{t}"} for t in tys],
+        "ext": [{"ctx": "*", "type": t, "extended": "*", "proj": "id", "var": f"v{t}"}
+                for t in tys],
+    })
 
 
 def finite_sets_model(max_fibre: int = 2):

@@ -26,6 +26,8 @@ from natmod.freemodel import term_model
 from natmod.natmodel import check_eat
 from natmod.report import Findings, VerificationReport
 
+from helpers import deadline, one_object_file
+
 
 @pytest.fixture
 def term_model_file(tmp_path):
@@ -371,6 +373,46 @@ class TestConstructionsOverFileModels:
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
+
+    @pytest.mark.parametrize("kind,bound", [("type", "1"), ("unit", "2")])
+    def test_a_file_whose_core_is_closed_under_extension_is_a_base(
+        self, kind, bound, tmp_path, capsys
+    ):
+        # every type extends the one object to itself
+        path = tmp_path / "one.json"
+        path.write_text(one_object_file(["a|b", "c", "a", "b|c"]))
+        with deadline(60):
+            rc = main(["free", kind, "--base", str(path), "--bound", bound])
+        out = capsys.readouterr().out
+        assert rc == 0 and out.endswith("result: PASS\n"), out
+
+    def test_an_identity_term_cell_set_to_another_term_fails_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        # each identity subst_tm cell of a unit file whose context has
+        # another term is set to the first such term; four of these left F♯
+        # without an induced substitution, which check_morphism raised
+        path = tmp_path / "u.json"
+        assert main(["free", "unit", "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        doc = json.loads(text)
+        ctx_of = {ident: ctx for ctx, ident in doc["identities"].items()}
+        terms = {}
+        for row in doc["typeof"]:
+            terms.setdefault(row["ctx"], []).append(row["term"])
+        sites = [(i, other) for i, row in enumerate(doc["subst_tm"]) if row["mor"] in ctx_of
+                 for other in [t for t in terms[ctx_of[row["mor"]]] if t != row["out"]][:1]]
+        codes = []
+        for i, other in sites:
+            mutant = json.loads(text)
+            mutant["subst_tm"][i]["out"] = other
+            path.write_text(json.dumps(mutant))
+            codes.append(main(["free", "type", "--base", str(path), "--bound", "1"]))
+            out, err = capsys.readouterr()
+            assert err == "" and (codes[-1] == 0) == out.endswith("result: PASS\n"), out
+        assert codes == [0, 0, 1, 1, 1, 1, 0, 0, 1]
 
 
 class TestFailingRecordsNameTheirWitness:

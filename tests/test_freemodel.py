@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,9 @@ from natmod.natmodel import (
 )
 
 from helpers import (
+    deadline,
+    finite_sets_model,
+    one_object_file,
     propositions_model,
     reference_interleaved_inclusion,
     reference_sigma_inclusion,
@@ -338,9 +343,8 @@ class TestExtendByType:
         assert answer(x, x.ext(x.terminal, x.new_ty).extended) == x.new_ty
 
     def test_the_slot_prefix_stays_apart_from_a_closed_inner_term(self):
-        # the base's closed term is v0, so the slots take an apostrophe; only
-        # terms and typeof are called, as objects() of this base never returns
-        x = extend_by_type(parse_model(_one_object_file(["0"])))
+        # the base's closed term is v0, so the slots take an apostrophe
+        x = extend_by_type(parse_model(one_object_file(["0"])))
         ctx = x.ext(x.terminal, x.new_ty).extended
         tms = x.terms(ctx, 2)
         assert tms == ["v'0", "v0"]
@@ -858,26 +862,11 @@ class TestOneObjectRegistry:
         assert len(first.base.objs.cells) > 1
 
 
-def _one_object_file(tys: list[str]) -> str:
-    """A model file with one object *, whose only morphism is its identity,
-    and one term per type, each type extending * to itself by the identity."""
-    return json.dumps({
-        "objects": ["*"], "homs": [{"src": "*", "dst": "*", "mors": ["id"]}],
-        "compose": [{"g": "id", "f": "id", "gf": "id"}], "identities": {"*": "id"},
-        "terminal": "*", "ty": {"*": tys}, "tm": {"*": [f"v{t}" for t in tys]},
-        "typeof": [{"ctx": "*", "term": f"v{t}", "type": t} for t in tys],
-        "subst_ty": [{"mor": "id", "type": t, "out": t} for t in tys],
-        "subst_tm": [{"mor": "id", "term": f"v{t}", "out": f"v{t}"} for t in tys],
-        "ext": [{"ctx": "*", "type": t, "extended": "*", "proj": "id", "var": f"v{t}"}
-                for t in tys],
-    })
-
-
 class TestObjectKeysAreInjective:
     def test_a_type_key_holding_the_separator_keeps_its_own_context(self):
         # extending X by `a,0,b` and X by `a`, then `b`, gives two contexts
         # whose parts joined by commas would be spelled alike
-        x = extend_by_type(parse_model(_one_object_file(["a", "b", "a,0,b"])))
+        x = extend_by_type(parse_model(one_object_file(["a", "b", "a,0,b"])))
         over_x = x.ext(x.base.terminal, x.new_ty).extended
         one = x.ext(over_x, "a,0,b").extended
         two = x.ext(x.ext(over_x, "a").extended, "b").extended
@@ -922,7 +911,7 @@ class TestObjectKeysAreInjective:
     def test_the_root_and_a_context_over_the_empty_type_keep_their_own_keys(self):
         # a one-object file with a type keyed by the empty string: the root
         # (*, ()) and the context (*, ("",)) were both spelled xt(*|)
-        cat = extend_by_term(parse_model(_one_object_file(["a", ""])), "a").base
+        cat = extend_by_term(parse_model(one_object_file(["a", ""])), "a").base
         over_empty = cat.objs.key(("*", ("",)))
         assert over_empty != cat.terminal == cat.objs.key(("*", ()))
         assert len(cat.objs.keys) == len(cat.objs.cells) == 2
@@ -956,11 +945,9 @@ class TestObjectKeysAreInjective:
     @pytest.mark.parametrize("extend", [extend_by_type, extend_by_unit, extend_by_sigma],
                              ids=["type", "unit", "sigma"])
     def test_a_one_object_file_lists_as_many_keys_as_cells(self, tys, extend):
-        # every extension keeps the one object, so the contexts are those
-        # of bound 1 (objects() would not return) and types pair at bound 2
-        m = extend(parse_model(_one_object_file(tys)))
-        ctxs = [m.terminal] + [m.ext(m.terminal, a).extended for a in m.types(m.terminal, 1)]
-        for ctx in ctxs:
+        # every extension keeps the one object; types pair at bound 2
+        m = extend(parse_model(one_object_file(tys)))
+        for ctx in m.base.objects(1):
             for a in m.types(ctx, 2):
                 m.ext(ctx, a)
             m.terms(ctx, 2)
@@ -1038,6 +1025,135 @@ class TestPerInstanceMemo:
                 assert sm.typeof(ctx, tm) == want.key
                 checked += not want.is_leaf
         assert checked
+
+
+def _by_term(inner):
+    """The term extension by the first closed type of ``inner``."""
+    return extend_by_term(inner, inner.types(inner.terminal, 1)[0])
+
+
+_ONE_STEP = {"term": _by_term, "type": extend_by_type, "unit": extend_by_unit,
+             "sigma": extend_by_sigma}
+# the term-model matrix: each extension over term_model(range(n)), and each
+# over the type, unit and Σ extensions of term_model(range(1)) and over the
+# unit extension of term_model(range(0))
+_TERM_MODEL_MATRIX = [
+    (f"{name}/{n}", lambda ext=ext, n=n: ext(term_model(range(n))))
+    for n in (0, 1, 2) for name, ext in _ONE_STEP.items() if (name, n) != ("term", 0)
+] + [
+    (f"{outer}.{inner}/{n}", lambda o=ext, i=_ONE_STEP[inner], n=n: o(i(term_model(range(n)))))
+    for outer, ext in _ONE_STEP.items()
+    for inner, n in [("type", 1), ("unit", 1), ("sigma", 1), ("unit", 0)]
+]
+_SELF_EXTENDING_TYPES = ["a|b", "c", "a", "b|c"]  # each extends the one object to itself
+_SUITE_BASES = {
+    "term-model:1": lambda: term_model(range(1)),
+    "term-model:2": lambda: term_model(range(2)),
+    "P": propositions_model,
+    "finite-sets:2": lambda: finite_sets_model(2),
+    "one-object-file": lambda: parse_model(one_object_file(_SELF_EXTENDING_TYPES)),
+}
+
+
+def test_a_deadline_fails_a_block_that_does_not_return():
+    with pytest.raises(TimeoutError, match="still running after 0.05 s"):
+        with deadline(0.05):
+            while True:
+                pass
+    with deadline(5):
+        pass
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+
+class TestEveryFormalStepCostsItsTypesSize:
+    """A context's size is its root's inner size plus, per formal step by A,
+    the larger of A's size and what the inner size grew by; so objects(b)
+    returns over any base with finitely many objects per size."""
+
+    def test_the_term_model_matrix_keeps_its_contexts_and_sizes(self):
+        # the pin fixes every context and size over term models, so a change
+        # of the size rule cannot move one silently
+        listed = []
+        for name, make in _TERM_MODEL_MATRIX:
+            for bound in (1, 2, 3):
+                m = make()
+                listed.append((name, bound, [(k, m.base.obj_size(k)) for k in m.base.objects(bound)]))
+        assert len(_TERM_MODEL_MATRIX) == 27 and sum(len(x[2]) for x in listed) == 828
+        assert hashlib.sha256(json.dumps(listed).encode()).hexdigest() \
+            == "c1e7deb654b5fc05574ec3744de3c5521008a3c5745ce2e11d857272a66d83a2"
+
+    @pytest.mark.parametrize("base", list(_SUITE_BASES))
+    @pytest.mark.parametrize("ext", ["term", "type", "unit", "sigma"])
+    def test_a_formal_step_costs_at_least_its_types_size(self, base, ext):
+        inner = _SUITE_BASES[base]()
+        closed = inner.types(inner.terminal, 1)
+        m = extend_by_term(inner, closed[-1]) if ext == "term" else _ONE_STEP[ext](inner)
+        with deadline(20):
+            ctxs = m.base.objects(3)
+        size = m.base.obj_size
+        steps = [(ctx, m._formal_parent(m.base.objs.cell(ctx))) for ctx in ctxs]
+        steps = [(ctx, parent) for ctx, parent in steps if parent is not None]
+        assert all(size(ctx) >= size(parent[0]) + m.ty_size(*parent) >= size(parent[0]) + 1
+                   for ctx, parent in steps)
+        assert steps or ext == "term"
+
+    @pytest.mark.parametrize("ext,counts", [
+        (extend_by_type, (7, 16)), (extend_by_unit, (7, 16)), (extend_by_sigma, (4, 11)),
+    ], ids=["type", "unit", "sigma"])
+    def test_objects_returns_over_p(self, ext, counts):
+        m = ext(propositions_model())
+        with deadline(20):
+            assert (len(m.base.objects(2)), len(m.base.objects(3))) == counts
+
+    def test_the_term_extension_by_a_pair_of_points_returns_over_finite_sets(self):
+        # extending set2 by fam(2, 0) gives set2 again, so the inner size
+        # alone let objects(3) grow without end
+        fs = finite_sets_model(2)
+        fs.types(fs.terminal, 1)
+        m = extend_by_term(fs, "fam(2,)")
+        with deadline(20):
+            assert (len(m.base.objects(2)), len(m.base.objects(3))) == (2, 8)
+
+    @pytest.mark.parametrize("ext,count", [
+        (extend_by_type, 17), (extend_by_unit, 17), (extend_by_sigma, 20),
+    ], ids=["type", "unit", "sigma"])
+    def test_objects_returns_over_finite_sets(self, ext, count):
+        m = ext(finite_sets_model(2))
+        with deadline(20):
+            assert len(m.base.objects(3)) == count
+
+    def test_sigma_objects_returns_over_a_file_whose_core_is_closed_under_extension(self):
+        m = extend_by_sigma(parse_model(one_object_file(_SELF_EXTENDING_TYPES)))
+        with deadline(20):
+            assert len(m.base.objects(2)) == 17
+
+
+class TestUniversalPropertiesOverP:
+    """The free Σ and unit extensions of P, the model of propositions in
+    finite sets, at bound 2: P has the structure, so the identity factors
+    uniquely through each."""
+
+    def test_sigma_over_p(self):
+        p = propositions_model()
+        s = extend_by_sigma(p)
+        with deadline(60):
+            assert check_eat(s, 2).ok
+            summation = tree_summation(s)
+            assert check_morphism(summation, 2).ok
+            assert check_sigma_morphism(summation, 2)
+            pins = sigma_universal_pins(s, identity_morphism(p), 2, summation)
+            assert count_morphisms(s, p, 2, pins) == 1
+
+    def test_unit_over_p(self):
+        p = propositions_model()
+        u = extend_by_unit(p)
+        with deadline(60):
+            assert check_eat(u, 2).ok
+            assert check_unit(u, u.unit_structure, 2).ok
+            insertion = unit_insertion(u)
+            assert check_morphism(insertion, 2).ok
+            pins = interleaved_universal_pins(u, identity_morphism(p), 2, insertion)
+            assert count_morphisms(u, p, 2, pins) == 1
 
 
 class TestFreeFunctorsPreserveInitiality:
