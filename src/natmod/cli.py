@@ -28,7 +28,9 @@ Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
 construction whose bound reaches past the fragment a base file holds, a
 negative bound, a negative ``term-model:N``, a ``--count`` below 1, a
 ``--type`` that is not a closed type of the base, a ``natmod poly``
-subcommand given the wrong number of files, or a negative ``--family`` size.
+subcommand given the wrong number of files, a negative ``--family`` size, a
+file that cannot be read or is not UTF-8, or an ``--out`` or ``--out-model``
+path that cannot be written.
 ``NATMOD_BOUND`` overrides the default bound; it is read as ``--bound`` is,
 and a malformed or negative value exits 2.
 """
@@ -40,6 +42,7 @@ import os
 import random
 import sys
 import time
+from pathlib import Path
 from typing import Optional
 
 from . import freemodel, modelio, polyset
@@ -87,12 +90,31 @@ def _emit(report: VerificationReport, args) -> int:
         if args.format == "machine"
         else report.to_text(with_timing=args.timing)
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+    elif not _write(args.out, text):
+        return 2
     return 0 if report.ok else 1
+
+
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``, or say in a parse error line that it cannot."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        sys.stderr.write(f"parse error: cannot write {path}: {exc.strerror or exc}\n")
+        return False
+    return True
+
+
+def _parse_file(path: str, parse):
+    """``parse`` of the file's text; a file that cannot be read or is not
+    UTF-8 raises ParseError, as one that does not parse does."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise modelio.ParseError(str(exc)) from None
+    return parse(text)
 
 
 def _load_base(spec: str):
@@ -102,16 +124,14 @@ def _load_base(spec: str):
         if n < 0:
             raise ValueError(f"term-model:N needs a non-negative N, got {n}")
         return freemodel.term_model(range(n))
-    with open(spec) as fh:
-        return modelio.parse_model(fh.read())
+    return _parse_file(spec, modelio.parse_model)
 
 
 def cmd_check(args) -> int:
     t0 = time.time()
     try:
-        with open(args.model) as fh:
-            model = modelio.parse_model(fh.read())
-    except (OSError, modelio.ParseError) as exc:
+        model = _parse_file(args.model, modelio.parse_model)
+    except modelio.ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
     report = VerificationReport("check", args.bound, args.seed)
@@ -143,7 +163,7 @@ def cmd_free(args) -> int:
     t0 = time.time()
     try:
         base = _load_base(args.base)
-    except (OSError, ValueError, modelio.ParseError) as exc:
+    except ValueError as exc:  # a ParseError, or a malformed term-model:N
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
     if args.kind == "term-model" and not isinstance(base, freemodel.TermModel):
@@ -155,9 +175,9 @@ def cmd_free(args) -> int:
     report = VerificationReport(f"free-{args.kind}", args.bound, args.seed)
     try:
         model = _free_checks(args, base, report)
-        if args.out_model:
-            with open(args.out_model, "w") as fh:
-                fh.write(modelio.serialize_model(model, min(args.bound, 2)))
+        if args.out_model and not _write(
+                args.out_model, modelio.serialize_model(model, min(args.bound, 2))):
+            return 2
     except modelio.MissingCell as exc:
         # the base is a file fragment and the bound reaches past it
         sys.stderr.write(f"parse error: {exc}; try a smaller --bound\n")
@@ -262,10 +282,6 @@ def cmd_poly(args) -> int:
     rng = random.Random(args.seed)
     report = VerificationReport(f"poly-{args.subcmd}", args.bound, args.seed)
 
-    def load(path):
-        with open(path) as fh:
-            return modelio.parse_polynomial(fh.read())
-
     want = POLY_FILES[args.subcmd]
     if len(args.files) != want:
         sys.stderr.write(f"parse error: poly {args.subcmd} takes {want} polynomial "
@@ -274,7 +290,7 @@ def cmd_poly(args) -> int:
     count = args.count if args.bound else 0  # no random instance fits bound 0
     try:
         if args.subcmd == "extend":
-            p = load(args.files[0])
+            p = _parse_file(args.files[0], modelio.parse_polynomial)
             # one element at each index by default; "" is the empty family
             sizes = ([1] * len(p.I) if args.family is None
                      else [int(s) for s in args.family.split(",")] if args.family else [])
@@ -290,8 +306,7 @@ def cmd_poly(args) -> int:
             for j in p.J:
                 report.add(f"component-{j}", True, f"{len(ext[j])} elements")
         elif args.subcmd == "compose":
-            g = load(args.files[0])
-            f = load(args.files[1])
+            g, f = (_parse_file(path, modelio.parse_polynomial) for path in args.files)
             gf = polyset.compose(g, f)
             report.add("composite", True,
                        f"positions={len(gf.A)} directions={len(gf.B)}")
@@ -332,7 +347,7 @@ def cmd_poly(args) -> int:
                     f"{k}:{'ok' if v else 'FAIL'}" for k, v in sorted(rep.checks.items())
                 )
                 report.add(f"pseudomonad-{name}", rep.ok, detail)
-    except (OSError, modelio.ParseError, ValueError) as exc:
+    except ValueError as exc:  # a ParseError, or polynomials that do not compose
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
     report.timing_s = time.time() - t0

@@ -2,21 +2,17 @@
 
 A morphism is a terminal-preserving functor together with per-context maps
 on types and terms (the right adjoint convention: components land in the
-codomain model's families at the image context).  :func:`check_morphism`
-verifies the premorphism laws, strict preservation of the chosen
-representability data, invertibility of the mediating comparison maps and
-preservation of canonical pullback squares, each as its own law of one
-:class:`~natmod.report.Findings`; its ``strict`` flag chooses the laws that
-decide ``ok``, the strict ones or the weak one, and the canonical pullbacks
-are never among them.
-
-Each law has one body, a generator of (check, witness) pairs over a scope
-its caller passes: :func:`natmod.fincat.functor_violations`, and here
-``_naturality``, ``_typing`` and ``_strictness``.  :func:`check_morphism`
-passes the whole truncation, the rival search the constraints of a step.
-Naturality compares whole rows: along each morphism it reads the source's
-row and the images per context, and asks the codomain for one row per sort
-through its ``subst_ty_row``/``subst_tm_row`` hooks, never for a single cell.
+codomain model's families at the image context).  Every check here reports
+one :class:`~natmod.report.Findings`, law by law, and each law has one body:
+a generator of (law, witness) pairs over a scope its caller passes.
+:func:`check_morphism` runs :func:`natmod.fincat.functor_violations` and
+``_terminal``, ``_naturality``, ``_typing``, ``_strictness``, ``_weak_tau``
+and ``_canonical_pullbacks`` over the whole truncation, the rival search the
+first five over the constraints of a step.  Its ``strict`` flag chooses the
+laws that decide ``ok``, the strict ones or the weak one; the canonical
+pullbacks are never among them.  :func:`check_sigma_morphism` runs ``_sigma``
+over the pairs of the source's Σ square, and :func:`classified_morphisms`
+``_pullback_closure`` over the morphisms its classifier classifies.
 
 A strict morphism is determined by its root data: :class:`ForcedImages`
 derives every other image, for the constructed morphisms of
@@ -27,13 +23,9 @@ checkers and the search read the source through ``model_presheaves``.
 agree with a given set of pinned values, by treating the unknown images as
 a finite constraint problem.  Every universal-property verification in the
 package reduces to a call of this function asserting a count of one.  The
-search visits contexts in order.  At context i it chooses the free values
-one at a time (the types, then the terms, then the root morphisms) and
-makes each choice on a fresh copy of the candidate, so backtracking undoes
-nothing.  It checks each constraint once, at the step of its last
-participant: the context of largest index among those the constraint reads.
-Composition it checks only along generators; η for extensions in the
-codomain gives the other composable pairs.
+search visits contexts in order, choosing the free values of each on fresh
+copies of the candidate, and checks each constraint once, at the step of
+its last participant (see :class:`_Search`).
 """
 
 from __future__ import annotations
@@ -46,14 +38,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .fincat import composable_pairs, functor_violations, is_pullback_square, memo
 from .natmodel import (
-    CompositeModel,
+    FormerSquare,
     ModelPresheaves,
     NaturalModel,
-    SigmaStructure,
-    _read,
     canonical_pullback,
     induced_sub,
     model_presheaves,
+    sigma_square,
 )
 from .report import Findings
 
@@ -208,63 +199,33 @@ def check_morphism(fm: NMorphism, bound: int, strict: bool = True) -> Findings:
 
 def _checks(fm: NMorphism, ps: ModelPresheaves, bound: int) -> Iterator[tuple[str, str]]:
     """check_morphism's checks over the whole truncation, law by law."""
-    src, dst = fm.src, fm.dst
-    if fm.on_obj(src.terminal) != dst.terminal:
-        yield "terminal", "distinguished terminal object not preserved"
+    yield from _terminal(fm)
     ctxs = ps.cat.object_keys
     mors = [(m, a, b) for (a, b), ms in ps.cat.homs.items() for m in ms]
     # a morphism whose image has the wrong endpoints is reported once, by the
     # functor laws; the laws that compose or substitute along its image skip it
     misplaced = yield from functor_violations(
-        src.base, dst.base, fm.on_obj, fm.on_mor, ctxs, mors, composable_pairs(mors))
+        fm.src.base, fm.dst.base, fm.on_obj, fm.on_mor, ctxs, mors, composable_pairs(mors))
     placed = [mor for mor in mors if mor[0] not in misplaced]
     ty_images = {g: {x: fm.on_ty(g, x) for x in ps.ty.values[g]} for g in ctxs}
     tm_images = {g: {x: fm.on_tm(g, x) for x in ps.tm.values[g]} for g in ctxs}
     yield from _naturality(fm, ps, placed, ty_images, tm_images)
     yield from _typing(fm, ps, ctxs)
-    for g in ctxs:
-        for ty in ps.ty.values[g]:
-            yield from _strictness(fm, ((g, ty),))
-            # weak condition: the mediating map ⟨F p, F q⟩ is invertible
-            e = src.ext(g, ty)
-            try:
-                tau = induced_sub(
-                    dst, fm.on_mor(e.proj), fm.on_tm(e.extended, e.var), fm.on_ty(g, ty)
-                )
-            except ValueError as exc:
-                yield "weak-tau", f"({g}, {ty}): {exc}"
-                continue
-            # where F is strict here, τ = ⟨p, q⟩ is the identity, its own
-            # inverse, so only a non-identity τ is searched
-            if tau != dst.base.identity(dst.base.cod(tau)) and dst.base.is_iso(tau) is None:
-                yield "weak-tau", f"mediating map at ({g}, {ty}) is not invertible"
-
-    # preservation of canonical pullback squares, via the in-category oracle;
-    # a square that cannot be built, or whose legs do not compose, is not
-    # preserved.  Image squares repeat across (m, A): the oracle decides each
-    # distinct one once, and its fault is named under every (m, A) whose image it is
-    c = dst.base
-    faults: dict[tuple, Optional[str]] = {}  # image square -> None if a pullback
-    for m, a, b in placed:
-        for ty in ps.ty.values[b]:
-            try:
-                top = canonical_pullback(src, m, ty)
-                e_sub = src.ext(a, ps.ty.restrict(m, ty))
-                e = src.ext(b, ty)
-                square = (fm.on_obj(e_sub.extended), fm.on_mor(e_sub.proj),
-                          fm.on_mor(top), fm.on_mor(m), fm.on_mor(e.proj))
-                if square not in faults:
-                    faults[square] = None if is_pullback_square(c, bound + 1, *square) else ""
-                fault = faults[square]
-            except (ValueError, KeyError) as exc:
-                fault = f": {exc}"
-            if fault is not None:
-                yield "canonical-pullbacks", f"image square of ({m}, {ty}){fault}"
+    for cell in ((g, ty) for g in ctxs for ty in ps.ty.values[g]):
+        yield from _strictness(fm, (cell,))
+        yield from _weak_tau(fm, (cell,))
+    yield from _canonical_pullbacks(fm, ps, placed, bound)
 
 
 # The laws of a strict morphism over a scope, as (check, witness) pairs; an
 # image of None is a violation.  ``fm`` is an NMorphism or a search candidate:
 # anything with src, dst and the four on_* actions.
+
+def _terminal(fm) -> Iterator[tuple[str, str]]:
+    """terminal: F sends the distinguished terminal object to the codomain's."""
+    if fm.on_obj(fm.src.terminal) != fm.dst.terminal:
+        yield "terminal", "distinguished terminal object not preserved"
+
 
 def _naturality(
     fm, ps: ModelPresheaves, mors: Iterable[tuple[str, str, str]],
@@ -337,97 +298,140 @@ def _strictness(fm, cells: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str
             yield "strict-var", f"F(q) at ({g}, {ty})"
 
 
-def check_sigma_morphism(fm: NMorphism, bound: int) -> bool:
-    """Does fm preserve dependent sum structure on all in-bound pairs and quadruples?
-
-    A pair (A, B) whose B lies over a context beyond the bound is skipped, with
-    its quadruples, where fm has no image of B; any other missing image fails.
-    """
+def _weak_tau(fm, cells: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
+    """weak-tau: the mediating map ⟨F p_A, F q_A⟩ at F A is invertible, for
+    each extension cell (Γ, A) of ``cells``."""
     src, dst = fm.src, fm.dst
-    s_src: SigmaStructure = src.sigma_structure  # type: ignore[attr-defined]
-    s_dst: SigmaStructure = dst.sigma_structure  # type: ignore[attr-defined]
-    comp = CompositeModel(src, src)
-    ctxs = src.base.objects(bound)
-    for g in ctxs:
-        fg = fm.on_obj(g)
-        images = {}  # (A|B) -> (F A, F B)
-        for key in comp.types(g, bound):
-            ty_a, ty_b = _read(comp.tys, key)
-            over_a = src.ext(g, ty_a).extended
-            f_a, f_b = images[key] = fm.on_ty(g, ty_a), fm.on_ty(over_a, ty_b)
-            if f_b is None and over_a not in ctxs:
-                continue  # skipped, with its quadruples
-            lhs = fm.on_ty(g, s_src.sigma(g, ty_a, ty_b))
-            if None in (fg, f_a, f_b) or lhs != s_dst.sigma(fg, f_a, f_b):
-                return False
-        for quad in comp.terms(g, bound):
-            ty_a, ty_b, a, b = _read(comp.tms, quad)
-            f_ab, f_a, f_b = images[comp.typeof(g, quad)], fm.on_tm(g, a), fm.on_tm(g, b)
-            if f_ab[1] is None:  # its pair was skipped
-                continue
-            lhs = fm.on_tm(g, s_src.pair(g, ty_a, ty_b, a, b))
-            if None in (f_a, f_b) or lhs != s_dst.pair(fg, *f_ab, f_a, f_b):
-                return False
-    return True
+    for g, ty in cells:
+        e = src.ext(g, ty)
+        try:
+            tau = induced_sub(dst, fm.on_mor(e.proj), fm.on_tm(e.extended, e.var), fm.on_ty(g, ty))
+        except ValueError as exc:
+            yield "weak-tau", f"({g}, {ty}): {exc}"
+            continue
+        # where F is strict here, τ = ⟨p, q⟩ is the identity, its own
+        # inverse, so only a non-identity τ is searched
+        if tau != dst.base.identity(dst.base.cod(tau)) and dst.base.is_iso(tau) is None:
+            yield "weak-tau", f"mediating map at ({g}, {ty}) is not invertible"
 
 
-@dataclass
-class ClassifiedReport:
-    bound: int
-    classified: dict[str, tuple[str, str]] = field(default_factory=dict)
-    closure_failures: list[str] = field(default_factory=list)
+def _canonical_pullbacks(fm, ps: ModelPresheaves, mors: Iterable[tuple[str, str, str]],
+                         bound: int) -> Iterator[tuple[str, str]]:
+    """canonical-pullbacks: F sends the canonical square of (m, A) to a
+    pullback, decided by the in-category oracle, for each (m, a, b) of
+    ``mors`` and type A over b.  A square that cannot be built, or whose
+    legs do not compose, is not preserved.  Image squares repeat across
+    (m, A): each distinct one is decided once, and its fault is named under
+    every (m, A) whose image it is."""
+    src, c = fm.src, fm.dst.base
+    faults: dict[tuple, Optional[str]] = {}  # image square -> None if a pullback
+    for m, a, b in mors:
+        for ty in ps.ty.values[b]:
+            try:
+                top = canonical_pullback(src, m, ty)
+                e_sub = src.ext(a, ps.ty.restrict(m, ty))
+                e = src.ext(b, ty)
+                square = (fm.on_obj(e_sub.extended), fm.on_mor(e_sub.proj),
+                          fm.on_mor(top), fm.on_mor(m), fm.on_mor(e.proj))
+                if square not in faults:
+                    faults[square] = None if is_pullback_square(c, bound + 1, *square) else ""
+                fault = faults[square]
+            except (ValueError, KeyError) as exc:
+                fault = f": {exc}"
+            if fault is not None:
+                yield "canonical-pullbacks", f"image square of ({m}, {ty}){fault}"
 
-    @property
-    def closure_ok(self) -> bool:
-        return not self.closure_failures
+
+def check_sigma_morphism(fm: NMorphism, bound: int) -> Findings:
+    """Σ-preservation: the laws of :func:`_sigma` over the pairs (A, B) of
+    the source's :func:`~natmod.natmodel.sigma_square` at ``bound``, its
+    instances.  A pair whose B lies over a context beyond the bound is
+    skipped, with its quadruples, where fm has no image of B."""
+    sq = sigma_square(fm.src, fm.src.sigma_structure, bound)  # type: ignore[attr-defined]
+
+    def in_scope(g: str, key: str) -> bool:
+        ty_a, ty_b = sq.former.parts[key]
+        over_a = fm.src.ext(g, ty_a).extended
+        return over_a in sq.p.dom.values or fm.on_ty(over_a, ty_b) is not None
+
+    pairs = [(g, key) for g in sq.p.dom.base.object_keys
+             for key in sq.former.dom.at(g) if in_scope(g, key)]
+    report = Findings(bound, len(pairs))
+    for law, witness in _sigma(fm, sq, pairs):
+        report.add(law, witness)
+    return report
 
 
-def classified_morphisms(model: NaturalModel, bound: int) -> ClassifiedReport:
-    """Morphisms classified by the model's classifier, with pullback closure.
+def _sigma(fm, sq: FormerSquare, pairs: Iterable[tuple[str, str]]) -> Iterator[tuple[str, str]]:
+    """sigma and pair: F(Σ(A, B)) = Σ(F A, F B) for each (Γ, (A|B)) of
+    ``pairs``, then F(pair(a, b)) = pair(F a, F b) for each quadruple (A, B,
+    a, b) over one, read off the source's Σ square ``sq``; a missing image
+    is a violation."""
+    s_dst = fm.dst.sigma_structure
+    images = {}  # (Γ, (A|B)) -> (F Γ, F A, F B)
+    for g, key in pairs:
+        ty_a, ty_b = sq.former.parts[key]
+        images[g, key] = f_gab = (
+            fm.on_obj(g), fm.on_ty(g, ty_a), fm.on_ty(fm.src.ext(g, ty_a).extended, ty_b))
+        if None in f_gab or fm.on_ty(g, sq.former.apply(g, key)) != s_dst.sigma(*f_gab):
+            yield "sigma", f"F({sq.former.describe(key)}) at {g}"
+    for g in dict.fromkeys(g for g, _key in pairs):
+        for quad in sq.intro.dom.at(g):
+            f_gab = images.get((g, sq.leg.apply(g, quad)))
+            if f_gab is None:
+                continue  # its pair is out of scope
+            ty_a, ty_b, a, b = sq.intro.parts[quad]
+            f_ab = fm.on_tm(g, a), fm.on_tm(g, b)
+            if None in (*f_gab, *f_ab) or \
+                    fm.on_tm(g, sq.intro.apply(g, quad)) != s_dst.pair(*f_gab, *f_ab):
+                yield "pair", f"F({sq.intro.describe(quad)}) of Σ({ty_a},{ty_b}) at {g}"
+
+
+def classified_morphisms(model: NaturalModel,
+                         bound: int) -> tuple[dict[str, tuple[str, str]], Findings]:
+    """The morphisms σ ↦ (A, h) the model's classifier classifies, and the
+    law of :func:`_pullback_closure` over them, its instances.
 
     σ : Γ' -> Γ is classified iff some type A over Γ admits a slice
     isomorphism h : (Γ•A, p_A) -> (Γ', σ).  Then p_A∘h⁻¹ = σ, so
     h⁻¹ = ⟨σ, a⟩_A for the term a = q_A[h⁻¹] of A[σ]; the inverse candidates
     are read through ``induced_sub`` over the terms of A[σ], and h is the
-    inverse of the first one that is invertible.  Closure under pullback is
-    verified by pasting the canonical square with the witness isomorphism
-    and running the in-category pullback oracle.
+    inverse of the first one that is invertible.
     """
     base = model.base
-    report = ClassifiedReport(bound)
     ps = model_presheaves(model, bound, bound)
-    ctxs = ps.cat.object_keys
-    for gp in ctxs:
-        for g in ctxs:
+    classified: dict[str, tuple[str, str]] = {}
+    for gp in ps.cat.object_keys:
+        for g in ps.cat.object_keys:
             for sigma in ps.cat.homs.get((gp, g), ()):
-                witness = None
-                for ty in ps.ty.values[g]:
-                    for a in model.terms_of(gp, ps.ty.restrict(sigma, ty), bound):
-                        h = base.is_iso(induced_sub(model, sigma, a, ty))
-                        if h is not None:
-                            witness = (ty, h)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    report.classified[sigma] = witness
-    # closure under pullback along arbitrary in-bound morphisms
-    for sigma, (ty, h) in report.classified.items():
-        g = base.cod(sigma)
-        for d in ctxs:
-            for m in ps.cat.homs.get((d, g), ()):
+                witness = next(((ty, h) for ty in ps.ty.values[g]
+                                for a in model.terms_of(gp, ps.ty.restrict(sigma, ty), bound)
+                                if (h := base.is_iso(induced_sub(model, sigma, a, ty)))
+                                is not None), None)
+                if witness is not None:
+                    classified[sigma] = witness
+    closure = Findings(bound, len(classified))
+    for law, witness in _pullback_closure(model, ps, classified, bound):
+        closure.add(law, witness)
+    return classified, closure
+
+
+def _pullback_closure(model: NaturalModel, ps: ModelPresheaves,
+                      classified: Mapping[str, tuple[str, str]], bound: int
+                      ) -> Iterator[tuple[str, str]]:
+    """closure: the canonical square of (m, A) pasted with h is a pullback,
+    decided by the in-category oracle, for each σ ↦ (A, h) of ``classified``
+    and each in-bound m into the codomain of σ; so the pullback of σ along
+    m is classified too."""
+    base = model.base
+    for sigma, (ty, h) in classified.items():
+        for d in ps.cat.object_keys:
+            for m in ps.cat.homs.get((d, base.cod(sigma)), ()):
                 e_sub = model.ext(d, ps.ty.row(m)[ty])
-                top = canonical_pullback(model, m, ty)
-                pasted_top = base.compose(h, top)
-                ok = is_pullback_square(
-                    base, bound + 1,
-                    e_sub.extended, e_sub.proj, pasted_top, m, sigma,
-                )
-                if not ok:
-                    report.closure_failures.append(
-                        f"pullback of {sigma} along {m} is not classified-compatible"
-                    )
-    return report
+                top = base.compose(h, canonical_pullback(model, m, ty))
+                if not is_pullback_square(base, bound + 1, e_sub.extended, e_sub.proj,
+                                          top, m, sigma):
+                    yield "closure", f"pullback of {sigma} along {m} is not classified-compatible"
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +564,8 @@ class _Search:
 
     def run(self) -> int:
         cand = _Candidate(self)
-        # strict morphisms preserve the distinguished terminal object
         cand.obj.setdefault(self.src.terminal, self.dst.terminal)
-        if cand.obj[self.src.terminal] != self.dst.terminal:
+        if next(_terminal(cand), None):  # a pinned image of the terminal object differs
             return 0
         self._step(cand, 0)
         return self.count

@@ -38,7 +38,6 @@ square that is not a pullback under ``pullback``.
 
 from __future__ import annotations
 
-import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterator, Mapping, NamedTuple, Optional
@@ -414,7 +413,6 @@ def extension_square_oracle(
     square, and fails.
     """
     ps = model_presheaves(model, ctx_bound, ty_bound)
-    yon = functools.cache(functools.partial(yoneda, ps.cat))  # the contexts the squares use
     report = SquareOracleReport(ctx_bound, ty_bound)
     for g in model.base.objects(square_ctx_bound):
         for a_ty in model.types(g, ty_bound):
@@ -426,9 +424,9 @@ def extension_square_oracle(
             try:
                 is_pullback = check_pullback_square(
                     ps.p,
-                    element_nat(ps.cat, ps.ty, a_ty, yon(g)),
-                    element_nat(ps.cat, ps.tm, e.var, yon(e.extended)),
-                    yoneda_map(ps.cat, e.proj, yon(e.extended), yon(g)),
+                    element_nat(ps.cat, ps.ty, a_ty, yoneda(ps.cat, g)),
+                    element_nat(ps.cat, ps.tm, e.var, yoneda(ps.cat, e.extended)),
+                    yoneda_map(ps.cat, e.proj, yoneda(ps.cat, e.extended), yoneda(ps.cat, g)),
                 )
             except KeyError:
                 # a cell the square needs is missing: the data forms no square

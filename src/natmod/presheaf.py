@@ -43,7 +43,7 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
-from .fincat import FinCatPresentation, FinFunctor, Registry, is_set_pullback, tuple_key
+from .fincat import FinCatPresentation, FinFunctor, Registry, is_set_pullback, memo, tuple_key
 
 
 @dataclass
@@ -244,9 +244,10 @@ def compose_nat(g: NatTrans, f: NatTrans) -> NatTrans:
     return NatTrans(f.dom, g.cod, comps)
 
 
+@memo
 def yoneda(base: FinCatPresentation, c: str) -> Presheaf:
     """The representable presheaf hom(-, c): its values are the hom sets and
-    its rule is precomposition, x[m] = x∘m."""
+    its rule is precomposition, x[m] = x∘m.  Each is built once per base."""
     return Presheaf(base, {d: base.hom(d, c) for d in base.object_keys},
                     cell=lambda m, x: base.compose(x, m))
 
@@ -368,23 +369,22 @@ def is_representable(p: NatTrans) -> RepresentabilityReport:
     base only.
     """
     base = p.dom.base
-    yons = {d: yoneda(base, d) for d in base.object_keys}
     report = RepresentabilityReport(
         bound_note=f"verified up to the materialized base of {len(base.object_keys)} objects",
     )
     for gamma in base.object_keys:
         for a in p.cod.at(gamma):
             entry = RepresentabilityWitness(gamma, a)
-            x_nt = element_nat(base, p.cod, a, yons[gamma])
+            x_nt = element_nat(base, p.cod, a, yoneda(base, gamma))
             for b_obj in base.object_keys:
                 if entry.found:
                     break
                 for g in base.hom(b_obj, gamma):
                     if entry.found:
                         break
-                    left = yoneda_map(base, g, yons[b_obj], yons[gamma])
+                    left = yoneda_map(base, g, yoneda(base, b_obj), yoneda(base, gamma))
                     for y in p.dom.at(b_obj):
-                        top = element_nat(base, p.dom, y, yons[b_obj])
+                        top = element_nat(base, p.dom, y, yoneda(base, b_obj))
                         if check_pullback_square(p, x_nt, top, left):
                             entry.witness_obj = b_obj
                             entry.witness_mor = g

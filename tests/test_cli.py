@@ -566,6 +566,28 @@ class TestBadInputExitsTwo:
         assert main(["poly", "extend", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"parse error: {message}")
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "{file}"],
+        ["free", "type", "--base", "{file}", "--bound", "1"],
+        ["poly", "extend", "{file}"],
+    ], ids=["check", "free-base", "poly"])
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes('{"objects": ["Γ"]}'.encode("utf-16"))
+        assert main([arg.format(file=path) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--out-model"])
+    def test_a_path_that_cannot_be_written_is_a_parse_error(self, flag, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "out.txt"
+        assert main(["free", "term-model", "--base", "term-model:1", "--bound", "1",
+                     flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"parse error: cannot write {path}: No such file or directory\n"
+
 
 @pytest.fixture(scope="module")
 def two_type_model_text():

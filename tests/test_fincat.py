@@ -1151,9 +1151,8 @@ class TestOneVacuousRule:
 
 
 # the result classes that are not a checker's Findings: the CLI's report, the
-# oracle's checked, failed and skipped squares, and the two of their own shape
-_REPORT_CLASSES = {"VerificationReport", "SquareOracleReport", "ClassifiedReport",
-                   "RepresentabilityReport"}
+# oracle's checked, failed and skipped squares, and the representability search's
+_REPORT_CLASSES = {"VerificationReport", "SquareOracleReport", "RepresentabilityReport"}
 
 
 def _report_classes(sources: dict[str, str]) -> list[tuple[str, str]]:
@@ -1175,6 +1174,82 @@ class TestOneFindingsType:
         assert anchor in text
         mutant = text.replace(anchor, "\n\nclass StructureReport:\n    pass\n" + anchor, 1)
         assert ("natmodel.py", "StructureReport") in _report_classes({"natmodel.py": mutant})
+
+
+_TESTS = Path(__file__).resolve().parent
+
+
+def _findings_checkers(sources: list[str]) -> set[str]:
+    """The ``check_*`` functions of the given module sources annotated to
+    return a ``Findings``."""
+    return {node.name for text in sources for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+            and getattr(node.returns, "id", None) == "Findings"}
+
+
+def _findings_as_truth_values(text: str, checkers: set[str]) -> list[int]:
+    """The lines of a module source that read the result of one of
+    ``checkers`` as a truth value (an ``assert``, ``if``, ``while`` or
+    conditional test, a ``not``, an ``and``/``or`` operand or a ``bool()``
+    argument), directly or through a name bound to it in the same function.
+    A ``Findings`` is always true, so such a reading passes vacuously."""
+    def is_check(node) -> bool:
+        return isinstance(node, ast.Call) and \
+            getattr(node.func, "id", getattr(node.func, "attr", None)) in checkers
+
+    tree = ast.parse(text)
+    module_code = ast.Module([s for s in tree.body if not isinstance(
+        s, (ast.FunctionDef, ast.ClassDef))], [])
+    found = []
+    for scope in [module_code, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        nodes = list(ast.walk(scope))
+        bound = {target.id for node in nodes if isinstance(node, (ast.Assign, ast.NamedExpr))
+                 and is_check(node.value)
+                 for target in getattr(node, "targets", [getattr(node, "target", None)])
+                 if isinstance(target, ast.Name)}
+        for node in nodes:
+            if isinstance(node, (ast.Assert, ast.If, ast.While, ast.IfExp)):
+                tests = [node.test]
+            elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+                tests = [node.operand]
+            elif isinstance(node, ast.BoolOp):
+                tests = node.values
+            elif isinstance(node, ast.comprehension):
+                tests = node.ifs
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bool":
+                tests = node.args
+            else:
+                continue
+            found += [test.lineno for test in tests if is_check(test)
+                      or isinstance(test, ast.Name) and test.id in bound]
+    return sorted(set(found))
+
+
+class TestNoFindingsReadAsABool:
+    def _sources(self) -> dict[Path, str]:
+        return {p: p.read_text(encoding="utf-8")
+                for p in [*sorted(_SRC.glob("*.py")), *sorted(_TESTS.glob("*.py"))]}
+
+    def test_every_findings_checker_result_is_read_through_ok(self):
+        sources = self._sources()
+        checkers = _findings_checkers([sources[p] for p in sources if p.parent == _SRC])
+        assert {"check_eat", "check_morphism", "check_sigma_morphism"} <= checkers
+        assert {p.name: lines for p, text in sources.items()
+                if (lines := _findings_as_truth_values(text, checkers))} == {}
+
+    @pytest.mark.parametrize("put_back", [
+        "assert check_sigma_morphism(summ, 2)",
+        "assert not check_sigma_morphism(perturbed, 2)",
+        "rep = check_morphism(fm, 2)\n    if rep:\n        pass",
+        "ok = all(check_eat(m, 1) and True for m in models)",
+        "assert check_sigma_morphism(summ, 2).ok or bool(check_unit(u, s, 2))",
+    ], ids=["assert", "assert-not", "bound-name", "and-operand", "bool-call"])
+    def test_the_guard_sees_a_findings_read_as_a_bool(self, put_back):
+        checkers = {"check_eat", "check_unit", "check_morphism", "check_sigma_morphism"}
+        mutant = f"def test_put_back():\n    {put_back}\n"
+        assert _findings_as_truth_values(mutant, checkers)
+        fixed = f"def test_read_through_ok():\n    assert check_sigma_morphism(summ, 2).ok\n"
+        assert _findings_as_truth_values(fixed, checkers) == []
 
 
 def _row_categories():

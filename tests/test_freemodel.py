@@ -472,7 +472,7 @@ class TestTypeTrees:
     def test_tree_summation_collapses_two_leaf_trees(self):
         s2 = extend_by_sigma(self.s)
         summ = tree_summation(s2)
-        assert check_sigma_morphism(summ, 2)
+        assert check_sigma_morphism(summ, 2).ok
 
     def test_collapse_comparison_inverse_is_the_inverse(self):
         s = self.s
@@ -1140,7 +1140,7 @@ class TestUniversalPropertiesOverP:
             assert check_eat(s, 2).ok
             summation = tree_summation(s)
             assert check_morphism(summation, 2).ok
-            assert check_sigma_morphism(summation, 2)
+            assert check_sigma_morphism(summation, 2).ok
             pins = sigma_universal_pins(s, identity_morphism(p), 2, summation)
             assert count_morphisms(s, p, 2, pins) == 1
 

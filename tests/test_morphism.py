@@ -665,7 +665,9 @@ def test_sigma_preservation_skips_a_pair_the_cut_morphism_has_no_image_of():
         on_tm=lambda g, t: sharp.on_tm(g, t) if g in in_bound else None,
         name="cut",
     )
-    assert check_sigma_morphism(cut, 2)
+    rep = check_sigma_morphism(cut, 2)
+    # the two pairs whose B lies past the bound are not counted
+    assert rep.ok and (rep.instances, check_sigma_morphism(sharp, 2).instances) == (2, 4)
 
 
 def test_sigma_preservation_sees_pairs_swapped():
@@ -680,14 +682,16 @@ def test_sigma_preservation_sees_pairs_swapped():
         return out
 
     swap = NMorphism(sm, sm, sharp.on_obj, sharp.on_mor, sharp.on_ty, swapped, name="swap")
-    assert not check_sigma_morphism(swap, 3)
+    rep = check_sigma_morphism(swap, 3)
+    assert not rep.ok and list(rep.violations) == ["pair"] and rep.instances == 27
+    assert rep.violations["pair"][0] == "F(pair(x0,x1)) of Σ(T0,T0) at tr(fs[0,0]|)"
     assert check_sigma_morphism(NMorphism(sm, sm, sharp.on_obj, sharp.on_mor, sharp.on_ty,
-                                          sharp.on_tm), 3)
+                                          sharp.on_tm), 3).ok
 
 
 def test_sigma_preservation_holds_for_the_uncut_morphism():
     _, sharp = _sigma_sharp()
-    assert check_sigma_morphism(sharp, 2)
+    assert check_sigma_morphism(sharp, 2).ok
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from natmod.morphism import (
     PREMORPHISM_LAWS,
     MorphismPins,
     NMorphism,
+    _pullback_closure,
     check_morphism,
     check_sigma_morphism,
     classified_morphisms,
@@ -850,8 +851,8 @@ class TestMorphismChecker:
         s = extend_by_sigma(term_model(range(1)))
         s2 = extend_by_sigma(s)
         summ = tree_summation(s2)
-        assert check_sigma_morphism(summ, 2)
-        assert check_sigma_morphism(identity_morphism(s), 2)
+        assert check_sigma_morphism(summ, 2).ok
+        assert check_sigma_morphism(identity_morphism(s), 2).ok
 
         perturbed = NMorphism(
             summ.src, summ.dst, summ.on_obj, summ.on_mor,
@@ -870,46 +871,59 @@ class TestMorphismChecker:
             return out
 
         perturbed.on_ty = bad_ty
-        assert not check_sigma_morphism(perturbed, 2)
+        rep = check_sigma_morphism(perturbed, 2)
+        assert not rep.ok and list(rep.violations) == ["sigma"] and rep.instances == 10
+        assert rep.violations["sigma"][0] == "F(Σ(T0,T0)) at tr(tr(fs[]|)|)"
 
 
 class TestClassifiedMorphisms:
     def test_every_projection_is_classified(self):
         m = term_model(range(1))
-        rep = classified_morphisms(m, 2)
+        classified, _closure = classified_morphisms(m, 2)
         for g in m.base.objects(1):
             for ty in m.types(g, 1):
                 e = m.ext(g, ty)
-                assert e.proj in rep.classified
+                assert e.proj in classified
 
     def test_closure_under_pullback(self):
         m = term_model(range(1))
-        rep = classified_morphisms(m, 2)
-        assert rep.closure_ok, rep.closure_failures
+        classified, closure = classified_morphisms(m, 2)
+        assert closure.ok, closure.violations
+        assert closure.instances == len(classified) > 0
+
+    def test_a_pair_that_classifies_nothing_fails_closure_along_every_morphism(self):
+        # the identity of the empty context with (T0, p_T0): the canonical
+        # square pasted with p_T0 is no pullback of an identity
+        m = term_model(range(1))
+        e = m.ext(m.terminal, "T0")
+        witnesses = list(_pullback_closure(
+            m, model_presheaves(m, 2, 2), {m.base.identity(m.terminal): ("T0", e.proj)}, 2))
+        assert witnesses == [("closure", f"pullback of fs[]=>fs[]:() along {g}=>fs[]:() "
+                              "is not classified-compatible") for g in ("fs[]", "fs[0]", "fs[0,0]")]
 
     def test_identities_classified_only_with_unit_like_type(self):
         # in the term model no extension projection is invertible, so no
         # identity is classified; in the free unit model the unit extension
         # is an isomorphism and identities become classified
         m = term_model(range(1))
-        rep = classified_morphisms(m, 2)
+        classified, _closure = classified_morphisms(m, 2)
         for g in m.base.objects(1):
-            assert m.base.identity(g) not in rep.classified
+            assert m.base.identity(g) not in classified
         u = extend_by_unit(term_model(range(0)))
-        rep_u = classified_morphisms(u, 2)
+        classified_u, _closure = classified_morphisms(u, 2)
         assert any(
-            u.base.identity(g) in rep_u.classified for g in u.base.objects(1)
+            u.base.identity(g) in classified_u for g in u.base.objects(1)
         )
 
     def test_composite_classified_with_sigma_structure(self):
         s = extend_by_sigma(term_model(range(1)))
-        rep = classified_morphisms(s, 2)
+        classified, _closure = classified_morphisms(s, 2)
         g = s.base.register("fs[]", ())
         leaf = [t for t in s.types(g, 1)][0]
         e1 = s.ext(g, leaf)
         e2 = s.ext(e1.extended, s.subst_ty(e1.proj, leaf))
         composite = s.base.compose(e1.proj, e2.proj)
-        assert composite in rep.classified
+        assert composite in classified
 
     @pytest.mark.parametrize("build", [
         lambda: term_model(range(1)),
@@ -922,10 +936,10 @@ class TestClassifiedMorphisms:
     ], ids=["tm1", "tm2", "unit", "type", "sigma", "term", "finsets"])
     def test_the_inverses_read_through_induced_sub_classify_as_the_search(self, build):
         m = build()
-        rep, want = classified_morphisms(m, 2), reference_classified(m, 2)
-        assert {s: ty for s, (ty, _) in rep.classified.items()} == \
+        (classified, _closure), want = classified_morphisms(m, 2), reference_classified(m, 2)
+        assert {s: ty for s, (ty, _) in classified.items()} == \
             {s: ty for s, (ty, _) in want.items()}
-        for sigma, (ty, h) in rep.classified.items():
+        for sigma, (ty, h) in classified.items():
             assert m.base.compose(sigma, h) == m.ext(m.base.cod(sigma), ty).proj
             assert m.base.is_iso(h) is not None
 
