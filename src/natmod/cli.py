@@ -19,7 +19,10 @@ over an inner model with no context at the bound, ``natmod check`` on a
 file with no complete context or no extension square, and ``natmod poly
 verify-bc`` or ``verify-dist`` at bound 0, which draws no instance, as its
 random sets need at least one element.  A failing check's detail names its
-first failing law and witness.  ``natmod poly extend`` reads ``--family``
+first failing law and witness.  ``natmod free --out-model`` writes the
+construction's fragment at its check bound, at most 2; where the terminal
+context lies past that bound, a file would not parse, so none is written
+and one stderr line says why.  ``natmod poly extend`` reads ``--family``
 as one size per index, one element at each index by default and ``""`` the
 empty family.
 
@@ -175,9 +178,14 @@ def cmd_free(args) -> int:
     report = VerificationReport(f"free-{args.kind}", args.bound, args.seed)
     try:
         model = _free_checks(args, base, report)
-        if args.out_model and not _write(
-                args.out_model, modelio.serialize_model(model, min(args.bound, 2))):
-            return 2
+        if args.out_model:
+            ub, terminal = min(args.bound, 2), model.base.terminal
+            if terminal not in model.base.objects(ub):
+                # a file must hold its terminal context, or it does not parse
+                sys.stderr.write(f"not written: {args.out_model}: the terminal context "
+                                 f"{terminal} lies past bound {ub}\n")
+            elif not _write(args.out_model, modelio.serialize_model(model, ub)):
+                return 2
     except modelio.MissingCell as exc:
         # the base is a file fragment and the bound reaches past it
         sys.stderr.write(f"parse error: {exc}; try a smaller --bound\n")

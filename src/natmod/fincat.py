@@ -17,6 +17,11 @@ time where a caller needs many after one g:
 table, a truncation, :class:`FinSliceOpposite` and the free extensions'
 categories serve in one pass; the category laws, the legs of
 :func:`is_pullback_square` and the blocks of the functor laws read rows.
+The cone vertices of :func:`is_pullback_square` and :func:`product` are
+one object per isomorphism class, :meth:`BoundedCategory.skeleton`: in a
+category that satisfies the laws, an isomorphism i : q′ → q makes
+precomposition a bijection hom(q, −) → hom(q′, −), natural in −, so the
+pullback condition holds at q exactly when it holds at q′.
 :func:`category_violations` checks the category laws, deciding
 associativity on the middles of a generating set and listing every
 composable triple only when that fails.  For a lawful category it returns
@@ -127,6 +132,27 @@ class BoundedCategory(ABC):
             if self.compose(w, m) == self.identity(a) and self.compose(m, w) == self.identity(b):
                 return w
         return None
+
+    @memo
+    def skeleton(self, bound: int) -> tuple[str, ...]:
+        """The first object of each isomorphism class of ``objects(bound)``,
+        in ``objects(bound)`` order.  An object joins the class of an earlier
+        representative r when some morphism r -> a passes :meth:`is_iso`.
+        Only an r with as many endomorphisms as a is searched: conjugating
+        by an isomorphism r -> a is a bijection hom(r, r) -> hom(a, a).
+
+        The classes are those of a category that satisfies the laws; the
+        cone vertices of :func:`is_pullback_square` and :func:`product`
+        range over them.
+        """
+        reps: list[str] = []
+        for a in self.objects(bound):
+            ends = len(self.hom(a, a))
+            if not any(self.is_iso(m) is not None
+                       for r in reps if len(self.hom(r, r)) == ends
+                       for m in self.hom(r, a)):
+                reps.append(a)
+        return tuple(reps)
 
 
 @dataclass
@@ -567,11 +593,20 @@ def is_pullback_square(
     mediating map.  Per cone vertex q, this is :func:`is_set_pullback` of the
     hom sets out of q, with the legs acting by composition: each leg reads
     its row :func:`_post_row` at q, which the squares sharing that leg share.
+
+    The vertices are chased one per isomorphism class, over
+    :meth:`BoundedCategory.skeleton`.  If i : q′ → q is an isomorphism,
+    precomposing with i is a bijection hom(q, −) → hom(q′, −), natural in −:
+    it commutes with every leg acting by composition.  So the set-pullback
+    condition holds at q exactly when it holds at q′, and every cone is
+    still chased, from fewer vertices.  The precondition is that ``c``
+    satisfies the category laws: the naturality is associativity, and the
+    inverse of the bijection is precomposition with i⁻¹.
     """
     x, y = c.cod(to_left), c.cod(to_top)
     if c.compose(left_leg, to_left) != c.compose(top_leg, to_top):
         return False
-    for q in c.objects(bound):
+    for q in c.skeleton(bound):
         q1s = c.hom(q, x)
         if q1s and not is_set_pullback(
             c.hom(q, apex), _post_row(c, q, to_left).__getitem__,
@@ -634,18 +669,20 @@ def product(c: FinCatPresentation, x: str, y: str) -> Optional[tuple[str, str, s
     satisfying the universal property, or None.  A span is a product when at
     every cone vertex q, h ↦ (p1∘h, p2∘h) is a bijection from hom(q, apex)
     onto hom(q, x) × hom(q, y): :func:`is_set_pullback` with both legs over
-    one point.
+    one point.  The vertices q are one per isomorphism class, as in
+    :func:`is_pullback_square`, whose argument and precondition hold here.
     """
     def point(_):
         return None
 
+    vertices = c.skeleton(len(c.object_keys))
     for apex in c.object_keys:
         for p1 in c.hom(apex, x):
             for p2 in c.hom(apex, y):
                 if all(is_set_pullback(
                     c.hom(q, apex), functools.partial(c.compose, p1),
                     functools.partial(c.compose, p2), c.hom(q, x), point, c.hom(q, y), point,
-                ) for q in c.object_keys):
+                ) for q in vertices):
                     return (apex, p1, p2)
     return None
 

@@ -374,14 +374,16 @@ class TestConstructionsOverFileModels:
         out = capsys.readouterr().out
         assert rc == 0, out
 
-    @pytest.mark.parametrize("kind,bound", [("type", "1"), ("unit", "2")])
+    @pytest.mark.parametrize("kind,bound", [("type", "1"), ("unit", "2"), ("sigma", "2")])
     def test_a_file_whose_core_is_closed_under_extension_is_a_base(
         self, kind, bound, tmp_path, capsys
     ):
-        # every type extends the one object to itself
+        # every type extends the one object to itself; Σ's canonical
+        # pullbacks are chased from one cone vertex, since every context of
+        # its extension is isomorphic to the one object
         path = tmp_path / "one.json"
         path.write_text(one_object_file(["a|b", "c", "a", "b|c"]))
-        with deadline(60):
+        with deadline(10):
             rc = main(["free", kind, "--base", str(path), "--bound", bound])
         out = capsys.readouterr().out
         assert rc == 0 and out.endswith("result: PASS\n"), out
@@ -839,6 +841,27 @@ class TestVacuousChecks:
         out = capsys.readouterr().out
         assert "\nPASS  eat\n" in out
         assert "\nVACUOUS  representability-oracle  -- 0 instances at bound 1\n" in out
+
+    @pytest.mark.parametrize("kind", ["term-model", "poly-compose", "term", "type", "unit",
+                                      "sigma"])
+    def test_out_model_writes_no_file_its_own_reader_refuses(self, kind, tmp_path, capsys):
+        # the term extension's terminal ⋄•O has size 1: its bound-0 file
+        # would hold no object, and so no terminal, and would not parse
+        argv = ["free", kind, "--base", "term-model:1", "--type", "T0", "--bound", "0"]
+        rc = main(argv)
+        report = capsys.readouterr().out
+        path = tmp_path / "f.json"
+        assert main(argv + ["--out-model", str(path)]) == rc
+        out, err = capsys.readouterr()
+        assert out == report
+        if kind == "term":
+            assert rc == 1 and not path.exists()
+            assert err == (f"not written: {path}: the terminal context xt(fs[]|) "
+                           "lies past bound 0\n")
+        else:
+            assert err == ""
+            parse_model(path.read_text())
+            assert main(["check", str(path), "--bound", "0"]) != 2
 
     @pytest.mark.parametrize("passed", [True, False])
     def test_a_record_over_no_instance_is_vacuous_whatever_its_verdict(self, passed):

@@ -27,6 +27,7 @@ from helpers import (
     diamond_lattice,
     finite_sets_model,
     one_object_category,
+    one_object_file,
     poset_category,
     propositions_model,
     reference_category_violations,
@@ -360,16 +361,24 @@ def _random_squares(c, objects, rng, n):
     return out
 
 
+_KINDS = ("not commuting", "commuting, not a pullback", "pullback")
+
+
 class TestPullbackSquareAgainstTheDefinition:
+    """The skeleton's vertices give the verdicts of every vertex.  In the
+    one-object file's Σ base all 17 vertices of bound 2 are isomorphic, and
+    every hom set is a singleton, so every square there is a pullback."""
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("build", [
-        lambda: (FinSliceOpposite({0, 1}), 3, 3),
-        lambda: (_sigma_tree_category(), 2, 2),
-    ], ids=["fin-slice-opposite", "sigma-tree-category"])
-    def test_one_pass_count_agrees_with_cone_enumeration(self, build, seed):
+    @pytest.mark.parametrize("build,occurring", [
+        (lambda: (FinSliceOpposite({0, 1}), 3, 3), _KINDS),
+        (lambda: (_sigma_tree_category(), 2, 2), _KINDS),
+        (lambda: (_one_object_file_sigma_category(), 2, 2), ("pullback",)),
+    ], ids=["fin-slice-opposite", "sigma-tree-category", "one-object-file-sigma"])
+    def test_one_pass_count_agrees_with_cone_enumeration(self, build, occurring, seed):
         c, square_bound, cone_bound = build()
         squares = _random_squares(c, c.objects(square_bound), random.Random(seed), 300)
-        kinds = {"not commuting": 0, "commuting, not a pullback": 0, "pullback": 0}
+        kinds = dict.fromkeys(_KINDS, 0)
         for square in squares:
             expected = _pullback_by_cone_enumeration(c, cone_bound, *square)
             assert is_pullback_square(c, cone_bound, *square) == expected, square
@@ -378,13 +387,60 @@ class TestPullbackSquareAgainstTheDefinition:
                 kinds["not commuting"] += 1
             else:
                 kinds["pullback" if expected else "commuting, not a pullback"] += 1
-        assert min(kinds.values()) >= 5, kinds
+        assert {kind for kind, n in kinds.items() if n} == set(occurring), kinds
+        assert min(kinds[kind] for kind in occurring) >= 5, kinds
 
 
 def _sigma_tree_category():
     from natmod.freemodel import extend_by_sigma, term_model
 
     return extend_by_sigma(term_model(range(1))).base
+
+
+def _one_object_file_sigma_category():
+    from natmod.freemodel import extend_by_sigma
+    from natmod.modelio import parse_model
+
+    return extend_by_sigma(parse_model(one_object_file(["a|b", "c", "a", "b|c"]))).base
+
+
+def _isomorphic(c, a, b) -> bool:
+    """Some f : a → b and g : b → a compose to both identities: the
+    definition, searched over both hom sets without ``is_iso``."""
+    id_a, id_b = c.identity(a), c.identity(b)
+    return any(c.compose(g, f) == id_a and c.compose(f, g) == id_b
+               for f in c.hom(a, b) for g in c.hom(b, a))
+
+
+class TestSkeleton:
+    """``skeleton(bound)`` against counts checked by hand and against the
+    definition of an isomorphism, searched pair by pair."""
+
+    @pytest.mark.parametrize("build,bound,objects,classes", [
+        # a set over {0, 1} is determined up to isomorphism by how many of
+        # its elements lie over 0: n + 1 classes of size n, for n = 0..3
+        (lambda: FinSliceOpposite({0, 1}), 3, 15, 10),
+        # a context is isomorphic to the context of as many T0s as its
+        # Σ-types have leaves: one class per count 0..bound (1, 1, 2, 5 and
+        # 14 contexts of each count)
+        (_sigma_tree_category, 3, 9, 4),
+        (_sigma_tree_category, 4, 23, 5),
+        # every hom set is a singleton, so every context is isomorphic to ⋄
+        (_one_object_file_sigma_category, 3, 209, 1),
+    ], ids=["fin-slice-opposite@3", "sigma-tree-category@3", "sigma-tree-category@4",
+            "one-object-file-sigma@3"])
+    def test_one_representative_per_class(self, build, bound, objects, classes):
+        c = build()
+        objs, reps = c.objects(bound), c.skeleton(bound)
+        assert (len(objs), len(reps)) == (objects, classes)
+        assert [a for a in objs if a in reps] == list(reps)
+        # each object is isomorphic to exactly one representative, so no two
+        # representatives are isomorphic
+        for a in objs:
+            assert sum(_isomorphic(c, a, r) for r in reps) == 1, a
+        # each representative is the first object of its class
+        for r in reps:
+            assert not any(_isomorphic(c, a, r) for a in objs[:objs.index(r)]), r
 
 
 def _pullback_with_composing_legs(c, bound, apex, to_left, to_top, left_leg, top_leg):

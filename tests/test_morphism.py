@@ -263,14 +263,22 @@ def test_each_distinct_image_square_is_checked_once(monkeypatch):
 
 def test_a_strict_morphism_asks_no_inverse_search(monkeypatch):
     # where F is strict, every mediating map τ is an identity; the perturbed
-    # morphism's τ are not, so it still searches for their inverses
+    # morphism's τ are not, so it still searches for their inverses.  The
+    # cone vertices' skeleton decides its classes by is_iso; it is built
+    # before the patch, so the calls seen are weak-tau's alone
+    maps, swapped = _strict_universal_maps(), _swapped_type_image()
+    for fm in [*maps, swapped]:
+        fm.dst.base.skeleton(3)
     calls = []
     search = BoundedCategory.is_iso
     monkeypatch.setattr(BoundedCategory, "is_iso", lambda c, m: calls.append(m) or search(c, m))
-    for fm in _strict_universal_maps():
+    for fm in maps:
+        fm.dst.base.skeleton(3)
+    assert calls == []
+    for fm in maps:
         assert check_morphism(fm, 2).ok, fm.name
     assert calls == []
-    assert not check_morphism(_swapped_type_image(), 2).ok
+    assert not check_morphism(swapped, 2).ok
     assert calls
 
 
