@@ -10,7 +10,11 @@ mechanism, :class:`Registry`, which spells a key only for a cell it has never
 seen and reads each key back as its cell, never parsing one; a
 :class:`RegistryCategory` holds one for its objects and one for its
 morphisms, and the term model's types and variables, the Σ model's trees
-and the cells of the presheaf constructions have theirs.  :func:`tuple_key`
+and the cells of the presheaf constructions have theirs.  A hom set is
+named in one pass, its registry's ``key`` mapped over its cells, and a
+truncation records the endpoints of its morphisms a hom set at a time;
+:class:`FinSliceOpposite` spells the part of a key that names a function
+once per category, however many hom sets hold it.  :func:`tuple_key`
 is the one spelling of a tuple of keys.  Composites are read a row at a
 time where a caller needs many after one g:
 :meth:`BoundedCategory.compose_row` gives g∘f over a list of fs, which a
@@ -177,9 +181,8 @@ class FinCatPresentation(BoundedCategory):
 
     def __post_init__(self) -> None:
         for (src, dst), ms in self.homs.items():
-            for m in ms:
-                self._dom[m] = src
-                self._cod[m] = dst
+            self._dom.update(dict.fromkeys(ms, src))
+            self._cod.update(dict.fromkeys(ms, dst))
 
     @property
     def terminal(self) -> Optional[str]:
@@ -528,15 +531,9 @@ class FinFunctor:
 def truncate(cat: BoundedCategory, bound: int) -> FinCatPresentation:
     """Materialize the fragment of `cat` on objects of size <= bound."""
     objs = cat.objects(bound)
-    obj_set = set(objs)
-    homs: dict[tuple[str, str], list[str]] = {}
-    for a in objs:
-        for b in objs:
-            ms = cat.hom(a, b)
-            if ms:
-                homs[(a, b)] = ms
+    homs = {(a, b): ms for a in objs for b in objs if (ms := cat.hom(a, b))}
     identities = {a: cat.identity(a) for a in objs}
-    term = cat.terminal if (cat.terminal in obj_set) else None
+    term = cat.terminal if cat.terminal in identities else None
     return FinCatPresentation(
         object_keys=objs,
         homs=homs,
@@ -723,7 +720,7 @@ class Registry:
         if key is None:
             key = self.spell(cell)
             other = self.cells.setdefault(key, cell)
-            if other != cell:
+            if other is not cell and other != cell:
                 raise ValueError(f"the key {key!r} would name two cells: {other!r} and {cell!r}")
             self.keys[cell] = key
         return key
@@ -756,21 +753,21 @@ class RegistryCategory(BoundedCategory):
         """The key string of the morphism cell (src, dst, payload)."""
 
     def mor_payload(self, m: str):
-        return self.mors.cell(m)[2]
+        return self.mors.cells[m][2]
 
     def dom(self, m: str) -> str:
-        return self.mors.cell(m)[0]
+        return self.mors.cells[m][0]
 
     def cod(self, m: str) -> str:
-        return self.mors.cell(m)[1]
+        return self.mors.cells[m][1]
 
     def hom(self, a: str, b: str) -> list[str]:
         return list(self._homs(a, b))
 
     @memo
     def _homs(self, a: str, b: str) -> tuple[str, ...]:
-        key = self.mors.key
-        return tuple(key((a, b, payload)) for payload in self._hom_payloads(a, b))
+        cells = zip(itertools.repeat(a), itertools.repeat(b), self._hom_payloads(a, b))
+        return tuple(map(self.mors.key, cells))
 
     @abstractmethod
     def _hom_payloads(self, a: str, b: str) -> Iterable:
@@ -802,7 +799,13 @@ class FinSliceOpposite(RegistryCategory):
 
     def spell_mor(self, cell: tuple[str, str, tuple[int, ...]]) -> str:
         src, dst, fn = cell
-        return f"{src}=>{dst}:(" + ",".join(map(str, fn)) + ")"
+        return f"{src}=>{dst}:({self._digits(fn)})"
+
+    @memo
+    def _digits(self, fn: tuple[int, ...]) -> str:
+        """``k0,k1,…``: a function's part of its keys, spelled once per
+        category, as many hom sets hold the same function."""
+        return ",".join(map(str, fn))
 
     # -- BoundedCategory interface --------------------------------------
     @property
@@ -818,15 +821,19 @@ class FinSliceOpposite(RegistryCategory):
                 for labels in itertools.product(self.index, repeat=n)]
 
     def _hom_payloads(self, a: str, b: str) -> Iterable[tuple[int, ...]]:
-        u = self.objs.cell(a)
         # functions underlying(b) -> underlying(a) over I
-        candidates_per_slot = []
-        for lb in self.objs.cell(b):
-            slots = tuple(k for k, la in enumerate(u) if la == lb)
-            if not slots:
-                return ()
-            candidates_per_slot.append(slots)
+        candidates_per_slot = list(map(self._slots(a).get, self.objs.cell(b)))
+        if None in candidates_per_slot:
+            return ()
         return itertools.product(*candidates_per_slot)
+
+    @memo
+    def _slots(self, a: str) -> dict[int, tuple[int, ...]]:
+        """{i: the elements of a labelled i}, for each label i of a."""
+        slots: dict[int, tuple[int, ...]] = {}
+        for k, la in enumerate(self.objs.cell(a)):
+            slots[la] = slots.get(la, ()) + (k,)
+        return slots
 
     def identity(self, a: str) -> str:
         return self.mors.key((a, a, tuple(range(len(self.objs.cell(a))))))

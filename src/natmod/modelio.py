@@ -458,9 +458,12 @@ def parse_polynomial(text: str) -> Polynomial:
     doc = _json_object(text, "polynomial file")
     if set(doc) != POLY_FIELDS:
         raise ParseError(f"polynomial file must have exactly fields {sorted(POLY_FIELDS)}")
+    # only a JSON integer parses to an int: true and false parse to bools,
+    # which are ints, and 1.0 equals 1
     for name in ("I", "B", "A", "J"):
-        if not isinstance(doc[name], int) or doc[name] < 0:
-            raise ParseError(f"{name} must be a non-negative integer size")
+        if type(doc[name]) is not int or doc[name] < 0:
+            raise ParseError(f"{name} must be a non-negative integer size, "
+                             f"got {json.dumps(doc[name])}")
     i_set = tuple(range(doc["I"]))
     b_set = tuple(range(doc["B"]))
     a_set = tuple(range(doc["A"]))
@@ -471,6 +474,8 @@ def parse_polynomial(text: str) -> Polynomial:
         if not isinstance(arr, list) or len(arr) != len(dom):
             raise ParseError(f"{name} must be an array of length {len(dom)}")
         for v in arr:
+            if type(v) is not int:
+                raise ParseError(f"{name} value {json.dumps(v)} is not an integer")
             if v not in cod:
                 raise ParseError(f"{name} value {v!r} outside its codomain")
         return fin_map(dom, cod, dict(zip(dom, arr)))

@@ -74,12 +74,16 @@ class Presheaf:
             return row[x]
         if self.cell is None:
             raise KeyError(m)
-        cod = self.base.cod(m)
-        if cod not in self._elements:
-            self._elements[cod] = set(self.at(cod))
-        if x not in self._elements[cod]:
-            raise KeyError(x)
+        self.require(self.base.cod(m), x)
         return self.cell(m, x)
+
+    def require(self, obj: str, x: str) -> None:
+        """Raise ``KeyError`` unless x lies in P(obj)."""
+        elements = self._elements.get(obj)
+        if elements is None:
+            elements = self._elements[obj] = set(self.at(obj))
+        if x not in elements:
+            raise KeyError(x)
 
     def row(self, m: str) -> Mapping[str, str]:
         """The action of m as a mapping x ↦ x[m]; an element with no cell is
@@ -253,15 +257,34 @@ def yoneda(base: FinCatPresentation, c: str) -> Presheaf:
 
 
 def yoneda_map(base: FinCatPresentation, g: str, src_ps: Presheaf, dst_ps: Presheaf) -> NatTrans:
-    """y(g) : y(dom g) -> y(cod g), postcomposition by g."""
-    comps = {d: dict(zip(src_ps.at(d), base.compose_row(g, src_ps.at(d))))
-             for d in base.object_keys}
+    """y(g) : y(dom g) -> y(cod g), postcomposition by g, composed as one
+    row over every h into dom g."""
+    homs = {d: src_ps.at(d) for d in base.object_keys}
+    gh = iter(base.compose_row(g, [h for hs in homs.values() for h in hs]))
+    # zip stops at the end of hs, so each component takes its own composites
+    comps = {d: dict(zip(hs, gh)) for d, hs in homs.items()}
     return NatTrans(src_ps, dst_ps, comps)
 
 
 def element_nat(base: FinCatPresentation, ps: Presheaf, x: str, yon: Presheaf) -> NatTrans:
-    """The natural transformation yon -> ps classifying x, with yon = y(c) for x in ps(c)."""
-    comps = {d: {h: ps.restrict(h, x) for h in yon.at(d)} for d in base.object_keys}
+    """The natural transformation yon -> ps classifying x, with yon = y(c) for x in ps(c).
+
+    Its components are the column x[h] over every h into c, read in one
+    pass: x is checked to lie in P(c) once, as every h has codomain c, and
+    each x[h] is then taken from h's built row where there is one, else from
+    the cell rule.  So the values and the cells read are those of
+    :meth:`Presheaf.restrict` cell by cell, and an x outside P(c) raises
+    ``KeyError``.
+    """
+    homs = {d: yon.at(d) for d in base.object_keys}
+    first = next((hs[0] for hs in homs.values() if hs), None)
+    if first is not None:
+        ps.require(base.cod(first), x)
+    # a table lacking h's row has no cells there: restrict raises
+    action, cell = ps.action, ps.cell or ps.restrict
+    comps = {d: {h: cell(h, x) if row is None else row[x]
+                 for h, row in zip(hs, map(action.get, hs))}
+             for d, hs in homs.items()}
     return NatTrans(yon, ps, comps)
 
 

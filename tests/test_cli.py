@@ -92,6 +92,26 @@ class TestModelIO:
                 "s": [0], "f": [5], "t": [0],
             }))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("I", True, "I must be a non-negative integer size, got true"),
+        ("B", 3.0, "B must be a non-negative integer size, got 3.0"),
+        ("A", False, "A must be a non-negative integer size, got false"),
+        ("J", "1", 'J must be a non-negative integer size, got "1"'),
+        ("s", [0, 0, True], "s value true is not an integer"),
+        ("f", [0, False, 1], "f value false is not an integer"),
+        ("t", [0, 0.0], "t value 0.0 is not an integer"),
+    ])
+    def test_a_non_integer_size_or_value_is_a_parse_error(
+        self, poly_file, field, value, message, capsys
+    ):
+        doc = json.loads(poly_file.read_text())
+        doc[field] = value
+        poly_file.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_polynomial(poly_file.read_text())
+        assert main(["poly", "extend", str(poly_file)]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
 
 class TestCheckCommand:
     def test_good_model_exits_zero(self, term_model_file, capsys):

@@ -984,6 +984,25 @@ class TestEachMorphismIsSpelledOnce:
             cat.compose(g, f)
         assert spelled == []
 
+    def test_naming_the_hom_sets_of_the_bound_4_truncation(self, monkeypatch):
+        spell_mor = FinSliceOpposite.spell_mor
+        ref = FinSliceOpposite((0, 1))
+        objs = ref.objects(4)
+        listed = [spell_mor(ref, (a, b, p)) for a in objs for b in objs
+                  for p in ref._hom_payloads(a, b)]
+        spelled = []
+
+        def counting(self, cell):
+            spelled.append(cell)
+            return spell_mor(self, cell)
+
+        monkeypatch.setattr(FinSliceOpposite, "spell_mor", counting)
+        cat = FinSliceOpposite((0, 1))
+        trunc = truncate(cat, 4)
+        keys = [m for a in trunc.object_keys for b in trunc.object_keys for m in trunc.hom(a, b)]
+        assert keys == listed
+        assert len(spelled) == len(set(spelled)) == len(cat.mors.keys) == 6559
+
 
 class TestEachObjectIsSpelledOnce:
     def test_listing_the_truncation_and_composing_every_pair(self, monkeypatch):
@@ -1092,6 +1111,44 @@ class TestOneMorphismRegistry:
                               "    @memo\n    def compose(self, g: str, f: str) -> str:\n        # f : X")
         assert mutant != text
         assert _registry_assignments_and_memoized_composes({"fincat.py": mutant})[1]
+
+
+_PROCESS_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def _process_caches(sources: dict[str, str]) -> list[tuple[str, int]]:
+    """Each use of a ``functools`` cache, as ``functools.lru_cache`` or
+    imported by name, in the given module sources."""
+    found = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr in _PROCESS_CACHES and \
+                    getattr(node.value, "id", None) == "functools":
+                found.append((name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools" and \
+                    any(alias.name in _PROCESS_CACHES for alias in node.names):
+                found.append((name, node.lineno))
+    return found
+
+
+class TestEveryMemoLivesOnItsOwner:
+    """A cache kept by the function outlives the model or category it
+    serves; ``fincat.memo`` keeps each table on its owner instead."""
+
+    def test_no_module_uses_a_functools_cache(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+        assert _process_caches(sources) == []
+
+    @pytest.mark.parametrize("decorator,imports", [
+        ("@functools.lru_cache(maxsize=None)", ""),
+        ("@functools.cache", ""),
+        ("@cached_property", "from functools import cached_property\n"),
+    ])
+    def test_the_guard_sees_a_cache_put_back(self, decorator, imports):
+        text = (_SRC / "fincat.py").read_text(encoding="utf-8")
+        mutant = imports + text.replace("    @memo\n    def _digits", f"    {decorator}\n    def _digits")
+        assert mutant != imports + text
+        assert _process_caches({"fincat.py": mutant})
 
 
 def _parsed_keys(sources: dict[str, str]) -> list[tuple[str, int]]:

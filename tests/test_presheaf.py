@@ -396,6 +396,45 @@ class TestOracleSoundness:
                 assert fast and slow
 
 
+class TestElementMapsReadTheirColumn:
+    """``element_nat`` reads its column in one pass, from the built rows
+    where there are some and from the cell rule elsewhere."""
+
+    @staticmethod
+    def _half_built():
+        ps = model_presheaves(term_model(range(2)), 3, 2)
+        mors = ps.cat.all_morphisms()
+        for m in mors[::2]:
+            ps.ty.row(m)
+        for m in mors[1::3]:
+            ps.tm.row(m)
+        return ps
+
+    def test_it_equals_restrict_cell_by_cell(self):
+        ps = self._half_built()
+        assert ps.ty.action and ps.tm.action
+        for c in ps.cat.object_keys:
+            yon = yoneda(ps.cat, c)
+            for p in (ps.ty, ps.tm):
+                for x in p.at(c):
+                    reference = {d: {h: p.restrict(h, x) for h in yon.at(d)}
+                                 for d in ps.cat.object_keys}
+                    assert element_nat(ps.cat, p, x, yon).components == reference
+
+    def test_an_element_outside_its_object_raises_before_and_after_rows(self):
+        ps = model_presheaves(term_model(range(2)), 3, 2)
+        c = ps.cat.object_keys[1]  # one element, so x0 is its only term
+        yon = yoneda(ps.cat, c)
+        for _ in ("before rows", "after rows"):
+            for p, x in ((ps.tm, "x2"), (ps.ty, "T7")):
+                assert x not in p.at(c)
+                with pytest.raises(KeyError):
+                    element_nat(ps.cat, p, x, yon)
+            for d in ps.cat.object_keys:
+                for h in yon.at(d):
+                    ps.ty.row(h), ps.tm.row(h)
+
+
 def _functoriality_by_elements(p):
     """Presheaf.violations as checked one element at a time, transcribed from
     the element loop that the row comparison replaced."""
