@@ -23,6 +23,7 @@ from .presheaf import (
     elements_cat,
     is_representable,
     pullback_presheaves,
+    represents,
     sum_presheaves,
     yoneda,
 )

@@ -3,7 +3,10 @@
 Three command families:
 
 * ``natmod check MODEL.json`` — category laws, the equational theory, the
-  representability oracle on every extension square.
+  representability oracle on every extension square.  The sort of every
+  substitution and typing row, and the identity rows of ``subst_ty`` and
+  ``subst_tm`` (A[id] = A and a[id] = a), are checked on every object of
+  the file, boundary objects included.
 * ``natmod free KIND ...`` — run a free construction and its
   universal-property verifier; optionally serialize the result.
 * ``natmod poly SUBCMD ...`` — polynomial operations: extension counts,
@@ -144,7 +147,8 @@ def cmd_check(args) -> int:
     # a file is a fragment: the theory's quantifiers range over the objects
     # whose extension data is complete; boundary objects only receive maps
     eat = check_eat(model, 0, ty_bound=args.bound)
-    # the sort of every substitution and typing cell, boundary rows included
+    # the sort of every substitution and typing cell and the identity rows,
+    # boundary rows included
     for eq, msg in model.sort_violations():
         eat.add(eq, msg)
     for eq, msgs in sorted(eat.violations.items()):

@@ -248,23 +248,29 @@ class TableModel(NaturalModel):
         return _cell("ext", self._ext, (ctx, ty))
 
     def sort_violations(self) -> Iterator[tuple[str, str]]:
-        """Rows whose value has the wrong sort, as (equation, witness) pairs.
+        """Rows whose value has the wrong sort, or that an identity moves, as
+        (equation, witness) pairs.
 
         Every row of ``subst_ty``, ``subst_tm`` and ``typeof``, boundary rows
         included, is tested once: A[m] must be a type over dom m (xiii), a[m]
         a term over dom m (xvi) and the type of a term over Γ a type over Γ
-        (xvii).
+        (xvii); and where m is the identity of any object of the file,
+        A[id] = A (xi) and a[id] = a (xiv).
         """
-        dom = self.base.dom
+        base = self.base
+        dom = base.dom
+        ids = {base.identity(g) for g in base.object_keys}
         tys = {g: set(ts) for g, ts in self._ty.items()}
         tms = {g: set(ts) for g, ts in self._tm.items()}
-        for eq, name, table, sort, what in (
-            ("xiii", "subst_ty", self._subst_ty, tys, "type"),
-            ("xvi", "subst_tm", self._subst_tm, tms, "term"),
+        for eq, id_eq, name, table, sort, what in (
+            ("xiii", "xi", "subst_ty", self._subst_ty, tys, "type"),
+            ("xvi", "xiv", "subst_tm", self._subst_tm, tms, "term"),
         ):
             for (m, x), out in table.items():
                 if out not in sort.get(dom(m), ()):
                     yield eq, f"{name} row ({m}, {x}) gives {out!r}, not a {what} over {dom(m)}"
+                if out != x and m in ids:
+                    yield id_eq, f"{name} row ({m}, {x}) gives {out!r}, not {x!r}"
         for (g, a), ty in self._typeof.items():
             if ty not in tys.get(g, ()):
                 yield "xvii", f"typeof row ({g}, {a}) gives {ty!r}, not a type over {g}"

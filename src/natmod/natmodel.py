@@ -55,10 +55,7 @@ from .presheaf import (
     NatTrans,
     Presheaf,
     check_pullback_square,
-    element_nat,
-    identity_nat,
-    yoneda,
-    yoneda_map,
+    represents,
 )
 from .report import Findings
 
@@ -408,9 +405,10 @@ def extension_square_oracle(
     ``ctx_bound - 1`` keeping the extended object inside the truncation.
     Extensions that leave the truncation are reported as skipped.
 
-    Ty, Tm and p are materialized once, and each square reads only its
-    cells A[σ] and q_A[h]; a q_A outside Tm(Γ•A) has no cells, forms no
-    square, and fails.
+    Ty, Tm and p are materialized once, and each square is the one
+    :func:`~natmod.presheaf.represents` decides for (Γ•A, p_A, q_A) over A:
+    it reads only its cells A[σ] and q_A[h], and a q_A outside Tm(Γ•A) has
+    no cells, forms no square, and fails.
     """
     ps = model_presheaves(model, ctx_bound, ty_bound)
     report = SquareOracleReport(ctx_bound, ty_bound)
@@ -421,17 +419,7 @@ def extension_square_oracle(
                 report.skipped.append((g, a_ty))
                 continue
             report.checked.append((g, a_ty))
-            try:
-                is_pullback = check_pullback_square(
-                    ps.p,
-                    element_nat(ps.cat, ps.ty, a_ty, yoneda(ps.cat, g)),
-                    element_nat(ps.cat, ps.tm, e.var, yoneda(ps.cat, e.extended)),
-                    yoneda_map(ps.cat, e.proj, yoneda(ps.cat, e.extended), yoneda(ps.cat, g)),
-                )
-            except KeyError:
-                # a cell the square needs is missing: the data forms no square
-                is_pullback = False
-            if not is_pullback:
+            if not represents(ps.p, g, a_ty, e.extended, e.proj, e.var):
                 report.failed.append((g, a_ty))
     return report
 
@@ -569,10 +557,11 @@ def _filer(report: Findings) -> Callable[[str, str], None]:
 def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> Findings:
     """The four unit-type equations plus the pullback property via the oracle.
 
-    The square reads unit[t_Δ] and ⋆[t_Δ] cell by cell, as the oracle does;
-    its failure is filed under ``pullback``.  Sort mismatches (a structure
-    component that is not a closed type or term) are reported as violations
-    rather than raised.
+    The square is the one :func:`~natmod.presheaf.represents` decides for
+    (⋄, id_⋄, ⋆) over the unit type, reading unit[t_Δ] and ⋆[t_Δ] cell by
+    cell as the oracle does; its failure is filed under ``pullback``.  Sort
+    mismatches (a structure component that is not a closed type or term)
+    are reported as violations rather than raised.
     """
     report = Findings(bound)
     add = _filer(report)
@@ -592,9 +581,7 @@ def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> Findings:
         add("iv", "variable of the unit extension is not star weakened")
 
     ps = model_presheaves(model, bound, bound)
-    y_d = yoneda(ps.cat, diamond)
-    if not check_pullback_square(ps.p, element_nat(ps.cat, ps.ty, u.unit_ty, y_d),
-                                 element_nat(ps.cat, ps.tm, u.star_tm, y_d), identity_nat(y_d)):
+    if not represents(ps.p, diamond, u.unit_ty, diamond, ps.cat.identity(diamond), u.star_tm):
         report.add("pullback", "unit square is not a pullback within the bound")
     return report
 

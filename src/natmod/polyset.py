@@ -793,25 +793,37 @@ def check_pseudomonad_data(p: Polynomial, eta: PolyMorphism, mu: PolyMorphism) -
         record("mu-shape", False, "μ must be a cell p·p => p")
         return report
 
-    # associativity pair over (p·p)·p
-    try:
-        assoc = associator(p, p, p)
-        lhs = vertical_compose(mu, vertical_compose(whisker_left(p, mu), assoc))
+    def assoc_pair() -> tuple[PolyMorphism, PolyMorphism]:
+        # the associativity pair over (p·p)·p
+        lhs = vertical_compose(mu, vertical_compose(whisker_left(p, mu), associator(p, p, p)))
         rhs = vertical_compose(mu, whisker_right(mu, p))
         record("assoc-cells-cartesian", lhs.cartesian and rhs.cartesian)
-        adj = unique_adjustment(lhs, rhs)
-        adj_back = unique_adjustment(rhs, lhs)
-        record("assoc-adjustment", True)
-        record(
-            "assoc-adjustment-invertible",
-            compose_map(adj_back.alpha, adj.alpha).mapping
-            == identity_map(lhs.carrier).mapping,
-        )
-    except ValueError as exc:
-        record("assoc-adjustment", False, f"associativity cell: {exc}")
+        return lhs, rhs
 
+    _coherence_pair(report, "assoc-adjustment", "assoc-adjustment-invertible",
+                    "associativity", assoc_pair)
     _check_unit_laws(report, p, eta, mu)
     return report
+
+
+def _coherence_pair(report: Findings, law: str, invertible: str, cell: str,
+                    pair: Callable[[], tuple[PolyMorphism, PolyMorphism]]
+                    ) -> Optional[PolyMorphism]:
+    """Record under ``law`` that the unique adjustments between the pair
+    (lhs, rhs) exist both ways, under ``invertible`` that they are mutually
+    inverse, and a cell that does not build as the witness "``cell`` cell:
+    ...".  Returns lhs, None if it did not build."""
+    lhs = None
+    try:
+        lhs, rhs = pair()
+        adj, adj_back = unique_adjustment(lhs, rhs), unique_adjustment(rhs, lhs)
+    except ValueError as exc:
+        report.record(law, False, f"{cell} cell: {exc}")
+        return lhs
+    report.record(law, True)
+    report.record(invertible, compose_map(adj_back.alpha, adj.alpha).mapping
+                  == identity_map(lhs.carrier).mapping)
+    return lhs
 
 
 def _check_unit_laws(report: Findings, p: Polynomial, eta: PolyMorphism, mu: PolyMorphism) -> None:
@@ -827,22 +839,13 @@ def _check_unit_laws(report: Findings, p: Polynomial, eta: PolyMorphism, mu: Pol
         ("left", lambda: whisker_right(eta, p), left_unitor),
         ("right", lambda: whisker_left(p, eta), right_unitor),
     ):
-        try:
-            lhs = vertical_compose(mu, vertical_compose(whiskered(), unitor(p)))
-            composites.append(lhs)
-            adj = unique_adjustment(lhs, identity_cell(p))
-            adj_back = unique_adjustment(identity_cell(p), lhs)
-            report.record(f"{side}-unit-adjustment", True)
-            report.record(
-                f"{side}-unit-invertible",
-                compose_map(adj_back.alpha, adj.alpha).mapping
-                == identity_map(lhs.carrier).mapping,
-            )
-        except ValueError as exc:
-            report.record(f"{side}-unit-adjustment", False, f"{side} unit cell: {exc}")
+        composites.append(_coherence_pair(
+            report, f"{side}-unit-adjustment", f"{side}-unit-invertible", f"{side} unit",
+            lambda: (vertical_compose(mu, vertical_compose(whiskered(), unitor(p))),
+                     identity_cell(p))))
     report.record(
         "unit-law-bijections",
-        len(composites) == 2 and all(c.phi0.is_bijection() for c in composites),
+        all(c is not None and c.phi0.is_bijection() for c in composites),
     )
 
 

@@ -10,6 +10,11 @@ square of natural transformations is a pullback.  It and the pullback
 checks in a base category and in finite sets apply one finite-set test,
 :func:`natmod.fincat.is_set_pullback`.
 
+A natural model is a representable map p: :func:`represents` is the one
+place that builds and decides the square in which (B, g, y) represents the
+fibre of p over a, and :func:`is_representable` finds the first such
+witness of every fibre, with a :class:`~natmod.report.Findings` over them.
+
 Functoriality and naturality are checked along the generators of the base
 when its laws are known to hold: the morphisms along which each law holds
 are closed under composition, so a set that generates every morphism
@@ -44,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
 from .fincat import FinCatPresentation, FinFunctor, Registry, is_set_pullback, memo, tuple_key
+from .report import Findings
 
 
 @dataclass
@@ -355,66 +361,47 @@ def check_pullback_square(f: NatTrans, x: NatTrans, top: NatTrans, left: NatTran
     )
 
 
-@dataclass
-class RepresentabilityWitness:
-    obj: str
-    element: str
-    witness_obj: Optional[str] = None
-    witness_mor: Optional[str] = None
-    witness_elem: Optional[str] = None
+def represents(p: NatTrans, gamma: str, a: str, b: str, g: str, y: str) -> bool:
+    """Whether (B, g : B -> Γ, y in dom p(B)) represents the fibre of p over
+    a in cod p(Γ), that is whether this square is a pullback::
 
-    @property
-    def found(self) -> bool:
-        return self.witness_obj is not None
+        y(B) --⌜y⌝--> dom p
+         |              |
+        y(g)            p
+         v              v
+        y(Γ) --⌜a⌝--> cod p
 
-
-@dataclass
-class RepresentabilityReport:
-    bound_note: str
-    entries: list[RepresentabilityWitness] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.found for e in self.entries)
-
-    def failures(self) -> list[RepresentabilityWitness]:
-        return [e for e in self.entries if not e.found]
-
-
-def is_representable(p: NatTrans) -> RepresentabilityReport:
-    """Search representability data for every fibre of p, in deterministic order.
-
-    For each object Γ and each A in cod(p)(Γ), candidate witnesses
-    (B, g : B -> Γ, y in dom(p)(B)) are tried in enumeration order — objects
-    by position, then morphisms, then elements — and the first one whose
-    square passes :func:`check_pullback_square` is recorded.  The report
-    carries the truncation caveat: conclusions hold for the materialized
-    base only.
+    A missing cell, as an a or a y outside its presheaf, forms no square.
     """
     base = p.dom.base
-    report = RepresentabilityReport(
-        bound_note=f"verified up to the materialized base of {len(base.object_keys)} objects",
-    )
-    for gamma in base.object_keys:
-        for a in p.cod.at(gamma):
-            entry = RepresentabilityWitness(gamma, a)
-            x_nt = element_nat(base, p.cod, a, yoneda(base, gamma))
-            for b_obj in base.object_keys:
-                if entry.found:
-                    break
-                for g in base.hom(b_obj, gamma):
-                    if entry.found:
-                        break
-                    left = yoneda_map(base, g, yoneda(base, b_obj), yoneda(base, gamma))
-                    for y in p.dom.at(b_obj):
-                        top = element_nat(base, p.dom, y, yoneda(base, b_obj))
-                        if check_pullback_square(p, x_nt, top, left):
-                            entry.witness_obj = b_obj
-                            entry.witness_mor = g
-                            entry.witness_elem = y
-                            break
-            report.entries.append(entry)
-    return report
+    try:
+        return check_pullback_square(
+            p, element_nat(base, p.cod, a, yoneda(base, gamma)),
+            element_nat(base, p.dom, y, yoneda(base, b)),
+            yoneda_map(base, g, yoneda(base, b), yoneda(base, gamma)),
+        )
+    except KeyError:
+        return False
+
+
+def is_representable(p: NatTrans) -> tuple[dict[tuple[str, str], tuple[str, str, str]], Findings]:
+    """The first (B, g, y) that :func:`represents` each fibre (Γ, a) of p,
+    tried by object position, then morphism, then element; and findings
+    whose law ``representable`` has a witness per fibre with none, over the
+    fibres as instances.  It holds for the materialized base only.
+    """
+    base = p.dom.base
+    fibres = [(gamma, a) for gamma in base.object_keys for a in p.cod.at(gamma)]
+    witnesses: dict[tuple[str, str], tuple[str, str, str]] = {}
+    report = Findings(instances=len(fibres))
+    for gamma, a in fibres:
+        found = next(((b, g, y) for b in base.object_keys for g in base.hom(b, gamma)
+                      for y in p.dom.at(b) if represents(p, gamma, a, b, g, y)), None)
+        if found is not None:
+            witnesses[(gamma, a)] = found
+        report.record("representable", found is not None,
+                      f"no (B, g, y) represents the fibre over {a!r} in cod p({gamma})")
+    return witnesses, report
 
 
 def sum_presheaves(ps: list[Presheaf]) -> tuple[Presheaf, list[NatTrans]]:

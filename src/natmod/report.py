@@ -3,8 +3,9 @@ as text or JSON lines.
 
 Every checker (``check_eat``, ``check_unit``, ``check_sigma``, ``check_pi``,
 ``check_morphism``, ``check_pseudomonad_data``) returns its verdicts as one
-:class:`Findings`, law by law; the command line turns each into a record of
-a :class:`VerificationReport`.  Both follow one rule: a check over no
+:class:`Findings`, law by law, and a search that finds data returns it with
+one beside (``is_representable``, ``classified_morphisms``); the command
+line turns each into a record of a :class:`VerificationReport`.  Both follow one rule: a check over no
 instance shows nothing, so it does not pass.
 
 Reports are deterministic for a fixed (input, bound, seed): check records are

@@ -307,9 +307,9 @@ def test_criterion_8_closure_properties_over_a_finite_base():
     y0, y1, y2 = (yoneda(base, k) for k in ["0", "1", "2"])
     q = yoneda_map(base, "0<=1", y0, y1)
     p = yoneda_map(base, "1<=2", y1, y2)
-    base_ok = is_representable(p).ok and is_representable(q).ok
-    comp_ok = is_representable(compose_nat(p, q)).ok
-    sum_ok = is_representable(sum_nat_trans([p, q])).ok
+    base_ok = is_representable(p)[1].ok and is_representable(q)[1].ok
+    comp_ok = is_representable(compose_nat(p, q))[1].ok
+    sum_ok = is_representable(sum_nat_trans([p, q]))[1].ok
 
     two_vals = {o: ["e0", "e1"] for o in base.object_keys}
     two = Presheaf(base, two_vals, {m: {x: x for x in ["e0", "e1"]}
@@ -318,7 +318,7 @@ def test_criterion_8_closure_properties_over_a_finite_base():
         o: {x: y2.at(o)[0] for x in two.at(o)} for o in base.object_keys
     })
     apex, pr1, pr2 = pullback_presheaves(into, p)
-    pull_ok = is_representable(pr1).ok
+    pull_ok = is_representable(pr1)[1].ok
     report(
         "8 Closure properties: composites, pullbacks and finite sums of "
         "representable transformations over a three-object base remain "

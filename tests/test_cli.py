@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import random
 import re
 import subprocess
@@ -135,6 +136,57 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out and "unit law" in out
+
+    def test_every_identity_row_set_to_another_cell_fails_its_equation(self, tmp_path, capsys):
+        # each identity row of subst_ty or subst_tm, at a core or a boundary
+        # object, set to each other type or term of its context breaks (xi)
+        # or (xiv); the boundary rows are read only by the row pass of
+        # sort_violations
+        law = {"subst_ty": "eat-xi", "subst_tm": "eat-xiv"}
+        outcomes, mutant = [], tmp_path / "mutant.json"
+        with deadline(60):
+            for kind in ("term-model", "type", "unit", "sigma"):
+                path = tmp_path / f"{kind}.json"
+                assert main(["free", kind, "--base", "term-model:1", "--bound", "2",
+                             "--out-model", str(path)]) == 0
+                assert main(["check", str(path), "--bound", "2"]) == 0
+                capsys.readouterr()
+                text = path.read_text()
+                doc = json.loads(text)
+                ctx_of = {ident: ctx for ctx, ident in doc["identities"].items()}
+                for table, values in (("subst_ty", doc["ty"]), ("subst_tm", doc["tm"])):
+                    for i, row in enumerate(doc[table]):
+                        ctx = ctx_of.get(row["mor"])
+                        for other in values.get(ctx, []) if ctx is not None else []:
+                            if other == row["out"]:
+                                continue
+                            bad = json.loads(text)
+                            bad[table][i]["out"] = other
+                            mutant.write_text(json.dumps(bad))
+                            code = main(["check", str(mutant), "--bound", "2",
+                                         "--format", "machine"])
+                            records = map(json.loads, capsys.readouterr().out.splitlines())
+                            fails = {r["name"] for r in records if r.get("status") == "fail"}
+                            outcomes.append((code, law[table] in fails))
+        assert outcomes == [(1, True)] * 120
+
+    def test_a_moved_boundary_identity_row_is_named_as_the_row(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        assert main(["free", "type", "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        model = parse_model(path.read_text())
+        boundary = [g for g in doc["objects"] if g not in model.base.objects(0)]
+        ident, tys = next((doc["identities"][g], doc["ty"][g]) for g in boundary
+                          if len(doc["ty"].get(g, [])) > 1)
+        row = next(r for r in doc["subst_ty"] if r["mor"] == ident and r["type"] == tys[0])
+        row["out"] = tys[1]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(path), "--bound", "2"]) == 1
+        out = capsys.readouterr().out
+        assert (f"FAIL  eat-xi  -- subst_ty row ({ident}, {tys[0]}) gives {tys[1]!r}, "
+                f"not {tys[0]!r}\n") in out
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -292,6 +344,35 @@ class TestPolyCommand:
         assert main(["poly", "verify-bc", "--count", "10", "--seed", "1"]) == 0
         assert main(["poly", "verify-dist", "--count", "10", "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("subcmd,name,witness", [
+        ("verify-bc", "beck-chevalley", "beck_chevalley_witness"),
+        ("verify-dist", "distributivity", "distributivity_witness"),
+    ])
+    def test_a_witness_whose_backward_map_is_wrong_fails(
+        self, subcmd, name, witness, monkeypatch, capsys
+    ):
+        # every backward map sends each element to "lost", so the round trip
+        # fails on exactly the instances with an element to send
+        real = getattr(polyset, witness)
+        sends = []
+
+        def lost(w):
+            return polyset.IndexedBijection(w.forward, {
+                k: polyset.fin_map(b.dom, ("lost",), lambda _: "lost")
+                for k, b in w.backward.items()})
+
+        def wrong(*args):
+            out = real(*args)
+            ws = out if isinstance(out, tuple) else (out,)
+            sends.append(any(f.dom for w in ws for f in w.forward.values()))
+            return tuple(map(lost, out)) if isinstance(out, tuple) else lost(out)
+
+        monkeypatch.setattr(polyset, witness, wrong)
+        assert main(["poly", subcmd, "--count", "10", "--seed", "1"]) == 1
+        out = capsys.readouterr().out
+        assert len(sends) == 10 and sum(sends) > 0
+        assert f"\nFAIL  {name}  -- 10 instances, {sum(sends)} failures\n" in out
+
     @pytest.mark.parametrize("subcmd,name", [
         ("verify-bc", "beck-chevalley"), ("verify-dist", "distributivity")])
     def test_a_random_check_at_bound_0_draws_nothing_and_is_vacuous(self, subcmd, name, capsys):
@@ -345,9 +426,12 @@ class TestPolyCommand:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
+        # the child imports the natmod this process imported, installed or not
+        src = str(Path(polyset.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "natmod.cli", "poly", "pseudomonad"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "result: PASS" in proc.stdout

@@ -1263,9 +1263,9 @@ class TestOneVacuousRule:
         assert _vacuous_verdicts(mutant)
 
 
-# the result classes that are not a checker's Findings: the CLI's report, the
-# oracle's checked, failed and skipped squares, and the representability search's
-_REPORT_CLASSES = {"VerificationReport", "SquareOracleReport", "RepresentabilityReport"}
+# the result classes that are not a checker's Findings: the CLI's report and
+# the oracle's checked, failed and skipped squares
+_REPORT_CLASSES = {"VerificationReport", "SquareOracleReport"}
 
 
 def _report_classes(sources: dict[str, str]) -> list[tuple[str, str]]:
@@ -1292,23 +1292,43 @@ class TestOneFindingsType:
 _TESTS = Path(__file__).resolve().parent
 
 
+def _returns_findings(returns) -> bool:
+    """Whether a return annotation is ``Findings`` or a tuple ending in one."""
+    if isinstance(returns, ast.Subscript) and getattr(returns.value, "id", None) == "tuple":
+        returns = getattr(returns.slice, "elts", [returns.slice])[-1]
+    return getattr(returns, "id", None) == "Findings"
+
+
 def _findings_checkers(sources: list[str]) -> set[str]:
-    """The ``check_*`` functions of the given module sources annotated to
-    return a ``Findings``."""
+    """The functions of the given module sources annotated to return a
+    ``Findings`` or a tuple ending in one."""
     return {node.name for text in sources for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
-            and getattr(node.returns, "id", None) == "Findings"}
+            if isinstance(node, ast.FunctionDef) and _returns_findings(node.returns)}
 
 
 def _findings_as_truth_values(text: str, checkers: set[str]) -> list[int]:
     """The lines of a module source that read the result of one of
-    ``checkers`` as a truth value (an ``assert``, ``if``, ``while`` or
-    conditional test, a ``not``, an ``and``/``or`` operand or a ``bool()``
-    argument), directly or through a name bound to it in the same function.
-    A ``Findings`` is always true, so such a reading passes vacuously."""
+    ``checkers``, or a subscript of it, as a truth value (an ``assert``,
+    ``if``, ``while`` or conditional test, a ``not``, an ``and``/``or``
+    operand or a ``bool()`` argument), directly or through a name bound to
+    it in the same function, by assignment or as the last name of a tuple
+    it is unpacked into.  A ``Findings`` and a non-empty tuple are always
+    true, so such a reading passes vacuously."""
     def is_check(node) -> bool:
+        if isinstance(node, ast.Subscript):
+            node = node.value
         return isinstance(node, ast.Call) and \
             getattr(node.func, "id", getattr(node.func, "attr", None)) in checkers
+
+    def bound_names(node) -> list[str]:
+        """The names an assignment of a checker's result binds to it or to
+        its ``Findings``."""
+        if not isinstance(node, (ast.Assign, ast.NamedExpr)) or not is_check(node.value):
+            return []
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        return [target.id for target in
+                (t.elts[-1] if isinstance(t, ast.Tuple) and t.elts else t for t in targets)
+                if isinstance(target, ast.Name)]
 
     tree = ast.parse(text)
     module_code = ast.Module([s for s in tree.body if not isinstance(
@@ -1316,10 +1336,7 @@ def _findings_as_truth_values(text: str, checkers: set[str]) -> list[int]:
     found = []
     for scope in [module_code, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
         nodes = list(ast.walk(scope))
-        bound = {target.id for node in nodes if isinstance(node, (ast.Assign, ast.NamedExpr))
-                 and is_check(node.value)
-                 for target in getattr(node, "targets", [getattr(node, "target", None)])
-                 if isinstance(target, ast.Name)}
+        bound = {name for node in nodes for name in bound_names(node)}
         for node in nodes:
             if isinstance(node, (ast.Assert, ast.If, ast.While, ast.IfExp)):
                 tests = [node.test]
@@ -1346,7 +1363,8 @@ class TestNoFindingsReadAsABool:
     def test_every_findings_checker_result_is_read_through_ok(self):
         sources = self._sources()
         checkers = _findings_checkers([sources[p] for p in sources if p.parent == _SRC])
-        assert {"check_eat", "check_morphism", "check_sigma_morphism"} <= checkers
+        assert {"check_eat", "check_morphism", "check_sigma_morphism",
+                "is_representable", "classified_morphisms"} <= checkers
         assert {p.name: lines for p, text in sources.items()
                 if (lines := _findings_as_truth_values(text, checkers))} == {}
 
@@ -1356,13 +1374,27 @@ class TestNoFindingsReadAsABool:
         "rep = check_morphism(fm, 2)\n    if rep:\n        pass",
         "ok = all(check_eat(m, 1) and True for m in models)",
         "assert check_sigma_morphism(summ, 2).ok or bool(check_unit(u, s, 2))",
-    ], ids=["assert", "assert-not", "bound-name", "and-operand", "bool-call"])
+        "assert is_representable(p)",
+        "assert classified_morphisms(m, 2)[1]",
+        "witnesses, rep = is_representable(p)\n    assert rep",
+    ], ids=["assert", "assert-not", "bound-name", "and-operand", "bool-call",
+            "tuple", "tuple-subscript", "tuple-unpacked"])
     def test_the_guard_sees_a_findings_read_as_a_bool(self, put_back):
-        checkers = {"check_eat", "check_unit", "check_morphism", "check_sigma_morphism"}
+        checkers = {"check_eat", "check_unit", "check_morphism", "check_sigma_morphism",
+                    "is_representable", "classified_morphisms"}
         mutant = f"def test_put_back():\n    {put_back}\n"
         assert _findings_as_truth_values(mutant, checkers)
-        fixed = f"def test_read_through_ok():\n    assert check_sigma_morphism(summ, 2).ok\n"
+        fixed = ("def test_read_through_ok():\n    assert check_sigma_morphism(summ, 2).ok\n"
+                 "    witnesses, rep = is_representable(p)\n    assert rep.ok and witnesses\n"
+                 "    assert is_representable(p)[1].ok\n")
         assert _findings_as_truth_values(fixed, checkers) == []
+
+    def test_the_guard_reads_tuple_annotations_ending_in_findings(self):
+        sources = ["def a() -> Findings: ...\n",
+                   "def b() -> tuple[dict[str, str], Findings]: ...\n",
+                   "def c() -> tuple[Findings, dict]: ...\n",
+                   "def d() -> tuple[bool, bool]: ...\n"]
+        assert _findings_checkers(sources) == {"a", "b"}
 
 
 def _row_categories():

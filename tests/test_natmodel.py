@@ -901,6 +901,21 @@ class TestClassifiedMorphisms:
         assert witnesses == [("closure", f"pullback of fs[]=>fs[]:() along {g}=>fs[]:() "
                               "is not classified-compatible") for g in ("fs[]", "fs[0]", "fs[0,0]")]
 
+    def test_a_classifying_map_that_is_not_invertible_fails_closure(self, monkeypatch):
+        # h : Γ•A -> Γ' with the right endpoints but not invertible: the
+        # swap fs[0,0] -> fs[0,0] read as the constant (0,0)
+        m = term_model(range(1))
+        real = m.base.is_iso
+        swap, constant = "fs[0,0]=>fs[0,0]:(0,1)", "fs[0,0]=>fs[0,0]:(0,0)"
+        monkeypatch.setattr(m.base, "is_iso", lambda f: constant if real(f) == swap else real(f))
+        classified, closure = classified_morphisms(m, 2)
+        assert m.base.dom(swap) == m.base.dom(constant) and real(constant) is None
+        assert classified["fs[0,0]=>fs[0]:(0)"] == ("T0", constant)
+        assert not closure.ok and closure.instances == 3
+        assert closure.violations == {"closure": [
+            f"pullback of fs[0,0]=>fs[0]:(0) along {m} is not classified-compatible"
+            for m in ("fs[0]=>fs[0]:(0)", "fs[0,0]=>fs[0]:(0)", "fs[0,0]=>fs[0]:(1)")]}
+
     def test_identities_classified_only_with_unit_like_type(self):
         # in the term model no extension projection is invertible, so no
         # identity is classified; in the free unit model the unit extension

@@ -9,6 +9,7 @@ import pytest
 
 from natmod.polyset import (
     FinMap,
+    IndexedBijection,
     all_adjustments,
     beck_chevalley_witness,
     cell_from_square,
@@ -91,6 +92,8 @@ class TestFinMap:
             FinMap((0, 1), ("a",), ((0, "a"),))
         with pytest.raises(ValueError, match=r"^not a bijection: 'a' and 'b' both go to 'c'$"):
             fin_map(("a", "b"), ("c", "d"), lambda _: "c").inverse()
+        with pytest.raises(ValueError, match=r"^not a bijection: nothing goes to 'd'$"):
+            fin_map(("a",), ("c", "d"), lambda _: "c").inverse()
 
     def test_an_image_outside_the_codomain_is_named(self):
         p = poly_from_map(fin_map(("b0", "b1"), ("a",), lambda _: "a"))
@@ -390,6 +393,22 @@ class TestBeckChevalley:
         f = fin_map(b, a, {"b0": "a0", "b1": "a0"})
         with pytest.raises(ValueError):
             beck_chevalley_witness(v, f, u, g, {"a0": ()})
+
+
+class TestIndexedBijection:
+    def test_a_backward_map_that_does_not_undo_the_forward_one_fails(self):
+        # b(f(x)) != x at x = 1
+        fwd = fin_map((0, 1), ("a", "b"), {0: "a", 1: "b"})
+        bwd = fin_map(("a", "b"), (0, 1), lambda _: 0)
+        assert not IndexedBijection({"k": fwd}, {"k": bwd}).check_roundtrips()
+
+    def test_a_forward_map_that_does_not_undo_the_backward_one_fails(self):
+        # b(f(x)) = x for the one x, but f(b(y)) != y at y = "b"
+        fwd = fin_map((0,), ("a", "b"), {0: "a"})
+        bwd = fin_map(("a", "b"), (0,), lambda _: 0)
+        assert not IndexedBijection({"k": fwd}, {"k": bwd}).check_roundtrips()
+        assert IndexedBijection({"k": fwd}, {"k": fin_map(("a",), (0,), {"a": 0})}
+                                ).check_roundtrips()
 
 
 class TestDistributivity:
@@ -772,6 +791,41 @@ class TestPseudomonad:
         report = check_pseudomonad_data(p, eta, mu)
         assert not report.ok
         assert report.checks["unit-law-bijections"] is False
+
+    @pytest.mark.parametrize("refused,failing", [
+        ("unique_adjustment", {"assoc-adjustment": "associativity",
+                               "left-unit-adjustment": "left unit",
+                               "right-unit-adjustment": "right unit"}),
+        ("left_unitor", {"left-unit-adjustment": "left unit"}),
+    ])
+    def test_a_cell_that_does_not_build_is_its_law_s_witness(
+        self, refused, failing, monkeypatch
+    ):
+        # a coherence pair that does not build files its failure under its
+        # adjustment law and records no invertibility; a unit composite
+        # that was not built fails unit-law-bijections
+        from natmod import polyset
+        from natmod.polyset import partiality_pseudomonad
+
+        def refuse(*_args):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(polyset, refused, refuse)
+        report = check_pseudomonad_data(*partiality_pseudomonad())
+        pairs = {"assoc-adjustment": "assoc-adjustment-invertible",
+                 "left-unit-adjustment": "left-unit-invertible",
+                 "right-unit-adjustment": "right-unit-invertible"}
+        built = refused != "left_unitor"
+        assert report.checks == {
+            "eta-cartesian": True, "mu-cartesian": True, "assoc-cells-cartesian": True,
+            **{law: law not in failing for law in pairs},
+            **{inverse: True for law, inverse in pairs.items() if law not in failing},
+            "unit-law-bijections": built,
+        }
+        assert report.violations == {
+            **{law: [f"{cell} cell: refused"] for law, cell in failing.items()},
+            **({} if built else {"unit-law-bijections": []}),
+        }
 
     def test_permuted_multiplication_fails_and_names_the_cell(self):
         from natmod.polyset import _square_of, partiality_pseudomonad

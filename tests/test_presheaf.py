@@ -14,6 +14,7 @@ from natmod.presheaf import (
     identity_nat,
     is_representable,
     pullback_presheaves,
+    represents,
     sum_nat_trans,
     sum_presheaves,
     yoneda,
@@ -254,19 +255,17 @@ class TestRepresentability:
     def test_identity_is_representable_with_trivial_witness(self):
         base = chain_poset(3)
         p = yoneda(base, "1")
-        rep = is_representable(identity_nat(p))
-        assert rep.ok
-        for e in rep.entries:
-            assert e.witness_obj == e.obj
-            assert e.witness_mor == base.identity(e.obj)
-            assert e.witness_elem == e.element
+        witnesses, rep = is_representable(identity_nat(p))
+        assert rep.ok and rep.instances == len(witnesses)
+        for (obj, element), (b, g, y) in witnesses.items():
+            assert (b, g, y) == (obj, base.identity(obj), element)
 
     def test_yoneda_image_maps_are_representable_over_a_lattice(self):
         base = diamond_lattice()
         y1 = yoneda(base, "1")
         ya = yoneda(base, "a")
         f = yoneda_map(base, "a<=1", ya, y1)
-        assert is_representable(f).ok
+        assert is_representable(f)[1].ok
 
     def test_constant_two_element_presheaf_not_representable(self):
         # over the discrete two-object category there is no "product-like"
@@ -276,9 +275,37 @@ class TestRepresentability:
         two = constant_presheaf(base, ["e0", "e1"])
         one = constant_presheaf(base, ["*"])
         nt = unique_map(base, two, one)
-        rep = is_representable(nt)
-        assert not rep.ok
-        assert rep.failures()
+        witnesses, rep = is_representable(nt)
+        assert not rep.ok and witnesses == {}
+        assert rep.violations == {"representable": [
+            f"no (B, g, y) represents the fibre over '*' in cod p({o})" for o in ("u", "v")]}
+
+    def test_a_map_with_no_fibre_shows_nothing(self):
+        # over an empty codomain there is no fibre to represent: vacuous
+        base = chain_poset(2)
+        empty = constant_presheaf(base, [])
+        witnesses, rep = is_representable(identity_nat(empty))
+        assert witnesses == {} and rep.instances == 0 and not rep.ok
+
+
+class TestRepresents:
+    """``represents`` decides one square over p, and a missing cell forms none."""
+
+    def test_the_found_witness_represents_and_a_smaller_cone_does_not(self):
+        base = chain_poset(3)
+        p = identity_nat(yoneda(base, "1"))
+        witnesses, rep = is_representable(p)
+        assert rep.ok and witnesses[("1", "1<=1")] == ("1", "1<=1", "1<=1")
+        assert represents(p, "1", "1<=1", "1", "1<=1", "1<=1")
+        # y(0) over 0<=1 is a cone over the square, but not its pullback
+        assert not represents(p, "1", "1<=1", "0", "0<=1", "0<=1")
+
+    def test_an_element_outside_its_presheaf_forms_no_square(self):
+        base = chain_poset(2)
+        p = identity_nat(yoneda(base, "1"))
+        assert represents(p, "1", "1<=1", "1", "1<=1", "1<=1")
+        assert not represents(p, "1", "nowhere", "1", "1<=1", "1<=1")
+        assert not represents(p, "1", "1<=1", "1", "1<=1", "nowhere")
 
 
 class TestSumsAndPullbacks:
@@ -338,15 +365,15 @@ class TestSumsAndPullbacks:
         y0, y1, y2 = (yoneda(base, k) for k in ["0", "1", "2"])
         q = yoneda_map(base, "0<=1", y0, y1)
         p = yoneda_map(base, "1<=2", y1, y2)
-        assert is_representable(p).ok and is_representable(q).ok
-        assert is_representable(compose_nat(p, q)).ok
-        assert is_representable(sum_nat_trans([p, p])).ok
+        assert is_representable(p)[1].ok and is_representable(q)[1].ok
+        assert is_representable(compose_nat(p, q))[1].ok
+        assert is_representable(sum_nat_trans([p, p]))[1].ok
         two = constant_presheaf(base, ["e0", "e1"])
         into = NatTrans(two, y2, {
             o: {x: y2.at(o)[0] for x in two.at(o)} for o in base.object_keys
         })
         apex, pr1, pr2 = pullback_presheaves(into, p)
-        assert is_representable(pr1).ok
+        assert is_representable(pr1)[1].ok
 
 
 class TestTermModelClassifier:
@@ -360,19 +387,17 @@ class TestTermModelClassifier:
 
         m = term_model(range(1))
         ps = model_presheaves(m, 2, 1)
-        rep = is_representable(ps.p)
-        assert "verified up to" in rep.bound_note
-        for entry in rep.entries:
-            size = len(m.base.objs.cell(entry.obj))
-            e = m.ext(entry.obj, entry.element)
-            if size < 2:
-                assert entry.found
-                assert entry.witness_obj == e.extended
-                assert entry.witness_mor == e.proj
-                assert entry.witness_elem == e.var
+        witnesses, rep = is_representable(ps.p)
+        fibres = [(g, a) for g in ps.cat.object_keys for a in ps.ty.at(g)]
+        assert rep.instances == len(fibres)
+        for g, a in fibres:
+            e = m.ext(g, a)
+            if len(m.base.objs.cell(g)) < 2:
+                assert witnesses[(g, a)] == (e.extended, e.proj, e.var)
             else:
                 # the witness would escape the truncation
-                assert not entry.found
+                assert (g, a) not in witnesses
+        assert len(rep.violations["representable"]) == len(fibres) - len(witnesses) > 0
 
 
 class TestOracleSoundness:
