@@ -3,12 +3,15 @@
 Three command families:
 
 * ``natmod check MODEL.json`` — category laws, the equational theory, the
-  representability oracle on every extension square.  The sort of every
-  substitution and typing row, and the identity rows of ``subst_ty`` and
-  ``subst_tm`` (A[id] = A and a[id] = a), are checked on every object of
-  the file, boundary objects included.
+  representability oracle on every extension square.  The theory is checked
+  on the file's core, the objects whose extension data is complete, and
+  the rows past it (substitution rows along a morphism with a boundary
+  endpoint, typing and extension rows at a boundary context) by
+  ``TableModel.sort_violations``, so each row is read once.
 * ``natmod free KIND ...`` — run a free construction and its
-  universal-property verifier; optionally serialize the result.
+  universal-property verifier; optionally serialize the result.  A base
+  file is first checked as ``natmod check`` checks its category laws and
+  equations, and refused if it fails them.
 * ``natmod poly SUBCMD ...`` — polynomial operations: extension counts,
   composition with the extension-preservation check, Beck–Chevalley and
   distributivity witnesses on seeded random instances, pseudomonad data.
@@ -21,8 +24,12 @@ construction at a bound below its every context, ``inclusion-strict``
 over an inner model with no context at the bound, ``natmod check`` on a
 file with no complete context or no extension square, and ``natmod poly
 verify-bc`` or ``verify-dist`` at bound 0, which draws no instance, as its
-random sets need at least one element.  A failing check's detail names its
-first failing law and witness.  ``natmod free --out-model`` writes the
+random sets need at least one element.  A checker's ``Findings`` becomes
+records in one way: its summary record, whose failing detail names its
+first failing law and witness, and one FAIL record ``name-<law>`` per
+failing law that decides it (``eat-xiv``, ``category-laws-unit-left``,
+``mediating-strict-tm-natural``), with that law's first witness and a count
+of the others.  ``natmod free --out-model`` writes the
 construction's fragment at its check bound, at most 2; where the terminal
 context lies past that bound, a file would not parse, so none is written
 and one stderr line says why.  ``natmod poly extend`` reads ``--family``
@@ -30,7 +37,9 @@ as one size per index, one element at each index by default and ``""`` the
 empty family.
 
 Exit codes: 0 if all checks pass, 1 on a check failure or a vacuous check,
-2 on bad input: a file that fails to parse or is incomplete, a free
+2 on bad input: a file that fails to parse or is incomplete, a base file
+whose category laws or equations fail (one ``parse error:`` line names the
+first failing law and witness; a vacuous check is no failure), a free
 construction whose bound reaches past the fragment a base file holds, a
 negative bound, a negative ``term-model:N``, a ``--count`` below 1, a
 ``--type`` that is not a closed type of the base, a ``natmod poly``
@@ -55,7 +64,7 @@ from . import freemodel, modelio, polyset
 from .fincat import check_category
 from .morphism import check_morphism, count_morphisms
 from .natmodel import check_eat, check_sigma, check_unit, extension_square_oracle
-from .report import VerificationReport
+from .report import Findings, VerificationReport
 
 
 DEFAULT_BOUND = 3
@@ -133,6 +142,19 @@ def _load_base(spec: str):
     return _parse_file(spec, modelio.parse_model)
 
 
+def _file_findings(model: modelio.TableModel, bound: int) -> dict[str, Findings]:
+    """The category laws and the theory's equations on a model file, by
+    the name of their record."""
+    # a file is a fragment: the theory's quantifiers range over its core,
+    # the objects whose extension data is complete, which every working
+    # bound holds whole; boundary objects only receive maps, and their rows
+    # are read by sort_violations
+    eat = check_eat(model, 0, ty_bound=bound)
+    eat.file(model.sort_violations())
+    eat.bound = bound
+    return {"category-laws": check_category(model.base), "eat": eat}
+
+
 def cmd_check(args) -> int:
     t0 = time.time()
     try:
@@ -141,21 +163,8 @@ def cmd_check(args) -> int:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
     report = VerificationReport("check", args.bound, args.seed)
-    cat_violations = check_category(model.base)
-    report.add("category-laws", not cat_violations,
-               "; ".join(cat_violations[:3]))
-    # a file is a fragment: the theory's quantifiers range over the objects
-    # whose extension data is complete; boundary objects only receive maps
-    eat = check_eat(model, 0, ty_bound=args.bound)
-    # the sort of every substitution and typing cell and the identity rows,
-    # boundary rows included
-    for eq, msg in model.sort_violations():
-        eat.add(eq, msg)
-    for eq, msgs in sorted(eat.violations.items()):
-        more = f" (+{len(msgs) - 1} more)" if len(msgs) > 1 else ""
-        report.add(f"eat-{eq}", False, msgs[0] + more)
-    report.add("eat", eat.ok, f"{len(eat.violations)} violated equations" if not eat.ok else "",
-               instances=eat.instances)
+    for name, findings in _file_findings(model, args.bound).items():
+        report.add_findings(name, findings)
     oracle = extension_square_oracle(model, modelio.BOUNDARY_RANK, args.bound, 0)
     report.add(
         "representability-oracle", oracle.ok,
@@ -173,6 +182,13 @@ def cmd_free(args) -> int:
     except ValueError as exc:  # a ParseError, or a malformed term-model:N
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
+    if isinstance(base, modelio.TableModel):
+        # a construction over a file that ``natmod check`` fails is built on
+        # bad input; a vacuous check is no failure
+        for name, findings in _file_findings(base, args.bound).items():
+            if failure := findings.first_failure():
+                sys.stderr.write(f"parse error: {args.base}: {name} fails {failure}\n")
+                return 2
     if args.kind == "term-model" and not isinstance(base, freemodel.TermModel):
         sys.stderr.write("parse error: free term-model needs --base term-model:N\n")
         return 2
@@ -354,11 +370,7 @@ def cmd_poly(args) -> int:
                 ("trivial", polyset.trivial_pseudomonad()),
                 ("partiality", polyset.partiality_pseudomonad()),
             ]:
-                rep = polyset.check_pseudomonad_data(*data)
-                detail = "; ".join(
-                    f"{k}:{'ok' if v else 'FAIL'}" for k, v in sorted(rep.checks.items())
-                )
-                report.add(f"pseudomonad-{name}", rep.ok, detail)
+                report.add_findings(f"pseudomonad-{name}", polyset.check_pseudomonad_data(*data))
     except ValueError as exc:  # a ParseError, or polynomials that do not compose
         sys.stderr.write(f"parse error: {exc}\n")
         return 2

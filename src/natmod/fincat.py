@@ -47,6 +47,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator, Optional
 
+from .report import Findings
+
 
 _MISS = object()
 
@@ -434,9 +436,12 @@ def _category_laws(
                 yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
 
 
-def check_category(c: FinCatPresentation) -> list[str]:
-    """Verify the category laws by enumeration; returns violations (empty = ok)."""
-    return [msg for _law, msg in category_violations(c, c.object_keys)]
+def check_category(c: FinCatPresentation) -> Findings:
+    """The laws of :func:`category_violations` on the whole presentation;
+    its objects are the instances."""
+    report = Findings(instances=len(c.object_keys))
+    report.file(category_violations(c, c.object_keys))
+    return report
 
 
 def functor_violations(

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator
 
 from .fincat import FinCatPresentation
-from .natmodel import ExtensionData, NaturalModel, model_presheaves
+from .natmodel import ExtensionData, NaturalModel, ext_violations, model_presheaves
 from .polyset import FinMap, Polynomial, fin_map
 
 
@@ -248,17 +248,23 @@ class TableModel(NaturalModel):
         return _cell("ext", self._ext, (ctx, ty))
 
     def sort_violations(self) -> Iterator[tuple[str, str]]:
-        """Rows whose value has the wrong sort, or that an identity moves, as
-        (equation, witness) pairs.
+        """The equations on the rows that ``check_eat(model, 0)`` does not
+        read, as (equation, witness) pairs, so that each row of the file is
+        read by exactly one checker.
 
-        Every row of ``subst_ty``, ``subst_tm`` and ``typeof``, boundary rows
-        included, is tested once: A[m] must be a type over dom m (xiii), a[m]
-        a term over dom m (xvi) and the type of a term over Γ a type over Γ
-        (xvii); and where m is the identity of any object of the file,
-        A[id] = A (xi) and a[id] = a (xiv).
+        ``check_eat`` reads the rows over the core, ``objects(0)``; these
+        are the rest.  A ``subst_ty`` or ``subst_tm`` row whose morphism m
+        has an endpoint outside the core must give a type (xiii) or a term
+        (xvi) over dom m, and where m is an identity, A[id] = A (xi) or
+        a[id] = a (xiv).  A ``typeof`` row at a boundary context Γ must give
+        a type over Γ (xvii).  An ``ext`` row at a boundary context Γ must
+        give p : Γ•A -> Γ and q a term over Γ•A of type A[p], (xix)-(xxii)
+        as :func:`~natmod.natmodel.ext_violations` checks them for
+        ``check_eat``.
         """
         base = self.base
-        dom = base.dom
+        dom, cod = base.dom, base.cod
+        core = set(base.objects(0))
         ids = {base.identity(g) for g in base.object_keys}
         tys = {g: set(ts) for g, ts in self._ty.items()}
         tms = {g: set(ts) for g, ts in self._tm.items()}
@@ -267,13 +273,18 @@ class TableModel(NaturalModel):
             ("xvi", "xiv", "subst_tm", self._subst_tm, tms, "term"),
         ):
             for (m, x), out in table.items():
+                if dom(m) in core and cod(m) in core:
+                    continue
                 if out not in sort.get(dom(m), ()):
                     yield eq, f"{name} row ({m}, {x}) gives {out!r}, not a {what} over {dom(m)}"
                 if out != x and m in ids:
                     yield id_eq, f"{name} row ({m}, {x}) gives {out!r}, not {x!r}"
         for (g, a), ty in self._typeof.items():
-            if ty not in tys.get(g, ()):
+            if g not in core and ty not in tys.get(g, ()):
                 yield "xvii", f"typeof row ({g}, {a}) gives {ty!r}, not a type over {g}"
+        for g, a in self._ext:
+            if g not in core:
+                yield from ext_violations(self, g, a, tms)
 
 
 def parse_model(text: str) -> TableModel:

@@ -190,8 +190,7 @@ def check_morphism(fm: NMorphism, bound: int, strict: bool = True) -> Findings:
     ps = model_presheaves(fm.src, bound, bound)
     report = Findings(bound, len(ps.cat.object_keys), STRICT_LAWS if strict else WEAK_LAWS)
     try:
-        for check, msg in _checks(fm, ps, bound):
-            report.add(check, msg)
+        report.file(_checks(fm, ps, bound))
     except ValueError as exc:  # F is not defined where a law reads it
         report.add("functor", f"an image is undefined: {exc}")
     return report
@@ -357,8 +356,7 @@ def check_sigma_morphism(fm: NMorphism, bound: int) -> Findings:
     pairs = [(g, key) for g in sq.p.dom.base.object_keys
              for key in sq.former.dom.at(g) if in_scope(g, key)]
     report = Findings(bound, len(pairs))
-    for law, witness in _sigma(fm, sq, pairs):
-        report.add(law, witness)
+    report.file(_sigma(fm, sq, pairs))
     return report
 
 
@@ -411,8 +409,7 @@ def classified_morphisms(model: NaturalModel,
                 if witness is not None:
                     classified[sigma] = witness
     closure = Findings(bound, len(classified))
-    for law, witness in _pullback_closure(model, ps, classified, bound):
-        closure.add(law, witness)
+    closure.file(_pullback_closure(model, ps, classified, bound))
     return classified, closure
 
 

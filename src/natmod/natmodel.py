@@ -33,14 +33,17 @@ Every checker returns a :class:`~natmod.report.Findings`, per law its
 verdict and witnesses, at the bound it was computed at; nothing is claimed
 beyond it.  ``check_eat`` files each witness under its equation number, the
 structure checkers each "(ii) typeof(star) != unit" under ``ii``, and a
-square that is not a pullback under ``pullback``.
+square that is not a pullback under ``pullback``.  :func:`ext_violations`
+is the one body of equations (xix)-(xxii) on one extension: ``check_eat``
+reads it over its contexts, and a model file's boundary rows through
+``TableModel.sort_violations``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Collection, Generator, Iterator, Mapping, NamedTuple, Optional
 
 from .fincat import (
     BoundedCategory,
@@ -231,16 +234,33 @@ TM_EQUATIONS = {"identity": "xiv", "composition": "xv", "closure": "xvi"}
 TYPING_EQUATIONS = {"component": "xvii", "naturality": "xviii"}
 
 
-def _report_laws(report: Findings, equations: dict[str, str],
-                 violations: Generator[tuple[str, str], None, object]) -> object:
-    """Add a layer checker's (law, witness) pairs to ``report``, each under
-    its equation; returns what the checker returns."""
-    while True:
-        try:
-            law, msg = next(violations)
-        except StopIteration as stop:
-            return stop.value
-        report.add(equations.get(law, law), msg)
+def ext_violations(
+    model: NaturalModel, ctx: str, ty: str, terms: Mapping[str, Collection[str]]
+) -> Generator[tuple[str, str], None, Optional[ExtensionData]]:
+    """Equations (xix)-(xxii) on the extension data of ``ty`` over ``ctx``,
+    as (equation, witness) pairs: p : Γ•A -> Γ, and q a term over Γ•A of
+    type A[p].  q is looked up among ``terms`` only where they list Γ•A.
+    Data that cannot be read, or a cell of it missing, is a violation of
+    (xix), not an exception.  Returns the data, None if it cannot be read.
+    """
+    base = model.base
+    try:
+        e = model.ext(ctx, ty)
+    except (ValueError, LookupError) as exc:
+        yield "xix", f"extension data at ({ctx}, {ty}) broken: {exc}"
+        return None
+    try:
+        if base.dom(e.proj) != e.extended:
+            yield "xix", f"dom(p) for ({ctx}, {ty})"
+        if base.cod(e.proj) != ctx:
+            yield "xx", f"cod(p) for ({ctx}, {ty})"
+        if model.typeof(e.extended, e.var) != model.subst_ty(e.proj, ty):
+            yield "xxii", f"typeof(q) for ({ctx}, {ty})"
+        if e.extended in terms and e.var not in terms[e.extended]:
+            yield "xxi", f"q not among terms of {e.extended}"
+    except (ValueError, LookupError) as exc:
+        yield "xix", f"extension data at ({ctx}, {ty}) broken: {exc}"
+    return e
 
 
 def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> Findings:
@@ -271,14 +291,13 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
     # The laws closed under composition are then checked along the
     # generators of a lawful category, naturality only over functorial Ty
     # and Tm.
-    gens = _report_laws(report, CATEGORY_EQUATIONS, category_violations(base, ctxs))
-    _report_laws(report, TY_EQUATIONS, ps.ty.violations(gens))
-    _report_laws(report, TM_EQUATIONS, ps.tm.violations(gens))
+    gens = report.file(category_violations(base, ctxs), CATEGORY_EQUATIONS)
+    report.file(ps.ty.violations(gens), TY_EQUATIONS)
+    report.file(ps.tm.violations(gens), TM_EQUATIONS)
     functorial = report.violations.keys().isdisjoint(
         [*TY_EQUATIONS.values(), *TM_EQUATIONS.values()])
-    _report_laws(report, TYPING_EQUATIONS, ps.p.violations(gens if functorial else None))
+    report.file(ps.p.violations(gens if functorial else None), TYPING_EQUATIONS)
 
-    ctx_set = set(ctxs)
     mors = [(m, a, b) for (a, b), ms in ps.cat.homs.items() for m in ms]
     tys, tms = ps.ty.values, ps.tm.values
 
@@ -288,21 +307,9 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
     exts = {}
     for g in ctxs:
         for a_ty in tys[g]:
-            try:
-                e = model.ext(g, a_ty)
+            e = report.file(ext_violations(model, g, a_ty, tms))
+            if e is not None:
                 exts[(g, a_ty)] = e
-                if base.dom(e.proj) != e.extended:
-                    report.add("xix", f"dom(p) for ({g}, {a_ty})")
-                if base.cod(e.proj) != g:
-                    report.add("xx", f"cod(p) for ({g}, {a_ty})")
-                if model.typeof(e.extended, e.var) != model.subst_ty(e.proj, a_ty):
-                    report.add("xxii", f"typeof(q) for ({g}, {a_ty})")
-                # (xxi): the variable is a term over the extended context;
-                # verified via typeof plus membership when in bound.
-                if e.extended in ctx_set and e.var not in tms[e.extended]:
-                    report.add("xxi", f"q not among terms of {e.extended}")
-            except (ValueError, LookupError) as exc:
-                report.add("xix", f"extension data at ({g}, {a_ty}) broken: {exc}")
 
     # (xxiii)-(xxvi) induced substitutions
     for m, a, b in mors:
@@ -561,11 +568,16 @@ def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> Findings:
     (⋄, id_⋄, ⋆) over the unit type, reading unit[t_Δ] and ⋆[t_Δ] cell by
     cell as the oracle does; its failure is filed under ``pullback``.  Sort
     mismatches (a structure component that is not a closed type or term)
-    are reported as violations rather than raised.
+    are reported as violations rather than raised.  The one instance is
+    ⋄; where it lies past ``bound``, as a file's boundary terminal can,
+    there is none and nothing is checked.
     """
-    report = Findings(bound)
-    add = _filer(report)
     diamond = model.terminal
+    ps = model_presheaves(model, bound, bound)
+    report = Findings(bound, int(diamond in ps.cat.object_keys))
+    if not report.instances:
+        return report
+    add = _filer(report)
     if u.unit_ty not in model.types(diamond, bound):
         add("i", "the unit type is not a closed type")
         return report
@@ -580,7 +592,6 @@ def check_unit(model: NaturalModel, u: UnitStructure, bound: int) -> Findings:
     if e.var != model.subst_tm(model.t(e.extended), u.star_tm):
         add("iv", "variable of the unit extension is not star weakened")
 
-    ps = model_presheaves(model, bound, bound)
     if not represents(ps.p, diamond, u.unit_ty, diamond, ps.cat.identity(diamond), u.star_tm):
         report.add("pullback", "unit square is not a pullback within the bound")
     return report

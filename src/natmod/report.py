@@ -1,12 +1,16 @@
 """Checker findings, and verification reports: one record per check, emitted
 as text or JSON lines.
 
-Every checker (``check_eat``, ``check_unit``, ``check_sigma``, ``check_pi``,
-``check_morphism``, ``check_pseudomonad_data``) returns its verdicts as one
-:class:`Findings`, law by law, and a search that finds data returns it with
-one beside (``is_representable``, ``classified_morphisms``); the command
-line turns each into a record of a :class:`VerificationReport`.  Both follow one rule: a check over no
-instance shows nothing, so it does not pass.
+Every checker (``check_category``, ``check_eat``, ``check_unit``,
+``check_sigma``, ``check_pi``, ``check_morphism``,
+``check_pseudomonad_data``) returns its verdicts as one :class:`Findings`,
+law by law, a law generator's (law, witness) pairs filed by
+:meth:`Findings.file`, and a search that finds data returns one beside it
+(``is_representable``, ``classified_morphisms``).  The one way a
+:class:`Findings` becomes records is :meth:`VerificationReport.add_findings`:
+a summary record, and one FAIL record ``name-<law>`` per failing law that
+decides it.  Both follow one rule: a check over no instance shows nothing,
+so it does not pass.
 
 Reports are deterministic for a fixed (input, bound, seed): check records are
 sorted by name before emission and timing is excluded from the output unless
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Iterator, Mapping, Optional
 
 
 @dataclass
@@ -59,13 +63,29 @@ class Findings:
         laws = self.checks if self.laws is None else self.laws
         return self.instances != 0 and all(self.checks.get(law, True) for law in laws)
 
-    def first_failure(self) -> str:
-        """The first failing law that decides ``ok``, in the order found,
-        with its first witness and a count of the others; empty if none."""
+    def file(self, pairs: Generator, names: Mapping[str, str] = {}) -> object:
+        """File a law generator's (law, witness) pairs, each law renamed by
+        ``names`` where it has an entry; returns what the generator returns."""
+        while True:
+            try:
+                law, witness = next(pairs)
+            except StopIteration as stop:
+                return stop.value
+            self.add(names.get(law, law), witness)
+
+    def failures(self) -> Iterator[tuple[str, str]]:
+        """Each failing law that decides ``ok``, in the order found, with its
+        first witness and a count of the others ("" if it has none)."""
         laws = self.checks if self.laws is None else self.laws
-        law, ws = next(((law, ws) for law, ws in self.violations.items() if law in laws), ("", []))
-        more = f" (+{len(ws) - 1} more)" if len(ws) > 1 else ""
-        return f"{law}: {ws[0]}{more}" if ws else law
+        for law, ws in self.violations.items():
+            if law in laws:
+                more = f" (+{len(ws) - 1} more)" if len(ws) > 1 else ""
+                yield law, ws[0] + more if ws else ""
+
+    def first_failure(self) -> str:
+        """The first of :meth:`failures` as "law: witness"; empty if none."""
+        law, witness = next(self.failures(), ("", ""))
+        return f"{law}: {witness}" if witness else law
 
 
 @dataclass
@@ -101,9 +121,12 @@ class VerificationReport:
             self.checks.append(CheckRecord(name, passed, detail))
 
     def add_findings(self, name: str, findings: Findings) -> None:
-        """Record a checker's verdict with its instance count, at its bound;
-        a failure names its first failing law and witness."""
+        """Record a checker's verdict with its instance count, at its bound,
+        a failure naming its first failing law and witness, then one FAIL
+        record ``name-<law>`` per failing law that decides it."""
         self.add(name, findings.ok, findings.first_failure(), findings.instances, findings.bound)
+        for law, witness in findings.failures():
+            self.add(f"{name}-{law}", False, witness)
 
     @property
     def ok(self) -> bool:

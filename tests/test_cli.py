@@ -23,7 +23,14 @@ from natmod.modelio import (
     serialize_model,
     serialize_polynomial,
 )
-from natmod.freemodel import term_model
+from natmod.freemodel import (
+    extend_by_type,
+    inclusion,
+    interleaved_universal_pins,
+    term_model,
+    type_universal,
+)
+from natmod.morphism import check_morphism, count_morphisms
 from natmod.natmodel import check_eat
 from natmod.report import Findings, VerificationReport
 
@@ -166,9 +173,40 @@ class TestCheckCommand:
                             code = main(["check", str(mutant), "--bound", "2",
                                          "--format", "machine"])
                             records = map(json.loads, capsys.readouterr().out.splitlines())
-                            fails = {r["name"] for r in records if r.get("status") == "fail"}
-                            outcomes.append((code, law[table] in fails))
+                            fails = {r["name"]: r["detail"] for r in records
+                                     if r.get("status") == "fail"}
+                            # one row breaks one instance, named by one checker
+                            outcomes.append((code, law[table] in fails
+                                             and "(+" not in fails[law[table]]))
         assert outcomes == [(1, True)] * 120
+
+    def test_an_ext_row_at_a_boundary_context_is_checked(self, tmp_path, capsys):
+        # the Σ file's one ext row at a boundary context, with its proj set to
+        # each other morphism of the file or its var to each other term over
+        # Γ•A; two keep every row-level equation, (xix)-(xxii), and would need
+        # (xxv)-(xxvii) across the boundary
+        path, mutant = tmp_path / "sigma.json", tmp_path / "mutant.json"
+        assert main(["free", "sigma", "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        doc = json.loads(text)
+        core = set(parse_model(text).base.objects(0))
+        [(i, row)] = [(i, row) for i, row in enumerate(doc["ext"]) if row["ctx"] not in core]
+        assert row["ctx"] == "tr(fs[0]|)"
+        edits = [("proj", m) for hom in doc["homs"] for m in hom["mors"] if m != row["proj"]]
+        edits += [("var", t) for t in doc["tm"][row["extended"]] if t != row["var"]]
+        named = {"eat-xix", "eat-xx", "eat-xxii"}
+        outcomes = []
+        for field, value in edits:
+            bad = json.loads(text)
+            bad["ext"][i][field] = value
+            mutant.write_text(json.dumps(bad))
+            code = main(["check", str(mutant), "--bound", "2", "--format", "machine"])
+            records = map(json.loads, capsys.readouterr().out.splitlines())
+            fails = {r["name"] for r in records if r.get("status") == "fail"}
+            outcomes.append((code, bool(fails & named)))
+        assert (len(edits), outcomes.count((1, True)), outcomes.count((0, False))) == (31, 29, 2)
 
     def test_a_moved_boundary_identity_row_is_named_as_the_row(self, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -386,7 +424,11 @@ class TestPolyCommand:
         assert f"\nPASS  {name}  -- 50 instances, 0 failures\n" in capsys.readouterr().out
 
     def test_pseudomonad(self, capsys):
-        assert main(["poly", "pseudomonad"]) == 0
+        # each checker's Findings is one record, with no detail when it passes
+        assert main(["poly", "pseudomonad", "--bound", "3"]) == 0
+        assert capsys.readouterr().out == ("# poly-pseudomonad (bound=3, seed=0)\n"
+                                           "PASS  pseudomonad-partiality\n"
+                                           "PASS  pseudomonad-trivial\nresult: PASS\n")
 
     def test_env_var_overrides_default_bound(self, monkeypatch, capsys):
         monkeypatch.setenv("NATMOD_BOUND", "2")
@@ -497,7 +539,9 @@ class TestConstructionsOverFileModels:
     ):
         # each identity subst_tm cell of a unit file whose context has
         # another term is set to the first such term; four of these left F♯
-        # without an induced substitution, which check_morphism raised
+        # without an induced substitution, which check_morphism raised.
+        # Each mutant fails (xiv), so free refuses it as a base; the
+        # extension over it is still built and checked without a traceback
         path = tmp_path / "u.json"
         assert main(["free", "unit", "--base", "term-model:1", "--bound", "2",
                      "--out-model", str(path)]) == 0
@@ -515,16 +559,31 @@ class TestConstructionsOverFileModels:
             mutant = json.loads(text)
             mutant["subst_tm"][i]["out"] = other
             path.write_text(json.dumps(mutant))
-            codes.append(main(["free", "type", "--base", str(path), "--bound", "1"]))
+            assert main(["free", "type", "--base", str(path), "--bound", "1"]) == 2
             out, err = capsys.readouterr()
-            assert err == "" and (codes[-1] == 0) == out.endswith("result: PASS\n"), out
+            assert out == "" and re.fullmatch(rf"parse error: {re.escape(str(path))}: "
+                                              r"eat fails xiv: [^\n]*\n", err), err
+            codes.append(0 if _type_extension_passes(path.read_text(), 1) else 1)
         assert codes == [0, 0, 1, 1, 1, 1, 0, 0, 1]
+
+
+def _type_extension_passes(base_text: str, bound: int) -> bool:
+    """Whether the checks of ``natmod free type`` pass at ``bound`` over the
+    base a model file describes, whether or not the base passes its own."""
+    model = extend_by_type(parse_model(base_text))
+    incl = inclusion(model)
+    sharp = type_universal(model, incl, model.new_ty)
+    pins = interleaved_universal_pins(model, incl, bound, sharp)
+    return (check_eat(model, bound).ok and check_morphism(incl, bound).ok
+            and check_morphism(sharp, bound).ok
+            and count_morphisms(model, model, bound, pins) == 1)
 
 
 class TestFailingRecordsNameTheirWitness:
     def test_a_broken_identity_cell_of_a_base_file_is_named(self, tmp_path, capsys):
-        # star[id] := x0 over ⋄•T0 breaks (xiv) in the extension and the
-        # naturality of its mediating morphism
+        # star[id] := x0 over ⋄•T0 breaks (xiv) in the base, so free refuses
+        # it; in the extension over it, it breaks (xiv) and the naturality of
+        # the mediating morphism
         path = tmp_path / "u.json"
         assert main(["free", "unit", "--base", "term-model:1", "--bound", "2",
                      "--out-model", str(path)]) == 0
@@ -533,13 +592,16 @@ class TestFailingRecordsNameTheirWitness:
         ident = doc["identities"]["ix(fs[0]|0)"]
         next(r for r in doc["subst_tm"] if (r["mor"], r["term"]) == (ident, "star"))["out"] = "x0"
         path.write_text(json.dumps(doc))
-        assert main(["free", "type", "--base", str(path), "--bound", "1"]) == 1
-        out = capsys.readouterr().out
-        assert ("\nFAIL  eat  -- xiv: identity action fails at " + r"'ix(ix(fs[0]\\|0)|0)'"
-                + " on 'star' (+1 more)\n") in out
-        fail = re.search(r"\nFAIL  mediating-strict  -- (.*)\n", out).group(1)
+        assert main(["free", "type", "--base", str(path), "--bound", "1"]) == 2
+        assert capsys.readouterr().err == (f"parse error: {path}: eat fails xiv: identity "
+                                           "action fails at 'ix(fs[0]|0)' on 'star'\n")
+        model = extend_by_type(parse_model(path.read_text()))
+        incl = inclusion(model)
+        assert check_eat(model, 1).first_failure() == (
+            "xiv: identity action fails at " + r"'ix(ix(fs[0]\\|0)|0)'" + " on 'star' (+1 more)")
+        fail = check_morphism(type_universal(model, incl, model.new_ty), 1).first_failure()
         assert fail.startswith("tm-natural: star[") and fail.endswith("] (+5 more)")
-        assert "\nPASS  inclusion-strict\n" in out and out.endswith("result: FAIL\n")
+        assert check_morphism(incl, 1).ok
 
     def test_the_detail_is_the_first_failing_law_that_decides(self):
         findings = Findings(2, 3, laws=frozenset({"b", "c"}))
@@ -551,7 +613,9 @@ class TestFailingRecordsNameTheirWitness:
         findings.record("c", False)
         report = VerificationReport("r", 2)
         report.add_findings("x", findings)
-        assert [(c.status, c.detail) for c in report.checks] == [("fail", "b: first (+2 more)")]
+        assert [(c.name, c.status, c.detail) for c in report.checks] == [
+            ("x", "fail", "b: first (+2 more)"), ("x-b", "fail", "first (+2 more)"),
+            ("x-c", "fail", "")]
         alone = Findings(2, 1)
         alone.record("c", False)
         assert alone.first_failure() == "c"
@@ -1031,3 +1095,112 @@ def test_one_cell_mutations_keep_the_exit_code_contract(tmp_path_factory, data):
     assert rc in (0, 1, 2)
     if rc == 1:
         assert "\nFAIL  " in report.read_text()
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    """The texts of the files ``natmod free KIND --base term-model:1 --bound 2
+    --out-model`` writes, for the term model and the type, unit and Σ
+    extensions."""
+    workdir = tmp_path_factory.mktemp("written")
+    texts = {}
+    for kind in ("term-model", "type", "unit", "sigma"):
+        path = workdir / f"{kind}.json"
+        assert main(["free", kind, "--base", "term-model:1", "--bound", "2",
+                     "--out-model", str(path), "--out", str(workdir / "report.txt")]) == 0
+        texts[kind] = path.read_text()
+    return texts
+
+
+def _edit_one_cell(doc: dict, section: str, rng: random.Random) -> None:
+    """Set one cell of ``section`` to another key of the same sort in the file."""
+    mors = [m for hom in doc["homs"] for m in hom["mors"]]
+    tys = sorted({t for ts in doc["ty"].values() for t in ts})
+    tms = sorted({t for ts in doc["tm"].values() for t in ts})
+    if section == "identities":
+        doc["identities"][rng.choice(sorted(doc["identities"]))] = rng.choice(mors)
+    elif section == "terminal":
+        doc["terminal"] = rng.choice(doc["objects"])
+    elif section == "compose":
+        rng.choice(doc["compose"])["gf"] = rng.choice(mors)
+    elif section in ("subst_ty", "subst_tm", "typeof"):
+        field = "type" if section == "typeof" else "out"
+        rng.choice(doc[section])[field] = rng.choice(tms if section == "subst_tm" else tys)
+    else:
+        field = rng.choice(["extended", "proj", "var"])
+        rng.choice(doc["ext"])[field] = rng.choice(
+            {"extended": doc["objects"], "proj": mors, "var": tms}[field])
+
+
+def _keeps_the_exit_contract(argv: list[str], capsys) -> int:
+    """Run ``argv``; it exits 0, 1 or 2 with nothing on stderr but one
+    parse error line.  Returns the exit code."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and (err == "" or re.fullmatch(r"parse error: [^\n]*\n", err)), \
+        (argv, code, err)
+    return code
+
+
+class TestNoFileEditMakesATraceback:
+    def _base(self, tmp_path, text: str, edit) -> str:
+        doc = json.loads(text)
+        edit(doc)
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_a_base_whose_terminal_has_no_map_into_it_is_refused(
+        self, written_files, tmp_path, capsys
+    ):
+        path = self._base(tmp_path, written_files["term-model"],
+                          lambda doc: doc.update(terminal="fs[0]"))
+        assert main(["free", "type", "--base", path, "--bound", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"parse error: {path}: category-laws fails terminal: "
+                                            "terminal: |hom(fs[],fs[0])| = 0, expected 1")
+
+    def test_a_base_whose_identity_lies_in_another_hom_set_is_refused(
+        self, written_files, tmp_path, capsys
+    ):
+        def edit(doc):
+            doc["identities"]["fs[]"] = "fs[0,0]=>fs[0,0]:(0,0)"
+
+        path = self._base(tmp_path, written_files["term-model"], edit)
+        assert main(["free", "type", "--base", path, "--bound", "1"]) == 2
+        assert capsys.readouterr().err == (f"parse error: {path}: category-laws fails dom-id: "
+                                           "identity of 'fs[]' is not in hom(fs[],fs[])\n")
+
+    def test_a_unit_over_a_terminal_past_the_bound_is_vacuous(
+        self, written_files, tmp_path, capsys
+    ):
+        # ix(fs[]|2) is isomorphic to ⋄, so the file passes, but it lies on
+        # the file's boundary and so past every working bound
+        path = self._base(tmp_path, written_files["unit"],
+                          lambda doc: doc.update(terminal="ix(fs[]|2)"))
+        assert main(["check", path, "--bound", "2"]) == 0
+        capsys.readouterr()
+        assert main(["free", "unit", "--base", path, "--bound", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and "\nVACUOUS  unit-structure  -- 0 instances at bound 1\n" in out
+
+    def test_seeded_one_cell_edits_keep_the_exit_contract(self, written_files, tmp_path, capsys):
+        # three edits of each section of each written file; the free
+        # constructions read a base that fails check only to refuse it
+        rng = random.Random(0)
+        path = tmp_path / "mutant.json"
+        codes = []
+        with deadline(60):
+            for kind, text in written_files.items():
+                for section in ("identities", "terminal", "compose", "subst_ty", "subst_tm",
+                                "typeof", "ext"):
+                    for _ in range(3):
+                        doc = json.loads(text)
+                        _edit_one_cell(doc, section, rng)
+                        path.write_text(json.dumps(doc))
+                        codes.append(_keeps_the_exit_contract(
+                            ["check", str(path), "--bound", "2"], capsys))
+                        for free in ("type", "unit", "sigma"):
+                            codes.append(_keeps_the_exit_contract(
+                                ["free", free, "--base", str(path), "--bound", "1"], capsys))
+        assert {0, 1, 2} <= set(codes)

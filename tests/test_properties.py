@@ -353,7 +353,7 @@ class TestKeySpellingsAreInjective:
             == total.at("*")
         cat, proj = elements_cat(x)
         assert len(set(cat.object_keys)) == len(set(cat.all_morphisms())) == len(xs)
-        assert check_category(cat) == [] and proj.check() == []
+        assert check_category(cat).ok and proj.check() == []
 
 
 # ---------------------------------------------------------------------------
