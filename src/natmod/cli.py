@@ -5,9 +5,8 @@ Three command families:
 * ``natmod check MODEL.json`` — category laws, the equational theory, the
   representability oracle on every extension square.  The theory is checked
   on the file's core, the objects whose extension data is complete, and
-  the rows past it (substitution rows along a morphism with a boundary
-  endpoint, typing and extension rows at a boundary context) by
-  ``TableModel.sort_violations``, so each row is read once.
+  past it by ``TableModel.sort_violations``, which evaluates each instance
+  the core does not, except composition across the boundary.
 * ``natmod free KIND ...`` — run a free construction and its
   universal-property verifier; optionally serialize the result.  A base
   file is first checked as ``natmod check`` checks its category laws and
@@ -147,8 +146,8 @@ def _file_findings(model: modelio.TableModel, bound: int) -> dict[str, Findings]
     the name of their record."""
     # a file is a fragment: the theory's quantifiers range over its core,
     # the objects whose extension data is complete, which every working
-    # bound holds whole; boundary objects only receive maps, and their rows
-    # are read by sort_violations
+    # bound holds whole; the instances that read a boundary row are
+    # evaluated by sort_violations
     eat = check_eat(model, 0, ty_bound=bound)
     eat.file(model.sort_violations())
     eat.bound = bound

@@ -426,14 +426,14 @@ def _category_laws(
         for g in ends:
             for h, fs in differing_rows(g):
                 for f in fs:
-                    yield "associativity", f"associativity fails on ({h}, {g}, {f})"
+                    yield "associativity", f"fails on ({h}, {g}, {f})"
 
     t = c.terminal
     if t is not None:
         for a in objects:
             n = len(c.hom(a, t))
             if n != 1:
-                yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
+                yield "terminal", f"|hom({a},{t})| = {n}, expected 1"
 
 
 def check_category(c: FinCatPresentation) -> Findings:

@@ -249,25 +249,28 @@ class TableModel(NaturalModel):
 
     def sort_violations(self) -> Iterator[tuple[str, str]]:
         """The equations on the rows that ``check_eat(model, 0)`` does not
-        read, as (equation, witness) pairs, so that each row of the file is
-        read by exactly one checker.
+        read, as (equation, witness) pairs, so that each equation instance
+        is evaluated by one checker.
 
         ``check_eat`` reads the rows over the core, ``objects(0)``; these
         are the rest.  A ``subst_ty`` or ``subst_tm`` row whose morphism m
         has an endpoint outside the core must give a type (xiii) or a term
         (xvi) over dom m, and where m is an identity, A[id] = A (xi) or
         a[id] = a (xiv).  A ``typeof`` row at a boundary context Γ must give
-        a type over Γ (xvii).  An ``ext`` row at a boundary context Γ must
-        give p : Γ•A -> Γ and q a term over Γ•A of type A[p], (xix)-(xxii)
-        as :func:`~natmod.natmodel.ext_violations` checks them for
-        ``check_eat``.
+        a type over Γ (xvii).  Along such an m, typeof(a[m]) = typeof(a)[m]
+        (xviii) wherever the cells it reads have their sorts.  An ``ext``
+        row at a boundary context is read by
+        :func:`~natmod.natmodel.ext_violations`, (xix)-(xxvii), with every
+        object of the file as a vertex: the file states every cell those
+        instances read.  Two families go unchecked along a morphism with a
+        boundary endpoint: the composition laws of Ty (xii) and of Tm (xv).
         """
         base = self.base
         dom, cod = base.dom, base.cod
         core = set(base.objects(0))
         ids = {base.identity(g) for g in base.object_keys}
-        tys = {g: set(ts) for g, ts in self._ty.items()}
-        tms = {g: set(ts) for g, ts in self._tm.items()}
+        tys = {g: set(self._ty.get(g, ())) for g in base.object_keys}
+        tms = {g: {a: self._typeof[g, a] for a in self._tm.get(g, ())} for g in base.object_keys}
         for eq, id_eq, name, table, sort, what in (
             ("xiii", "xi", "subst_ty", self._subst_ty, tys, "type"),
             ("xvi", "xiv", "subst_tm", self._subst_tm, tms, "term"),
@@ -275,16 +278,23 @@ class TableModel(NaturalModel):
             for (m, x), out in table.items():
                 if dom(m) in core and cod(m) in core:
                     continue
-                if out not in sort.get(dom(m), ()):
+                if out not in sort[dom(m)]:
                     yield eq, f"{name} row ({m}, {x}) gives {out!r}, not a {what} over {dom(m)}"
                 if out != x and m in ids:
                     yield id_eq, f"{name} row ({m}, {x}) gives {out!r}, not {x!r}"
+                if table is self._subst_tm:
+                    # (xvi) and (xvii) hold for the cells read, else no instance
+                    ty_x, ty_out = tms[cod(m)][x], tms[dom(m)].get(out)
+                    if ty_x in tys[cod(m)] and ty_out in tys[dom(m)] \
+                            and ty_out != (ty_m := self._subst_ty[m, ty_x]):
+                        yield "xviii", (f"subst_tm row ({m}, {x}) gives {out!r} of type "
+                                        f"{ty_out!r}, not {ty_x}[{m}] = {ty_m!r}")
         for (g, a), ty in self._typeof.items():
-            if g not in core and ty not in tys.get(g, ()):
+            if g not in core and ty not in tys[g]:
                 yield "xvii", f"typeof row ({g}, {a}) gives {ty!r}, not a type over {g}"
         for g, a in self._ext:
             if g not in core:
-                yield from ext_violations(self, g, a, tms)
+                yield from ext_violations(self, g, a, base.object_keys, tms)
 
 
 def parse_model(text: str) -> TableModel:

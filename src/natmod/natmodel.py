@@ -34,16 +34,18 @@ verdict and witnesses, at the bound it was computed at; nothing is claimed
 beyond it.  ``check_eat`` files each witness under its equation number, the
 structure checkers each "(ii) typeof(star) != unit" under ``ii``, and a
 square that is not a pullback under ``pullback``.  :func:`ext_violations`
-is the one body of equations (xix)-(xxii) on one extension: ``check_eat``
-reads it over its contexts, and a model file's boundary rows through
-``TableModel.sort_violations``.
+is the one body of equations (xix)-(xxvii) on one extension cell (Γ, A),
+over the contexts Δ it is given as vertices: ``check_eat`` runs it on each
+cell of its truncation with the truncation's contexts, and
+``TableModel.sort_violations`` on each of a model file's boundary ``ext``
+rows with every object of the file.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Generator, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Collection, Iterator, Mapping, NamedTuple, Optional
 
 from .fincat import (
     BoundedCategory,
@@ -235,20 +237,25 @@ TYPING_EQUATIONS = {"component": "xvii", "naturality": "xviii"}
 
 
 def ext_violations(
-    model: NaturalModel, ctx: str, ty: str, terms: Mapping[str, Collection[str]]
-) -> Generator[tuple[str, str], None, Optional[ExtensionData]]:
-    """Equations (xix)-(xxii) on the extension data of ``ty`` over ``ctx``,
-    as (equation, witness) pairs: p : Γ•A -> Γ, and q a term over Γ•A of
-    type A[p].  q is looked up among ``terms`` only where they list Γ•A.
-    Data that cannot be read, or a cell of it missing, is a violation of
-    (xix), not an exception.  Returns the data, None if it cannot be read.
+    model: NaturalModel, ctx: str, ty: str, vertices: Collection[str],
+    terms: Mapping[str, Mapping[str, str]],
+) -> Iterator[tuple[str, str]]:
+    """Equations (xix)-(xxvii) on the extension of ``ty`` over ``ctx``, as
+    (equation, witness) pairs: p : Γ•A -> Γ and q a term over Γ•A of type
+    A[p] (xix)-(xxii); ⟨m, a⟩ : Δ -> Γ•A with p ∘ ⟨m, a⟩ = m and
+    q[⟨m, a⟩] = a for each m : Δ -> Γ and a : A[m] (xxiii)-(xxvi); and
+    ⟨p ∘ σ′, q[σ′]⟩ = σ′ for each σ′ : Δ -> Γ•A (xxvii).  The Δ are
+    ``vertices``; ``terms`` maps a context to its terms, each to its type,
+    as p's components do, and q is looked up in it only where it lists Γ•A.
+    Unreadable data, or a missing cell, is a violation of (xix) for the
+    extension data and of (xxvii) for an induced substitution.
     """
     base = model.base
     try:
         e = model.ext(ctx, ty)
     except (ValueError, LookupError) as exc:
         yield "xix", f"extension data at ({ctx}, {ty}) broken: {exc}"
-        return None
+        return
     try:
         if base.dom(e.proj) != e.extended:
             yield "xix", f"dom(p) for ({ctx}, {ty})"
@@ -260,7 +267,39 @@ def ext_violations(
             yield "xxi", f"q not among terms of {e.extended}"
     except (ValueError, LookupError) as exc:
         yield "xix", f"extension data at ({ctx}, {ty}) broken: {exc}"
-    return e
+    for d in vertices:
+        for m in base.hom(d, ctx):
+            target = model.subst_ty(m, ty)
+            for tm, tm_ty in terms[d].items():
+                if tm_ty != target:
+                    continue
+                try:
+                    tau = induced_sub(model, m, tm, ty)
+                    if base.dom(tau) != d:
+                        yield "xxiii", f"dom(⟨{m},{tm}⟩)"
+                    if base.cod(tau) != e.extended:
+                        yield "xxiv", f"cod(⟨{m},{tm}⟩)"
+                    if base.compose(e.proj, tau) != m:
+                        yield "xxv", f"p ∘ ⟨{m},{tm}⟩ != {m}"
+                    if model.subst_tm(tau, e.var) != tm:
+                        yield "xxvi", f"q[⟨{m},{tm}⟩] != {tm}"
+                except (ValueError, LookupError) as exc:
+                    yield "xxvii", f"⟨{m},{tm}⟩ at {ty}: {exc}"
+    for d in vertices:
+        try:
+            candidates = base.hom(d, e.extended)
+        except (ValueError, LookupError) as exc:
+            yield "xxvii", f"hom({d}, {e.extended}): {exc}"
+            continue
+        for sp in candidates:
+            try:
+                back = induced_sub(model, base.compose(e.proj, sp), model.subst_tm(sp, e.var), ty)
+                if back != sp:
+                    yield "xxvii", f"⟨p∘{sp}, q[{sp}]⟩ = {back} != {sp}"
+            except (ValueError, LookupError) as exc:
+                # LookupError includes a cell a model file lacks: a
+                # projection with the wrong codomain asks for one
+                yield "xxvii", f"retraction at {sp}: {exc}"
 
 
 def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -> Findings:
@@ -272,15 +311,16 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
     a row at a time, and returns a generating set when the category is
     lawful; functoriality of Ty and Tm is then checked along it, and
     naturality of p too when Ty and Tm are functorial.
-    (xix)-(xxvii), the representability data, are checked here.  Partial
-    operations are checked only on their domains of definition.  Violations
-    are keyed by equation number "i".."xxvii", except that a morphism lying
-    in two hom sets of the base is keyed "hom-sets", which names no single
-    equation.  The instances are the contexts of the truncation.
+    (xix)-(xxvii), the representability data, are :func:`ext_violations`
+    on each extension cell (Γ, A) of the truncation, with its contexts as
+    the vertices Δ.  Partial operations are checked only on their domains
+    of definition.  Violations are keyed by equation number "i".."xxvii",
+    except that a morphism lying in two hom sets of the base is keyed
+    "hom-sets", which names no single equation.  The instances are the
+    contexts of the truncation.
     """
     if ty_bound is None:
         ty_bound = bound
-    base = model.base
     ps = model_presheaves(model, bound, ty_bound)
     ctxs = ps.cat.object_keys
     report = Findings(bound, len(ctxs))
@@ -291,72 +331,15 @@ def check_eat(model: NaturalModel, bound: int, ty_bound: Optional[int] = None) -
     # The laws closed under composition are then checked along the
     # generators of a lawful category, naturality only over functorial Ty
     # and Tm.
-    gens = report.file(category_violations(base, ctxs), CATEGORY_EQUATIONS)
+    gens = report.file(category_violations(model.base, ctxs), CATEGORY_EQUATIONS)
     report.file(ps.ty.violations(gens), TY_EQUATIONS)
     report.file(ps.tm.violations(gens), TM_EQUATIONS)
     functorial = report.violations.keys().isdisjoint(
         [*TY_EQUATIONS.values(), *TM_EQUATIONS.values()])
     report.file(ps.p.violations(gens if functorial else None), TYPING_EQUATIONS)
-
-    mors = [(m, a, b) for (a, b), ms in ps.cat.homs.items() for m in ms]
-    tys, tms = ps.ty.values, ps.tm.values
-
-    # (xix)-(xxvii): a model with internally inconsistent extension data can
-    # make the derived operations fail outright; such failures are recorded
-    # as violations rather than raised, since violations are data here.
-    exts = {}
     for g in ctxs:
-        for a_ty in tys[g]:
-            e = report.file(ext_violations(model, g, a_ty, tms))
-            if e is not None:
-                exts[(g, a_ty)] = e
-
-    # (xxiii)-(xxvi) induced substitutions
-    for m, a, b in mors:
-        for a_ty in tys[b]:
-            if (b, a_ty) not in exts:
-                continue
-            target = ps.ty.restrict(m, a_ty)
-            for tm in tms[a]:
-                if ps.p.apply(a, tm) != target:
-                    continue
-                try:
-                    tau = induced_sub(model, m, tm, a_ty)
-                    e = exts[(b, a_ty)]
-                    if base.dom(tau) != a:
-                        report.add("xxiii", f"dom(⟨{m},{tm}⟩)")
-                    if base.cod(tau) != e.extended:
-                        report.add("xxiv", f"cod(⟨{m},{tm}⟩)")
-                    if base.compose(e.proj, tau) != m:
-                        report.add("xxv", f"p ∘ ⟨{m},{tm}⟩ != {m}")
-                    if model.subst_tm(tau, e.var) != tm:
-                        report.add("xxvi", f"q[⟨{m},{tm}⟩] != {tm}")
-                except (ValueError, LookupError) as exc:
-                    report.add("xxvii", f"⟨{m},{tm}⟩ at {a_ty}: {exc}")
-
-    # (xxvii) uniqueness: ⟨p∘σ', q[σ']⟩ = σ' for every σ' into an extension
-    for g in ctxs:
-        for a_ty in tys[g]:
-            if (g, a_ty) not in exts:
-                continue
-            e = exts[(g, a_ty)]
-            for d in ctxs:
-                try:
-                    candidates = base.hom(d, e.extended)
-                except (ValueError, LookupError) as exc:
-                    report.add("xxvii", f"hom({d}, {e.extended}): {exc}")
-                    continue
-                for sp in candidates:
-                    try:
-                        m0 = base.compose(e.proj, sp)
-                        tm0 = model.subst_tm(sp, e.var)
-                        back = induced_sub(model, m0, tm0, a_ty)
-                        if back != sp:
-                            report.add("xxvii", f"⟨p∘{sp}, q[{sp}]⟩ = {back} != {sp}")
-                    except (ValueError, LookupError) as exc:
-                        # LookupError includes a cell a model file lacks: a
-                        # projection with the wrong codomain asks for one
-                        report.add("xxvii", f"retraction at {sp}: {exc}")
+        for a_ty in ps.ty.values[g]:
+            report.file(ext_violations(model, g, a_ty, ctxs, ps.p.components))
     return report
 
 

@@ -5,9 +5,9 @@ inclusions, the category laws checked one triple at a time, functoriality
 and naturality checked along every morphism, the functor laws checked pair
 by pair, the pullback of presheaves checked against every representable
 cone, composition in (Fin/I)^op read back out of the keys, a one-object
-model file, the searching reference for the classified morphisms, the
-extension-square oracle read off every row, and a deadline that makes a hang
-fail its test."""
+model file, the one-row mutants of a model file, the searching reference for
+the classified morphisms, the extension-square oracle read off every row, and
+a deadline that makes a hang fail its test."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ import itertools
 import json
 import operator
 import signal
+from typing import Iterator
 
 from natmod.fincat import FinCatPresentation
 from natmod.freemodel import TermTree, TypeTree
@@ -144,6 +145,32 @@ def one_object_file(tys: list[str]) -> str:
         "ext": [{"ctx": "*", "type": t, "extended": "*", "proj": "id", "var": f"v{t}"}
                 for t in tys],
     })
+
+
+# the field a one-row mutant sets in each row section, and the family of
+# cells it is set from
+_MUTABLE_ROWS = {"subst_ty": ("out", "ty"), "subst_tm": ("out", "tm"), "typeof": ("type", "ty")}
+
+
+def one_row_mutants(text: str, keep) -> Iterator[tuple[str, dict]]:
+    """Each copy of the model file ``text`` with one ``subst_ty``,
+    ``subst_tm`` or ``typeof`` row set to another cell of its sort at its
+    context: dom m for a row along m, Γ for a typing row at Γ.  Only the rows
+    for which ``keep(section, row)`` holds are set, in file order, and each
+    to every other cell in the order its family lists them.  Yields
+    (section, mutant document)."""
+    doc = json.loads(text)
+    dom = {m: hom["src"] for hom in doc["homs"] for m in hom["mors"]}
+    for section, (field, family) in _MUTABLE_ROWS.items():
+        for i, row in enumerate(doc[section]):
+            if not keep(section, row):
+                continue
+            ctx = row["ctx"] if section == "typeof" else dom[row["mor"]]
+            for other in doc[family].get(ctx, []):
+                if other != row[field]:
+                    bad = json.loads(text)
+                    bad[section][i][field] = other
+                    yield section, bad
 
 
 def finite_sets_model(max_fibre: int = 2):
@@ -488,13 +515,13 @@ def reference_category_violations(c, objects):
             hg = comp.get((h, g))
             for f, gf in into:
                 if comp.get((h, gf)) != comp.get((hg, f)):
-                    yield "associativity", f"associativity fails on ({h}, {g}, {f})"
+                    yield "associativity", f"fails on ({h}, {g}, {f})"
     t = c.terminal
     if t is not None:
         for a in objects:
             n = len(c.hom(a, t))
             if n != 1:
-                yield "terminal", f"terminal: |hom({a},{t})| = {n}, expected 1"
+                yield "terminal", f"|hom({a},{t})| = {n}, expected 1"
 
 
 def reference_functor_violations(src, dst, on_obj, on_mor, objects, morphisms, blocks):

@@ -31,10 +31,10 @@ from natmod.freemodel import (
     type_universal,
 )
 from natmod.morphism import check_morphism, count_morphisms
-from natmod.natmodel import check_eat
+from natmod.natmodel import check_eat, model_presheaves
 from natmod.report import Findings, VerificationReport
 
-from helpers import deadline, one_object_file
+from helpers import deadline, one_object_file, one_row_mutants
 
 
 @pytest.fixture
@@ -121,6 +121,12 @@ class TestModelIO:
         assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
+def _failing_records(capsys) -> dict[str, str]:
+    """The failing records of a ``--format machine`` report on stdout, name to detail."""
+    records = map(json.loads, capsys.readouterr().out.splitlines())
+    return {r["name"]: r["detail"] for r in records if r.get("status") == "fail"}
+
+
 class TestCheckCommand:
     def test_good_model_exits_zero(self, term_model_file, capsys):
         rc = main(["check", str(term_model_file), "--bound", "2"])
@@ -144,7 +150,9 @@ class TestCheckCommand:
         assert rc == 1
         assert "FAIL" in out and "unit law" in out
 
-    def test_every_identity_row_set_to_another_cell_fails_its_equation(self, tmp_path, capsys):
+    def test_every_identity_row_set_to_another_cell_fails_its_equation(
+        self, written_files, tmp_path, capsys
+    ):
         # each identity row of subst_ty or subst_tm, at a core or a boundary
         # object, set to each other type or term of its context breaks (xi)
         # or (xiv); the boundary rows are read only by the row pass of
@@ -152,39 +160,69 @@ class TestCheckCommand:
         law = {"subst_ty": "eat-xi", "subst_tm": "eat-xiv"}
         outcomes, mutant = [], tmp_path / "mutant.json"
         with deadline(60):
-            for kind in ("term-model", "type", "unit", "sigma"):
-                path = tmp_path / f"{kind}.json"
-                assert main(["free", kind, "--base", "term-model:1", "--bound", "2",
-                             "--out-model", str(path)]) == 0
-                assert main(["check", str(path), "--bound", "2"]) == 0
-                capsys.readouterr()
-                text = path.read_text()
-                doc = json.loads(text)
-                ctx_of = {ident: ctx for ctx, ident in doc["identities"].items()}
-                for table, values in (("subst_ty", doc["ty"]), ("subst_tm", doc["tm"])):
-                    for i, row in enumerate(doc[table]):
-                        ctx = ctx_of.get(row["mor"])
-                        for other in values.get(ctx, []) if ctx is not None else []:
-                            if other == row["out"]:
-                                continue
-                            bad = json.loads(text)
-                            bad[table][i]["out"] = other
-                            mutant.write_text(json.dumps(bad))
-                            code = main(["check", str(mutant), "--bound", "2",
-                                         "--format", "machine"])
-                            records = map(json.loads, capsys.readouterr().out.splitlines())
-                            fails = {r["name"]: r["detail"] for r in records
-                                     if r.get("status") == "fail"}
-                            # one row breaks one instance, named by one checker
-                            outcomes.append((code, law[table] in fails
-                                             and "(+" not in fails[law[table]]))
+            for text in written_files.values():
+                idents = set(json.loads(text)["identities"].values())
+                for section, bad in one_row_mutants(
+                        text, lambda section, row: row.get("mor") in idents):
+                    mutant.write_text(json.dumps(bad))
+                    code = main(["check", str(mutant), "--bound", "2", "--format", "machine"])
+                    fails = _failing_records(capsys)
+                    # one row breaks one instance, named by one checker
+                    outcomes.append((code, law[section] in fails
+                                     and "(+" not in fails[law[section]]))
         assert outcomes == [(1, True)] * 120
+
+    def test_every_boundary_row_set_to_another_cell_fails_or_breaks_composition(
+        self, written_files, tmp_path, capsys
+    ):
+        # each subst_ty or subst_tm row along a morphism with a boundary
+        # endpoint, and each typeof row at a boundary context, set to each
+        # other cell of its sort at its context, fails natmod check: an
+        # equation names it, or the representability oracle fails, or else
+        # it breaks only composition, (xii) in Ty or (xv) in Tm, the family a
+        # file's boundary is not checked for, read here off the presheaves
+        # over the whole file along every morphism
+        mutant = tmp_path / "mutant.json"
+        outcomes = {"named": 0, "oracle": 0, "xii": 0, "xv": 0}
+        with deadline(60):
+            for text in written_files.values():
+                mutant.write_text(text)
+                assert main(["check", str(mutant), "--bound", "2"]) == 0
+                capsys.readouterr()
+                base = parse_model(text).base
+                core = set(base.objects(0))
+
+                def on_boundary(section, row):
+                    if section == "typeof":
+                        return row["ctx"] not in core
+                    return not {base.dom(row["mor"]), base.cod(row["mor"])} <= core
+
+                for _, bad in one_row_mutants(text, on_boundary):
+                    mutant.write_text(json.dumps(bad))
+                    code = main(["check", str(mutant), "--bound", "2", "--format", "machine"])
+                    fails = _failing_records(capsys)
+                    assert code == (1 if fails else 0)
+                    if any(name.startswith("eat-") for name in fails):
+                        outcomes["named"] += 1
+                        continue
+                    if fails:
+                        assert set(fails) == {"representability-oracle"}, fails
+                        outcomes["oracle"] += 1
+                        continue
+                    ps = model_presheaves(parse_model(mutant.read_text()), BOUNDARY_RANK, 2)
+                    laws = {eq: {law for law, _ in presheaf.violations()}
+                            for eq, presheaf in (("xii", ps.ty), ("xv", ps.tm))}
+                    assert sorted(laws.values(), key=len) == [set(), {"composition"}], laws
+                    outcomes[max(laws, key=lambda eq: len(laws[eq]))] += 1
+        assert outcomes == {"named": 600, "oracle": 72, "xii": 18, "xv": 194}
 
     def test_an_ext_row_at_a_boundary_context_is_checked(self, tmp_path, capsys):
         # the Σ file's one ext row at a boundary context, with its proj set to
         # each other morphism of the file or its var to each other term over
-        # Γ•A; two keep every row-level equation, (xix)-(xxii), and would need
-        # (xxv)-(xxvii) across the boundary
+        # Γ•A; 29 edits break a row-level equation, (xix)-(xxii), and the two
+        # that keep them, the other projection and the variable x0, break an
+        # induced substitution, (xxv)-(xxvii), read with every object of the
+        # file as a vertex
         path, mutant = tmp_path / "sigma.json", tmp_path / "mutant.json"
         assert main(["free", "sigma", "--base", "term-model:1", "--bound", "2",
                      "--out-model", str(path)]) == 0
@@ -196,8 +234,10 @@ class TestCheckCommand:
         assert row["ctx"] == "tr(fs[0]|)"
         edits = [("proj", m) for hom in doc["homs"] for m in hom["mors"] if m != row["proj"]]
         edits += [("var", t) for t in doc["tm"][row["extended"]] if t != row["var"]]
-        named = {"eat-xix", "eat-xx", "eat-xxii"}
-        outcomes = []
+        row_level = {"eat-xix", "eat-xx", "eat-xxii"}
+        induced = {"eat-xxv", "eat-xxvi", "eat-xxvii"}
+        keep_rows = {("proj", "tr(fs[0,0]|)=>tr(fs[0]|)$('fs[0,0]=>fs[0]:(1)',)"), ("var", "x0")}
+        assert len(edits) == 31 and keep_rows <= set(edits)
         for field, value in edits:
             bad = json.loads(text)
             bad["ext"][i][field] = value
@@ -205,8 +245,8 @@ class TestCheckCommand:
             code = main(["check", str(mutant), "--bound", "2", "--format", "machine"])
             records = map(json.loads, capsys.readouterr().out.splitlines())
             fails = {r["name"] for r in records if r.get("status") == "fail"}
-            outcomes.append((code, bool(fails & named)))
-        assert (len(edits), outcomes.count((1, True)), outcomes.count((0, False))) == (31, 29, 2)
+            named = induced if (field, value) in keep_rows else row_level
+            assert code == 1 and fails & named, (field, value, fails)
 
     def test_a_moved_boundary_identity_row_is_named_as_the_row(self, tmp_path, capsys):
         path = tmp_path / "model.json"
@@ -887,6 +927,24 @@ class TestFileCellsTheDataPointsAt:
         assert "FAIL  eat-xx  -- cod(p) for (fs[0], T0)" in lines
 
 
+    def test_a_boundary_subst_tm_row_of_the_wrong_type_fails_xviii(
+        self, written_files, tmp_path, capsys
+    ):
+        # star[m] set to x0, a term over dom m but of type T0, not unit[m],
+        # along an endomorphism m of a boundary context: (xvi) holds there,
+        # typing naturality does not
+        m = "ix(fs[0,0]|0)=>ix(fs[0,0]|0)$('fs[0,0]=>fs[0,0]:(0,0)', ())"
+        doc = json.loads(written_files["unit"])
+        row = next(r for r in doc["subst_tm"] if (r["mor"], r["term"]) == (m, "star"))
+        assert row["out"] == "star"
+        row["out"] = "x0"
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path), "--bound", "2"]) == 1
+        out = capsys.readouterr().out
+        assert (f"\nFAIL  eat-xviii  -- subst_tm row ({m}, star) gives 'x0' of type 'T0', "
+                f"not unit[{m}] = 'unit'\n") in out
+
     @pytest.mark.parametrize("section,key,field,eq", [
         ("subst_ty", "mor", "out", "xiii"),
         ("subst_tm", "mor", "out", "xvi"),
@@ -1158,7 +1216,7 @@ class TestNoFileEditMakesATraceback:
         assert main(["free", "type", "--base", path, "--bound", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"parse error: {path}: category-laws fails terminal: "
-                                            "terminal: |hom(fs[],fs[0])| = 0, expected 1")
+                                            "|hom(fs[],fs[0])| = 0, expected 1")
 
     def test_a_base_whose_identity_lies_in_another_hom_set_is_refused(
         self, written_files, tmp_path, capsys

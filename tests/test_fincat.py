@@ -766,7 +766,7 @@ class TestCategoryViolationsAgainstTheReference:
         got = list(category_violations(cat, cat.object_keys))
         assert got == list(reference_category_violations(cat, cat.object_keys))
         assert got == [("dom-comp", "no composite recorded for (u, e)"),
-                       ("associativity", "associativity fails on (s, v, e)")]
+                       ("associativity", "fails on (s, v, e)")]
 
 
 def _term_over_unit():

@@ -235,7 +235,7 @@ class TestCheckEat:
                            {("⋄", "A"): ExtensionData("⋄.A", "p", "q")})
         assert cat.objects(0) == ["X"]
         rep = check_eat(model, 0)
-        assert rep.violations["x"] == ["terminal: |hom(X,⋄)| = 2, expected 1"]
+        assert rep.violations["x"] == ["|hom(X,⋄)| = 2, expected 1"]
 
 
 class TestCanonicalPullback:
